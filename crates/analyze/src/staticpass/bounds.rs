@@ -6,9 +6,9 @@
 //!
 //! 1. **The local contributors are exact.** The model's per-interval
 //!    knock-out decomposition is itself a closed-form dependence-graph
-//!    computation ([`schedule_interval`]) over the interval's ops — no
-//!    cycle-level state is involved. Re-running the same four schedules
-//!    here reproduces `base`, `ilp`, `fu_latency`, `short_dmiss` and
+//!    computation ([`knockout_interval`]) over the interval's ops — no
+//!    cycle-level state is involved. Calling the same kernel here
+//!    reproduces `base`, `ilp`, `fu_latency`, `short_dmiss` and
 //!    `local_resolution` *exactly*, so their bounds collapse to a point.
 //!    Likewise `refill = intervals × frontend_depth` by construction.
 //!
@@ -25,12 +25,12 @@
 //! (carryover ≈ 0); its observed error against simulation is reported by
 //! `bmp-verify` and documented in `docs/STATIC_ANALYSIS.md`.
 
-use bmp_core::drain::{schedule_interval, WindowParams};
+use bmp_core::drain::{knockout_interval, KnockoutScratch, WindowParams};
 use bmp_core::functional::FunctionalOutcome;
 use bmp_core::intervals::{segment, IntervalEventKind};
 use bmp_core::metrics::ModelMetrics;
-use bmp_trace::{dag, Trace};
-use bmp_uarch::{LatencyTable, MachineConfig, OpClass};
+use bmp_trace::Trace;
+use bmp_uarch::{MachineConfig, OpClass};
 
 /// A closed interval `[lo, hi]` with a point estimate, all in cycles
 /// (signed so the carryover total fits).
@@ -148,8 +148,8 @@ impl StaticBounds {
 
     /// Checks the *exact* part of a model-metrics section: the local
     /// contributors and refill must match the static recomputation to
-    /// the cycle (the static pass replays the model's own per-interval
-    /// decomposition).
+    /// the cycle (the static pass calls the model's own per-interval
+    /// kernel).
     ///
     /// Returns one message per violation; the empty vector is a pass.
     pub fn check_model_exact(&self, m: &ModelMetrics) -> Vec<String> {
@@ -306,7 +306,6 @@ pub fn compute_with(
     let intervals = segment(trace.len(), &outcome.events);
     let params = WindowParams::from(cfg);
     let l1_hit = cfg.caches.l1d().hit_latency();
-    let unit = LatencyTable::unit();
 
     let mut n = 0u64;
     let mut base_t = 0u64;
@@ -316,45 +315,31 @@ pub fn compute_with(
     let mut local_t = 0u64;
     let mut cp_t = 0u64;
     let mut terms = Vec::new();
+    let mut scratch = KnockoutScratch::default();
 
     for iv in &intervals {
         if iv.kind != Some(IntervalEventKind::BranchMispredict) {
             continue;
         }
-        let ops = &trace.ops()[iv.start..=iv.end];
-        let branch_off = ops.len() - 1;
-        let real_load = |i: usize| outcome.load_latency[iv.start + i];
-
-        // The model's own knock-out cascade, replayed verbatim
-        // (`PenaltyModel::analyze_with`) — this is what makes the local
-        // terms exact rather than bounded.
-        let r_local =
-            schedule_interval(ops, params, &cfg.latencies, real_load, false).resolution(branch_off);
-        let r_l1 = schedule_interval(ops, params, &cfg.latencies, |_| Some(l1_hit), false)
-            .resolution(branch_off);
-        let r_unit =
-            schedule_interval(ops, params, &unit, |_| Some(1), false).resolution(branch_off);
-        let r_base =
-            schedule_interval(ops, params, &unit, |_| Some(1), true).resolution(branch_off);
-        let r_l1 = r_l1.min(r_local);
-        let r_unit = r_unit.min(r_l1);
-        let r_base = r_base.min(r_unit);
-
+        // The model's own kernel (`PenaltyModel::analyze_with` calls it
+        // too) — this is what makes the local terms exact rather than
+        // bounded.
+        let local = knockout_interval(
+            &trace.ops()[iv.start..=iv.end],
+            params,
+            &cfg.latencies,
+            l1_hit,
+            &outcome.load_latency[iv.start..=iv.end],
+            &mut scratch,
+        );
         n += 1;
-        base_t += r_base;
-        ilp_t += r_unit - r_base;
-        fu_t += r_l1 - r_unit;
-        sd_t += r_local - r_l1;
-        local_t += r_local;
-        cp_t += dag::critical_path(ops, |i, op| {
-            u64::from(match op.class() {
-                OpClass::Load => {
-                    real_load(i).unwrap_or_else(|| cfg.latencies.latency(OpClass::Load))
-                }
-                c => cfg.latencies.latency(c),
-            })
-        });
-        terms.push((trace.ops()[iv.end].pc(), r_local));
+        base_t += local.base;
+        ilp_t += local.ilp;
+        fu_t += local.fu_latency;
+        sd_t += local.short_dmiss;
+        local_t += local.local_resolution;
+        cp_t += local.critical_path;
+        terms.push((trace.ops()[iv.end].pc(), local.local_resolution));
     }
 
     let (per_lo, per_hi) = per_branch_resolution_bounds(cfg);

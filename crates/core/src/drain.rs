@@ -141,6 +141,184 @@ where
     IntervalSchedule { enter, issue, done }
 }
 
+/// The local knock-out decomposition of one mispredicted-branch
+/// interval, as [`knockout_interval`] computes it.
+///
+/// The four resolution terms are non-negative and sum exactly to
+/// `local_resolution`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalTerms {
+    /// Branch resolution with the interval scheduled in isolation.
+    pub local_resolution: u64,
+    /// The resolution floor: dispatch-to-issue plus execution.
+    pub base: u64,
+    /// Contributor (iii): dependence-chain share.
+    pub ilp: u64,
+    /// Contributor (iv): functional-unit-latency share.
+    pub fu_latency: u64,
+    /// Contributor (v): short D-cache-miss share.
+    pub short_dmiss: u64,
+    /// Dependence-graph critical path of the interval with real
+    /// latencies and no window or dispatch limit
+    /// (`bmp_trace::dag::critical_path`).
+    pub critical_path: u64,
+}
+
+/// Number of schedule lanes [`knockout_interval`] carries: real
+/// latencies, loads at L1-hit latency, unit latencies.
+const LANES: usize = 3;
+
+/// Per-op state of the fused sweep: issue and completion cycle in each
+/// schedule lane, plus the op's dependence-only completion.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneSlot {
+    issue: [u64; LANES],
+    done: [u64; LANES],
+    cp_done: u64,
+}
+
+/// Reusable working memory for [`knockout_interval`]: one slot per op,
+/// grown to the longest interval seen and never shrunk. Create one per
+/// analysis and pass it to every interval.
+#[derive(Debug, Clone, Default)]
+pub struct KnockoutScratch {
+    slots: Vec<LaneSlot>,
+}
+
+/// The knock-out decomposition of one interval in a single pass.
+///
+/// `ops` is the interval, oldest first, ending at the mispredicted
+/// branch; `load_latency[i]` is the functional pass's latency of the
+/// load at interval-relative position `i` (`None` falls back to `lat`).
+/// The result equals the four-schedule cascade over
+/// [`schedule_interval`] — real latencies, loads at `l1_hit`, unit
+/// latencies, unit latencies without dependences — with each knocked-out
+/// resolution floored by the previous one, plus
+/// `bmp_trace::dag::critical_path` with real latencies:
+///
+/// * the first three schedules run as lanes of one sweep, sharing the
+///   dispatch pacing and the dependence lookups;
+/// * the fourth is not scheduled at all: without dependences and with
+///   unit latencies every op issues one cycle after entry and completes
+///   one cycle later, so its resolution is exactly 2 (the base theorem
+///   of `docs/STATIC_ANALYSIS.md`).
+///
+/// [`schedule_interval`] stays the reference definition; the
+/// `knockout_exactness` property test holds this kernel to it.
+///
+/// # Panics
+///
+/// Panics if `ops` is empty, `load_latency` is shorter than `ops`, or
+/// the window size is 0.
+///
+/// # Examples
+///
+/// ```
+/// use bmp_core::drain::{knockout_interval, KnockoutScratch, WindowParams};
+/// use bmp_trace::{BranchKind, MicroOp};
+/// use bmp_uarch::LatencyTable;
+///
+/// // A load feeding a branch; the load missed L1 (14 cycles, hit = 2).
+/// let ops = [
+///     MicroOp::load(0, 0x100, [None, None]),
+///     MicroOp::branch(4, BranchKind::Conditional, true, 0x40, [Some(1), None]),
+/// ];
+/// let params = WindowParams { dispatch_width: 4, window_size: 64 };
+/// let mut scratch = KnockoutScratch::default();
+/// let t = knockout_interval(
+///     &ops, params, &LatencyTable::default(), 2, &[Some(14), None], &mut scratch,
+/// );
+/// assert_eq!(t.local_resolution, 16);
+/// assert_eq!((t.base, t.ilp, t.fu_latency, t.short_dmiss), (2, 1, 1, 12));
+/// assert_eq!(t.critical_path, 15);
+/// ```
+pub fn knockout_interval(
+    ops: &[MicroOp],
+    params: WindowParams,
+    lat: &LatencyTable,
+    l1_hit: u32,
+    load_latency: &[Option<u32>],
+    scratch: &mut KnockoutScratch,
+) -> LocalTerms {
+    assert!(!ops.is_empty(), "an interval ends at its branch");
+    assert!(params.window_size > 0, "the window holds at least one op");
+    let load_latency = &load_latency[..ops.len()];
+    let d = u64::from(params.dispatch_width.max(1));
+    let w = params.window_size as usize;
+    let table_load = lat.latency(OpClass::Load);
+    let l1_load = u64::from(l1_hit).max(1);
+    // Op i lives in slot i + 1. Slot 0 stays all-zero: it stands for
+    // every producer before the interval (ready at cycle 0) and for the
+    // window cap before W ops have entered, so neither needs a branch.
+    // Every other slot is written before it is read, so stale contents
+    // from an earlier interval never leak in.
+    if scratch.slots.len() <= ops.len() {
+        scratch.slots.resize(ops.len() + 1, LaneSlot::default());
+    }
+    let slots = &mut scratch.slots[..=ops.len()];
+    slots[0] = LaneSlot::default();
+
+    // Dispatch pacing, shared by the lanes: `paced` is `i / D`.
+    let mut paced = 0u64;
+    let mut in_cycle = 0u64;
+    let mut enter = [0u64; LANES];
+    let mut critical_path = 0u64;
+    for (i, op) in ops.iter().enumerate() {
+        // Window cap: op i waits for op i-W to have issued.
+        let capped = if i >= w { i + 1 - w } else { 0 };
+        enter = slots[capped].issue.map(|issued| issued.max(paced));
+        let mut start = enter.map(|e| e + 1);
+        let mut cp_start = 0u64;
+        // The selects below are written to compile branch-free: whether
+        // a source exists and whether an op is a load are data-dependent
+        // and mispredict often on the host.
+        for src in op.srcs() {
+            let dist = src.unwrap_or(0) as usize;
+            let producer = if dist <= i { i + 1 - dist } else { 0 };
+            let producer = if dist == 0 { 0 } else { producer };
+            let src = &slots[producer];
+            for (s, &done) in start.iter_mut().zip(&src.done) {
+                *s = (*s).max(done);
+            }
+            cp_start = cp_start.max(src.cp_done);
+        }
+        let class = op.class();
+        let table = u64::from(lat.latency(class)).max(1);
+        let loaded = u64::from(load_latency[i].unwrap_or(table_load)).max(1);
+        let is_load = class == OpClass::Load;
+        let real = if is_load { loaded } else { table };
+        let l1 = if is_load { l1_load } else { table };
+        let slot = &mut slots[i + 1];
+        slot.issue = start;
+        slot.done = [start[0] + real, start[1] + l1, start[2] + 1];
+        slot.cp_done = cp_start + real;
+        critical_path = critical_path.max(slot.cp_done);
+
+        in_cycle += 1;
+        if in_cycle == d {
+            paced += 1;
+            in_cycle = 0;
+        }
+    }
+
+    let branch = &slots[ops.len()];
+    let [r_local, r_l1, r_unit] = std::array::from_fn(|l| branch.done[l] - enter[l]);
+    // The running-floor cascade of the penalty model: knock-outs shrink
+    // completions, but the window cap moves entry too, so a knocked-out
+    // resolution can (rarely) exceed the fuller one.
+    let r_l1 = r_l1.min(r_local);
+    let r_unit = r_unit.min(r_l1);
+    let r_base = r_unit.min(2);
+    LocalTerms {
+        local_resolution: r_local,
+        base: r_base,
+        ilp: r_unit - r_base,
+        fu_latency: r_l1 - r_unit,
+        short_dmiss: r_local - r_l1,
+        critical_path,
+    }
+}
+
 /// Full machine parameters for the whole-trace schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineModel {

@@ -27,7 +27,12 @@
 //! the window cap moves `enter` too, the knocked-out resolutions are
 //! additionally cascaded through a running floor, so every term is
 //! non-negative and they sum exactly to the *local* resolution (the
-//! interval scheduled in isolation, window empty at its start). The branch's *effective* resolution comes from the
+//! interval scheduled in isolation, window empty at its start). One
+//! kernel, [`drain::knockout_interval`](crate::drain::knockout_interval),
+//! computes every knock-out of an interval in a single pass; the static
+//! pass calls the same kernel.
+//!
+//! The branch's *effective* resolution comes from the
 //! whole-trace schedule ([`drain::schedule_trace`](crate::drain)), which
 //! additionally sees issue-bandwidth contention, ROB fill from long
 //! misses, and the window state carried over from before the interval;
@@ -39,10 +44,12 @@
 //! [`PenaltyAnalysis::resolution_by_interval_length`] (experiment E-F3).
 
 use bmp_trace::Trace;
-use bmp_uarch::{LatencyTable, MachineConfig};
+use bmp_uarch::MachineConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::drain::{schedule_interval, schedule_trace, FrontendEvent, MachineModel, WindowParams};
+use crate::drain::{
+    knockout_interval, schedule_trace, FrontendEvent, KnockoutScratch, MachineModel, WindowParams,
+};
 use crate::functional::FunctionalOutcome;
 use crate::intervals::{segment, Interval, IntervalEventKind, LENGTH_BUCKETS};
 
@@ -350,7 +357,6 @@ impl PenaltyModel {
         let params = WindowParams::from(&self.cfg);
         let model = MachineModel::from(&self.cfg);
         let l1_hit = self.cfg.caches.l1d().hit_latency();
-        let unit = LatencyTable::unit();
 
         // Whole-trace schedule: effective resolutions with cross-interval
         // state (window carryover, issue bandwidth, ROB fill).
@@ -365,45 +371,32 @@ impl PenaltyModel {
         );
 
         let mut breakdowns = Vec::new();
+        let mut scratch = KnockoutScratch::default();
         for iv in &intervals {
             if iv.kind != Some(IntervalEventKind::BranchMispredict) {
                 continue;
             }
-            let ops = &trace.ops()[iv.start..=iv.end];
-            let branch_off = ops.len() - 1;
-            let real_load = |i: usize| outcome.load_latency[iv.start + i];
-
-            let r_local = schedule_interval(ops, params, &self.cfg.latencies, real_load, false)
-                .resolution(branch_off);
-            let r_l1 = schedule_interval(ops, params, &self.cfg.latencies, |_| Some(l1_hit), false)
-                .resolution(branch_off);
-            let r_unit =
-                schedule_interval(ops, params, &unit, |_| Some(1), false).resolution(branch_off);
-            let r_base =
-                schedule_interval(ops, params, &unit, |_| Some(1), true).resolution(branch_off);
-
-            // Knock-outs shrink every *completion* monotonically, but the
-            // resolution is a difference (done − enter) and the window
-            // cap moves `enter` too, so in rare anomalies a knocked-out
-            // resolution can exceed the fuller one. Cascade through a
-            // running floor so the terms stay non-negative and sum
-            // exactly to the local resolution.
-            let r_l1 = r_l1.min(r_local);
-            let r_unit = r_unit.min(r_l1);
-            let r_base = r_base.min(r_unit);
+            let local = knockout_interval(
+                &trace.ops()[iv.start..=iv.end],
+                params,
+                &self.cfg.latencies,
+                l1_hit,
+                &outcome.load_latency[iv.start..=iv.end],
+                &mut scratch,
+            );
             let resolution = global.resolution(iv.end);
             let b = PenaltyBreakdown {
                 branch_idx: iv.end,
                 interval_start: iv.start,
                 interval_len: iv.len(),
                 resolution,
-                local_resolution: r_local,
+                local_resolution: local.local_resolution,
                 frontend: self.cfg.frontend_depth,
-                base: r_base,
-                ilp: r_unit - r_base,
-                fu_latency: r_l1 - r_unit,
-                short_dmiss: r_local - r_l1,
-                carryover: resolution as i64 - r_local as i64,
+                base: local.base,
+                ilp: local.ilp,
+                fu_latency: local.fu_latency,
+                short_dmiss: local.short_dmiss,
+                carryover: resolution as i64 - local.local_resolution as i64,
             };
             // Conservation identities, mirrored by lint BMP202 and the
             // static-bounds checks (`crate::identities`).

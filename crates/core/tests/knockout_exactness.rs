@@ -1,0 +1,160 @@
+//! Exactness of the fused knock-out kernel: `drain::knockout_interval`
+//! must equal the four-schedule cascade over `schedule_interval` plus
+//! `dag::critical_path`, field for field, on every interval of random
+//! workloads and machine shapes.
+
+use bmp_core::drain::{
+    knockout_interval, schedule_interval, KnockoutScratch, LocalTerms, WindowParams,
+};
+use bmp_core::intervals::segment;
+use bmp_core::FunctionalOutcome;
+use bmp_trace::{dag, BranchKind, MicroOp};
+use bmp_uarch::{presets, LatencyTable, OpClass};
+use bmp_workloads::spec;
+use proptest::prelude::*;
+
+/// The reference decomposition: four independent schedules, each
+/// knocked-out resolution floored by the fuller one, and the
+/// dependence-only critical path with real latencies.
+fn oracle(
+    ops: &[MicroOp],
+    params: WindowParams,
+    lat: &LatencyTable,
+    l1_hit: u32,
+    loads: &[Option<u32>],
+) -> LocalTerms {
+    let unit = LatencyTable::unit();
+    let b = ops.len() - 1;
+    let r_local = schedule_interval(ops, params, lat, |i| loads[i], false).resolution(b);
+    let r_l1 = schedule_interval(ops, params, lat, |_| Some(l1_hit), false)
+        .resolution(b)
+        .min(r_local);
+    let r_unit = schedule_interval(ops, params, &unit, |_| Some(1), false)
+        .resolution(b)
+        .min(r_l1);
+    let r_base = schedule_interval(ops, params, &unit, |_| Some(1), true)
+        .resolution(b)
+        .min(r_unit);
+    let critical_path = dag::critical_path(ops, |i, op| {
+        u64::from(match op.class() {
+            OpClass::Load => loads[i].unwrap_or_else(|| lat.latency(OpClass::Load)),
+            c => lat.latency(c),
+        })
+    });
+    LocalTerms {
+        local_resolution: r_local,
+        base: r_base,
+        ilp: r_unit - r_base,
+        fu_latency: r_l1 - r_unit,
+        short_dmiss: r_local - r_l1,
+        critical_path,
+    }
+}
+
+fn params(dispatch_width: u32, window_size: u32) -> WindowParams {
+    WindowParams {
+        dispatch_width,
+        window_size,
+    }
+}
+
+fn branch(pc: u64, srcs: [Option<u32>; 2]) -> MicroOp {
+    MicroOp::branch(pc, BranchKind::Conditional, true, 0x40, srcs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every interval of a spec-profile trace, under a random window,
+    /// dispatch width, latency scaling and L1 hit latency. Windows run
+    /// from 1 to 256, so intervals fall both shorter and longer than the
+    /// window; one scratch serves every interval, so stale slots from a
+    /// longer interval would show. Every fifth load loses its recorded
+    /// latency to exercise the table fallback.
+    #[test]
+    fn fused_kernel_equals_schedule_cascade(
+        name in prop::sample::select(spec::NAMES.to_vec()),
+        seed in 0u64..1_000,
+        window in 1u32..=256,
+        width in 1u32..=8,
+        scale in 0.5f64..4.0,
+        l1_hit in 1u32..=8,
+    ) {
+        let trace = spec::by_name(name).expect("spec profile").generate(3_000, seed);
+        let outcome = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
+        let mut loads = outcome.load_latency.clone();
+        for (i, l) in loads.iter_mut().enumerate() {
+            if (i as u64 + seed).is_multiple_of(5) {
+                *l = None;
+            }
+        }
+        let lat = LatencyTable::default().scaled(scale);
+        let p = params(width, window);
+        let mut scratch = KnockoutScratch::default();
+        for iv in segment(trace.len(), &outcome.events) {
+            let ops = &trace.ops()[iv.start..=iv.end];
+            let lds = &loads[iv.start..=iv.end];
+            let got = knockout_interval(ops, p, &lat, l1_hit, lds, &mut scratch);
+            let want = oracle(ops, p, &lat, l1_hit, lds);
+            prop_assert_eq!(got, want, "{} interval {}..={}", name, iv.start, iv.end);
+            prop_assert_eq!(
+                got.base + got.ilp + got.fu_latency + got.short_dmiss,
+                got.local_resolution
+            );
+        }
+    }
+}
+
+#[test]
+fn single_op_interval() {
+    let ops = [branch(0, [Some(3), None])];
+    let lat = LatencyTable::default();
+    let mut scratch = KnockoutScratch::default();
+    let got = knockout_interval(&ops, params(4, 64), &lat, 2, &[None], &mut scratch);
+    assert_eq!(got, oracle(&ops, params(4, 64), &lat, 2, &[None]));
+    // Enter 0, issue 1, done 2: the whole resolution is the floor.
+    assert_eq!(got.local_resolution, 2);
+    assert_eq!(got.base, 2);
+    assert_eq!(got.ilp + got.fu_latency + got.short_dmiss, 0);
+    assert_eq!(got.critical_path, 1);
+}
+
+#[test]
+fn load_without_latency_falls_back_to_table() {
+    let mut cycles = [1u32; 9];
+    cycles[OpClass::Load.index()] = 7;
+    let lat = LatencyTable::new(cycles).expect("non-zero latencies");
+    let ops = [
+        MicroOp::load(0, 0x100, [None, None]),
+        branch(4, [Some(1), None]),
+    ];
+    let mut scratch = KnockoutScratch::default();
+    let got = knockout_interval(&ops, params(4, 64), &lat, 2, &[None, None], &mut scratch);
+    assert_eq!(got, oracle(&ops, params(4, 64), &lat, 2, &[None, None]));
+    // Real lane: the load takes the table's 7 cycles (done 8), the
+    // branch completes at 9 having entered at 0.
+    assert_eq!(got.local_resolution, 9);
+    assert_eq!(got.short_dmiss, 9 - 4, "L1 lane: load done 3, branch 4");
+    assert_eq!(got.critical_path, 8);
+}
+
+#[test]
+fn scratch_reuse_matches_fresh_scratch() {
+    let trace = spec::by_name("mcf")
+        .expect("spec profile")
+        .generate(4_000, 9);
+    let outcome = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
+    let lat = LatencyTable::default();
+    let p = params(4, 16);
+    let mut shared = KnockoutScratch::default();
+    let mut intervals = segment(trace.len(), &outcome.events);
+    // Longest first, so every later interval runs over stale slots.
+    intervals.sort_by_key(|iv| std::cmp::Reverse(iv.len()));
+    for iv in intervals {
+        let ops = &trace.ops()[iv.start..=iv.end];
+        let lds = &outcome.load_latency[iv.start..=iv.end];
+        let reused = knockout_interval(ops, p, &lat, 2, lds, &mut shared);
+        let fresh = knockout_interval(ops, p, &lat, 2, lds, &mut KnockoutScratch::default());
+        assert_eq!(reused, fresh);
+    }
+}
