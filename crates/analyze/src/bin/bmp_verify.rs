@@ -20,6 +20,7 @@ use std::process::ExitCode;
 
 use bmp_analyze::staticpass::{self, lint, StaticBounds};
 use bmp_analyze::{walk_inputs, AnalysisReport, Severity};
+use bmp_core::json::escape_string;
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics};
 use bmp_uarch::presets;
 
@@ -132,22 +133,6 @@ fn render_view(v: &WorkloadView) {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn render_json(views: &[WorkloadView], median: Option<f64>, report: &AnalysisReport) -> String {
     let mut s = String::from("{\"workloads\":[");
     for (i, v) in views.iter().enumerate() {
@@ -156,8 +141,8 @@ fn render_json(views: &[WorkloadView], median: Option<f64>, report: &AnalysisRep
         }
         s.push_str(&format!(
             "{{\"experiment\":{},\"workload\":{},\"intervals\":{},\"contributors\":{{",
-            json_escape(&v.doc),
-            json_escape(&v.workload),
+            escape_string(&v.doc),
+            escape_string(&v.workload),
             v.bounds.intervals
         ));
         for (j, (name, b)) in v.bounds.contributor_rows().iter().enumerate() {
@@ -166,7 +151,7 @@ fn render_json(views: &[WorkloadView], median: Option<f64>, report: &AnalysisRep
             }
             s.push_str(&format!(
                 "{}:{{\"lo\":{},\"point\":{},\"hi\":{}",
-                json_escape(name),
+                escape_string(name),
                 b.lo,
                 b.point,
                 b.hi

@@ -1,8 +1,8 @@
 //! `BMP8xx` — persistent-store consistency.
 //!
-//! `run_all` and `bmp-serve` optionally persist simulation results in
+//! `run_all` optionally persists simulation results in
 //! the content-addressed on-disk store (`BMP_STORE`, see
-//! [`bmp_core::store`] and `docs/SERVING.md`). The store verifies every
+//! [`bmp_core::store`] and `docs/STORE.md`). The store verifies every
 //! record it serves, so corruption can never reach a consumer — but a
 //! store that *holds* corruption silently recomputes on every run.
 //! These rules audit a store tree offline (read-only, without taking

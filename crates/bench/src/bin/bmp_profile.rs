@@ -28,7 +28,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bmp_bench::{Engine, EngineChoice, Scale};
+use bmp_bench::engine::RunPolicy;
+use bmp_bench::{Engine, EngineChoice, FaultPlan, Scale};
 use bmp_core::PenaltyModel;
 use bmp_sim::Simulator;
 use bmp_trace::SuperblockMap;
@@ -147,10 +148,15 @@ fn profile_workloads(scale: Scale, reps: u32) -> Vec<WorkloadRow> {
 /// and returns `(phase report, experiment count, wall seconds)`.
 fn suite_pass(scale: Scale, choice: EngineChoice) -> (bmp_bench::PhaseReport, usize, f64) {
     let engine = Engine::with_engine(1, choice);
+    let faults = FaultPlan::none();
+    let policy = RunPolicy::with_attempts(1, &faults);
     let t0 = Instant::now();
-    let report = engine.run_all(scale);
+    let report = engine.run_all_tolerant(scale, &policy, &|_| {});
     let wall_s = t0.elapsed().as_secs_f64();
-    (engine.ctx().phase_report(), report.timings.len(), wall_s)
+    if let Some(o) = report.failures().next() {
+        panic!("suite experiment {} failed: {:?}", o.name, o.error());
+    }
+    (engine.ctx().phase_report(), report.outcomes.len(), wall_s)
 }
 
 /// Best-of-`reps` suite runs per engine, alternating engines between

@@ -11,6 +11,12 @@
 //!
 //! Flags:
 //!
+//! * `--only NAME[,NAME]` — run just the named experiments (registry
+//!   order; repeatable). The existing journal is loaded and only the
+//!   selected records are replaced, so every other experiment's record
+//!   and CSV stays as it was. The static-surrogate table needs every
+//!   baseline workload and is printed by full runs only. An unknown
+//!   name is a usage error.
 //! * `--resume` — skip experiments whose journal record is completed,
 //!   fingerprint-matches the current `BMP_OPS`/`BMP_SEED`, and whose
 //!   CSV still exists *with the journalled content hash*: a deleted,
@@ -27,7 +33,9 @@
 //! survive process death and a restarted run resumes from disk instead
 //! of recomputing. `BMP_STORE_MAX_BYTES` bounds its size (LRU
 //! eviction). `torn-write`/`corrupt` fault kinds target its writes; see
-//! `docs/ROBUSTNESS.md` and `docs/SERVING.md`.
+//! `docs/ROBUSTNESS.md` and `docs/STORE.md`. The run report then adds
+//! the store's counters (a `store:` summary line and a `"store"` object
+//! in `bench_timings.json`).
 //!
 //! Scale with `BMP_OPS` / `BMP_SEED`; pick the worker count with
 //! `BMP_THREADS` (default: available parallelism, `1` = sequential).
@@ -47,7 +55,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use bmp_bench::engine::{
-    attempts_from_env, experiment_defs, experiment_fingerprint, threads_from_env,
+    attempts_from_env, defs_named, experiment_defs, experiment_fingerprint, threads_from_env,
     ExperimentOutcome, OutcomeKind, RunPolicy,
 };
 use bmp_bench::{metrics, save_under_with, write_atomic, FaultPlan};
@@ -62,15 +70,21 @@ fn csv_hash(bytes: &[u8]) -> String {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: run_all [--resume] [--inject <fault-spec>]");
+    eprintln!("usage: run_all [--only NAME[,NAME]] [--resume] [--inject <fault-spec>]");
     eprintln!("  fault-spec: kind:target[:times=N][;...] with kind panic|io|budget");
     eprintln!("  and target exp=NAME|cell=LABEL|index=N|file=NAME");
+    eprintln!("  experiment names:");
+    let names: Vec<&str> = experiment_defs().iter().map(|d| d.name).collect();
+    for row in names.chunks(4) {
+        eprintln!("    {}", row.join(" "));
+    }
     ExitCode::from(bmp_bench::EXIT_WRITE_FAILED)
 }
 
 fn main() -> ExitCode {
     let mut resume = false;
     let mut inject: Option<String> = None;
+    let mut only: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -79,9 +93,26 @@ fn main() -> ExitCode {
                 Some(spec) => inject = Some(spec),
                 None => return usage(),
             },
+            "--only" => match args.next() {
+                Some(list) => only.extend(list.split(',').map(str::to_string)),
+                None => return usage(),
+            },
             _ => return usage(),
         }
     }
+    let selecting = !only.is_empty();
+    let defs = if selecting {
+        let names: Vec<&str> = only.iter().map(String::as_str).collect();
+        match defs_named(&names) {
+            Ok(defs) => defs,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return usage();
+            }
+        }
+    } else {
+        experiment_defs()
+    };
     let faults = match inject.map_or_else(FaultPlan::from_env, |s| FaultPlan::parse(&s)) {
         Ok(plan) => Arc::new(plan),
         Err(e) => {
@@ -94,20 +125,34 @@ fn main() -> ExitCode {
     let results_dir = Path::new("results");
     let journal_path = results_dir.join("run_journal.json");
 
-    // On --resume, trust journal records that are completed, fingerprint
-    // the current configuration, and still have their CSV on disk.
+    // --only and --resume both start from the existing journal. --only
+    // carries every unselected record over unchanged (when the journal is
+    // at this scale); --resume trusts selected records that are
+    // completed, fingerprint the current configuration, and still have
+    // their CSV on disk.
     let mut skip: HashSet<String> = HashSet::new();
     let mut journal = RunJournal::new(scale.ops as u64, scale.seed);
-    if resume {
+    if resume || selecting {
         match std::fs::read_to_string(&journal_path) {
             Ok(text) => match RunJournal::parse(&text) {
                 Ok(prior) => {
+                    // Records of another scale describe other CSVs.
+                    let same_scale = prior.ops == scale.ops as u64 && prior.seed == scale.seed;
                     for rec in prior.experiments {
-                        let current_fp = experiment_fingerprint(&rec.name, scale);
-                        let csv = results_dir.join(format!("{}.csv", rec.name));
-                        if rec.status != RunStatus::Completed || rec.fingerprint != current_fp {
+                        if !defs.iter().any(|d| d.name == rec.name) {
+                            if selecting && same_scale {
+                                journal.upsert(rec);
+                            }
                             continue;
                         }
+                        let current_fp = experiment_fingerprint(&rec.name, scale);
+                        if !resume
+                            || rec.status != RunStatus::Completed
+                            || rec.fingerprint != current_fp
+                        {
+                            continue;
+                        }
+                        let csv = results_dir.join(format!("{}.csv", rec.name));
                         // The journal's content hash is the real check:
                         // a CSV that was deleted, truncated or edited
                         // since the journal was written recomputes.
@@ -136,18 +181,22 @@ fn main() -> ExitCode {
                 }
                 Err(e) => eprintln!("warning: ignoring unreadable journal: {e}"),
             },
-            Err(e) => eprintln!(
+            Err(e) if resume => eprintln!(
                 "warning: --resume but no journal at {}: {e}",
                 journal_path.display()
             ),
+            Err(_) => {}
         }
-        eprintln!(
-            "resuming: {} completed experiments match the journal and will be skipped",
-            skip.len()
-        );
+        if resume {
+            eprintln!(
+                "resuming: {} completed experiments match the journal and will be skipped",
+                skip.len()
+            );
+        }
     }
 
-    let engine = bmp_bench::Engine::from_env();
+    let threads = threads_from_env();
+    let engine = bmp_bench::Engine::new(threads);
 
     // Optional crash-safe persistent tier: BMP_STORE=<dir> opens the
     // content-addressed on-disk store (running its recovery scan) and
@@ -182,10 +231,11 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "running all experiments at {} ops per workload on {} threads \
+        "running {} experiments at {} ops per workload on {} threads \
          (BMP_OPS / BMP_THREADS to change)",
+        if selecting { "the selected" } else { "all" },
         scale.ops,
-        threads_from_env()
+        threads
     );
     if !faults.is_empty() {
         eprintln!("fault injection active: {faults}");
@@ -231,18 +281,14 @@ fn main() -> ExitCode {
                     // the CSV. Metrics are advisory like the journal: a
                     // write failure is logged for the exit code but
                     // never fails the experiment.
-                    if let Some(def) = experiment_defs()
-                        .into_iter()
-                        .find(|d| d.name == outcome.name)
-                    {
-                        let doc = metrics::collect_experiment(engine.ctx(), &def, scale);
-                        match metrics::save_metrics(results_dir, &doc) {
-                            Ok(_) => record.metrics = Some(metrics::relative_path(&doc.name)),
-                            Err(e) => {
-                                let msg = format!("cannot write metrics for {}: {e}", outcome.name);
-                                eprintln!("error: {msg}");
-                                write_errors.lock().expect("write log poisoned").push(msg);
-                            }
+                    let doc =
+                        metrics::collect_experiment(engine.ctx(), &defs[outcome.index], scale);
+                    match metrics::save_metrics(results_dir, &doc) {
+                        Ok(_) => record.metrics = Some(metrics::relative_path(&doc.name)),
+                        Err(e) => {
+                            let msg = format!("cannot write metrics for {}: {e}", outcome.name);
+                            eprintln!("error: {msg}");
+                            write_errors.lock().expect("write log poisoned").push(msg);
                         }
                     }
                 }
@@ -270,13 +316,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = engine.run_all_tolerant(scale, &policy, &on_done);
-    // Sim-vs-static surrogate comparison, computed entirely from the
+    let mut report = engine.run_tolerant(&defs, scale, &policy, &on_done);
+    // Sim-vs-static surrogate comparison, computed entirely from a full
     // run's warm cache (only the static pass itself is new work).
-    report.surrogate = bmp_bench::surrogate::collect(engine.ctx(), scale);
+    if !selecting {
+        report.surrogate = bmp_bench::surrogate::collect(engine.ctx(), scale);
+    }
 
-    // Tables in stable registry order, exactly like the strict path —
-    // printed after the run so worker threads never interleave output.
+    // Tables in stable registry order, printed after the run so worker
+    // threads never interleave output.
     for outcome in &report.outcomes {
         match &outcome.kind {
             OutcomeKind::Completed(table) => {

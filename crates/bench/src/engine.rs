@@ -1,18 +1,15 @@
-//! The parallel experiment engine.
-//!
-//! `run_all` used to execute the 21 experiments strictly sequentially,
-//! each re-synthesizing and re-simulating the same twelve SPECint-like
-//! traces from scratch. The engine replaces that with a two-phase job
-//! graph over a [`ThreadPool`]:
+//! The parallel, fault-tolerant experiment engine: the one run layer
+//! behind `run_all`. It runs the registry (or a [`defs_named`]
+//! selection) as a two-phase job graph over a [`ThreadPool`]:
 //!
 //! 1. **Cell fan-out** — every experiment declares its shared
 //!    `(experiment × workload × config)` cells (trace synthesis, baseline /
 //!    oracle / warmup simulations, interval-model analyses). The engine
 //!    deduplicates them by content key and computes each exactly once,
 //!    spread across the pool, into the shared [`Ctx`] cache.
-//! 2. **Experiments** — the 25 experiment functions run on the pool,
-//!    hitting the warm cache for the shared work and computing only their
-//!    experiment-specific sweeps.
+//! 2. **Experiments** — the experiment functions run on the pool, each
+//!    isolated and retried on failure, hitting the warm cache for the
+//!    shared work and computing only their experiment-specific sweeps.
 //!
 //! Results are **merged by stable experiment index, never by completion
 //! order**, and every artifact is a pure function of its cache key, so
@@ -134,7 +131,7 @@ pub struct Ctx {
     metrics: bool,
     phases: PhaseNanos,
     /// Optional persistent tier under the `sims` memo (see
-    /// `bmp_core::store` and `docs/SERVING.md`): set once after
+    /// `bmp_core::store` and `docs/STORE.md`): set once after
     /// construction, consulted before computing and written after. The
     /// in-memory memo stays the first tier, so in-flight collapse and
     /// determinism are untouched.
@@ -197,14 +194,24 @@ impl Ctx {
         let _ = self.store.set(store);
     }
 
-    /// The attached persistent store, when one is set.
-    pub fn store(&self) -> Option<&Arc<DiskStore>> {
-        self.store.get()
-    }
-
     /// Simulations served from the persistent tier so far.
     pub fn store_hits(&self) -> u64 {
         self.store_hits.load(Ordering::Relaxed)
+    }
+
+    /// The attached store's counters, or `None` without a store.
+    fn store_report(&self) -> Option<StoreReport> {
+        let store = self.store.get()?;
+        let s = store.stats();
+        Some(StoreReport {
+            gets: s.gets(),
+            hits: s.hits(),
+            puts: s.puts(),
+            quarantined: s.quarantined(),
+            evicted: s.evicted(),
+            live_bytes: store.live_bytes(),
+            sim_hits: self.store_hits(),
+        })
     }
 
     /// The engine this context routes simulations through.
@@ -876,14 +883,26 @@ pub fn experiment_defs() -> Vec<ExperimentDef> {
     ]
 }
 
-/// Wall-clock of one experiment.
-#[derive(Debug, Clone)]
-pub struct ExperimentTiming {
-    /// The experiment's stable name.
-    pub name: &'static str,
-    /// Wall-clock milliseconds spent producing its table (after the cell
-    /// fan-out phase).
-    pub millis: u128,
+/// The registry entries named in `names`, in registry order (not argument
+/// order; repeats select once) — the selection behind `run_all --only`.
+///
+/// # Errors
+///
+/// Lists every name that is not in the registry.
+pub fn defs_named(names: &[&str]) -> Result<Vec<ExperimentDef>, String> {
+    let defs = experiment_defs();
+    let unknown: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|n| !defs.iter().any(|d| d.name == *n))
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!("unknown experiment(s): {}", unknown.join(", ")));
+    }
+    Ok(defs
+        .into_iter()
+        .filter(|d| names.contains(&d.name))
+        .collect())
 }
 
 /// Cache hit/miss counters per artifact kind.
@@ -939,109 +958,25 @@ impl CacheReport {
     }
 }
 
-/// Everything `run_all` reports: the tables in canonical order plus the
-/// wall-clock/cache accounting that seeds `results/bench_timings.json`.
-#[derive(Debug)]
-pub struct EngineReport {
-    /// The experiment tables, merged by stable experiment index.
-    pub tables: Vec<Table>,
-    /// Per-experiment wall-clock, in registry order.
-    pub timings: Vec<ExperimentTiming>,
-    /// Deduplicated shared cells fanned out in phase 1.
-    pub cells: usize,
-    /// Cells before deduplication (the sharing the cache exposed).
-    pub cells_requested: usize,
-    /// Wall-clock milliseconds of the cell fan-out phase.
-    pub cell_millis: u128,
-    /// Wall-clock milliseconds of the whole run.
-    pub total_millis: u128,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Cache accounting at the end of the run.
-    pub cache: CacheReport,
-}
-
-impl EngineReport {
-    /// Renders the human-readable timing summary.
-    pub fn to_summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "\n## Timing report ({} threads, {} shared cells from {} requests, \
-             fan-out {} ms, total {} ms)\n\n",
-            self.threads, self.cells, self.cells_requested, self.cell_millis, self.total_millis
-        ));
-        for t in &self.timings {
-            out.push_str(&format!("{:>8} ms  {}\n", t.millis, t.name));
-        }
-        let c = &self.cache;
-        out.push_str(&format!(
-            "cache: traces {}/{} hits, compiled {}/{} hits, superblocks {}/{} hits, \
-             sims {}/{} hits, analyses {}/{} hits, statics {}/{} hits \
-             ({:.0}% overall hit rate)\n",
-            c.trace_hits,
-            c.trace_hits + c.trace_misses,
-            c.compiled_hits,
-            c.compiled_hits + c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_hits + c.superblock_misses,
-            c.sim_hits,
-            c.sim_hits + c.sim_misses,
-            c.analysis_hits,
-            c.analysis_hits + c.analysis_misses,
-            c.static_hits,
-            c.static_hits + c.static_misses,
-            c.hit_rate() * 100.0
-        ));
-        out
-    }
-
-    /// Renders the machine-readable report written to
-    /// `results/bench_timings.json` (hand-formatted: the workspace has no
-    /// JSON serializer).
-    pub fn to_json(&self, scale: Scale) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"ops\": {},\n", scale.ops));
-        out.push_str(&format!("  \"seed\": {},\n", scale.seed));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"cells\": {},\n", self.cells));
-        out.push_str(&format!(
-            "  \"cells_requested\": {},\n",
-            self.cells_requested
-        ));
-        out.push_str(&format!("  \"cell_millis\": {},\n", self.cell_millis));
-        out.push_str(&format!("  \"total_millis\": {},\n", self.total_millis));
-        let c = &self.cache;
-        out.push_str(&format!(
-            "  \"cache\": {{ \"trace_hits\": {}, \"trace_misses\": {}, \
-             \"compiled_hits\": {}, \"compiled_misses\": {}, \
-             \"superblock_hits\": {}, \"superblock_misses\": {}, \
-             \"sim_hits\": {}, \"sim_misses\": {}, \
-             \"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"static_hits\": {}, \"static_misses\": {} }},\n",
-            c.trace_hits,
-            c.trace_misses,
-            c.compiled_hits,
-            c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_misses,
-            c.sim_hits,
-            c.sim_misses,
-            c.analysis_hits,
-            c.analysis_misses,
-            c.static_hits,
-            c.static_misses
-        ));
-        out.push_str("  \"experiments\": [\n");
-        for (i, t) in self.timings.iter().enumerate() {
-            let comma = if i + 1 == self.timings.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"millis\": {} }}{}\n",
-                t.name, t.millis, comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+/// The persistent store's counters at the end of a run (see
+/// `docs/STORE.md`); reported only when `BMP_STORE` attached a store.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreReport {
+    /// Store lookups attempted.
+    pub gets: u64,
+    /// Lookups that returned a verified record.
+    pub hits: u64,
+    /// Records written.
+    pub puts: u64,
+    /// Records moved to quarantine (at open or on a failed read).
+    pub quarantined: u64,
+    /// Records evicted by the size bound.
+    pub evicted: u64,
+    /// Bytes of live records.
+    pub live_bytes: u64,
+    /// Simulations served from the store, decode included
+    /// ([`Ctx::store_hits`]).
+    pub sim_hits: u64,
 }
 
 /// How one experiment ended under the fault-tolerant run layer.
@@ -1072,6 +1007,14 @@ pub struct ExperimentOutcome {
 }
 
 impl ExperimentOutcome {
+    /// The table of a completed outcome.
+    pub fn table(&self) -> Option<&Table> {
+        match &self.kind {
+            OutcomeKind::Completed(t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// The error of a failed outcome.
     pub fn error(&self) -> Option<&CellError> {
         match &self.kind {
@@ -1129,9 +1072,9 @@ pub fn attempts_from_env() -> u32 {
         .unwrap_or(2)
 }
 
-/// Everything a fault-tolerant run reports: per-experiment outcomes in
-/// stable order, soft cell-phase errors, and the same wall-clock/cache
-/// accounting as [`EngineReport`].
+/// Everything a run reports: per-experiment outcomes in stable order,
+/// soft cell-phase errors, and the wall-clock, cache and store
+/// accounting.
 #[derive(Debug)]
 pub struct TolerantReport {
     /// Per-experiment outcomes, merged by stable experiment index.
@@ -1153,6 +1096,9 @@ pub struct TolerantReport {
     pub threads: usize,
     /// Cache accounting at the end of the run.
     pub cache: CacheReport,
+    /// Persistent-store accounting at the end of the run, when a store
+    /// is attached.
+    pub store: Option<StoreReport>,
     /// Per-workload sim-vs-static surrogate comparison (empty unless
     /// filled in by `run_all` after the run; see [`crate::surrogate`]).
     pub surrogate: Vec<crate::surrogate::SurrogateRow>,
@@ -1168,7 +1114,8 @@ impl TolerantReport {
 
     /// Renders the partial-results summary: counts, per-experiment
     /// status lines for anything that was retried, skipped or failed,
-    /// and the cache accounting.
+    /// the store accounting (with a store attached) and the surrogate
+    /// table.
     pub fn to_summary(&self) -> String {
         let (mut completed, mut skipped, mut failed) = (0usize, 0usize, 0usize);
         for o in &self.outcomes {
@@ -1208,6 +1155,13 @@ impl TolerantReport {
         for e in &self.cell_errors {
             out.push_str(&format!("  cell {e} (recovered by owning experiment)\n"));
         }
+        if let Some(s) = &self.store {
+            out.push_str(&format!(
+                "store: {} gets, {} hits, {} puts, {} quarantined, {} evicted, \
+                 {} live bytes; {} sims served from the store\n",
+                s.gets, s.hits, s.puts, s.quarantined, s.evicted, s.live_bytes, s.sim_hits
+            ));
+        }
         if !self.surrogate.is_empty() {
             out.push_str(
                 "\n## Static surrogate (mean penalty per misprediction, baseline machine)\n\n",
@@ -1235,8 +1189,9 @@ impl TolerantReport {
     }
 
     /// Renders the machine-readable timing report written to
-    /// `results/bench_timings.json` — the [`EngineReport::to_json`] shape
-    /// plus per-experiment `status`/`attempts` fields.
+    /// `results/bench_timings.json` (hand-formatted: the workspace has no
+    /// JSON serializer). The `"store"` object appears only with a store
+    /// attached.
     pub fn to_json(&self, scale: Scale) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"ops\": {},\n", scale.ops));
@@ -1270,6 +1225,14 @@ impl TolerantReport {
             c.static_hits,
             c.static_misses
         ));
+        if let Some(s) = &self.store {
+            out.push_str(&format!(
+                "  \"store\": {{ \"gets\": {}, \"hits\": {}, \"puts\": {}, \
+                 \"quarantined\": {}, \"evicted\": {}, \"live_bytes\": {}, \
+                 \"sim_hits\": {} }},\n",
+                s.gets, s.hits, s.puts, s.quarantined, s.evicted, s.live_bytes, s.sim_hits
+            ));
+        }
         out.push_str("  \"surrogate\": [\n");
         for (i, r) in self.surrogate.iter().enumerate() {
             let comma = if i + 1 == self.surrogate.len() {
@@ -1330,11 +1293,6 @@ impl Engine {
         }
     }
 
-    /// An engine sized from `BMP_THREADS` / available parallelism.
-    pub fn from_env() -> Self {
-        Self::new(threads_from_env())
-    }
-
     /// An engine on `threads` workers with an explicit simulator engine
     /// choice (ignoring `BMP_REFERENCE_ENGINE`) — `bmp-profile` uses this
     /// to run the same suite through both engines in one process.
@@ -1348,27 +1306,6 @@ impl Engine {
     /// The shared context (for reuse after a run).
     pub fn ctx(&self) -> &Ctx {
         &self.ctx
-    }
-
-    /// Runs every experiment and returns tables (stable order) plus the
-    /// timing report.
-    pub fn run_all(&self, scale: Scale) -> EngineReport {
-        self.run(&experiment_defs(), scale)
-    }
-
-    /// Runs the named experiments (in registry order) — the subset entry
-    /// point the determinism test drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name is not in the registry.
-    pub fn run_named(&self, names: &[&str], scale: Scale) -> EngineReport {
-        let defs: Vec<ExperimentDef> = experiment_defs()
-            .into_iter()
-            .filter(|d| names.contains(&d.name))
-            .collect();
-        assert_eq!(defs.len(), names.len(), "unknown experiment name");
-        self.run(&defs, scale)
     }
 
     /// Collects the deduplicated shared cells of `defs` (and the
@@ -1387,50 +1324,6 @@ impl Engine {
         (cells, requested)
     }
 
-    /// Runs `defs` through the two-phase job graph.
-    fn run(&self, defs: &[ExperimentDef], scale: Scale) -> EngineReport {
-        let start = Instant::now();
-        let threads = self.pool.threads();
-
-        // Phase 1: fan out the deduplicated shared cells. Skipped on one
-        // thread — the legacy path computes everything lazily in place,
-        // and the cache makes the results identical either way.
-        let (cells, requested) = Self::collect_cells(defs);
-        let cell_start = Instant::now();
-        if threads > 1 {
-            self.pool
-                .map(cells.len(), |i| cells[i].run(&self.ctx, scale));
-        }
-        let cell_millis = cell_start.elapsed().as_millis();
-
-        // Phase 2: the experiments themselves, merged by stable index.
-        let timed: Vec<(Table, u128)> = self.pool.map(defs.len(), |i| {
-            let t0 = Instant::now();
-            let table = (defs[i].run)(&self.ctx, scale);
-            (table, t0.elapsed().as_millis())
-        });
-        let mut tables = Vec::with_capacity(timed.len());
-        let mut timings = Vec::with_capacity(timed.len());
-        for (def, (table, millis)) in defs.iter().zip(timed) {
-            debug_assert_eq!(def.name, table.id, "registry name matches table id");
-            tables.push(table);
-            timings.push(ExperimentTiming {
-                name: def.name,
-                millis,
-            });
-        }
-        EngineReport {
-            tables,
-            timings,
-            cells: cells.len(),
-            cells_requested: requested,
-            cell_millis,
-            total_millis: start.elapsed().as_millis(),
-            threads,
-            cache: self.ctx.cache_stats(),
-        }
-    }
-
     /// Runs every experiment under the fault-tolerant layer: panics are
     /// isolated per cell and per experiment, failed experiments are
     /// retried up to `policy.attempts` times, skipped names short-circuit,
@@ -1445,7 +1338,8 @@ impl Engine {
         self.run_tolerant(&experiment_defs(), scale, policy, on_done)
     }
 
-    /// Fault-tolerant form of `Engine::run` over explicit `defs`.
+    /// Runs `defs` through the two-phase job graph under the
+    /// fault-tolerant layer (see [`run_all_tolerant`](Self::run_all_tolerant)).
     ///
     /// Determinism contract: because every artifact is a pure function
     /// of its cache key, a retried experiment recomputes exactly the
@@ -1554,6 +1448,7 @@ impl Engine {
             total_millis: start.elapsed().as_millis(),
             threads,
             cache: self.ctx.cache_stats(),
+            store: self.ctx.store_report(),
             surrogate: Vec::new(),
         }
     }
@@ -1644,13 +1539,16 @@ mod tests {
         assert!(!Arc::ptr_eq(a.trace(), b.trace()));
     }
 
-    fn defs_for(names: &[&str]) -> Vec<ExperimentDef> {
-        let defs: Vec<ExperimentDef> = experiment_defs()
-            .into_iter()
-            .filter(|d| names.contains(&d.name))
-            .collect();
-        assert_eq!(defs.len(), names.len());
-        defs
+    /// The CSV of `name` from a fault-free, single-attempt run.
+    fn clean_csv(name: &str, scale: Scale) -> String {
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let defs = defs_named(&[name]).unwrap();
+        let report = Engine::new(2).run_tolerant(&defs, scale, &policy, &|_| {});
+        report.outcomes[0]
+            .table()
+            .expect("a clean run completes")
+            .to_csv()
     }
 
     #[test]
@@ -1662,7 +1560,8 @@ mod tests {
         let faults = FaultPlan::parse("panic:exp=fig8_ilp").unwrap();
         let policy = RunPolicy::with_attempts(2, &faults);
         let engine = Engine::new(2);
-        let defs = defs_for(&["table1_config", "fig8_ilp", "fig4_interval_distribution"]);
+        let defs =
+            defs_named(&["table1_config", "fig8_ilp", "fig4_interval_distribution"]).unwrap();
         let seen = std::sync::Mutex::new(Vec::new());
         let report = engine.run_tolerant(&defs, scale, &policy, &|o| {
             seen.lock().unwrap().push(o.name);
@@ -1699,21 +1598,18 @@ mod tests {
             seed: 3,
         };
         let names = ["fig4_interval_distribution"];
-        let clean = Engine::new(2).run_named(&names, scale);
+        let clean = clean_csv(names[0], scale);
 
         // times=1: the first attempt panics, the retry succeeds — and
         // produces byte-identical CSV to the clean run.
         let faults = FaultPlan::parse("panic:exp=fig4_interval_distribution:times=1").unwrap();
         let policy = RunPolicy::with_attempts(2, &faults);
-        let report = Engine::new(2).run_tolerant(&defs_for(&names), scale, &policy, &|_| {});
+        let report =
+            Engine::new(2).run_tolerant(&defs_named(&names).unwrap(), scale, &policy, &|_| {});
         let o = &report.outcomes[0];
         assert_eq!(o.attempts, 2);
-        match &o.kind {
-            OutcomeKind::Completed(table) => {
-                assert_eq!(table.to_csv(), clean.tables[0].to_csv());
-            }
-            other => panic!("expected completion after retry, got {other:?}"),
-        }
+        let table = o.table().expect("completion after retry");
+        assert_eq!(table.to_csv(), clean);
     }
 
     #[test]
@@ -1725,7 +1621,7 @@ mod tests {
         let faults = FaultPlan::none();
         let mut policy = RunPolicy::with_attempts(1, &faults);
         policy.skip.insert("table1_config".to_string());
-        let defs = defs_for(&["table1_config", "fig8_ilp"]);
+        let defs = defs_named(&["table1_config", "fig8_ilp"]).unwrap();
         let report = Engine::new(1).run_tolerant(&defs, scale, &policy, &|_| {});
         assert!(matches!(report.outcomes[0].kind, OutcomeKind::Skipped));
         assert_eq!(report.outcomes[0].attempts, 0);
@@ -1740,8 +1636,8 @@ mod tests {
         };
         let faults = FaultPlan::parse("budget:exp=table1_config").unwrap();
         let policy = RunPolicy::with_attempts(1, &faults);
-        let report =
-            Engine::new(1).run_tolerant(&defs_for(&["table1_config"]), scale, &policy, &|_| {});
+        let defs = defs_named(&["table1_config"]).unwrap();
+        let report = Engine::new(1).run_tolerant(&defs, scale, &policy, &|_| {});
         let e = report.outcomes[0].error().expect("budget fault must fail");
         assert_eq!(e.kind, crate::error::CellErrorKind::Budget);
         assert!(e.message.contains("cycle budget exceeded"));
@@ -1756,25 +1652,19 @@ mod tests {
         // fig4 fans out per-workload analysis cells; panic one of them.
         let faults = FaultPlan::parse("panic:cell=gzip/analysis-baseline").unwrap();
         let policy = RunPolicy::with_attempts(1, &faults);
-        let clean = Engine::new(2).run_named(&["fig4_interval_distribution"], scale);
-        let report = Engine::new(2).run_tolerant(
-            &defs_for(&["fig4_interval_distribution"]),
-            scale,
-            &policy,
-            &|_| {},
-        );
+        let clean = clean_csv("fig4_interval_distribution", scale);
+        let defs = defs_named(&["fig4_interval_distribution"]).unwrap();
+        let report = Engine::new(2).run_tolerant(&defs, scale, &policy, &|_| {});
         assert_eq!(report.cell_errors.len(), 1);
         assert_eq!(report.cell_errors[0].context, "gzip/analysis-baseline");
-        match &report.outcomes[0].kind {
-            OutcomeKind::Completed(table) => {
-                assert_eq!(
-                    table.to_csv(),
-                    clean.tables[0].to_csv(),
-                    "the experiment recomputed the failed cell and matched the clean run"
-                );
-            }
-            other => panic!("cell failure must not fail the experiment, got {other:?}"),
-        }
+        let table = report.outcomes[0]
+            .table()
+            .expect("a cell failure must not fail the experiment");
+        assert_eq!(
+            table.to_csv(),
+            clean,
+            "the experiment recomputed the failed cell and matched the clean run"
+        );
     }
 
     #[test]
@@ -1795,20 +1685,76 @@ mod tests {
     }
 
     #[test]
-    fn run_named_merges_in_registry_order() {
-        let engine = Engine::new(2);
+    fn defs_named_selects_in_registry_order() {
+        let defs = defs_named(&[
+            "fig4_interval_distribution",
+            "table1_config",
+            "table1_config",
+        ])
+        .unwrap();
+        // Registry order, not argument order; a repeat selects once.
+        let names: Vec<&str> = defs.iter().map(|d| d.name).collect();
+        assert_eq!(names, ["table1_config", "fig4_interval_distribution"]);
+        let err = defs_named(&["fig8_ilp", "nope", ""]).err().unwrap();
+        assert!(err.contains("nope"), "{err}");
+        assert!(!err.contains("fig8_ilp"), "{err}");
+    }
+
+    #[test]
+    fn all_runs_at_tiny_scale() {
         let scale = Scale {
-            ops: 2_000,
+            ops: 5_000,
             seed: 3,
         };
-        let report = engine.run_named(&["fig4_interval_distribution", "table1_config"], scale);
-        assert_eq!(report.tables.len(), 2);
-        // Registry order, not argument order or completion order.
-        assert_eq!(report.tables[0].id, "table1_config");
-        assert_eq!(report.tables[1].id, "fig4_interval_distribution");
-        assert_eq!(report.threads, 2);
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let report = Engine::new(1).run_all_tolerant(scale, &policy, &|_| {});
+        assert_eq!(report.outcomes.len(), 25);
+        for o in &report.outcomes {
+            let t = o.table().expect("every experiment completes");
+            assert_eq!(o.name, t.id, "registry name matches table id");
+            assert!(!t.rows.is_empty(), "table {} is empty", t.id);
+            assert!(!t.headers.is_empty());
+        }
         let json = report.to_json(scale);
-        assert!(json.contains("\"threads\": 2"));
+        assert!(json.contains("\"threads\": 1"));
         assert!(json.contains("\"table1_config\""));
+        assert!(!json.contains("\"store\""), "no store, no store object");
+        assert!(!report.to_summary().contains("store:"));
+    }
+
+    #[test]
+    fn store_counters_reach_the_report() {
+        let dir = std::env::temp_dir().join(format!("bmp_engine_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = Scale {
+            ops: 1_000,
+            seed: 3,
+        };
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let defs = defs_named(&["fig8_ilp"]).unwrap();
+        let run = || {
+            let (store, _) =
+                DiskStore::open(&dir, bmp_core::StoreConfig::default()).expect("store opens");
+            let engine = Engine::new(1);
+            engine.ctx().set_store(Arc::new(store));
+            engine.run_tolerant(&defs, scale, &policy, &|_| {})
+        };
+        let cold = run().store.expect("a store is attached");
+        assert!(cold.puts > 0 && cold.live_bytes > 0);
+        assert_eq!(cold.sim_hits, 0);
+        // A second process over the same store serves every sim from it.
+        let warm_report = run();
+        let warm = warm_report.store.expect("a store is attached");
+        assert_eq!(warm.sim_hits, cold.puts);
+        assert_eq!(warm.puts, 0);
+        assert!(warm_report
+            .to_summary()
+            .contains("sims served from the store"));
+        assert!(warm_report
+            .to_json(scale)
+            .contains(&format!("\"sim_hits\": {}", warm.sim_hits)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,30 +26,3 @@ pub use isa::{ex_isa_contributors, ex_isa_vs_synthetic, ISA_COMPARISON_WORKLOADS
 pub use sensitivity::{fig6_pipeline_depth, fig7_fu_latency, fig8_ilp, fig9_l1d_misses};
 pub use tables::{table1_config, table2_benchmarks};
 pub use validation::fig10_model_validation;
-
-use crate::Scale;
-use crate::Table;
-
-/// Runs every experiment in canonical order through a single-threaded
-/// engine (shared cache, sequential execution), returning the tables.
-pub fn all(scale: Scale) -> Vec<Table> {
-    crate::Engine::new(1).run_all(scale).tables
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_runs_at_tiny_scale() {
-        let tables = all(Scale {
-            ops: 5_000,
-            seed: 3,
-        });
-        assert_eq!(tables.len(), 25);
-        for t in &tables {
-            assert!(!t.rows.is_empty(), "table {} is empty", t.id);
-            assert!(!t.headers.is_empty());
-        }
-    }
-}

@@ -30,7 +30,7 @@
 //!   `SimError::BudgetExceeded` travels the failure path.
 //!
 //! The `torn-write` and `corrupt` kinds target the persistent artifact
-//! store (`BMP_STORE`, see `docs/SERVING.md`): `torn-write` leaves a
+//! store (`BMP_STORE`, see `docs/STORE.md`): `torn-write` leaves a
 //! truncated record at the final path (a crash mid-write), `corrupt`
 //! flips one payload bit after checksumming (silent media corruption).
 //! Both are detected — never served — by the store's verification, so

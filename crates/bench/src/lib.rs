@@ -1,14 +1,16 @@
 //! Experiment harness for the `mispredict` workspace.
 //!
 //! Every table and figure of the reconstructed evaluation (see
-//! `DESIGN.md`, experiment index E-T1 … E-F11 and E-X1 … E-X8) is implemented as a
-//! function in [`experiments`] returning a [`Table`]; the binaries under
-//! `src/bin/` are thin wrappers that run one experiment each, print the
-//! table and write it to `results/<name>.csv`. `run_all` schedules
-//! everything through the parallel [`engine`]: experiments fan out over a
-//! work-stealing [`pool`], and every synthesized trace, simulation result
-//! and interval-model analysis is computed once into the shared
-//! content-addressed [`artifacts`] cache.
+//! `DESIGN.md`, experiment index E-T1 … E-F11 and E-X1 … E-X11) is
+//! implemented as a function in [`experiments`] returning a [`Table`],
+//! and named once in the [`engine`]'s registry. The `run_all` binary is
+//! the one way to run them: all of them by default, or a subset with
+//! `--only NAME[,NAME]` (see [`engine::defs_named`]). It schedules the
+//! selection through the fault-tolerant [`engine`]: experiments fan out
+//! over a work-stealing [`pool`], and every synthesized trace, simulation
+//! result and interval-model analysis is computed once into the shared
+//! content-addressed [`artifacts`] cache. Each table is written to
+//! `results/<name>.csv`.
 //!
 //! Experiments scale with the `BMP_OPS` environment variable (dynamic
 //! instructions per workload; default 200 000) and `BMP_SEED` (default
@@ -36,7 +38,6 @@ pub mod metrics;
 pub mod pool;
 pub mod report;
 pub mod scale;
-pub mod serve;
 pub mod surrogate;
 pub mod table;
 
@@ -90,49 +91,6 @@ pub fn save_under_with(
         return Err(fault::FaultPlan::io_error(&table.id));
     }
     save_under(dir, table)
-}
-
-/// Runs one experiment end-to-end: print the table, persist the CSV under
-/// `results/`.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the results directory or the CSV
-/// file cannot be written.
-pub fn run_and_save(table: &Table) -> std::io::Result<()> {
-    println!("{}", table.to_markdown());
-    let path = save_under(std::path::Path::new("results"), table)?;
-    println!("[saved {}]", path.display());
-    Ok(())
-}
-
-/// Binary wrapper for the single-experiment binaries: produce the table
-/// with `make` (panics are caught and classified), print it, persist the
-/// CSV under `results/`.
-///
-/// Exit codes distinguish the failure domains: [`EXIT_EXPERIMENT_FAILED`]
-/// when `make` fails (the model/simulation is at fault),
-/// [`EXIT_WRITE_FAILED`] when the experiment succeeded but its output
-/// could not be written (the environment is at fault).
-pub fn run_bin<F>(make: F) -> std::process::ExitCode
-where
-    F: FnOnce() -> Table,
-{
-    let table = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(make)) {
-        Ok(table) => table,
-        Err(payload) => {
-            let e = error::CellError::from_panic_payload("experiment", payload);
-            eprintln!("error: experiment failed: {e}");
-            return std::process::ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-    match run_and_save(&table) {
-        Ok(()) => std::process::ExitCode::from(EXIT_OK),
-        Err(e) => {
-            eprintln!("error: cannot write results for {}: {e}", table.id);
-            std::process::ExitCode::from(EXIT_WRITE_FAILED)
-        }
-    }
 }
 
 #[cfg(test)]

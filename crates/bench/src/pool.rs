@@ -32,15 +32,6 @@ impl ThreadPool {
         }
     }
 
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads

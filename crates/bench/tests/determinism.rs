@@ -3,7 +3,8 @@
 //! path (no cell fan-out), so comparing it against an 8-worker run covers
 //! both phases of the job graph, the result merge order, and the cache.
 
-use bmp_bench::{Engine, Scale};
+use bmp_bench::engine::{defs_named, RunPolicy, TolerantReport};
+use bmp_bench::{Engine, FaultPlan, Scale};
 
 /// A cross-section of the registry: both tables, figure experiments that
 /// share baseline/oracle/warmup simulations, a microbenchmark sweep, and
@@ -21,46 +22,50 @@ const SUBSET: &[&str] = &[
     "ex_h2p_contributors",
 ];
 
-#[test]
-fn results_are_identical_for_any_thread_count() {
+/// `(id, CSV)` per experiment of a fault-free, single-attempt run of
+/// `names` on `engine`, in merge order, plus the run's report.
+fn run(engine: &Engine, names: &[&str]) -> (Vec<(String, String)>, TolerantReport) {
     let scale = Scale {
         ops: 2_000,
         seed: 42,
     };
-    let sequential = Engine::new(1).run_named(SUBSET, scale);
-    let parallel = Engine::new(8).run_named(SUBSET, scale);
+    let faults = FaultPlan::none();
+    let policy = RunPolicy::with_attempts(1, &faults);
+    let report = engine.run_tolerant(&defs_named(names).unwrap(), scale, &policy, &|_| {});
+    let csvs = report.outcomes.iter().map(|o| {
+        let t = o.table().expect("a clean run completes");
+        (t.id.clone(), t.to_csv())
+    });
+    (csvs.collect(), report)
+}
 
-    assert_eq!(sequential.tables.len(), SUBSET.len());
-    assert_eq!(parallel.tables.len(), SUBSET.len());
-    for (seq, par) in sequential.tables.iter().zip(&parallel.tables) {
-        assert_eq!(seq.id, par.id, "merge order must be the registry order");
+#[test]
+fn results_are_identical_for_any_thread_count() {
+    let (sequential, _) = run(&Engine::new(1), SUBSET);
+    let (parallel, _) = run(&Engine::new(8), SUBSET);
+
+    assert_eq!(sequential.len(), SUBSET.len());
+    assert_eq!(parallel.len(), SUBSET.len());
+    for ((seq_id, seq), (par_id, par)) in sequential.iter().zip(&parallel) {
+        assert_eq!(seq_id, par_id, "merge order must be the registry order");
         assert_eq!(
-            seq.to_csv(),
-            par.to_csv(),
-            "{}: 1-thread and 8-thread CSVs must match byte for byte",
-            seq.id
+            seq, par,
+            "{seq_id}: 1-thread and 8-thread CSVs must match byte for byte"
         );
     }
 }
 
 #[test]
 fn repeated_runs_share_the_cache() {
-    let scale = Scale {
-        ops: 2_000,
-        seed: 42,
-    };
     let engine = Engine::new(4);
-    let first = engine.run_named(&["fig2_penalty_per_benchmark"], scale);
-    let second = engine.run_named(&["fig2_penalty_per_benchmark"], scale);
-    assert_eq!(
-        first.tables[0].to_csv(),
-        second.tables[0].to_csv(),
-        "a warm cache must not change the result"
-    );
+    let (first, first_report) = run(&engine, &["fig2_penalty_per_benchmark"]);
+    let (second, second_report) = run(&engine, &["fig2_penalty_per_benchmark"]);
+    assert_eq!(first, second, "a warm cache must not change the result");
     // The second run computed nothing new.
+    let (a, b) = (first_report.cache, second_report.cache);
     assert_eq!(
-        second.cache.trace_misses + second.cache.sim_misses + second.cache.analysis_misses,
-        first.cache.trace_misses + first.cache.sim_misses + first.cache.analysis_misses,
+        b.trace_misses + b.sim_misses + b.analysis_misses,
+        a.trace_misses + a.sim_misses + a.analysis_misses,
         "every artifact of the repeat run must come from the cache"
     );
 }

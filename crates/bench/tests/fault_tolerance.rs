@@ -1,16 +1,17 @@
 //! The robustness contract end to end: under *any* injected fault
 //! schedule, the experiments that survive produce CSVs byte-identical to
-//! a clean run (property test over random schedules), and the `run_all`
+//! a clean run (property test over random schedules), the `run_all`
 //! binary's journal / exit-code / `--resume` flow recovers a faulted run
-//! into exactly the clean run's results directory.
+//! into exactly the clean run's results directory, `--only` rewrites just
+//! its selection, and the journal decoder it reads never panics.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::process::Command;
 
-use bmp_bench::engine::{experiment_defs, ExperimentDef, OutcomeKind, RunPolicy};
+use bmp_bench::engine::{defs_named, OutcomeKind, RunPolicy};
 use bmp_bench::{Engine, FaultPlan, Scale};
-use bmp_core::journal::{RunJournal, RunStatus};
+use bmp_core::journal::{ExperimentRecord, RunJournal, RunStatus};
 use proptest::prelude::*;
 
 /// A small cross-section of the registry: a table, two figure
@@ -27,18 +28,12 @@ const SCALE: Scale = Scale {
     seed: 42,
 };
 
-fn subset_defs() -> Vec<ExperimentDef> {
-    experiment_defs()
-        .into_iter()
-        .filter(|d| SUBSET.contains(&d.name))
-        .collect()
-}
-
 /// CSV bytes per experiment from a clean (fault-free) tolerant run.
 fn clean_csvs(threads: usize) -> HashMap<&'static str, String> {
     let plan = FaultPlan::none();
     let policy = RunPolicy::with_attempts(2, &plan);
-    let report = Engine::new(threads).run_tolerant(&subset_defs(), SCALE, &policy, &|_| {});
+    let report =
+        Engine::new(threads).run_tolerant(&defs_named(SUBSET).unwrap(), SCALE, &policy, &|_| {});
     report
         .outcomes
         .iter()
@@ -93,7 +88,7 @@ proptest! {
 
         let clean = clean_csvs(threads);
         let policy = RunPolicy::with_attempts(attempts, &plan);
-        let report = Engine::new(threads).run_tolerant(&subset_defs(), SCALE, &policy, &|_| {});
+        let report = Engine::new(threads).run_tolerant(&defs_named(SUBSET).unwrap(), SCALE, &policy, &|_| {});
 
         for outcome in &report.outcomes {
             match &outcome.kind {
@@ -124,17 +119,26 @@ proptest! {
     }
 }
 
-/// Runs the `run_all` binary in `dir` with the given extra args/env and
-/// returns its exit code.
-fn run_all_in(dir: &Path, args: &[&str], fault_env: Option<&str>) -> i32 {
+/// The `run_all` binary in `dir` at `ops` per workload and seed 42, with
+/// no inherited fault, store or metrics settings.
+fn run_all_cmd(dir: &Path, ops: u32) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.current_dir(dir)
-        .args(args)
-        .env("BMP_OPS", "500")
+        .env("BMP_OPS", ops.to_string())
         .env("BMP_SEED", "42")
         .env("BMP_THREADS", "2")
         .env("BMP_ATTEMPTS", "2")
-        .env_remove("BMP_FAULT");
+        .env_remove("BMP_FAULT")
+        .env_remove("BMP_STORE")
+        .env_remove("BMP_METRICS");
+    cmd
+}
+
+/// Runs the `run_all` binary in `dir` at 500 ops with the given extra
+/// args/env and returns its exit code.
+fn run_all_in(dir: &Path, args: &[&str], fault_env: Option<&str>) -> i32 {
+    let mut cmd = run_all_cmd(dir, 500);
+    cmd.args(args);
     if let Some(spec) = fault_env {
         cmd.env("BMP_FAULT", spec);
     }
@@ -270,4 +274,156 @@ fn a_bad_fault_spec_is_a_usage_error() {
     );
     assert!(!dir.join("results").exists(), "no work ran");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--only` re-runs just its selection: the selected CSVs come back
+/// byte-identical, every other CSV and journal record stays exactly as
+/// it was, and `--resume` on top skips the already-completed selection.
+#[test]
+fn only_rewrites_its_selection_and_keeps_the_rest() {
+    let dir = fresh_dir("only");
+    let run = |args: &[&str]| {
+        let out = run_all_cmd(&dir, 2_000).args(args).output();
+        let out = out.expect("run_all spawns");
+        assert_eq!(out.status.code(), Some(0), "run_all {args:?} exits 0");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&[]);
+    let full = csvs_under(&dir);
+    let full_journal = journal_in(&dir);
+    assert_eq!(full_journal.experiments.len(), full.len());
+
+    // Delete the selection, so a rewrite is visible, and stamp one
+    // unselected CSV, so any write to it would be too.
+    for name in ["fig8_ilp.csv", "table1_config.csv"] {
+        std::fs::remove_file(dir.join("results").join(name)).expect("csv exists");
+    }
+    let stamped = "fig2_penalty_per_benchmark.csv";
+    std::fs::write(dir.join("results").join(stamped), "stamp").expect("stamp");
+    let mut expected = full.clone();
+    expected.insert(stamped.to_string(), b"stamp".to_vec());
+
+    let stdout = run(&["--only", "fig8_ilp,table1_config"]);
+    assert!(
+        !stdout.contains("Static surrogate"),
+        "the surrogate table is for full runs only"
+    );
+    assert!(
+        csvs_under(&dir) == expected,
+        "the selection is rewritten byte-identically and nothing else is written"
+    );
+    assert_eq!(
+        journal_in(&dir),
+        full_journal,
+        "the selected records are replaced in kind, every other record survives"
+    );
+
+    // --resume composes: the selection is intact, so nothing re-runs.
+    let stdout = run(&["--only", "table1_config", "--only", "fig8_ilp", "--resume"]);
+    for name in ["fig8_ilp", "table1_config"] {
+        assert!(
+            stdout.contains(&format!("[skipped {name} (resume)]")),
+            "{stdout}"
+        );
+    }
+    assert_eq!(journal_in(&dir), full_journal);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unknown `--only` name is a usage error: exit 2, the valid names on
+/// stderr, and nothing written.
+#[test]
+fn an_unknown_only_name_is_a_usage_error() {
+    let dir = fresh_dir("only_unknown");
+    let out = run_all_cmd(&dir, 2_000)
+        .args(["--only", "nope"])
+        .output()
+        .expect("run_all spawns");
+    assert_eq!(
+        out.status.code(),
+        Some(i32::from(bmp_bench::EXIT_WRITE_FAILED))
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment(s): nope"), "{stderr}");
+    assert!(
+        stderr.contains("table1_config"),
+        "usage lists the valid names"
+    );
+    assert!(!dir.join("results").exists(), "no work ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journals with every optional field, escapes in names and errors,
+/// and full-range fingerprints.
+fn journal_strategy() -> impl Strategy<Value = RunJournal> {
+    let rec = (
+        prop::sample::select(vec!["fig8_ilp", "table1_config", "n\"q\\é"]),
+        any::<u64>(),
+        1u32..5,
+        prop::collection::vec(0u8..=255, 0..24),
+        0u8..8,
+    );
+    let rec = rec.prop_map(|(name, fingerprint, attempts, error, flags)| {
+        let failed = flags & 1 != 0;
+        ExperimentRecord {
+            name: name.to_string(),
+            status: if failed {
+                RunStatus::Failed
+            } else {
+                RunStatus::Completed
+            },
+            fingerprint,
+            attempts,
+            error: failed.then(|| String::from_utf8_lossy(&error).into_owned()),
+            metrics: (flags & 2 != 0).then(|| "metrics/fig8_ilp.json".to_string()),
+            csv_fnv: (flags & 4 != 0).then(|| format!("{:016x}", fingerprint.rotate_left(7))),
+        }
+    });
+    (any::<u64>(), any::<u64>(), prop::collection::vec(rec, 0..6)).prop_map(|(ops, seed, recs)| {
+        let mut j = RunJournal::new(ops, seed);
+        recs.into_iter().for_each(|r| j.upsert(r));
+        j
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Valid journals round-trip exactly, and serialization is stable.
+    #[test]
+    fn journals_round_trip(j in journal_strategy()) {
+        let text = j.to_json();
+        let back = RunJournal::parse(&text).expect("a written journal parses");
+        prop_assert_eq!(&back, &j);
+        prop_assert_eq!(back.to_json(), text);
+    }
+
+    /// Arbitrary bytes are rejected with an error, never a panic.
+    #[test]
+    fn arbitrary_bytes_never_parse(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+        prop_assert!(RunJournal::parse(&String::from_utf8_lossy(&bytes)).is_err());
+    }
+
+    /// Flipped, truncated and spliced journals never panic the decoder;
+    /// whatever still parses re-serializes to itself.
+    #[test]
+    fn mutated_journals_never_panic(
+        j in journal_strategy(),
+        edits in prop::collection::vec((any::<usize>(), 0u8..=255, 0u8..3), 1..6),
+    ) {
+        let mut bytes = j.to_json().into_bytes();
+        for (at, byte, op) in edits {
+            let at = at % (bytes.len() + 1);
+            match op {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.truncate(at),
+                _ => bytes.insert(at, byte),
+            }
+        }
+        if let Ok(parsed) = RunJournal::parse(&String::from_utf8_lossy(&bytes)) {
+            let again = RunJournal::parse(&parsed.to_json()).expect("re-serialized journal parses");
+            prop_assert_eq!(again, parsed);
+        }
+    }
 }

@@ -231,9 +231,16 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// per level, so the bound turns hostile input like `[[[[…` into an
+/// error instead of a stack overflow; the workspace's documents nest a
+/// handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,6 +248,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -301,8 +309,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::String(self.parse_string()?)),
             b'0'..=b'9' | b'-' => self.parse_number(),
             b't' => self.expect_keyword("true", Value::Bool(true)),
@@ -555,6 +577,14 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[{\"a\":".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().message().contains("nesting"));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! * [`journal`] + [`json`] — the crash-safe run journal and the shared
 //!   hand-rolled JSON reader behind it;
 //! * [`io`] + [`store`] — the atomic-write primitive and the crash-safe
-//!   persistent artifact store built on it (see `docs/SERVING.md`);
+//!   persistent artifact store built on it (see `docs/STORE.md`);
 //! * [`report`] — markdown rendering of an analysis;
 //! * [`validate`] — error metrics for comparing the model against the
 //!   cycle-level simulator (experiment E-F10).

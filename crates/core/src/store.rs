@@ -4,8 +4,8 @@
 //! pure function of a 64-bit content key. This module gives those
 //! artifacts a durable tier: a directory of checksummed, versioned
 //! records — one file per key — written with the workspace's
-//! [`write_atomic`](crate::io::write_atomic) discipline so a crash at
-//! any point leaves either no record or a complete one.
+//! [`write_atomic`] discipline so a crash at any point leaves either no
+//! record or a complete one.
 //!
 //! # On-disk layout
 //!
