@@ -169,15 +169,16 @@ pub fn predict_with(trace: &Trace, cfg: &MachineConfig, outcome: &FunctionalOutc
 pub fn predict_cycles_scheduled(trace: &Trace, cfg: &MachineConfig) -> u64 {
     let outcome = FunctionalOutcome::compute(trace, cfg);
     let events = crate::penalty::frontend_events_of(cfg, &outcome);
-    let schedule = crate::drain::schedule_trace(
+    let mut cycles = 0;
+    crate::drain::schedule_trace(
         trace.ops(),
         crate::drain::MachineModel::from(cfg),
         &cfg.latencies,
         |i| outcome.load_latency[i],
         &events,
-        false,
+        |_, t| cycles = cycles.max(t.done),
     );
-    schedule.total_cycles()
+    cycles
 }
 
 /// Returns `true` when `consumer`'s value transitively depends on

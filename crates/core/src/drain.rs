@@ -376,49 +376,89 @@ impl FrontendEvent {
     }
 }
 
-/// The whole-trace schedule — "interval simulation": every interval-
-/// analysis mechanism applied across the full instruction stream, so
-/// cross-interval state (a window still full from before a miss event,
-/// chains reaching across events) is captured.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSchedule {
-    /// Cycle each op enters the window.
-    pub enter: Vec<u64>,
-    /// Cycle each op issues.
-    pub issue: Vec<u64>,
-    /// Cycle each op's result is available.
-    pub done: Vec<u64>,
+/// The timing of one op in the whole-trace schedule, as
+/// [`schedule_trace`] hands it to its visitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpTiming {
+    /// Cycle the op enters the window.
+    pub enter: u64,
+    /// Cycle the op issues.
+    pub issue: u64,
+    /// Cycle the op's result is available.
+    pub done: u64,
 }
 
-impl TraceSchedule {
-    /// Resolution time of op `i` (window entry to result).
-    pub fn resolution(&self, i: usize) -> u64 {
-        self.done[i] - self.enter[i]
-    }
-
-    /// Predicted total execution time: the last completion.
-    pub fn total_cycles(&self) -> u64 {
-        self.done.iter().copied().max().unwrap_or(0)
+impl OpTiming {
+    /// Resolution time (window entry to result): the drain component of
+    /// a misprediction's penalty when the op is the mispredicted branch.
+    pub fn resolution(&self) -> u64 {
+        self.done - self.enter
     }
 }
+
+/// Issue slots booked in one cycle: `[0]` counts the ops issued, `[1 + k]`
+/// the busy units of FU kind `k`.
+type SlotRow = [u8; 6];
 
 /// Per-cycle issue-slot ledger: total issue width plus per-FU-kind
-/// capacity.
+/// capacity, kept as a ring over the live cycles.
+///
+/// Cycle `c` lives in row `c & (rows.len() - 1)` while it is in
+/// `[base, base + rows.len())`. Cycles below `base` are retired: no
+/// booking can land there any more, so their rows are zeroed and reused
+/// for the cycles `rows.len()` later. The ring doubles when a booking
+/// would reach past its end, so its size follows the in-flight span of
+/// the schedule, not the length of the trace.
 struct SlotLedger {
-    total: Vec<u8>,
-    kinds: Vec<[u8; 5]>,
-    issue_width: u8,
-    fu_counts: [u8; 5],
+    rows: Vec<SlotRow>,
+    base: u64,
+    limits: SlotRow,
 }
 
 impl SlotLedger {
     fn new(issue_width: u32, fu_counts: [u8; 5]) -> Self {
+        let mut limits = [issue_width.min(255) as u8; 6];
+        limits[1..].copy_from_slice(&fu_counts);
         Self {
-            total: Vec::new(),
-            kinds: Vec::new(),
-            issue_width: issue_width.min(255) as u8,
-            fu_counts,
+            rows: vec![[0; 6]; 256],
+            base: 0,
+            limits,
         }
+    }
+
+    fn row(&mut self, cycle: u64) -> &mut SlotRow {
+        let mask = self.rows.len() as u64 - 1;
+        &mut self.rows[(cycle & mask) as usize]
+    }
+
+    /// Retires every cycle below `cycle`.
+    fn retire_below(&mut self, cycle: u64) {
+        if cycle <= self.base {
+            return;
+        }
+        if cycle - self.base >= self.rows.len() as u64 {
+            self.rows.fill([0; 6]);
+        } else {
+            for c in self.base..cycle {
+                *self.row(c) = [0; 6];
+            }
+        }
+        self.base = cycle;
+    }
+
+    /// Doubles the ring until cycle `end - 1` fits, keeping every live
+    /// row at its cycle.
+    fn grow_to(&mut self, end: u64) {
+        let mut len = self.rows.len();
+        while self.base + (len as u64) < end {
+            len *= 2;
+        }
+        let mut rows = vec![[0; 6]; len];
+        let (old_mask, new_mask) = (self.rows.len() as u64 - 1, len as u64 - 1);
+        for c in self.base..self.base + self.rows.len() as u64 {
+            rows[(c & new_mask) as usize] = self.rows[(c & old_mask) as usize];
+        }
+        self.rows = rows;
     }
 
     /// First cycle `>= start` where an issue slot is free and a unit of
@@ -426,39 +466,46 @@ impl SlotLedger {
     /// Pipelined classes use occupancy 1; non-pipelined divides hold
     /// their unit for the full latency, exactly as the simulator does.
     fn allocate(&mut self, start: u64, kind: usize, occupancy: u64) -> u64 {
-        let occ = occupancy.max(1) as usize;
-        let mut t = start as usize;
-        'search: loop {
-            let need = t + occ;
-            if need >= self.total.len() {
-                self.total.resize(need + 64, 0);
-                self.kinds.resize(need + 64, [0; 5]);
+        debug_assert!(start >= self.base, "booking below a retired cycle");
+        let occ = occupancy.max(1);
+        let k = kind + 1;
+        let mut t = start;
+        if occ == 1 && t < self.base + self.rows.len() as u64 {
+            // Pipelined fast path: one row holds both checks.
+            let limits = self.limits;
+            let row = self.row(t);
+            if row[0] < limits[0] && row[k] < limits[k] {
+                row[0] += 1;
+                row[k] += 1;
+                return t;
             }
-            if self.total[t] >= self.issue_width {
+        }
+        loop {
+            if t + occ > self.base + self.rows.len() as u64 {
+                self.grow_to(t + occ);
+            }
+            if self.row(t)[0] >= self.limits[0] {
                 t += 1;
                 continue;
             }
-            let mut conflict = None;
+            let limit = self.limits[k];
+            if let Some(busy) = (t..t + occ).find(|&c| self.row(c)[k] >= limit) {
+                t = busy + 1;
+                continue;
+            }
+            self.row(t)[0] += 1;
             for c in t..t + occ {
-                if self.kinds[c][kind] >= self.fu_counts[kind] {
-                    conflict = Some(c);
-                    break;
-                }
+                self.row(c)[k] += 1;
             }
-            if let Some(c) = conflict {
-                t = c + 1;
-                continue 'search;
-            }
-            self.total[t] += 1;
-            for c in t..t + occ {
-                self.kinds[c][kind] += 1;
-            }
-            return t as u64;
+            return t;
         }
     }
 }
 
-/// Schedules the whole trace under the interval model.
+/// Schedules the whole trace under the interval model — "interval
+/// simulation": every interval-analysis mechanism applied across the
+/// full instruction stream, so cross-interval state (a window still full
+/// from before a miss event, chains reaching across events) is captured.
 ///
 /// Mechanisms applied, in the spirit of the paper's framework:
 ///
@@ -470,37 +517,81 @@ impl SlotLedger {
 /// * **issue bandwidth** — at most `issue_width` ops per cycle, with
 ///   per-FU-kind capacity, allocated oldest-first;
 /// * **data-flow dependences** with class latencies, loads resolved by
-///   `load_latency` (pass the functional pass's per-load latencies).
+///   `load_latency` (pass the functional pass's per-load latencies; it
+///   is asked once per op, in order, and read for loads only); a source
+///   reaching before the trace is ready.
+///
+/// `visit(i, timing)` is called for every op, in trace order; callers
+/// keep only what they read. The schedule itself holds no per-op arrays:
+/// op timings live in a ring as long as the window or the ROB, whichever
+/// is larger, and the slot ledger in a ring over the in-flight cycles.
 ///
 /// `events` must be sorted by position.
 ///
 /// # Panics
 ///
-/// Panics if `events` is not sorted by position.
-pub fn schedule_trace<F>(
+/// Panics if `events` is not sorted by position, or if the window or
+/// ROB size is 0.
+///
+/// # Examples
+///
+/// ```
+/// use bmp_core::drain::{schedule_trace, MachineModel};
+/// use bmp_trace::MicroOp;
+/// use bmp_uarch::{presets, LatencyTable, OpClass};
+///
+/// // Eight independent ALU ops on a 4-wide machine: two dispatch cycles.
+/// let ops: Vec<_> = (0..8).map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [None, None])).collect();
+/// let model = MachineModel::from(&presets::baseline_4wide());
+/// let mut last = 0;
+/// schedule_trace(&ops, model, &LatencyTable::unit(), |_| None, &[], |_, t| {
+///     last = last.max(t.done);
+/// });
+/// assert_eq!(last, 3);
+/// ```
+pub fn schedule_trace<F, V>(
     ops: &[MicroOp],
     model: MachineModel,
     lat: &LatencyTable,
     mut load_latency: F,
     events: &[FrontendEvent],
-    ignore_deps: bool,
-) -> TraceSchedule
-where
+    mut visit: V,
+) where
     F: FnMut(usize) -> Option<u32>,
+    V: FnMut(usize, OpTiming),
 {
     assert!(
         events.windows(2).all(|w| w[0].pos() <= w[1].pos()),
         "frontend events must be sorted by position"
     );
+    assert!(
+        model.window_size > 0 && model.rob_size > 0,
+        "the window and the ROB hold at least one op"
+    );
     let d = u64::from(model.dispatch_width.max(1));
     let w = model.window_size as usize;
     let r = model.rob_size as usize;
     let fe = u64::from(model.frontend_depth);
-    let n = ops.len();
-    let mut enter = Vec::with_capacity(n);
-    let mut issue = Vec::with_capacity(n);
-    let mut done = Vec::with_capacity(n);
+
+    // Issue and completion of the last `timings.len()` ops, op `j` in
+    // slot `j & mask`; slots not yet written hold zeros and stand for
+    // ops before the trace. The window and ROB caps look back W and R
+    // ops. Sources need no further: entry is in order and op `k + R`
+    // entered no earlier than op `k` completed, so a source R or more
+    // ops back is complete before its consumer enters and never binds.
+    let mut timings = vec![(0u64, 0u64); (w.max(r) + 1).next_power_of_two()];
+    let mask = timings.len() - 1;
     let mut slots = SlotLedger::new(model.issue_width, model.fu_counts);
+    // Per class: FU kind, table latency, and whether the unit pipelines.
+    let per_class = bmp_uarch::OP_CLASSES.map(|class| {
+        let pipelined = !matches!(class, OpClass::IntDiv | OpClass::FpDiv);
+        (
+            class.fu_kind().index(),
+            u64::from(lat.latency(class)).max(1),
+            pipelined,
+        )
+    });
+    let table_load = lat.latency(OpClass::Load);
 
     // Entry cursor: `cursor` is the cycle the next op would enter;
     // `count` how many already entered that cycle.
@@ -530,14 +621,11 @@ where
                 count = 0;
             }
         }
-        // Window / ROB capacity.
-        let mut floor = cursor;
-        if i >= w {
-            floor = floor.max(issue[i - w]);
-        }
-        if i >= r {
-            floor = floor.max(done[i - r]);
-        }
+        // Window / ROB capacity: op i waits for op i − W to issue and
+        // op i − R to complete.
+        let floor = cursor
+            .max(timings[i.wrapping_sub(w) & mask].0)
+            .max(timings[i.wrapping_sub(r) & mask].1);
         if floor > cursor {
             cursor = floor;
             count = 0;
@@ -548,43 +636,49 @@ where
             cursor += 1;
             count = 0;
         }
+        // Entry never moves backwards and every booking lands after it,
+        // so the cycles up to this op's entry are dead.
+        slots.retire_below(e + 1);
 
         // Data-flow start: at least one cycle after entry (dispatch-to-
-        // issue latency, matching the simulator's timing).
+        // issue latency, matching the simulator's timing). A source
+        // before the trace, or R or more ops back, is ready. The ring
+        // read is in bounds either way, so the choice is a select, not a
+        // branch.
         let mut start = e + 1;
-        if !ignore_deps {
-            for dist in op.src_distances() {
-                let dist = dist as usize;
-                if dist <= i {
-                    start = start.max(done[i - dist]);
-                }
-            }
+        for dist in op.srcs() {
+            let dist = dist.map_or(usize::MAX, |d| d as usize);
+            let ready = timings[i.wrapping_sub(dist) & mask].1;
+            start = start.max(if dist <= i && dist < r { ready } else { 0 });
         }
         // Issue-slot allocation; divides occupy their unit for the full
         // latency (non-pipelined), everything else for one cycle.
-        let kind = op.class().fu_kind().index();
-        let latency = match op.class() {
-            OpClass::Load => {
-                u64::from(load_latency(i).unwrap_or_else(|| lat.latency(OpClass::Load)))
-            }
-            c => u64::from(lat.latency(c)),
-        }
-        .max(1);
-        let occupancy = match op.class() {
-            OpClass::IntDiv | OpClass::FpDiv => latency,
-            _ => 1,
+        let class = op.class();
+        let (kind, table, pipelined) = per_class[class.index()];
+        let loaded = u64::from(load_latency(i).unwrap_or(table_load)).max(1);
+        let latency = if class == OpClass::Load {
+            loaded
+        } else {
+            table
         };
+        let occupancy = if pipelined { 1 } else { latency };
         let s = slots.allocate(start, kind, occupancy);
-        enter.push(e);
-        issue.push(s);
-        done.push(s + latency);
+        let done = s + latency;
+        timings[i & mask] = (s, done);
+        visit(
+            i,
+            OpTiming {
+                enter: e,
+                issue: s,
+                done,
+            },
+        );
 
         // A misprediction at this op gates the next op's entry.
         if mispredict_here {
-            pending_barrier = Some(done[i] + fe);
+            pending_barrier = Some(done + fe);
         }
     }
-    TraceSchedule { enter, issue, done }
 }
 
 #[cfg(test)]
@@ -727,6 +821,28 @@ mod tests {
         MachineModel::from(&bmp_uarch::presets::baseline_4wide())
     }
 
+    /// Every op's timing on the baseline 4-wide machine.
+    fn schedule<F>(
+        ops: &[MicroOp],
+        lat: &LatencyTable,
+        load_latency: F,
+        events: &[FrontendEvent],
+    ) -> Vec<OpTiming>
+    where
+        F: FnMut(usize) -> Option<u32>,
+    {
+        let mut timings = Vec::with_capacity(ops.len());
+        schedule_trace(ops, model4(), lat, load_latency, events, |i, t| {
+            assert_eq!(i, timings.len(), "ops are visited in order");
+            timings.push(t);
+        });
+        timings
+    }
+
+    fn total_cycles(timings: &[OpTiming]) -> u64 {
+        timings.iter().map(|t| t.done).max().unwrap_or(0)
+    }
+
     #[test]
     fn trace_schedule_ideal_code_runs_at_width() {
         // 4 independent streams of int ALU ops (4 units, width 4).
@@ -739,15 +855,8 @@ mod tests {
                 )
             })
             .collect();
-        let s = schedule_trace(
-            &ops,
-            model4(),
-            &LatencyTable::default(),
-            |_| None,
-            &[],
-            false,
-        );
-        let cycles = s.total_cycles();
+        let s = schedule(&ops, &LatencyTable::default(), |_| None, &[]);
+        let cycles = total_cycles(&s);
         assert!(
             (1000..=1020).contains(&cycles),
             "4000 ops at width 4 should take ~1000 cycles, got {cycles}"
@@ -759,14 +868,14 @@ mod tests {
         // All ops independent and ready at once — the issue ledger must
         // spread them at 4/cycle even though dependences allow 1 cycle.
         let ops = independent(64);
-        let s = schedule_trace(&ops, model4(), &LatencyTable::unit(), |_| None, &[], false);
+        let s = schedule(&ops, &LatencyTable::unit(), |_| None, &[]);
         // op 63 enters at cycle 15 and issues the cycle after.
-        assert_eq!(s.issue[63], 16);
+        assert_eq!(s[63].issue, 16);
         // Force them ready early by ignoring entry pacing is not
         // possible; instead check no cycle got more than 4 issues.
         let mut per_cycle = std::collections::HashMap::new();
-        for &t in &s.issue {
-            *per_cycle.entry(t).or_insert(0u32) += 1;
+        for t in &s {
+            *per_cycle.entry(t.issue).or_insert(0u32) += 1;
         }
         assert!(per_cycle.values().all(|&c| c <= 4));
     }
@@ -777,10 +886,10 @@ mod tests {
         let ops: Vec<MicroOp> = (0..16)
             .map(|i| MicroOp::alu(i as u64 * 4, OpClass::IntMul, [None, None]))
             .collect();
-        let s = schedule_trace(&ops, model4(), &LatencyTable::unit(), |_| None, &[], false);
+        let s = schedule(&ops, &LatencyTable::unit(), |_| None, &[]);
         let mut per_cycle = std::collections::HashMap::new();
-        for &t in &s.issue {
-            *per_cycle.entry(t).or_insert(0u32) += 1;
+        for t in &s {
+            *per_cycle.entry(t.issue).or_insert(0u32) += 1;
         }
         assert!(
             per_cycle.values().all(|&c| c <= 1),
@@ -792,34 +901,20 @@ mod tests {
     fn mispredict_barrier_delays_following_ops() {
         let ops = independent(32);
         let events = [FrontendEvent::Mispredict { pos: 7 }];
-        let s = schedule_trace(
-            &ops,
-            model4(),
-            &LatencyTable::unit(),
-            |_| None,
-            &events,
-            false,
-        );
+        let s = schedule(&ops, &LatencyTable::unit(), |_| None, &events);
         // done(7) = enter(7)+2 = 3; barrier = 3 + 5 = 8.
-        assert_eq!(s.enter[8], s.done[7] + 5);
+        assert_eq!(s[8].enter, s[7].done + 5);
         // Ops before the barrier are unaffected.
-        assert_eq!(s.enter[7], 1);
+        assert_eq!(s[7].enter, 1);
     }
 
     #[test]
     fn fetch_stall_shifts_entry() {
         let ops = independent(16);
         let events = [FrontendEvent::FetchStall { pos: 4, extra: 10 }];
-        let s = schedule_trace(
-            &ops,
-            model4(),
-            &LatencyTable::unit(),
-            |_| None,
-            &events,
-            false,
-        );
-        assert_eq!(s.enter[3], 0);
-        assert_eq!(s.enter[4], 11, "1 cycle of pacing + 10 stall");
+        let s = schedule(&ops, &LatencyTable::unit(), |_| None, &events);
+        assert_eq!(s[3].enter, 0);
+        assert_eq!(s[4].enter, 11, "1 cycle of pacing + 10 stall");
     }
 
     #[test]
@@ -828,21 +923,19 @@ mod tests {
         // load+R waits for the load's completion.
         let mut ops = vec![MicroOp::load(0, 0x100, [None, None])];
         ops.extend(independent(200));
-        let s = schedule_trace(
+        let s = schedule(
             &ops,
-            model4(),
             &LatencyTable::unit(),
             |i| if i == 0 { Some(200) } else { None },
             &[],
-            false,
         );
         let r = 128;
         assert!(
-            s.enter[r] >= 200,
+            s[r].enter >= 200,
             "op R after the load must wait for ROB space: entered {}",
-            s.enter[r]
+            s[r].enter
         );
-        assert!(s.enter[r - 1] < 200, "ops within ROB reach proceed");
+        assert!(s[r - 1].enter < 200, "ops within ROB reach proceed");
     }
 
     #[test]
@@ -852,17 +945,10 @@ mod tests {
             FrontendEvent::FetchStall { pos: 3, extra: 5 },
             FrontendEvent::Mispredict { pos: 3 },
         ];
-        let s = schedule_trace(
-            &ops,
-            model4(),
-            &LatencyTable::unit(),
-            |_| None,
-            &events,
-            false,
-        );
+        let s = schedule(&ops, &LatencyTable::unit(), |_| None, &events);
         // Stall delays op 3 itself; the mispredict barrier gates op 4.
-        assert!(s.enter[3] >= 5);
-        assert_eq!(s.enter[4], s.done[3] + 5);
+        assert!(s[3].enter >= 5);
+        assert_eq!(s[4].enter, s[3].done + 5);
     }
 
     #[test]
@@ -873,19 +959,12 @@ mod tests {
             FrontendEvent::Mispredict { pos: 3 },
             FrontendEvent::Mispredict { pos: 1 },
         ];
-        let _ = schedule_trace(
-            &ops,
-            model4(),
-            &LatencyTable::unit(),
-            |_| None,
-            &events,
-            false,
-        );
+        let _ = schedule(&ops, &LatencyTable::unit(), |_| None, &events);
     }
 
     #[test]
     fn empty_trace_schedule() {
-        let s = schedule_trace(&[], model4(), &LatencyTable::unit(), |_| None, &[], false);
-        assert_eq!(s.total_cycles(), 0);
+        let s = schedule(&[], &LatencyTable::unit(), |_| None, &[]);
+        assert_eq!(total_cycles(&s), 0);
     }
 }

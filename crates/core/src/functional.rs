@@ -12,22 +12,11 @@
 //! part of what experiment E-F10 quantifies.
 
 use bmp_branch::{build_predictor, BranchStats, Btb, IndirectPredictor, ReturnAddressStack};
-use bmp_cache::{DataOutcome, MemoryHierarchy};
+use bmp_cache::MemoryHierarchy;
 use bmp_trace::{BranchKind, Trace};
 use bmp_uarch::{MachineConfig, OpClass};
 
 use crate::intervals::{IntervalEvent, IntervalEventKind};
-
-/// Classification of one load, from the model's functional cache pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadClass {
-    /// L1D hit.
-    L1Hit,
-    /// Short miss: served by the L2 — contributor (v).
-    ShortMiss,
-    /// Long miss: served by memory — an interval-terminating event.
-    LongMiss,
-}
 
 /// Everything the functional pass learns about a trace under a machine
 /// configuration.
@@ -39,8 +28,6 @@ pub struct FunctionalOutcome {
     /// For every op index that is a load, its latency in cycles
     /// (`None` for non-loads).
     pub load_latency: Vec<Option<u32>>,
-    /// For every op index that is a load, its classification.
-    pub load_class: Vec<Option<LoadClass>>,
     /// Direction-prediction accounting from the pass.
     pub branch_stats: BranchStats,
 }
@@ -68,7 +55,6 @@ impl FunctionalOutcome {
         let n = trace.len();
         let mut events = Vec::new();
         let mut load_latency = vec![None; n];
-        let mut load_class = vec![None; n];
 
         for (idx, op) in trace.iter().enumerate() {
             // Instruction side, per line.
@@ -93,17 +79,12 @@ impl FunctionalOutcome {
                     let addr = op.mem_addr().expect("loads carry addresses");
                     let access = mem.data_access_at(op.pc(), addr);
                     load_latency[idx] = Some(access.latency);
-                    load_class[idx] = Some(match access.outcome {
-                        DataOutcome::L1Hit => LoadClass::L1Hit,
-                        DataOutcome::ShortMiss => LoadClass::ShortMiss,
-                        DataOutcome::LongMiss => {
-                            events.push(IntervalEvent {
-                                pos: idx,
-                                kind: IntervalEventKind::LongDCacheMiss,
-                            });
-                            LoadClass::LongMiss
-                        }
-                    });
+                    if access.outcome.is_long_miss() {
+                        events.push(IntervalEvent {
+                            pos: idx,
+                            kind: IntervalEventKind::LongDCacheMiss,
+                        });
+                    }
                 }
                 OpClass::Store => {
                     let addr = op.mem_addr().expect("stores carry addresses");
@@ -155,7 +136,6 @@ impl FunctionalOutcome {
         Self {
             events,
             load_latency,
-            load_class,
             branch_stats,
         }
     }
@@ -235,14 +215,16 @@ mod tests {
     #[test]
     fn small_working_set_is_mostly_hits() {
         let trace = micro::memory_kernel(20_000, 512, 4, false, 2);
-        let out = FunctionalOutcome::compute(&trace, &tiny_perfect());
+        let cfg = tiny_perfect();
+        let out = FunctionalOutcome::compute(&trace, &cfg);
+        let l1_hit = cfg.caches.l1d().hit_latency();
         let hits = out
-            .load_class
+            .load_latency
             .iter()
             .flatten()
-            .filter(|c| **c == LoadClass::L1Hit)
+            .filter(|&&l| l == l1_hit)
             .count();
-        let loads = out.load_class.iter().flatten().count();
+        let loads = out.load_latency.iter().flatten().count();
         assert!(hits as f64 > loads as f64 * 0.95);
     }
 

@@ -72,7 +72,7 @@ pub mod store;
 pub mod validate;
 
 pub use accounting::{CycleAccounting, IntervalAccountant, IntervalRecord};
-pub use functional::{FunctionalOutcome, LoadClass};
+pub use functional::FunctionalOutcome;
 pub use intervals::{
     segment, Interval, IntervalEvent, IntervalEventKind, IntervalLengthHistogram, LENGTH_BUCKETS,
 };

@@ -359,23 +359,33 @@ impl PenaltyModel {
         let l1_hit = self.cfg.caches.l1d().hit_latency();
 
         // Whole-trace schedule: effective resolutions with cross-interval
-        // state (window carryover, issue bandwidth, ROB fill).
+        // state (window carryover, issue bandwidth, ROB fill), kept only
+        // at the mispredicted branches, in trace order.
+        let mispredicted: Vec<&Interval> = intervals
+            .iter()
+            .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
+            .collect();
+        let mut resolutions = Vec::with_capacity(mispredicted.len());
         let frontend_events = frontend_events_of(&self.cfg, outcome);
-        let global = schedule_trace(
+        schedule_trace(
             trace.ops(),
             model,
             &self.cfg.latencies,
             |i| outcome.load_latency[i],
             &frontend_events,
-            false,
+            |i, t| {
+                if mispredicted
+                    .get(resolutions.len())
+                    .is_some_and(|iv| iv.end == i)
+                {
+                    resolutions.push(t.resolution());
+                }
+            },
         );
 
-        let mut breakdowns = Vec::new();
+        let mut breakdowns = Vec::with_capacity(mispredicted.len());
         let mut scratch = KnockoutScratch::default();
-        for iv in &intervals {
-            if iv.kind != Some(IntervalEventKind::BranchMispredict) {
-                continue;
-            }
+        for (iv, resolution) in mispredicted.into_iter().zip(resolutions) {
             let local = knockout_interval(
                 &trace.ops()[iv.start..=iv.end],
                 params,
@@ -384,7 +394,6 @@ impl PenaltyModel {
                 &outcome.load_latency[iv.start..=iv.end],
                 &mut scratch,
             );
-            let resolution = global.resolution(iv.end);
             let b = PenaltyBreakdown {
                 branch_idx: iv.end,
                 interval_start: iv.start,

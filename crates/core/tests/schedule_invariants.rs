@@ -2,9 +2,10 @@
 //! every valid schedule must satisfy, checked on random workloads and
 //! machine shapes.
 
-use bmp_core::drain::{schedule_trace, FrontendEvent, MachineModel};
+use bmp_core::drain::{schedule_trace, FrontendEvent, MachineModel, OpTiming};
 use bmp_core::{FunctionalOutcome, PenaltyModel};
-use bmp_uarch::MachineConfigBuilder;
+use bmp_trace::MicroOp;
+use bmp_uarch::{LatencyTable, MachineConfigBuilder};
 use bmp_workloads::WorkloadProfile;
 use proptest::prelude::*;
 
@@ -36,6 +37,30 @@ fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
     })
 }
 
+/// Every op's timing, collected through the schedule's visitor.
+fn collect(
+    ops: &[MicroOp],
+    model: MachineModel,
+    lat: &LatencyTable,
+    loads: &[Option<u32>],
+    events: &[FrontendEvent],
+) -> Vec<OpTiming> {
+    let mut timings = Vec::with_capacity(ops.len());
+    schedule_trace(
+        ops,
+        model,
+        lat,
+        |i| loads[i],
+        events,
+        |_, t| timings.push(t),
+    );
+    timings
+}
+
+fn total_cycles(timings: &[OpTiming]) -> u64 {
+    timings.iter().map(|t| t.done).max().unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -61,25 +86,18 @@ proptest! {
                 _ => None,
             })
             .collect();
-        let s = schedule_trace(
-            trace.ops(),
-            MachineModel::from(&cfg),
-            &cfg.latencies,
-            |i| outcome.load_latency[i],
-            &events,
-            false,
-        );
+        let s = collect(trace.ops(), MachineModel::from(&cfg), &cfg.latencies, &outcome.load_latency, &events);
         let mut per_cycle = std::collections::HashMap::new();
         for i in 0..trace.len() {
-            prop_assert!(s.issue[i] >= s.enter[i], "op {i} issued before entering");
-            prop_assert!(s.done[i] > s.issue[i], "op {i} completed instantly");
+            prop_assert!(s[i].issue >= s[i].enter, "op {i} issued before entering");
+            prop_assert!(s[i].done > s[i].issue, "op {i} completed instantly");
             if i > 0 {
                 prop_assert!(
-                    s.enter[i] >= s.enter[i - 1],
+                    s[i].enter >= s[i - 1].enter,
                     "entry must follow program order"
                 );
             }
-            *per_cycle.entry(s.issue[i]).or_insert(0u32) += 1;
+            *per_cycle.entry(s[i].issue).or_insert(0u32) += 1;
         }
         for (&cycle, &n) in &per_cycle {
             prop_assert!(
@@ -101,14 +119,10 @@ proptest! {
         let trace = profile.generate(1_000, seed);
         let outcome = FunctionalOutcome::compute(&trace, &cfg);
         let model = MachineModel::from(&cfg);
-        let fast = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &[], false,
-        );
+        let fast = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &[]);
         let slow_lat = cfg.latencies.scaled(2.0);
-        let slow = schedule_trace(
-            trace.ops(), model, &slow_lat, |i| outcome.load_latency[i], &[], false,
-        );
-        prop_assert!(slow.total_cycles() >= fast.total_cycles());
+        let slow = collect(trace.ops(), model, &slow_lat, &outcome.load_latency, &[]);
+        prop_assert!(total_cycles(&slow) >= total_cycles(&fast));
     }
 
     /// The penalty model is deterministic and its aggregates are finite.
@@ -151,17 +165,13 @@ proptest! {
             .iter()
             .map(|&pos| FrontendEvent::Mispredict { pos })
             .collect();
-        let without = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &[], false,
-        );
-        let with = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &events, false,
-        );
+        let without = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &[]);
+        let with = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &events);
         let fe = u64::from(cfg.frontend_depth);
         for &pos in &mispredicts {
             if pos + 1 < trace.len() {
                 prop_assert!(
-                    with.enter[pos + 1] >= with.done[pos] + fe,
+                    with[pos + 1].enter >= with[pos].done + fe,
                     "op {} entered before the refill of the mispredict at {pos}",
                     pos + 1
                 );
@@ -170,11 +180,11 @@ proptest! {
         // Prefix before the first mispredict is untouched.
         if let Some(&first) = mispredicts.first() {
             for i in 0..=first {
-                prop_assert_eq!(with.enter[i], without.enter[i]);
-                prop_assert_eq!(with.done[i], without.done[i]);
+                prop_assert_eq!(with[i].enter, without[i].enter);
+                prop_assert_eq!(with[i].done, without[i].done);
             }
         }
         // Aggregate sanity: barriers cannot make the whole run faster.
-        prop_assert!(with.total_cycles() >= without.total_cycles());
+        prop_assert!(total_cycles(&with) >= total_cycles(&without));
     }
 }

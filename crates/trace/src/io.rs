@@ -37,6 +37,11 @@ const TAG_BRANCH_CALL: u8 = 18;
 const TAG_BRANCH_RET: u8 = 19;
 const TAG_BRANCH_INDIRECT: u8 = 20;
 
+/// Ops reserved before any record is read. The header's op count is
+/// untrusted until its records arrive (a 13-byte input can claim 2^64
+/// ops), so larger traces grow the vector as they are read.
+const PRESIZE_OPS: usize = 1 << 12;
+
 /// Error reading or writing a serialized trace.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -160,7 +165,7 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, TraceIoError> {
         return Err(TraceIoError::BadVersion(version));
     }
     let n = read_u64(&mut r)? as usize;
-    let mut ops = Vec::with_capacity(n.min(1 << 24));
+    let mut ops = Vec::with_capacity(n.min(PRESIZE_OPS));
     for _ in 0..n {
         let tag = read_u8(&mut r)?;
         let pc = read_u64(&mut r)?;

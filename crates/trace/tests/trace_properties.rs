@@ -73,6 +73,59 @@ proptest! {
         prop_assert!(io::read_trace(truncated).is_err());
     }
 
+    /// Bytes that do not start with the trace magic are refused, never
+    /// a panic.
+    #[test]
+    fn io_arbitrary_bytes_are_rejected(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+        prop_assume!(!bytes.starts_with(b"BMPT"));
+        prop_assert!(io::read_trace(bytes.as_slice()).is_err());
+    }
+
+    /// A valid header followed by an arbitrary op count and arbitrary
+    /// records never panics. An input that does decode yields a trace
+    /// of the declared length that round-trips; a count the records
+    /// cannot cover is an error, however large the count.
+    #[test]
+    fn io_arbitrary_records_never_panic(
+        count in prop::sample::select(vec![0u64, 1, 2, 3, 7, 40, u64::MAX]),
+        body in prop::collection::vec(0u8..=255, 0..512),
+    ) {
+        let mut bytes = b"BMPT\x01".to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&body);
+        match io::read_trace(bytes.as_slice()) {
+            Ok(trace) => {
+                prop_assert_eq!(trace.len() as u64, count);
+                let mut buf = Vec::new();
+                io::write_trace(&trace, &mut buf).expect("write to vec");
+                prop_assert_eq!(io::read_trace(buf.as_slice()).expect("re-read"), trace);
+            }
+            Err(_) => prop_assert!(count > 0, "an empty trace needs only its header"),
+        }
+    }
+
+    /// Flipping bytes of a valid encoding never panics: the result is
+    /// an error, or a trace that round-trips. Damage to the magic or the
+    /// version is always an error.
+    #[test]
+    fn io_mutated_bytes_never_panic(
+        trace in arb_trace(),
+        flips in prop::collection::vec((any::<u64>(), 1u8..=255), 1..8),
+    ) {
+        let mut buf = Vec::new();
+        io::write_trace(&trace, &mut buf).expect("write to vec");
+        for &(at, mask) in &flips {
+            let at = (at % buf.len() as u64) as usize;
+            buf[at] ^= mask;
+        }
+        if let Ok(back) = io::read_trace(buf.as_slice()) {
+            prop_assert!(&buf[..5] == b"BMPT\x01", "a damaged header decoded");
+            let mut again = Vec::new();
+            io::write_trace(&back, &mut again).expect("write to vec");
+            prop_assert_eq!(io::read_trace(again.as_slice()).expect("re-read"), back);
+        }
+    }
+
     /// Data-flow completion times respect dependences: a consumer never
     /// completes before its producer.
     #[test]
