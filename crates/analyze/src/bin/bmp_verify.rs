@@ -20,7 +20,8 @@ use std::process::ExitCode;
 
 use bmp_analyze::staticpass::{self, lint, StaticBounds};
 use bmp_analyze::{walk_inputs, AnalysisReport, Severity};
-use bmp_core::json::escape_string;
+use bmp_core::json::Value;
+use bmp_core::json_object;
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics};
 use bmp_uarch::presets;
 
@@ -35,7 +36,7 @@ PATH is a metrics document or a directory of them (default:
 results/metrics — produce one with `BMP_METRICS=1 run_all`).
 
 OPTIONS:
-    --json        machine-readable output (one JSON object)
+    --json        machine-readable output (one JSON document)
     -h, --help    show this help
 
 Exit status: 0 clean, 1 when a BMP6xx bound violation fired, 2 on
@@ -91,6 +92,31 @@ impl WorkloadView {
         }
     }
 
+    /// The `--json` entry: bounds per contributor (plus the recorded
+    /// model total when there is one) and the mean penalties, rounded
+    /// to 4 decimals.
+    fn to_value(&self) -> Value {
+        let rows = self.bounds.contributor_rows().into_iter().enumerate();
+        let contributors = rows.map(|(j, (name, b))| {
+            let model = self.observed.map(|o| o[j]);
+            let bound = json_object! { "lo": b.lo, "point": b.point, "hi": b.hi, "model"?: model };
+            (name.to_owned(), bound)
+        });
+        let mean_penalty = self
+            .static_mean_penalty
+            .zip(self.sim_mean_penalty)
+            .map(|(s, m)| {
+                json_object! { "static": Value::rounded(s, 4), "sim": Value::rounded(m, 4) }
+            });
+        json_object! {
+            "experiment": self.doc.as_str(),
+            "workload": self.workload.as_str(),
+            "intervals": self.bounds.intervals,
+            "contributors": Value::Object(contributors.collect()),
+            "mean_penalty"?: mean_penalty,
+        }
+    }
+
     /// Relative error of the static mean-penalty point estimate
     /// against the simulator's recorded mean penalty.
     fn rel_err_vs_sim(&self) -> Option<f64> {
@@ -134,52 +160,13 @@ fn render_view(v: &WorkloadView) {
 }
 
 fn render_json(views: &[WorkloadView], median: Option<f64>, report: &AnalysisReport) -> String {
-    let mut s = String::from("{\"workloads\":[");
-    for (i, v) in views.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"experiment\":{},\"workload\":{},\"intervals\":{},\"contributors\":{{",
-            escape_string(&v.doc),
-            escape_string(&v.workload),
-            v.bounds.intervals
-        ));
-        for (j, (name, b)) in v.bounds.contributor_rows().iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{}:{{\"lo\":{},\"point\":{},\"hi\":{}",
-                escape_string(name),
-                b.lo,
-                b.point,
-                b.hi
-            ));
-            if let Some(o) = &v.observed {
-                s.push_str(&format!(",\"model\":{}", o[j]));
-            }
-            s.push('}');
-        }
-        s.push('}');
-        if let (Some(sp), Some(mp)) = (v.static_mean_penalty, v.sim_mean_penalty) {
-            s.push_str(&format!(
-                ",\"mean_penalty\":{{\"static\":{sp:.4},\"sim\":{mp:.4}}}"
-            ));
-        }
-        s.push('}');
+    json_object! {
+        "workloads": views.iter().map(WorkloadView::to_value).collect::<Value>(),
+        "median_mean_penalty_err": median.map(|m| Value::rounded(m, 4)),
+        "errors": report.error_count(),
+        "diagnostics": report.to_value(),
     }
-    s.push_str("],");
-    match median {
-        Some(m) => s.push_str(&format!("\"median_mean_penalty_err\":{m:.4},")),
-        None => s.push_str("\"median_mean_penalty_err\":null,"),
-    }
-    s.push_str(&format!(
-        "\"errors\":{},\"diagnostics\":{}}}",
-        report.error_count(),
-        report.render_json()
-    ));
-    s
+    .to_string()
 }
 
 fn median(mut xs: Vec<f64>) -> Option<f64> {

@@ -4,13 +4,16 @@
 //! a severity, a locus naming the offending configuration field or trace
 //! position, a human message, and (where a fix is mechanical) a
 //! suggestion. [`AnalysisReport`] aggregates them and renders either a
-//! compiler-style human listing or line-delimited JSON for tooling.
+//! compiler-style human listing or one JSON document for tooling.
 //! [`walk_inputs`] is the shared file/directory collector behind every
 //! `bmp-lint` pass that reads artifacts from disk (`--journal`,
 //! `--metrics`, `--static`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use bmp_core::json::Value;
+use bmp_core::json_object;
 
 /// How bad a finding is.
 ///
@@ -104,24 +107,18 @@ impl Diagnostic {
         self
     }
 
+    /// This diagnostic as one JSON object (`suggestion` is `null` when
+    /// absent).
+    fn to_value(&self) -> Value {
+        json_object! {
+            "code": self.code, "severity": self.severity.label(), "locus": self.locus.as_str(),
+            "message": self.message.as_str(), "suggestion": self.suggestion.as_deref(),
+        }
+    }
+
     /// Renders this diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"code\":");
-        json_string(&mut s, self.code);
-        s.push_str(",\"severity\":");
-        json_string(&mut s, self.severity.label());
-        s.push_str(",\"locus\":");
-        json_string(&mut s, &self.locus);
-        s.push_str(",\"message\":");
-        json_string(&mut s, &self.message);
-        s.push_str(",\"suggestion\":");
-        match &self.suggestion {
-            Some(sug) => json_string(&mut s, sug),
-            None => s.push_str("null"),
-        }
-        s.push('}');
-        s
+        self.to_value().to_string()
     }
 }
 
@@ -204,23 +201,20 @@ impl AnalysisReport {
         out
     }
 
-    /// Renders the whole report as one JSON object:
-    /// `{"errors":N,"warnings":N,"diagnostics":[...]}`.
-    pub fn render_json(&self) -> String {
-        let mut s = String::with_capacity(64 + 128 * self.diagnostics.len());
-        s.push_str(&format!(
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.warn_count()
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
+    /// The whole report as one JSON object:
+    /// `{"errors": N, "warnings": N, "diagnostics": [...]}`.
+    pub fn to_value(&self) -> Value {
+        json_object! {
+            "errors": self.error_count(),
+            "warnings": self.warn_count(),
+            "diagnostics": self.diagnostics.iter().map(Diagnostic::to_value).collect::<Value>(),
         }
-        s.push_str("]}");
-        s
+    }
+
+    /// Renders the whole report as one JSON object (see
+    /// [`to_value`](Self::to_value)).
+    pub fn render_json(&self) -> String {
+        self.to_value().to_string()
     }
 }
 
@@ -264,26 +258,10 @@ pub fn walk_inputs(path: &str, ext: &str) -> Result<Vec<WalkedFile>, String> {
     Ok(out)
 }
 
-/// Appends `value` to `out` as a JSON string literal with full escaping.
-fn json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmp_core::json::{self, ObjectExt};
 
     #[test]
     fn severity_orders_by_badness() {
@@ -316,18 +294,25 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        let d = Diagnostic::warn("BMP102", "trace[3]", "bad \"quote\"\nnewline\ttab \\ slash");
-        let j = d.to_json();
-        assert!(j.contains(r#""message":"bad \"quote\"\nnewline\ttab \\ slash""#));
-        assert!(j.contains(r#""suggestion":null"#));
+        let message = "bad \"quote\"\nnewline\ttab \\ slash \u{1}";
+        let d = Diagnostic::warn("BMP102", "trace[3]", message);
+        let v = json::parse(&d.to_json()).unwrap();
+        let obj = v.as_object("diagnostic").unwrap();
+        assert_eq!(obj.get_string("message"), Ok(message));
+        assert_eq!(obj.get("suggestion"), Some(&Value::Null));
     }
 
     #[test]
     fn report_json_shape() {
-        let r = AnalysisReport::new(vec![Diagnostic::error("BMP201", "cpi", "m")]);
-        let j = r.render_json();
-        assert!(j.starts_with("{\"errors\":1,\"warnings\":0,\"diagnostics\":["));
-        assert!(j.ends_with("]}"));
+        let r = AnalysisReport::new(vec![
+            Diagnostic::error("BMP201", "cpi", "m").with_suggestion("fix"),
+            Diagnostic::warn("BMP002", "w", "n"),
+        ]);
+        let expected = r#"{ "errors": 1, "warnings": 1, "diagnostics": [
+            { "code": "BMP201", "severity": "error", "locus": "cpi", "message": "m", "suggestion": "fix" },
+            { "code": "BMP002", "severity": "warn", "locus": "w", "message": "n", "suggestion": null }
+        ] }"#;
+        assert_eq!(json::parse(&r.render_json()), json::parse(expected));
     }
 
     #[test]

@@ -30,6 +30,8 @@ use std::time::Instant;
 
 use bmp_bench::engine::RunPolicy;
 use bmp_bench::{Engine, EngineChoice, FaultPlan, Scale};
+use bmp_core::json::Value;
+use bmp_core::json_object;
 use bmp_core::PenaltyModel;
 use bmp_sim::Simulator;
 use bmp_trace::SuperblockMap;
@@ -195,18 +197,6 @@ fn profile_suite(
     )
 }
 
-fn phase_json(label: &str, p: bmp_bench::PhaseReport, wall_s: f64) -> String {
-    format!(
-        "    \"{label}\": {{ \"trace_ms\": {}, \"compile_ms\": {}, \"sim_ms\": {}, \
-         \"analysis_ms\": {}, \"wall_ms\": {} }}",
-        ms(p.trace_nanos as f64 * 1e-9),
-        ms(p.compile_nanos as f64 * 1e-9),
-        ms(p.sim_nanos as f64 * 1e-9),
-        ms(p.analysis_nanos as f64 * 1e-9),
-        ms(wall_s)
-    )
-}
-
 fn main() -> ExitCode {
     let scale = Scale::from_env();
     let reps = env_u32("BMP_PROFILE_REPS", 3);
@@ -245,51 +235,45 @@ fn main() -> ExitCode {
         ms(wall_reference),
     );
 
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"ops\": {},\n", scale.ops));
-    out.push_str(&format!("  \"seed\": {},\n", scale.seed));
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"suite_reps\": {suite_reps},\n"));
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"trace_ms\": {}, \"compile_ms\": {}, \
-             \"superblock_ms\": {}, \"sim_event_ms\": {}, \"execute_ms\": {}, \
-             \"assemble_ms\": {}, \"sim_reference_ms\": {}, \"analysis_ms\": {}, \
-             \"regions\": {}, \"mean_region_len\": {:.2}, \"speedup\": {:.3} }}{}\n",
-            r.name,
-            ms(r.trace_s),
-            ms(r.compile_s),
-            ms(r.superblock_s),
-            ms(r.sim_event_s),
-            ms(r.execute_s),
-            ms(r.assemble_s),
-            ms(r.sim_reference_s),
-            ms(r.analysis_s),
-            r.regions,
-            r.mean_region_len,
-            r.sim_reference_s / r.sim_event_s,
-            comma
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"workload_sim_totals\": {{ \"event_ms\": {}, \"reference_ms\": {}, \
-         \"speedup\": {:.3} }},\n",
-        ms(wl_event),
-        ms(wl_reference),
-        wl_reference / wl_event
-    ));
-    out.push_str("  \"suite\": {\n");
-    out.push_str(&format!("    \"experiments\": {experiments},\n"));
-    out.push_str(&phase_json("event", p_event, wall_event));
-    out.push_str(",\n");
-    out.push_str(&phase_json("reference", p_reference, wall_reference));
-    out.push_str(",\n");
-    out.push_str(&format!("    \"sim_speedup\": {suite_speedup:.3}\n"));
-    out.push_str("  }\n}\n");
+    // Milliseconds at the 3-decimal precision the console lines print.
+    let ms_value = |seconds: f64| Value::rounded(seconds * 1e3, 3);
+    let workloads = rows.iter().map(|r| {
+        json_object! {
+            "name": r.name, "trace_ms": ms_value(r.trace_s), "compile_ms": ms_value(r.compile_s),
+            "superblock_ms": ms_value(r.superblock_s), "sim_event_ms": ms_value(r.sim_event_s),
+            "execute_ms": ms_value(r.execute_s), "assemble_ms": ms_value(r.assemble_s),
+            "sim_reference_ms": ms_value(r.sim_reference_s), "analysis_ms": ms_value(r.analysis_s),
+            "regions": r.regions, "mean_region_len": Value::rounded(r.mean_region_len, 2),
+            "speedup": Value::rounded(r.sim_reference_s / r.sim_event_s, 3),
+        }
+    });
+    let phases = |p: bmp_bench::PhaseReport, wall_s: f64| {
+        let nanos_ms = |nanos: u64| ms_value(nanos as f64 * 1e-9);
+        json_object! {
+            "trace_ms": nanos_ms(p.trace_nanos), "compile_ms": nanos_ms(p.compile_nanos),
+            "sim_ms": nanos_ms(p.sim_nanos), "analysis_ms": nanos_ms(p.analysis_nanos),
+            "wall_ms": ms_value(wall_s),
+        }
+    };
+    let report = json_object! {
+        "ops": scale.ops,
+        "seed": scale.seed,
+        "threads": 1u64,
+        "reps": reps,
+        "suite_reps": suite_reps,
+        "workloads": workloads.collect::<Value>(),
+        "workload_sim_totals": json_object! {
+            "event_ms": ms_value(wl_event), "reference_ms": ms_value(wl_reference),
+            "speedup": Value::rounded(wl_reference / wl_event, 3),
+        },
+        "suite": json_object! {
+            "experiments": experiments,
+            "event": phases(p_event, wall_event),
+            "reference": phases(p_reference, wall_reference),
+            "sim_speedup": Value::rounded(suite_speedup, 3),
+        },
+    };
+    let out = format!("{report}\n");
 
     // A profiling run is still useful when `results/` is missing or
     // unwritable (read-only checkout, CI scratch dir): fall back to

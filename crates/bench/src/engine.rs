@@ -27,6 +27,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bmp_analyze::StaticBounds;
+use bmp_core::json::Value;
+use bmp_core::json_object;
 use bmp_core::store::DiskStore;
 use bmp_core::{PenaltyAnalysis, PenaltyModel};
 use bmp_sim::{SimOptions, SimResult, Simulator};
@@ -1189,91 +1191,56 @@ impl TolerantReport {
     }
 
     /// Renders the machine-readable timing report written to
-    /// `results/bench_timings.json` (hand-formatted: the workspace has no
-    /// JSON serializer). The `"store"` object appears only with a store
-    /// attached.
+    /// `results/bench_timings.json` (trailing newline). The `"store"`
+    /// object appears only with a store attached.
     pub fn to_json(&self, scale: Scale) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"ops\": {},\n", scale.ops));
-        out.push_str(&format!("  \"seed\": {},\n", scale.seed));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"cells\": {},\n", self.cells));
-        out.push_str(&format!(
-            "  \"cells_requested\": {},\n",
-            self.cells_requested
-        ));
-        out.push_str(&format!("  \"cell_millis\": {},\n", self.cell_millis));
-        out.push_str(&format!("  \"total_millis\": {},\n", self.total_millis));
+        let millis = |ms: u128| u64::try_from(ms).unwrap_or(u64::MAX);
         let c = &self.cache;
-        out.push_str(&format!(
-            "  \"cache\": {{ \"trace_hits\": {}, \"trace_misses\": {}, \
-             \"compiled_hits\": {}, \"compiled_misses\": {}, \
-             \"superblock_hits\": {}, \"superblock_misses\": {}, \
-             \"sim_hits\": {}, \"sim_misses\": {}, \
-             \"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"static_hits\": {}, \"static_misses\": {} }},\n",
-            c.trace_hits,
-            c.trace_misses,
-            c.compiled_hits,
-            c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_misses,
-            c.sim_hits,
-            c.sim_misses,
-            c.analysis_hits,
-            c.analysis_misses,
-            c.static_hits,
-            c.static_misses
-        ));
-        if let Some(s) = &self.store {
-            out.push_str(&format!(
-                "  \"store\": {{ \"gets\": {}, \"hits\": {}, \"puts\": {}, \
-                 \"quarantined\": {}, \"evicted\": {}, \"live_bytes\": {}, \
-                 \"sim_hits\": {} }},\n",
-                s.gets, s.hits, s.puts, s.quarantined, s.evicted, s.live_bytes, s.sim_hits
-            ));
-        }
-        out.push_str("  \"surrogate\": [\n");
-        for (i, r) in self.surrogate.iter().enumerate() {
-            let comma = if i + 1 == self.surrogate.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{ \"workload\": \"{}\", \"mispredicts\": {}, \
-                 \"sim_mean_penalty\": {:.4}, \"static_mean_penalty\": {:.4}, \
-                 \"rel_err\": {:.4}, \"within_bounds\": {} }}{}\n",
-                r.workload,
-                r.mispredicts,
-                r.sim_mean_penalty,
-                r.static_mean_penalty,
-                r.rel_err,
-                r.within_bounds,
-                comma
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"experiments\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let comma = if i + 1 == self.outcomes.len() {
-                ""
-            } else {
-                ","
-            };
+        let store = self.store.map(|s| {
+            json_object! {
+                "gets": s.gets, "hits": s.hits, "puts": s.puts, "quarantined": s.quarantined,
+                "evicted": s.evicted, "live_bytes": s.live_bytes, "sim_hits": s.sim_hits,
+            }
+        });
+        let surrogate = self.surrogate.iter().map(|r| {
+            json_object! {
+                "workload": r.workload, "mispredicts": r.mispredicts,
+                "sim_mean_penalty": Value::rounded(r.sim_mean_penalty, 4),
+                "static_mean_penalty": Value::rounded(r.static_mean_penalty, 4),
+                "rel_err": Value::rounded(r.rel_err, 4), "within_bounds": r.within_bounds,
+            }
+        });
+        let experiments = self.outcomes.iter().map(|o| {
             let status = match o.kind {
                 OutcomeKind::Completed(_) => "completed",
                 OutcomeKind::Skipped => "skipped",
                 OutcomeKind::Failed(_) => "failed",
             };
-            out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"status\": \"{status}\", \
-                 \"attempts\": {}, \"millis\": {} }}{}\n",
-                o.name, o.attempts, o.millis, comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+            json_object! {
+                "name": o.name, "status": status, "attempts": o.attempts, "millis": millis(o.millis),
+            }
+        });
+        let report = json_object! {
+            "ops": scale.ops,
+            "seed": scale.seed,
+            "threads": self.threads,
+            "cells": self.cells,
+            "cells_requested": self.cells_requested,
+            "cell_millis": millis(self.cell_millis),
+            "total_millis": millis(self.total_millis),
+            "cache": json_object! {
+                "trace_hits": c.trace_hits, "trace_misses": c.trace_misses,
+                "compiled_hits": c.compiled_hits, "compiled_misses": c.compiled_misses,
+                "superblock_hits": c.superblock_hits, "superblock_misses": c.superblock_misses,
+                "sim_hits": c.sim_hits, "sim_misses": c.sim_misses,
+                "analysis_hits": c.analysis_hits, "analysis_misses": c.analysis_misses,
+                "static_hits": c.static_hits, "static_misses": c.static_misses,
+            },
+            "store"?: store,
+            "surrogate": surrogate.collect::<Value>(),
+            "experiments": experiments.collect::<Value>(),
+        };
+        format!("{report}\n")
     }
 }
 
@@ -1485,6 +1452,7 @@ pub fn threads_from_env() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmp_core::json::{self, ObjectExt};
 
     #[test]
     fn registry_covers_all_experiments_once() {
@@ -1716,10 +1684,18 @@ mod tests {
             assert!(!t.rows.is_empty(), "table {} is empty", t.id);
             assert!(!t.headers.is_empty());
         }
-        let json = report.to_json(scale);
-        assert!(json.contains("\"threads\": 1"));
-        assert!(json.contains("\"table1_config\""));
-        assert!(!json.contains("\"store\""), "no store, no store object");
+        let json = json::parse(&report.to_json(scale)).expect("the timing report parses");
+        let json = json.as_object("timings").unwrap();
+        assert_eq!(json.get_u64("threads"), Ok(1));
+        assert_eq!(json.get_u64("ops"), Ok(5_000));
+        let experiments = json.get_array("experiments").unwrap();
+        assert_eq!(experiments.len(), report.outcomes.len());
+        for (e, o) in experiments.iter().zip(&report.outcomes) {
+            let e = e.as_object("experiment").unwrap();
+            assert_eq!(e.get_string("name"), Ok(o.name));
+            assert_eq!(e.get_string("status"), Ok("completed"));
+        }
+        assert!(json.get("store").is_none(), "no store, no store object");
         assert!(!report.to_summary().contains("store:"));
     }
 
@@ -1752,9 +1728,13 @@ mod tests {
         assert!(warm_report
             .to_summary()
             .contains("sims served from the store"));
-        assert!(warm_report
-            .to_json(scale)
-            .contains(&format!("\"sim_hits\": {}", warm.sim_hits)));
+        let json = json::parse(&warm_report.to_json(scale)).unwrap();
+        let store = json
+            .as_object("timings")
+            .unwrap()
+            .get_object("store")
+            .unwrap();
+        assert_eq!(store.get_u64("sim_hits").unwrap(), warm.sim_hits);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,12 +2,17 @@
 //! and run-to-run diffs — the library behind the `bmp-report` binary.
 //!
 //! Everything here is deterministic: documents are processed in
-//! name order and floats are formatted with fixed precision, so two
+//! name order and floats are rounded to fixed precision, so two
 //! renders of the same files are byte-identical (the golden diff test
-//! relies on this).
+//! relies on this). The CSV goes through [`Table::to_csv`] and the
+//! JSON through [`bmp_core::json::Value`], the workspace's one CSV and
+//! one JSON writer.
 
 use std::path::Path;
 
+use bmp_core::json::Value;
+use bmp_core::json_object;
+use bmp_core::metrics::ModelMetrics;
 use bmp_core::{ExperimentMetrics, WorkloadMetrics};
 
 use crate::Table;
@@ -218,11 +223,12 @@ pub fn class_stack_tables(docs: &[ExperimentMetrics]) -> Vec<Table> {
 /// for spreadsheet and scripting use. Model columns are empty for
 /// workloads without a model section.
 pub fn to_csv(docs: &[ExperimentMetrics]) -> String {
-    let mut out = String::from(
-        "experiment,workload,predictor,instructions,cycles,cpi,mispredicts,\
+    let columns: Vec<&str> = "experiment,workload,predictor,instructions,cycles,cpi,mispredicts,\
          bmiss,il1,il2,dlong,resolution_total,refill_total,occupancy_total,mean_penalty,\
-         model_base,model_ilp,model_fu_latency,model_short_dmiss,model_carryover,model_cpi\n",
-    );
+         model_base,model_ilp,model_fu_latency,model_short_dmiss,model_carryover,model_cpi"
+        .split(',')
+        .collect();
+    let mut t = Table::new("metrics", "Metrics: every experiment", &columns);
     for doc in docs {
         for w in &doc.workloads {
             let (base, ilp, fu, sd, co, mcpi) = match &w.model {
@@ -236,152 +242,102 @@ pub fn to_csv(docs: &[ExperimentMetrics]) -> String {
                 ),
                 None => Default::default(),
             };
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{base},{ilp},{fu},{sd},{co},{mcpi}\n",
-                doc.name,
-                w.workload,
-                w.predictor,
-                w.instructions,
-                w.cycles,
+            t.push_row(vec![
+                doc.name.clone(),
+                w.workload.clone(),
+                w.predictor.clone(),
+                w.instructions.to_string(),
+                w.cycles.to_string(),
                 if w.cycles == 0 {
                     String::new()
                 } else {
                     fmt3(w.measured_cpi())
                 },
-                w.mispredicts,
-                w.intervals.bmiss,
-                w.intervals.il1,
-                w.intervals.il2,
-                w.intervals.dlong,
-                w.resolution_total,
-                w.refill_total,
-                w.occupancy_total,
+                w.mispredicts.to_string(),
+                w.intervals.bmiss.to_string(),
+                w.intervals.il1.to_string(),
+                w.intervals.il2.to_string(),
+                w.intervals.dlong.to_string(),
+                w.resolution_total.to_string(),
+                w.refill_total.to_string(),
+                w.occupancy_total.to_string(),
                 w.mean_penalty().map(fmt3).unwrap_or_default(),
-            ));
+                base,
+                ilp,
+                fu,
+                sd,
+                co,
+                mcpi,
+            ]);
         }
     }
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt3(v: Option<f64>) -> String {
-    v.map(fmt3).unwrap_or_else(|| "null".into())
+    t.to_csv()
 }
 
 /// The whole run as one JSON document mirroring the rendered tables:
 /// per experiment, the per-workload summary quantities
 /// ([`summary_tables`]) plus, when present, the model's CPI stack and
 /// contributor totals ([`cpi_stack_tables`]). Key order and float
-/// formatting are fixed, so two renders of the same files are
-/// byte-identical. The schema is documented in `docs/OBSERVABILITY.md`.
+/// precision (3 decimals) are fixed, so two renders of the same files
+/// are byte-identical. The schema is documented in
+/// `docs/OBSERVABILITY.md`.
 pub fn to_json(docs: &[ExperimentMetrics]) -> String {
-    let mut out = String::from("{\n  \"experiments\": [");
-    for (di, doc) in docs.iter().enumerate() {
-        if di > 0 {
-            out.push(',');
+    let fixed3 = |x: f64| Value::rounded(x, 3);
+    let model = |m: &ModelMetrics| {
+        let s = &m.cpi_stack;
+        let n = s.instructions.max(1) as f64;
+        json_object! {
+            "intervals": m.intervals,
+            "cpi_stack": json_object! {
+                "base": fixed3(s.base_cycles / n), "branch": fixed3(s.branch_cycles / n),
+                "icache": fixed3(s.icache_cycles / n), "dmiss": fixed3(s.long_dmiss_cycles / n),
+                "total": fixed3(s.cpi()),
+            },
+            "contributors": json_object! {
+                "base": m.base, "ilp": m.ilp, "fu_latency": m.fu_latency,
+                "short_dmiss": m.short_dmiss, "carryover": m.carryover,
+                "resolution": m.resolution, "refill": m.refill,
+            },
         }
-        out.push_str(&format!(
-            "\n    {{ \"experiment\": {}, \"ops\": {}, \"seed\": {}, \"workloads\": [",
-            json_str(&doc.name),
-            doc.ops,
-            doc.seed
-        ));
-        for (wi, w) in doc.workloads.iter().enumerate() {
-            if wi > 0 {
-                out.push(',');
+    };
+    let workload = |w: &WorkloadMetrics| {
+        let i = &w.intervals;
+        let classes = w.branch_classes.iter().map(|c| {
+            json_object! {
+                "class": c.class.as_str(), "sites": c.sites, "intervals": c.intervals,
+                "local_resolution": c.local_resolution, "refill": c.refill, "total": c.total(),
             }
-            let cpi = if w.cycles == 0 {
-                "null".into() // model-only entry: no measured epoch
-            } else {
-                fmt3(w.measured_cpi())
-            };
-            out.push_str(&format!(
-                "\n      {{ \"workload\": {}, \"predictor\": {}, \"instructions\": {}, \
-                 \"cycles\": {}, \
-                 \"cpi\": {cpi}, \"mispredicts\": {}, \"frontend_depth\": {}, \
-                 \"intervals\": {{ \"bmiss\": {}, \"il1\": {}, \"il2\": {}, \"dlong\": {} }}, \
-                 \"resolution_total\": {}, \"refill_total\": {}, \"occupancy_total\": {}, \
-                 \"mean_penalty\": {}",
-                json_str(&w.workload),
-                json_str(&w.predictor),
-                w.instructions,
-                w.cycles,
-                w.mispredicts,
-                w.frontend_depth,
-                w.intervals.bmiss,
-                w.intervals.il1,
-                w.intervals.il2,
-                w.intervals.dlong,
-                w.resolution_total,
-                w.refill_total,
-                w.occupancy_total,
-                json_opt3(w.mean_penalty())
-            ));
-            out.push_str(", \"branch_classes\": [");
-            for (ci, c) in w.branch_classes.iter().enumerate() {
-                if ci > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{ \"class\": {}, \"sites\": {}, \"intervals\": {}, \
-                     \"local_resolution\": {}, \"refill\": {}, \"total\": {} }}",
-                    json_str(&c.class),
-                    c.sites,
-                    c.intervals,
-                    c.local_resolution,
-                    c.refill,
-                    c.total()
-                ));
-            }
-            out.push(']');
-            match &w.model {
-                Some(m) => {
-                    let s = &m.cpi_stack;
-                    let n = s.instructions.max(1) as f64;
-                    out.push_str(&format!(
-                        ", \"model\": {{ \"intervals\": {}, \
-                         \"cpi_stack\": {{ \"base\": {}, \"branch\": {}, \"icache\": {}, \
-                         \"dmiss\": {}, \"total\": {} }}, \
-                         \"contributors\": {{ \"base\": {}, \"ilp\": {}, \"fu_latency\": {}, \
-                         \"short_dmiss\": {}, \"carryover\": {}, \"resolution\": {}, \
-                         \"refill\": {} }} }} }}",
-                        m.intervals,
-                        fmt3(s.base_cycles / n),
-                        fmt3(s.branch_cycles / n),
-                        fmt3(s.icache_cycles / n),
-                        fmt3(s.long_dmiss_cycles / n),
-                        fmt3(s.cpi()),
-                        m.base,
-                        m.ilp,
-                        m.fu_latency,
-                        m.short_dmiss,
-                        m.carryover,
-                        m.resolution,
-                        m.refill
-                    ));
-                }
-                None => out.push_str(", \"model\": null }"),
-            }
+        });
+        json_object! {
+            "workload": w.workload.as_str(),
+            "predictor": w.predictor.as_str(),
+            "instructions": w.instructions,
+            "cycles": w.cycles,
+            // A model-only entry has no measured epoch.
+            "cpi": (w.cycles != 0).then(|| fixed3(w.measured_cpi())),
+            "mispredicts": w.mispredicts,
+            "frontend_depth": w.frontend_depth,
+            "intervals": json_object! { "bmiss": i.bmiss, "il1": i.il1, "il2": i.il2, "dlong": i.dlong },
+            "resolution_total": w.resolution_total,
+            "refill_total": w.refill_total,
+            "occupancy_total": w.occupancy_total,
+            "mean_penalty": w.mean_penalty().map(fixed3),
+            "branch_classes": classes.collect::<Value>(),
+            "model": w.model.as_ref().map(model),
         }
-        out.push_str("\n    ] }");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    };
+    let experiments = docs.iter().map(|doc| {
+        json_object! {
+            "experiment": doc.name.as_str(),
+            "ops": doc.ops,
+            "seed": doc.seed,
+            "workloads": doc.workloads.iter().map(workload).collect::<Value>(),
+        }
+    });
+    format!(
+        "{}\n",
+        json_object! { "experiments": experiments.collect::<Value>() }
+    )
 }
 
 /// The outcome of comparing two metrics runs.
@@ -638,6 +594,7 @@ pub fn diff(old: &[ExperimentMetrics], new: &[ExperimentMetrics]) -> Diff {
 mod tests {
     use super::*;
     use bmp_core::intervals::IntervalEventKind;
+    use bmp_core::json::{self, JsonError, ObjectExt};
     use bmp_core::metrics::HISTOGRAM_BUCKETS;
     use bmp_core::IntervalRecord;
     use bmp_core::WorkloadMetrics;
@@ -703,20 +660,48 @@ mod tests {
     }
 
     #[test]
+    fn flat_csv_quotes_cells_like_every_table() {
+        let mut doc = sample_doc("a", 100);
+        doc.workloads[0].workload = "gz,ip".into();
+        let csv = to_csv(&[doc]);
+        assert!(
+            csv.lines().nth(1).unwrap().starts_with("a,\"gz,ip\","),
+            "{csv}"
+        );
+    }
+
+    /// The first workload entry of `to_json` over `doc`, parsed.
+    fn json_workload(doc: &ExperimentMetrics) -> Result<Vec<(String, Value)>, JsonError> {
+        let root = json::parse(&to_json(std::slice::from_ref(doc)))?;
+        let exp = &root.as_object("root")?.get_array("experiments")?[0];
+        let w = &exp.as_object("experiment")?.get_array("workloads")?[0];
+        Ok(w.as_object("workload")?.clone())
+    }
+
+    #[test]
     fn json_mirrors_the_tables_and_is_deterministic() {
         let docs = [sample_doc("a", 4_000), sample_doc("b", 200)];
         let j = to_json(&docs);
         assert_eq!(j, to_json(&docs), "byte-identical renders");
-        assert!(j.contains("\"experiment\": \"a\""));
-        assert!(j.contains("\"workload\": \"gzip\""));
-        // Same derived cpi value as the summary table.
-        assert!(j.contains("\"cpi\": 2.000"), "{j}");
-        // No model sections in the sample docs.
-        assert!(j.contains("\"model\": null"));
-        assert!(!j.contains("cpi_stack"));
-        // Totals surfaced with interval counts.
-        assert!(j.contains("\"resolution_total\": 11"));
-        assert!(j.contains("\"intervals\": { \"bmiss\": 1, \"il1\": 1, \"il2\": 0, \"dlong\": 0 }"));
+        let root = json::parse(&j).expect("report JSON parses");
+        let exps = root
+            .as_object("root")
+            .and_then(|r| r.get_array("experiments"));
+        let names: Vec<_> = (exps.unwrap().iter())
+            .map(|e| e.as_object("e").and_then(|e| e.get_string("experiment")))
+            .collect();
+        assert_eq!(names, [Ok("a"), Ok("b")]);
+        // The summary table's derived cpi and mean penalty, the totals
+        // with their interval counts, and no model section.
+        let expected = r#"{
+            "workload": "gzip", "predictor": "", "instructions": 2000, "cycles": 4000,
+            "cpi": 2.0, "mispredicts": 1, "frontend_depth": 5,
+            "intervals": { "bmiss": 1, "il1": 1, "il2": 0, "dlong": 0 },
+            "resolution_total": 11, "refill_total": 5, "occupancy_total": 17,
+            "mean_penalty": 16.0, "branch_classes": [], "model": null
+        }"#;
+        let w = Value::Object(json_workload(&docs[0]).unwrap());
+        assert_eq!(w, json::parse(expected).unwrap());
     }
 
     fn classed_doc(name: &str) -> ExperimentMetrics {
@@ -754,19 +739,23 @@ mod tests {
         // v2 fields.
         let summary = summary_tables(std::slice::from_ref(&doc))[0].to_csv();
         assert!(summary.contains("gzip,tage,"), "{summary}");
-        let j = to_json(std::slice::from_ref(&doc));
-        assert!(j.contains("\"predictor\": \"tage\""), "{j}");
-        assert!(
-            j.contains(
-                "{ \"class\": \"h2p\", \"sites\": 2, \"intervals\": 9, \
-                 \"local_resolution\": 90, \"refill\": 45, \"total\": 135 }"
-            ),
-            "{j}"
-        );
+        let classes = |doc: &ExperimentMetrics| {
+            let w = json_workload(doc).unwrap();
+            assert_eq!(
+                w.get_string("predictor"),
+                Ok(doc.workloads[0].predictor.as_str())
+            );
+            w.get("branch_classes").unwrap().clone()
+        };
+        let expected = r#"[
+            { "class": "h2p", "sites": 2, "intervals": 9, "local_resolution": 90, "refill": 45, "total": 135 },
+            { "class": "biased", "sites": 7, "intervals": 1, "local_resolution": 4, "refill": 5, "total": 9 }
+        ]"#;
+        assert_eq!(classes(&doc), json::parse(expected).unwrap());
         // No attributions → no class table, and an empty JSON array.
         let plain = sample_doc("a", 100);
         assert!(class_stack_tables(std::slice::from_ref(&plain)).is_empty());
-        assert!(to_json(&[plain]).contains("\"branch_classes\": []"));
+        assert_eq!(classes(&plain), Value::Array(Vec::new()));
     }
 
     #[test]

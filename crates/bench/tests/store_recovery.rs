@@ -13,6 +13,8 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::Command;
 
+use bmp_core::json::{self, ObjectExt};
+
 /// Runs the `run_all` binary in `dir` at the shared tiny scale.
 fn run_all_in(dir: &Path, args: &[&str], fault: Option<&str>, store: Option<&Path>) -> i32 {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
@@ -154,6 +156,19 @@ fn bit_flipped_records_are_quarantined_never_served() {
     assert!(
         quarantined(&store) >= 1,
         "the flipped record was quarantined"
+    );
+    // The run report publishes the same count as a number.
+    let text = std::fs::read_to_string(dir.join("results/bench_timings.json"))
+        .expect("the timing report was written");
+    let timings = json::parse(&text).expect("the timing report parses");
+    let reported = timings
+        .as_object("timings")
+        .and_then(|t| t.get_object("store"))
+        .and_then(|s| s.get_u64("quarantined"))
+        .expect("a numeric store.quarantined counter");
+    assert!(
+        reported >= 1,
+        "bench_timings.json reports {reported} quarantined"
     );
     assert!(
         !store.join("LOCK").exists(),

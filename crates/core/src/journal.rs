@@ -18,15 +18,16 @@
 //!
 //! The format is deliberately plain JSON so humans and the `bmp-lint
 //! --journal` checker (rule family BMP4xx in `bmp-analyze`) can read it.
-//! Serialization is hand-rolled like every other emitter in this
-//! workspace; parsing uses the workspace's shared recursive-descent
-//! reader, [`crate::json`] — the workspace carries no JSON dependency.
+//! Serialization and parsing both go through the workspace's one JSON
+//! reader and writer, [`crate::json`] — the workspace carries no JSON
+//! dependency.
 //!
 //! Fingerprints are 64-bit content hashes (see `cache_key` in the bench
 //! crate) and are stored as fixed-width hex *strings*: JSON tooling
 //! treats numbers as f64 and would silently corrupt the top bits.
 
-use crate::json::{self, JsonError, ObjectExt};
+use crate::json::{self, JsonError, ObjectExt, Value};
+use crate::json_object;
 use std::fmt;
 
 /// Journal format version written by this crate; readers reject others.
@@ -138,51 +139,24 @@ impl RunJournal {
             .count()
     }
 
-    /// Serializes the journal as pretty-printed JSON (trailing newline).
+    /// Serializes the journal as JSON (trailing newline; layout per
+    /// [`Value`]'s `Display`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"ops\": {},\n", self.ops));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"experiments\": [");
-        for (i, r) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let experiments = self.experiments.iter().map(|r| {
+            json_object! {
+                "name": r.name.as_str(), "status": r.status.as_str(),
+                "fingerprint": format!("{:016x}", r.fingerprint), "attempts": r.attempts,
+                "error"?: r.error.as_deref(), "metrics"?: r.metrics.as_deref(),
+                "csv_fnv"?: r.csv_fnv.as_deref(),
             }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"name\": {},\n",
-                json::escape_string(&r.name)
-            ));
-            out.push_str(&format!("      \"status\": \"{}\",\n", r.status));
-            out.push_str(&format!(
-                "      \"fingerprint\": \"{:016x}\",\n",
-                r.fingerprint
-            ));
-            out.push_str(&format!("      \"attempts\": {}", r.attempts));
-            if let Some(err) = &r.error {
-                out.push_str(&format!(",\n      \"error\": {}", json::escape_string(err)));
-            }
-            if let Some(metrics) = &r.metrics {
-                out.push_str(&format!(
-                    ",\n      \"metrics\": {}",
-                    json::escape_string(metrics)
-                ));
-            }
-            if let Some(csv_fnv) = &r.csv_fnv {
-                out.push_str(&format!(
-                    ",\n      \"csv_fnv\": {}",
-                    json::escape_string(csv_fnv)
-                ));
-            }
-            out.push_str("\n    }");
-        }
-        if !self.experiments.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        });
+        let doc = json_object! {
+            "version": self.version,
+            "ops": self.ops,
+            "seed": self.seed,
+            "experiments": experiments.collect::<Value>(),
+        };
+        format!("{doc}\n")
     }
 
     /// Parses a journal previously written by [`to_json`](Self::to_json)

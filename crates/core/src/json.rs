@@ -1,15 +1,17 @@
-//! Minimal JSON reading and writing shared by the workspace's
-//! hand-rolled emitters.
+//! Minimal JSON reading and writing: the one reader and the one writer
+//! behind every document the workspace emits.
 //!
-//! The workspace deliberately carries no JSON dependency: every emitter
-//! (`results/bench_timings.json`, the run journal, the metrics files)
-//! hand-formats its output, and the readers use the small
-//! recursive-descent parser in this module. The parser grew out of the
-//! run-journal reader (see [`crate::journal`]) and now also serves the
+//! The workspace deliberately carries no JSON dependency. Every emitter
+//! (`results/bench_timings.json`, the run journal, the metrics files,
+//! `BENCH_sim.json`, and the `--json` output of `bmp-report`,
+//! `bmp-verify` and `bmp-lint`) builds a [`Value`] and prints it with
+//! its [`Display`](fmt::Display) impl, so escaping, number formatting
+//! and layout live in exactly one place. The readers use the small
+//! recursive-descent parser in this module. It grew out of the
+//! run-journal reader (see [`crate::journal`]) and also serves the
 //! observability layer's `results/metrics/*.json` files (see
 //! [`crate::metrics`] and `docs/OBSERVABILITY.md`), which is why it
-//! understands floats, negative integers, booleans and `null` — shapes
-//! the journal itself never emits.
+//! understands floats, negative integers, booleans and `null`.
 //!
 //! Strict about structure (trailing garbage, unknown escapes and
 //! mismatched delimiters are errors), tolerant of whitespace. Numbers
@@ -17,7 +19,9 @@
 //! and counters survive without an `f64` round-trip: an unsigned
 //! integer literal parses as [`Value::UInt`], a negative integer as
 //! [`Value::Int`], and anything with a fraction or exponent as
-//! [`Value::Float`].
+//! [`Value::Float`]. The writer keeps the same split, so
+//! `parse(&v.to_string()) == v` for every value whose integers are
+//! canonical (non-negative ones in `UInt`) and whose floats are finite.
 
 use std::fmt;
 
@@ -49,11 +53,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// A parsed JSON value.
+/// A JSON value, as parsed or as built for printing.
 ///
 /// Objects preserve field order (they are association lists, not maps):
 /// every writer in this workspace emits deterministic field order, and
 /// keeping it makes `parse(to_json(x)) == x` round-trip tests exact.
+///
+/// `Display` is the workspace's one JSON serializer, with one fixed
+/// layout: `"key": value` members, two-space indentation per nesting
+/// level, and a container whose members are all scalars on one line
+/// (`{ "a": 1, "b": 2 }`, `[1, 2]`). Strings go through
+/// [`escape_string`] and floats through [`fmt_f64`]. No trailing
+/// newline: document writers append their own.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `{ ... }` — fields in document order.
@@ -75,6 +86,13 @@ pub enum Value {
 }
 
 impl Value {
+    /// `x` rounded to `places` decimals: the float that
+    /// `format!("{x:.places$}")` spells, for documents that publish
+    /// fixed-precision figures.
+    pub fn rounded(x: f64, places: usize) -> Self {
+        Value::Float(format!("{x:.places$}").parse().unwrap_or(0.0))
+    }
+
     /// The object fields, or an error naming `what`.
     pub fn as_object(&self, what: &str) -> Result<&Vec<(String, Value)>, JsonError> {
         match self {
@@ -129,6 +147,139 @@ impl Value {
             _ => Err(JsonError::new(format!("{what} is not a number"))),
         }
     }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl Value {
+    /// Prints `self` at nesting `depth` (the indentation of its
+    /// closing bracket, in levels).
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        match self {
+            Value::Object(fields) => write_members(
+                f,
+                ('{', '}'),
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+                depth,
+            ),
+            Value::Array(items) => {
+                write_members(f, ('[', ']'), items.iter().map(|v| (None, v)), depth)
+            }
+            Value::String(s) => f.write_str(&escape_string(s)),
+            Value::UInt(n) => write!(f, "{n}"),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Float(x) => f.write_str(&fmt_f64(*x)),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Null => f.write_str("null"),
+        }
+    }
+}
+
+/// Prints a container's members (object fields carry their key): on
+/// one line when every member is a scalar, else one member per line
+/// indented one level past `depth`.
+fn write_members<'a>(
+    f: &mut fmt::Formatter<'_>,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a Value)> + Clone,
+    depth: usize,
+) -> fmt::Result {
+    if members.clone().next().is_none() {
+        return write!(f, "{open}{close}");
+    }
+    let inline = members
+        .clone()
+        .all(|(_, v)| !matches!(v, Value::Object(_) | Value::Array(_)));
+    let pad = if inline && open == '{' { " " } else { "" };
+    write!(f, "{open}{pad}")?;
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            f.write_str(if inline { ", " } else { "," })?;
+        }
+        if !inline {
+            write!(f, "\n{:1$}", "", 2 * (depth + 1))?;
+        }
+        if let Some(key) = key {
+            write!(f, "{}: ", escape_string(key))?;
+        }
+        value.write(f, depth + 1)?;
+    }
+    if !inline {
+        write!(f, "\n{:1$}", "", 2 * depth)?;
+    }
+    write!(f, "{pad}{close}")
+}
+
+macro_rules! value_from {
+    ($($t:ty => $make:expr,)*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                ($make)(x)
+            }
+        }
+    )*};
+}
+
+value_from! {
+    u64 => Value::UInt,
+    u32 => |n: u32| Value::UInt(n.into()),
+    usize => |n: usize| Value::UInt(n as u64),
+    // Canonical: a non-negative `i64` is a `UInt`, the variant its
+    // printed literal parses back to.
+    i64 => |n: i64| u64::try_from(n).map_or(Value::Int(n), Value::UInt),
+    f64 => Value::Float,
+    bool => Value::Bool,
+    String => Value::String,
+    &str => |s: &str| Value::String(s.to_owned()),
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Builds a [`Value::Object`] in the shape it prints:
+/// `json_object! { "key": value, "opt"?: option, ... }`.
+///
+/// Each value converts with `Into<Value>` (`None` prints as `null`); a
+/// field written `"key"?:` takes an `Option` and is left out entirely
+/// when it is `None`. Fields keep the order written.
+///
+/// ```
+/// use bmp_core::json_object;
+/// let none: Option<u64> = None;
+/// let v = json_object! { "a": 1u64, "b"?: none, "c": none, "d"?: Some("x") };
+/// assert_eq!(v.to_string(), r#"{ "a": 1, "c": null, "d": "x" }"#);
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    (@push $fields:ident;) => {};
+    (@push $fields:ident; $key:literal ?: $value:expr $(, $($rest:tt)*)?) => {
+        $fields.extend($value.map(|v| ($key.to_owned(), v.into())));
+        $crate::json_object!(@push $fields; $($($rest)*)?);
+    };
+    (@push $fields:ident; $key:literal : $value:expr $(, $($rest:tt)*)?) => {
+        $fields.extend([($key.to_owned(), $value.into())]);
+        $crate::json_object!(@push $fields; $($($rest)*)?);
+    };
+    ($($body:tt)*) => {{
+        let mut fields: Vec<(String, $crate::json::Value)> = Vec::new();
+        $crate::json_object!(@push fields; $($body)*);
+        $crate::json::Value::Object(fields)
+    }};
 }
 
 /// Field access on an object's association list by key.
@@ -235,7 +386,7 @@ pub fn fmt_f64(v: f64) -> String {
 /// per level, so the bound turns hostile input like `[[[[…` into an
 /// error instead of a stack overflow; the workspace's documents nest a
 /// handful of levels.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -605,6 +756,31 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f — ünïcødé";
         let s = escape_string(nasty);
         assert_eq!(parse(&s).unwrap().as_string("s").unwrap(), nasty);
+    }
+
+    #[test]
+    fn display_has_one_fixed_layout() {
+        let v = crate::json_object! {
+            "name": "a\"b",
+            "counts": crate::json_object! { "x": 1u64, "y": -2i64 },
+            "hist": [1u64, 2, 3].into_iter().collect::<Value>(),
+            "empty": Value::Array(Vec::new()),
+            "rows": Value::Array(vec![crate::json_object! { "ok": true, "p": None::<f64> }]),
+        };
+        let expected = r#"{
+  "name": "a\"b",
+  "counts": { "x": 1, "y": -2 },
+  "hist": [1, 2, 3],
+  "empty": [],
+  "rows": [
+    { "ok": true, "p": null }
+  ]
+}"#;
+        assert_eq!(v.to_string(), expected);
+        assert_eq!(parse(expected).unwrap(), v);
+        // Builders are canonical: what they build is what the text reads as.
+        assert_eq!(Value::from(5i64), Value::UInt(5));
+        assert_eq!(Value::rounded(1.0 / 3.0, 4), parse("0.3333").unwrap());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! * [`identities`] — the accounting identities above as checkable
 //!   predicates, shared by the model's debug assertions and the
 //!   BMP2xx/BMP6xx lints (see `docs/STATIC_ANALYSIS.md`);
-//! * [`journal`] + [`json`] — the crash-safe run journal and the shared
-//!   hand-rolled JSON reader behind it;
+//! * [`journal`] + [`json`] — the crash-safe run journal and the one
+//!   JSON reader and writer every document in the workspace goes through;
 //! * [`io`] + [`store`] — the atomic-write primitive and the crash-safe
 //!   persistent artifact store built on it (see `docs/STORE.md`);
 //! * [`report`] — markdown rendering of an analysis;

@@ -5,8 +5,8 @@
 //! per-interval records of [`crate::accounting`] into per-workload
 //! histograms plus the analytical model's contributor totals and CPI
 //! stack. This module is the *schema*: the struct definitions, the
-//! aggregation from raw records, and the hand-rolled JSON round-trip
-//! (the workspace carries no JSON dependency — see [`crate::json`]).
+//! aggregation from raw records, and the JSON round-trip through the
+//! workspace's one reader and writer, [`crate::json`].
 //!
 //! The schema lives in `bmp-core` rather than the bench crate so
 //! `bmp-analyze` can lint metrics files (rule family BMP5xx) without
@@ -19,6 +19,7 @@ use crate::accounting::IntervalRecord;
 use crate::cpi::CpiStack;
 use crate::intervals::{IntervalEventKind, LENGTH_BUCKETS};
 use crate::json::{self, JsonError, ObjectExt, Value};
+use crate::json_object;
 use crate::penalty::PenaltyAnalysis;
 
 /// Metrics format version written by this crate. Version 2 added the
@@ -279,109 +280,17 @@ impl ExperimentMetrics {
         }
     }
 
-    /// Serializes the document as pretty-printed JSON (trailing
-    /// newline). Deterministic: same document, same bytes.
+    /// Serializes the document as JSON (trailing newline; layout per
+    /// [`Value`]'s `Display`). Deterministic: same document, same bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", METRICS_VERSION));
-        out.push_str(&format!(
-            "  \"name\": {},\n",
-            json::escape_string(&self.name)
-        ));
-        out.push_str(&format!("  \"ops\": {},\n", self.ops));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"workloads\": [");
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"workload\": {},\n",
-                json::escape_string(&w.workload)
-            ));
-            out.push_str(&format!(
-                "      \"predictor\": {},\n",
-                json::escape_string(&w.predictor)
-            ));
-            out.push_str(&format!("      \"instructions\": {},\n", w.instructions));
-            out.push_str(&format!("      \"cycles\": {},\n", w.cycles));
-            out.push_str(&format!(
-                "      \"frontend_depth\": {},\n",
-                w.frontend_depth
-            ));
-            out.push_str(&format!("      \"mispredicts\": {},\n", w.mispredicts));
-            out.push_str(&format!(
-                "      \"intervals\": {{ \"bmiss\": {}, \"il1\": {}, \"il2\": {}, \"dlong\": {} }},\n",
-                w.intervals.bmiss, w.intervals.il1, w.intervals.il2, w.intervals.dlong
-            ));
-            out.push_str(&format!(
-                "      \"resolution_total\": {},\n",
-                w.resolution_total
-            ));
-            out.push_str(&format!("      \"refill_total\": {},\n", w.refill_total));
-            out.push_str(&format!(
-                "      \"occupancy_total\": {},\n",
-                w.occupancy_total
-            ));
-            out.push_str(&format!(
-                "      \"length_histogram\": {},\n",
-                fmt_u64_array(&w.length_histogram)
-            ));
-            out.push_str(&format!(
-                "      \"resolution_histogram\": {}",
-                fmt_u64_array(&w.resolution_histogram)
-            ));
-            if !w.branch_classes.is_empty() {
-                out.push_str(",\n      \"branch_classes\": [");
-                for (ci, c) in w.branch_classes.iter().enumerate() {
-                    if ci > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\n        {{ \"class\": {}, \"sites\": {}, \"intervals\": {}, \
-                         \"local_resolution\": {}, \"refill\": {} }}",
-                        json::escape_string(&c.class),
-                        c.sites,
-                        c.intervals,
-                        c.local_resolution,
-                        c.refill
-                    ));
-                }
-                out.push_str("\n      ]");
-            }
-            if let Some(m) = &w.model {
-                out.push_str(",\n      \"model\": {\n");
-                out.push_str(&format!("        \"intervals\": {},\n", m.intervals));
-                out.push_str(&format!("        \"resolution\": {},\n", m.resolution));
-                out.push_str(&format!(
-                    "        \"local_resolution\": {},\n",
-                    m.local_resolution
-                ));
-                out.push_str(&format!("        \"base\": {},\n", m.base));
-                out.push_str(&format!("        \"ilp\": {},\n", m.ilp));
-                out.push_str(&format!("        \"fu_latency\": {},\n", m.fu_latency));
-                out.push_str(&format!("        \"short_dmiss\": {},\n", m.short_dmiss));
-                out.push_str(&format!("        \"carryover\": {},\n", m.carryover));
-                out.push_str(&format!("        \"refill\": {},\n", m.refill));
-                out.push_str(&format!(
-                    "        \"cpi_stack\": {{ \"instructions\": {}, \"base_cycles\": {}, \"branch_cycles\": {}, \"icache_cycles\": {}, \"long_dmiss_cycles\": {} }}\n",
-                    m.cpi_stack.instructions,
-                    json::fmt_f64(m.cpi_stack.base_cycles),
-                    json::fmt_f64(m.cpi_stack.branch_cycles),
-                    json::fmt_f64(m.cpi_stack.icache_cycles),
-                    json::fmt_f64(m.cpi_stack.long_dmiss_cycles)
-                ));
-                out.push_str("      }");
-            }
-            out.push_str("\n    }");
-        }
-        if !self.workloads.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let doc = json_object! {
+            "version": METRICS_VERSION,
+            "name": self.name.as_str(),
+            "ops": self.ops,
+            "seed": self.seed,
+            "workloads": self.workloads.iter().map(workload_value).collect::<Value>(),
+        };
+        format!("{doc}\n")
     }
 
     /// Parses a document previously written by
@@ -476,9 +385,51 @@ impl ExperimentMetrics {
     }
 }
 
-fn fmt_u64_array(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(", "))
+/// One workload entry; the schema-v2 `branch_classes` and the `model`
+/// section appear only when present.
+fn workload_value(w: &WorkloadMetrics) -> Value {
+    let i = &w.intervals;
+    let classes = w.branch_classes.iter().map(|c| {
+        json_object! {
+            "class": c.class.as_str(), "sites": c.sites, "intervals": c.intervals,
+            "local_resolution": c.local_resolution, "refill": c.refill,
+        }
+    });
+    let model = w.model.as_ref().map(|m| {
+        let s = &m.cpi_stack;
+        json_object! {
+            "intervals": m.intervals,
+            "resolution": m.resolution,
+            "local_resolution": m.local_resolution,
+            "base": m.base,
+            "ilp": m.ilp,
+            "fu_latency": m.fu_latency,
+            "short_dmiss": m.short_dmiss,
+            "carryover": m.carryover,
+            "refill": m.refill,
+            "cpi_stack": json_object! {
+                "instructions": s.instructions, "base_cycles": s.base_cycles,
+                "branch_cycles": s.branch_cycles, "icache_cycles": s.icache_cycles,
+                "long_dmiss_cycles": s.long_dmiss_cycles,
+            },
+        }
+    });
+    json_object! {
+        "workload": w.workload.as_str(),
+        "predictor": w.predictor.as_str(),
+        "instructions": w.instructions,
+        "cycles": w.cycles,
+        "frontend_depth": w.frontend_depth,
+        "mispredicts": w.mispredicts,
+        "intervals": json_object! { "bmiss": i.bmiss, "il1": i.il1, "il2": i.il2, "dlong": i.dlong },
+        "resolution_total": w.resolution_total,
+        "refill_total": w.refill_total,
+        "occupancy_total": w.occupancy_total,
+        "length_histogram": w.length_histogram.iter().copied().collect::<Value>(),
+        "resolution_histogram": w.resolution_histogram.iter().copied().collect::<Value>(),
+        "branch_classes"?: (!w.branch_classes.is_empty()).then(|| classes.collect::<Value>()),
+        "model"?: model,
+    }
 }
 
 fn parse_u64_array(items: &[Value]) -> Result<Vec<u64>, JsonError> {
@@ -667,6 +618,7 @@ mod tests {
             .to_json()
             .replace("\"version\": 2", "\"version\": 1")
             .replace("      \"predictor\": \"\",\n", "");
+        assert!(!v1.contains("predictor") && v1.contains("\"version\": 1"));
         let back = ExperimentMetrics::parse(&v1).unwrap();
         assert_eq!(back.workloads[0].predictor, "");
         assert!(back.workloads[0].branch_classes.is_empty());

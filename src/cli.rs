@@ -18,7 +18,7 @@ use std::io::Write;
 use bmp_core::PenaltyModel;
 use bmp_sim::Simulator;
 use bmp_trace::Trace;
-use bmp_uarch::{MachineConfig, PredictorConfig};
+use bmp_uarch::{presets, MachineConfig, PredictorConfig};
 use bmp_workloads::{spec, WorkloadProfile};
 
 /// Errors surfaced to the CLI user.
@@ -106,7 +106,7 @@ pub struct MachineArgs {
 impl MachineArgs {
     /// Builds the machine from the baseline plus the overrides.
     pub fn build(&self) -> Result<MachineConfig, CliError> {
-        let mut b = bmp_uarch::presets::baseline_4wide().to_builder();
+        let mut b = presets::baseline_4wide().to_builder();
         if let Some(d) = self.depth {
             b.frontend_depth(d);
         }
@@ -166,13 +166,14 @@ pub enum Command {
     },
 }
 
+/// A predictor by CLI name: the four named generations take their
+/// geometry from [`presets::generation_predictor`], so a `--predictor
+/// tage` run matches the generation sweep's machine.
 fn parse_predictor(name: &str) -> Result<PredictorConfig, CliError> {
+    if let Some(p) = presets::generation_predictor(name) {
+        return Ok(p);
+    }
     Ok(match name {
-        "bimodal" => PredictorConfig::Bimodal { entries: 4096 },
-        "gshare" => PredictorConfig::GShare {
-            entries: 4096,
-            history_bits: 12,
-        },
         "local" => PredictorConfig::Local {
             history_entries: 1024,
             history_bits: 10,
@@ -181,18 +182,6 @@ fn parse_predictor(name: &str) -> Result<PredictorConfig, CliError> {
         "tournament" => PredictorConfig::Tournament {
             entries: 4096,
             history_bits: 12,
-        },
-        "perceptron" => PredictorConfig::Perceptron {
-            entries: 512,
-            history_bits: 24,
-        },
-        "tage" => PredictorConfig::Tage {
-            base_entries: 4096,
-            tagged_entries: 1024,
-            tag_bits: 8,
-            num_tables: 4,
-            min_history: 4,
-            max_history: 32,
         },
         "perfect" => PredictorConfig::Perfect,
         "taken" => PredictorConfig::AlwaysTaken,
@@ -359,9 +348,9 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             let cfg = machine.build()?;
             let trace = lookup_profile(profile)?.generate(*ops, *seed);
             if *markdown {
-                markdown_report(&trace, &cfg, profile, out)
+                markdown_report(&trace, &cfg, profile, *warmup, out)
             } else {
-                report_with_warmup(&trace, &cfg, profile, *warmup, out)
+                report(&trace, &cfg, profile, *warmup, out)
             }
         }
         Command::Gen {
@@ -385,23 +374,34 @@ pub fn execute(cmd: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             let file = std::fs::File::open(path)?;
             let trace = bmp_trace::io::read_trace(std::io::BufReader::new(file))?;
             if *markdown {
-                markdown_report(&trace, &cfg, path, out)
+                markdown_report(&trace, &cfg, path, 0, out)
             } else {
-                report(&trace, &cfg, path, out)
+                report(&trace, &cfg, path, 0, out)
             }
         }
     }
 }
 
-/// The full markdown report: simulate, analyze, render via
-/// `bmp_core::report`.
+/// Simulates `trace`, excluding the first `warmup` instructions from
+/// the statistics.
+fn simulate(trace: &Trace, cfg: &MachineConfig, warmup: u64) -> bmp_sim::SimResult {
+    let opts = bmp_sim::SimOptions {
+        warmup_ops: warmup,
+        ..bmp_sim::SimOptions::default()
+    };
+    Simulator::with_options(cfg.clone(), opts).run(trace)
+}
+
+/// The full markdown report: simulate (after `warmup` instructions),
+/// analyze, render via `bmp_core::report`.
 fn markdown_report(
     trace: &Trace,
     cfg: &MachineConfig,
     label: &str,
+    warmup: u64,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let res = Simulator::new(cfg.clone()).run(trace);
+    let res = simulate(trace, cfg, warmup);
     let analysis = PenaltyModel::new(cfg.clone()).analyze(trace);
     let stack = bmp_core::cpi::predict(trace, cfg);
     let measured = bmp_core::report::MeasuredSummary {
@@ -421,29 +421,16 @@ fn markdown_report(
 }
 
 /// The shared run/analyze report: simulation, model, decomposition.
-fn report(
-    trace: &Trace,
-    cfg: &MachineConfig,
-    label: &str,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    report_with_warmup(trace, cfg, label, 0, out)
-}
-
-/// [`report`] with a warmup prefix excluded from the simulator's
+/// The first `warmup` instructions are excluded from the simulator's
 /// statistics (the model's analysis remains whole-trace).
-fn report_with_warmup(
+fn report(
     trace: &Trace,
     cfg: &MachineConfig,
     label: &str,
     warmup: u64,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let opts = bmp_sim::SimOptions {
-        warmup_ops: warmup,
-        ..bmp_sim::SimOptions::default()
-    };
-    let res = Simulator::with_options(cfg.clone(), opts).run(trace);
+    let res = simulate(trace, cfg, warmup);
     let analysis = PenaltyModel::new(cfg.clone()).analyze(trace);
 
     writeln!(out, "workload   : {label} ({} instructions)", trace.len())?;
@@ -699,6 +686,18 @@ mod tests {
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("# Misprediction-penalty report: gzip"));
         assert!(s.contains("## CPI stack"));
+
+        // `--warmup` reaches the markdown report's simulation.
+        let measured = |args: &str| {
+            let mut buf = Vec::new();
+            execute(&parse(&argv(args)).unwrap(), &mut buf).unwrap();
+            let md = String::from_utf8(buf).unwrap();
+            let line = md.lines().find(|l| l.contains("mispredictions (measured)"));
+            line.expect("a measured line").to_owned()
+        };
+        let cold = measured("run --profile gzip --ops 4000 --seed 3 --markdown");
+        let warm = measured("run --profile gzip --ops 4000 --seed 3 --markdown --warmup 2000");
+        assert_ne!(cold, warm);
     }
 
     #[test]
