@@ -38,7 +38,8 @@
 //! in `bench_timings.json`).
 //!
 //! Scale with `BMP_OPS` / `BMP_SEED`; pick the worker count with
-//! `BMP_THREADS` (default: available parallelism, `1` = sequential).
+//! `BMP_THREADS` (default: available parallelism; every count runs the
+//! same schedule).
 //! The produced CSVs are byte-identical for any thread count and any
 //! survivable fault schedule — and for `BMP_METRICS` on or off: with
 //! `BMP_METRICS=1` the run *additionally* writes per-experiment

@@ -2,22 +2,22 @@
 //! behind `run_all`. It runs the registry (or a [`defs_named`]
 //! selection) as a two-phase job graph over a [`ThreadPool`]:
 //!
-//! 1. **Cell fan-out** — every experiment declares its shared
-//!    `(experiment × workload × config)` cells (trace synthesis, baseline /
-//!    oracle / warmup simulations, interval-model analyses). The engine
-//!    deduplicates them by content key and computes each exactly once,
-//!    spread across the pool, into the shared [`Ctx`] cache.
+//! 1. **Cell fan-out** — every experiment that will run declares its
+//!    grid of typed [`Cell`]s (see [`crate::grid`]): exactly the traces'
+//!    simulations, interval-model analyses and compiled traces its table
+//!    reads. The engine deduplicates them by content key and computes
+//!    each once, spread across the pool, into the shared [`Ctx`] cache.
 //! 2. **Experiments** — the experiment functions run on the pool, each
-//!    isolated and retried on failure, hitting the warm cache for the
-//!    shared work and computing only their experiment-specific sweeps.
+//!    isolated and retried on failure, and assemble their rows from the
+//!    warm cache.
 //!
 //! Results are **merged by stable experiment index, never by completion
 //! order**, and every artifact is a pure function of its cache key, so
 //! the produced tables are byte-identical for any thread count — the
 //! determinism test in `tests/determinism.rs` locks this down.
 //!
-//! `BMP_THREADS=1` (see [`threads_from_env`]) skips the fan-out phase and
-//! runs the experiments inline in order: the exact legacy path.
+//! Every thread count runs the same schedule; with `BMP_THREADS=1` (see
+//! [`threads_from_env`]) both phases run inline on the calling thread.
 
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -32,12 +32,13 @@ use bmp_core::json_object;
 use bmp_core::store::DiskStore;
 use bmp_core::{PenaltyAnalysis, PenaltyModel};
 use bmp_sim::{SimOptions, SimResult, Simulator};
-use bmp_uarch::{presets, MachineConfig, OpClass, PredictorConfig};
+use bmp_uarch::{presets, MachineConfig, OpClass};
 use bmp_workloads::{micro, spec, WorkloadProfile};
 
 use crate::artifacts::{cache_key, Memo};
 use crate::error::CellError;
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::grid::Cell;
 use crate::pool::ThreadPool;
 use crate::{experiments, Scale, Table};
 
@@ -244,22 +245,7 @@ impl Ctx {
             "trace",
             &[profile.fingerprint(), scale.ops as u64, scale.seed],
         );
-        let trace = self.traces.get_or_compute(key, || {
-            let t0 = Instant::now();
-            let trace = profile.generate(scale.ops, scale.seed);
-            PhaseNanos::add(&self.phases.trace, t0);
-            trace
-        });
-        TraceHandle { key, trace }
-    }
-
-    /// The trace for the SPEC-like profile `name` at `scale`, or a
-    /// structured [`CellError`] when `name` is not in [`spec::NAMES`].
-    pub fn try_named_trace(&self, name: &str, scale: Scale) -> Result<TraceHandle, CellError> {
-        match spec::by_name(name) {
-            Some(profile) => Ok(self.trace(&profile, scale)),
-            None => Err(CellError::unknown_profile(name)),
-        }
+        self.keyed_trace(key, || profile.generate(scale.ops, scale.seed))
     }
 
     /// The trace for the SPEC-like profile `name` at `scale`.
@@ -270,24 +256,26 @@ impl Ctx {
     /// fault-tolerant run layer reports it as `unknown-profile` rather
     /// than an opaque panic) if `name` is not one of [`spec::NAMES`].
     pub fn named_trace(&self, name: &str, scale: Scale) -> TraceHandle {
-        self.try_named_trace(name, scale)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
+        match spec::by_name(name) {
+            Some(profile) => self.trace(&profile, scale),
+            None => std::panic::panic_any(CellError::unknown_profile(name)),
+        }
     }
 
     /// The *executed* trace of the RV32IM kernel `name` at `scale`
-    /// (see `bmp_isa`), cached by `(kernel name, ops, seed)`, or a
-    /// structured [`CellError`] when `name` is not in
-    /// [`bmp_isa::NAMES`].
+    /// (see `bmp_isa`), cached by `(kernel name, ops, seed)`.
     ///
     /// Generation goes through [`bmp_isa::kernel_trace`] — the exact
     /// function the analyzers (`bmp-verify`, `bmp-lint --kernels`) use
     /// to rebuild kernel traces from recorded `(name, ops, seed)`
     /// journals — so a kernel cell's trace is bit-identical wherever it
     /// is regenerated.
-    pub fn try_kernel_trace(&self, name: &str, scale: Scale) -> Result<TraceHandle, CellError> {
-        if !bmp_isa::NAMES.contains(&name) {
-            return Err(CellError::unknown_kernel(name));
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics (with a structured [`CellError`] payload) if `name` is
+    /// not one of [`bmp_isa::NAMES`].
+    pub fn kernel_trace(&self, name: &str, scale: Scale) -> TraceHandle {
         let key = cache_key(
             "isa-trace",
             &[
@@ -296,30 +284,14 @@ impl Ctx {
                 scale.seed,
             ],
         );
-        let trace = self.traces.get_or_compute(key, || {
-            let t0 = Instant::now();
-            let trace = bmp_isa::kernel_trace(name, scale.ops, scale.seed)
-                .expect("membership in bmp_isa::NAMES checked above");
-            PhaseNanos::add(&self.phases.trace, t0);
-            trace
-        });
-        Ok(TraceHandle { key, trace })
-    }
-
-    /// The executed trace of the RV32IM kernel `name` at `scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a structured [`CellError`] payload) if `name` is
-    /// not one of [`bmp_isa::NAMES`].
-    pub fn kernel_trace(&self, name: &str, scale: Scale) -> TraceHandle {
-        self.try_kernel_trace(name, scale)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
+        self.keyed_trace(key, || {
+            bmp_isa::kernel_trace(name, scale.ops, scale.seed)
+                .unwrap_or_else(|| std::panic::panic_any(CellError::unknown_kernel(name)))
+        })
     }
 
     /// A trace from an arbitrary synthesis closure, addressed by `key`
-    /// (build it with [`cache_key`] from the synthesis parameters). Used
-    /// by the microbenchmark experiments.
+    /// (build it with [`cache_key`] from the synthesis parameters).
     pub fn keyed_trace<F>(&self, key: u64, synth: F) -> TraceHandle
     where
         F: FnOnce() -> bmp_trace::Trace,
@@ -493,192 +465,15 @@ impl Ctx {
     }
 }
 
-/// The closure a [`Cell`] runs against the shared context.
-type CellWork = Box<dyn Fn(&Ctx, Scale) + Send + Sync>;
-
-/// One shared `(workload × config)` unit of an experiment's work, fanned
-/// out ahead of the experiment itself.
-pub struct Cell {
-    /// `workload/config` label; cells with equal labels are the same work
-    /// and are deduplicated across experiments.
-    pub label: String,
-    work: CellWork,
-}
-
-impl std::fmt::Debug for Cell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cell").field("label", &self.label).finish()
-    }
-}
-
-impl Cell {
-    /// Synthesize the named workload's trace.
-    pub fn trace(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/trace"),
-            work: Box::new(move |ctx, scale| {
-                ctx.named_trace(workload, scale);
-            }),
-        }
-    }
-
-    /// Baseline-machine simulation of the named workload (implies the
-    /// trace).
-    pub fn baseline_sim(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/sim-baseline"),
-            work: Box::new(move |ctx, scale| {
-                let th = ctx.named_trace(workload, scale);
-                ctx.sim(&Simulator::new(presets::baseline_4wide()), &th);
-            }),
-        }
-    }
-
-    /// Perfect-predictor (oracle) simulation of the named workload.
-    pub fn oracle_sim(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/sim-oracle"),
-            work: Box::new(move |ctx, scale| {
-                let cfg = presets::baseline_4wide()
-                    .to_builder()
-                    .predictor(PredictorConfig::Perfect)
-                    .build()
-                    .unwrap_or_else(|e| {
-                        std::panic::panic_any(CellError::invalid_config(
-                            format!("{workload}/sim-oracle"),
-                            e.to_string(),
-                        ))
-                    });
-                let th = ctx.named_trace(workload, scale);
-                ctx.sim(&Simulator::new(cfg), &th);
-            }),
-        }
-    }
-
-    /// Baseline simulation with the standard 20% warmup.
-    pub fn warmup_sim(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/sim-warmup"),
-            work: Box::new(move |ctx, scale| {
-                let sim = Simulator::with_options(
-                    presets::baseline_4wide(),
-                    SimOptions::with_warmup(scale.ops as u64 / 5),
-                );
-                let th = ctx.named_trace(workload, scale);
-                ctx.sim(&sim, &th);
-            }),
-        }
-    }
-
-    /// Baseline interval-model analysis of the named workload.
-    pub fn analysis(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/analysis-baseline"),
-            work: Box::new(move |ctx, scale| {
-                let th = ctx.named_trace(workload, scale);
-                ctx.analyze(&presets::baseline_4wide(), &th);
-            }),
-        }
-    }
-
-    /// Simulation of the named workload with one of the predictor
-    /// generations swapped into the baseline machine (see
-    /// [`experiments::generation_machine`]); `pred` must be a name from
-    /// [`experiments::GENERATIONS`].
-    pub fn predictor_sim(workload: &'static str, pred: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/sim-pred-{pred}"),
-            work: Box::new(move |ctx, scale| {
-                let cfg = experiments::generation_machine(pred).unwrap_or_else(|| {
-                    std::panic::panic_any(CellError::invalid_config(
-                        format!("{workload}/sim-pred-{pred}"),
-                        format!("unknown predictor generation `{pred}`"),
-                    ))
-                });
-                let th = ctx.named_trace(workload, scale);
-                ctx.sim(&Simulator::new(cfg), &th);
-            }),
-        }
-    }
-
-    /// Interval-model analysis of the named workload under a predictor
-    /// generation, plus the static-bounds/classification artifacts the
-    /// metrics collector reads for the per-class penalty attribution.
-    pub fn predictor_analysis(workload: &'static str, pred: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/analysis-pred-{pred}"),
-            work: Box::new(move |ctx, scale| {
-                let cfg = experiments::generation_machine(pred).unwrap_or_else(|| {
-                    std::panic::panic_any(CellError::invalid_config(
-                        format!("{workload}/analysis-pred-{pred}"),
-                        format!("unknown predictor generation `{pred}`"),
-                    ))
-                });
-                let th = ctx.named_trace(workload, scale);
-                ctx.analyze(&cfg, &th);
-                ctx.static_bounds(&cfg, &th);
-                ctx.compiled(&th);
-            }),
-        }
-    }
-
-    /// Baseline static-bounds pass plus trace compilation for the named
-    /// workload: the artifacts behind the per-class penalty attribution
-    /// (`bmp_analyze::staticpass::classify`).
-    pub fn class_analysis(workload: &'static str) -> Self {
-        Self {
-            label: format!("{workload}/classes-baseline"),
-            work: Box::new(move |ctx, scale| {
-                let th = ctx.named_trace(workload, scale);
-                ctx.static_bounds(&presets::baseline_4wide(), &th);
-                ctx.compiled(&th);
-            }),
-        }
-    }
-
-    /// Baseline-machine simulation of an executed RV32IM kernel
-    /// (implies executing the kernel and recording its trace); `kernel`
-    /// must be a name from [`bmp_isa::NAMES`].
-    pub fn kernel_sim(kernel: &'static str) -> Self {
-        Self {
-            label: format!("{kernel}/kernel-sim"),
-            work: Box::new(move |ctx, scale| {
-                let th = ctx.kernel_trace(kernel, scale);
-                ctx.sim(&Simulator::new(presets::baseline_4wide()), &th);
-            }),
-        }
-    }
-
-    /// Baseline interval-model analysis of an executed RV32IM kernel,
-    /// plus the static-bounds and compiled-trace artifacts `bmp-verify`
-    /// and the per-class attribution read back for executed cells.
-    pub fn kernel_analysis(kernel: &'static str) -> Self {
-        Self {
-            label: format!("{kernel}/kernel-analysis"),
-            work: Box::new(move |ctx, scale| {
-                let cfg = presets::baseline_4wide();
-                let th = ctx.kernel_trace(kernel, scale);
-                ctx.analyze(&cfg, &th);
-                ctx.static_bounds(&cfg, &th);
-                ctx.compiled(&th);
-            }),
-        }
-    }
-
-    /// Runs the cell's work against the shared context.
-    pub fn run(&self, ctx: &Ctx, scale: Scale) {
-        (self.work)(ctx, scale);
-    }
-}
-
-/// One experiment in the registry: its stable name, the shared cells it
-/// fans out, and the function producing its table.
+/// One experiment in the registry: its stable name, the grid cells it
+/// fans out, and the function producing its table from them.
 pub struct ExperimentDef {
     /// Stable identifier; matches the produced table's `id`.
     pub name: &'static str,
     /// Produces the experiment's table from the shared context.
     pub run: fn(&Ctx, Scale) -> Table,
-    /// The shared `(workload × config)` cells this experiment needs.
+    /// Every cell the table reads: the experiment's grid (see
+    /// [`crate::grid`]).
     pub cells: fn() -> Vec<Cell>,
 }
 
@@ -686,202 +481,32 @@ pub struct ExperimentDef {
 /// order `run_all` reports them (E-T1 … E-F11, E-X1 … E-X11).
 pub fn experiment_defs() -> Vec<ExperimentDef> {
     use experiments as ex;
-    fn none() -> Vec<Cell> {
-        Vec::new()
-    }
-    fn all_profiles(f: fn(&'static str) -> Cell) -> Vec<Cell> {
-        spec::NAMES.iter().map(|n| f(n)).collect()
-    }
-    fn sim_and_analysis_all() -> Vec<Cell> {
-        let mut cells = all_profiles(Cell::baseline_sim);
-        cells.extend(all_profiles(Cell::analysis));
-        cells
-    }
     vec![
-        ExperimentDef {
-            name: "table1_config",
-            run: |_, _| ex::table1_config(),
-            cells: none,
-        },
-        ExperimentDef {
-            name: "table2_benchmarks",
-            run: ex::table2_benchmarks,
-            cells: || all_profiles(Cell::warmup_sim),
-        },
-        ExperimentDef {
-            name: "fig1_interval_profile",
-            run: ex::fig1_interval_profile,
-            cells: || vec![Cell::trace("crafty")],
-        },
-        ExperimentDef {
-            name: "fig2_penalty_per_benchmark",
-            run: ex::fig2_penalty_per_benchmark,
-            cells: || {
-                let mut cells = sim_and_analysis_all();
-                cells.extend(all_profiles(Cell::oracle_sim));
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "fig3_penalty_vs_interval",
-            run: ex::fig3_penalty_vs_interval,
-            cells: || {
-                let mut cells = Vec::new();
-                for w in ["gzip", "gcc", "twolf"] {
-                    cells.push(Cell::baseline_sim(w));
-                    cells.push(Cell::analysis(w));
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "fig4_interval_distribution",
-            run: ex::fig4_interval_distribution,
-            cells: || all_profiles(Cell::analysis),
-        },
-        ExperimentDef {
-            name: "fig5_contributor_breakdown",
-            run: ex::fig5_contributor_breakdown,
-            cells: || all_profiles(Cell::analysis),
-        },
-        ExperimentDef {
-            name: "fig6_pipeline_depth",
-            run: ex::fig6_pipeline_depth,
-            cells: || vec![Cell::trace("twolf"), Cell::trace("gcc")],
-        },
-        ExperimentDef {
-            name: "fig7_fu_latency",
-            run: ex::fig7_fu_latency,
-            cells: || vec![Cell::trace("twolf")],
-        },
-        ExperimentDef {
-            name: "fig8_ilp",
-            run: ex::fig8_ilp,
-            cells: none,
-        },
-        ExperimentDef {
-            name: "fig9_l1d_misses",
-            run: ex::fig9_l1d_misses,
-            cells: none,
-        },
-        ExperimentDef {
-            name: "fig10_model_validation",
-            run: ex::fig10_model_validation,
-            cells: sim_and_analysis_all,
-        },
-        ExperimentDef {
-            name: "fig11_penalty_distribution",
-            run: ex::fig11_penalty_distribution,
-            cells: || {
-                let mut cells = Vec::new();
-                for w in ["gzip", "gcc", "twolf"] {
-                    cells.push(Cell::baseline_sim(w));
-                    cells.push(Cell::analysis(w));
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "ex1_predictor_study",
-            run: ex::ex1_predictor_study,
-            cells: || vec![Cell::trace("twolf"), Cell::trace("gzip")],
-        },
-        ExperimentDef {
-            name: "ex2_window_sweep",
-            run: ex::ex2_window_sweep,
-            cells: || vec![Cell::trace("twolf"), Cell::trace("gzip")],
-        },
-        ExperimentDef {
-            name: "ex3_closed_form",
-            run: ex::ex3_closed_form,
-            cells: sim_and_analysis_all,
-        },
-        ExperimentDef {
-            name: "ex4_prefetch_study",
-            run: ex::ex4_prefetch_study,
-            cells: || ["bzip2", "gzip", "mcf", "gcc"].map(Cell::trace).into(),
-        },
-        ExperimentDef {
-            name: "ex5_occupancy_study",
-            run: ex::ex5_occupancy_study,
-            cells: || all_profiles(Cell::baseline_sim),
-        },
-        ExperimentDef {
-            name: "ex6_replacement_study",
-            run: ex::ex6_replacement_study,
-            cells: || ["gzip", "parser", "mcf"].map(Cell::trace).into(),
-        },
-        ExperimentDef {
-            name: "ex7_indirect_study",
-            run: ex::ex7_indirect_study,
-            cells: || ["perlbmk", "gap", "eon", "gcc"].map(Cell::trace).into(),
-        },
-        ExperimentDef {
-            name: "ex8_warmup_study",
-            run: ex::ex8_warmup_study,
-            cells: || {
-                let mut cells = Vec::new();
-                for w in ["gzip", "gcc", "mcf", "crafty"] {
-                    cells.push(Cell::baseline_sim(w));
-                    cells.push(Cell::warmup_sim(w));
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "ex_predictor_generations",
-            run: ex::ex_predictor_generations,
-            cells: || {
-                let mut cells = Vec::new();
-                for w in ex::GENERATION_WORKLOADS {
-                    for p in ex::GENERATIONS {
-                        cells.push(Cell::predictor_sim(w, p));
-                        cells.push(Cell::predictor_analysis(w, p));
-                    }
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "ex_h2p_contributors",
-            run: ex::ex_h2p_contributors,
-            cells: || {
-                let mut cells = Vec::new();
-                for w in ex::GENERATION_WORKLOADS {
-                    cells.push(Cell::analysis(w));
-                    cells.push(Cell::class_analysis(w));
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "ex_isa_contributors",
-            run: ex::ex_isa_contributors,
-            cells: || {
-                let mut cells = Vec::new();
-                for k in bmp_isa::NAMES {
-                    cells.push(Cell::kernel_sim(k));
-                    cells.push(Cell::kernel_analysis(k));
-                }
-                cells
-            },
-        },
-        ExperimentDef {
-            name: "ex_isa_vs_synthetic",
-            run: ex::ex_isa_vs_synthetic,
-            cells: || {
-                let mut cells = Vec::new();
-                for k in bmp_isa::NAMES {
-                    cells.push(Cell::kernel_sim(k));
-                    cells.push(Cell::kernel_analysis(k));
-                }
-                for w in ex::ISA_COMPARISON_WORKLOADS {
-                    cells.push(Cell::baseline_sim(w));
-                    cells.push(Cell::analysis(w));
-                }
-                cells
-            },
-        },
+        ex::TABLE1_CONFIG,
+        ex::TABLE2_BENCHMARKS,
+        ex::FIG1_INTERVAL_PROFILE,
+        ex::FIG2_PENALTY_PER_BENCHMARK,
+        ex::FIG3_PENALTY_VS_INTERVAL,
+        ex::FIG4_INTERVAL_DISTRIBUTION,
+        ex::FIG5_CONTRIBUTOR_BREAKDOWN,
+        ex::FIG6_PIPELINE_DEPTH,
+        ex::FIG7_FU_LATENCY,
+        ex::FIG8_ILP,
+        ex::FIG9_L1D_MISSES,
+        ex::FIG10_MODEL_VALIDATION,
+        ex::FIG11_PENALTY_DISTRIBUTION,
+        ex::EX1_PREDICTOR_STUDY,
+        ex::EX2_WINDOW_SWEEP,
+        ex::EX3_CLOSED_FORM,
+        ex::EX4_PREFETCH_STUDY,
+        ex::EX5_OCCUPANCY_STUDY,
+        ex::EX6_REPLACEMENT_STUDY,
+        ex::EX7_INDIRECT_STUDY,
+        ex::EX8_WARMUP_STUDY,
+        ex::EX_PREDICTOR_GENERATIONS,
+        ex::EX_H2P_CONTRIBUTORS,
+        ex::EX_ISA_CONTRIBUTORS,
+        ex::EX_ISA_VS_SYNTHETIC,
     ]
 }
 
@@ -1275,15 +900,17 @@ impl Engine {
         &self.ctx
     }
 
-    /// Collects the deduplicated shared cells of `defs` (and the
-    /// pre-dedup request count).
-    fn collect_cells(defs: &[ExperimentDef]) -> (Vec<Cell>, usize) {
-        let mut cells: Vec<Cell> = Vec::new();
+    /// Collects the cells of every experiment in `defs` that is not
+    /// skipped, deduplicated by content key, and the pre-dedup request
+    /// count.
+    fn collect_cells(defs: &[ExperimentDef], skip: &HashSet<String>) -> (Vec<Cell>, usize) {
+        let mut seen = HashSet::new();
+        let mut cells = Vec::new();
         let mut requested = 0usize;
-        for def in defs {
+        for def in defs.iter().filter(|d| !skip.contains(d.name)) {
             for cell in (def.cells)() {
                 requested += 1;
-                if !cells.iter().any(|c| c.label == cell.label) {
+                if seen.insert(cell.key()) {
                     cells.push(cell);
                 }
             }
@@ -1327,31 +954,31 @@ impl Engine {
         // failing cell is *soft*: its cache slot stays retryable and the
         // owning experiments recompute it in phase 2 (under their own
         // retry budget), so the error is only reported for forensics.
-        let (cells, requested) = Self::collect_cells(defs);
+        let (cells, requested) = Self::collect_cells(defs, &policy.skip);
         let cell_start = Instant::now();
-        let mut cell_errors: Vec<CellError> = Vec::new();
-        if threads > 1 {
-            let results = self.pool.try_map(cells.len(), |i| {
-                let label = &cells[i].label;
-                if policy
-                    .faults
-                    .fires(FaultKind::Panic, FaultSite::cell(label).index(i))
-                {
-                    std::panic::panic_any(CellError::panic(label.clone(), "injected panic fault"));
-                }
-                cells[i].run(&self.ctx, scale);
-            });
-            for (i, r) in results.into_iter().enumerate() {
-                if let Err(mut e) = r {
-                    // try_map labels raw panics by job index; the cell
-                    // label is the better name.
-                    if e.context.starts_with('#') {
-                        e.context = cells[i].label.clone();
-                    }
-                    cell_errors.push(e);
-                }
+        let results = self.pool.try_map(cells.len(), |i| {
+            let label = cells[i].label();
+            if policy
+                .faults
+                .fires(FaultKind::Panic, FaultSite::cell(&label).index(i))
+            {
+                std::panic::panic_any(CellError::panic(label, "injected panic fault"));
             }
-        }
+            cells[i].run(&self.ctx, scale);
+        });
+        let cell_errors: Vec<CellError> = results
+            .into_iter()
+            .zip(&cells)
+            .filter_map(|(r, cell)| {
+                let mut e = r.err()?;
+                // try_map labels raw panics by job index; the cell label
+                // is the better name.
+                if e.context.starts_with('#') {
+                    e.context = cell.label();
+                }
+                Some(e)
+            })
+            .collect();
         let cell_millis = cell_start.elapsed().as_millis();
 
         // Phase 2: the experiments, each with its own retry budget. The
@@ -1434,9 +1061,8 @@ fn trip_budget(context: &str) -> ! {
     }
 }
 
-/// Worker count from the environment: `BMP_THREADS` when set (minimum 1;
-/// `1` selects the exact legacy sequential path), otherwise the machine's
-/// available parallelism.
+/// Worker count from the environment: `BMP_THREADS` when set (minimum 1),
+/// otherwise the machine's available parallelism.
 pub fn threads_from_env() -> usize {
     std::env::var("BMP_THREADS")
         .ok()
@@ -1452,6 +1078,7 @@ pub fn threads_from_env() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CellErrorKind;
     use bmp_core::json::{self, ObjectExt};
 
     #[test]
@@ -1597,6 +1224,69 @@ mod tests {
     }
 
     #[test]
+    fn an_all_skipped_run_fans_out_nothing() {
+        let scale = Scale {
+            ops: 2_000,
+            seed: 3,
+        };
+        let faults = FaultPlan::none();
+        let mut policy = RunPolicy::with_attempts(1, &faults);
+        let defs = experiment_defs();
+        policy.skip = defs.iter().map(|d| d.name.to_string()).collect();
+        let report = Engine::new(2).run_tolerant(&defs, scale, &policy, &|_| {});
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| matches!(o.kind, OutcomeKind::Skipped)));
+        assert_eq!((report.cells, report.cells_requested), (0, 0));
+        assert_eq!(report.cache.sim_misses, 0);
+        assert_eq!(report.cache.trace_misses, 0);
+    }
+
+    /// Misses per memo: traces, compiled traces, superblocks, sims,
+    /// analyses, static bounds.
+    fn misses(c: &CacheReport) -> [u64; 6] {
+        [
+            c.trace_misses,
+            c.compiled_misses,
+            c.superblock_misses,
+            c.sim_misses,
+            c.analysis_misses,
+            c.static_misses,
+        ]
+    }
+
+    #[test]
+    fn every_grid_holds_exactly_what_its_table_reads() {
+        let scale = Scale {
+            ops: 1_000,
+            seed: 3,
+        };
+        for def in experiment_defs() {
+            let ctx = Ctx::with_settings(EngineChoice::EventDriven, false);
+            for cell in (def.cells)() {
+                cell.run(&ctx, scale);
+            }
+            let from_cells = misses(&ctx.cache_stats());
+            (def.run)(&ctx, scale);
+            assert_eq!(
+                misses(&ctx.cache_stats()),
+                from_cells,
+                "{}: the body computed work its cells did not declare",
+                def.name
+            );
+            let alone = Ctx::with_settings(EngineChoice::EventDriven, false);
+            (def.run)(&alone, scale);
+            assert_eq!(
+                misses(&alone.cache_stats()),
+                from_cells,
+                "{}: the cells computed work the body never reads",
+                def.name
+            );
+        }
+    }
+
+    #[test]
     fn budget_fault_travels_the_watchdog_path() {
         let scale = Scale {
             ops: 1_000,
@@ -1607,7 +1297,7 @@ mod tests {
         let defs = defs_named(&["table1_config"]).unwrap();
         let report = Engine::new(1).run_tolerant(&defs, scale, &policy, &|_| {});
         let e = report.outcomes[0].error().expect("budget fault must fail");
-        assert_eq!(e.kind, crate::error::CellErrorKind::Budget);
+        assert_eq!(e.kind, CellErrorKind::Budget);
         assert!(e.message.contains("cycle budget exceeded"));
     }
 
@@ -1639,17 +1329,18 @@ mod tests {
     fn unknown_profile_is_a_structured_error() {
         let ctx = Ctx::new();
         let scale = Scale { ops: 100, seed: 1 };
-        let e = ctx.try_named_trace("ghost", scale).unwrap_err();
-        assert_eq!(e.kind, crate::error::CellErrorKind::UnknownProfile);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            ctx.named_trace("ghost", scale);
-        }))
-        .unwrap_err();
-        assert_eq!(
-            caught.downcast_ref::<CellError>().map(|e| e.kind),
-            Some(crate::error::CellErrorKind::UnknownProfile),
-            "the panicking form carries the structured payload"
-        );
+        let named = catch_unwind(AssertUnwindSafe(|| drop(ctx.named_trace("ghost", scale))));
+        let kernel = catch_unwind(AssertUnwindSafe(|| drop(ctx.kernel_trace("ghost", scale))));
+        for caught in [named, kernel] {
+            assert_eq!(
+                caught
+                    .unwrap_err()
+                    .downcast_ref::<CellError>()
+                    .map(|e| e.kind),
+                Some(CellErrorKind::UnknownProfile),
+                "the panic carries the structured payload"
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,33 @@
 //! The characterization figures E-F1 … E-F5.
 
 use bmp_core::{IntervalLengthHistogram, LENGTH_BUCKETS};
-use bmp_sim::{SimOptions, Simulator};
-use bmp_uarch::presets;
+use bmp_uarch::{presets, PredictorConfig};
 use bmp_workloads::spec;
 
 use crate::convert::measured_interval_lengths;
-use crate::engine::Ctx;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Sim};
+use crate::grid::{baseline_with, cells, profiles, Machine, Point, SimMode, Workload};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
 
 /// Benchmarks used when a figure needs representatives rather than the
 /// full suite.
 const REPRESENTATIVES: [&str; 3] = ["gzip", "gcc", "twolf"];
+
+/// E-F1's one point: crafty-like (predictable branches and quiet caches,
+/// so enough mispredictions are far from any other event) on the
+/// baseline, recording the dispatch timeline.
+fn fig1_point() -> Point {
+    Point::baseline(Workload::Profile("crafty")).with_mode(SimMode::Timeline)
+}
+
+/// E-F1 in the registry: its table and the cells the table reads.
+pub const FIG1_INTERVAL_PROFILE: ExperimentDef = ExperimentDef {
+    name: "fig1_interval_profile",
+    run: fig1_interval_profile,
+    cells: || vec![fig1_point().cell(Sim)],
+};
 
 /// E-F1: the interval-behaviour transient — average dispatch rate around
 /// a branch misprediction (the paper's motivating timeline: steady rate
@@ -25,12 +40,7 @@ pub fn fig1_interval_profile(ctx: &Ctx, scale: Scale) -> Table {
     const BEFORE: i64 = 20;
     const AFTER: i64 = 60;
     const ISOLATION: i64 = 50;
-    let cfg = presets::baseline_4wide();
-    let sim = Simulator::with_options(cfg, SimOptions::with_timeline());
-    // crafty-like: predictable branches and quiet caches, so enough
-    // mispredictions are far from any other event.
-    let trace = ctx.named_trace("crafty", scale);
-    let res = ctx.sim(&sim, &trace);
+    let res = fig1_point().sim(ctx, scale);
     let timeline = res.dispatch_timeline.as_ref().expect("timeline enabled");
 
     // Event cycles, for isolation filtering.
@@ -72,6 +82,27 @@ pub fn fig1_interval_profile(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-F2's grid: every profile on the baseline and on the same machine
+/// with a perfect predictor.
+fn fig2_grid() -> impl Iterator<Item = (Point, Point)> {
+    let oracle = baseline_with(|b| b.predictor(PredictorConfig::Perfect));
+    profiles(&spec::NAMES).map(move |base| {
+        let oracle = Point::new(base.workload, Machine::sweep("oracle", oracle.clone()));
+        (base, oracle)
+    })
+}
+
+/// E-F2 in the registry: its table and the cells the table reads.
+pub const FIG2_PENALTY_PER_BENCHMARK: ExperimentDef = ExperimentDef {
+    name: "fig2_penalty_per_benchmark",
+    run: fig2_penalty_per_benchmark,
+    cells: || {
+        fig2_grid()
+            .flat_map(|(base, oracle)| [base.cell(Sim), base.cell(Analysis), oracle.cell(Sim)])
+            .collect()
+    },
+};
+
 /// E-F2: the headline figure — average misprediction penalty per
 /// benchmark, measured three ways against the frontend pipeline length
 /// it is commonly equated with:
@@ -82,15 +113,7 @@ pub fn fig1_interval_profile(ctx: &Ctx, scale: Scale) -> Table {
 ///   from per-event accounting);
 /// * **the interval model's prediction**.
 pub fn fig2_penalty_per_benchmark(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_uarch::PredictorConfig;
-    let cfg = presets::baseline_4wide();
-    let oracle = cfg
-        .to_builder()
-        .predictor(PredictorConfig::Perfect)
-        .build()
-        .expect("valid oracle machine");
-    let sim = Simulator::new(cfg.clone());
-    let oracle_sim = Simulator::new(oracle);
+    let frontend_depth = presets::baseline_4wide().frontend_depth;
     let mut t = Table::new(
         "fig2_penalty_per_benchmark",
         "Figure 2 (E-F2): average branch misprediction penalty per benchmark \
@@ -104,11 +127,10 @@ pub fn fig2_penalty_per_benchmark(ctx: &Ctx, scale: Scale) -> Table {
             "measured-resolution",
         ],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let res = ctx.sim(&sim, &trace);
-        let perfect = ctx.sim(&oracle_sim, &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for (base, oracle) in fig2_grid() {
+        let res = base.sim(ctx, scale);
+        let perfect = oracle.sim(ctx, scale);
+        let analysis = base.analysis(ctx, scale);
         let extra_events = res
             .mispredicts
             .len()
@@ -119,23 +141,28 @@ pub fn fig2_penalty_per_benchmark(ctx: &Ctx, scale: Scale) -> Table {
             0.0
         };
         t.push_row(vec![
-            profile.name.clone(),
+            base.workload.name(),
             f2(res.mean_penalty().unwrap_or(0.0)),
             f2(two_run),
             f2(analysis.mean_penalty().unwrap_or(0.0)),
-            cfg.frontend_depth.to_string(),
+            frontend_depth.to_string(),
             f2(res.mean_resolution().unwrap_or(0.0)),
         ]);
     }
     t
 }
 
+/// E-F3 in the registry: its table and the cells the table reads.
+pub const FIG3_PENALTY_VS_INTERVAL: ExperimentDef = ExperimentDef {
+    name: "fig3_penalty_vs_interval",
+    run: fig3_penalty_vs_interval,
+    cells: || cells(profiles(&REPRESENTATIVES), &[Sim, Analysis]),
+};
+
 /// E-F3: branch resolution time versus the number of instructions since
 /// the last miss event (contributor ii — burstiness). Three series per
 /// benchmark: measured, model-local (pure ramp-up) and model-effective.
 pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg.clone());
     let mut t = Table::new(
         "fig3_penalty_vs_interval",
         "Figure 3 (E-F3): branch resolution time vs. instructions since the last miss event",
@@ -148,10 +175,9 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
             "model-effective-resolution",
         ],
     );
-    for name in REPRESENTATIVES {
-        let trace = ctx.named_trace(name, scale);
-        let res = ctx.sim(&sim, &trace);
-        let lengths = measured_interval_lengths(&res, trace.len());
+    for point in profiles(&REPRESENTATIVES) {
+        let res = point.sim(ctx, scale);
+        let lengths = measured_interval_lengths(&res, point.trace(ctx, scale).len());
         // Bucket the measured resolutions the same way the model does.
         let mut sums = vec![0u64; LENGTH_BUCKETS.len() + 1];
         let mut counts = vec![0u64; LENGTH_BUCKETS.len() + 1];
@@ -164,7 +190,7 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
             sums[bucket] += m.resolution();
             counts[bucket] += 1;
         }
-        let analysis = ctx.analyze(&cfg, &trace);
+        let analysis = point.analysis(ctx, scale);
         let local = analysis.local_resolution_by_interval_length();
         let global = analysis.resolution_by_interval_length();
         let find = |curve: &[(usize, f64, u64)], lo: usize| {
@@ -175,7 +201,7 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
                 continue;
             }
             t.push_row(vec![
-                name.to_owned(),
+                point.workload.name(),
                 lo.to_string(),
                 counts[i].to_string(),
                 f2(sums[i] as f64 / counts[i] as f64),
@@ -187,25 +213,31 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-F4 in the registry: its table and the cells the table reads.
+pub const FIG4_INTERVAL_DISTRIBUTION: ExperimentDef = ExperimentDef {
+    name: "fig4_interval_distribution",
+    run: fig4_interval_distribution,
+    cells: || cells(profiles(&spec::NAMES), &[Analysis]),
+};
+
 /// E-F4: the distribution of inter-miss interval lengths per benchmark —
 /// the burstiness characterization.
 pub fn fig4_interval_distribution(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide();
     let mut t = Table::new(
         "fig4_interval_distribution",
         "Figure 4 (E-F4): distribution of inter-miss-event interval lengths",
         &["benchmark", "interval-bucket-lo", "fraction", "count"],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for point in profiles(&spec::NAMES) {
+        let name = point.workload.name();
+        let analysis = point.analysis(ctx, scale);
         let hist = IntervalLengthHistogram::from_intervals(&analysis.intervals);
         for (i, &lo) in LENGTH_BUCKETS.iter().enumerate() {
             if hist.count(i) == 0 {
                 continue;
             }
             t.push_row(vec![
-                profile.name.clone(),
+                name.clone(),
                 lo.to_string(),
                 f3(hist.fraction(i)),
                 hist.count(i).to_string(),
@@ -214,7 +246,7 @@ pub fn fig4_interval_distribution(ctx: &Ctx, scale: Scale) -> Table {
         let over = LENGTH_BUCKETS.len();
         if hist.count(over) > 0 {
             t.push_row(vec![
-                profile.name.clone(),
+                name,
                 format!("{}+", LENGTH_BUCKETS[over - 1]),
                 f3(hist.fraction(over)),
                 hist.count(over).to_string(),
@@ -224,12 +256,18 @@ pub fn fig4_interval_distribution(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-F5 in the registry: its table and the cells the table reads.
+pub const FIG5_CONTRIBUTOR_BREAKDOWN: ExperimentDef = ExperimentDef {
+    name: "fig5_contributor_breakdown",
+    run: fig5_contributor_breakdown,
+    cells: FIG4_INTERVAL_DISTRIBUTION.cells,
+};
+
 /// E-F5: the five-contributor decomposition of the mean penalty per
 /// benchmark: frontend (i), the branch's own execution, inherent ILP
 /// (iii), functional-unit latencies (iv), short D-misses (v), and the
 /// cross-interval window carryover (part of ii).
 pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide();
     let mut t = Table::new(
         "fig5_contributor_breakdown",
         "Figure 5 (E-F5): decomposition of the mean misprediction penalty",
@@ -244,9 +282,8 @@ pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
             "total-penalty",
         ],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for point in profiles(&spec::NAMES) {
+        let analysis = point.analysis(ctx, scale);
         let Some((base, ilp, fu, dmiss)) = analysis.mean_contributions() else {
             continue;
         };
@@ -258,7 +295,7 @@ pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
             .sum::<f64>()
             / n;
         t.push_row(vec![
-            profile.name.clone(),
+            point.workload.name(),
             f2(f64::from(analysis.frontend_depth)),
             f2(base),
             f2(ilp),
@@ -271,14 +308,19 @@ pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-F11 in the registry: its table and the cells the table reads.
+pub const FIG11_PENALTY_DISTRIBUTION: ExperimentDef = ExperimentDef {
+    name: "fig11_penalty_distribution",
+    run: fig11_penalty_distribution,
+    cells: FIG3_PENALTY_VS_INTERVAL.cells,
+};
+
 /// E-F11: the distribution of per-misprediction penalties — beyond the
 /// mean, the shape: a mass of cheap bursty events, a body near the window
 /// drain, and a long-miss-shadow tail. Measured (simulator) and modeled
 /// side by side, per representative benchmark.
 pub fn fig11_penalty_distribution(ctx: &Ctx, scale: Scale) -> Table {
     const BOUNDS: [u64; 7] = [2, 5, 10, 20, 50, 100, 200];
-    let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg.clone());
     let mut t = Table::new(
         "fig11_penalty_distribution",
         "Figure 11 (E-F11): distribution of branch resolution times",
@@ -290,10 +332,9 @@ pub fn fig11_penalty_distribution(ctx: &Ctx, scale: Scale) -> Table {
             "measured-n",
         ],
     );
-    for name in REPRESENTATIVES {
-        let trace = ctx.named_trace(name, scale);
-        let res = ctx.sim(&sim, &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for point in profiles(&REPRESENTATIVES) {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
 
         // Measured histogram over the same buckets.
         let mut measured = vec![0u64; BOUNDS.len() + 1];
@@ -317,7 +358,7 @@ pub fn fig11_penalty_distribution(ctx: &Ctx, scale: Scale) -> Table {
                 BOUNDS[i - 1].to_string()
             };
             t.push_row(vec![
-                name.to_owned(),
+                point.workload.name(),
                 lo,
                 f3(measured[i] as f64 / m_total as f64),
                 f3(modeled[i] as f64 / a_total as f64),

@@ -2,19 +2,21 @@
 //! studies its framework invites.
 
 use bmp_core::closed_form;
-use bmp_sim::Simulator;
-use bmp_uarch::{presets, PredictorConfig, PrefetchConfig};
+use bmp_trace::BranchKind;
+use bmp_uarch::{
+    presets, CacheGeometry, HierarchyConfig, IndirectPredictorConfig, PredictorConfig,
+    PrefetchConfig, ReplacementKind,
+};
+use bmp_workloads::spec;
 
-use crate::engine::Ctx;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Sim};
+use crate::grid::{baseline_with, cells, profiles, sweep, Point, SimMode};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
 
-/// E-X1: the misprediction penalty under different predictors. Better
-/// predictors reduce the *number* of penalties, but the paper's point is
-/// that the per-event penalty is a property of the program and the
-/// window, not of the predictor — so the mean penalty should stay in the
-/// same band while MPKI and IPC move a lot.
-pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
+/// E-X1's grid: two benchmarks × six direction predictors.
+fn ex1_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
     let predictors: [(&str, PredictorConfig); 6] = [
         ("bimodal", PredictorConfig::Bimodal { entries: 4096 }),
         (
@@ -48,6 +50,23 @@ pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
         ),
         ("perfect", PredictorConfig::Perfect),
     ];
+    let variants = predictors.map(|(name, p)| (name, baseline_with(|b| b.predictor(p))));
+    sweep(&["twolf", "gzip"], "", variants.into())
+}
+
+/// E-X1 in the registry: its table and the cells the table reads.
+pub const EX1_PREDICTOR_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex1_predictor_study",
+    run: ex1_predictor_study,
+    cells: || cells(ex1_grid().map(|(.., p)| p), &[Sim]),
+};
+
+/// E-X1: the misprediction penalty under different predictors. Better
+/// predictors reduce the *number* of penalties, but the paper's point is
+/// that the per-event penalty is a property of the program and the
+/// window, not of the predictor — so the mean penalty should stay in the
+/// same band while MPKI and IPC move a lot.
+pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
         "ex1_predictor_study",
         "Extension E-X1: penalty and performance per branch predictor",
@@ -60,27 +79,34 @@ pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in ["twolf", "gzip"] {
-        let trace = ctx.named_trace(name, scale);
-        for (pname, pcfg) in predictors {
-            let cfg = presets::baseline_4wide()
-                .to_builder()
-                .predictor(pcfg)
-                .build()
-                .expect("valid predictor");
-            let res = ctx.sim(&Simulator::new(cfg), &trace);
-            t.push_row(vec![
-                name.to_owned(),
-                pname.to_owned(),
-                f3(res.branch_stats.miss_rate()),
-                f2(res.branch_stats.mpki(res.instructions)),
-                f2(res.mean_penalty().unwrap_or(0.0)),
-                f3(res.ipc()),
-            ]);
-        }
+    for (name, pname, point) in ex1_grid() {
+        let res = point.sim(ctx, scale);
+        t.push_row(vec![
+            name.to_owned(),
+            pname.to_owned(),
+            f3(res.branch_stats.miss_rate()),
+            f2(res.branch_stats.mpki(res.instructions)),
+            f2(res.mean_penalty().unwrap_or(0.0)),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
+
+/// E-X2's grid: two benchmarks × five issue-window sizes, each with a
+/// ROB twice the window.
+fn ex2_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
+    let windows =
+        [16u32, 32, 64, 128, 256].map(|w| (w, baseline_with(|b| b.window_size(w).rob_size(w * 2))));
+    sweep(&["twolf", "gzip"], "window", windows.into())
+}
+
+/// E-X2 in the registry: its table and the cells the table reads.
+pub const EX2_WINDOW_SWEEP: ExperimentDef = ExperimentDef {
+    name: "ex2_window_sweep",
+    run: ex2_window_sweep,
+    cells: || cells(ex2_grid().map(|(.., p)| p), &[Sim, Analysis]),
+};
 
 /// E-X2: penalty versus issue-window size. The resolution saturates near
 /// the window drain bound, so growing the window *raises* the
@@ -99,30 +125,27 @@ pub fn ex2_window_sweep(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in ["twolf", "gzip"] {
-        let trace = ctx.named_trace(name, scale);
-        for window in [16u32, 32, 64, 128, 256] {
-            let rob = window * 2;
-            let cfg = presets::baseline_4wide()
-                .to_builder()
-                .window_size(window)
-                .rob_size(rob)
-                .build()
-                .expect("valid window");
-            let res = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-            let analysis = ctx.analyze(&cfg, &trace);
-            t.push_row(vec![
-                name.to_owned(),
-                window.to_string(),
-                rob.to_string(),
-                f2(res.mean_resolution().unwrap_or(0.0)),
-                f2(analysis.mean_resolution().unwrap_or(0.0)),
-                f3(res.ipc()),
-            ]);
-        }
+    for (name, window, point) in ex2_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
+        t.push_row(vec![
+            name.to_owned(),
+            window.to_string(),
+            (window * 2).to_string(),
+            f2(res.mean_resolution().unwrap_or(0.0)),
+            f2(analysis.mean_resolution().unwrap_or(0.0)),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
+
+/// E-X3 in the registry: its table and the cells the table reads.
+pub const EX3_CLOSED_FORM: ExperimentDef = ExperimentDef {
+    name: "ex3_closed_form",
+    run: ex3_closed_form,
+    cells: || cells(profiles(&spec::NAMES), &[Sim, Analysis]),
+};
 
 /// E-X3: three fidelity levels of the same framework — the closed-form
 /// (statistics-only) estimate, the trace-scheduling model, and the
@@ -134,9 +157,7 @@ pub fn ex2_window_sweep(ctx: &Ctx, scale: Scale) -> Table {
 /// local resolution and the simulator's effective one. The error column
 /// is against the local resolution.
 pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_workloads::spec;
     let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg.clone());
     let mut t = Table::new(
         "ex3_closed_form",
         "Extension E-X3: closed-form vs. scheduled model vs. simulation (mean resolution)",
@@ -149,11 +170,10 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
             "closed-form-err-vs-local",
         ],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let res = ctx.sim(&sim, &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
-        let cf = closed_form::estimate(&trace, &cfg);
+    for point in profiles(&spec::NAMES) {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
+        let cf = closed_form::estimate(&point.trace(ctx, scale), &cfg);
         let local = if analysis.breakdowns.is_empty() {
             0.0
         } else {
@@ -170,7 +190,7 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
             0.0
         };
         t.push_row(vec![
-            profile.name.clone(),
+            point.workload.name(),
             f2(res.mean_resolution().unwrap_or(0.0)),
             f2(analysis.mean_resolution().unwrap_or(0.0)),
             f2(local),
@@ -180,6 +200,31 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
     }
     t
 }
+
+/// E-X4's grid: four benchmarks with prefetching off and on.
+fn ex4_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
+    let variants = [
+        ("off", PrefetchConfig::off()),
+        ("on", PrefetchConfig::aggressive()),
+    ]
+    .map(|(label, pf)| {
+        let caches = presets::baseline_4wide().caches.with_prefetch(pf);
+        let caches = caches.expect("valid prefetch");
+        (label, baseline_with(|b| b.caches(caches)))
+    });
+    sweep(
+        &["bzip2", "gzip", "mcf", "gcc"],
+        "prefetch-",
+        variants.into(),
+    )
+}
+
+/// E-X4 in the registry: its table and the cells the table reads.
+pub const EX4_PREFETCH_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex4_prefetch_study",
+    run: ex4_prefetch_study,
+    cells: || cells(ex4_grid().map(|(.., p)| p), &[Sim]),
+};
 
 /// E-X4: hardware prefetching attacks contributors (v) and the I-miss
 /// events: streaming benchmarks gain, pointer-chasing ones do not.
@@ -197,43 +242,34 @@ pub fn ex4_prefetch_study(ctx: &Ctx, scale: Scale) -> Table {
             "prefetches",
         ],
     );
-    for name in ["bzip2", "gzip", "mcf", "gcc"] {
-        let trace = ctx.named_trace(name, scale);
-        for (label, pf) in [
-            ("off", PrefetchConfig::off()),
-            ("on", PrefetchConfig::aggressive()),
-        ] {
-            let base = presets::baseline_4wide();
-            let caches = base.caches.with_prefetch(pf).expect("valid prefetch");
-            let cfg = base
-                .to_builder()
-                .caches(caches)
-                .build()
-                .expect("valid machine");
-            let res = ctx.sim(&Simulator::new(cfg), &trace);
-            let n = res.instructions;
-            t.push_row(vec![
-                name.to_owned(),
-                label.to_owned(),
-                f3(res.hierarchy.l1d.miss_rate()),
-                f2(res.hierarchy.long_dmisses as f64 * 1000.0 / n as f64),
-                f2(res.mean_penalty().unwrap_or(0.0)),
-                f3(res.ipc()),
-                (res.hierarchy.dprefetches + res.hierarchy.iprefetches).to_string(),
-            ]);
-        }
+    for (name, label, point) in ex4_grid() {
+        let res = point.sim(ctx, scale);
+        let n = res.instructions;
+        t.push_row(vec![
+            name.to_owned(),
+            label.to_owned(),
+            f3(res.hierarchy.l1d.miss_rate()),
+            f2(res.hierarchy.long_dmisses as f64 * 1000.0 / n as f64),
+            f2(res.mean_penalty().unwrap_or(0.0)),
+            f3(res.ipc()),
+            (res.hierarchy.dprefetches + res.hierarchy.iprefetches).to_string(),
+        ]);
     }
     t
 }
+
+/// E-X5 in the registry: its table and the cells the table reads.
+pub const EX5_OCCUPANCY_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex5_occupancy_study",
+    run: ex5_occupancy_study,
+    cells: || cells(profiles(&spec::NAMES), &[Sim]),
+};
 
 /// E-X5: ROB occupancy and where the dispatch slots go — the machine-state
 /// view behind contributor (ii). High mean occupancy means mispredicted
 /// branches dispatch into full windows (long drains); the slot columns
 /// name the bottleneck.
 pub fn ex5_occupancy_study(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_workloads::spec;
-    let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg);
     let mut t = Table::new(
         "ex5_occupancy_study",
         "Extension E-X5: ROB occupancy and dispatch-slot attribution",
@@ -248,12 +284,11 @@ pub fn ex5_occupancy_study(ctx: &Ctx, scale: Scale) -> Table {
             "mean-resolution",
         ],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let res = ctx.sim(&sim, &trace);
+    for point in profiles(&spec::NAMES) {
+        let res = point.sim(ctx, scale);
         let total = res.slots.total().max(1) as f64;
         t.push_row(vec![
-            profile.name.clone(),
+            point.workload.name(),
             f2(res.mean_rob_occupancy()),
             f3(res.rob_full_fraction()),
             f3(res.slots.used as f64 / total),
@@ -266,57 +301,84 @@ pub fn ex5_occupancy_study(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-X6's grid: three benchmarks × three L1D/L2 replacement policies.
+fn ex6_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
+    let variants = [
+        ("lru", ReplacementKind::Lru),
+        ("fifo", ReplacementKind::Fifo),
+        ("random", ReplacementKind::Random),
+    ]
+    .map(|(label, policy)| {
+        let l1d = CacheGeometry::new(32 * 1024, 64, 4, 2)
+            .expect("valid L1D")
+            .with_replacement(policy);
+        let l2 = CacheGeometry::new(1024 * 1024, 64, 8, 12)
+            .expect("valid L2")
+            .with_replacement(policy);
+        let l1i = presets::baseline_4wide().caches.l1i();
+        let caches = HierarchyConfig::new(l1i, l1d, Some(l2), 200).expect("valid hierarchy");
+        (label, baseline_with(|b| b.caches(caches)))
+    });
+    sweep(&["gzip", "parser", "mcf"], "", variants.into())
+}
+
+/// E-X6 in the registry: its table and the cells the table reads.
+pub const EX6_REPLACEMENT_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex6_replacement_study",
+    run: ex6_replacement_study,
+    cells: || cells(ex6_grid().map(|(.., p)| p), &[Sim]),
+};
+
 /// E-X6: cache replacement policies. LRU exploits the workloads' temporal
 /// reuse; FIFO and random give some of it up, and the damage shows as
 /// higher miss rates and lower IPC.
 pub fn ex6_replacement_study(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_uarch::{CacheGeometry, HierarchyConfig, ReplacementKind};
     let mut t = Table::new(
         "ex6_replacement_study",
         "Extension E-X6: L1D/L2 replacement policy",
         &["benchmark", "policy", "l1d-miss-rate", "long-D-MPKI", "IPC"],
     );
-    for name in ["gzip", "parser", "mcf"] {
-        let trace = ctx.named_trace(name, scale);
-        for policy in [
-            ReplacementKind::Lru,
-            ReplacementKind::Fifo,
-            ReplacementKind::Random,
-        ] {
-            let base = presets::baseline_4wide();
-            let l1d = CacheGeometry::new(32 * 1024, 64, 4, 2)
-                .expect("valid L1D")
-                .with_replacement(policy);
-            let l2 = CacheGeometry::new(1024 * 1024, 64, 8, 12)
-                .expect("valid L2")
-                .with_replacement(policy);
-            let caches = HierarchyConfig::new(base.caches.l1i(), l1d, Some(l2), 200)
-                .expect("valid hierarchy");
-            let cfg = base
-                .to_builder()
-                .caches(caches)
-                .build()
-                .expect("valid machine");
-            let res = ctx.sim(&Simulator::new(cfg), &trace);
-            t.push_row(vec![
-                name.to_owned(),
-                policy.to_string(),
-                f3(res.hierarchy.l1d.miss_rate()),
-                f2(res.hierarchy.long_dmisses as f64 * 1000.0 / res.instructions as f64),
-                f3(res.ipc()),
-            ]);
-        }
+    for (name, policy, point) in ex6_grid() {
+        let res = point.sim(ctx, scale);
+        t.push_row(vec![
+            name.to_owned(),
+            policy.to_owned(),
+            f3(res.hierarchy.l1d.miss_rate()),
+            f2(res.hierarchy.long_dmisses as f64 * 1000.0 / res.instructions as f64),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
+
+/// E-X7's grid: four benchmarks × two indirect-target predictors.
+fn ex7_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
+    let variants = [
+        ("btb", IndirectPredictorConfig::BtbLastTarget),
+        (
+            "gtarget",
+            IndirectPredictorConfig::GTarget {
+                entries: 1024,
+                history_bits: 10,
+            },
+        ),
+    ]
+    .map(|(label, p)| (label, baseline_with(|b| b.indirect_predictor(p))));
+    sweep(&["perlbmk", "gap", "eon", "gcc"], "", variants.into())
+}
+
+/// E-X7 in the registry: its table and the cells the table reads.
+pub const EX7_INDIRECT_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex7_indirect_study",
+    run: ex7_indirect_study,
+    cells: || cells(ex7_grid().map(|(.., p)| p), &[Sim]),
+};
 
 /// E-X7: indirect-branch target prediction. Indirect mispredictions are
 /// classified by branch kind from the trace; the gtarget predictor
 /// (history-hashed target cache) recovers the cyclic dispatch sequences a
 /// last-target BTB cannot.
 pub fn ex7_indirect_study(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_trace::BranchKind;
-    use bmp_uarch::IndirectPredictorConfig;
     let mut t = Table::new(
         "ex7_indirect_study",
         "Extension E-X7: indirect-target prediction (BTB last-target vs gtarget)",
@@ -329,8 +391,8 @@ pub fn ex7_indirect_study(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in ["perlbmk", "gap", "eon", "gcc"] {
-        let trace = ctx.named_trace(name, scale);
+    for (name, label, point) in ex7_grid() {
+        let trace = point.trace(ctx, scale);
         let indirect_total = trace
             .iter()
             .filter(|o| {
@@ -338,54 +400,50 @@ pub fn ex7_indirect_study(ctx: &Ctx, scale: Scale) -> Table {
                     .is_some_and(|b| b.kind == BranchKind::IndirectJump)
             })
             .count();
-        for (label, icfg) in [
-            ("btb", IndirectPredictorConfig::BtbLastTarget),
-            (
-                "gtarget",
-                IndirectPredictorConfig::GTarget {
-                    entries: 1024,
-                    history_bits: 10,
-                },
-            ),
-        ] {
-            let cfg = presets::baseline_4wide()
-                .to_builder()
-                .indirect_predictor(icfg)
-                .build()
-                .expect("valid machine");
-            let res = ctx.sim(&Simulator::new(cfg), &trace);
-            let mut indirect_misses = 0usize;
-            let mut cond_misses = 0usize;
-            for m in &res.mispredicts {
-                match trace
-                    .get(m.branch_idx)
-                    .and_then(|o| o.branch_info())
-                    .map(|b| b.kind)
-                {
-                    Some(BranchKind::IndirectJump) => indirect_misses += 1,
-                    Some(BranchKind::Conditional) => cond_misses += 1,
-                    _ => {}
-                }
+        let res = point.sim(ctx, scale);
+        let mut indirect_misses = 0usize;
+        let mut cond_misses = 0usize;
+        for m in &res.mispredicts {
+            match trace
+                .get(m.branch_idx)
+                .and_then(|o| o.branch_info())
+                .map(|b| b.kind)
+            {
+                Some(BranchKind::IndirectJump) => indirect_misses += 1,
+                Some(BranchKind::Conditional) => cond_misses += 1,
+                _ => {}
             }
-            t.push_row(vec![
-                name.to_owned(),
-                label.to_owned(),
-                f3(indirect_misses as f64 / indirect_total.max(1) as f64),
-                indirect_misses.to_string(),
-                cond_misses.to_string(),
-                f3(res.ipc()),
-            ]);
         }
+        t.push_row(vec![
+            name.to_owned(),
+            label.to_owned(),
+            f3(indirect_misses as f64 / indirect_total.max(1) as f64),
+            indirect_misses.to_string(),
+            cond_misses.to_string(),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
+
+/// E-X8's grid: four benchmarks on the baseline, cold and warmed up.
+fn ex8_grid() -> impl Iterator<Item = (&'static str, Point)> {
+    profiles(&["gzip", "gcc", "mcf", "crafty"])
+        .flat_map(|p| [("cold", p.clone()), ("warm", p.with_mode(SimMode::Warmup))])
+}
+
+/// E-X8 in the registry: its table and the cells the table reads.
+pub const EX8_WARMUP_STUDY: ExperimentDef = ExperimentDef {
+    name: "ex8_warmup_study",
+    run: ex8_warmup_study,
+    cells: || cells(ex8_grid().map(|(.., p)| p), &[Sim]),
+};
 
 /// E-X8: measurement methodology — cold start vs. 20% warmup. Compulsory
 /// misses inflate every cold-start rate at laptop-scale trace lengths;
 /// warmup (statistics reset after the first fifth, machine state kept)
 /// recovers the steady state the paper's SimPoint-sampled runs measured.
 pub fn ex8_warmup_study(ctx: &Ctx, scale: Scale) -> Table {
-    use bmp_sim::SimOptions;
     let mut t = Table::new(
         "ex8_warmup_study",
         "Extension E-X8: cold start vs. 20% warmup",
@@ -398,24 +456,17 @@ pub fn ex8_warmup_study(ctx: &Ctx, scale: Scale) -> Table {
             "mean-penalty",
         ],
     );
-    let base = presets::baseline_4wide();
-    for name in ["gzip", "gcc", "mcf", "crafty"] {
-        let trace = ctx.named_trace(name, scale);
-        for (mode, opts) in [
-            ("cold", SimOptions::default()),
-            ("warm", SimOptions::with_warmup(scale.ops as u64 / 5)),
-        ] {
-            let res = ctx.sim(&Simulator::with_options(base.clone(), opts), &trace);
-            let n = res.instructions.max(1);
-            t.push_row(vec![
-                name.to_owned(),
-                mode.to_owned(),
-                f3(res.ipc()),
-                f2(res.hierarchy.long_dmisses as f64 * 1000.0 / n as f64),
-                f2(res.hierarchy.l1i.mpki(n)),
-                f2(res.mean_penalty().unwrap_or(0.0)),
-            ]);
-        }
+    for (mode, point) in ex8_grid() {
+        let res = point.sim(ctx, scale);
+        let n = res.instructions.max(1);
+        t.push_row(vec![
+            point.workload.name(),
+            mode.to_owned(),
+            f3(res.ipc()),
+            f2(res.hierarchy.long_dmisses as f64 * 1000.0 / n as f64),
+            f2(res.hierarchy.l1i.mpki(n)),
+            f2(res.mean_penalty().unwrap_or(0.0)),
+        ]);
     }
     t
 }

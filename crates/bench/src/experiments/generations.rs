@@ -21,21 +21,38 @@
 use std::collections::HashMap;
 
 use bmp_analyze::staticpass::classify;
-use bmp_sim::Simulator;
-use bmp_uarch::presets;
 
-use crate::engine::Ctx;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Classes, Sim};
+use crate::grid::{cells, profiles, Machine, Point, Workload};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
 
 // The generation table lives in `bmp_uarch::presets` so the BMP6xx
 // lints can rebuild the per-predictor machine from a recorded name.
-pub use bmp_uarch::presets::{generation_machine, generation_predictor, GENERATIONS};
+use bmp_uarch::presets::GENERATIONS;
 
 /// The workload mix of the family: the compressible/integer pair the
 /// paper leans on (`gzip`, `gcc`) plus the two most branch-hostile
 /// profiles of the suite (`twolf`, `crafty`).
 pub const GENERATION_WORKLOADS: [&str; 4] = ["gzip", "gcc", "twolf", "crafty"];
+
+/// E-X9's grid: the workload mix × the predictor generations.
+fn generations_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
+    GENERATION_WORKLOADS.into_iter().flat_map(|name| {
+        GENERATIONS.into_iter().map(move |pred| {
+            let point = Point::new(Workload::Profile(name), Machine::Generation(pred));
+            (name, pred, point)
+        })
+    })
+}
+
+/// E-X9 in the registry: its table and the cells the table reads.
+pub const EX_PREDICTOR_GENERATIONS: ExperimentDef = ExperimentDef {
+    name: "ex_predictor_generations",
+    run: ex_predictor_generations,
+    cells: || cells(generations_grid().map(|(.., p)| p), &[Sim, Analysis]),
+};
 
 /// E-X9: MPKI, penalty and IPC across four predictor generations. The
 /// per-event penalty column is the experiment's point: it barely moves
@@ -58,28 +75,24 @@ pub fn ex_predictor_generations(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in GENERATION_WORKLOADS {
-        let trace = ctx.named_trace(name, scale);
-        for pred in GENERATIONS {
-            let cfg = generation_machine(pred).expect("known generation");
-            let res = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-            let analysis = ctx.analyze(&cfg, &trace);
-            let (base, ilp, fu, dmiss) = analysis
-                .mean_contributions()
-                .unwrap_or((0.0, 0.0, 0.0, 0.0));
-            t.push_row(vec![
-                name.to_owned(),
-                pred.to_owned(),
-                f3(res.branch_stats.miss_rate()),
-                f2(res.branch_stats.mpki(res.instructions)),
-                f2(res.mean_penalty().unwrap_or(0.0)),
-                f2(base),
-                f2(ilp),
-                f2(fu),
-                f2(dmiss),
-                f3(res.ipc()),
-            ]);
-        }
+    for (name, pred, point) in generations_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
+        let (base, ilp, fu, dmiss) = analysis
+            .mean_contributions()
+            .unwrap_or((0.0, 0.0, 0.0, 0.0));
+        t.push_row(vec![
+            name.to_owned(),
+            pred.to_owned(),
+            f3(res.branch_stats.miss_rate()),
+            f2(res.branch_stats.mpki(res.instructions)),
+            f2(res.mean_penalty().unwrap_or(0.0)),
+            f2(base),
+            f2(ilp),
+            f2(fu),
+            f2(dmiss),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
@@ -97,6 +110,13 @@ struct ClassTotals {
     refill: u64,
 }
 
+/// E-X10 in the registry: its table and the cells the table reads.
+pub const EX_H2P_CONTRIBUTORS: ExperimentDef = ExperimentDef {
+    name: "ex_h2p_contributors",
+    run: ex_h2p_contributors,
+    cells: || cells(profiles(&GENERATION_WORKLOADS), &[Analysis, Classes]),
+};
+
 /// E-X10: the five-contributor penalty split per branch class (H2P vs
 /// the easy classes) under the baseline machine. Every mispredicted
 /// interval's exact local-resolution decomposition is charged to the
@@ -104,7 +124,6 @@ struct ClassTotals {
 /// `base + ilp + fu + dmiss = local` and `local + refill = total` as
 /// integer identities — the BMP701 lint checks them with no epsilon.
 pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide();
     let mut t = Table::new(
         "ex_h2p_contributors",
         "Extension E-X10: per-class five-contributor penalty split",
@@ -122,17 +141,16 @@ pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
             "total",
         ],
     );
-    for name in GENERATION_WORKLOADS {
-        let trace = ctx.named_trace(name, scale);
-        let compiled = ctx.compiled(&trace);
-        let profiles = classify::classify(&compiled);
+    for point in profiles(&GENERATION_WORKLOADS) {
+        let trace = point.trace(ctx, scale);
+        let profiles = classify::classify(&point.compiled(ctx, scale));
         let class_of: HashMap<u64, classify::BranchClass> =
             profiles.iter().map(|p| (p.pc, p.class)).collect();
         let mut sites: HashMap<classify::BranchClass, u64> = HashMap::new();
         for p in &profiles {
             *sites.entry(p.class).or_default() += 1;
         }
-        let analysis = ctx.analyze(&cfg, &trace);
+        let analysis = point.analysis(ctx, scale);
         let mut totals: HashMap<classify::BranchClass, ClassTotals> = HashMap::new();
         for b in &analysis.breakdowns {
             let class = trace
@@ -156,7 +174,7 @@ pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
         for class in classes {
             let c = totals.get(&class).copied().unwrap_or_default();
             t.push_row(vec![
-                name.to_owned(),
+                point.workload.name(),
                 class.label().to_owned(),
                 sites.get(&class).copied().unwrap_or(0).to_string(),
                 c.intervals.to_string(),

@@ -19,10 +19,11 @@
 //! behaviour, penalty), making the executed-vs-synthetic deltas that
 //! `docs/ISA.md` discusses reproducible numbers rather than prose.
 
-use bmp_sim::Simulator;
-use bmp_uarch::{presets, OpClass};
+use bmp_uarch::OpClass;
 
-use crate::engine::{Ctx, TraceHandle};
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Sim};
+use crate::grid::{cells, kernels, profiles, Point, Workload};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
 
@@ -31,6 +32,13 @@ use crate::{Scale, Table};
 /// uses (compressible/integer pair plus the two most branch-hostile
 /// profiles).
 pub const ISA_COMPARISON_WORKLOADS: [&str; 4] = ["gzip", "gcc", "twolf", "crafty"];
+
+/// E-X11a in the registry: its table and the cells the table reads.
+pub const EX_ISA_CONTRIBUTORS: ExperimentDef = ExperimentDef {
+    name: "ex_isa_contributors",
+    run: ex_isa_contributors,
+    cells: || cells(kernels(), &[Sim, Analysis]),
+};
 
 /// E-X11a: per-kernel five-contributor split under the baseline
 /// machine. Columns mirror `ex_predictor_generations` so the executed
@@ -52,17 +60,15 @@ pub fn ex_isa_contributors(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    let cfg = presets::baseline_4wide();
-    for name in bmp_isa::NAMES {
-        let trace = ctx.kernel_trace(name, scale);
-        let res = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for point in kernels() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
         let (base, ilp, fu, dmiss) = analysis
             .mean_contributions()
             .unwrap_or((0.0, 0.0, 0.0, 0.0));
         t.push_row(vec![
-            name.to_owned(),
-            trace.len().to_string(),
+            point.workload.name(),
+            point.trace(ctx, scale).len().to_string(),
             f3(res.branch_stats.miss_rate()),
             f2(res.branch_stats.mpki(res.instructions)),
             f2(res.mean_penalty().unwrap_or(0.0)),
@@ -76,17 +82,33 @@ pub fn ex_isa_contributors(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-X11b's grid: every executed kernel, then the comparison profiles,
+/// on the baseline machine.
+fn isa_vs_synthetic_grid() -> impl Iterator<Item = Point> {
+    kernels().chain(profiles(&ISA_COMPARISON_WORKLOADS))
+}
+
+/// E-X11b in the registry: its table and the cells the table reads.
+pub const EX_ISA_VS_SYNTHETIC: ExperimentDef = ExperimentDef {
+    name: "ex_isa_vs_synthetic",
+    run: ex_isa_vs_synthetic,
+    cells: || cells(isa_vs_synthetic_grid(), &[Sim, Analysis]),
+};
+
 /// One row of the comparison table, shared by both workload sources.
-fn profile_row(source: &str, name: &str, ctx: &Ctx, trace: &TraceHandle) -> Vec<String> {
-    let cfg = presets::baseline_4wide();
-    let res = ctx.sim(&Simulator::new(cfg.clone()), trace);
-    let stats = trace.stats();
+fn profile_row(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<String> {
+    let source = match point.workload {
+        Workload::Kernel(_) => "executed",
+        _ => "synthetic",
+    };
+    let res = point.sim(ctx, scale);
+    let stats = point.trace(ctx, scale).stats();
     let branch_frac = stats.fraction(OpClass::Branch);
     let mem_frac = stats.fraction(OpClass::Load) + stats.fraction(OpClass::Store);
-    let analysis = ctx.analyze(&cfg, trace);
+    let analysis = point.analysis(ctx, scale);
     vec![
         source.to_owned(),
-        name.to_owned(),
+        point.workload.name(),
         f3(branch_frac),
         f3(mem_frac),
         f2(stats.dep_distances().mean().unwrap_or(0.0)),
@@ -121,13 +143,8 @@ pub fn ex_isa_vs_synthetic(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in bmp_isa::NAMES {
-        let trace = ctx.kernel_trace(name, scale);
-        t.push_row(profile_row("executed", name, ctx, &trace));
-    }
-    for name in ISA_COMPARISON_WORKLOADS {
-        let trace = ctx.named_trace(name, scale);
-        t.push_row(profile_row("synthetic", name, ctx, &trace));
+    for point in isa_vs_synthetic_grid() {
+        t.push_row(profile_row(ctx, scale, &point));
     }
     t
 }

@@ -1,33 +1,25 @@
 //! The sensitivity sweeps E-F6 … E-F9, one per penalty contributor.
 
-use bmp_sim::Simulator;
-use bmp_uarch::fp::fnv1a;
 use bmp_uarch::{presets, LatencyTable, PredictorConfig};
-use bmp_workloads::{micro, spec};
 
-use crate::artifacts::cache_key;
-use crate::engine::{Ctx, TraceHandle};
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Sim};
+use crate::grid::{baseline_with, cells, sweep, Machine, Point, Workload};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
 
-/// Synthesizes (or fetches from the cache) the mispredicting
-/// dependence-chain microbenchmark of E-F7/E-F8, addressed by its full
-/// parameter set.
-fn chain_kernel(ctx: &Ctx, scale: Scale, chain: u32, taken_bias: f64) -> TraceHandle {
-    let key = cache_key(
-        "micro",
-        &[
-            fnv1a(b"branch_resolution_kernel"),
-            scale.ops as u64,
-            u64::from(chain),
-            taken_bias.to_bits(),
-            scale.seed,
-        ],
-    );
-    ctx.keyed_trace(key, || {
-        micro::branch_resolution_kernel(scale.ops, chain, taken_bias, scale.seed)
-    })
+/// E-F6's grid: two benchmarks × six frontend depths.
+fn fig6_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
+    let depths = [1u32, 5, 10, 20, 30, 40].map(|d| (d, baseline_with(|b| b.frontend_depth(d))));
+    sweep(&["twolf", "gcc"], "depth", depths.into())
 }
+
+/// E-F6 in the registry: its table and the cells the table reads.
+pub const FIG6_PIPELINE_DEPTH: ExperimentDef = ExperimentDef {
+    name: "fig6_pipeline_depth",
+    run: fig6_pipeline_depth,
+    cells: || cells(fig6_grid().map(|(.., p)| p), &[Sim, Analysis]),
+};
 
 /// E-F6: penalty versus frontend pipeline depth (contributor i). The
 /// penalty tracks `resolution + depth`: a line of slope one whose offset
@@ -46,24 +38,53 @@ pub fn fig6_pipeline_depth(ctx: &Ctx, scale: Scale) -> Table {
             "IPC",
         ],
     );
-    for name in ["twolf", "gcc"] {
-        let trace = ctx.named_trace(name, scale);
-        for depth in [1u32, 5, 10, 20, 30, 40] {
-            let cfg = presets::deep_frontend(depth).expect("valid depth");
-            let res = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-            let analysis = ctx.analyze(&cfg, &trace);
-            t.push_row(vec![
-                name.to_owned(),
-                depth.to_string(),
-                f2(res.mean_penalty().unwrap_or(0.0)),
-                f2(res.mean_resolution().unwrap_or(0.0)),
-                f2(analysis.mean_penalty().unwrap_or(0.0)),
-                f3(res.ipc()),
-            ]);
-        }
+    for (name, depth, point) in fig6_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
+        t.push_row(vec![
+            name.to_owned(),
+            depth.to_string(),
+            f2(res.mean_penalty().unwrap_or(0.0)),
+            f2(res.mean_resolution().unwrap_or(0.0)),
+            f2(analysis.mean_penalty().unwrap_or(0.0)),
+            f3(res.ipc()),
+        ]);
     }
     t
 }
+
+/// E-F7's grid: a mispredicting mul-chain kernel and a real profile ×
+/// four functional-unit latency scalings.
+fn fig7_grid() -> impl Iterator<Item = (&'static str, f64, Point)> {
+    [
+        (
+            "chain-kernel",
+            Workload::Chain(8),
+            PredictorConfig::AlwaysNotTaken,
+        ),
+        (
+            "twolf",
+            Workload::Profile("twolf"),
+            PredictorConfig::default(),
+        ),
+    ]
+    .into_iter()
+    .flat_map(|(label, workload, predictor)| {
+        [1.0, 1.5, 2.0, 3.0].into_iter().map(move |factor| {
+            let latencies = LatencyTable::default().scaled(factor);
+            let cfg = baseline_with(|b| b.latencies(latencies).predictor(predictor));
+            let machine = Machine::sweep(format!("lat{factor:.1}"), cfg);
+            (label, factor, Point::new(workload, machine))
+        })
+    })
+}
+
+/// E-F7 in the registry: its table and the cells the table reads.
+pub const FIG7_FU_LATENCY: ExperimentDef = ExperimentDef {
+    name: "fig7_fu_latency",
+    run: fig7_fu_latency,
+    cells: || cells(fig7_grid().map(|(.., p)| p), &[Sim, Analysis]),
+};
 
 /// E-F7: penalty versus functional-unit latency scaling (contributor iv).
 pub fn fig7_fu_latency(ctx: &Ctx, scale: Scale) -> Table {
@@ -78,48 +99,46 @@ pub fn fig7_fu_latency(ctx: &Ctx, scale: Scale) -> Table {
             "model-fu-share(iv)",
         ],
     );
-    // A mispredicting mul-chain kernel plus a real profile.
-    let branchy = chain_kernel(ctx, scale, 8, 1.0);
-    let twolf = ctx.named_trace("twolf", scale);
-    for (label, trace, predictor) in [
-        ("chain-kernel", &branchy, PredictorConfig::AlwaysNotTaken),
-        ("twolf", &twolf, PredictorConfig::default()),
-    ] {
-        for factor in [1.0, 1.5, 2.0, 3.0] {
-            let cfg = presets::baseline_4wide()
-                .to_builder()
-                .latencies(LatencyTable::default().scaled(factor))
-                .predictor(predictor)
-                .build()
-                .expect("valid config");
-            let res = ctx.sim(&Simulator::new(cfg.clone()), trace);
-            let analysis = ctx.analyze(&cfg, trace);
-            let fu_share = analysis
-                .mean_contributions()
-                .map(|(_, _, fu, _)| fu)
-                .unwrap_or(0.0);
-            t.push_row(vec![
-                label.to_owned(),
-                f2(factor),
-                f2(res.mean_resolution().unwrap_or(0.0)),
-                f2(analysis.mean_resolution().unwrap_or(0.0)),
-                f2(fu_share),
-            ]);
-        }
+    for (label, factor, point) in fig7_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
+        let fu_share = analysis
+            .mean_contributions()
+            .map(|(_, _, fu, _)| fu)
+            .unwrap_or(0.0);
+        t.push_row(vec![
+            label.to_owned(),
+            f2(factor),
+            f2(res.mean_resolution().unwrap_or(0.0)),
+            f2(analysis.mean_resolution().unwrap_or(0.0)),
+            f2(fu_share),
+        ]);
     }
     t
 }
+
+/// E-F8's grid: the chain microbenchmark at six chain lengths, on the
+/// baseline with an always-not-taken predictor (which mispredicts every
+/// one of its branches).
+fn fig8_grid() -> impl Iterator<Item = (u32, Point)> {
+    let cfg = baseline_with(|b| b.predictor(PredictorConfig::AlwaysNotTaken));
+    [1u32, 2, 4, 8, 16, 32].into_iter().map(move |chain| {
+        let machine = Machine::sweep("not-taken", cfg.clone());
+        (chain, Point::new(Workload::Chain(chain), machine))
+    })
+}
+
+/// E-F8 in the registry: its table and the cells the table reads.
+pub const FIG8_ILP: ExperimentDef = ExperimentDef {
+    name: "fig8_ilp",
+    run: fig8_ilp,
+    cells: || cells(fig8_grid().map(|(_, p)| p), &[Sim, Analysis]),
+};
 
 /// E-F8: resolution time versus the dependence-chain length ahead of the
 /// branch (contributor iii — inherent ILP), on the controlled
 /// microbenchmark.
 pub fn fig8_ilp(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide()
-        .to_builder()
-        .predictor(PredictorConfig::AlwaysNotTaken)
-        .build()
-        .expect("valid config");
-    let sim = Simulator::new(cfg.clone());
     let mut t = Table::new(
         "fig8_ilp",
         "Figure 8 (E-F8): resolution time vs. dependence-chain length before the branch",
@@ -130,10 +149,9 @@ pub fn fig8_ilp(ctx: &Ctx, scale: Scale) -> Table {
             "model-ilp-share(iii)",
         ],
     );
-    for chain in [1u32, 2, 4, 8, 16, 32] {
-        let trace = chain_kernel(ctx, scale, chain, 1.0);
-        let res = ctx.sim(&sim, &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for (chain, point) in fig8_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
         let ilp_share = analysis
             .mean_contributions()
             .map(|(_, ilp, _, _)| ilp)
@@ -148,15 +166,26 @@ pub fn fig8_ilp(ctx: &Ctx, scale: Scale) -> Table {
     t
 }
 
+/// E-F9's grid: the 24 KiB-hot-set parser × five L1 D-cache sizes.
+fn fig9_grid() -> impl Iterator<Item = (u64, Point)> {
+    [4u64, 8, 16, 32, 64].into_iter().map(|kib| {
+        let cfg = presets::l1d_sized(kib * 1024).expect("valid L1D size");
+        let machine = Machine::sweep(format!("l1d{kib}k"), cfg);
+        (kib, Point::new(Workload::HotParser, machine))
+    })
+}
+
+/// E-F9 in the registry: its table and the cells the table reads.
+pub const FIG9_L1D_MISSES: ExperimentDef = ExperimentDef {
+    name: "fig9_l1d_misses",
+    run: fig9_l1d_misses,
+    cells: || cells(fig9_grid().map(|(_, p)| p), &[Sim, Analysis]),
+};
+
 /// E-F9: penalty versus L1 D-cache size (contributor v — short misses).
 /// The workload's hot set is 24 KiB, so small L1s turn its loads into
 /// short misses that stretch the chains feeding branches.
 pub fn fig9_l1d_misses(ctx: &Ctx, scale: Scale) -> Table {
-    let mut profile = spec::by_name("parser").expect("known profile");
-    profile.memory.hot_bytes = 24 * 1024;
-    profile.memory.hot_frac = 0.93;
-    profile.memory.warm_frac = 0.06;
-    let trace = ctx.trace(&profile, scale);
     let mut t = Table::new(
         "fig9_l1d_misses",
         "Figure 9 (E-F9): resolution time vs. L1 D-cache size (24 KiB hot set)",
@@ -168,10 +197,9 @@ pub fn fig9_l1d_misses(ctx: &Ctx, scale: Scale) -> Table {
             "model-short-dmiss-share(v)",
         ],
     );
-    for kib in [4u64, 8, 16, 32, 64] {
-        let cfg = presets::l1d_sized(kib * 1024).expect("valid L1D size");
-        let res = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for (kib, point) in fig9_grid() {
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
         let dmiss_share = analysis
             .mean_contributions()
             .map(|(_, _, _, v)| v)
@@ -268,9 +296,9 @@ mod tests {
     #[test]
     fn chain_kernel_is_cached_by_parameters() {
         let ctx = Ctx::new();
-        let a = chain_kernel(&ctx, tiny(), 4, 1.0);
-        let b = chain_kernel(&ctx, tiny(), 4, 1.0);
-        let c = chain_kernel(&ctx, tiny(), 8, 1.0);
+        let a = Workload::Chain(4).trace(&ctx, tiny());
+        let b = Workload::Chain(4).trace(&ctx, tiny());
+        let c = Workload::Chain(8).trace(&ctx, tiny());
         assert_eq!(a.key(), b.key());
         assert!(std::sync::Arc::ptr_eq(a.trace(), b.trace()));
         assert_ne!(a.key(), c.key());

@@ -1,12 +1,20 @@
 //! E-T1 (machine configuration) and E-T2 (benchmark characteristics).
 
-use bmp_sim::{SimOptions, Simulator};
 use bmp_uarch::{presets, FU_KINDS};
 use bmp_workloads::spec;
 
-use crate::engine::Ctx;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::Sim;
+use crate::grid::{cells, profiles, Point, SimMode};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
+
+/// E-T1 in the registry: a table of constants, with no cells.
+pub const TABLE1_CONFIG: ExperimentDef = ExperimentDef {
+    name: "table1_config",
+    run: |_, _| table1_config(),
+    cells: Vec::new,
+};
 
 /// E-T1: the baseline machine configuration, as the paper's Table 1
 /// lists its processor parameters.
@@ -64,12 +72,23 @@ pub fn table1_config() -> Table {
     t
 }
 
+/// E-T2's grid: every profile on the baseline machine with warmup.
+fn table2_grid() -> impl Iterator<Item = Point> {
+    profiles(&spec::NAMES).map(|p| p.with_mode(SimMode::Warmup))
+}
+
+/// E-T2 in the registry: its table and the cells the table reads.
+pub const TABLE2_BENCHMARKS: ExperimentDef = ExperimentDef {
+    name: "table2_benchmarks",
+    run: table2_benchmarks,
+    cells: || cells(table2_grid(), &[Sim]),
+};
+
 /// E-T2: per-benchmark characteristics of the twelve SPECint2000-like
 /// workloads on the baseline machine. The first 20% of each trace warms
 /// the caches and predictors (statistics reset at the boundary), so the
 /// rates below are steady-state rather than compulsory-miss-dominated.
 pub fn table2_benchmarks(ctx: &Ctx, scale: Scale) -> Table {
-    let cfg = presets::baseline_4wide();
     let mut t = Table::new(
         "table2_benchmarks",
         "Table 2 (E-T2): benchmark characteristics on the baseline machine (20% warmup)",
@@ -84,13 +103,11 @@ pub fn table2_benchmarks(ctx: &Ctx, scale: Scale) -> Table {
             "long-D-MPKI",
         ],
     );
-    let sim = Simulator::with_options(cfg, SimOptions::with_warmup(scale.ops as u64 / 5));
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let res = ctx.sim(&sim, &trace);
+    for point in table2_grid() {
+        let res = point.sim(ctx, scale);
         let n = res.instructions;
         t.push_row(vec![
-            profile.name.clone(),
+            point.workload.name(),
             f3(res.ipc()),
             f3(res.branch_stats.miss_rate()),
             f2(res.branch_stats.mpki(n)),

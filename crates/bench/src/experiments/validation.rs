@@ -2,19 +2,26 @@
 //! simulator.
 
 use bmp_core::{cpi, validate::ValidationReport};
-use bmp_sim::Simulator;
 use bmp_uarch::presets;
 use bmp_workloads::spec;
 
-use crate::engine::Ctx;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::Artifact::{Analysis, Sim};
+use crate::grid::{cells, profiles};
 use crate::table::{f2, f3};
 use crate::{Scale, Table};
+
+/// E-F10 in the registry: its table and the cells the table reads.
+pub const FIG10_MODEL_VALIDATION: ExperimentDef = ExperimentDef {
+    name: "fig10_model_validation",
+    run: fig10_model_validation,
+    cells: || cells(profiles(&spec::NAMES), &[Sim, Analysis]),
+};
 
 /// E-F10: per benchmark, the model's per-misprediction resolution and
 /// CPI against the simulator's measurements.
 pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
     let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg.clone());
     let mut t = Table::new(
         "fig10_model_validation",
         "Figure 10 (E-F10): interval model vs. cycle-level simulation",
@@ -30,10 +37,10 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
             "sched-CPI",
         ],
     );
-    for profile in spec::all_profiles() {
-        let trace = ctx.trace(&profile, scale);
-        let res = ctx.sim(&sim, &trace);
-        let analysis = ctx.analyze(&cfg, &trace);
+    for point in profiles(&spec::NAMES) {
+        let trace = point.trace(ctx, scale);
+        let res = point.sim(ctx, scale);
+        let analysis = point.analysis(ctx, scale);
         let measured: Vec<(usize, u64)> = res
             .mispredicts
             .iter()
@@ -43,7 +50,7 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
         let stack = cpi::predict(&trace, &cfg);
         let sched = cpi::predict_cycles_scheduled(&trace, &cfg) as f64 / trace.len() as f64;
         t.push_row(vec![
-            profile.name.clone(),
+            point.workload.name(),
             f3(v.event_agreement()),
             f2(v.measured_mean().unwrap_or(0.0)),
             f2(v.model_mean().unwrap_or(0.0)),

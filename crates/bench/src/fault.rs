@@ -4,7 +4,7 @@
 //! crash-safe journal, `--resume`) is only trustworthy if it is
 //! exercised, so the harness can be told to fail on purpose. A
 //! [`FaultPlan`] is parsed from the `BMP_FAULT` environment variable (or
-//! `bmp-bench --inject <spec>`) and threaded explicitly to the few
+//! `run_all --inject <spec>`) and threaded explicitly to the few
 //! places that consult it — there is no global state, so tests can
 //! construct plans directly and run in parallel.
 //!
@@ -22,12 +22,29 @@
 //!
 //! * `panic:exp=fig8_ilp` — every attempt of experiment `fig8_ilp`
 //!   panics (so it ultimately fails and lands in the journal);
-//! * `panic:cell=sim:gcc:base:times=1` — the first computation of that
-//!   cell panics, the retry succeeds (proving retry determinism);
-//! * `io:file=fig9_cpi` — writing `fig9_cpi.csv` fails;
-//! * `budget:exp=tab2_penalty` — the experiment runs a sacrificial
+//! * `panic:cell=gcc/sim-baseline:times=1` — the first computation of
+//!   that fan-out cell panics; the cell error is soft, and the owning
+//!   experiments recompute the artifact (proving retry determinism);
+//! * `io:file=fig9_l1d_misses` — writing `fig9_l1d_misses.csv` fails;
+//! * `budget:exp=table2_benchmarks` — the experiment runs a sacrificial
 //!   simulation with a tiny cycle budget, so a *real*
 //!   `SimError::BudgetExceeded` travels the failure path.
+//!
+//! A `cell=` target names a fan-out cell by the label derived from its
+//! typed fields ([`crate::grid::Cell::label`]):
+//!
+//! ```text
+//! label    := workload '/' artifact '-' machine [ '-' mode ]
+//! workload := PROFILE | KERNEL | 'chain' N | 'parser-hot24k'
+//! artifact := 'sim' | 'analysis' | 'classes'
+//! machine  := 'baseline' | 'pred-' GENERATION | SWEEP-TAG
+//! mode     := 'warmup' | 'timeline'            (sim cells only)
+//! ```
+//!
+//! e.g. `gzip/sim-baseline`, `gzip/analysis-baseline`,
+//! `gzip/sim-baseline-warmup`, `gcc/sim-pred-tage`, `twolf/sim-depth20`.
+//! Cells with equal content are fanned out once, under the label of the
+//! first experiment (in registry order) that declares them.
 //!
 //! The `torn-write` and `corrupt` kinds target the persistent artifact
 //! store (`BMP_STORE`, see `docs/STORE.md`): `torn-write` leaves a
@@ -118,8 +135,8 @@ struct FaultRule {
 /// Identifies the unit of work asking "should I fail?".
 ///
 /// Construct with the helpers and chain the optional dimensions:
-/// `FaultSite::exp("fig8_ilp")`, `FaultSite::cell("sim:gcc").index(3)`,
-/// `FaultSite::file("fig9_cpi")`.
+/// `FaultSite::exp("fig8_ilp")`, `FaultSite::cell("gcc/sim-baseline").index(3)`,
+/// `FaultSite::file("fig9_l1d_misses")`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultSite<'a> {
     exp: Option<&'a str>,

@@ -1,0 +1,365 @@
+//! The typed experiment grid: what each unit of the cell fan-out is.
+//!
+//! An experiment declares its work as a grid of [`Point`]s — a workload
+//! source × a machine × sim options — and the [`Artifact`]s its table
+//! reads at each point. The engine fans the resulting [`Cell`]s out over
+//! the pool (deduplicated by [`Cell::key`]), the table body walks the
+//! same grid and finds every artifact in the warm cache, and metrics
+//! collection (`crate::metrics`) matches the same typed fields. A cell's
+//! display label is derived from its fields; the grammar is documented
+//! with the fault rules that target it ([`crate::fault`]).
+
+use std::fmt::Display;
+use std::sync::Arc;
+
+use bmp_core::PenaltyAnalysis;
+use bmp_sim::{SimOptions, SimResult, Simulator};
+use bmp_trace::CompiledTrace;
+use bmp_uarch::fp::fnv1a;
+use bmp_uarch::{presets, MachineConfig, MachineConfigBuilder};
+use bmp_workloads::{micro, spec};
+
+use crate::artifacts::cache_key;
+use crate::engine::{Ctx, TraceHandle};
+use crate::error::CellError;
+use crate::Scale;
+
+/// Where a grid point's trace comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// A SPEC-like statistical profile from [`spec::NAMES`].
+    Profile(&'static str),
+    /// An executed RV32IM kernel from [`bmp_isa::NAMES`].
+    Kernel(&'static str),
+    /// The mispredicting dependence-chain microbenchmark of E-F7/E-F8
+    /// (`micro::branch_resolution_kernel`, every branch taken) with this
+    /// many chained ops ahead of each branch.
+    Chain(u32),
+    /// E-F9's profile: `parser` with a 24 KiB hot set, so small L1s turn
+    /// its loads into short misses.
+    HotParser,
+}
+
+impl Workload {
+    /// The name in cell labels: the profile or kernel name, `chain<N>`
+    /// or `parser-hot24k`.
+    pub fn name(&self) -> String {
+        match self {
+            Workload::Profile(name) | Workload::Kernel(name) => (*name).to_owned(),
+            Workload::Chain(chain) => format!("chain{chain}"),
+            Workload::HotParser => "parser-hot24k".to_owned(),
+        }
+    }
+
+    /// The trace at `scale`, through the shared cache.
+    ///
+    /// # Panics
+    ///
+    /// With a structured [`CellError`] payload for a profile or kernel
+    /// name the registries do not know.
+    pub fn trace(&self, ctx: &Ctx, scale: Scale) -> TraceHandle {
+        match *self {
+            Workload::Profile(name) => ctx.named_trace(name, scale),
+            Workload::Kernel(name) => ctx.kernel_trace(name, scale),
+            Workload::Chain(chain) => {
+                const TAKEN_BIAS: f64 = 1.0;
+                let params = [
+                    fnv1a(b"branch_resolution_kernel"),
+                    scale.ops as u64,
+                    u64::from(chain),
+                    TAKEN_BIAS.to_bits(),
+                    scale.seed,
+                ];
+                ctx.keyed_trace(cache_key("micro", &params), || {
+                    micro::branch_resolution_kernel(scale.ops, chain, TAKEN_BIAS, scale.seed)
+                })
+            }
+            Workload::HotParser => {
+                let mut profile = spec::by_name("parser").expect("known profile");
+                profile.memory.hot_bytes = 24 * 1024;
+                profile.memory.hot_frac = 0.93;
+                profile.memory.warm_frac = 0.06;
+                ctx.trace(&profile, scale)
+            }
+        }
+    }
+}
+
+/// The machine a grid point runs on.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Machine {
+    /// `presets::baseline_4wide()`.
+    Baseline,
+    /// The baseline with a predictor generation from
+    /// [`presets::GENERATIONS`] swapped in.
+    Generation(&'static str),
+    /// An explicit sweep configuration named `tag`. A sweep point stays a
+    /// sweep even when it equals the baseline, so metrics collection never
+    /// takes it for the baseline epoch.
+    Sweep {
+        /// The name in cell labels.
+        tag: String,
+        /// The configuration.
+        config: Box<MachineConfig>,
+    },
+}
+
+impl Machine {
+    /// A sweep point named `tag`.
+    pub fn sweep(tag: impl Into<String>, config: MachineConfig) -> Self {
+        let (tag, config) = (tag.into(), Box::new(config));
+        Machine::Sweep { tag, config }
+    }
+
+    /// The machine configuration.
+    ///
+    /// # Panics
+    ///
+    /// With a structured [`CellError`] payload for an unknown generation.
+    pub fn config(&self) -> MachineConfig {
+        match self {
+            Machine::Baseline => presets::baseline_4wide(),
+            Machine::Generation(pred) => presets::generation_machine(pred).unwrap_or_else(|| {
+                let message = format!("unknown predictor generation `{pred}`");
+                std::panic::panic_any(CellError::invalid_config(format!("pred-{pred}"), message))
+            }),
+            Machine::Sweep { config, .. } => MachineConfig::clone(config),
+        }
+    }
+}
+
+/// The simulator options of a grid point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimMode {
+    /// Cold start: the default options.
+    Cold,
+    /// Statistics reset after the first 20% of the trace.
+    Warmup,
+    /// Cold start, recording the per-cycle dispatch timeline (E-F1).
+    Timeline,
+}
+
+/// What a cell computes at its point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// The simulation under the point's machine and mode.
+    Sim,
+    /// The interval-model analysis under the point's machine.
+    Analysis,
+    /// The compiled trace the per-branch-class attribution classifies.
+    Classes,
+}
+
+/// One `(workload × machine × sim options)` point of an experiment grid,
+/// with the artifacts a table reads there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point {
+    /// Where the trace comes from.
+    pub workload: Workload,
+    /// The machine simulated and analysed.
+    pub machine: Machine,
+    /// The simulator options.
+    pub mode: SimMode,
+}
+
+impl Point {
+    /// A cold-start point.
+    pub fn new(workload: Workload, machine: Machine) -> Self {
+        let mode = SimMode::Cold;
+        Self {
+            workload,
+            machine,
+            mode,
+        }
+    }
+
+    /// A cold-start point on the baseline machine.
+    pub fn baseline(workload: Workload) -> Self {
+        Self::new(workload, Machine::Baseline)
+    }
+
+    /// The same point simulated in `mode`.
+    pub fn with_mode(self, mode: SimMode) -> Self {
+        Self { mode, ..self }
+    }
+
+    /// The point's trace.
+    pub fn trace(&self, ctx: &Ctx, scale: Scale) -> TraceHandle {
+        self.workload.trace(ctx, scale)
+    }
+
+    /// The point's simulation.
+    pub fn sim(&self, ctx: &Ctx, scale: Scale) -> Arc<SimResult> {
+        let options = match self.mode {
+            SimMode::Cold => SimOptions::default(),
+            SimMode::Warmup => SimOptions::with_warmup(scale.ops as u64 / 5),
+            SimMode::Timeline => SimOptions::with_timeline(),
+        };
+        let sim = Simulator::with_options(self.machine.config(), options);
+        ctx.sim(&sim, &self.trace(ctx, scale))
+    }
+
+    /// The point's interval-model analysis.
+    pub fn analysis(&self, ctx: &Ctx, scale: Scale) -> Arc<PenaltyAnalysis> {
+        ctx.analyze(&self.machine.config(), &self.trace(ctx, scale))
+    }
+
+    /// The point's compiled trace.
+    pub fn compiled(&self, ctx: &Ctx, scale: Scale) -> Arc<CompiledTrace> {
+        ctx.compiled(&self.trace(ctx, scale))
+    }
+
+    /// The cell computing `artifact` at this point. Only a simulation
+    /// depends on the sim options, so any other artifact's cell is
+    /// normalized to a cold-start point.
+    pub fn cell(&self, artifact: Artifact) -> Cell {
+        let mut point = self.clone();
+        if artifact != Artifact::Sim {
+            point.mode = SimMode::Cold;
+        }
+        Cell { point, artifact }
+    }
+}
+
+/// One unit of the engine's fan-out: an artifact at a grid point.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Where the artifact is computed.
+    pub point: Point,
+    /// What is computed.
+    pub artifact: Artifact,
+}
+
+impl Cell {
+    /// The content key: cells with equal keys compute the same artifact,
+    /// so the fan-out runs one of them. It covers the workload, the
+    /// machine configuration (not its tag), the sim options and the
+    /// artifact kind.
+    pub fn key(&self) -> u64 {
+        let workload = fnv1a(self.point.workload.name().as_bytes());
+        let machine = self.point.machine.config().fingerprint();
+        let (mode, artifact) = (self.point.mode as u64, self.artifact as u64);
+        cache_key("cell", &[workload, machine, mode, artifact])
+    }
+
+    /// The display label, `workload/artifact-machine[-mode]`.
+    pub fn label(&self) -> String {
+        let artifact = match self.artifact {
+            Artifact::Sim => "sim",
+            Artifact::Analysis => "analysis",
+            Artifact::Classes => "classes",
+        };
+        let machine = match &self.point.machine {
+            Machine::Baseline => "baseline".to_owned(),
+            Machine::Generation(pred) => format!("pred-{pred}"),
+            Machine::Sweep { tag, .. } => tag.clone(),
+        };
+        let mode = match self.point.mode {
+            SimMode::Cold => "",
+            SimMode::Warmup => "-warmup",
+            SimMode::Timeline => "-timeline",
+        };
+        format!("{}/{artifact}-{machine}{mode}", self.point.workload.name())
+    }
+
+    /// Computes the cell's artifact into the shared context.
+    pub(crate) fn run(&self, ctx: &Ctx, scale: Scale) {
+        match self.artifact {
+            Artifact::Sim => drop(self.point.sim(ctx, scale)),
+            Artifact::Analysis => drop(self.point.analysis(ctx, scale)),
+            Artifact::Classes => drop(self.point.compiled(ctx, scale)),
+        }
+    }
+}
+
+/// The cells computing each of `artifacts` at every point of `grid`.
+pub(crate) fn cells(grid: impl IntoIterator<Item = Point>, artifacts: &[Artifact]) -> Vec<Cell> {
+    grid.into_iter()
+        .flat_map(|point| artifacts.iter().map(move |&a| point.cell(a)))
+        .collect()
+}
+
+/// The baseline machine with `edit` applied to its builder: a sweep
+/// point's configuration.
+///
+/// # Panics
+///
+/// If the edited configuration does not validate.
+pub(crate) fn baseline_with(
+    edit: impl FnOnce(&mut MachineConfigBuilder) -> &mut MachineConfigBuilder,
+) -> MachineConfig {
+    let mut builder = presets::baseline_4wide().to_builder();
+    edit(&mut builder).build().expect("valid sweep machine")
+}
+
+/// A sweep over named profiles: every profile × every `(key, config)`
+/// variant, profile-major, as `(profile, key, point)` rows. Each sweep
+/// machine's tag is `prefix` followed by its key.
+pub(crate) fn sweep<K: Display + Clone>(
+    names: &'static [&'static str],
+    prefix: &'static str,
+    variants: Vec<(K, MachineConfig)>,
+) -> impl Iterator<Item = (&'static str, K, Point)> {
+    names.iter().flat_map(move |&name| {
+        variants.clone().into_iter().map(move |(key, cfg)| {
+            let machine = Machine::sweep(format!("{prefix}{key}"), cfg);
+            (name, key, Point::new(Workload::Profile(name), machine))
+        })
+    })
+}
+
+/// Cold-start baseline points over the named profiles.
+pub(crate) fn profiles(names: &'static [&'static str]) -> impl Iterator<Item = Point> {
+    names.iter().map(|&n| Point::baseline(Workload::Profile(n)))
+}
+
+/// Cold-start baseline points over every executed kernel.
+pub(crate) fn kernels() -> impl Iterator<Item = Point> {
+    bmp_isa::NAMES
+        .map(|n| Point::baseline(Workload::Kernel(n)))
+        .into_iter()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use Artifact::{Analysis, Classes, Sim};
+
+    #[test]
+    fn labels_follow_the_grammar() {
+        let gzip = Point::baseline(Workload::Profile("gzip"));
+        let warm = gzip.clone().with_mode(SimMode::Warmup);
+        let gen = Point::new(Workload::Profile("gcc"), Machine::Generation("tage"));
+        let lat = Machine::sweep("lat1.5", presets::baseline_4wide());
+        let chain = Point::new(Workload::Chain(8), lat);
+        let hot = Point::baseline(Workload::HotParser);
+        let labels = [
+            (gzip.cell(Sim), "gzip/sim-baseline"),
+            (gzip.cell(Analysis), "gzip/analysis-baseline"),
+            (warm.cell(Sim), "gzip/sim-baseline-warmup"),
+            (warm.cell(Analysis), "gzip/analysis-baseline"),
+            (gen.cell(Sim), "gcc/sim-pred-tage"),
+            (chain.cell(Analysis), "chain8/analysis-lat1.5"),
+            (hot.cell(Classes), "parser-hot24k/classes-baseline"),
+        ];
+        for (cell, label) in labels {
+            assert_eq!(cell.label(), label);
+        }
+    }
+
+    #[test]
+    fn keys_follow_content_not_tags() {
+        let key = |p: &Point, a| p.cell(a).key();
+        let gzip = |machine| Point::new(Workload::Profile("gzip"), machine);
+        let base = gzip(Machine::Baseline);
+        let depth = |d| Machine::sweep("depth5", presets::deep_frontend(d).unwrap());
+        // A sweep point equal to the baseline is the same work.
+        assert_eq!(key(&base, Sim), key(&gzip(depth(5)), Sim));
+        assert_ne!(key(&base, Sim), key(&gzip(depth(20)), Sim));
+        assert_ne!(key(&base, Sim), key(&base, Analysis));
+        // Sim options key sim cells only: an analysis ignores them.
+        let warm = base.clone().with_mode(SimMode::Warmup);
+        assert_ne!(key(&base, Sim), key(&warm, Sim));
+        assert_eq!(key(&base, Analysis), key(&warm, Analysis));
+    }
+}

@@ -3,21 +3,23 @@
 //! Every table and figure of the reconstructed evaluation (see
 //! `DESIGN.md`, experiment index E-T1 … E-F11 and E-X1 … E-X11) is
 //! implemented as a function in [`experiments`] returning a [`Table`],
-//! and named once in the [`engine`]'s registry. The `run_all` binary is
-//! the one way to run them: all of them by default, or a subset with
-//! `--only NAME[,NAME]` (see [`engine::defs_named`]). It schedules the
-//! selection through the fault-tolerant [`engine`]: experiments fan out
-//! over a work-stealing [`pool`], and every synthesized trace, simulation
-//! result and interval-model analysis is computed once into the shared
-//! content-addressed [`artifacts`] cache. Each table is written to
+//! and named once in the [`engine`]'s registry together with its typed
+//! [`grid`] of cells. The `run_all` binary is the one way to run them:
+//! all of them by default, or a subset with `--only NAME[,NAME]` (see
+//! [`engine::defs_named`]). It schedules the selection through the
+//! fault-tolerant [`engine`]: the experiments' cells fan out over a
+//! work-stealing [`pool`], every synthesized trace, simulation result
+//! and interval-model analysis is computed once into the shared
+//! content-addressed [`artifacts`] cache, and each table body assembles
+//! its rows from that cache. Each table is written to
 //! `results/<name>.csv`.
 //!
 //! Experiments scale with the `BMP_OPS` environment variable (dynamic
 //! instructions per workload; default 200 000) and `BMP_SEED` (default
 //! 42), so CI can run cheap versions and full runs stay reproducible.
-//! `BMP_THREADS` picks the worker count (default: available parallelism;
-//! `1` is the exact legacy sequential path). Results are independent of
-//! the thread count, byte for byte.
+//! `BMP_THREADS` picks the worker count (default: available
+//! parallelism); every count runs the same schedule, and results are
+//! independent of it, byte for byte.
 //!
 //! `BMP_METRICS=1` turns on the observability layer: simulations collect
 //! per-interval accounting records and `run_all` writes one aggregated
@@ -34,6 +36,7 @@ pub mod engine;
 pub mod error;
 pub mod experiments;
 pub mod fault;
+pub mod grid;
 pub mod metrics;
 pub mod pool;
 pub mod report;

@@ -24,11 +24,11 @@ use bmp_analyze::staticpass::classify;
 use bmp_core::accounting::records_from_analysis;
 use bmp_core::metrics::ClassPenalty;
 use bmp_core::{cpi, ExperimentMetrics, ModelMetrics, PenaltyAnalysis, WorkloadMetrics};
-use bmp_sim::{SimOptions, SimResult, Simulator};
-use bmp_uarch::{presets, MachineConfig};
+use bmp_sim::SimResult;
+use bmp_uarch::presets;
 
-use crate::engine::{Ctx, ExperimentDef, TraceHandle};
-use crate::experiments::generation_machine;
+use crate::engine::{Ctx, ExperimentDef};
+use crate::grid::{Artifact, Machine, Point, SimMode, Workload};
 use crate::{write_atomic, Scale};
 
 /// Whether metrics collection is on for this process: `BMP_METRICS=1`.
@@ -137,15 +137,14 @@ impl MetricsRecorder {
     }
 }
 
-/// The per-branch-class penalty attribution of `trace` under `cfg`:
-/// classifies every static site from the compiled trace and charges the
-/// static pass's per-interval local resolutions (plus refills) to the
-/// terminating site's class. Pure cache lookups when a
-/// `classes-baseline` / `analysis-pred-*` cell warmed the context.
-fn class_penalties(ctx: &Ctx, cfg: &MachineConfig, trace: &TraceHandle) -> Vec<ClassPenalty> {
-    let bounds = ctx.static_bounds(cfg, trace);
-    let compiled = ctx.compiled(trace);
-    let profiles = classify::classify(&compiled);
+/// The per-branch-class penalty attribution at `point`: classifies
+/// every static site from the compiled trace and charges the static
+/// pass's per-interval local resolutions (plus refills) under the
+/// point's machine to the terminating site's class.
+fn class_penalties(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<ClassPenalty> {
+    let cfg = point.machine.config();
+    let bounds = ctx.static_bounds(&cfg, &point.trace(ctx, scale));
+    let profiles = classify::classify(&point.compiled(ctx, scale));
     classify::attribute(&profiles, &bounds.interval_terms, cfg.frontend_depth)
         .into_iter()
         .map(|a| ClassPenalty {
@@ -158,98 +157,64 @@ fn class_penalties(ctx: &Ctx, cfg: &MachineConfig, trace: &TraceHandle) -> Vec<C
         .collect()
 }
 
-/// Builds the metrics document for one settled experiment by replaying
-/// its declared cells against the warm [`Ctx`] cache.
+/// Builds the metrics document for one settled experiment from its
+/// declared cells and the warm [`Ctx`] cache, matching the cells' typed
+/// fields (the rules are in `docs/OBSERVABILITY.md`): baseline sim cells
+/// give the measured epoch (cold start preferred to warmup), baseline
+/// analysis and classes cells the model section and the per-class
+/// attribution, and generation cells one entry per predictor. Sweep
+/// machines, timeline sims, the chain microbenchmark and fig9's custom
+/// profile are never recorded.
 ///
-/// Every lookup here is a cache hit for work the experiment already
-/// did — the same `(simulator fingerprint, trace key)` addresses — so
-/// collection adds no simulation time. Workloads are recognized from
-/// the cell labels (`{workload}/sim-baseline`, `{workload}/sim-warmup`,
-/// `{workload}/analysis-baseline`, the predictor-generation family
-/// `{workload}/sim-pred-{p}` / `{workload}/analysis-pred-{p}` /
-/// `{workload}/classes-baseline`, and the executed-kernel family
-/// `{kernel}/kernel-sim` / `{kernel}/kernel-analysis`, whose traces
-/// come from the `bmp-isa` executor instead of the profile registry);
-/// trace-only and oracle cells carry no accounting and are skipped, as
-/// are experiments whose sweeps use no shared cells at all (their
-/// metrics file has an empty `workloads` array).
+/// Every simulation and analysis read here is a cache hit for a cell
+/// the experiment computed; only the static pass behind a class
+/// attribution is computed here, on demand.
 pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> ExperimentMetrics {
     let mut recorder = MetricsRecorder::new(def.name, scale);
-    // Group the experiment's cell kinds by workload, preserving the
-    // declaration order (the recorder sorts by name at the end).
-    let mut per_workload: Vec<(String, Vec<String>)> = Vec::new();
-    for cell in (def.cells)() {
-        if let Some((wl, kind)) = cell.label.split_once('/') {
-            match per_workload.iter_mut().find(|(name, _)| name == wl) {
-                Some((_, kinds)) => kinds.push(kind.to_string()),
-                None => per_workload.push((wl.to_string(), vec![kind.to_string()])),
-            }
+    let cells = (def.cells)();
+    let has = |point: &Point, artifact| {
+        cells
+            .iter()
+            .any(|c| c.artifact == artifact && c.point == *point)
+    };
+    let baseline_pred = presets::baseline_4wide().predictor.name();
+    let mut workloads: Vec<Workload> = Vec::new();
+    for c in &cells {
+        let named = matches!(c.point.workload, Workload::Profile(_) | Workload::Kernel(_));
+        if named && !workloads.contains(&c.point.workload) {
+            workloads.push(c.point.workload);
         }
     }
-    let baseline = presets::baseline_4wide();
-    let baseline_pred = baseline.predictor.name();
-    for (workload, kinds) in &per_workload {
-        // Statistical profiles and executed kernels share the label
-        // namespace (disjoint name sets); resolve through whichever
-        // source knows the name.
-        let trace = match ctx.try_named_trace(workload, scale) {
-            Ok(t) => t,
-            Err(_) => match ctx.try_kernel_trace(workload, scale) {
-                Ok(t) => t,
-                Err(_) => continue,
-            },
-        };
-        // Prefer the plain baseline simulation; ex8 pairs it with a
-        // warmup run and the baseline is the comparable epoch.
-        let sim = if kinds
-            .iter()
-            .any(|k| k == "sim-baseline" || k == "kernel-sim")
-        {
-            Some(Simulator::new(baseline.clone()))
-        } else if kinds.iter().any(|k| k == "sim-warmup") {
-            Some(Simulator::with_options(
-                baseline.clone(),
-                SimOptions::with_warmup(scale.ops as u64 / 5),
-            ))
-        } else {
-            None
-        };
-        if let Some(sim) = sim {
-            let result = ctx.sim(&sim, &trace);
-            recorder.record_sim(workload, baseline_pred, &result);
+    for workload in workloads {
+        let name = workload.name();
+        let base = Point::baseline(workload);
+        let epoch = [SimMode::Cold, SimMode::Warmup]
+            .into_iter()
+            .map(|mode| base.clone().with_mode(mode))
+            .find(|p| has(p, Artifact::Sim));
+        if let Some(p) = epoch {
+            recorder.record_sim(&name, baseline_pred, &p.sim(ctx, scale));
         }
-        if kinds
-            .iter()
-            .any(|k| k == "analysis-baseline" || k == "kernel-analysis")
-        {
-            let analysis = ctx.analyze(&baseline, &trace);
-            let stack = cpi::predict(&trace, &baseline);
-            recorder.record_model(workload, baseline_pred, &analysis, stack);
+        if has(&base, Artifact::Analysis) {
+            let stack = cpi::predict(&base.trace(ctx, scale), &base.machine.config());
+            recorder.record_model(&name, baseline_pred, &base.analysis(ctx, scale), stack);
         }
-        if kinds.iter().any(|k| k == "classes-baseline") {
-            recorder.record_classes(
-                workload,
-                baseline_pred,
-                class_penalties(ctx, &baseline, &trace),
-            );
+        if has(&base, Artifact::Classes) {
+            recorder.record_classes(&name, baseline_pred, class_penalties(ctx, scale, &base));
         }
-        // Predictor-generation cells: one entry per (workload, predictor),
-        // with the model and the per-class attribution attached when the
-        // matching analysis cell warmed the caches.
-        for kind in kinds {
-            let Some(pred) = kind.strip_prefix("sim-pred-") else {
+        for c in &cells {
+            let Machine::Generation(pred) = c.point.machine else {
                 continue;
             };
-            let Some(cfg) = generation_machine(pred) else {
+            if c.point.workload != workload || c.artifact != Artifact::Sim {
                 continue;
-            };
-            let result = ctx.sim(&Simulator::new(cfg.clone()), &trace);
-            recorder.record_sim(workload, pred, &result);
-            if kinds.iter().any(|k| k == &format!("analysis-pred-{pred}")) {
-                let analysis = ctx.analyze(&cfg, &trace);
-                let stack = cpi::predict(&trace, &cfg);
-                recorder.record_model(workload, pred, &analysis, stack);
-                recorder.record_classes(workload, pred, class_penalties(ctx, &cfg, &trace));
+            }
+            recorder.record_sim(&name, pred, &c.point.sim(ctx, scale));
+            if has(&c.point, Artifact::Analysis) {
+                let stack = cpi::predict(&c.point.trace(ctx, scale), &c.point.machine.config());
+                let analysis = c.point.analysis(ctx, scale);
+                recorder.record_model(&name, pred, &analysis, stack);
+                recorder.record_classes(&name, pred, class_penalties(ctx, scale, &c.point));
             }
         }
     }
@@ -362,11 +327,15 @@ mod tests {
     #[test]
     fn cell_free_experiments_produce_empty_documents() {
         let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
-        let doc = collect_experiment(&ctx, &def("fig8_ilp"), scale());
-        assert!(doc.workloads.is_empty());
-        // Still a valid, round-trippable document.
-        let back = ExperimentMetrics::parse(&doc.to_json()).unwrap();
-        assert_eq!(back, doc);
+        // table1 has no cells; fig8 and fig6 have only sweep cells (fig6's
+        // depth-5 point equals the baseline and is still not recorded).
+        for name in ["table1_config", "fig8_ilp", "fig6_pipeline_depth"] {
+            let doc = collect_experiment(&ctx, &def(name), scale());
+            assert!(doc.workloads.is_empty(), "{name}");
+            // Still a valid, round-trippable document.
+            let back = ExperimentMetrics::parse(&doc.to_json()).unwrap();
+            assert_eq!(back, doc);
+        }
     }
 
     #[test]

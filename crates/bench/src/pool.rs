@@ -10,7 +10,7 @@
 //! output never is.
 //!
 //! `threads == 1` bypasses the pool entirely and runs the jobs inline in
-//! index order on the calling thread (the exact legacy sequential path).
+//! index order on the calling thread.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

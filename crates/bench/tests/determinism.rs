@@ -1,7 +1,8 @@
 //! The engine's central guarantee: the produced tables are byte-identical
-//! for any thread count. `BMP_THREADS=1` is the exact legacy sequential
-//! path (no cell fan-out), so comparing it against an 8-worker run covers
-//! both phases of the job graph, the result merge order, and the cache.
+//! for any thread count. Every count runs the same cell fan-out and
+//! experiment schedule — `BMP_THREADS=1` runs both phases inline — so
+//! comparing it against an 8-worker run covers the result merge order and
+//! the cache under concurrency, and the work done must match exactly.
 
 use bmp_bench::engine::{defs_named, RunPolicy, TolerantReport};
 use bmp_bench::{Engine, FaultPlan, Scale};
@@ -41,8 +42,8 @@ fn run(engine: &Engine, names: &[&str]) -> (Vec<(String, String)>, TolerantRepor
 
 #[test]
 fn results_are_identical_for_any_thread_count() {
-    let (sequential, _) = run(&Engine::new(1), SUBSET);
-    let (parallel, _) = run(&Engine::new(8), SUBSET);
+    let (sequential, seq_report) = run(&Engine::new(1), SUBSET);
+    let (parallel, par_report) = run(&Engine::new(8), SUBSET);
 
     assert_eq!(sequential.len(), SUBSET.len());
     assert_eq!(parallel.len(), SUBSET.len());
@@ -53,6 +54,22 @@ fn results_are_identical_for_any_thread_count() {
             "{seq_id}: 1-thread and 8-thread CSVs must match byte for byte"
         );
     }
+    // One schedule: the same cells fan out and the same artifacts are
+    // computed at either thread count.
+    let work = |r: &TolerantReport| {
+        let c = r.cache;
+        (
+            r.cells,
+            r.cells_requested,
+            [
+                c.trace_misses,
+                c.sim_misses,
+                c.analysis_misses,
+                c.static_misses,
+            ],
+        )
+    };
+    assert_eq!(work(&seq_report), work(&par_report));
 }
 
 #[test]
