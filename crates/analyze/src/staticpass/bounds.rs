@@ -329,7 +329,7 @@ pub fn compute_with(
             params,
             &cfg.latencies,
             l1_hit,
-            &outcome.load_latency[iv.start..=iv.end],
+            |i| outcome.load_latency(iv.start + i),
             &mut scratch,
         );
         n += 1;

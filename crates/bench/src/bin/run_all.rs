@@ -322,6 +322,8 @@ fn main() -> ExitCode {
     // run's warm cache (only the static pass itself is new work).
     if !selecting {
         report.surrogate = bmp_bench::surrogate::collect(engine.ctx(), scale);
+        // The cache counters cover the surrogate's lookups too.
+        report.cache = engine.ctx().cache_stats();
     }
 
     // Tables in stable registry order, printed after the run so worker

@@ -30,7 +30,7 @@ use bmp_analyze::StaticBounds;
 use bmp_core::json::Value;
 use bmp_core::json_object;
 use bmp_core::store::DiskStore;
-use bmp_core::{PenaltyAnalysis, PenaltyModel};
+use bmp_core::{FunctionalOutcome, PenaltyAnalysis, PenaltyModel};
 use bmp_sim::{SimOptions, SimResult, Simulator};
 use bmp_uarch::{presets, MachineConfig, OpClass};
 use bmp_workloads::{micro, spec, WorkloadProfile};
@@ -128,6 +128,7 @@ pub struct Ctx {
     compiled: Memo<CompiledTrace>,
     superblocks: Memo<bmp_trace::SuperblockMap>,
     sims: Memo<SimResult>,
+    functional: Memo<FunctionalOutcome>,
     analyses: Memo<PenaltyAnalysis>,
     statics: Memo<StaticBounds>,
     engine: EngineChoice,
@@ -179,6 +180,7 @@ impl Ctx {
             compiled: Memo::default(),
             superblocks: Memo::default(),
             sims: Memo::default(),
+            functional: Memo::default(),
             analyses: Memo::default(),
             statics: Memo::default(),
             engine,
@@ -420,13 +422,35 @@ impl Ctx {
         res
     }
 
+    /// The functional pass of `cfg`'s predictors and caches over
+    /// `trace` — the miss-event stream and the per-load latencies —
+    /// cached by `(trace key, FunctionalOutcome::config_fingerprint)`.
+    /// The pass reads no timing parameter, so every depth, width,
+    /// window and latency point of one trace shares it. Timed under the
+    /// analysis phase.
+    pub fn functional(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<FunctionalOutcome> {
+        let key = cache_key(
+            "functional",
+            &[FunctionalOutcome::config_fingerprint(cfg), trace.key],
+        );
+        self.functional.get_or_compute(key, || {
+            let t0 = Instant::now();
+            let outcome = FunctionalOutcome::compute(trace, cfg);
+            PhaseNanos::add(&self.phases.analysis, t0);
+            outcome
+        })
+    }
+
     /// The interval-model analysis of `trace` under `cfg`, cached by
-    /// `(config fingerprint, trace key)`.
+    /// `(config fingerprint, trace key)`, over the cached
+    /// [`functional`](Ctx::functional) pass.
     pub fn analyze(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<PenaltyAnalysis> {
         let key = cache_key("analysis", &[cfg.fingerprint(), trace.key]);
         self.analyses.get_or_compute(key, || {
+            // Resolved outside the timer: the pass times itself.
+            let outcome = self.functional(cfg, trace);
             let t0 = Instant::now();
-            let a = PenaltyModel::new(cfg.clone()).analyze(trace);
+            let a = PenaltyModel::new(cfg.clone()).analyze_with(trace, &outcome);
             PhaseNanos::add(&self.phases.analysis, t0);
             a
         })
@@ -434,13 +458,15 @@ impl Ctx {
 
     /// The dependence-graph static bounds of `trace` under `cfg` (see
     /// `bmp_analyze::staticpass`), cached by `(config fingerprint,
-    /// trace key)`. The pass replays the interval model's schedule, so
-    /// its time is attributed to the analysis phase.
+    /// trace key)`, over the cached [`functional`](Ctx::functional)
+    /// pass. The pass replays the interval model's schedule, so its
+    /// time is attributed to the analysis phase.
     pub fn static_bounds(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<StaticBounds> {
         let key = cache_key("static", &[cfg.fingerprint(), trace.key]);
         self.statics.get_or_compute(key, || {
+            let outcome = self.functional(cfg, trace);
             let t0 = Instant::now();
-            let b = bmp_analyze::staticpass::bounds::compute(cfg, trace);
+            let b = bmp_analyze::staticpass::bounds::compute_with(cfg, trace, &outcome);
             PhaseNanos::add(&self.phases.analysis, t0);
             b
         })
@@ -457,6 +483,8 @@ impl Ctx {
             superblock_misses: self.superblocks.stats().misses(),
             sim_hits: self.sims.stats().hits(),
             sim_misses: self.sims.stats().misses(),
+            functional_hits: self.functional.stats().hits(),
+            functional_misses: self.functional.stats().misses(),
             analysis_hits: self.analyses.stats().hits(),
             analysis_misses: self.analyses.stats().misses(),
             static_hits: self.statics.stats().hits(),
@@ -551,6 +579,10 @@ pub struct CacheReport {
     pub sim_hits: u64,
     /// Simulation runs.
     pub sim_misses: u64,
+    /// Functional-pass lookups served from the cache.
+    pub functional_hits: u64,
+    /// Functional passes (predictor and cache walks) computed.
+    pub functional_misses: u64,
     /// Analysis lookups served from the cache.
     pub analysis_hits: u64,
     /// Interval-model analysis computations.
@@ -568,6 +600,7 @@ impl CacheReport {
             + self.compiled_hits
             + self.superblock_hits
             + self.sim_hits
+            + self.functional_hits
             + self.analysis_hits
             + self.static_hits;
         let total = hits
@@ -575,6 +608,7 @@ impl CacheReport {
             + self.compiled_misses
             + self.superblock_misses
             + self.sim_misses
+            + self.functional_misses
             + self.analysis_misses
             + self.static_misses;
         if total == 0 {
@@ -782,6 +816,18 @@ impl TolerantReport {
         for e in &self.cell_errors {
             out.push_str(&format!("  cell {e} (recovered by owning experiment)\n"));
         }
+        let c = &self.cache;
+        out.push_str(&format!(
+            "cache: {} traces, {} sims, {} functional passes ({} reused), {} analyses, \
+             {} static bounds computed; hit rate {:.1}%\n",
+            c.trace_misses,
+            c.sim_misses,
+            c.functional_misses,
+            c.functional_hits,
+            c.analysis_misses,
+            c.static_misses,
+            c.hit_rate() * 100.0
+        ));
         if let Some(s) = &self.store {
             out.push_str(&format!(
                 "store: {} gets, {} hits, {} puts, {} quarantined, {} evicted, \
@@ -858,6 +904,7 @@ impl TolerantReport {
                 "compiled_hits": c.compiled_hits, "compiled_misses": c.compiled_misses,
                 "superblock_hits": c.superblock_hits, "superblock_misses": c.superblock_misses,
                 "sim_hits": c.sim_hits, "sim_misses": c.sim_misses,
+                "functional_hits": c.functional_hits, "functional_misses": c.functional_misses,
                 "analysis_hits": c.analysis_hits, "analysis_misses": c.analysis_misses,
                 "static_hits": c.static_hits, "static_misses": c.static_misses,
             },
@@ -1244,16 +1291,77 @@ mod tests {
     }
 
     /// Misses per memo: traces, compiled traces, superblocks, sims,
-    /// analyses, static bounds.
-    fn misses(c: &CacheReport) -> [u64; 6] {
+    /// functional passes, analyses, static bounds.
+    fn misses(c: &CacheReport) -> [u64; 7] {
         [
             c.trace_misses,
             c.compiled_misses,
             c.superblock_misses,
             c.sim_misses,
+            c.functional_misses,
             c.analysis_misses,
             c.static_misses,
         ]
+    }
+
+    /// Over the whole registry plus the surrogate, as `run_all` runs
+    /// them, the functional pass runs once per distinct
+    /// `(trace key, functional fingerprint)` pair the analysis cells and
+    /// the surrogate's baseline static bounds request — at 1 and 2
+    /// threads, with metrics off and on (metrics adds static bounds
+    /// and CPI stacks, but no pair).
+    #[test]
+    fn one_functional_pass_per_trace_and_functional_config() {
+        use crate::grid::{Artifact, Point, Workload};
+        let scale = Scale {
+            ops: 1_000,
+            seed: 3,
+        };
+        let defs = experiment_defs();
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        for metrics in [false, true] {
+            for threads in [1, 2] {
+                let engine = Engine {
+                    pool: ThreadPool::new(threads),
+                    ctx: Ctx::with_settings(EngineChoice::EventDriven, metrics),
+                };
+                let ctx = engine.ctx();
+                let on_done = |o: &ExperimentOutcome| {
+                    if metrics && o.table().is_some() {
+                        crate::metrics::collect_experiment(ctx, &defs[o.index], scale);
+                    }
+                };
+                let report = engine.run_tolerant(&defs, scale, &policy, &on_done);
+                assert_eq!(report.failures().count(), 0);
+                crate::surrogate::collect(ctx, scale);
+
+                let pair = |p: &Point| {
+                    let cfg = p.machine.config();
+                    let key = p.trace(ctx, scale).key();
+                    (key, FunctionalOutcome::config_fingerprint(&cfg))
+                };
+                let analysed = defs
+                    .iter()
+                    .flat_map(|d| (d.cells)())
+                    .filter(|c| c.artifact == Artifact::Analysis)
+                    .map(|c| pair(&c.point));
+                let surrogate = spec::NAMES
+                    .iter()
+                    .map(|&n| Workload::Profile(n))
+                    .chain(bmp_isa::NAMES.iter().map(|&n| Workload::Kernel(n)))
+                    .map(|w| pair(&Point::baseline(w)));
+                let pairs: HashSet<_> = analysed.chain(surrogate).collect();
+
+                let c = ctx.cache_stats();
+                let at = format!("metrics {metrics}, {threads} threads");
+                assert_eq!(c.functional_misses, pairs.len() as u64, "{at}");
+                assert!(
+                    c.functional_misses < c.analysis_misses + c.static_misses,
+                    "{at}: passes are shared across timing configurations"
+                );
+            }
+        }
     }
 
     #[test]

@@ -173,7 +173,8 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
     for point in profiles(&spec::NAMES) {
         let res = point.sim(ctx, scale);
         let analysis = point.analysis(ctx, scale);
-        let cf = closed_form::estimate(&point.trace(ctx, scale), &cfg);
+        let trace = point.trace(ctx, scale);
+        let cf = closed_form::estimate_with(&trace, &cfg, &ctx.functional(&cfg, &trace));
         let local = if analysis.breakdowns.is_empty() {
             0.0
         } else {

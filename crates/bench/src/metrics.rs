@@ -18,7 +18,7 @@
 //! and cannot perturb experiment timing.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bmp_analyze::staticpass::classify;
 use bmp_core::accounting::records_from_analysis;
@@ -157,6 +157,16 @@ fn class_penalties(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<ClassPenalty> 
         .collect()
 }
 
+/// The cached analysis at `point` and the CPI stack built from it and
+/// the cached functional pass.
+fn model_view(ctx: &Ctx, scale: Scale, point: &Point) -> (Arc<PenaltyAnalysis>, cpi::CpiStack) {
+    let cfg = point.machine.config();
+    let trace = point.trace(ctx, scale);
+    let analysis = ctx.analyze(&cfg, &trace);
+    let stack = cpi::predict_with(&trace, &cfg, &ctx.functional(&cfg, &trace), &analysis);
+    (analysis, stack)
+}
+
 /// Builds the metrics document for one settled experiment from its
 /// declared cells and the warm [`Ctx`] cache, matching the cells' typed
 /// fields (the rules are in `docs/OBSERVABILITY.md`): baseline sim cells
@@ -196,8 +206,8 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             recorder.record_sim(&name, baseline_pred, &p.sim(ctx, scale));
         }
         if has(&base, Artifact::Analysis) {
-            let stack = cpi::predict(&base.trace(ctx, scale), &base.machine.config());
-            recorder.record_model(&name, baseline_pred, &base.analysis(ctx, scale), stack);
+            let (analysis, stack) = model_view(ctx, scale, &base);
+            recorder.record_model(&name, baseline_pred, &analysis, stack);
         }
         if has(&base, Artifact::Classes) {
             recorder.record_classes(&name, baseline_pred, class_penalties(ctx, scale, &base));
@@ -211,8 +221,7 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             }
             recorder.record_sim(&name, pred, &c.point.sim(ctx, scale));
             if has(&c.point, Artifact::Analysis) {
-                let stack = cpi::predict(&c.point.trace(ctx, scale), &c.point.machine.config());
-                let analysis = c.point.analysis(ctx, scale);
+                let (analysis, stack) = model_view(ctx, scale, &c.point);
                 recorder.record_model(&name, pred, &analysis, stack);
                 recorder.record_classes(&name, pred, class_penalties(ctx, scale, &c.point));
             }

@@ -140,6 +140,7 @@ mod tests {
         assert_eq!(before.trace_misses, after.trace_misses);
         assert_eq!(before.sim_misses, after.sim_misses);
         assert_eq!(before.static_misses, after.static_misses);
+        assert_eq!(before.functional_misses, after.functional_misses);
     }
 
     #[test]

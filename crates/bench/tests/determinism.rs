@@ -64,6 +64,7 @@ fn results_are_identical_for_any_thread_count() {
             [
                 c.trace_misses,
                 c.sim_misses,
+                c.functional_misses,
                 c.analysis_misses,
                 c.static_misses,
             ],

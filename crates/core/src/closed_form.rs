@@ -63,7 +63,7 @@ impl IlpCurve {
     ) -> Self {
         let cap = cfg.caches.short_dmiss_latency();
         Self::characterize_latencies(trace, cfg, max_k, |i| {
-            u64::from(outcome.load_latency[i].unwrap_or(cap).min(cap))
+            u64::from(outcome.load_latency(i).unwrap_or(cap).min(cap))
         })
     }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::functional::FunctionalOutcome;
 use crate::intervals::IntervalEventKind;
-use crate::penalty::PenaltyModel;
+use crate::penalty::{PenaltyAnalysis, PenaltyModel};
 
 /// Predicted cycle counts per component.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,12 +87,18 @@ impl CpiStack {
 /// ```
 pub fn predict(trace: &Trace, cfg: &MachineConfig) -> CpiStack {
     let outcome = FunctionalOutcome::compute(trace, cfg);
-    predict_with(trace, cfg, &outcome)
+    let analysis = PenaltyModel::new(cfg.clone()).analyze_with(trace, &outcome);
+    predict_with(trace, cfg, &outcome, &analysis)
 }
 
-/// Builds the CPI stack from an existing functional pass.
-pub fn predict_with(trace: &Trace, cfg: &MachineConfig, outcome: &FunctionalOutcome) -> CpiStack {
-    let analysis = PenaltyModel::new(cfg.clone()).analyze_with(trace, outcome);
+/// Builds the CPI stack from an existing functional pass and the
+/// penalty analysis of the same trace on the same machine.
+pub fn predict_with(
+    trace: &Trace,
+    cfg: &MachineConfig,
+    outcome: &FunctionalOutcome,
+    analysis: &PenaltyAnalysis,
+) -> CpiStack {
     // First-order stack: the *local* resolution per misprediction, so
     // overlap with other events (already counted in their own
     // components) is not double-charged.
@@ -152,7 +158,9 @@ pub fn predict_with(trace: &Trace, cfg: &MachineConfig, outcome: &FunctionalOutc
 /// Predicts total execution cycles via the whole-trace schedule
 /// ("interval simulation") rather than the additive stack — slower than
 /// [`predict`] but capturing event overlap, so it tracks the cycle-level
-/// simulator more closely.
+/// simulator more closely. A penalty analysis of the same trace and
+/// machine already holds this figure as
+/// [`PenaltyAnalysis::scheduled_cycles`].
 ///
 /// # Examples
 ///
@@ -174,7 +182,7 @@ pub fn predict_cycles_scheduled(trace: &Trace, cfg: &MachineConfig) -> u64 {
         trace.ops(),
         crate::drain::MachineModel::from(cfg),
         &cfg.latencies,
-        |i| outcome.load_latency[i],
+        |i| outcome.load_latency(i),
         &events,
         |_, t| cycles = cycles.max(t.done),
     );

@@ -188,7 +188,7 @@ pub struct KnockoutScratch {
 /// The knock-out decomposition of one interval in a single pass.
 ///
 /// `ops` is the interval, oldest first, ending at the mispredicted
-/// branch; `load_latency[i]` is the functional pass's latency of the
+/// branch; `load_latency(i)` is the functional pass's latency of the
 /// load at interval-relative position `i` (`None` falls back to `lat`).
 /// The result equals the four-schedule cascade over
 /// [`schedule_interval`] — real latencies, loads at `l1_hit`, unit
@@ -208,8 +208,7 @@ pub struct KnockoutScratch {
 ///
 /// # Panics
 ///
-/// Panics if `ops` is empty, `load_latency` is shorter than `ops`, or
-/// the window size is 0.
+/// Panics if `ops` is empty or the window size is 0.
 ///
 /// # Examples
 ///
@@ -226,23 +225,25 @@ pub struct KnockoutScratch {
 /// let params = WindowParams { dispatch_width: 4, window_size: 64 };
 /// let mut scratch = KnockoutScratch::default();
 /// let t = knockout_interval(
-///     &ops, params, &LatencyTable::default(), 2, &[Some(14), None], &mut scratch,
+///     &ops, params, &LatencyTable::default(), 2, |i| [Some(14), None][i], &mut scratch,
 /// );
 /// assert_eq!(t.local_resolution, 16);
 /// assert_eq!((t.base, t.ilp, t.fu_latency, t.short_dmiss), (2, 1, 1, 12));
 /// assert_eq!(t.critical_path, 15);
 /// ```
-pub fn knockout_interval(
+pub fn knockout_interval<F>(
     ops: &[MicroOp],
     params: WindowParams,
     lat: &LatencyTable,
     l1_hit: u32,
-    load_latency: &[Option<u32>],
+    mut load_latency: F,
     scratch: &mut KnockoutScratch,
-) -> LocalTerms {
+) -> LocalTerms
+where
+    F: FnMut(usize) -> Option<u32>,
+{
     assert!(!ops.is_empty(), "an interval ends at its branch");
     assert!(params.window_size > 0, "the window holds at least one op");
-    let load_latency = &load_latency[..ops.len()];
     let d = u64::from(params.dispatch_width.max(1));
     let w = params.window_size as usize;
     let table_load = lat.latency(OpClass::Load);
@@ -284,7 +285,7 @@ pub fn knockout_interval(
         }
         let class = op.class();
         let table = u64::from(lat.latency(class)).max(1);
-        let loaded = u64::from(load_latency[i].unwrap_or(table_load)).max(1);
+        let loaded = u64::from(load_latency(i).unwrap_or(table_load)).max(1);
         let is_load = class == OpClass::Load;
         let real = if is_load { loaded } else { table };
         let l1 = if is_load { l1_load } else { table };

@@ -12,7 +12,7 @@
 //! part of what experiment E-F10 quantifies.
 
 use bmp_branch::{build_predictor, BranchStats, Btb, IndirectPredictor, ReturnAddressStack};
-use bmp_cache::MemoryHierarchy;
+use bmp_cache::{DataOutcome, MemoryHierarchy};
 use bmp_trace::{BranchKind, Trace};
 use bmp_uarch::{MachineConfig, OpClass};
 
@@ -20,16 +20,36 @@ use crate::intervals::{IntervalEvent, IntervalEventKind};
 
 /// Everything the functional pass learns about a trace under a machine
 /// configuration.
+///
+/// Per-load latencies are kept in compact form: one level byte per op
+/// plus the latency of each level, read through
+/// [`load_latency`](FunctionalOutcome::load_latency). The hierarchy
+/// charges every access that ends at a level the same latency, so the
+/// form is exact.
 #[derive(Debug, Clone)]
 pub struct FunctionalOutcome {
     /// Miss events in trace order (mispredicted branches, I-cache misses,
     /// long D-cache misses).
     pub events: Vec<IntervalEvent>,
-    /// For every op index that is a load, its latency in cycles
-    /// (`None` for non-loads).
-    pub load_latency: Vec<Option<u32>>,
+    /// Per op: [`NOT_A_LOAD`] or the level that served the load
+    /// (1 = L1 hit, 2 = short miss, 3 = long miss).
+    load_levels: Vec<u8>,
+    /// Latency of each level, indexed by level (slot 0 unused).
+    level_latency: [u32; 4],
     /// Direction-prediction accounting from the pass.
     pub branch_stats: BranchStats,
+}
+
+/// The level byte of an op that is not a load.
+const NOT_A_LOAD: u8 = 0;
+
+/// The level byte of a load served with `outcome`.
+fn load_level(outcome: DataOutcome) -> u8 {
+    match outcome {
+        DataOutcome::L1Hit => 1,
+        DataOutcome::ShortMiss => 2,
+        DataOutcome::LongMiss => 3,
+    }
 }
 
 impl FunctionalOutcome {
@@ -54,7 +74,8 @@ impl FunctionalOutcome {
 
         let n = trace.len();
         let mut events = Vec::new();
-        let mut load_latency = vec![None; n];
+        let mut load_levels = vec![NOT_A_LOAD; n];
+        let mut level_latency = [0u32; 4];
 
         for (idx, op) in trace.iter().enumerate() {
             // Instruction side, per line.
@@ -78,7 +99,14 @@ impl FunctionalOutcome {
                 OpClass::Load => {
                     let addr = op.mem_addr().expect("loads carry addresses");
                     let access = mem.data_access_at(op.pc(), addr);
-                    load_latency[idx] = Some(access.latency);
+                    let level = load_level(access.outcome);
+                    let slot = &mut level_latency[usize::from(level)];
+                    debug_assert!(
+                        *slot == 0 || *slot == access.latency,
+                        "one latency per level"
+                    );
+                    *slot = access.latency;
+                    load_levels[idx] = level;
                     if access.outcome.is_long_miss() {
                         events.push(IntervalEvent {
                             pos: idx,
@@ -135,9 +163,37 @@ impl FunctionalOutcome {
         events.sort_by_key(|e| e.pos);
         Self {
             events,
-            load_latency,
+            load_levels,
+            level_latency,
             branch_stats,
         }
+    }
+
+    /// A fingerprint of exactly the configuration fields the pass reads:
+    /// the caches, the direction and indirect predictors, the BTB and
+    /// the RAS. Configurations that differ only in timing (depth,
+    /// widths, window, latencies) share one outcome.
+    pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
+        bmp_uarch::fp::fingerprint_debug(&(
+            &cfg.caches,
+            &cfg.predictor,
+            &cfg.indirect_predictor,
+            cfg.btb_entries,
+            cfg.ras_entries,
+        ))
+    }
+
+    /// The latency the pass recorded for the load at op `idx`, or
+    /// `None` when op `idx` is not a load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is past the end of the analyzed trace.
+    #[inline]
+    pub fn load_latency(&self, idx: usize) -> Option<u32> {
+        let level = self.load_levels[idx];
+        let latency = self.level_latency[usize::from(level)];
+        (level != NOT_A_LOAD).then_some(latency)
     }
 
     /// Positions of the mispredicted branches.
@@ -193,7 +249,7 @@ mod tests {
         let out = FunctionalOutcome::compute(&trace, &tiny_perfect());
         for (idx, op) in trace.iter().enumerate() {
             assert_eq!(
-                out.load_latency[idx].is_some(),
+                out.load_latency(idx).is_some(),
                 op.class() == OpClass::Load,
                 "latency presence mismatch at {idx}"
             );
@@ -218,14 +274,49 @@ mod tests {
         let cfg = tiny_perfect();
         let out = FunctionalOutcome::compute(&trace, &cfg);
         let l1_hit = cfg.caches.l1d().hit_latency();
-        let hits = out
-            .load_latency
-            .iter()
-            .flatten()
-            .filter(|&&l| l == l1_hit)
-            .count();
-        let loads = out.load_latency.iter().flatten().count();
+        let lats: Vec<u32> = (0..trace.len())
+            .filter_map(|i| out.load_latency(i))
+            .collect();
+        let hits = lats.iter().filter(|&&l| l == l1_hit).count();
+        let loads = lats.len();
         assert!(hits as f64 > loads as f64 * 0.95);
+    }
+
+    #[test]
+    fn fingerprint_covers_exactly_the_fields_the_pass_reads() {
+        let base = presets::baseline_4wide();
+        let fp = FunctionalOutcome::config_fingerprint;
+        let timing_only = base
+            .to_builder()
+            .frontend_depth(20)
+            .window_size(128)
+            .rob_size(256)
+            .latencies(bmp_uarch::LatencyTable::default().scaled(2.0))
+            .build()
+            .unwrap();
+        assert_eq!(fp(&timing_only), fp(&base));
+        let mut caches = base.clone();
+        caches.caches = presets::l1d_sized(8 * 1024).unwrap().caches;
+        let mut predictor = base.clone();
+        predictor.predictor = PredictorConfig::AlwaysNotTaken;
+        let mut indirect = base.clone();
+        indirect.indirect_predictor = bmp_uarch::IndirectPredictorConfig::GTarget {
+            entries: 256,
+            history_bits: 8,
+        };
+        let mut btb = base.clone();
+        btb.btb_entries *= 2;
+        let mut ras = base.clone();
+        ras.ras_entries += 1;
+        for (field, cfg) in [
+            ("caches", caches),
+            ("predictor", predictor),
+            ("indirect predictor", indirect),
+            ("btb", btb),
+            ("ras", ras),
+        ] {
+            assert_ne!(fp(&cfg), fp(&base), "{field}");
+        }
     }
 
     #[test]

@@ -130,6 +130,9 @@ pub struct PenaltyAnalysis {
     pub frontend_depth: u32,
     /// Total instructions analyzed.
     pub instructions: usize,
+    /// Makespan of the whole-trace schedule: the latest completion of
+    /// any op (0 for an empty trace) — the model's predicted cycle count.
+    pub scheduled_cycles: u64,
 }
 
 impl PenaltyAnalysis {
@@ -366,14 +369,16 @@ impl PenaltyModel {
             .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
             .collect();
         let mut resolutions = Vec::with_capacity(mispredicted.len());
+        let mut scheduled_cycles = 0;
         let frontend_events = frontend_events_of(&self.cfg, outcome);
         schedule_trace(
             trace.ops(),
             model,
             &self.cfg.latencies,
-            |i| outcome.load_latency[i],
+            |i| outcome.load_latency(i),
             &frontend_events,
             |i, t| {
+                scheduled_cycles = scheduled_cycles.max(t.done);
                 if mispredicted
                     .get(resolutions.len())
                     .is_some_and(|iv| iv.end == i)
@@ -391,7 +396,7 @@ impl PenaltyModel {
                 params,
                 &self.cfg.latencies,
                 l1_hit,
-                &outcome.load_latency[iv.start..=iv.end],
+                |i| outcome.load_latency(iv.start + i),
                 &mut scratch,
             );
             let b = PenaltyBreakdown {
@@ -423,6 +428,7 @@ impl PenaltyModel {
             breakdowns,
             frontend_depth: self.cfg.frontend_depth,
             instructions: trace.len(),
+            scheduled_cycles,
         }
     }
 }
@@ -576,6 +582,36 @@ mod tests {
         assert!(analysis.mean_contributions().is_none());
         assert_eq!(analysis.mispredict_mpki(), 0.0);
         assert!(analysis.resolution_by_interval_length().is_empty());
+        assert_eq!(analysis.scheduled_cycles, 0);
+    }
+
+    /// `scheduled_cycles` is the makespan of the whole-trace schedule:
+    /// it equals an independent `schedule_trace` run keeping the latest
+    /// completion, across workloads, predictors, depths and windows.
+    #[test]
+    fn scheduled_cycles_is_the_schedule_makespan() {
+        let base = presets::baseline_4wide();
+        let machines = [
+            base.clone(),
+            presets::generation_machine("tage").unwrap(),
+            presets::deep_frontend(20).unwrap(),
+            base.to_builder()
+                .window_size(128)
+                .rob_size(base.rob_size.max(128))
+                .build()
+                .unwrap(),
+        ];
+        for name in ["gcc", "mcf", "twolf", "gzip", "vortex"] {
+            let trace = spec::by_name(name).unwrap().generate(20_000, 7);
+            for cfg in &machines {
+                let analysis = PenaltyModel::new(cfg.clone()).analyze(&trace);
+                assert_eq!(
+                    analysis.scheduled_cycles,
+                    crate::cpi::predict_cycles_scheduled(&trace, cfg),
+                    "{name} on {cfg}"
+                );
+            }
+        }
     }
 
     /// The shadow effect: mispredictions following a long D-miss resolve

@@ -188,6 +188,7 @@ mod tests {
                 .collect(),
             frontend_depth: 5,
             instructions: 1000,
+            scheduled_cycles: 0,
         }
     }
 

@@ -82,7 +82,7 @@ proptest! {
     ) {
         let trace = spec::by_name(name).expect("spec profile").generate(3_000, seed);
         let outcome = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
-        let mut loads = outcome.load_latency.clone();
+        let mut loads: Vec<_> = (0..trace.len()).map(|i| outcome.load_latency(i)).collect();
         for (i, l) in loads.iter_mut().enumerate() {
             if (i as u64 + seed).is_multiple_of(5) {
                 *l = None;
@@ -94,7 +94,7 @@ proptest! {
         for iv in segment(trace.len(), &outcome.events) {
             let ops = &trace.ops()[iv.start..=iv.end];
             let lds = &loads[iv.start..=iv.end];
-            let got = knockout_interval(ops, p, &lat, l1_hit, lds, &mut scratch);
+            let got = knockout_interval(ops, p, &lat, l1_hit, |i| lds[i], &mut scratch);
             let want = oracle(ops, p, &lat, l1_hit, lds);
             prop_assert_eq!(got, want, "{} interval {}..={}", name, iv.start, iv.end);
             prop_assert_eq!(
@@ -110,7 +110,7 @@ fn single_op_interval() {
     let ops = [branch(0, [Some(3), None])];
     let lat = LatencyTable::default();
     let mut scratch = KnockoutScratch::default();
-    let got = knockout_interval(&ops, params(4, 64), &lat, 2, &[None], &mut scratch);
+    let got = knockout_interval(&ops, params(4, 64), &lat, 2, |_| None, &mut scratch);
     assert_eq!(got, oracle(&ops, params(4, 64), &lat, 2, &[None]));
     // Enter 0, issue 1, done 2: the whole resolution is the floor.
     assert_eq!(got.local_resolution, 2);
@@ -129,7 +129,7 @@ fn load_without_latency_falls_back_to_table() {
         branch(4, [Some(1), None]),
     ];
     let mut scratch = KnockoutScratch::default();
-    let got = knockout_interval(&ops, params(4, 64), &lat, 2, &[None, None], &mut scratch);
+    let got = knockout_interval(&ops, params(4, 64), &lat, 2, |_| None, &mut scratch);
     assert_eq!(got, oracle(&ops, params(4, 64), &lat, 2, &[None, None]));
     // Real lane: the load takes the table's 7 cycles (done 8), the
     // branch completes at 9 having entered at 0.
@@ -152,7 +152,7 @@ fn scratch_reuse_matches_fresh_scratch() {
     intervals.sort_by_key(|iv| std::cmp::Reverse(iv.len()));
     for iv in intervals {
         let ops = &trace.ops()[iv.start..=iv.end];
-        let lds = &outcome.load_latency[iv.start..=iv.end];
+        let lds = |i| outcome.load_latency(iv.start + i);
         let reused = knockout_interval(ops, p, &lat, 2, lds, &mut shared);
         let fresh = knockout_interval(ops, p, &lat, 2, lds, &mut KnockoutScratch::default());
         assert_eq!(reused, fresh);

@@ -241,7 +241,7 @@ proptest! {
     ) {
         let trace = spec::by_name(name).expect("spec profile").generate(3_000, seed);
         let outcome = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
-        let mut loads = outcome.load_latency.clone();
+        let mut loads: Vec<_> = (0..trace.len()).map(|i| outcome.load_latency(i)).collect();
         for (i, l) in loads.iter_mut().enumerate() {
             if (i as u64 + seed).is_multiple_of(7) {
                 *l = None;
@@ -263,9 +263,8 @@ proptest! {
         let trace = bmp_isa::kernel_trace(name, 4_000, seed).expect("kernel");
         let outcome = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
         let lat = LatencyTable::default();
-        assert_exact(
-            trace.ops(), model, &lat, &outcome.load_latency, &events_of(&outcome, stall),
-        )?;
+        let loads: Vec<_> = (0..trace.len()).map(|i| outcome.load_latency(i)).collect();
+        assert_exact(trace.ops(), model, &lat, &loads, &events_of(&outcome, stall))?;
     }
 
     /// Divide chains and long loads under a single divider: divides hold

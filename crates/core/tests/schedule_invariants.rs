@@ -42,7 +42,7 @@ fn collect(
     ops: &[MicroOp],
     model: MachineModel,
     lat: &LatencyTable,
-    loads: &[Option<u32>],
+    outcome: &FunctionalOutcome,
     events: &[FrontendEvent],
 ) -> Vec<OpTiming> {
     let mut timings = Vec::with_capacity(ops.len());
@@ -50,7 +50,7 @@ fn collect(
         ops,
         model,
         lat,
-        |i| loads[i],
+        |i| outcome.load_latency(i),
         events,
         |_, t| timings.push(t),
     );
@@ -86,7 +86,7 @@ proptest! {
                 _ => None,
             })
             .collect();
-        let s = collect(trace.ops(), MachineModel::from(&cfg), &cfg.latencies, &outcome.load_latency, &events);
+        let s = collect(trace.ops(), MachineModel::from(&cfg), &cfg.latencies, &outcome, &events);
         let mut per_cycle = std::collections::HashMap::new();
         for i in 0..trace.len() {
             prop_assert!(s[i].issue >= s[i].enter, "op {i} issued before entering");
@@ -119,9 +119,9 @@ proptest! {
         let trace = profile.generate(1_000, seed);
         let outcome = FunctionalOutcome::compute(&trace, &cfg);
         let model = MachineModel::from(&cfg);
-        let fast = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &[]);
+        let fast = collect(trace.ops(), model, &cfg.latencies, &outcome, &[]);
         let slow_lat = cfg.latencies.scaled(2.0);
-        let slow = collect(trace.ops(), model, &slow_lat, &outcome.load_latency, &[]);
+        let slow = collect(trace.ops(), model, &slow_lat, &outcome, &[]);
         prop_assert!(total_cycles(&slow) >= total_cycles(&fast));
     }
 
@@ -165,8 +165,8 @@ proptest! {
             .iter()
             .map(|&pos| FrontendEvent::Mispredict { pos })
             .collect();
-        let without = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &[]);
-        let with = collect(trace.ops(), model, &cfg.latencies, &outcome.load_latency, &events);
+        let without = collect(trace.ops(), model, &cfg.latencies, &outcome, &[]);
+        let with = collect(trace.ops(), model, &cfg.latencies, &outcome, &events);
         let fe = u64::from(cfg.frontend_depth);
         for &pos in &mispredicts {
             if pos + 1 < trace.len() {

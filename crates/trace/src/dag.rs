@@ -119,14 +119,87 @@ where
     Some(insts as f64 / cycles as f64)
 }
 
-/// The full ILP curve: `I_W(k)` for each `k` in `ks`, skipping sizes the
-/// trace cannot fill.
+/// The full ILP curve: `I_W(k)` for each `k` in `ks`, in order, skipping
+/// sizes the trace cannot fill (and `k == 0`).
+///
+/// Each point equals [`window_ilp`] at its `k`, bit for bit, but the
+/// curve takes one walk over the trace instead of one per size, and asks
+/// `latency_of` once per op. Every size keeps the completion times of
+/// its current window in a slice of one shared buffer, indexed by the
+/// op's position in the window; the position is a counter that wraps at
+/// `k`, so a window closes without a division and its slots are simply
+/// overwritten by the next one.
+///
+/// # Examples
+///
+/// ```
+/// use bmp_trace::{dag, MicroOp};
+/// use bmp_uarch::OpClass;
+///
+/// let ops: Vec<_> = (0..64)
+///     .map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [None, None]))
+///     .collect();
+/// let curve = dag::ilp_curve(&ops, &[0, 4, 16, 100], |_, _| 1);
+/// assert_eq!(curve, vec![(4, 4.0), (16, 16.0)]);
+/// ```
 pub fn ilp_curve<L>(ops: &[MicroOp], ks: &[usize], mut latency_of: L) -> Vec<(usize, f64)>
 where
     L: FnMut(usize, &MicroOp) -> u64,
 {
-    ks.iter()
-        .filter_map(|&k| window_ilp(ops, k, &mut latency_of).map(|ilp| (k, ilp)))
+    /// One window size's progress. Its window lives in
+    /// `done[base..=base + k]`: op `j` of the window in slot `j + 1`,
+    /// and slot 0 stays zero for sources before the window's first op,
+    /// so reading a source needs no branch.
+    struct Size {
+        k: usize,
+        base: usize,
+        slot: usize,
+        critical_path: u64,
+        insts: u64,
+        cycles: u64,
+    }
+    let mut sizes = Vec::new();
+    let mut slots = 0;
+    for &k in ks.iter().filter(|&&k| k > 0 && k <= ops.len()) {
+        sizes.push(Size {
+            k,
+            base: slots,
+            slot: 1,
+            critical_path: 0,
+            insts: 0,
+            cycles: 0,
+        });
+        slots += k + 1;
+    }
+    let mut done = vec![0u64; slots];
+    for (i, op) in ops.iter().enumerate() {
+        let latency = latency_of(i, op).max(1);
+        // Distance 0 marks an absent source.
+        let srcs = op.srcs().map(|d| d.unwrap_or(0) as usize);
+        for size in &mut sizes {
+            let window = &mut done[size.base..=size.base + size.k];
+            let slot = size.slot;
+            let mut start = 0;
+            for d in srcs {
+                let producer = if d != 0 && d < slot { slot - d } else { 0 };
+                start = start.max(window[producer]);
+            }
+            let t = start + latency;
+            window[slot] = t;
+            size.critical_path = size.critical_path.max(t);
+            if slot == size.k {
+                size.insts += size.k as u64;
+                size.cycles += size.critical_path;
+                size.slot = 1;
+                size.critical_path = 0;
+            } else {
+                size.slot += 1;
+            }
+        }
+    }
+    sizes
+        .iter()
+        .map(|s| (s.k, s.insts as f64 / s.cycles as f64))
         .collect()
 }
 

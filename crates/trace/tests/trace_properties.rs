@@ -51,6 +51,31 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The one-pass ILP curve equals the per-window `window_ilp` oracle
+    /// point for point and to the f64 bit, under op-dependent latencies
+    /// (0 included, which floors to 1), for sizes that include 0, 1,
+    /// values that are not powers of two, and sizes past the trace's end.
+    #[test]
+    fn ilp_curve_matches_per_window_oracle(
+        ops in prop::collection::vec(arb_op(64), 0..300),
+        extra in prop::collection::vec(0usize..400, 0..6),
+        spread in 1u64..12,
+    ) {
+        let mut ks = vec![0, 1, 3, 7, 12, 64, ops.len(), ops.len() + 1];
+        ks.extend(extra);
+        let latency = |i: usize, op: &MicroOp| (i as u64 * 7 + op.class().index() as u64) % spread;
+        let got = dag::ilp_curve(&ops, &ks, latency);
+        let want: Vec<(usize, f64)> = ks
+            .iter()
+            .filter_map(|&k| dag::window_ilp(&ops, k, latency).map(|ilp| (k, ilp)))
+            .collect();
+        prop_assert_eq!(got.len(), want.len());
+        for ((gk, gv), (wk, wv)) in got.iter().zip(&want) {
+            prop_assert_eq!(gk, wk);
+            prop_assert_eq!(gv.to_bits(), wv.to_bits(), "k = {}", wk);
+        }
+    }
+
     /// Binary serialization roundtrips every representable trace.
     #[test]
     fn io_roundtrip(trace in arb_trace()) {

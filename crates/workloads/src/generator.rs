@@ -278,6 +278,10 @@ struct Walker<'a> {
 
 impl<'a> Walker<'a> {
     fn new(profile: &'a WorkloadProfile, n_ops: usize, seed: u64) -> Self {
+        // The trace buffer is reserved before the layout's vectors, so
+        // it can reuse the block a previous trace freed whole rather
+        // than land past them and grow the heap.
+        let ops = Vec::with_capacity(n_ops);
         let mut rng = SmallRng::seed_from_u64(seed);
         let layout = CodeLayout::build(profile, &mut rng);
         let n_blocks = layout.blocks.len();
@@ -295,7 +299,7 @@ impl<'a> Walker<'a> {
             reuse_cursors: [0, 0],
             stream_cursors: FnvHashMap::default(),
             call_stack: Vec::new(),
-            ops: Vec::with_capacity(n_ops),
+            ops,
             last_load: None,
         }
     }
