@@ -15,8 +15,8 @@
 //!   `local_resolution`, and `local_resolution + carryover` must equal
 //!   `resolution`.
 //! * `BMP502` (error) — branch-interval counts disagree with the
-//!   mispredict count: the accountant emits exactly one branch interval
-//!   per recorded mispredict.
+//!   mispredict count: the simulator's interval records hold exactly one
+//!   branch interval per recorded mispredict.
 //! * `BMP503` (error) — a CPI stack with non-finite or negative
 //!   components; (warn) — the model CPI deviates from the measured CPI
 //!   by more than 50% (the interval model is first-order, but a gap
@@ -43,8 +43,8 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
             "BMP502",
             &locus,
             format!(
-                "{} branch intervals but {} mispredicts — the accountant \
-                 emits exactly one branch interval per mispredict",
+                "{} branch intervals but {} mispredicts — the interval \
+                 records hold exactly one branch interval per mispredict",
                 w.intervals.bmiss, w.mispredicts
             ),
         ));

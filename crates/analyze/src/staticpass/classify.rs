@@ -95,8 +95,8 @@ impl SiteProfile {
     }
 }
 
-// Entropy and the ideal-history probe live in `bmp_trace::sites` (shared
-// with the H2P scoring sweep); re-imported here for the classifier.
+// Entropy and the ideal-history probe live in `bmp_trace::sites`, next
+// to the per-site outcome sequences they read.
 use bmp_trace::sites::{binary_entropy, ideal_history_accuracy};
 
 /// Classifies every branch site of `trace`.

@@ -21,6 +21,7 @@
 use bmp_analyze::staticpass::bounds;
 use bmp_core::{cpi, ModelMetrics, PenaltyModel};
 use bmp_sim::Simulator;
+use bmp_trace::SuperblockMap;
 use bmp_uarch::{LatencyTable, MachineConfig, MachineConfigBuilder, PredictorConfig};
 use bmp_workloads::WorkloadProfile;
 use proptest::prelude::*;
@@ -148,10 +149,13 @@ proptest! {
         let trace = profile.generate(2_000, seed);
         let b = bounds::compute(&cfg, &trace);
         let sim = Simulator::new(cfg);
+        let ct = trace.compile();
+        let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
         for (engine, res) in [
-            ("event", sim.run_compiled(&trace.compile())),
-            ("reference", sim.run_reference(&trace)),
+            ("event", sim.try_run_compiled_with(&ct, &sb)),
+            ("reference", sim.try_run_reference(&trace)),
         ] {
+            let res = res.unwrap();
             let violations = b.check_sim(
                 res.mispredicts.len() as u64,
                 res.resolution_total(),

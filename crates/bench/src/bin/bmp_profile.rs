@@ -106,7 +106,10 @@ fn profile_workloads(scale: Scale, reps: u32) -> Vec<WorkloadRow> {
             }
             r_event = Some(r);
             let t0 = Instant::now();
-            r_reference = Some(sim.run_reference(&trace));
+            r_reference = Some(
+                sim.try_run_reference(&trace)
+                    .expect("profiled run stays within budget"),
+            );
             sim_reference_s = sim_reference_s.min(t0.elapsed().as_secs_f64());
         }
         assert_eq!(

@@ -23,7 +23,6 @@
 //! u64×2 branch stats         u64×2 ×3 + u64×4  hierarchy
 //! u64  event count,    then per event:   u64 trace_idx, u64 cycle, u8 kind
 //! u64  mispredict count, then per record: u64 branch_idx, u64×3 cycles, u32 occupancy
-//! u64  interval count, then per record:  u8 kind, u64×5, u32×2, u64×4, i64
 //! u8   timeline flag [+ u64 len + bytes]
 //! u32  frontend_depth
 //! u64×4 slots                u64×2 fetch
@@ -33,15 +32,14 @@
 
 use bmp_branch::BranchStats;
 use bmp_cache::{CacheStats, HierarchyStats};
-use bmp_core::{IntervalEventKind, IntervalRecord};
+use bmp_core::IntervalEventKind;
 use bmp_sim::{
-    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, MissEventKind, SimResult,
-    SlotAccounting,
+    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, SimResult, SlotAccounting,
 };
 use std::fmt;
 
 /// Version written by this build; readers reject every other value.
-pub const CODEC_VERSION: u32 = 1;
+pub const CODEC_VERSION: u32 = 2;
 
 /// Why a persisted artifact could not be decoded. Always means
 /// "recompute", never "abort".
@@ -88,10 +86,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
@@ -135,10 +129,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(arr))
     }
 
-    fn i64(&mut self, what: &str) -> Result<i64, CodecError> {
-        Ok(self.u64(what)? as i64)
-    }
-
     fn usize(&mut self, what: &str) -> Result<usize, CodecError> {
         let v = self.u64(what)?;
         usize::try_from(v).map_err(|_| CodecError::new(format!("{what} count overflows usize")))
@@ -180,25 +170,6 @@ fn read_cache_stats(r: &mut Reader<'_>, what: &str) -> Result<CacheStats, CodecE
     Ok(CacheStats::from_raw(accesses, misses))
 }
 
-fn miss_kind_tag(k: MissEventKind) -> u8 {
-    match k {
-        MissEventKind::BranchMispredict => 0,
-        MissEventKind::ICacheMiss => 1,
-        MissEventKind::ICacheLongMiss => 2,
-        MissEventKind::LongDCacheMiss => 3,
-    }
-}
-
-fn miss_kind_from_tag(tag: u8) -> Result<MissEventKind, CodecError> {
-    match tag {
-        0 => Ok(MissEventKind::BranchMispredict),
-        1 => Ok(MissEventKind::ICacheMiss),
-        2 => Ok(MissEventKind::ICacheLongMiss),
-        3 => Ok(MissEventKind::LongDCacheMiss),
-        other => Err(CodecError::new(format!("unknown miss-event kind {other}"))),
-    }
-}
-
 fn interval_kind_tag(k: IntervalEventKind) -> u8 {
     match k {
         IntervalEventKind::BranchMispredict => 0,
@@ -214,7 +185,7 @@ fn interval_kind_from_tag(tag: u8) -> Result<IntervalEventKind, CodecError> {
         1 => Ok(IntervalEventKind::ICacheMiss),
         2 => Ok(IntervalEventKind::ICacheLongMiss),
         3 => Ok(IntervalEventKind::LongDCacheMiss),
-        other => Err(CodecError::new(format!("unknown interval kind {other}"))),
+        other => Err(CodecError::new(format!("unknown event kind {other}"))),
     }
 }
 
@@ -237,7 +208,7 @@ pub fn encode_sim_result(r: &SimResult) -> Vec<u8> {
     for e in &r.events {
         w.usize(e.trace_idx);
         w.u64(e.cycle);
-        w.u8(miss_kind_tag(e.kind));
+        w.u8(interval_kind_tag(e.kind));
     }
     w.usize(r.mispredicts.len());
     for m in &r.mispredicts {
@@ -246,21 +217,6 @@ pub fn encode_sim_result(r: &SimResult) -> Vec<u8> {
         w.u64(m.dispatch_cycle);
         w.u64(m.resolve_cycle);
         w.u32(m.window_occupancy);
-    }
-    w.usize(r.interval_records.len());
-    for iv in &r.interval_records {
-        w.u8(interval_kind_tag(iv.kind));
-        w.u64(iv.start);
-        w.u64(iv.pos);
-        w.u64(iv.commit_cycle);
-        w.u64(iv.resolution);
-        w.u32(iv.refill);
-        w.u32(iv.occupancy);
-        w.u64(iv.base);
-        w.u64(iv.ilp);
-        w.u64(iv.fu_latency);
-        w.u64(iv.short_dmiss);
-        w.i64(iv.carryover);
     }
     match &r.dispatch_timeline {
         None => w.u8(0),
@@ -322,7 +278,7 @@ pub fn decode_sim_result(bytes: &[u8]) -> Result<SimResult, CodecError> {
         events.push(MissEvent {
             trace_idx: r.usize("event")?,
             cycle: r.u64("event")?,
-            kind: miss_kind_from_tag(r.u8("event")?)?,
+            kind: interval_kind_from_tag(r.u8("event")?)?,
         });
     }
     let n_misp = r.len_prefix(36, "mispredicts")?;
@@ -334,24 +290,6 @@ pub fn decode_sim_result(bytes: &[u8]) -> Result<SimResult, CodecError> {
             dispatch_cycle: r.u64("mispredict")?,
             resolve_cycle: r.u64("mispredict")?,
             window_occupancy: r.u32("mispredict")?,
-        });
-    }
-    let n_intervals = r.len_prefix(65, "intervals")?;
-    let mut interval_records = Vec::with_capacity(n_intervals);
-    for _ in 0..n_intervals {
-        interval_records.push(IntervalRecord {
-            kind: interval_kind_from_tag(r.u8("interval")?)?,
-            start: r.u64("interval")?,
-            pos: r.u64("interval")?,
-            commit_cycle: r.u64("interval")?,
-            resolution: r.u64("interval")?,
-            refill: r.u32("interval")?,
-            occupancy: r.u32("interval")?,
-            base: r.u64("interval")?,
-            ilp: r.u64("interval")?,
-            fu_latency: r.u64("interval")?,
-            short_dmiss: r.u64("interval")?,
-            carryover: r.i64("interval")?,
         });
     }
     let dispatch_timeline = match r.u8("timeline flag")? {
@@ -393,7 +331,6 @@ pub fn decode_sim_result(bytes: &[u8]) -> Result<SimResult, CodecError> {
         hierarchy,
         events,
         mispredicts,
-        interval_records,
         dispatch_timeline,
         frontend_depth,
         slots,
@@ -432,12 +369,12 @@ mod tests {
                 MissEvent {
                     trace_idx: 17,
                     cycle: 40,
-                    kind: MissEventKind::BranchMispredict,
+                    kind: IntervalEventKind::BranchMispredict,
                 },
                 MissEvent {
                     trace_idx: 90,
                     cycle: 300,
-                    kind: MissEventKind::LongDCacheMiss,
+                    kind: IntervalEventKind::LongDCacheMiss,
                 },
             ],
             mispredicts: vec![MispredictRecord {
@@ -446,20 +383,6 @@ mod tests {
                 dispatch_cycle: 35,
                 resolve_cycle: 52,
                 window_occupancy: 21,
-            }],
-            interval_records: vec![IntervalRecord {
-                kind: IntervalEventKind::BranchMispredict,
-                start: 0,
-                pos: 17,
-                commit_cycle: 60,
-                resolution: 17,
-                refill: 5,
-                occupancy: 21,
-                base: 3,
-                ilp: 8,
-                fu_latency: 4,
-                short_dmiss: 2,
-                carryover: -3,
             }],
             dispatch_timeline: Some(vec![0, 4, 4, 2, 0, 1]),
             frontend_depth: 5,
@@ -498,7 +421,6 @@ mod tests {
             hierarchy: HierarchyStats::default(),
             events: vec![],
             mispredicts: vec![],
-            interval_records: vec![],
             dispatch_timeline: None,
             frontend_depth: 5,
             slots: SlotAccounting::default(),

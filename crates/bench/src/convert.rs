@@ -1,23 +1,9 @@
-//! Bridging the simulator's measured events into the interval-analysis
-//! vocabulary.
-//!
-//! `bmp-sim` and `bmp-core` are deliberately independent (the model never
-//! needs the simulator); their event types are isomorphic, and this module
-//! holds the mapping plus the measured-side interval bookkeeping used by
-//! the comparison experiments.
+//! Measured-side interval bookkeeping for the comparison experiments:
+//! segmenting a simulator's event log into the interval model's
+//! intervals.
 
-use bmp_core::{segment, Interval, IntervalEvent, IntervalEventKind};
-use bmp_sim::{MissEvent, MissEventKind, SimResult};
-
-/// Maps one simulator event kind into the model's vocabulary.
-pub fn kind_of(kind: MissEventKind) -> IntervalEventKind {
-    match kind {
-        MissEventKind::BranchMispredict => IntervalEventKind::BranchMispredict,
-        MissEventKind::ICacheMiss => IntervalEventKind::ICacheMiss,
-        MissEventKind::ICacheLongMiss => IntervalEventKind::ICacheLongMiss,
-        MissEventKind::LongDCacheMiss => IntervalEventKind::LongDCacheMiss,
-    }
-}
+use bmp_core::{segment, Interval, IntervalEvent};
+use bmp_sim::{MissEvent, SimResult};
 
 /// Converts a simulator event log (sorted by trace order after the sort
 /// here — the simulator emits D-miss events in issue order) into model
@@ -27,7 +13,7 @@ pub fn events_of(events: &[MissEvent]) -> Vec<IntervalEvent> {
         .iter()
         .map(|e| IntervalEvent {
             pos: e.trace_idx,
-            kind: kind_of(e.kind),
+            kind: e.kind,
         })
         .collect();
     out.sort_by_key(|e| e.pos);
@@ -59,18 +45,7 @@ pub fn measured_interval_lengths(result: &SimResult, n_ops: usize) -> Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_map_one_to_one() {
-        let kinds = [
-            MissEventKind::BranchMispredict,
-            MissEventKind::ICacheMiss,
-            MissEventKind::ICacheLongMiss,
-            MissEventKind::LongDCacheMiss,
-        ];
-        let mapped: std::collections::HashSet<_> = kinds.iter().map(|&k| kind_of(k)).collect();
-        assert_eq!(mapped.len(), kinds.len());
-    }
+    use bmp_core::IntervalEventKind;
 
     #[test]
     fn events_are_sorted() {
@@ -78,12 +53,12 @@ mod tests {
             MissEvent {
                 trace_idx: 30,
                 cycle: 5,
-                kind: MissEventKind::LongDCacheMiss,
+                kind: IntervalEventKind::LongDCacheMiss,
             },
             MissEvent {
                 trace_idx: 10,
                 cycle: 9,
-                kind: MissEventKind::BranchMispredict,
+                kind: IntervalEventKind::BranchMispredict,
             },
         ];
         let out = events_of(&raw);

@@ -132,7 +132,6 @@ pub struct Ctx {
     analyses: Memo<PenaltyAnalysis>,
     statics: Memo<StaticBounds>,
     engine: EngineChoice,
-    metrics: bool,
     phases: PhaseNanos,
     /// Optional persistent tier under the `sims` memo (see
     /// `bmp_core::store` and `docs/STORE.md`): set once after
@@ -152,9 +151,7 @@ impl Default for Ctx {
 
 impl Ctx {
     /// A fresh, empty context. Simulations route through the event-driven
-    /// engine unless `BMP_REFERENCE_ENGINE=1` is set; per-interval
-    /// accounting is collected when `BMP_METRICS=1` (see
-    /// `docs/OBSERVABILITY.md`).
+    /// engine unless `BMP_REFERENCE_ENGINE=1` is set.
     pub fn new() -> Self {
         let engine = if bmp_sim::reference_engine_forced() {
             EngineChoice::Reference
@@ -164,17 +161,8 @@ impl Ctx {
         Self::with_engine(engine)
     }
 
-    /// A fresh, empty context with an explicit engine choice; metrics
-    /// collection still follows `BMP_METRICS`.
+    /// A fresh, empty context with an explicit engine choice.
     pub fn with_engine(engine: EngineChoice) -> Self {
-        Self::with_settings(engine, crate::metrics::metrics_enabled())
-    }
-
-    /// A fresh, empty context with both the engine choice and the
-    /// metrics switch pinned explicitly (ignoring the environment) —
-    /// the constructor tests use to exercise metrics collection without
-    /// mutating process-global state.
-    pub fn with_settings(engine: EngineChoice, metrics: bool) -> Self {
         Self {
             traces: Memo::default(),
             compiled: Memo::default(),
@@ -184,7 +172,6 @@ impl Ctx {
             analyses: Memo::default(),
             statics: Memo::default(),
             engine,
-            metrics,
             phases: PhaseNanos::default(),
             store: OnceLock::new(),
             store_hits: AtomicU64::new(0),
@@ -222,11 +209,6 @@ impl Ctx {
     /// The engine this context routes simulations through.
     pub fn engine(&self) -> EngineChoice {
         self.engine
-    }
-
-    /// Whether simulations collect per-interval accounting records.
-    pub fn metrics_on(&self) -> bool {
-        self.metrics
     }
 
     /// The per-phase compute-time snapshot.
@@ -345,53 +327,37 @@ impl Ctx {
     /// `(config + options fingerprint, trace key)` and routed through
     /// this context's [`EngineChoice`]: the event-driven engine reuses the
     /// cached compiled trace, the reference engine runs the original
-    /// scan-everything loop. Both produce bit-identical results.
+    /// scan-everything loop. Both produce bit-identical results. A
+    /// metrics run asks for the same key as a plain run: its per-interval
+    /// records are derived from the result afterwards
+    /// ([`SimResult::interval_records`]).
     ///
-    /// With metrics on (`BMP_METRICS=1`), the simulation additionally
-    /// collects per-interval accounting records
-    /// ([`SimOptions::collect_intervals`]); the records are pure
-    /// observation, so every other `SimResult` field — and therefore
-    /// every CSV derived from it — is unchanged.
+    /// # Panics
+    ///
+    /// Panics with `simulation aborted: {e}` when the cycle-budget
+    /// watchdog fires.
     pub fn sim(&self, sim: &Simulator, trace: &TraceHandle) -> Arc<SimResult> {
-        if self.metrics && !sim.options().collect_intervals {
-            let instrumented =
-                Simulator::with_options(sim.config().clone(), sim.options().intervals());
-            return self.sim_uncached_options(&instrumented, trace);
-        }
-        self.sim_uncached_options(sim, trace)
-    }
-
-    /// [`sim`](Ctx::sim) without the metrics flip — the cache lookup
-    /// itself, keyed by exactly the simulator passed in.
-    fn sim_uncached_options(&self, sim: &Simulator, trace: &TraceHandle) -> Arc<SimResult> {
         let key = cache_key("sim", &[sim.fingerprint(), trace.key]);
-        match self.engine {
-            EngineChoice::EventDriven => {
+        self.sims.get_or_compute(key, || {
+            self.stored_sim(key, || {
                 // Resolve the compiled trace and superblock map *outside*
                 // the sim timer so first-touch compilation and
                 // segmentation are attributed to their own phases, not
                 // the simulation phase — and so every later config
                 // sharing the artifacts pays nothing at all.
-                self.sims.get_or_compute(key, || {
-                    self.stored_sim(key, || {
-                        let ct = self.compiled(trace);
-                        let sb = self.superblock(trace, sim.config().caches.l1i().line_bytes());
-                        let t0 = Instant::now();
-                        let res = sim.run_compiled_with(&ct, &sb);
-                        PhaseNanos::add(&self.phases.sim, t0);
-                        res
-                    })
-                })
-            }
-            EngineChoice::Reference => self.sims.get_or_compute(key, || {
-                self.stored_sim(key, || {
-                    let t0 = Instant::now();
-                    let res = sim.run_reference(trace);
-                    PhaseNanos::add(&self.phases.sim, t0);
-                    res
-                })
-            }),
-        }
+                let compiled = (self.engine == EngineChoice::EventDriven).then(|| {
+                    let line_bytes = sim.config().caches.l1i().line_bytes();
+                    (self.compiled(trace), self.superblock(trace, line_bytes))
+                });
+                let t0 = Instant::now();
+                let res = match &compiled {
+                    Some((ct, sb)) => sim.try_run_compiled_with(ct, sb),
+                    None => sim.try_run_reference(trace),
+                };
+                PhaseNanos::add(&self.phases.sim, t0);
+                res.unwrap_or_else(|e| panic!("simulation aborted: {e}"))
+            })
+        })
     }
 
     /// The persistent tier around one simulation: consult the store for
@@ -1102,7 +1068,9 @@ impl Engine {
 fn trip_budget(context: &str) -> ! {
     let trace = micro::chain_kernel(10_000, 1, 64, OpClass::IntAlu);
     let sim = Simulator::with_options(presets::test_tiny(), SimOptions::with_max_cycles(50));
-    match sim.try_run(&trace) {
+    let ct = trace.compile();
+    let sb = bmp_trace::SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
+    match sim.try_run_compiled_with(&ct, &sb) {
         Err(e) => std::panic::panic_any(CellError::budget(context, e)),
         Ok(_) => unreachable!("a 50-cycle budget cannot complete 10k serial ops"),
     }
@@ -1324,7 +1292,7 @@ mod tests {
             for threads in [1, 2] {
                 let engine = Engine {
                     pool: ThreadPool::new(threads),
-                    ctx: Ctx::with_settings(EngineChoice::EventDriven, metrics),
+                    ctx: Ctx::with_engine(EngineChoice::EventDriven),
                 };
                 let ctx = engine.ctx();
                 let on_done = |o: &ExperimentOutcome| {
@@ -1371,7 +1339,7 @@ mod tests {
             seed: 3,
         };
         for def in experiment_defs() {
-            let ctx = Ctx::with_settings(EngineChoice::EventDriven, false);
+            let ctx = Ctx::with_engine(EngineChoice::EventDriven);
             for cell in (def.cells)() {
                 cell.run(&ctx, scale);
             }
@@ -1383,7 +1351,7 @@ mod tests {
                 "{}: the body computed work its cells did not declare",
                 def.name
             );
-            let alone = Ctx::with_settings(EngineChoice::EventDriven, false);
+            let alone = Ctx::with_engine(EngineChoice::EventDriven);
             (def.run)(&alone, scale);
             assert_eq!(
                 misses(&alone.cache_stats()),
@@ -1534,6 +1502,49 @@ mod tests {
             .get_object("store")
             .unwrap();
         assert_eq!(store.get_u64("sim_hits").unwrap(), warm.sim_hits);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store filled by a plain run serves a metrics-collecting run
+    /// completely: metrics derive their interval records from the same
+    /// results, so they ask for the same keys and simulate nothing new.
+    #[test]
+    fn metrics_runs_reuse_a_plain_runs_stored_sims() {
+        let dir = std::env::temp_dir().join(format!("bmp_engine_metrics_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = Scale {
+            ops: 1_000,
+            seed: 3,
+        };
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let defs = defs_named(&["fig2_penalty_per_benchmark", "ex_isa_contributors"]).unwrap();
+        let run = |metrics: bool| {
+            let (store, _) =
+                DiskStore::open(&dir, bmp_core::StoreConfig::default()).expect("store opens");
+            let engine = Engine::new(1);
+            let ctx = engine.ctx();
+            ctx.set_store(Arc::new(store));
+            let records = std::sync::atomic::AtomicU64::new(0);
+            let on_done = |o: &ExperimentOutcome| {
+                if metrics {
+                    let doc = crate::metrics::collect_experiment(ctx, &defs[o.index], scale);
+                    let n: u64 = doc.workloads.iter().map(|w| w.intervals.total()).sum();
+                    records.fetch_add(n, Ordering::Relaxed);
+                }
+            };
+            let report = engine.run_tolerant(&defs, scale, &policy, &on_done);
+            assert_eq!(report.failures().count(), 0);
+            let store = report.store.expect("a store is attached");
+            (store, ctx.cache_stats(), ctx.phase_report(), records.into_inner())
+        };
+        let (plain, ..) = run(false);
+        assert!(plain.puts > 0);
+        let (store, cache, phases, records) = run(true);
+        assert!(records > 0, "the metrics documents hold interval records");
+        assert_eq!(store.sim_hits, cache.sim_misses, "every sim came from the store");
+        assert_eq!(store.puts, 0);
+        assert_eq!(phases.sim_nanos, 0, "nothing was simulated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,11 +21,12 @@
 //! parallelism); every count runs the same schedule, and results are
 //! independent of it, byte for byte.
 //!
-//! `BMP_METRICS=1` turns on the observability layer: simulations collect
-//! per-interval accounting records and `run_all` writes one aggregated
-//! metrics file per experiment under `results/metrics/` (see [`metrics`],
-//! the `bmp-report` binary, and `docs/OBSERVABILITY.md`). Off by default;
-//! when off the CSV outputs are byte-identical either way.
+//! `BMP_METRICS=1` turns on the observability layer: `run_all` derives
+//! per-interval accounting records from the cached simulation results
+//! and writes one aggregated metrics file per experiment under
+//! `results/metrics/` (see [`metrics`], the `bmp-report` binary, and
+//! `docs/OBSERVABILITY.md`). Off by default; the CSV outputs are
+//! byte-identical either way.
 
 #![forbid(unsafe_code)]
 

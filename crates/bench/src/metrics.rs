@@ -1,13 +1,13 @@
 //! Opt-in observability collection for the experiment harness.
 //!
-//! With `BMP_METRICS=1`, every simulation routed through the shared
-//! [`Ctx`] collects per-interval accounting records
-//! ([`bmp_core::accounting`]), and `run_all` writes one aggregated
-//! metrics file per completed experiment under `results/metrics/`
-//! (schema: [`bmp_core::metrics`], contract: `docs/OBSERVABILITY.md`).
-//! With the variable unset nothing here runs and the simulators skip
-//! record collection entirely, so the produced CSVs are byte-identical
-//! to a metrics-off run — the golden-table tests pin this down.
+//! With `BMP_METRICS=1`, `run_all` writes one aggregated metrics file
+//! per completed experiment under `results/metrics/` (schema:
+//! [`bmp_core::metrics`], contract: `docs/OBSERVABILITY.md`). The
+//! per-interval accounting records ([`bmp_core::accounting`]) are
+//! derived from the cached simulation results after the fact
+//! ([`SimResult::interval_records`]), so a metrics run simulates exactly
+//! what a plain run does and its CSVs are byte-identical — the
+//! golden-table tests pin this down.
 //!
 //! Collection is lock-free by construction: each experiment's
 //! [`MetricsRecorder`] lives on the worker thread that ran the
@@ -57,18 +57,25 @@ impl MetricsRecorder {
         }
     }
 
-    /// Aggregates a simulation's interval records into a workload entry
-    /// tagged with the direction predictor it ran under (the v2
-    /// `predictor` field; per-predictor entries of the same workload
-    /// coexist and are told apart by this tag).
-    pub fn record_sim(&mut self, workload: &str, predictor: &str, result: &SimResult) {
+    /// Aggregates the interval records of a simulation over a trace of
+    /// `trace_len` ops into a workload entry tagged with the direction
+    /// predictor it ran under (the v2 `predictor` field; per-predictor
+    /// entries of the same workload coexist and are told apart by this
+    /// tag).
+    pub fn record_sim(
+        &mut self,
+        workload: &str,
+        predictor: &str,
+        result: &SimResult,
+        trace_len: usize,
+    ) {
         let mut w = WorkloadMetrics::from_records(
             workload,
             result.instructions,
             result.cycles,
             result.frontend_depth,
             result.mispredicts.len() as u64,
-            &result.interval_records,
+            &result.interval_records(trace_len),
         );
         w.predictor = predictor.to_string();
         self.doc.workloads.push(w);
@@ -198,12 +205,13 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
     for workload in workloads {
         let name = workload.name();
         let base = Point::baseline(workload);
+        let trace_len = base.trace(ctx, scale).len();
         let epoch = [SimMode::Cold, SimMode::Warmup]
             .into_iter()
             .map(|mode| base.clone().with_mode(mode))
             .find(|p| has(p, Artifact::Sim));
         if let Some(p) = epoch {
-            recorder.record_sim(&name, baseline_pred, &p.sim(ctx, scale));
+            recorder.record_sim(&name, baseline_pred, &p.sim(ctx, scale), trace_len);
         }
         if has(&base, Artifact::Analysis) {
             let (analysis, stack) = model_view(ctx, scale, &base);
@@ -219,7 +227,7 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             if c.point.workload != workload || c.artifact != Artifact::Sim {
                 continue;
             }
-            recorder.record_sim(&name, pred, &c.point.sim(ctx, scale));
+            recorder.record_sim(&name, pred, &c.point.sim(ctx, scale), trace_len);
             if has(&c.point, Artifact::Analysis) {
                 let (analysis, stack) = model_view(ctx, scale, &c.point);
                 recorder.record_model(&name, pred, &analysis, stack);
@@ -273,7 +281,7 @@ mod tests {
 
     #[test]
     fn collects_sim_and_model_sections() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+        let ctx = Ctx::with_engine(EngineChoice::EventDriven);
         let doc = collect_experiment(&ctx, &def("fig2_penalty_per_benchmark"), scale());
         assert_eq!(doc.name, "fig2_penalty_per_benchmark");
         assert!(!doc.workloads.is_empty());
@@ -307,7 +315,7 @@ mod tests {
 
     #[test]
     fn analysis_only_workloads_get_model_entries() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+        let ctx = Ctx::with_engine(EngineChoice::EventDriven);
         let doc = collect_experiment(&ctx, &def("fig4_interval_distribution"), scale());
         assert!(!doc.workloads.is_empty());
         for w in &doc.workloads {
@@ -319,7 +327,7 @@ mod tests {
 
     #[test]
     fn kernel_cells_collect_sim_and_model() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+        let ctx = Ctx::with_engine(EngineChoice::EventDriven);
         let doc = collect_experiment(&ctx, &def("ex_isa_contributors"), scale());
         assert_eq!(doc.workloads.len(), bmp_isa::NAMES.len());
         for w in &doc.workloads {
@@ -335,7 +343,7 @@ mod tests {
 
     #[test]
     fn cell_free_experiments_produce_empty_documents() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+        let ctx = Ctx::with_engine(EngineChoice::EventDriven);
         // table1 has no cells; fig8 and fig6 have only sweep cells (fig6's
         // depth-5 point equals the baseline and is still not recorded).
         for name in ["table1_config", "fig8_ilp", "fig6_pipeline_depth"] {
@@ -350,12 +358,12 @@ mod tests {
     #[test]
     fn collection_is_engine_independent() {
         let event = collect_experiment(
-            &Ctx::with_settings(EngineChoice::EventDriven, true),
+            &Ctx::with_engine(EngineChoice::EventDriven),
             &def("table2_benchmarks"),
             scale(),
         );
         let reference = collect_experiment(
-            &Ctx::with_settings(EngineChoice::Reference, true),
+            &Ctx::with_engine(EngineChoice::Reference),
             &def("table2_benchmarks"),
             scale(),
         );
@@ -365,7 +373,7 @@ mod tests {
 
     #[test]
     fn save_metrics_round_trips() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+        let ctx = Ctx::with_engine(EngineChoice::EventDriven);
         let doc = collect_experiment(&ctx, &def("fig3_penalty_vs_interval"), scale());
         let tmp = std::env::temp_dir().join("bmp_bench_metrics_save_test");
         let path = save_metrics(&tmp, &doc).unwrap();
@@ -373,19 +381,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&tmp).ok();
         assert_eq!(ExperimentMetrics::parse(&body).unwrap(), doc);
-    }
-
-    #[test]
-    fn metrics_off_context_collects_no_records() {
-        let ctx = Ctx::with_settings(EngineChoice::EventDriven, false);
-        let doc = collect_experiment(&ctx, &def("table2_benchmarks"), scale());
-        for w in &doc.workloads {
-            assert_eq!(
-                w.intervals.total(),
-                0,
-                "{}: no records without BMP_METRICS",
-                w.workload
-            );
-        }
     }
 }

@@ -605,7 +605,6 @@ mod tests {
                 kind: IntervalEventKind::BranchMispredict,
                 start: 0,
                 pos: 24,
-                commit_cycle: 30,
                 resolution: 11,
                 refill: 5,
                 occupancy: 17,
@@ -619,7 +618,6 @@ mod tests {
                 kind: IntervalEventKind::ICacheMiss,
                 start: 25,
                 pos: 99,
-                commit_cycle: 140,
                 resolution: 0,
                 refill: 0,
                 occupancy: 0,

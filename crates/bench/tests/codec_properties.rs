@@ -12,12 +12,12 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 /// A simulation of a short spec-profile trace; `mode` picks plain,
-/// interval-record or dispatch-timeline output, so every optional field
-/// of the layout is exercised.
+/// warmed-up or dispatch-timeline output, so every optional field of the
+/// layout is exercised.
 fn simulate(name: &str, ops: usize, seed: u64, mode: u8) -> SimResult {
     let options = match mode {
         0 => SimOptions::default(),
-        1 => SimOptions::with_intervals(),
+        1 => SimOptions::with_warmup(ops as u64 / 2),
         _ => SimOptions::with_timeline(),
     };
     let trace = spec::by_name(name)

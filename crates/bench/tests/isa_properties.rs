@@ -45,8 +45,8 @@ proptest! {
         let sim = Simulator::new(cfg.clone());
         let compiled = trace.compile();
         let sb = SuperblockMap::build(&compiled, cfg.caches.l1i().line_bytes());
-        let event = sim.run_compiled_with(&compiled, &sb);
-        let reference = sim.run_reference(&trace);
+        let event = sim.try_run_compiled_with(&compiled, &sb).unwrap();
+        let reference = sim.try_run_reference(&trace).unwrap();
         prop_assert_eq!(event, reference, "{}: engines diverged", kernel);
     }
 

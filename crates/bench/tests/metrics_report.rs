@@ -21,7 +21,7 @@ fn def(name: &str) -> ExperimentDef {
 }
 
 fn run_at(seed: u64, names: &[&str]) -> Vec<ExperimentMetrics> {
-    let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
+    let ctx = Ctx::with_engine(EngineChoice::EventDriven);
     let scale = Scale { ops: 2_000, seed };
     names
         .iter()
@@ -81,17 +81,16 @@ fn diff_survives_the_file_round_trip() {
 }
 
 /// Turning metrics on must not change a single CSV byte: the three
-/// committed golden tables reproduce exactly from a metrics-on context
-/// (the metrics-off identity is the existing `golden_tables` test,
-/// which runs with `BMP_METRICS` unset).
+/// committed golden tables reproduce exactly from a context that has
+/// already collected their metrics (the metrics-off identity is the
+/// existing `golden_tables` test).
 #[test]
 fn metrics_on_tables_match_the_committed_goldens() {
     let scale = Scale {
         ops: 2_000,
         seed: 42,
     };
-    let ctx = Ctx::with_settings(EngineChoice::EventDriven, true);
-    assert!(ctx.metrics_on());
+    let ctx = Ctx::with_engine(EngineChoice::EventDriven);
     for (name, produce) in [
         (
             "fig2_penalty_per_benchmark",
@@ -107,6 +106,8 @@ fn metrics_on_tables_match_the_committed_goldens() {
             bmp_bench::experiments::fig10_model_validation,
         ),
     ] {
+        let doc = collect_experiment(&ctx, &def(name), scale);
+        assert!(doc.workloads.iter().any(|w| w.intervals.total() > 0));
         let table = produce(&ctx, scale);
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")

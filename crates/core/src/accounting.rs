@@ -1,39 +1,24 @@
 //! Per-interval cycle accounting: the observability layer's data model.
 //!
-//! The simulators in `bmp-sim` historically emitted only end-of-run
-//! aggregates, which is enough to *validate* the interval model but not
-//! to *see* where cycles went inside a run. This module defines the
-//! record both engines emit at commit boundaries when
-//! `SimOptions::collect_intervals` is on (see `docs/OBSERVABILITY.md`):
-//! one [`IntervalRecord`] per interval, carrying the interval kind and
+//! One [`IntervalRecord`] per interval, carrying the interval kind and
 //! extent, the branch-resolution timing observed by the pipeline, and —
 //! for records produced by the analytical model — the paper's five
-//! contributor terms.
+//! contributor terms (see `docs/OBSERVABILITY.md`).
 //!
-//! Three pieces live here:
+//! Two producers build the same record shape, so measured and modeled
+//! accounting land in one schema:
 //!
-//! * [`IntervalRecord`] — the record itself, with the accounting
-//!   identities (`penalty = resolution + refill`, contributor sum) as
-//!   doc-tested methods;
-//! * [`CycleAccounting`] — the sink trait records are pushed into
-//!   (implemented for `Vec<IntervalRecord>`; custom sinks can stream);
-//! * [`IntervalAccountant`] — the bookkeeping both sim engines share so
-//!   their records are **bit-identical by construction**: each engine
-//!   feeds it the same event/mispredict/commit stream it already
-//!   records for [`SimResult`](../../bmp_sim/struct.SimResult.html)
-//!   equivalence, and the accountant does the rest.
-//!
-//! The model-side path ([`records_from_analysis`]) converts a
-//! [`PenaltyAnalysis`] into the same
-//! record shape with the contributor terms filled in, so measured and
-//! modeled accounting land in one schema.
+//! * the simulators' side is `bmp_sim::SimResult::interval_records`,
+//!   which derives the records after a run from its miss-event and
+//!   misprediction logs;
+//! * the model side is [`records_from_analysis`], which converts a
+//!   [`PenaltyAnalysis`] with the contributor terms filled in.
 
 use crate::intervals::IntervalEventKind;
 use crate::penalty::PenaltyAnalysis;
 use serde::{Deserialize, Serialize};
 
-/// One interval's cycle accounting, emitted when the instruction
-/// carrying the interval's terminating event commits.
+/// One interval's cycle accounting.
 ///
 /// Intervals follow the semantics of [`segment`](crate::intervals::segment):
 /// the interval spans `[start, pos]` inclusive, where `pos` is the
@@ -43,13 +28,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// Two producers fill this struct differently:
 ///
-/// * **Simulators** fill the timing fields (`commit_cycle`, and for
-///   branch intervals `resolution`, `refill`, `occupancy`) and leave
-///   the contributor terms zero — a pipeline observes *when* a branch
-///   resolved, not *why*.
-/// * **The analytical model** fills the contributor terms from the
-///   knock-out schedule and leaves `commit_cycle` zero — the model has
-///   no commit timeline.
+/// * **Simulators** fill the timing fields of branch intervals
+///   (`resolution`, `refill`, `occupancy`) and leave the contributor
+///   terms zero — a pipeline observes *when* a branch resolved, not
+///   *why*.
+/// * **The analytical model** fills `resolution`, `refill` and the
+///   contributor terms from the knock-out schedule and leaves
+///   `occupancy` zero.
 ///
 /// # Examples
 ///
@@ -65,7 +50,6 @@ use serde::{Deserialize, Serialize};
 ///     kind: IntervalEventKind::BranchMispredict,
 ///     start: 100,
 ///     pos: 131,
-///     commit_cycle: 0,
 ///     resolution: 14,
 ///     refill: 5,
 ///     occupancy: 32,
@@ -89,7 +73,7 @@ use serde::{Deserialize, Serialize};
 /// # use bmp_core::intervals::IntervalEventKind;
 /// # let r = IntervalRecord {
 /// #     kind: IntervalEventKind::BranchMispredict,
-/// #     start: 100, pos: 131, commit_cycle: 0,
+/// #     start: 100, pos: 131,
 /// #     resolution: 14, refill: 5, occupancy: 32,
 /// #     base: 6, ilp: 4, fu_latency: 2, short_dmiss: 0, carryover: 2,
 /// # };
@@ -105,11 +89,6 @@ pub struct IntervalRecord {
     /// Dynamic index of the instruction carrying the terminating event
     /// (inclusive end of the interval).
     pub pos: u64,
-    /// Cycle at which the terminating instruction committed, rebased so
-    /// cycle 0 is the start of statistics collection (the warmup
-    /// boundary when `warmup_ops > 0`, otherwise the start of the run).
-    /// Zero for model-produced records.
-    pub commit_cycle: u64,
     /// For branch intervals: dispatch-to-execute resolution time of the
     /// mispredicted branch. Zero for other kinds.
     pub resolution: u64,
@@ -164,153 +143,6 @@ impl IntervalRecord {
     }
 }
 
-/// A sink for per-interval records.
-///
-/// Both sim engines and the model-side emitter push records through
-/// this trait, so a custom sink (streaming aggregation, a ring buffer,
-/// a test probe) can replace the default `Vec` without touching the
-/// producers.
-pub trait CycleAccounting {
-    /// Accepts one finished interval.
-    fn record(&mut self, record: &IntervalRecord);
-}
-
-impl CycleAccounting for Vec<IntervalRecord> {
-    fn record(&mut self, record: &IntervalRecord) {
-        self.push(*record);
-    }
-}
-
-/// A pending interval-terminating event, noted when observed and
-/// resolved into a record when its instruction commits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Note {
-    idx: u64,
-    kind: IntervalEventKind,
-    resolution: u64,
-    refill: u32,
-    occupancy: u32,
-}
-
-/// Shared interval bookkeeping for the two sim engines.
-///
-/// Each engine calls the accountant at the same four points where it
-/// already records events for result equivalence:
-///
-/// * [`on_event`](Self::on_event) when an I-cache or long D-cache miss
-///   event is pushed (fetch/issue stages);
-/// * [`on_mispredict`](Self::on_mispredict) when a mispredicted
-///   branch's `MispredictRecord` is pushed (issue stage);
-/// * [`on_commit`](Self::on_commit) once per committed instruction;
-/// * [`reset`](Self::reset) at the warmup boundary.
-///
-/// Because both engines are bit-identical in the streams they feed in
-/// (that is the PR 3 equivalence contract), the records coming out are
-/// bit-identical too — the accountant adds no engine-specific state.
-///
-/// ### Divergence from `segment()` on coincident events
-///
-/// [`segment`](crate::intervals::segment) collapses coincident events
-/// keeping the *first* kind. The accountant instead lets a mispredict
-/// override a coincident cache-miss note, so the number of
-/// branch-kind records always equals the number of `MispredictRecord`s
-/// — the invariant the BMP502 lint checks. (Coincidence is rare: it
-/// requires an I-cache miss and a misprediction on the same dynamic
-/// instruction.)
-///
-/// ### Warmup
-///
-/// [`reset`](Self::reset) drops all pending notes, mirroring the
-/// engines clearing their event logs. A branch fetched before the
-/// boundary but issued after it re-enters via
-/// [`on_mispredict`](Self::on_mispredict), which creates the note if
-/// none exists — keeping record counts consistent with the
-/// post-warmup `mispredicts` log.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalAccountant {
-    start: u64,
-    notes: Vec<Note>,
-}
-
-impl IntervalAccountant {
-    /// A fresh accountant with the next interval starting at index 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Notes a cache-miss event at dynamic index `idx`. First kind wins
-    /// on coincidence (matching `segment()`).
-    pub fn on_event(&mut self, idx: u64, kind: IntervalEventKind) {
-        if idx < self.start {
-            return; // stale event for an already-closed interval
-        }
-        if !self.notes.iter().any(|n| n.idx == idx) {
-            self.notes.push(Note {
-                idx,
-                kind,
-                resolution: 0,
-                refill: 0,
-                occupancy: 0,
-            });
-        }
-    }
-
-    /// Notes a mispredicted branch at dynamic index `idx`, with its
-    /// observed resolution time, the machine's frontend refill, and the
-    /// window occupancy at dispatch. Overrides a coincident cache-miss
-    /// note and creates one if none exists.
-    pub fn on_mispredict(&mut self, idx: u64, resolution: u64, refill: u32, occupancy: u32) {
-        if idx < self.start {
-            return;
-        }
-        let note = Note {
-            idx,
-            kind: IntervalEventKind::BranchMispredict,
-            resolution,
-            refill,
-            occupancy,
-        };
-        match self.notes.iter_mut().find(|n| n.idx == idx) {
-            Some(slot) => *slot = note,
-            None => self.notes.push(note),
-        }
-    }
-
-    /// Called once per committed instruction with its dynamic index and
-    /// the commit cycle rebased to the statistics epoch. Emits a record
-    /// into `sink` when the instruction carries a noted event.
-    pub fn on_commit(&mut self, idx: u64, commit_cycle: u64, sink: &mut impl CycleAccounting) {
-        let Some(at) = self.notes.iter().position(|n| n.idx == idx) else {
-            return;
-        };
-        let note = self.notes.swap_remove(at);
-        sink.record(&IntervalRecord {
-            kind: note.kind,
-            start: self.start,
-            pos: idx,
-            commit_cycle,
-            resolution: note.resolution,
-            refill: note.refill,
-            occupancy: note.occupancy,
-            base: 0,
-            ilp: 0,
-            fu_latency: 0,
-            short_dmiss: 0,
-            carryover: 0,
-        });
-        self.start = idx + 1;
-    }
-
-    /// Statistics reset at the warmup boundary: pending notes are
-    /// dropped (the engines drop their event logs too) and the next
-    /// interval starts at `committed`, the index of the next
-    /// instruction to commit.
-    pub fn reset(&mut self, committed: u64) {
-        self.notes.clear();
-        self.start = committed;
-    }
-}
-
 /// Converts a finished penalty analysis into interval records with the
 /// five contributor terms filled in — the model-side producer for the
 /// metrics schema (`bmp-bench` aggregates these into the `model`
@@ -328,7 +160,6 @@ pub fn records_from_analysis(analysis: &PenaltyAnalysis) -> Vec<IntervalRecord> 
             kind,
             start: iv.start as u64,
             pos: iv.end as u64,
-            commit_cycle: 0,
             resolution: 0,
             refill: 0,
             occupancy: 0,
@@ -363,93 +194,6 @@ pub fn records_from_analysis(analysis: &PenaltyAnalysis) -> Vec<IntervalRecord> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn commit_all(acct: &mut IntervalAccountant, upto: u64, out: &mut Vec<IntervalRecord>) {
-        for idx in 0..upto {
-            acct.on_commit(idx, idx, out);
-        }
-    }
-
-    #[test]
-    fn intervals_are_contiguous_and_inclusive() {
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.on_event(9, IntervalEventKind::ICacheMiss);
-        acct.on_mispredict(29, 12, 5, 40);
-        commit_all(&mut acct, 40, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!((out[0].start, out[0].pos), (0, 9));
-        assert_eq!(out[0].kind, IntervalEventKind::ICacheMiss);
-        assert_eq!((out[1].start, out[1].pos), (10, 29));
-        assert_eq!(out[1].len(), 20);
-        assert_eq!(out[1].penalty(), 17);
-        assert_eq!(out[1].occupancy, 40);
-        // Instructions 30..39 form the trailing partial interval: no record.
-    }
-
-    #[test]
-    fn mispredict_overrides_coincident_cache_miss() {
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.on_event(5, IntervalEventKind::ICacheMiss);
-        acct.on_mispredict(5, 7, 5, 3);
-        commit_all(&mut acct, 6, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kind, IntervalEventKind::BranchMispredict);
-        assert_eq!(out[0].resolution, 7);
-    }
-
-    #[test]
-    fn first_cache_kind_wins_on_coincidence() {
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.on_event(5, IntervalEventKind::ICacheMiss);
-        acct.on_event(5, IntervalEventKind::LongDCacheMiss);
-        commit_all(&mut acct, 6, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kind, IntervalEventKind::ICacheMiss);
-    }
-
-    #[test]
-    fn out_of_order_events_resolve_by_commit_order() {
-        // OoO issue pushes a dlong event for idx 20 before idx 10's
-        // event arrives; commits are in order, so records are too.
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.on_event(20, IntervalEventKind::LongDCacheMiss);
-        acct.on_event(10, IntervalEventKind::ICacheMiss);
-        commit_all(&mut acct, 21, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!((out[0].start, out[0].pos), (0, 10));
-        assert_eq!((out[1].start, out[1].pos), (11, 20));
-    }
-
-    #[test]
-    fn reset_drops_notes_and_rebases_start() {
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.on_event(100, IntervalEventKind::ICacheMiss);
-        acct.reset(50);
-        // The pre-reset note is gone; a post-reset mispredict re-enters.
-        acct.on_mispredict(60, 9, 5, 8);
-        for idx in 50..70 {
-            acct.on_commit(idx, idx - 50, &mut out);
-        }
-        assert_eq!(out.len(), 1);
-        assert_eq!((out[0].start, out[0].pos), (50, 60));
-        assert_eq!(out[0].commit_cycle, 10);
-    }
-
-    #[test]
-    fn stale_events_below_start_are_ignored() {
-        let mut acct = IntervalAccountant::new();
-        let mut out = Vec::new();
-        acct.reset(10);
-        acct.on_event(5, IntervalEventKind::ICacheMiss);
-        acct.on_mispredict(7, 1, 5, 1);
-        commit_all(&mut acct, 20, &mut out);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn model_records_fill_contributors() {

@@ -22,8 +22,7 @@
 //!   the `I_W(k)` ILP curve and the interval-length distribution;
 //! * [`cpi`] — the interval-model CPI stack built on the same machinery;
 //! * [`accounting`] — the observability layer's per-interval record and
-//!   the shared bookkeeping both sim engines use to emit it (see
-//!   `docs/OBSERVABILITY.md`);
+//!   its model-side producer (see `docs/OBSERVABILITY.md`);
 //! * [`metrics`] — the `results/metrics/*.json` schema aggregating those
 //!   records per experiment;
 //! * [`identities`] — the accounting identities above as checkable
@@ -71,7 +70,7 @@ pub mod report;
 pub mod store;
 pub mod validate;
 
-pub use accounting::{CycleAccounting, IntervalAccountant, IntervalRecord};
+pub use accounting::IntervalRecord;
 pub use functional::FunctionalOutcome;
 pub use intervals::{
     segment, Interval, IntervalEvent, IntervalEventKind, IntervalLengthHistogram, LENGTH_BUCKETS,

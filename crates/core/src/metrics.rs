@@ -449,7 +449,6 @@ mod tests {
             kind: IntervalEventKind::ICacheMiss,
             start: 0,
             pos: 9,
-            commit_cycle: 12,
             resolution: 0,
             refill: 0,
             occupancy: 0,
@@ -465,7 +464,6 @@ mod tests {
                 kind: IntervalEventKind::BranchMispredict,
                 start: 10,
                 pos: 41,
-                commit_cycle: 40,
                 resolution: 14,
                 refill: 5,
                 occupancy: 30,
@@ -475,7 +473,6 @@ mod tests {
                 kind: IntervalEventKind::LongDCacheMiss,
                 start: 42,
                 pos: 600,
-                commit_cycle: 900,
                 ..base
             },
         ]

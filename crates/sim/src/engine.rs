@@ -46,7 +46,6 @@ use bmp_branch::{
 };
 use bmp_cache::{DataOutcome, MemoryHierarchy};
 use bmp_core::intervals::IntervalEventKind;
-use bmp_core::{IntervalAccountant, IntervalRecord};
 use bmp_trace::{BranchKind, CompiledTrace, SuperblockMap, Trace};
 use bmp_uarch::MachineConfig;
 use std::sync::OnceLock;
@@ -56,8 +55,7 @@ use crate::compiled::{ClassTables, FuPools};
 use crate::error::{BudgetForensics, SimError};
 use crate::options::SimOptions;
 use crate::result::{
-    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, MissEventKind, SimResult,
-    SlotAccounting,
+    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, SimResult, SlotAccounting,
 };
 use crate::sched::{WakeupScheduler, NO_EDGE};
 
@@ -144,67 +142,38 @@ impl Simulator {
     /// Compiles the trace and runs the event-driven engine, unless
     /// `BMP_REFERENCE_ENGINE=1` routes the run through the reference
     /// engine; both produce identical results. Callers that already hold
-    /// a [`CompiledTrace`] (e.g. the experiment harness, which caches
-    /// them) should use [`run_compiled`](Simulator::run_compiled) to skip
-    /// the per-run compile.
+    /// a [`CompiledTrace`] and its [`SuperblockMap`] (e.g. the experiment
+    /// harness, which caches them) should use
+    /// [`try_run_compiled_with`](Simulator::try_run_compiled_with) to
+    /// skip the per-run build.
     ///
     /// # Panics
     ///
-    /// Panics when the cycle-budget watchdog fires (see
-    /// [`try_run`](Simulator::try_run) for the fallible form). The
-    /// default auto budget never trips on a machine that makes progress.
+    /// Panics with `simulation aborted: {e}` when the cycle-budget
+    /// watchdog fires. The default auto budget never trips on a machine
+    /// that makes progress.
     pub fn run(&self, trace: &Trace) -> SimResult {
-        self.try_run(trace)
-            .unwrap_or_else(|e| panic!("simulation aborted: {e}"))
-    }
-
-    /// Fallible form of [`run`](Simulator::run): a run that exhausts its
-    /// cycle budget returns [`SimError::BudgetExceeded`] with a forensic
-    /// snapshot instead of panicking or hanging.
-    pub fn try_run(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        if reference_engine_forced() {
+        let result = if reference_engine_forced() {
             self.try_run_reference(trace)
         } else {
-            self.try_run_compiled(&trace.compile())
-        }
+            let ct = trace.compile();
+            let sb = SuperblockMap::build(&ct, self.config.caches.l1i().line_bytes());
+            self.try_run_compiled_with(&ct, &sb)
+        };
+        result.unwrap_or_else(|e| panic!("simulation aborted: {e}"))
     }
 
-    /// Simulates an already-compiled trace on the event-driven engine,
-    /// building the superblock map on the fly. Callers that cache
-    /// artifacts per trace (the experiment harness) should build the
-    /// [`SuperblockMap`] once and use
-    /// [`run_compiled_with`](Simulator::run_compiled_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cycle-budget watchdog fires (see
-    /// [`try_run_compiled`](Simulator::try_run_compiled)).
-    pub fn run_compiled(&self, trace: &CompiledTrace) -> SimResult {
-        self.try_run_compiled(trace)
-            .unwrap_or_else(|e| panic!("simulation aborted: {e}"))
-    }
-
-    /// Fallible form of [`run_compiled`](Simulator::run_compiled).
-    pub fn try_run_compiled(&self, trace: &CompiledTrace) -> Result<SimResult, SimError> {
-        let sb = SuperblockMap::build(trace, self.config.caches.l1i().line_bytes());
-        self.try_run_compiled_with(trace, &sb)
-    }
-
-    /// Simulates a compiled trace with a prebuilt superblock map (keyed
-    /// by the trace and the L1I line size — one map serves every machine
-    /// configuration sharing a line size).
+    /// Simulates a compiled trace on the event-driven engine with a
+    /// prebuilt superblock map (keyed by the trace and the L1I line size
+    /// — one map serves every machine configuration sharing a line
+    /// size). A run that exhausts its cycle budget returns
+    /// [`SimError::BudgetExceeded`] with a forensic snapshot instead of
+    /// panicking or hanging.
     ///
     /// # Panics
     ///
     /// Panics if `sb` was built for a different trace length or L1I line
-    /// size than this simulator's configuration, or when the cycle-budget
-    /// watchdog fires.
-    pub fn run_compiled_with(&self, trace: &CompiledTrace, sb: &SuperblockMap) -> SimResult {
-        self.try_run_compiled_with(trace, sb)
-            .unwrap_or_else(|e| panic!("simulation aborted: {e}"))
-    }
-
-    /// Fallible form of [`run_compiled_with`](Simulator::run_compiled_with).
+    /// size than this simulator's configuration.
     pub fn try_run_compiled_with(
         &self,
         trace: &CompiledTrace,
@@ -265,22 +234,10 @@ impl Simulator {
     }
 
     /// Simulates the trace on the retained reference engine (the original
-    /// straightforward cycle loop). Used as the ground truth in
-    /// equivalence tests and CI diffs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cycle-budget watchdog fires (see
-    /// [`try_run_reference`](Simulator::try_run_reference)).
-    pub fn run_reference(&self, trace: &Trace) -> SimResult {
-        self.try_run_reference(trace)
-            .unwrap_or_else(|e| panic!("simulation aborted: {e}"))
-    }
-
-    /// Fallible form of [`run_reference`](Simulator::run_reference). The
-    /// forensic snapshot in a budget error is bit-identical to the
-    /// event-driven engine's — aborts are part of the equivalence
-    /// contract.
+    /// straightforward cycle loop), the ground truth in equivalence tests
+    /// and CI diffs. The forensic snapshot in a budget error is
+    /// bit-identical to the event-driven engine's — aborts are part of
+    /// the equivalence contract.
     pub fn try_run_reference(&self, trace: &Trace) -> Result<SimResult, SimError> {
         crate::reference::run(&self.config, self.options, trace)
     }
@@ -301,7 +258,6 @@ struct Scratch {
     mem: Option<(u64, MemoryHierarchy)>,
     events: Vec<MissEvent>,
     mispredicts: Vec<MispredictRecord>,
-    interval_records: Vec<IntervalRecord>,
 }
 
 thread_local! {
@@ -400,10 +356,6 @@ struct Engine<'a, P> {
     branch_stats: BranchStats,
     events: Vec<MissEvent>,
     mispredicts: Vec<MispredictRecord>,
-    // Per-interval accounting (None when `collect_intervals` is off, so
-    // the only cost on the default path is one branch per commit).
-    accountant: Option<IntervalAccountant>,
-    interval_records: Vec<IntervalRecord>,
     pending: Option<PendingMiss>,
     timeline: Option<Vec<u8>>,
     slots_acct: SlotAccounting,
@@ -497,8 +449,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
             branch_stats: BranchStats::new(),
             events: std::mem::take(&mut scratch.events),
             mispredicts: std::mem::take(&mut scratch.mispredicts),
-            accountant: opts.collect_intervals.then(IntervalAccountant::new),
-            interval_records: std::mem::take(&mut scratch.interval_records),
             pending: None,
             timeline: opts.record_dispatch_timeline.then(Vec::new),
             slots_acct: SlotAccounting::default(),
@@ -521,8 +471,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
         scratch.events.clear();
         scratch.mispredicts = self.mispredicts;
         scratch.mispredicts.clear();
-        scratch.interval_records = self.interval_records;
-        scratch.interval_records.clear();
     }
 
     /// Current ROB occupancy (the ROB is the committed..dispatched range).
@@ -622,7 +570,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
             // while the grown buffer returns to the scratch pool.
             events: self.events.clone(),
             mispredicts: self.mispredicts.clone(),
-            interval_records: self.interval_records.clone(),
             dispatch_timeline: self.timeline.take(),
             frontend_depth: self.cfg.frontend_depth,
             slots: self.slots_acct,
@@ -740,10 +687,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
         self.mem.reset_stats();
         self.events.clear();
         self.mispredicts.clear();
-        self.interval_records.clear();
-        if let Some(acct) = &mut self.accountant {
-            acct.reset(self.committed);
-        }
         self.slots_acct = SlotAccounting::default();
         self.fetch_acct = FetchAccounting::default();
         self.rob_occupancy.iter_mut().for_each(|c| *c = 0);
@@ -763,15 +706,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                 break;
             }
             k += 1;
-        }
-        if let Some(acct) = &mut self.accountant {
-            for idx in self.commit_head..self.commit_head + k {
-                acct.on_commit(
-                    idx as u64,
-                    self.cycle - self.stats_start_cycle,
-                    &mut self.interval_records,
-                );
-            }
         }
         self.commit_head += k;
         self.committed += k as u64;
@@ -820,11 +754,8 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                         self.events.push(MissEvent {
                             trace_idx: idx,
                             cycle: self.cycle,
-                            kind: MissEventKind::LongDCacheMiss,
+                            kind: IntervalEventKind::LongDCacheMiss,
                         });
-                        if let Some(acct) = &mut self.accountant {
-                            acct.on_event(idx as u64, IntervalEventKind::LongDCacheMiss);
-                        }
                     }
                     u64::from(access.latency)
                 } else {
@@ -867,14 +798,6 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                     resolve_cycle: done,
                     window_occupancy: pending.window_occupancy,
                 });
-                if let Some(acct) = &mut self.accountant {
-                    acct.on_mispredict(
-                        idx as u64,
-                        done.saturating_sub(pending.dispatch_cycle),
-                        self.cfg.frontend_depth,
-                        pending.window_occupancy,
-                    );
-                }
             }
         }
         self.sched.rearm_deferred();
@@ -985,21 +908,11 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                         trace_idx: idx,
                         cycle: self.cycle,
                         kind: if access.long_miss {
-                            MissEventKind::ICacheLongMiss
+                            IntervalEventKind::ICacheLongMiss
                         } else {
-                            MissEventKind::ICacheMiss
+                            IntervalEventKind::ICacheMiss
                         },
                     });
-                    if let Some(acct) = &mut self.accountant {
-                        acct.on_event(
-                            idx as u64,
-                            if access.long_miss {
-                                IntervalEventKind::ICacheLongMiss
-                            } else {
-                                IntervalEventKind::ICacheMiss
-                            },
-                        );
-                    }
                     // The line arrives after the stall; the op is fetched
                     // on a later cycle.
                     return;
@@ -1033,7 +946,7 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                     self.events.push(MissEvent {
                         trace_idx: idx,
                         cycle: self.cycle,
-                        kind: MissEventKind::BranchMispredict,
+                        kind: IntervalEventKind::BranchMispredict,
                     });
                     return;
                 }
@@ -1121,6 +1034,14 @@ mod tests {
     use bmp_trace::{MicroOp, TraceBuilder};
     use bmp_uarch::{presets, OpClass, PredictorConfig};
     use bmp_workloads::micro;
+
+    /// The event-driven engine on `trace`, whatever
+    /// `BMP_REFERENCE_ENGINE` says.
+    fn run_event(sim: &Simulator, trace: &Trace) -> Result<SimResult, SimError> {
+        let ct = trace.compile();
+        let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
+        sim.try_run_compiled_with(&ct, &sb)
+    }
 
     fn perfect_tiny() -> MachineConfig {
         presets::test_tiny()
@@ -1277,7 +1198,7 @@ mod tests {
         let long = res
             .events
             .iter()
-            .filter(|e| e.kind == MissEventKind::LongDCacheMiss)
+            .filter(|e| e.kind == IntervalEventKind::LongDCacheMiss)
             .count();
         assert!(long > 500, "expected many long misses, got {long}");
         assert!(res.ipc() < 1.0);
@@ -1292,7 +1213,7 @@ mod tests {
         let long = res
             .events
             .iter()
-            .filter(|e| e.kind == MissEventKind::LongDCacheMiss)
+            .filter(|e| e.kind == IntervalEventKind::LongDCacheMiss)
             .count();
         assert!(long <= 8, "resident set should only cold-miss, got {long}");
     }
@@ -1311,7 +1232,7 @@ mod tests {
             .filter(|e| {
                 matches!(
                     e.kind,
-                    MissEventKind::ICacheMiss | MissEventKind::ICacheLongMiss
+                    IntervalEventKind::ICacheMiss | IntervalEventKind::ICacheLongMiss
                 )
             })
             .count();
@@ -1587,9 +1508,7 @@ mod tests {
             max_cycles: 100,
             ..SimOptions::default()
         };
-        let err = Simulator::with_options(perfect_tiny(), opts)
-            .try_run(&trace)
-            .unwrap_err();
+        let err = run_event(&Simulator::with_options(perfect_tiny(), opts), &trace).unwrap_err();
         let SimError::BudgetExceeded(f) = err;
         assert_eq!(f.budget, 100);
         assert_eq!(f.cycle, 100);
@@ -1682,8 +1601,8 @@ mod tests {
         for trace in &traces {
             for cfg in &configs {
                 let sim = Simulator::new(cfg.clone());
-                let fast = sim.run_compiled(&trace.compile());
-                let slow = sim.run_reference(trace);
+                let fast = run_event(&sim, trace);
+                let slow = sim.try_run_reference(trace);
                 assert_eq!(fast, slow, "engines diverged on {cfg:?}");
             }
         }
@@ -1702,13 +1621,10 @@ mod tests {
                 record_dispatch_timeline: true,
                 max_cycles: 2_000,
                 warmup_ops: 1_000,
-                collect_intervals: false,
             },
-            SimOptions::with_warmup(1_000).intervals(),
-            SimOptions::with_intervals(),
         ] {
             let sim = Simulator::with_options(presets::baseline_4wide(), opts);
-            let fast = sim.try_run_compiled(&trace.compile());
+            let fast = run_event(&sim, &trace);
             let slow = sim.try_run_reference(&trace);
             assert_eq!(fast, slow, "engines diverged with {opts:?}");
         }
@@ -1722,8 +1638,8 @@ mod tests {
         let ct = trace.compile();
         let sim = Simulator::new(presets::baseline_4wide());
         let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
-        let plain = sim.run_compiled(&ct);
-        let with_map = sim.run_compiled_with(&ct, &sb);
+        let plain = sim.run(&trace);
+        let with_map = sim.try_run_compiled_with(&ct, &sb).unwrap();
         assert_eq!(plain, with_map);
         let (phased, phases) = sim.try_run_compiled_phased(&ct, &sb).unwrap();
         assert_eq!(plain, phased);
@@ -1740,7 +1656,7 @@ mod tests {
         let sim = Simulator::new(presets::baseline_4wide());
         let wrong_line = sim.config().caches.l1i().line_bytes() * 2;
         let sb = SuperblockMap::build(&ct, wrong_line);
-        let _ = sim.run_compiled_with(&ct, &sb);
+        let _ = sim.try_run_compiled_with(&ct, &sb);
     }
 
     /// Idle-cycle skipping must stop exactly at the budget cutoff even
@@ -1755,7 +1671,7 @@ mod tests {
             ..SimOptions::default()
         };
         let sim = Simulator::with_options(presets::test_tiny(), opts);
-        let fast = sim.try_run_compiled(&trace.compile()).unwrap_err();
+        let fast = run_event(&sim, &trace).unwrap_err();
         let SimError::BudgetExceeded(f) = fast;
         assert_eq!(f.cycle, 777, "skipping overshot the budget");
         assert_eq!(

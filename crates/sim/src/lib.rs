@@ -49,6 +49,5 @@ pub use engine::{reference_engine_forced, RunPhases, Simulator};
 pub use error::{BudgetForensics, SimError};
 pub use options::SimOptions;
 pub use result::{
-    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, MissEventKind, SimResult,
-    SlotAccounting,
+    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, SimResult, SlotAccounting,
 };

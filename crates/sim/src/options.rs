@@ -20,12 +20,6 @@ pub struct SimOptions {
     /// standard warmup idiom that keeps compulsory misses from
     /// dominating short runs.
     pub warmup_ops: u64,
-    /// Emit one per-interval accounting record per miss-event interval
-    /// at commit boundaries (`SimResult::interval_records`), the
-    /// observability layer described in `docs/OBSERVABILITY.md`. Off by
-    /// default; when off the only cost is one branch per committed
-    /// instruction and the records vector stays empty.
-    pub collect_intervals: bool,
 }
 
 impl Default for SimOptions {
@@ -34,7 +28,6 @@ impl Default for SimOptions {
             record_dispatch_timeline: false,
             max_cycles: u64::MAX,
             warmup_ops: 0,
-            collect_intervals: false,
         }
     }
 }
@@ -65,22 +58,6 @@ impl SimOptions {
             warmup_ops: ops,
             ..Self::default()
         }
-    }
-
-    /// Options with per-interval accounting enabled.
-    pub fn with_intervals() -> Self {
-        Self {
-            collect_intervals: true,
-            ..Self::default()
-        }
-    }
-
-    /// This options value with per-interval accounting enabled —
-    /// composes with the other constructors
-    /// (`SimOptions::with_warmup(n).intervals()`).
-    pub fn intervals(mut self) -> Self {
-        self.collect_intervals = true;
-        self
     }
 
     /// Options with an explicit cycle budget.
@@ -116,10 +93,6 @@ mod tests {
         assert!(SimOptions::with_timeline().record_dispatch_timeline);
         assert_eq!(SimOptions::with_warmup(100).warmup_ops, 100);
         assert_eq!(o.warmup_ops, 0);
-        assert!(!o.collect_intervals);
-        assert!(SimOptions::with_intervals().collect_intervals);
-        let composed = SimOptions::with_warmup(100).intervals();
-        assert!(composed.collect_intervals && composed.warmup_ops == 100);
     }
 
     #[test]

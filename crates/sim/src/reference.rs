@@ -8,7 +8,7 @@
 //!
 //! Two ways to reach it:
 //!
-//! * `Simulator::run_reference` runs it directly;
+//! * `Simulator::try_run_reference` runs it directly;
 //! * setting `BMP_REFERENCE_ENGINE=1` in the environment routes every
 //!   `Simulator::run` through it, which lets CI replay the whole
 //!   experiment suite on both engines and diff the CSVs.
@@ -24,7 +24,6 @@ use bmp_branch::{
 };
 use bmp_cache::{DataOutcome, MemoryHierarchy};
 use bmp_core::intervals::IntervalEventKind;
-use bmp_core::{IntervalAccountant, IntervalRecord};
 use bmp_trace::{BranchKind, MicroOp, Trace};
 use bmp_uarch::{FuKind, MachineConfig, OpClass, FU_KINDS};
 use std::collections::VecDeque;
@@ -32,8 +31,7 @@ use std::collections::VecDeque;
 use crate::error::{BudgetForensics, SimError};
 use crate::options::SimOptions;
 use crate::result::{
-    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, MissEventKind, SimResult,
-    SlotAccounting,
+    ClassIssueStats, FetchAccounting, MispredictRecord, MissEvent, SimResult, SlotAccounting,
 };
 
 /// Sentinel for "not yet executed".
@@ -98,10 +96,6 @@ struct Engine<'a> {
     branch_stats: BranchStats,
     events: Vec<MissEvent>,
     mispredicts: Vec<MispredictRecord>,
-    // Per-interval accounting (None when `collect_intervals` is off, so
-    // the only cost on the default path is one branch per commit).
-    accountant: Option<IntervalAccountant>,
-    interval_records: Vec<IntervalRecord>,
     pending: Option<PendingMiss>,
     timeline: Option<Vec<u8>>,
     line_mask: u64,
@@ -144,8 +138,6 @@ impl<'a> Engine<'a> {
             branch_stats: BranchStats::new(),
             events: Vec::new(),
             mispredicts: Vec::new(),
-            accountant: opts.collect_intervals.then(IntervalAccountant::new),
-            interval_records: Vec::new(),
             pending: None,
             timeline: opts.record_dispatch_timeline.then(Vec::new),
             line_mask: !u64::from(cfg.caches.l1i().line_bytes() - 1),
@@ -210,7 +202,6 @@ impl<'a> Engine<'a> {
             hierarchy: self.mem.stats(),
             events: self.events,
             mispredicts: self.mispredicts,
-            interval_records: self.interval_records,
             dispatch_timeline: self.timeline,
             frontend_depth: self.cfg.frontend_depth,
             slots: self.slots,
@@ -230,10 +221,6 @@ impl<'a> Engine<'a> {
         self.mem.reset_stats();
         self.events.clear();
         self.mispredicts.clear();
-        self.interval_records.clear();
-        if let Some(acct) = &mut self.accountant {
-            acct.reset(self.committed);
-        }
         self.slots = SlotAccounting::default();
         self.fetch_acct = FetchAccounting::default();
         self.rob_occupancy.iter_mut().for_each(|c| *c = 0);
@@ -248,17 +235,9 @@ impl<'a> Engine<'a> {
         while budget > 0 {
             match self.rob.front() {
                 Some(slot) if self.done[slot.idx] <= self.cycle => {
-                    let idx = slot.idx;
                     self.rob.pop_front();
                     self.committed += 1;
                     budget -= 1;
-                    if let Some(acct) = &mut self.accountant {
-                        acct.on_commit(
-                            idx as u64,
-                            self.cycle - self.stats_start_cycle,
-                            &mut self.interval_records,
-                        );
-                    }
                 }
                 _ => break,
             }
@@ -322,11 +301,8 @@ impl<'a> Engine<'a> {
                         self.events.push(MissEvent {
                             trace_idx: idx,
                             cycle: self.cycle,
-                            kind: MissEventKind::LongDCacheMiss,
+                            kind: IntervalEventKind::LongDCacheMiss,
                         });
-                        if let Some(acct) = &mut self.accountant {
-                            acct.on_event(idx as u64, IntervalEventKind::LongDCacheMiss);
-                        }
                     }
                     u64::from(access.latency)
                 }
@@ -363,14 +339,6 @@ impl<'a> Engine<'a> {
                     resolve_cycle: self.done[idx],
                     window_occupancy: pending.window_occupancy,
                 });
-                if let Some(acct) = &mut self.accountant {
-                    acct.on_mispredict(
-                        idx as u64,
-                        self.done[idx].saturating_sub(pending.dispatch_cycle),
-                        self.cfg.frontend_depth,
-                        pending.window_occupancy,
-                    );
-                }
             }
         }
     }
@@ -445,21 +413,11 @@ impl<'a> Engine<'a> {
                         trace_idx: idx,
                         cycle: self.cycle,
                         kind: if access.long_miss {
-                            MissEventKind::ICacheLongMiss
+                            IntervalEventKind::ICacheLongMiss
                         } else {
-                            MissEventKind::ICacheMiss
+                            IntervalEventKind::ICacheMiss
                         },
                     });
-                    if let Some(acct) = &mut self.accountant {
-                        acct.on_event(
-                            idx as u64,
-                            if access.long_miss {
-                                IntervalEventKind::ICacheLongMiss
-                            } else {
-                                IntervalEventKind::ICacheMiss
-                            },
-                        );
-                    }
                     // The line arrives after the stall; the op is fetched
                     // on a later cycle.
                     return;
@@ -484,7 +442,7 @@ impl<'a> Engine<'a> {
                     self.events.push(MissEvent {
                         trace_idx: idx,
                         cycle: self.cycle,
-                        kind: MissEventKind::BranchMispredict,
+                        kind: IntervalEventKind::BranchMispredict,
                     });
                     return;
                 }

@@ -3,34 +3,8 @@
 
 use bmp_branch::BranchStats;
 use bmp_cache::HierarchyStats;
+use bmp_core::{IntervalEventKind, IntervalRecord};
 use serde::{Deserialize, Serialize};
-
-/// The kinds of interval-terminating miss events distinguished by
-/// interval analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MissEventKind {
-    /// A mispredicted conditional branch (or a return with a wrong RAS
-    /// target).
-    BranchMispredict,
-    /// An L1 instruction-cache miss that was served by the L2.
-    ICacheMiss,
-    /// An instruction fetch that went to memory.
-    ICacheLongMiss,
-    /// A load that went to memory (long data miss).
-    LongDCacheMiss,
-}
-
-impl MissEventKind {
-    /// Short label used in CSV output.
-    pub fn label(self) -> &'static str {
-        match self {
-            MissEventKind::BranchMispredict => "bmiss",
-            MissEventKind::ICacheMiss => "il1",
-            MissEventKind::ICacheLongMiss => "il2",
-            MissEventKind::LongDCacheMiss => "dlong",
-        }
-    }
-}
 
 /// One miss event, positioned both in the instruction stream and in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +16,7 @@ pub struct MissEvent {
     /// Cycle at which the event was observed.
     pub cycle: u64,
     /// What happened.
-    pub kind: MissEventKind,
+    pub kind: IntervalEventKind,
 }
 
 /// Everything measured about one branch misprediction.
@@ -168,12 +142,6 @@ pub struct SimResult {
     pub events: Vec<MissEvent>,
     /// One record per branch misprediction, in trace order.
     pub mispredicts: Vec<MispredictRecord>,
-    /// Per-interval cycle accounting, when requested via
-    /// [`SimOptions::collect_intervals`](crate::SimOptions): one record
-    /// per miss-event interval, emitted at commit boundaries, in commit
-    /// order. Empty when collection is off. Part of the engine
-    /// bit-equivalence contract (see `docs/OBSERVABILITY.md`).
-    pub interval_records: Vec<bmp_core::IntervalRecord>,
     /// Per-cycle dispatch counts, when requested via
     /// [`SimOptions::record_dispatch_timeline`](crate::SimOptions).
     pub dispatch_timeline: Option<Vec<u8>>,
@@ -258,6 +226,62 @@ impl SimResult {
         weighted as f64 / cycles as f64
     }
 
+    /// Per-interval cycle accounting derived from the event logs: one
+    /// record per miss-event interval of the measured epoch, in index
+    /// order (see `docs/OBSERVABILITY.md`). `trace_len` is the length of
+    /// the simulated trace.
+    ///
+    /// An interval ends at every index that logged a miss event. A
+    /// [`MispredictRecord`] at an index makes it a branch interval
+    /// carrying the branch's `resolution()`, `window_occupancy` and
+    /// `refill = frontend_depth`; otherwise the first event logged there
+    /// gives the kind. The first record starts at the warmup boundary,
+    /// `trace_len − instructions`; each later one starts one past the
+    /// previous record's `pos`. The trailing instructions after the last
+    /// event end no interval and produce no record.
+    ///
+    /// Unlike [`segment`](bmp_core::segment), which keeps the first kind
+    /// of coincident events, a misprediction overrides a coincident
+    /// cache miss, so the branch records match `mispredicts` one to one —
+    /// the invariant lint BMP502 checks.
+    pub fn interval_records(&self, trace_len: usize) -> Vec<IntervalRecord> {
+        let record = |pos: usize, kind| IntervalRecord {
+            kind,
+            start: 0,
+            pos: pos as u64,
+            resolution: 0,
+            refill: 0,
+            occupancy: 0,
+            base: 0,
+            ilp: 0,
+            fu_latency: 0,
+            short_dmiss: 0,
+            carryover: 0,
+        };
+        let branches = self.mispredicts.iter().map(|m| IntervalRecord {
+            resolution: m.resolution(),
+            refill: self.frontend_depth,
+            occupancy: m.window_occupancy,
+            ..record(m.branch_idx, IntervalEventKind::BranchMispredict)
+        });
+        let misses = self
+            .events
+            .iter()
+            .filter(|e| e.kind != IntervalEventKind::BranchMispredict)
+            .map(|e| record(e.trace_idx, e.kind));
+        let mut records: Vec<IntervalRecord> = branches.chain(misses).collect();
+        // Stable: at each index the branch record comes first, then the
+        // cache misses in log order, and `dedup` keeps the first.
+        records.sort_by_key(|r| r.pos);
+        records.dedup_by_key(|r| r.pos);
+        let mut start = trace_len as u64 - self.instructions;
+        for r in &mut records {
+            r.start = start;
+            start = r.pos + 1;
+        }
+        records
+    }
+
     /// Fraction of cycles the ROB was completely full.
     pub fn rob_full_fraction(&self) -> f64 {
         let cycles: u64 = self.rob_occupancy.iter().sum();
@@ -299,7 +323,6 @@ mod tests {
             events: vec![],
             mispredicts: vec![record(10, 20), record(50, 54)],
             dispatch_timeline: None,
-            interval_records: vec![],
             frontend_depth: 5,
             slots: SlotAccounting::default(),
             fetch: FetchAccounting::default(),
@@ -322,7 +345,6 @@ mod tests {
             events: vec![],
             mispredicts: vec![],
             dispatch_timeline: None,
-            interval_records: vec![],
             frontend_depth: 5,
             slots: SlotAccounting::default(),
             fetch: FetchAccounting::default(),
@@ -345,7 +367,6 @@ mod tests {
             events: vec![],
             mispredicts: vec![],
             dispatch_timeline: None,
-            interval_records: vec![],
             frontend_depth: 5,
             slots: SlotAccounting::default(),
             fetch: FetchAccounting::default(),
@@ -383,9 +404,110 @@ mod tests {
         assert_eq!(SlotAccounting::default().utilization(), 0.0);
     }
 
+    /// A result logging `events` and `mispredicts` over a measured epoch
+    /// of `instructions`, with a frontend depth of 5.
+    fn logged(
+        instructions: u64,
+        events: &[(usize, IntervalEventKind)],
+        mispredicts: &[MispredictRecord],
+    ) -> SimResult {
+        SimResult {
+            cycles: 0,
+            instructions,
+            branch_stats: BranchStats::default(),
+            hierarchy: HierarchyStats::default(),
+            events: events
+                .iter()
+                .map(|&(trace_idx, kind)| MissEvent {
+                    trace_idx,
+                    cycle: 0,
+                    kind,
+                })
+                .collect(),
+            mispredicts: mispredicts.to_vec(),
+            dispatch_timeline: None,
+            frontend_depth: 5,
+            slots: SlotAccounting::default(),
+            fetch: FetchAccounting::default(),
+            rob_occupancy: vec![],
+            class_issue: [ClassIssueStats::default(); 9],
+        }
+    }
+
+    fn mispredict(branch_idx: usize, resolution: u64, window_occupancy: u32) -> MispredictRecord {
+        MispredictRecord {
+            branch_idx,
+            fetch_cycle: 0,
+            dispatch_cycle: 100,
+            resolve_cycle: 100 + resolution,
+            window_occupancy,
+        }
+    }
+
     #[test]
-    fn event_labels() {
-        assert_eq!(MissEventKind::BranchMispredict.label(), "bmiss");
-        assert_eq!(MissEventKind::LongDCacheMiss.label(), "dlong");
+    fn intervals_are_contiguous_and_inclusive() {
+        use IntervalEventKind::*;
+        let res = logged(
+            40,
+            &[(9, ICacheMiss), (29, BranchMispredict)],
+            &[mispredict(29, 12, 40)],
+        );
+        let out = res.interval_records(40);
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].start, out[0].pos), (0, 9));
+        assert_eq!(out[0].kind, ICacheMiss);
+        assert_eq!((out[1].start, out[1].pos), (10, 29));
+        assert_eq!(out[1].len(), 20);
+        assert_eq!(out[1].penalty(), 17);
+        assert_eq!(out[1].occupancy, 40);
+        // Instructions 30..39 form the trailing partial interval: no record.
+    }
+
+    #[test]
+    fn mispredict_overrides_coincident_cache_miss() {
+        use IntervalEventKind::*;
+        let res = logged(
+            6,
+            &[(5, ICacheMiss), (5, BranchMispredict)],
+            &[mispredict(5, 7, 3)],
+        );
+        let out = res.interval_records(6);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].kind, BranchMispredict);
+        assert_eq!(out[0].resolution, 7);
+        assert_eq!(out[0].refill, 5);
+    }
+
+    #[test]
+    fn first_cache_kind_wins_on_coincidence() {
+        use IntervalEventKind::*;
+        let res = logged(6, &[(5, ICacheMiss), (5, LongDCacheMiss)], &[]);
+        let out = res.interval_records(6);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].kind, ICacheMiss);
+    }
+
+    #[test]
+    fn out_of_order_events_resolve_by_commit_order() {
+        // OoO issue logs a dlong event for idx 20 before idx 10's event;
+        // commits are in order, so records are too.
+        use IntervalEventKind::*;
+        let res = logged(21, &[(20, LongDCacheMiss), (10, ICacheMiss)], &[]);
+        let out = res.interval_records(21);
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].start, out[0].pos), (0, 10));
+        assert_eq!((out[1].start, out[1].pos), (11, 20));
+    }
+
+    #[test]
+    fn warmup_rebases_start() {
+        // 50 warmup instructions: the measured epoch is 50..70. The
+        // branch fetched before the boundary left no event, only its
+        // mispredict record.
+        let res = logged(20, &[], &[mispredict(60, 9, 8)]);
+        let out = res.interval_records(70);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].start, out[0].pos), (50, 60));
+        assert_eq!(out[0].kind, IntervalEventKind::BranchMispredict);
     }
 }

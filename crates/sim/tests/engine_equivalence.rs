@@ -12,13 +12,22 @@
 //! chance to surface — and when one does, proptest shrinks it to a
 //! minimal counterexample.
 
-use bmp_sim::{SimOptions, Simulator};
+use bmp_sim::{SimError, SimOptions, SimResult, Simulator};
+use bmp_trace::{SuperblockMap, Trace};
 use bmp_uarch::{
     presets, CacheGeometry, HierarchyConfig, IndirectPredictorConfig, LatencyTable, MachineConfig,
     MachineConfigBuilder, PredictorConfig,
 };
 use bmp_workloads::WorkloadProfile;
 use proptest::prelude::*;
+
+/// The event-driven engine on `trace`, whatever `BMP_REFERENCE_ENGINE`
+/// says.
+fn run_event(sim: &Simulator, trace: &Trace) -> Result<SimResult, SimError> {
+    let ct = trace.compile();
+    let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
+    sim.try_run_compiled_with(&ct, &sb)
+}
 
 /// A strategy over valid workload profiles (a representative subspace,
 /// mirroring the workspace-level `tests/properties.rs`).
@@ -180,8 +189,8 @@ proptest! {
     ) {
         let trace = profile.generate(3_000, seed);
         let sim = Simulator::new(cfg);
-        let event = sim.run_compiled(&trace.compile());
-        let reference = sim.run_reference(&trace);
+        let event = run_event(&sim, &trace).unwrap();
+        let reference = sim.try_run_reference(&trace).unwrap();
         prop_assert_eq!(event, reference);
     }
 
@@ -196,8 +205,8 @@ proptest! {
     ) {
         let trace = profile.generate(3_000, seed);
         let sim = Simulator::with_options(cfg, SimOptions::with_warmup(1_000));
-        let event = sim.run_compiled(&trace.compile());
-        let reference = sim.run_reference(&trace);
+        let event = run_event(&sim, &trace).unwrap();
+        let reference = sim.try_run_reference(&trace).unwrap();
         prop_assert_eq!(event, reference);
     }
 
@@ -212,18 +221,19 @@ proptest! {
         let trace = profile.generate(2_000, seed);
         let ct = trace.compile();
         let sim = Simulator::new(presets::baseline_4wide());
-        let first = sim.run_compiled(&ct);
-        let second = sim.run_compiled(&ct);
+        let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
+        let first = sim.try_run_compiled_with(&ct, &sb).unwrap();
+        let second = sim.try_run_compiled_with(&ct, &sb).unwrap();
         prop_assert_eq!(first, second);
     }
 
-    /// Equivalence of the observability layer: with per-interval
-    /// accounting enabled (and a warmup boundary slicing through it),
-    /// both engines emit bit-identical `interval_records`, and the
-    /// records obey the structural invariants the metrics pipeline
-    /// relies on — contiguity, one branch record per mispredict record
-    /// (with matching resolution/occupancy), refill pinned to the
-    /// frontend depth, and commit cycles monotone within the run.
+    /// The per-interval records derived from each engine's event logs
+    /// (with a warmup boundary slicing through the run) are identical,
+    /// and obey the structural invariants the metrics pipeline relies
+    /// on: the first record starts at the warmup boundary, records are
+    /// contiguous, every interval ends at a logged event, branch records
+    /// are one to one (in order) with the mispredict records and carry
+    /// their resolution and occupancy, and refill is the frontend depth.
     #[test]
     fn engines_agree_on_interval_accounting(
         cfg in arb_config(),
@@ -234,25 +244,28 @@ proptest! {
         use bmp_core::intervals::IntervalEventKind;
 
         let trace = profile.generate(3_000, seed);
-        let sim = Simulator::with_options(cfg, SimOptions::with_warmup(warmup).intervals());
-        let event = sim.run_compiled(&trace.compile());
-        let reference = sim.run_reference(&trace);
-        prop_assert_eq!(&event, &reference);
+        let sim = Simulator::with_options(cfg, SimOptions::with_warmup(warmup));
+        let event = run_event(&sim, &trace).unwrap();
+        let reference = sim.try_run_reference(&trace).unwrap();
+        let records = event.interval_records(trace.len());
+        prop_assert_eq!(&records, &reference.interval_records(trace.len()));
 
-        let records = &event.interval_records;
-        // Contiguity: each record's interval starts right after the
-        // previous one ends (the warmup reset rebases `start`, but the
-        // records themselves are cleared with it, so the chain holds).
+        let boundary = trace.len() as u64 - event.instructions;
+        prop_assert!(boundary >= warmup);
+        if warmup == 0 {
+            prop_assert_eq!(boundary, 0);
+        }
+        if let Some(first) = records.first() {
+            prop_assert_eq!(first.start, boundary);
+        }
         for pair in records.windows(2) {
             prop_assert_eq!(pair[1].start, pair[0].pos + 1);
-            prop_assert!(pair[1].commit_cycle >= pair[0].commit_cycle);
         }
-        for r in records {
+        for r in &records {
             prop_assert!(r.pos >= r.start);
-            prop_assert_eq!(r.penalty(), r.resolution + u64::from(r.refill));
+            prop_assert!(event.events.iter().any(|e| e.trace_idx as u64 == r.pos)
+                || event.mispredicts.iter().any(|m| m.branch_idx as u64 == r.pos));
         }
-        // Branch-kind records are 1:1 (in order) with mispredict
-        // records, and carry the same resolution and occupancy.
         let bmiss: Vec<_> = records
             .iter()
             .filter(|r| r.kind == IntervalEventKind::BranchMispredict)
@@ -260,9 +273,9 @@ proptest! {
         prop_assert_eq!(bmiss.len(), event.mispredicts.len());
         for (r, m) in bmiss.iter().zip(&event.mispredicts) {
             prop_assert_eq!(r.pos, m.branch_idx as u64);
-            prop_assert_eq!(r.resolution, m.resolve_cycle.saturating_sub(m.dispatch_cycle));
+            prop_assert_eq!(r.resolution, m.resolution());
             prop_assert_eq!(r.occupancy, m.window_occupancy);
-            prop_assert_eq!(u64::from(r.refill), u64::from(event.frontend_depth));
+            prop_assert_eq!(r.refill, event.frontend_depth);
         }
     }
 }

@@ -114,76 +114,6 @@ pub fn ideal_history_accuracy(outcomes: &[bool], bits: u32) -> f64 {
     correct as f64 / outcomes.len() as f64
 }
 
-/// History lengths probed by the H2P sensitivity sweep, shortest first.
-pub const H2P_SWEEP_BITS: [u32; 4] = [0, 2, 4, 8];
-
-/// The H2P score of one conditional branch site: taken-rate entropy
-/// combined with a history-length sensitivity sweep
-/// (see `docs/PREDICTORS.md` for the scoring definition).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteScore {
-    /// The site's PC.
-    pub pc: u64,
-    /// Dynamic executions.
-    pub executions: u64,
-    /// Fraction taken.
-    pub taken_rate: f64,
-    /// Direction entropy `H(taken_rate)` in bits.
-    pub entropy: f64,
-    /// Ideal majority-table accuracy at each [`H2P_SWEEP_BITS`] history
-    /// length, in sweep order.
-    pub sweep_accuracy: [f64; H2P_SWEEP_BITS.len()],
-}
-
-impl SiteScore {
-    /// Accuracy gained by the longest probed history over none:
-    /// `sweep_accuracy[last] − sweep_accuracy[0]`. Pattern-driven sites
-    /// gain a lot; fundamentally hard sites gain little.
-    pub fn history_sensitivity(&self) -> f64 {
-        self.sweep_accuracy[H2P_SWEEP_BITS.len() - 1] - self.sweep_accuracy[0]
-    }
-
-    /// The scalar H2P score: `entropy × (1 − best sweep accuracy) ×
-    /// log2(executions + 1)`. High for sites that are unbiased, remain
-    /// inaccurate even with history, and execute often enough to matter;
-    /// exactly 0 for fully biased or history-explained sites.
-    pub fn h2p_score(&self) -> f64 {
-        let best = self
-            .sweep_accuracy
-            .iter()
-            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        self.entropy * (1.0 - best) * ((self.executions + 1) as f64).log2()
-    }
-}
-
-/// Scores every *conditional* branch site of `trace`, in increasing PC
-/// order: the raw material for H2P flagging in the static analyzer and
-/// the per-class experiment family.
-pub fn score_conditional_sites(trace: &CompiledTrace) -> Vec<SiteScore> {
-    conditional_outcome_sequences(trace)
-        .into_iter()
-        .map(|(pc, outcomes)| {
-            let taken = outcomes.iter().filter(|&&t| t).count() as f64;
-            let rate = if outcomes.is_empty() {
-                0.0
-            } else {
-                taken / outcomes.len() as f64
-            };
-            let mut sweep_accuracy = [0.0; H2P_SWEEP_BITS.len()];
-            for (slot, &bits) in sweep_accuracy.iter_mut().zip(H2P_SWEEP_BITS.iter()) {
-                *slot = ideal_history_accuracy(&outcomes, bits);
-            }
-            SiteScore {
-                pc,
-                executions: outcomes.len() as u64,
-                taken_rate: rate,
-                entropy: binary_entropy(rate),
-                sweep_accuracy,
-            }
-        })
-        .collect()
-}
-
 /// The dynamic outcome sequence (taken = `true`) of every *conditional*
 /// branch site, keyed by PC — the input to history-length-sensitivity
 /// probes. Sequences preserve trace order.
@@ -247,7 +177,6 @@ mod tests {
     fn empty_trace_has_no_sites() {
         assert!(branch_sites(&Trace::new().compile()).is_empty());
         assert!(conditional_outcome_sequences(&Trace::new().compile()).is_empty());
-        assert!(score_conditional_sites(&Trace::new().compile()).is_empty());
     }
 
     #[test]
@@ -266,52 +195,5 @@ mod tests {
         let constant = vec![true; 64];
         assert_eq!(ideal_history_accuracy(&constant, 0), 1.0);
         assert_eq!(ideal_history_accuracy(&[], 8), 1.0);
-    }
-
-    fn cond(pc: u64, taken: bool) -> MicroOp {
-        MicroOp::branch(pc, BranchKind::Conditional, taken, pc + 0x40, [None, None])
-    }
-
-    #[test]
-    fn scores_separate_biased_patterned_and_random_sites() {
-        let mut ops = Vec::new();
-        let mut lcg = 9u64;
-        for i in 0..2048 {
-            ops.push(cond(0x10, true)); // biased
-            ops.push(cond(0x20, i % 2 == 0)); // alternating
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ops.push(cond(0x30, (lcg >> 33) & 1 == 1)); // pseudo-random
-        }
-        let t: Trace = ops.into_iter().collect();
-        let scores = score_conditional_sites(&t.compile());
-        assert_eq!(scores.len(), 3);
-        let (biased, patterned, random) = (&scores[0], &scores[1], &scores[2]);
-        assert_eq!(biased.entropy, 0.0);
-        assert!(biased.h2p_score() == 0.0, "biased sites never score");
-        assert!(
-            patterned.history_sensitivity() > 0.4,
-            "alternation is explained by history: {patterned:?}"
-        );
-        assert!(
-            patterned.h2p_score() < 0.1,
-            "history-explained sites score ~0: {}",
-            patterned.h2p_score()
-        );
-        assert!(random.entropy > 0.9);
-        assert!(random.history_sensitivity() < 0.3);
-        assert!(
-            random.h2p_score() > 10.0 * patterned.h2p_score().max(0.01),
-            "random dominates: {} vs {}",
-            random.h2p_score(),
-            patterned.h2p_score()
-        );
-        // The sweep is monotone for an ideal table over nested history.
-        for s in &scores {
-            for w in s.sweep_accuracy.windows(2) {
-                assert!(w[1] >= w[0] - 1e-9, "{s:?}");
-            }
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end integration tests spanning every crate: workload synthesis
 //! → cycle-level simulation → interval-model analysis.
 
-use mispredict::core::{cpi, PenaltyModel};
-use mispredict::sim::{MissEventKind, Simulator};
+use mispredict::core::{cpi, IntervalEventKind, PenaltyModel};
+use mispredict::sim::Simulator;
 use mispredict::uarch::{presets, PredictorConfig};
 use mispredict::workloads::{micro, spec};
 
@@ -96,10 +96,10 @@ fn event_kinds_respond_to_machine_knockouts() {
         let res = Simulator::new(cfg.clone()).run(&trace);
         res.events.iter().fold([0usize; 4], |mut acc, e| {
             let i = match e.kind {
-                MissEventKind::BranchMispredict => 0,
-                MissEventKind::ICacheMiss => 1,
-                MissEventKind::ICacheLongMiss => 2,
-                MissEventKind::LongDCacheMiss => 3,
+                IntervalEventKind::BranchMispredict => 0,
+                IntervalEventKind::ICacheMiss => 1,
+                IntervalEventKind::ICacheLongMiss => 2,
+                IntervalEventKind::LongDCacheMiss => 3,
             };
             acc[i] += 1;
             acc
