@@ -4,10 +4,11 @@
 //! For every metrics document (written by `run_all` under
 //! `BMP_METRICS=1`, default directory `results/metrics/`) this binary
 //! regenerates each workload's trace from the registry, runs the
-//! dependence-graph static pass (`bmp_analyze::staticpass`), and
-//! prints, per contributor, the guaranteed lower bound, point
-//! estimate, upper bound, and the recorded model total. It then runs
-//! the BMP6xx lint family over the same documents, and ends with the
+//! static pass (`bmp_analyze::staticpass`) under the machine the entry
+//! was recorded with (its `predictor` tag), and prints, per
+//! contributor, the guaranteed lower bound, point estimate, upper
+//! bound, and the recorded model total. The BMP6xx lint family checks
+//! the same documents from the same bounds, and the run ends with the
 //! median point-estimate error of the static mean penalty against the
 //! *simulator's* recorded mean penalty (the headline number in
 //! `docs/STATIC_ANALYSIS.md`).
@@ -18,12 +19,11 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use bmp_analyze::staticpass::{self, lint, StaticBounds};
+use bmp_analyze::staticpass::{self, DocBounds, StaticBounds};
 use bmp_analyze::{walk_inputs, AnalysisReport, Severity};
 use bmp_core::json::Value;
 use bmp_core::json_object;
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics};
-use bmp_uarch::presets;
 
 const USAGE: &str = "\
 bmp-verify: static interval analysis — proven bounds on the five
@@ -52,6 +52,9 @@ fn out(line: &str) {
 struct WorkloadView {
     doc: String,
     workload: String,
+    /// The entry's predictor tag (empty for the baseline in v1
+    /// documents).
+    predictor: String,
     bounds: StaticBounds,
     /// Recorded model totals in `contributor_rows` order, when the
     /// document carries a model section for the same interval count.
@@ -85,6 +88,7 @@ impl WorkloadView {
         Self {
             doc: doc.name.clone(),
             workload: w.workload.clone(),
+            predictor: w.predictor.clone(),
             bounds: b,
             observed,
             sim_mean_penalty,
@@ -111,6 +115,7 @@ impl WorkloadView {
         json_object! {
             "experiment": self.doc.as_str(),
             "workload": self.workload.as_str(),
+            "predictor"?: (!self.predictor.is_empty()).then_some(self.predictor.as_str()),
             "intervals": self.bounds.intervals,
             "contributors": Value::Object(contributors.collect()),
             "mean_penalty"?: mean_penalty,
@@ -128,8 +133,13 @@ impl WorkloadView {
 }
 
 fn render_view(v: &WorkloadView) {
+    let tag = if v.predictor.is_empty() {
+        String::new()
+    } else {
+        format!("[{}]", v.predictor)
+    };
     out(&format!(
-        "workload {}: {} instructions, {} branch intervals, frontend depth {}",
+        "workload {}{tag}: {} instructions, {} branch intervals, frontend depth {}",
         v.workload, v.bounds.instructions, v.bounds.intervals, v.bounds.frontend_depth
     ));
     out(&format!(
@@ -221,26 +231,29 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cfg = presets::baseline_4wide();
     let mut report = AnalysisReport::default();
     let mut views: Vec<WorkloadView> = Vec::new();
 
     for file in &files {
         let locus = file.path.display().to_string();
-        report.merge(staticpass::lint_metrics_doc(&locus, &file.content));
         let Ok(doc) = ExperimentMetrics::parse(&file.content) else {
-            continue; // already reported as BMP606
+            // Reported as BMP606.
+            report.merge(staticpass::lint_metrics_doc(&locus, &file.content));
+            continue;
         };
+        // One static pass per entry, shared by the lint and the views.
+        let bounds = DocBounds::new(&doc);
+        report.merge(staticpass::lint_metrics(&locus, &bounds));
         if !json {
             out(&format!(
                 "== {} (ops {}, seed {})",
                 doc.name, doc.ops, doc.seed
             ));
         }
-        for w in &doc.workloads {
-            match lint::static_bounds_for(&w.workload, doc.ops, doc.seed, &cfg) {
+        for (i, w) in doc.workloads.iter().enumerate() {
+            match bounds.get(i) {
                 Some(b) => {
-                    let view = WorkloadView::build(&doc, w, b);
+                    let view = WorkloadView::build(&doc, w, b.clone());
                     if !json {
                         render_view(&view);
                     }
@@ -249,8 +262,8 @@ fn main() -> ExitCode {
                 None => {
                     if !json {
                         out(&format!(
-                            "workload {}: not in the registry — static bounds \
-                             unavailable",
+                            "workload {}: unregistered workload or predictor — \
+                             static bounds unavailable",
                             w.workload
                         ));
                     }

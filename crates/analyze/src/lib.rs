@@ -91,7 +91,7 @@ pub use journal::{lint_journal, lint_journal_text};
 pub use machine::{lint_fu_coverage, lint_machine};
 pub use metrics::{lint_metrics, lint_metrics_text};
 pub use provenance::lint_executed_trace;
-pub use staticpass::{StaticAnalysis, StaticBounds};
+pub use staticpass::StaticBounds;
 pub use storelint::lint_store;
 pub use superblocklint::lint_superblock;
 pub use tracelint::{lint_dag_edges, lint_measured_pairs, lint_trace};

@@ -6,11 +6,12 @@
 //!
 //! 1. **The local contributors are exact.** The model's per-interval
 //!    knock-out decomposition is itself a closed-form dependence-graph
-//!    computation ([`knockout_interval`]) over the interval's ops — no
-//!    cycle-level state is involved. Calling the same kernel here
-//!    reproduces `base`, `ilp`, `fu_latency`, `short_dmiss` and
-//!    `local_resolution` *exactly*, so their bounds collapse to a point.
-//!    Likewise `refill = intervals × frontend_depth` by construction.
+//!    computation (`bmp_core::drain::knockout_interval`) over the
+//!    interval's ops — no cycle-level state is involved. The static pass
+//!    *is* the model's local pass ([`PenaltyModel::analyze_local`]), so
+//!    `base`, `ilp`, `fu_latency`, `short_dmiss` and `local_resolution`
+//!    come out *exactly*, and their bounds collapse to a point. Likewise
+//!    `refill = intervals × frontend_depth` by construction.
 //!
 //! 2. **The effective resolution admits a per-branch envelope.** What the
 //!    static pass deliberately does not compute is whole-trace interplay
@@ -25,10 +26,10 @@
 //! (carryover ≈ 0); its observed error against simulation is reported by
 //! `bmp-verify` and documented in `docs/STATIC_ANALYSIS.md`.
 
-use bmp_core::drain::{knockout_interval, KnockoutScratch, WindowParams};
 use bmp_core::functional::FunctionalOutcome;
-use bmp_core::intervals::{segment, IntervalEventKind};
+use bmp_core::intervals::segment;
 use bmp_core::metrics::ModelMetrics;
+use bmp_core::{PenaltyBreakdown, PenaltyModel};
 use bmp_trace::Trace;
 use bmp_uarch::{MachineConfig, OpClass};
 
@@ -118,19 +119,55 @@ pub struct StaticBounds {
     pub resolution: Bound,
     /// Full penalty total (resolution + refill) — bounded.
     pub penalty: Bound,
-    /// Front-end starvation injected by I-cache misses (cycles the
-    /// fetch stream stalls beyond misprediction redirects) — exact.
-    pub icache_stall_cycles: u64,
-    /// Mean dependence-graph critical path of the mispredicted-branch
-    /// intervals, with real latencies (0 without intervals).
-    pub mean_critical_path: f64,
-    /// Per-interval `(terminating branch PC, local resolution)` pairs,
-    /// in trace order — the attribution input of the per-branch-class
-    /// classifier.
-    pub interval_terms: Vec<(u64, u64)>,
 }
 
 impl StaticBounds {
+    /// Aggregates the bounds of a trace of `instructions` ops on `cfg`
+    /// from its penalty breakdowns: the local terms are summed exactly,
+    /// and the effective resolution, carryover and penalty get the
+    /// per-branch envelope around the local total (carryover point 0).
+    ///
+    /// Reads only the local terms, so the breakdowns of the model's
+    /// local pass ([`PenaltyModel::analyze_local`]) and of a full
+    /// analysis give the same bounds.
+    pub fn from_breakdowns(
+        cfg: &MachineConfig,
+        instructions: usize,
+        breakdowns: impl IntoIterator<Item = PenaltyBreakdown>,
+    ) -> Self {
+        let [n, base, ilp, fu, sd, local] = breakdowns.into_iter().fold([0u64; 6], |t, b| {
+            [
+                t[0] + 1,
+                t[1] + b.base,
+                t[2] + b.ilp,
+                t[3] + b.fu_latency,
+                t[4] + b.short_dmiss,
+                t[5] + b.local_resolution,
+            ]
+        });
+        let (per_lo, per_hi) = per_branch_resolution_bounds(cfg);
+        let refill = (n * u64::from(cfg.frontend_depth)) as i64;
+        let res_lo = (n * per_lo) as i64;
+        let res_hi = (n * per_hi) as i64;
+        let local = local as i64;
+        Self {
+            instructions: instructions as u64,
+            intervals: n,
+            frontend_depth: cfg.frontend_depth,
+            per_branch_lo: per_lo,
+            per_branch_hi: per_hi,
+            refill: Bound::exact(refill),
+            base: Bound::exact(base as i64),
+            ilp: Bound::exact(ilp as i64),
+            fu_latency: Bound::exact(fu as i64),
+            short_dmiss: Bound::exact(sd as i64),
+            local_resolution: Bound::exact(local),
+            carryover: Bound::ranged(res_lo - local, 0, res_hi - local),
+            resolution: Bound::ranged(res_lo, local, res_hi),
+            penalty: Bound::ranged(res_lo + refill, local + refill, res_hi + refill),
+        }
+    }
+
     /// The contributor table in the paper's order:
     /// `(label, bound, exact?)` rows for reports.
     pub fn contributor_rows(&self) -> [(&'static str, Bound); 8] {
@@ -288,104 +325,15 @@ pub fn per_branch_resolution_bounds(cfg: &MachineConfig) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Runs the functional pass and computes the static bounds for
+/// Runs the functional pass and the penalty model's local pass
+/// ([`PenaltyModel::analyze_local`]) and computes the static bounds for
 /// `trace` on `cfg`.
 pub fn compute(cfg: &MachineConfig, trace: &Trace) -> StaticBounds {
     let outcome = FunctionalOutcome::compute(trace, cfg);
-    compute_with(cfg, trace, &outcome)
-}
-
-/// Computes the static bounds from an existing functional pass (the
-/// pass is deterministic, so reusing the model's own outcome guarantees
-/// identical interval segmentation).
-pub fn compute_with(
-    cfg: &MachineConfig,
-    trace: &Trace,
-    outcome: &FunctionalOutcome,
-) -> StaticBounds {
     let intervals = segment(trace.len(), &outcome.events);
-    let params = WindowParams::from(cfg);
-    let l1_hit = cfg.caches.l1d().hit_latency();
-
-    let mut n = 0u64;
-    let mut base_t = 0u64;
-    let mut ilp_t = 0u64;
-    let mut fu_t = 0u64;
-    let mut sd_t = 0u64;
-    let mut local_t = 0u64;
-    let mut cp_t = 0u64;
-    let mut terms = Vec::new();
-    let mut scratch = KnockoutScratch::default();
-
-    for iv in &intervals {
-        if iv.kind != Some(IntervalEventKind::BranchMispredict) {
-            continue;
-        }
-        // The model's own kernel (`PenaltyModel::analyze_with` calls it
-        // too) — this is what makes the local terms exact rather than
-        // bounded.
-        let local = knockout_interval(
-            &trace.ops()[iv.start..=iv.end],
-            params,
-            &cfg.latencies,
-            l1_hit,
-            |i| outcome.load_latency(iv.start + i),
-            &mut scratch,
-        );
-        n += 1;
-        base_t += local.base;
-        ilp_t += local.ilp;
-        fu_t += local.fu_latency;
-        sd_t += local.short_dmiss;
-        local_t += local.local_resolution;
-        cp_t += local.critical_path;
-        terms.push((trace.ops()[iv.end].pc(), local.local_resolution));
-    }
-
-    let (per_lo, per_hi) = per_branch_resolution_bounds(cfg);
-    let refill = n * u64::from(cfg.frontend_depth);
-    let res_lo = (n * per_lo) as i64;
-    let res_hi = (n * per_hi) as i64;
-    let local = local_t as i64;
-    let resolution = Bound::ranged(res_lo, local, res_hi);
-    let carryover = Bound::ranged(res_lo - local, 0, res_hi - local);
-    let penalty = Bound::ranged(
-        res_lo + refill as i64,
-        local + refill as i64,
-        res_hi + refill as i64,
-    );
-
-    let icache_stall_cycles: u64 = outcome
-        .events
-        .iter()
-        .map(|e| match e.kind {
-            IntervalEventKind::ICacheMiss => u64::from(cfg.caches.short_dmiss_latency()),
-            IntervalEventKind::ICacheLongMiss => {
-                u64::from(cfg.caches.short_dmiss_latency()) + u64::from(cfg.caches.mem_latency())
-            }
-            _ => 0,
-        })
-        .sum();
-
-    StaticBounds {
-        instructions: trace.len() as u64,
-        intervals: n,
-        frontend_depth: cfg.frontend_depth,
-        per_branch_lo: per_lo,
-        per_branch_hi: per_hi,
-        refill: Bound::exact(refill as i64),
-        base: Bound::exact(base_t as i64),
-        ilp: Bound::exact(ilp_t as i64),
-        fu_latency: Bound::exact(fu_t as i64),
-        short_dmiss: Bound::exact(sd_t as i64),
-        local_resolution: Bound::exact(local),
-        carryover,
-        resolution,
-        penalty,
-        icache_stall_cycles,
-        mean_critical_path: if n == 0 { 0.0 } else { cp_t as f64 / n as f64 },
-        interval_terms: terms,
-    }
+    let model = PenaltyModel::new(cfg.clone());
+    let local = model.analyze_local(trace, &outcome, &intervals);
+    StaticBounds::from_breakdowns(cfg, trace.len(), local)
 }
 
 #[cfg(test)]
@@ -506,7 +454,6 @@ mod tests {
         assert_eq!(b.intervals, 0);
         assert_eq!(b.resolution, Bound::exact(0));
         assert!(b.mean_penalty_point().is_none());
-        assert_eq!(b.mean_critical_path, 0.0);
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!   with history and execute often enough to matter.
 //!
 //! The class of each site then keys the penalty attribution: every
-//! mispredicted-branch interval of the static bounds pass charges its
-//! exact local resolution plus the frontend refill to the terminating
-//! branch's class.
+//! penalty breakdown of the interval model charges its exact local
+//! resolution plus the frontend refill to the terminating branch's
+//! class.
 
 use std::collections::HashMap;
 
-use bmp_trace::{sites, CompiledTrace};
+use bmp_core::PenaltyBreakdown;
+use bmp_trace::{sites, CompiledTrace, Trace};
 
 /// Local-history length (in branch outcomes) used by the
 /// history-sensitivity probe.
@@ -173,18 +174,18 @@ impl ClassAttribution {
     }
 }
 
-/// Distributes the static pass's per-interval local resolutions over
-/// branch classes. `terms` is
-/// [`StaticBounds::interval_terms`](super::StaticBounds::interval_terms);
-/// mispredicted PCs missing from `profiles` (impossible for a
-/// self-consistent trace) fall into [`BranchClass::Indirect`].
+/// Distributes the local resolutions and refills of `breakdowns` (the
+/// penalty breakdowns of `trace`, from a full analysis or the local
+/// pass) over branch classes, by the PC of each breakdown's branch.
+/// PCs missing from `profiles` (not conditional sites) fall into
+/// [`BranchClass::Indirect`].
 ///
 /// Returns one row per class that has sites or charged intervals, in
 /// class order.
 pub fn attribute(
     profiles: &[SiteProfile],
-    terms: &[(u64, u64)],
-    frontend_depth: u32,
+    trace: &Trace,
+    breakdowns: &[PenaltyBreakdown],
 ) -> Vec<ClassAttribution> {
     let class_of: HashMap<u64, BranchClass> = profiles.iter().map(|p| (p.pc, p.class)).collect();
     let mut rows: HashMap<BranchClass, ClassAttribution> = HashMap::new();
@@ -198,7 +199,8 @@ pub fn attribute(
         });
         e.sites += 1;
     }
-    for &(pc, local) in terms {
+    for b in breakdowns {
+        let pc = trace.ops()[b.branch_idx].pc();
         let class = class_of.get(&pc).copied().unwrap_or(BranchClass::Indirect);
         let e = rows.entry(class).or_insert(ClassAttribution {
             class,
@@ -208,8 +210,8 @@ pub fn attribute(
             refill: 0,
         });
         e.intervals += 1;
-        e.local_resolution += local;
-        e.refill += u64::from(frontend_depth);
+        e.local_resolution += b.local_resolution;
+        e.refill += u64::from(b.frontend);
     }
     let mut out: Vec<ClassAttribution> = rows.into_values().collect();
     out.sort_by_key(|r| r.class);
@@ -219,7 +221,8 @@ pub fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmp_trace::{BranchKind, MicroOp, Trace};
+    use bmp_trace::{BranchKind, MicroOp};
+    use bmp_uarch::OpClass;
 
     fn branch(pc: u64, taken: bool) -> MicroOp {
         MicroOp::branch(pc, BranchKind::Conditional, taken, pc + 0x40, [None, None])
@@ -289,13 +292,27 @@ mod tests {
 
     #[test]
     fn attribution_charges_classes() {
-        let mut ops = Vec::new();
-        for _ in 0..64 {
-            ops.push(branch(0x10, true));
-        }
-        let profiles = classify(&compiled(ops));
-        let terms = vec![(0x10u64, 12u64), (0x10, 8), (0x99, 5)];
-        let rows = attribute(&profiles, &terms, 5);
+        // 64 biased branches at 0x10, then an op at 0x99 that is no
+        // conditional site.
+        let mut ops = vec![branch(0x10, true); 64];
+        ops.push(MicroOp::alu(0x99, OpClass::IntAlu, [None, None]));
+        let trace: Trace = ops.into_iter().collect();
+        let profiles = classify(&trace.compile());
+        let breakdown = |branch_idx, local_resolution| PenaltyBreakdown {
+            branch_idx,
+            interval_start: branch_idx,
+            interval_len: 1,
+            resolution: local_resolution,
+            local_resolution,
+            frontend: 5,
+            base: 0,
+            ilp: 0,
+            fu_latency: 0,
+            short_dmiss: 0,
+            carryover: 0,
+        };
+        let breakdowns = [breakdown(3, 12), breakdown(40, 8), breakdown(64, 5)];
+        let rows = attribute(&profiles, &trace, &breakdowns);
         let biased = rows
             .iter()
             .find(|r| r.class == BranchClass::Biased)

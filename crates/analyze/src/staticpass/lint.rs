@@ -41,6 +41,8 @@
 //! `BMP_OPS`/`BMP_SEED`, because they are identities and bounds, not
 //! golden values.
 
+use std::cell::OnceCell;
+
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics};
 use bmp_uarch::{presets, MachineConfig};
 use bmp_workloads::spec;
@@ -70,61 +72,102 @@ const EPS_SUM: f64 = 0.051;
 /// Slack for one-sided (`>=`) bound checks on two-decimal values.
 const EPS_GE: f64 = 0.006;
 
-/// Recomputes static bounds for one workload of a metrics document, if
-/// the workload is reproducible — a statistical profile from the
-/// registry or an executed RV32IM kernel from the `bmp-isa` suite (same
-/// generator/executor, `ops` and `seed` as the run that wrote the
-/// document; the metrics contract pins the machine to `cfg`).
-pub fn static_bounds_for(
-    workload: &str,
-    ops: u64,
-    seed: u64,
-    cfg: &MachineConfig,
-) -> Option<StaticBounds> {
-    let trace = match spec::by_name(workload) {
-        Some(profile) => profile.generate(ops as usize, seed),
-        None => bmp_isa::kernel_trace(workload, ops as usize, seed)?,
-    };
-    Some(bounds::compute(cfg, &trace))
+/// The machine a metrics entry was recorded under: the baseline preset
+/// (v1 documents leave `predictor` empty; the baseline's own name is
+/// also accepted), or the baseline with a registered generation
+/// predictor swapped in. `None` for any other predictor name, which is
+/// outside the static pass's vocabulary.
+fn recorded_machine(w: &WorkloadMetrics) -> Option<MachineConfig> {
+    let cfg = presets::baseline_4wide();
+    if w.predictor.is_empty() || w.predictor == cfg.predictor.name() {
+        Some(cfg)
+    } else {
+        presets::generation_machine(&w.predictor)
+    }
+}
+
+/// The static bounds of every entry of one metrics document, each
+/// computed at most once, on first request, under the machine the entry
+/// was recorded with: the baseline preset, or the baseline with the
+/// entry's registered generation predictor.
+///
+/// `bmp-verify` and [`lint_metrics`] read the same cache, so a document
+/// they both check costs one static pass per entry.
+#[derive(Debug)]
+pub struct DocBounds<'a> {
+    doc: &'a ExperimentMetrics,
+    cells: Vec<OnceCell<Option<StaticBounds>>>,
+}
+
+impl<'a> DocBounds<'a> {
+    /// An empty cache over `doc`'s entries.
+    pub fn new(doc: &'a ExperimentMetrics) -> Self {
+        Self {
+            doc,
+            cells: doc.workloads.iter().map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// The bounds of `doc.workloads[i]`, recomputed from the workload
+    /// recipe: a statistical profile from the registry or an executed
+    /// RV32IM kernel from the `bmp-isa` suite, at the document's `ops`
+    /// and `seed`. `None` when the entry's predictor is not registered
+    /// or its workload is neither.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> Option<&StaticBounds> {
+        self.cells[i]
+            .get_or_init(|| {
+                let w = &self.doc.workloads[i];
+                let cfg = recorded_machine(w)?;
+                let (ops, seed) = (self.doc.ops as usize, self.doc.seed);
+                let trace = match spec::by_name(&w.workload) {
+                    Some(profile) => profile.generate(ops, seed),
+                    None => bmp_isa::kernel_trace(&w.workload, ops, seed)?,
+                };
+                Some(bounds::compute(&cfg, &trace))
+            })
+            .as_ref()
+    }
 }
 
 /// Lints one metrics document (the JSON written under
 /// `results/metrics/`) against statically proven bounds.
 ///
-/// `locus` is the path shown in diagnostics. The machine is assumed to
-/// be the baseline preset (the metrics contract in
-/// `docs/OBSERVABILITY.md`); workloads recorded with a different
-/// frontend depth are visibly skipped via BMP604 rather than checked
-/// against the wrong envelope.
+/// `locus` is the path shown in diagnostics. Parses the document and
+/// runs [`lint_metrics`] with a fresh [`DocBounds`].
 pub fn lint_metrics_doc(locus: &str, content: &str) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
-    let doc = match ExperimentMetrics::parse(content) {
-        Ok(doc) => doc,
+    match ExperimentMetrics::parse(content) {
+        Ok(doc) => lint_metrics(locus, &DocBounds::new(&doc)),
         Err(e) => {
+            let mut report = AnalysisReport::default();
             report.diagnostics.push(Diagnostic::error(
                 "BMP606",
                 locus,
                 format!("not a parseable metrics document: {e}"),
             ));
-            return report;
+            report
         }
-    };
-    let cfg = presets::baseline_4wide();
-    for w in &doc.workloads {
+    }
+}
+
+/// Lints the parsed metrics document behind `bounds` against
+/// statically proven bounds, reading each entry's bounds from it.
+///
+/// Each entry is checked under the machine it was recorded with (see
+/// [`DocBounds`]); entries recorded under an unregistered predictor, or
+/// with a frontend depth other than that machine's, are visibly skipped
+/// via BMP604 rather than checked against the wrong envelope.
+pub fn lint_metrics(locus: &str, bounds: &DocBounds) -> AnalysisReport {
+    let mut report = AnalysisReport::default();
+    let doc = bounds.doc;
+    for (i, w) in doc.workloads.iter().enumerate() {
         let locus = if w.predictor.is_empty() {
             format!("{locus}: workload {}", w.workload)
         } else {
             format!("{locus}: workload {}[{}]", w.workload, w.predictor)
-        };
-        // Resolve the machine the entry was recorded under: the
-        // baseline preset (v1 documents leave `predictor` empty; the
-        // baseline's own name is also accepted), or the baseline with a
-        // registered generation predictor swapped in. Anything else is
-        // outside the static pass's vocabulary and is skipped loudly.
-        let wcfg = if w.predictor.is_empty() || w.predictor == cfg.predictor.name() {
-            Some(cfg.clone())
-        } else {
-            presets::generation_machine(&w.predictor)
         };
         lint_class_attribution(&mut report, &locus, w);
         // Simulator side: the refill identity is internal to the
@@ -140,7 +183,7 @@ pub fn lint_metrics_doc(locus: &str, content: &str) -> AnalysisReport {
                 ),
             ));
         }
-        let Some(wcfg) = wcfg else {
+        let Some(wcfg) = recorded_machine(w) else {
             report.diagnostics.push(
                 Diagnostic::info(
                     "BMP604",
@@ -188,7 +231,7 @@ pub fn lint_metrics_doc(locus: &str, content: &str) -> AnalysisReport {
         // Model side: regenerate the trace and demand cycle-exact
         // agreement on the local contributors, envelopes on the rest.
         let Some(m) = &w.model else { continue };
-        match static_bounds_for(&w.workload, doc.ops, doc.seed, &wcfg) {
+        match bounds.get(i) {
             None => report.diagnostics.push(
                 Diagnostic::info(
                     "BMP604",

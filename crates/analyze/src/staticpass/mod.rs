@@ -3,14 +3,14 @@
 //!
 //! The rest of this crate lints artifacts the simulator or the model
 //! already produced. This module goes the other way: starting from a
-//! trace and a [`MachineConfig`] it *derives* what the five
-//! contributors of the Eyerman/Smeets/Eeckhout decomposition are
-//! allowed to be —
+//! trace and a [`MachineConfig`](bmp_uarch::MachineConfig) it *derives*
+//! what the five contributors of the Eyerman/Smeets/Eeckhout
+//! decomposition are allowed to be —
 //!
-//! * [`bounds`] walks the dependence graph of every inter-misprediction
-//!   interval (the same closed-form interval schedule the analytical
-//!   model uses, so the four knock-out terms and the refill come out
-//!   *cycle-exact*) and derives a proven per-branch envelope for the
+//! * [`bounds`] runs the analytical model's local pass — the
+//!   closed-form knock-out schedule of every inter-misprediction
+//!   interval, so the four knock-out terms and the refill come out
+//!   *cycle-exact* — and derives a proven per-branch envelope for the
 //!   whole-trace effective resolution, yielding a guaranteed
 //!   lower/upper bound plus a point estimate per contributor;
 //! * [`classify`] profiles every static branch site (taken-rate
@@ -29,18 +29,18 @@
 //! # Examples
 //!
 //! ```
-//! use bmp_analyze::staticpass;
+//! use bmp_analyze::staticpass::{bounds, classify};
 //! use bmp_uarch::presets;
 //! use bmp_workloads::spec;
 //!
 //! let trace = spec::by_name("gzip").unwrap().generate(4_000, 7);
 //! let cfg = presets::baseline_4wide();
-//! let a = staticpass::analyze_trace(&cfg, &trace);
+//! let b = bounds::compute(&cfg, &trace);
 //! // The four local knock-out terms are exact; the effective
 //! // resolution carries a proven envelope around its point estimate.
-//! assert!(a.bounds.base.is_exact());
-//! assert!(a.bounds.resolution.lo <= a.bounds.resolution.point);
-//! assert!(!a.sites.is_empty());
+//! assert!(b.base.is_exact());
+//! assert!(b.resolution.lo <= b.resolution.point);
+//! assert!(!classify::classify(&trace.compile()).is_empty());
 //! ```
 
 pub mod bounds;
@@ -49,54 +49,31 @@ pub mod lint;
 
 pub use bounds::{per_branch_resolution_bounds, Bound, StaticBounds};
 pub use classify::{BranchClass, ClassAttribution, SiteProfile, HISTORY_BITS};
-pub use lint::{lint_csv, lint_metrics_doc};
-
-use bmp_trace::Trace;
-use bmp_uarch::MachineConfig;
-
-/// The combined static view of one (config, trace) pair.
-#[derive(Debug, Clone)]
-pub struct StaticAnalysis {
-    /// Bounds and point estimates for the five contributors.
-    pub bounds: StaticBounds,
-    /// Per-static-branch predictability profiles, by PC.
-    pub sites: Vec<SiteProfile>,
-    /// Penalty attribution per branch class.
-    pub classes: Vec<ClassAttribution>,
-}
-
-/// Runs the full static pass: contributor bounds, per-site
-/// classification, and per-class penalty attribution.
-pub fn analyze_trace(cfg: &MachineConfig, trace: &Trace) -> StaticAnalysis {
-    let bounds = bounds::compute(cfg, trace);
-    let compiled = trace.compile();
-    let sites = classify::classify(&compiled);
-    let classes = classify::attribute(&sites, &bounds.interval_terms, cfg.frontend_depth);
-    StaticAnalysis {
-        bounds,
-        sites,
-        classes,
-    }
-}
+pub use lint::{lint_csv, lint_metrics, lint_metrics_doc, DocBounds};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmp_core::PenaltyModel;
     use bmp_uarch::presets;
     use bmp_workloads::spec;
 
+    /// The per-class attribution of the model's local terms partitions
+    /// the static totals: every interval's local resolution and refill
+    /// is charged to exactly one class.
     #[test]
     fn full_pass_is_self_consistent() {
         let trace = spec::by_name("twolf").unwrap().generate(6_000, 3);
         let cfg = presets::baseline_4wide();
-        let a = analyze_trace(&cfg, &trace);
-        // Every interval's local resolution is attributed to exactly
-        // one class.
-        let attributed: u64 = a.classes.iter().map(|c| c.intervals).sum();
-        assert_eq!(attributed, a.bounds.intervals);
-        let local: u64 = a.classes.iter().map(|c| c.local_resolution).sum();
-        assert_eq!(local as i64, a.bounds.local_resolution.point);
-        let refill: u64 = a.classes.iter().map(|c| c.refill).sum();
-        assert_eq!(refill as i64, a.bounds.refill.point);
+        let b = bounds::compute(&cfg, &trace);
+        let analysis = PenaltyModel::new(cfg).analyze(&trace);
+        let sites = classify::classify(&trace.compile());
+        let classes = classify::attribute(&sites, &trace, &analysis.breakdowns);
+        let attributed: u64 = classes.iter().map(|c| c.intervals).sum();
+        assert_eq!(attributed, b.intervals);
+        let local: u64 = classes.iter().map(|c| c.local_resolution).sum();
+        assert_eq!(local as i64, b.local_resolution.point);
+        let refill: u64 = classes.iter().map(|c| c.refill).sum();
+        assert_eq!(refill as i64, b.refill.point);
     }
 }

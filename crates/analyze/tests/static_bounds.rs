@@ -19,11 +19,12 @@
 //! a chance to surface.
 
 use bmp_analyze::staticpass::bounds;
+use bmp_analyze::StaticBounds;
 use bmp_core::{cpi, ModelMetrics, PenaltyModel};
 use bmp_sim::Simulator;
 use bmp_trace::SuperblockMap;
-use bmp_uarch::{LatencyTable, MachineConfig, MachineConfigBuilder, PredictorConfig};
-use bmp_workloads::WorkloadProfile;
+use bmp_uarch::{presets, LatencyTable, MachineConfig, MachineConfigBuilder, PredictorConfig};
+use bmp_workloads::{spec, WorkloadProfile};
 use proptest::prelude::*;
 
 /// A strategy over valid workload profiles (a representative subspace,
@@ -169,4 +170,49 @@ proptest! {
             );
         }
     }
+}
+
+/// The static pass is the model's local pass: on every preset and
+/// generation machine, over every spec profile and executed kernel, the
+/// bounds aggregated from a full `PenaltyModel::analyze` equal
+/// `bounds::compute` field for field (the aggregation reads only the
+/// local terms, which the whole-trace schedule leaves alone).
+#[test]
+fn bounds_aggregated_from_the_model_equal_the_static_pass() {
+    let mut machines = vec![
+        presets::baseline_4wide(),
+        presets::wide_8way(),
+        presets::alpha21264_like(),
+        presets::pentium4_like(),
+        presets::test_tiny(),
+        presets::perfect_branches(),
+        presets::deep_frontend(20).unwrap(),
+        presets::scaled_latencies(2.0),
+        presets::l1d_sized(16 * 1024).unwrap(),
+    ];
+    machines.extend(presets::GENERATIONS.map(|g| presets::generation_machine(g).unwrap()));
+    let ops = 2_000;
+    let traces: Vec<_> = spec::NAMES
+        .iter()
+        .map(|&n| (n, spec::by_name(n).unwrap().generate(ops, 42)))
+        .chain(
+            bmp_isa::NAMES
+                .iter()
+                .map(|&n| (n, bmp_isa::kernel_trace(n, ops, 42).unwrap())),
+        )
+        .collect();
+    let mut intervals = 0;
+    for cfg in &machines {
+        for (name, trace) in &traces {
+            let analysis = PenaltyModel::new(cfg.clone()).analyze(trace);
+            let aggregated = StaticBounds::from_breakdowns(
+                cfg,
+                analysis.instructions,
+                analysis.breakdowns.iter().copied(),
+            );
+            assert_eq!(aggregated, bounds::compute(cfg, trace), "{name} on {cfg}");
+            intervals += aggregated.intervals;
+        }
+    }
+    assert!(intervals > 0, "the sweep must cover mispredicted intervals");
 }

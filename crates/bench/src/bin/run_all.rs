@@ -319,7 +319,7 @@ fn main() -> ExitCode {
 
     let mut report = engine.run_tolerant(&defs, scale, &policy, &on_done);
     // Sim-vs-static surrogate comparison, computed entirely from a full
-    // run's warm cache (only the static pass itself is new work).
+    // run's warm cache: the static bounds aggregate cached analyses.
     if !selecting {
         report.surrogate = bmp_bench::surrogate::collect(engine.ctx(), scale);
         // The cache counters cover the surrogate's lookups too.

@@ -47,7 +47,8 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
             .map(|m| (m.branch_idx, m.resolution()))
             .collect();
         let v = ValidationReport::from_pairs(&analysis, &measured);
-        let stack = cpi::predict_with(&trace, &cfg, &ctx.functional(&cfg, &trace), &analysis);
+        let outcome = ctx.functional(&cfg, &trace);
+        let stack = cpi::predict_with(&trace, &cfg, &outcome, &analysis.breakdowns);
         let sched = analysis.scheduled_cycles as f64 / trace.len() as f64;
         t.push_row(vec![
             point.workload.name(),

@@ -145,14 +145,15 @@ impl MetricsRecorder {
 }
 
 /// The per-branch-class penalty attribution at `point`: classifies
-/// every static site from the compiled trace and charges the static
-/// pass's per-interval local resolutions (plus refills) under the
+/// every static site from the compiled trace and charges the cached
+/// analysis's per-interval local resolutions (plus refills) under the
 /// point's machine to the terminating site's class.
 fn class_penalties(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<ClassPenalty> {
     let cfg = point.machine.config();
-    let bounds = ctx.static_bounds(&cfg, &point.trace(ctx, scale));
+    let trace = point.trace(ctx, scale);
+    let analysis = ctx.analyze(&cfg, &trace);
     let profiles = classify::classify(&point.compiled(ctx, scale));
-    classify::attribute(&profiles, &bounds.interval_terms, cfg.frontend_depth)
+    classify::attribute(&profiles, &trace, &analysis.breakdowns)
         .into_iter()
         .map(|a| ClassPenalty {
             class: a.class.label().to_string(),
@@ -170,7 +171,8 @@ fn model_view(ctx: &Ctx, scale: Scale, point: &Point) -> (Arc<PenaltyAnalysis>, 
     let cfg = point.machine.config();
     let trace = point.trace(ctx, scale);
     let analysis = ctx.analyze(&cfg, &trace);
-    let stack = cpi::predict_with(&trace, &cfg, &ctx.functional(&cfg, &trace), &analysis);
+    let outcome = ctx.functional(&cfg, &trace);
+    let stack = cpi::predict_with(&trace, &cfg, &outcome, &analysis.breakdowns);
     (analysis, stack)
 }
 
@@ -184,8 +186,7 @@ fn model_view(ctx: &Ctx, scale: Scale, point: &Point) -> (Arc<PenaltyAnalysis>, 
 /// profile are never recorded.
 ///
 /// Every simulation and analysis read here is a cache hit for a cell
-/// the experiment computed; only the static pass behind a class
-/// attribution is computed here, on demand.
+/// the experiment computed.
 pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> ExperimentMetrics {
     let mut recorder = MetricsRecorder::new(def.name, scale);
     let cells = (def.cells)();

@@ -21,8 +21,8 @@ use bmp_uarch::MachineConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::functional::FunctionalOutcome;
-use crate::intervals::IntervalEventKind;
-use crate::penalty::{PenaltyAnalysis, PenaltyModel};
+use crate::intervals::{segment, IntervalEventKind};
+use crate::penalty::{PenaltyBreakdown, PenaltyModel};
 
 /// Predicted cycle counts per component.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,8 +71,9 @@ impl CpiStack {
 
 /// Builds the CPI stack for a trace on a machine.
 ///
-/// Runs the functional pass and the penalty model internally; use
-/// [`predict_with`] to reuse existing results.
+/// Runs the functional pass and the penalty model's local pass
+/// ([`PenaltyModel::analyze_local`]) internally; use [`predict_with`]
+/// to reuse existing results.
 ///
 /// # Examples
 ///
@@ -87,23 +88,26 @@ impl CpiStack {
 /// ```
 pub fn predict(trace: &Trace, cfg: &MachineConfig) -> CpiStack {
     let outcome = FunctionalOutcome::compute(trace, cfg);
-    let analysis = PenaltyModel::new(cfg.clone()).analyze_with(trace, &outcome);
-    predict_with(trace, cfg, &outcome, &analysis)
+    let intervals = segment(trace.len(), &outcome.events);
+    let model = PenaltyModel::new(cfg.clone());
+    let breakdowns: Vec<_> = model.analyze_local(trace, &outcome, &intervals).collect();
+    predict_with(trace, cfg, &outcome, &breakdowns)
 }
 
 /// Builds the CPI stack from an existing functional pass and the
-/// penalty analysis of the same trace on the same machine.
+/// penalty breakdowns of the same trace on the same machine — those of
+/// a full analysis or of the local pass alone, since the stack reads
+/// only their local terms.
 pub fn predict_with(
     trace: &Trace,
     cfg: &MachineConfig,
     outcome: &FunctionalOutcome,
-    analysis: &PenaltyAnalysis,
+    breakdowns: &[PenaltyBreakdown],
 ) -> CpiStack {
     // First-order stack: the *local* resolution per misprediction, so
     // overlap with other events (already counted in their own
     // components) is not double-charged.
-    let branch_cycles: f64 = analysis
-        .breakdowns
+    let branch_cycles: f64 = breakdowns
         .iter()
         .map(|b| (b.local_resolution + u64::from(b.frontend)) as f64)
         .sum();
@@ -160,7 +164,7 @@ pub fn predict_with(
 /// [`predict`] but capturing event overlap, so it tracks the cycle-level
 /// simulator more closely. A penalty analysis of the same trace and
 /// machine already holds this figure as
-/// [`PenaltyAnalysis::scheduled_cycles`].
+/// [`PenaltyAnalysis::scheduled_cycles`](crate::PenaltyAnalysis::scheduled_cycles).
 ///
 /// # Examples
 ///

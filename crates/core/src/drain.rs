@@ -158,10 +158,6 @@ pub struct LocalTerms {
     pub fu_latency: u64,
     /// Contributor (v): short D-cache-miss share.
     pub short_dmiss: u64,
-    /// Dependence-graph critical path of the interval with real
-    /// latencies and no window or dispatch limit
-    /// (`bmp_trace::dag::critical_path`).
-    pub critical_path: u64,
 }
 
 /// Number of schedule lanes [`knockout_interval`] carries: real
@@ -169,12 +165,11 @@ pub struct LocalTerms {
 const LANES: usize = 3;
 
 /// Per-op state of the fused sweep: issue and completion cycle in each
-/// schedule lane, plus the op's dependence-only completion.
+/// schedule lane.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneSlot {
     issue: [u64; LANES],
     done: [u64; LANES],
-    cp_done: u64,
 }
 
 /// Reusable working memory for [`knockout_interval`]: one slot per op,
@@ -193,8 +188,7 @@ pub struct KnockoutScratch {
 /// The result equals the four-schedule cascade over
 /// [`schedule_interval`] — real latencies, loads at `l1_hit`, unit
 /// latencies, unit latencies without dependences — with each knocked-out
-/// resolution floored by the previous one, plus
-/// `bmp_trace::dag::critical_path` with real latencies:
+/// resolution floored by the previous one:
 ///
 /// * the first three schedules run as lanes of one sweep, sharing the
 ///   dispatch pacing and the dependence lookups;
@@ -229,7 +223,6 @@ pub struct KnockoutScratch {
 /// );
 /// assert_eq!(t.local_resolution, 16);
 /// assert_eq!((t.base, t.ilp, t.fu_latency, t.short_dmiss), (2, 1, 1, 12));
-/// assert_eq!(t.critical_path, 15);
 /// ```
 pub fn knockout_interval<F>(
     ops: &[MicroOp],
@@ -263,13 +256,11 @@ where
     let mut paced = 0u64;
     let mut in_cycle = 0u64;
     let mut enter = [0u64; LANES];
-    let mut critical_path = 0u64;
     for (i, op) in ops.iter().enumerate() {
         // Window cap: op i waits for op i-W to have issued.
         let capped = if i >= w { i + 1 - w } else { 0 };
         enter = slots[capped].issue.map(|issued| issued.max(paced));
         let mut start = enter.map(|e| e + 1);
-        let mut cp_start = 0u64;
         // The selects below are written to compile branch-free: whether
         // a source exists and whether an op is a load are data-dependent
         // and mispredict often on the host.
@@ -277,11 +268,9 @@ where
             let dist = src.unwrap_or(0) as usize;
             let producer = if dist <= i { i + 1 - dist } else { 0 };
             let producer = if dist == 0 { 0 } else { producer };
-            let src = &slots[producer];
-            for (s, &done) in start.iter_mut().zip(&src.done) {
+            for (s, &done) in start.iter_mut().zip(&slots[producer].done) {
                 *s = (*s).max(done);
             }
-            cp_start = cp_start.max(src.cp_done);
         }
         let class = op.class();
         let table = u64::from(lat.latency(class)).max(1);
@@ -292,8 +281,6 @@ where
         let slot = &mut slots[i + 1];
         slot.issue = start;
         slot.done = [start[0] + real, start[1] + l1, start[2] + 1];
-        slot.cp_done = cp_start + real;
-        critical_path = critical_path.max(slot.cp_done);
 
         in_cycle += 1;
         if in_cycle == d {
@@ -316,7 +303,6 @@ where
         ilp: r_unit - r_base,
         fu_latency: r_l1 - r_unit,
         short_dmiss: r_local - r_l1,
-        critical_path,
     }
 }
 

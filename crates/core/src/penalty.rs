@@ -29,8 +29,10 @@
 //! non-negative and they sum exactly to the *local* resolution (the
 //! interval scheduled in isolation, window empty at its start). One
 //! kernel, [`drain::knockout_interval`](crate::drain::knockout_interval),
-//! computes every knock-out of an interval in a single pass; the static
-//! pass calls the same kernel.
+//! computes every knock-out of an interval in a single pass, and
+//! [`PenaltyModel::analyze_local`] runs it over every mispredicted
+//! interval: the *local pass*, which the static bounds and the CPI stack
+//! read on their own.
 //!
 //! The branch's *effective* resolution comes from the
 //! whole-trace schedule ([`drain::schedule_trace`](crate::drain)), which
@@ -88,7 +90,9 @@ pub struct PenaltyBreakdown {
     /// Instructions since the last miss event, the branch included —
     /// the x-axis of contributor (ii).
     pub interval_len: usize,
-    /// Modeled branch resolution time, from the whole-trace schedule.
+    /// Modeled branch resolution time, from the whole-trace schedule
+    /// (equal to `local_resolution` in the local pass's breakdowns,
+    /// [`PenaltyModel::analyze_local`]).
     pub resolution: u64,
     /// Resolution of the interval scheduled in isolation (window empty at
     /// interval start); the knock-out terms below sum to exactly this.
@@ -107,7 +111,7 @@ pub struct PenaltyBreakdown {
     /// Window/bandwidth state carried over from before the interval
     /// (`resolution − local_resolution`; part of contributor (ii)). Can
     /// be slightly negative when cross-interval overlap *helps* the
-    /// branch.
+    /// branch. 0 in the local pass's breakdowns.
     pub carryover: i64,
 }
 
@@ -354,74 +358,49 @@ impl PenaltyModel {
     }
 
     /// Analyzes a trace given an existing functional pass (lets callers
-    /// reuse one pass across several analyses).
+    /// reuse one pass across several analyses): the local pass, then the
+    /// whole-trace schedule for the effective resolutions.
     pub fn analyze_with(&self, trace: &Trace, outcome: &FunctionalOutcome) -> PenaltyAnalysis {
         let intervals = segment(trace.len(), &outcome.events);
-        let params = WindowParams::from(&self.cfg);
-        let model = MachineModel::from(&self.cfg);
-        let l1_hit = self.cfg.caches.l1d().hit_latency();
-
-        // Whole-trace schedule: effective resolutions with cross-interval
-        // state (window carryover, issue bandwidth, ROB fill), kept only
-        // at the mispredicted branches, in trace order.
-        let mispredicted: Vec<&Interval> = intervals
+        // Sized exactly: the analysis is often cached for a whole run.
+        let mispredicted = intervals
             .iter()
             .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
-            .collect();
-        let mut resolutions = Vec::with_capacity(mispredicted.len());
+            .count();
+        let mut breakdowns = Vec::with_capacity(mispredicted);
+        breakdowns.extend(self.analyze_local(trace, outcome, &intervals));
+
+        // Whole-trace schedule: effective resolutions with cross-interval
+        // state (window carryover, issue bandwidth, ROB fill), written
+        // over the local ones at the mispredicted branches.
+        let mut next = 0;
         let mut scheduled_cycles = 0;
         let frontend_events = frontend_events_of(&self.cfg, outcome);
         schedule_trace(
             trace.ops(),
-            model,
+            MachineModel::from(&self.cfg),
             &self.cfg.latencies,
             |i| outcome.load_latency(i),
             &frontend_events,
             |i, t| {
                 scheduled_cycles = scheduled_cycles.max(t.done);
-                if mispredicted
-                    .get(resolutions.len())
-                    .is_some_and(|iv| iv.end == i)
-                {
-                    resolutions.push(t.resolution());
-                }
+                let Some(b) = breakdowns.get_mut(next).filter(|b| b.branch_idx == i) else {
+                    return;
+                };
+                b.resolution = t.resolution();
+                b.carryover = b.resolution as i64 - b.local_resolution as i64;
+                // Conservation identities, mirrored by lint BMP202 and
+                // the static-bounds checks (`crate::identities`).
+                debug_assert!(
+                    crate::identities::breakdown_consistent(b),
+                    "knock-out terms must sum to the local resolution and \
+                     carryover must reconcile it with the effective resolution \
+                     (BMP202): {b:?}"
+                );
+                next += 1;
             },
         );
-
-        let mut breakdowns = Vec::with_capacity(mispredicted.len());
-        let mut scratch = KnockoutScratch::default();
-        for (iv, resolution) in mispredicted.into_iter().zip(resolutions) {
-            let local = knockout_interval(
-                &trace.ops()[iv.start..=iv.end],
-                params,
-                &self.cfg.latencies,
-                l1_hit,
-                |i| outcome.load_latency(iv.start + i),
-                &mut scratch,
-            );
-            let b = PenaltyBreakdown {
-                branch_idx: iv.end,
-                interval_start: iv.start,
-                interval_len: iv.len(),
-                resolution,
-                local_resolution: local.local_resolution,
-                frontend: self.cfg.frontend_depth,
-                base: local.base,
-                ilp: local.ilp,
-                fu_latency: local.fu_latency,
-                short_dmiss: local.short_dmiss,
-                carryover: resolution as i64 - local.local_resolution as i64,
-            };
-            // Conservation identities, mirrored by lint BMP202 and the
-            // static-bounds checks (`crate::identities`).
-            debug_assert!(
-                crate::identities::breakdown_consistent(&b),
-                "knock-out terms must sum to the local resolution and \
-                 carryover must reconcile it with the effective resolution \
-                 (BMP202): {b:?}"
-            );
-            breakdowns.push(b);
-        }
+        debug_assert_eq!(next, breakdowns.len(), "the schedule visits every branch");
 
         PenaltyAnalysis {
             intervals,
@@ -430,6 +409,55 @@ impl PenaltyModel {
             instructions: trace.len(),
             scheduled_cycles,
         }
+    }
+
+    /// The model's local pass over `intervals` (the segmentation of
+    /// `outcome`'s miss events over `trace`): every mispredicted interval
+    /// scheduled in isolation and decomposed by [`knockout_interval`],
+    /// one breakdown per mispredicted branch in trace order, with
+    /// `resolution = local_resolution` and `carryover = 0`.
+    ///
+    /// This is the half of [`analyze_with`](Self::analyze_with) that
+    /// needs no whole-trace schedule. The static bounds
+    /// (`bmp_analyze::staticpass::bounds`) and the first-order CPI stack
+    /// ([`crate::cpi::predict`]) read nothing else. The breakdowns are
+    /// yielded one at a time, so a caller that only aggregates them
+    /// holds none.
+    pub fn analyze_local<'a>(
+        &'a self,
+        trace: &'a Trace,
+        outcome: &'a FunctionalOutcome,
+        intervals: &'a [Interval],
+    ) -> impl Iterator<Item = PenaltyBreakdown> + 'a {
+        let params = WindowParams::from(&self.cfg);
+        let l1_hit = self.cfg.caches.l1d().hit_latency();
+        let mut scratch = KnockoutScratch::default();
+        intervals
+            .iter()
+            .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
+            .map(move |iv| {
+                let local = knockout_interval(
+                    &trace.ops()[iv.start..=iv.end],
+                    params,
+                    &self.cfg.latencies,
+                    l1_hit,
+                    |i| outcome.load_latency(iv.start + i),
+                    &mut scratch,
+                );
+                PenaltyBreakdown {
+                    branch_idx: iv.end,
+                    interval_start: iv.start,
+                    interval_len: iv.len(),
+                    resolution: local.local_resolution,
+                    local_resolution: local.local_resolution,
+                    frontend: self.cfg.frontend_depth,
+                    base: local.base,
+                    ilp: local.ilp,
+                    fu_latency: local.fu_latency,
+                    short_dmiss: local.short_dmiss,
+                    carryover: 0,
+                }
+            })
     }
 }
 

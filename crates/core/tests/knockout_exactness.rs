@@ -1,21 +1,19 @@
 //! Exactness of the fused knock-out kernel: `drain::knockout_interval`
-//! must equal the four-schedule cascade over `schedule_interval` plus
-//! `dag::critical_path`, field for field, on every interval of random
-//! workloads and machine shapes.
+//! must equal the four-schedule cascade over `schedule_interval`, field
+//! for field, on every interval of random workloads and machine shapes.
 
 use bmp_core::drain::{
     knockout_interval, schedule_interval, KnockoutScratch, LocalTerms, WindowParams,
 };
 use bmp_core::intervals::segment;
 use bmp_core::FunctionalOutcome;
-use bmp_trace::{dag, BranchKind, MicroOp};
+use bmp_trace::{BranchKind, MicroOp};
 use bmp_uarch::{presets, LatencyTable, OpClass};
 use bmp_workloads::spec;
 use proptest::prelude::*;
 
 /// The reference decomposition: four independent schedules, each
-/// knocked-out resolution floored by the fuller one, and the
-/// dependence-only critical path with real latencies.
+/// knocked-out resolution floored by the fuller one.
 fn oracle(
     ops: &[MicroOp],
     params: WindowParams,
@@ -35,19 +33,12 @@ fn oracle(
     let r_base = schedule_interval(ops, params, &unit, |_| Some(1), true)
         .resolution(b)
         .min(r_unit);
-    let critical_path = dag::critical_path(ops, |i, op| {
-        u64::from(match op.class() {
-            OpClass::Load => loads[i].unwrap_or_else(|| lat.latency(OpClass::Load)),
-            c => lat.latency(c),
-        })
-    });
     LocalTerms {
         local_resolution: r_local,
         base: r_base,
         ilp: r_unit - r_base,
         fu_latency: r_l1 - r_unit,
         short_dmiss: r_local - r_l1,
-        critical_path,
     }
 }
 
@@ -116,7 +107,6 @@ fn single_op_interval() {
     assert_eq!(got.local_resolution, 2);
     assert_eq!(got.base, 2);
     assert_eq!(got.ilp + got.fu_latency + got.short_dmiss, 0);
-    assert_eq!(got.critical_path, 1);
 }
 
 #[test]
@@ -135,7 +125,6 @@ fn load_without_latency_falls_back_to_table() {
     // branch completes at 9 having entered at 0.
     assert_eq!(got.local_resolution, 9);
     assert_eq!(got.short_dmiss, 9 - 4, "L1 lane: load done 3, branch 4");
-    assert_eq!(got.critical_path, 8);
 }
 
 #[test]
