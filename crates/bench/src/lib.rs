@@ -32,7 +32,6 @@
 
 pub mod artifacts;
 pub mod codec;
-pub mod convert;
 pub mod engine;
 pub mod error;
 pub mod experiments;

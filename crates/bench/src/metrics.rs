@@ -264,7 +264,7 @@ pub fn save_metrics(results_dir: &Path, doc: &ExperimentMetrics) -> std::io::Res
 mod tests {
     use super::*;
     use crate::engine::{experiment_defs, EngineChoice};
-    use bmp_core::metrics::HISTOGRAM_BUCKETS;
+    use bmp_core::intervals::HISTOGRAM_BUCKETS;
 
     fn def(name: &str) -> ExperimentDef {
         experiment_defs()

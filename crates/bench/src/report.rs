@@ -594,8 +594,8 @@ pub fn diff(old: &[ExperimentMetrics], new: &[ExperimentMetrics]) -> Diff {
 mod tests {
     use super::*;
     use bmp_core::intervals::IntervalEventKind;
+    use bmp_core::intervals::HISTOGRAM_BUCKETS;
     use bmp_core::json::{self, JsonError, ObjectExt};
-    use bmp_core::metrics::HISTOGRAM_BUCKETS;
     use bmp_core::IntervalRecord;
     use bmp_core::WorkloadMetrics;
 

@@ -173,10 +173,11 @@ impl InlinePredictor {
             PredictorConfig::Perfect => Self::Perfect(Perfect),
         }
     }
+}
 
-    /// Statically dispatched [`DirectionPredictor::predict`].
+impl DirectionPredictor for InlinePredictor {
     #[inline]
-    pub fn predict(&mut self, pc: u64, actual: bool) -> bool {
+    fn predict(&mut self, pc: u64, actual: bool) -> bool {
         match self {
             Self::Static(p) => p.predict(pc, actual),
             Self::Perfect(p) => p.predict(pc, actual),
@@ -189,9 +190,8 @@ impl InlinePredictor {
         }
     }
 
-    /// Statically dispatched [`DirectionPredictor::update`].
     #[inline]
-    pub fn update(&mut self, pc: u64, taken: bool) {
+    fn update(&mut self, pc: u64, taken: bool) {
         match self {
             Self::Static(p) => p.update(pc, taken),
             Self::Perfect(p) => p.update(pc, taken),
@@ -204,8 +204,7 @@ impl InlinePredictor {
         }
     }
 
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Self::Static(p) => p.name(),
             Self::Perfect(p) => p.name(),

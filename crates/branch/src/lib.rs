@@ -5,7 +5,8 @@
 //! the paper's era — static, bimodal, gshare, local two-level and
 //! tournament — plus a [`Perfect`](direction::Perfect) oracle used by
 //! knock-out experiments, a branch target buffer and a return-address
-//! stack.
+//! stack. [`BranchUnit`] combines them into the frontend's one
+//! branch-resolution routine.
 //!
 //! Predictors are trace-driven: [`DirectionPredictor::predict`] receives
 //! the architected outcome so the oracle can be expressed in the same
@@ -41,6 +42,7 @@ mod indirect;
 mod ras;
 mod stats;
 pub mod tage;
+mod unit;
 
 pub use btb::Btb;
 pub use counter::SaturatingCounter;
@@ -49,3 +51,4 @@ pub use indirect::{GTarget, IndirectPredictor, Ittage};
 pub use ras::ReturnAddressStack;
 pub use stats::BranchStats;
 pub use tage::{Tage, U_AGING_PERIOD};
+pub use unit::{BranchUnit, Resolution};

@@ -17,7 +17,9 @@
 //! static dispatch) so the two engines' predictors are pinned to the
 //! same bit-exact behaviour.
 
-use bmp_branch::{build_predictor, InlinePredictor, Ittage, Tage, U_AGING_PERIOD};
+use bmp_branch::{
+    build_predictor, DirectionPredictor, InlinePredictor, Ittage, Tage, U_AGING_PERIOD,
+};
 use bmp_uarch::PredictorConfig;
 
 /// Drives one (pc, outcome) stream through both the boxed and the inline

@@ -72,9 +72,7 @@ pub mod validate;
 
 pub use accounting::IntervalRecord;
 pub use functional::FunctionalOutcome;
-pub use intervals::{
-    segment, Interval, IntervalEvent, IntervalEventKind, IntervalLengthHistogram, LENGTH_BUCKETS,
-};
+pub use intervals::{segment, Interval, IntervalEvent, IntervalEventKind, IntervalLengthHistogram};
 pub use io::write_atomic;
 pub use metrics::{ExperimentMetrics, ModelMetrics, WorkloadMetrics};
 pub use penalty::{PenaltyAnalysis, PenaltyBreakdown, PenaltyModel};

@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::cpi::CpiStack;
-use crate::intervals::IntervalLengthHistogram;
+use crate::intervals::{bucket_label, IntervalLengthHistogram};
 use crate::penalty::PenaltyAnalysis;
 
 /// Measured counterpart values to place next to the model's, when a
@@ -169,8 +169,8 @@ pub fn render(
             let _ = writeln!(out, "## Resolution vs. interval length (window ramp-up)\n");
             let _ = writeln!(out, "| interval ≥ | mean resolution | events |");
             let _ = writeln!(out, "|---|---|---|");
-            for (lo, mean, n) in curve {
-                let _ = writeln!(out, "| {lo} | {mean:.1} | {n} |");
+            for (bucket, mean, n) in curve {
+                let _ = writeln!(out, "| {} | {mean:.1} | {n} |", bucket_label(bucket));
             }
             let _ = writeln!(out);
         }
@@ -182,19 +182,8 @@ pub fn render(
             let _ = writeln!(out, "## Inter-miss interval lengths\n");
             let _ = writeln!(out, "| bucket ≥ | fraction |");
             let _ = writeln!(out, "|---|---|");
-            for (i, lo) in crate::intervals::LENGTH_BUCKETS.iter().enumerate() {
-                if hist.count(i) > 0 {
-                    let _ = writeln!(out, "| {lo} | {:.3} |", hist.fraction(i));
-                }
-            }
-            let over = crate::intervals::LENGTH_BUCKETS.len();
-            if hist.count(over) > 0 {
-                let _ = writeln!(
-                    out,
-                    "| {}+ | {:.3} |",
-                    crate::intervals::LENGTH_BUCKETS[over - 1],
-                    hist.fraction(over)
-                );
+            for i in (0..hist.buckets()).filter(|&i| hist.count(i) > 0) {
+                let _ = writeln!(out, "| {} | {:.3} |", bucket_label(i), hist.fraction(i));
             }
             let _ = writeln!(out);
         }

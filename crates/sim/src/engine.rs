@@ -41,12 +41,10 @@
 //! the reference one when `BMP_REFERENCE_ENGINE=1` is set (used by CI to
 //! diff full experiment-suite outputs across both).
 
-use bmp_branch::{
-    BranchStats, Btb, DirectionPredictor, IndirectPredictor, InlinePredictor, ReturnAddressStack,
-};
+use bmp_branch::{BranchUnit, DirectionPredictor, InlinePredictor, Resolution};
 use bmp_cache::{DataOutcome, MemoryHierarchy};
 use bmp_core::intervals::IntervalEventKind;
-use bmp_trace::{BranchKind, CompiledTrace, SuperblockMap, Trace};
+use bmp_trace::{CompiledTrace, SuperblockMap, Trace};
 use bmp_uarch::MachineConfig;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -345,15 +343,12 @@ struct Engine<'a, P> {
 
     // Helpers. The direction predictor is a concrete type parameter —
     // its `predict`/`update` pair is statically dispatched and inlined
-    // into this engine instantiation.
-    predictor: P,
-    btb: Btb,
-    indirect: IndirectPredictor,
-    ras: ReturnAddressStack,
+    // into this engine instantiation. The branch unit also counts the
+    // direction predictions.
+    branches: BranchUnit<P>,
     mem: MemoryHierarchy,
 
     // Measurements.
-    branch_stats: BranchStats,
     events: Vec<MissEvent>,
     mispredicts: Vec<MispredictRecord>,
     pending: Option<PendingMiss>,
@@ -441,12 +436,8 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
             unissued: 0,
             fu: FuPools::new(cfg),
             sched,
-            predictor,
-            btb: Btb::new(cfg.btb_entries),
-            indirect: IndirectPredictor::build(&cfg.indirect_predictor),
-            ras: ReturnAddressStack::new(cfg.ras_entries),
+            branches: BranchUnit::new(cfg, predictor),
             mem,
-            branch_stats: BranchStats::new(),
             events: std::mem::take(&mut scratch.events),
             mispredicts: std::mem::take(&mut scratch.mispredicts),
             pending: None,
@@ -564,7 +555,7 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
         SimResult {
             cycles,
             instructions: self.committed - self.stats_start_committed,
-            branch_stats: self.branch_stats,
+            branch_stats: self.branches.stats(),
             hierarchy: self.mem.stats(),
             // Cloned, not taken: the exact-size copy goes to the caller
             // while the grown buffer returns to the scratch pool.
@@ -683,7 +674,7 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
         self.warmed = true;
         self.stats_start_cycle = self.cycle;
         self.stats_start_committed = self.committed;
-        self.branch_stats.reset();
+        self.branches.reset_stats();
         self.mem.reset_stats();
         self.events.clear();
         self.mispredicts.clear();
@@ -934,7 +925,8 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                     .ct
                     .branch_info(idx)
                     .expect("zero-run-length ops are branches");
-                if self.handle_branch(pc, info) {
+                let resolution = self.branches.resolve(pc, info);
+                if resolution == Resolution::Mispredict {
                     self.blocked_on = Some(idx);
                     self.pending = Some(PendingMiss {
                         branch_idx: idx,
@@ -949,6 +941,10 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
                         kind: IntervalEventKind::BranchMispredict,
                     });
                     return;
+                }
+                if resolution == Resolution::BtbMiss {
+                    // Decode computes the target: one fetch bubble.
+                    self.fetch_stall_until = self.cycle + 2;
                 }
                 if info.taken {
                     // Redirect through the BTB/RAS: the fetch group ends.
@@ -969,69 +965,12 @@ impl<'a, P: DirectionPredictor> Engine<'a, P> {
             }
         }
     }
-
-    /// Runs the frontend's prediction machinery for a fetched branch.
-    /// Returns `true` when the branch is mispredicted (direction or
-    /// return target).
-    fn handle_branch(&mut self, pc: u64, info: bmp_trace::BranchInfo) -> bool {
-        match info.kind {
-            BranchKind::Conditional => {
-                let pred = self.predictor.predict(pc, info.taken);
-                self.branch_stats.record(pred, info.taken);
-                self.predictor.update(pc, info.taken);
-                if pred != info.taken {
-                    return true;
-                }
-                if info.taken {
-                    self.btb_redirect(pc, info.target);
-                }
-                false
-            }
-            BranchKind::Jump => {
-                self.btb_redirect(pc, info.target);
-                false
-            }
-            BranchKind::Call => {
-                self.ras.push(pc.wrapping_add(4));
-                self.btb_redirect(pc, info.target);
-                false
-            }
-            BranchKind::Return => {
-                match self.ras.pop() {
-                    Some(t) if t == info.target => false,
-                    // Empty or stale RAS: the frontend follows a wrong
-                    // target, which is a full misprediction.
-                    _ => true,
-                }
-            }
-            BranchKind::IndirectJump => {
-                // The frontend follows the indirect-target predictor
-                // (BTB last-target by default, gtarget when configured);
-                // anything but the actual target is a full misprediction.
-                let btb_target = self.btb.lookup(pc);
-                let predicted = self.indirect.predict(pc, btb_target);
-                self.indirect.update(pc, info.target);
-                self.btb.update(pc, info.target);
-                !matches!(predicted, Some(t) if t == info.target)
-            }
-        }
-    }
-
-    /// Models the BTB on a taken control transfer: a miss costs one fetch
-    /// bubble while decode computes the target; the entry is installed
-    /// either way.
-    fn btb_redirect(&mut self, pc: u64, target: u64) {
-        if self.btb.lookup(pc).is_none() {
-            self.fetch_stall_until = self.cycle + 2;
-        }
-        self.btb.update(pc, target);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmp_trace::{MicroOp, TraceBuilder};
+    use bmp_trace::{BranchKind, MicroOp, TraceBuilder};
     use bmp_uarch::{presets, OpClass, PredictorConfig};
     use bmp_workloads::micro;
 

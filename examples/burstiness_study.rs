@@ -10,7 +10,7 @@
 //! cargo run --release --example burstiness_study
 //! ```
 
-use mispredict::core::PenaltyModel;
+use mispredict::core::{intervals::bucket_label, PenaltyModel};
 use mispredict::sim::Simulator;
 use mispredict::uarch::{presets, PredictorConfig};
 use mispredict::workloads::{ProfileBuilder, WorkloadProfile};
@@ -32,8 +32,9 @@ fn run(label: &str, profile: &WorkloadProfile) {
         result.mean_resolution().unwrap_or(0.0),
     );
     println!("resolution vs. instructions-since-last-event (model, window-ramp-up):");
-    for (lo, mean, n) in analysis.local_resolution_by_interval_length() {
+    for (bucket, mean, n) in analysis.local_resolution_by_interval_length() {
         let bar = "#".repeat((mean / 2.0).round() as usize);
+        let lo = bucket_label(bucket);
         println!("  >= {lo:>4} insts : {mean:>6.1} cycles  ({n:>5} events) {bar}");
     }
 }
