@@ -330,7 +330,7 @@ pub fn per_branch_resolution_bounds(cfg: &MachineConfig) -> (u64, u64) {
 /// `trace` on `cfg`.
 pub fn compute(cfg: &MachineConfig, trace: &Trace) -> StaticBounds {
     let outcome = FunctionalOutcome::compute(trace, cfg);
-    let intervals = segment(trace.len(), &outcome.events);
+    let intervals = segment(0..trace.len(), &outcome.events);
     let model = PenaltyModel::new(cfg.clone());
     let local = model.analyze_local(trace, &outcome, &intervals);
     StaticBounds::from_breakdowns(cfg, trace.len(), local)

@@ -14,7 +14,7 @@
 //! * the model side is [`records_from_analysis`], which converts a
 //!   [`PenaltyAnalysis`] with the contributor terms filled in.
 
-use crate::intervals::IntervalEventKind;
+use crate::intervals::{Interval, IntervalEventKind};
 use crate::penalty::PenaltyAnalysis;
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +118,24 @@ pub struct IntervalRecord {
 }
 
 impl IntervalRecord {
+    /// The record of a segmented interval, every timing and contributor
+    /// field zero; `None` for the trailing partial interval.
+    pub fn of_interval(iv: &Interval) -> Option<Self> {
+        Some(Self {
+            kind: iv.kind?,
+            start: iv.start as u64,
+            pos: iv.end as u64,
+            resolution: 0,
+            refill: 0,
+            occupancy: 0,
+            base: 0,
+            ilp: 0,
+            fu_latency: 0,
+            short_dmiss: 0,
+            carryover: 0,
+        })
+    }
+
     /// Instructions in the interval (terminating instruction included).
     pub fn len(&self) -> u64 {
         self.pos - self.start + 1
@@ -152,41 +170,24 @@ impl IntervalRecord {
 /// partial interval (no terminating event) is skipped, matching both
 /// the histogram and the simulator-side records.
 pub fn records_from_analysis(analysis: &PenaltyAnalysis) -> Vec<IntervalRecord> {
-    let mut records = Vec::with_capacity(analysis.intervals.len());
-    let mut breakdowns = analysis.breakdowns.iter().peekable();
-    for iv in &analysis.intervals {
-        let Some(kind) = iv.kind else { continue };
-        let mut record = IntervalRecord {
-            kind,
-            start: iv.start as u64,
-            pos: iv.end as u64,
-            resolution: 0,
-            refill: 0,
-            occupancy: 0,
-            base: 0,
-            ilp: 0,
-            fu_latency: 0,
-            short_dmiss: 0,
-            carryover: 0,
-        };
-        if kind == IntervalEventKind::BranchMispredict {
-            // Breakdowns are in trace order, one per mispredicted
-            // branch; the terminating instruction of a branch interval
-            // is that branch.
-            if let Some(b) = breakdowns.peek() {
-                if b.branch_idx == iv.end {
-                    let b = breakdowns.next().expect("peeked");
-                    record.resolution = b.resolution;
-                    record.refill = b.frontend;
-                    record.base = b.base;
-                    record.ilp = b.ilp;
-                    record.fu_latency = b.fu_latency;
-                    record.short_dmiss = b.short_dmiss;
-                    record.carryover = b.carryover;
-                }
-            }
-        }
-        records.push(record);
+    let mut records: Vec<IntervalRecord> = analysis
+        .intervals
+        .iter()
+        .filter_map(IntervalRecord::of_interval)
+        .collect();
+    // One breakdown per branch interval, both in trace order.
+    let branches = records
+        .iter_mut()
+        .filter(|r| r.kind == IntervalEventKind::BranchMispredict);
+    for (record, b) in branches.zip(&analysis.breakdowns) {
+        debug_assert_eq!(record.pos, b.branch_idx as u64, "breakdown out of step");
+        record.resolution = b.resolution;
+        record.refill = b.frontend;
+        record.base = b.base;
+        record.ilp = b.ilp;
+        record.fu_latency = b.fu_latency;
+        record.short_dmiss = b.short_dmiss;
+        record.carryover = b.carryover;
     }
     records
 }

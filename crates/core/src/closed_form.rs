@@ -183,7 +183,7 @@ pub fn estimate_with(
     outcome: &FunctionalOutcome,
 ) -> ClosedFormEstimate {
     let curve = IlpCurve::characterize_with(trace, cfg, outcome, cfg.window_size as usize);
-    let intervals = segment(trace.len(), &outcome.events);
+    let intervals = segment(0..trace.len(), &outcome.events);
     let mut n = 0usize;
     let mut sum = 0.0;
     for iv in &intervals {

@@ -88,7 +88,7 @@ impl CpiStack {
 /// ```
 pub fn predict(trace: &Trace, cfg: &MachineConfig) -> CpiStack {
     let outcome = FunctionalOutcome::compute(trace, cfg);
-    let intervals = segment(trace.len(), &outcome.events);
+    let intervals = segment(0..trace.len(), &outcome.events);
     let model = PenaltyModel::new(cfg.clone());
     let breakdowns: Vec<_> = model.analyze_local(trace, &outcome, &intervals).collect();
     predict_with(trace, cfg, &outcome, &breakdowns)

@@ -91,11 +91,6 @@ impl ValidationReport {
         mean(self.pairs.iter().map(|p| p.measured))
     }
 
-    /// Mean absolute error over the pairs, or `None` with no pairs.
-    pub fn mean_absolute_error(&self) -> Option<f64> {
-        mean(self.pairs.iter().map(|p| (p.model - p.measured).abs()))
-    }
-
     /// Signed bias (model − measured), or `None` with no pairs.
     pub fn bias(&self) -> Option<f64> {
         mean(self.pairs.iter().map(|p| p.model - p.measured))
@@ -197,7 +192,6 @@ mod tests {
         let a = analysis_with(&[(10, 8), (20, 12)]);
         let r = ValidationReport::from_pairs(&a, &[(10, 8), (20, 12)]);
         assert_eq!(r.pairs.len(), 2);
-        assert_eq!(r.mean_absolute_error(), Some(0.0));
         assert_eq!(r.bias(), Some(0.0));
         assert_eq!(r.event_agreement(), 1.0);
         assert_eq!(r.aggregate_relative_error(), Some(0.0));
@@ -211,7 +205,7 @@ mod tests {
         assert_eq!(r.model_only, 1);
         assert_eq!(r.measured_only, 1);
         assert_eq!(r.event_agreement(), 0.0);
-        assert!(r.mean_absolute_error().is_none());
+        assert!(r.bias().is_none());
     }
 
     #[test]
@@ -223,7 +217,6 @@ mod tests {
         assert_eq!(r.measured_only, 1);
         // model 10,10 vs measured 12,6: bias = (−2 + 4)/2 = 1.
         assert_eq!(r.bias(), Some(1.0));
-        assert_eq!(r.mean_absolute_error(), Some(3.0));
     }
 
     #[test]

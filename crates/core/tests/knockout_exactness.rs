@@ -82,7 +82,7 @@ proptest! {
         let lat = LatencyTable::default().scaled(scale);
         let p = params(width, window);
         let mut scratch = KnockoutScratch::default();
-        for iv in segment(trace.len(), &outcome.events) {
+        for iv in segment(0..trace.len(), &outcome.events) {
             let ops = &trace.ops()[iv.start..=iv.end];
             let lds = &loads[iv.start..=iv.end];
             let got = knockout_interval(ops, p, &lat, l1_hit, |i| lds[i], &mut scratch);
@@ -136,7 +136,7 @@ fn scratch_reuse_matches_fresh_scratch() {
     let lat = LatencyTable::default();
     let p = params(4, 16);
     let mut shared = KnockoutScratch::default();
-    let mut intervals = segment(trace.len(), &outcome.events);
+    let mut intervals = segment(0..trace.len(), &outcome.events);
     // Longest first, so every later interval runs over stale slots.
     intervals.sort_by_key(|iv| std::cmp::Reverse(iv.len()));
     for iv in intervals {

@@ -3,7 +3,7 @@
 //! machine shapes.
 
 use bmp_core::drain::{schedule_trace, FrontendEvent, MachineModel, OpTiming};
-use bmp_core::{FunctionalOutcome, PenaltyModel};
+use bmp_core::{FunctionalOutcome, IntervalEventKind, PenaltyModel};
 use bmp_trace::MicroOp;
 use bmp_uarch::{LatencyTable, MachineConfigBuilder};
 use bmp_workloads::WorkloadProfile;
@@ -160,7 +160,12 @@ proptest! {
         let trace = profile.generate(1_000, seed);
         let outcome = FunctionalOutcome::compute(&trace, &cfg);
         let model = MachineModel::from(&cfg);
-        let mispredicts = outcome.mispredict_positions();
+        let mispredicts: Vec<usize> = outcome
+            .events
+            .iter()
+            .filter(|e| e.kind == IntervalEventKind::BranchMispredict)
+            .map(|e| e.pos)
+            .collect();
         let events: Vec<FrontendEvent> = mispredicts
             .iter()
             .map(|&pos| FrontendEvent::Mispredict { pos })

@@ -3,7 +3,7 @@
 
 use bmp_branch::BranchStats;
 use bmp_cache::HierarchyStats;
-use bmp_core::{IntervalEventKind, IntervalRecord};
+use bmp_core::{segment, IntervalEvent, IntervalEventKind, IntervalRecord};
 use serde::{Deserialize, Serialize};
 
 /// One miss event, positioned both in the instruction stream and in time.
@@ -231,53 +231,46 @@ impl SimResult {
     /// order (see `docs/OBSERVABILITY.md`). `trace_len` is the length of
     /// the simulated trace.
     ///
-    /// An interval ends at every index that logged a miss event. A
-    /// [`MispredictRecord`] at an index makes it a branch interval
-    /// carrying the branch's `resolution()`, `window_occupancy` and
-    /// `refill = frontend_depth`; otherwise the first event logged there
-    /// gives the kind. The first record starts at the warmup boundary,
-    /// `trace_len − instructions`; each later one starts one past the
-    /// previous record's `pos`. The trailing instructions after the last
-    /// event end no interval and produce no record.
-    ///
-    /// Unlike [`segment`](bmp_core::segment), which keeps the first kind
-    /// of coincident events, a misprediction overrides a coincident
-    /// cache miss, so the branch records match `mispredicts` one to one —
-    /// the invariant lint BMP502 checks.
+    /// The logged events — a misprediction for every [`MispredictRecord`]
+    /// and every cache-miss event — sorted by position are cut by
+    /// [`segment`] over the measured range, which starts at the warm-up
+    /// boundary `trace_len − instructions`. So a misprediction wins over
+    /// a coincident cache miss, exactly as in the interval model, and the
+    /// branch records match `mispredicts` one to one (the invariant lint
+    /// BMP502 checks). Each branch record carries its branch's
+    /// `resolution()`, `window_occupancy` and `refill = frontend_depth`.
+    /// The trailing instructions after the last event end no interval
+    /// and produce no record.
     pub fn interval_records(&self, trace_len: usize) -> Vec<IntervalRecord> {
-        let record = |pos: usize, kind| IntervalRecord {
-            kind,
-            start: 0,
-            pos: pos as u64,
-            resolution: 0,
-            refill: 0,
-            occupancy: 0,
-            base: 0,
-            ilp: 0,
-            fu_latency: 0,
-            short_dmiss: 0,
-            carryover: 0,
-        };
-        let branches = self.mispredicts.iter().map(|m| IntervalRecord {
-            resolution: m.resolution(),
-            refill: self.frontend_depth,
-            occupancy: m.window_occupancy,
-            ..record(m.branch_idx, IntervalEventKind::BranchMispredict)
+        let branches = self.mispredicts.iter().map(|m| IntervalEvent {
+            pos: m.branch_idx,
+            kind: IntervalEventKind::BranchMispredict,
         });
         let misses = self
             .events
             .iter()
             .filter(|e| e.kind != IntervalEventKind::BranchMispredict)
-            .map(|e| record(e.trace_idx, e.kind));
-        let mut records: Vec<IntervalRecord> = branches.chain(misses).collect();
-        // Stable: at each index the branch record comes first, then the
-        // cache misses in log order, and `dedup` keeps the first.
-        records.sort_by_key(|r| r.pos);
-        records.dedup_by_key(|r| r.pos);
-        let mut start = trace_len as u64 - self.instructions;
-        for r in &mut records {
-            r.start = start;
-            start = r.pos + 1;
+            .map(|e| IntervalEvent {
+                pos: e.trace_idx,
+                kind: e.kind,
+            });
+        let mut events: Vec<IntervalEvent> = branches.chain(misses).collect();
+        // Out-of-order issue logs D-misses out of trace order; the sort
+        // is stable, so coincident cache misses keep their log order.
+        events.sort_by_key(|e| e.pos);
+        let first = trace_len - self.instructions as usize;
+        let mut records: Vec<IntervalRecord> = segment(first..trace_len, &events)
+            .iter()
+            .filter_map(IntervalRecord::of_interval)
+            .collect();
+        let branches = records
+            .iter_mut()
+            .filter(|r| r.kind == IntervalEventKind::BranchMispredict);
+        for (record, m) in branches.zip(&self.mispredicts) {
+            debug_assert_eq!(record.pos, m.branch_idx as u64, "mispredict out of step");
+            record.resolution = m.resolution();
+            record.refill = self.frontend_depth;
+            record.occupancy = m.window_occupancy;
         }
         records
     }

@@ -186,23 +186,6 @@ impl CompiledTrace {
         }
     }
 
-    /// Number of entries in the branch side table.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// Number of entries in the memory side table.
-    pub fn mem_count(&self) -> usize {
-        self.mem_addrs.len()
-    }
-
-    /// The raw payload index of op `i` into its side table, for
-    /// consistency checking; `None` for plain computational ops.
-    pub fn payload_index(&self, i: usize) -> Option<u32> {
-        let p = self.payload[i];
-        (p != NO_PAYLOAD).then_some(p)
-    }
-
     /// Reconstructs the original [`MicroOp`] at `i`.
     ///
     /// Exact for self-contained traces. For windowed slices, source
@@ -315,12 +298,11 @@ mod tests {
         assert_eq!(ct.flags(2), FLAG_MEM);
         assert_eq!(ct.flags(4), FLAG_BRANCH | FLAG_COND_BRANCH);
         assert_eq!(ct.flags(5), FLAG_BRANCH);
-        assert_eq!(ct.mem_count(), 2);
-        assert_eq!(ct.branch_count(), 2);
-        assert_eq!(ct.payload_index(0), None);
-        assert_eq!(ct.payload_index(1), Some(0));
-        assert_eq!(ct.payload_index(2), Some(1));
-        assert_eq!(ct.payload_index(4), Some(0));
+        assert_eq!(ct.mem_addr(0), None);
+        assert_eq!(ct.mem_addr(1), Some(0x1000_0000));
+        assert_eq!(ct.mem_addr(2), Some(0x2000_0008));
+        assert_eq!(ct.branch_info(1), None);
+        assert_eq!(ct.branch_info(4).map(|b| b.target), Some(0x100));
     }
 
     #[test]
@@ -342,8 +324,6 @@ mod tests {
         let ct = Trace::new().compile();
         assert_eq!(ct.len(), 0);
         assert!(ct.is_empty());
-        assert_eq!(ct.branch_count(), 0);
-        assert_eq!(ct.mem_count(), 0);
     }
 
     #[test]

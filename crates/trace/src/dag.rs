@@ -203,43 +203,6 @@ where
         .collect()
 }
 
-/// Length (in ops) of the dependence chain ending at `ops[target]`,
-/// following, at each step, the source with the latest completion time.
-///
-/// This identifies *which* chain limits a mispredicted branch's resolution
-/// — useful for attributing the penalty to program structure.
-pub fn limiting_chain<L>(ops: &[MicroOp], target: usize, mut latency_of: L) -> Vec<usize>
-where
-    L: FnMut(usize, &MicroOp) -> u64,
-{
-    assert!(target < ops.len(), "target out of range");
-    let done = completion_times(&ops[..=target], &mut latency_of, |_| 0);
-    let mut chain = vec![target];
-    let mut cur = target;
-    loop {
-        let op = &ops[cur];
-        let mut best: Option<usize> = None;
-        for d in op.src_distances() {
-            let d = d as usize;
-            if d <= cur {
-                let src = cur - d;
-                if best.is_none_or(|b| done[src] > done[b]) {
-                    best = Some(src);
-                }
-            }
-        }
-        match best {
-            Some(src) => {
-                chain.push(src);
-                cur = src;
-            }
-            None => break,
-        }
-    }
-    chain.reverse();
-    chain
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,34 +307,5 @@ mod tests {
         }
         // Two independent chains => ILP approaches 2.
         assert!(curve.last().unwrap().1 <= 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn limiting_chain_follows_the_slow_source() {
-        // op2 depends on op0 (slow) and op1 (fast).
-        let ops = vec![
-            MicroOp::alu(0, OpClass::FpDiv, [None, None]),
-            MicroOp::alu(4, OpClass::IntAlu, [None, None]),
-            MicroOp::alu(8, OpClass::IntAlu, [Some(2), Some(1)]),
-        ];
-        let chain = limiting_chain(
-            &ops,
-            2,
-            |_, op| {
-                if op.class() == OpClass::FpDiv {
-                    24
-                } else {
-                    1
-                }
-            },
-        );
-        assert_eq!(chain, vec![0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "target out of range")]
-    fn limiting_chain_rejects_bad_target() {
-        let ops = independent(1);
-        let _ = limiting_chain(&ops, 5, |_, _| 1);
     }
 }

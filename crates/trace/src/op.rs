@@ -172,11 +172,6 @@ impl MicroOp {
         self.srcs.iter().copied().filter(|&d| d != 0)
     }
 
-    /// The largest dependence distance, if any source exists.
-    pub fn max_src_distance(&self) -> Option<u32> {
-        self.src_distances().max()
-    }
-
     /// Memory address for loads and stores, `None` otherwise.
     #[inline]
     pub fn mem_addr(&self) -> Option<u64> {
@@ -252,7 +247,6 @@ mod tests {
         let op = MicroOp::alu(0, OpClass::IntAlu, [Some(3), None]);
         assert_eq!(op.srcs(), [Some(3), None]);
         assert_eq!(op.src_distances().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(op.max_src_distance(), Some(3));
     }
 
     #[test]

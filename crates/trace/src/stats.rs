@@ -1,6 +1,6 @@
 //! Summary statistics over traces.
 
-use bmp_uarch::{OpClass, OP_CLASSES};
+use bmp_uarch::OpClass;
 use serde::{Deserialize, Serialize};
 
 use crate::op::MicroOp;
@@ -78,16 +78,6 @@ impl DepDistanceHistogram {
             .map(|(i, &c)| (i as f64 + 1.0) * c as f64)
             .sum();
         Some(sum / self.total as f64)
-    }
-
-    /// Fraction of dependences at distance `<= d`.
-    pub fn cdf(&self, d: u32) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let upto = d.min(self.cap) as usize;
-        let c: u64 = self.buckets[..upto].iter().sum();
-        c as f64 / self.total as f64
     }
 }
 
@@ -191,15 +181,6 @@ impl TraceStats {
     pub fn dep_distances(&self) -> &DepDistanceHistogram {
         &self.dep_distances
     }
-
-    /// Instruction-mix table in [`OP_CLASSES`] order, as (class, count,
-    /// fraction) rows — convenient for report printing.
-    pub fn mix_rows(&self) -> Vec<(OpClass, u64, f64)> {
-        OP_CLASSES
-            .iter()
-            .map(|&c| (c, self.count(c), self.fraction(c)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -238,8 +219,6 @@ mod tests {
             h.record(d);
         }
         assert!((h.mean().unwrap() - 2.0).abs() < 1e-12);
-        assert!((h.cdf(2) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((h.cdf(10) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -273,11 +252,5 @@ mod tests {
         assert_eq!(s.total(), 0);
         assert_eq!(s.fraction(OpClass::IntAlu), 0.0);
         assert_eq!(s.avg_taken_run(), 0.0);
-    }
-
-    #[test]
-    fn mix_rows_cover_all_classes() {
-        let s = TraceStats::from_ops(&[]);
-        assert_eq!(s.mix_rows().len(), OP_CLASSES.len());
     }
 }

@@ -34,7 +34,7 @@ fn main() {
     let machine = presets::baseline_4wide();
     let outcome = FunctionalOutcome::compute(&trace, &machine);
     let analysis = PenaltyModel::new(machine).analyze_with(&trace, &outcome);
-    let intervals = segment(trace.len(), &outcome.events);
+    let intervals = segment(0..trace.len(), &outcome.events);
 
     const WINDOW: usize = 20_000;
     println!(
