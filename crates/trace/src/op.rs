@@ -41,12 +41,14 @@ pub struct BranchInfo {
     pub kind: BranchKind,
 }
 
-/// Per-op payload: memory reference or branch information.
+/// What a [`MicroOp`]'s `addr` field holds. The enum fits one byte:
+/// `Branch` carries the kind and the other two variants take spare
+/// discriminants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 enum Payload {
     None,
-    Mem { addr: u64 },
-    Branch(BranchInfo),
+    Mem,
+    Branch(BranchKind),
 }
 
 /// One dynamic instruction of the correct-path stream.
@@ -72,9 +74,14 @@ enum Payload {
 pub struct MicroOp {
     pc: u64,
     class: OpClass,
+    /// The address of a load or store, the taken target of a branch,
+    /// 0 otherwise.
+    addr: u64,
     /// Dependence distances; 0 encodes "no dependence".
     srcs: [u32; 2],
     payload: Payload,
+    /// A branch's outcome; `false` for every other op.
+    taken: bool,
 }
 
 impl MicroOp {
@@ -101,8 +108,10 @@ impl MicroOp {
         Self {
             pc,
             class,
+            addr: 0,
             srcs: Self::encode_srcs(srcs),
             payload: Payload::None,
+            taken: false,
         }
     }
 
@@ -111,8 +120,10 @@ impl MicroOp {
         Self {
             pc,
             class: OpClass::Load,
+            addr,
             srcs: Self::encode_srcs(srcs),
-            payload: Payload::Mem { addr },
+            payload: Payload::Mem,
+            taken: false,
         }
     }
 
@@ -121,8 +132,10 @@ impl MicroOp {
         Self {
             pc,
             class: OpClass::Store,
+            addr,
             srcs: Self::encode_srcs(srcs),
-            payload: Payload::Mem { addr },
+            payload: Payload::Mem,
+            taken: false,
         }
     }
 
@@ -137,12 +150,10 @@ impl MicroOp {
         Self {
             pc,
             class: OpClass::Branch,
+            addr: target,
             srcs: Self::encode_srcs(srcs),
-            payload: Payload::Branch(BranchInfo {
-                taken,
-                target,
-                kind,
-            }),
+            payload: Payload::Branch(kind),
+            taken,
         }
     }
 
@@ -176,7 +187,7 @@ impl MicroOp {
     #[inline]
     pub fn mem_addr(&self) -> Option<u64> {
         match self.payload {
-            Payload::Mem { addr } => Some(addr),
+            Payload::Mem => Some(self.addr),
             _ => None,
         }
     }
@@ -185,7 +196,11 @@ impl MicroOp {
     #[inline]
     pub fn branch_info(&self) -> Option<BranchInfo> {
         match self.payload {
-            Payload::Branch(info) => Some(info),
+            Payload::Branch(kind) => Some(BranchInfo {
+                taken: self.taken,
+                target: self.addr,
+                kind,
+            }),
             _ => None,
         }
     }
@@ -193,26 +208,17 @@ impl MicroOp {
     /// Returns `true` if this is a conditional branch.
     #[inline]
     pub fn is_conditional_branch(&self) -> bool {
-        matches!(
-            self.payload,
-            Payload::Branch(BranchInfo {
-                kind: BranchKind::Conditional,
-                ..
-            })
-        )
+        self.payload == Payload::Branch(BranchKind::Conditional)
     }
 
     /// The address of the next instruction on the architected path:
     /// the branch target when taken, otherwise `pc + 4` (a fixed 4-byte
     /// instruction encoding is assumed throughout).
     pub fn next_pc(&self) -> u64 {
-        match self.payload {
-            Payload::Branch(BranchInfo {
-                taken: true,
-                target,
-                ..
-            }) => target,
-            _ => self.pc.wrapping_add(4),
+        if self.taken {
+            self.addr
+        } else {
+            self.pc.wrapping_add(4)
         }
     }
 }
@@ -220,6 +226,11 @@ impl MicroOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn micro_op_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<MicroOp>(), 32);
+    }
 
     #[test]
     fn constructors_set_class() {

@@ -3,7 +3,7 @@
 //! over arbitrary op streams.
 
 use bmp_trace::compiled::FLAG_BRANCH;
-use bmp_trace::{dag, io, BranchKind, MicroOp, RegionEnd, SuperblockMap, Trace};
+use bmp_trace::{dag, io, BranchInfo, BranchKind, MicroOp, RegionEnd, SuperblockMap, Trace};
 use bmp_uarch::OpClass;
 use proptest::prelude::*;
 
@@ -344,5 +344,74 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A source slot: absent, an explicit zero distance, or any distance.
+fn arb_src() -> impl Strategy<Value = Option<u32>> {
+    (0u8..3, any::<u32>()).prop_map(|(k, d)| match k {
+        0 => None,
+        1 => Some(0),
+        _ => Some(d),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every constructor's inputs come back unchanged through the
+    /// accessors, for every non-memory, non-branch class, both memory
+    /// classes and all five branch kinds taken and not taken, with
+    /// addresses and targets over the full `u64` range. A zero distance
+    /// reads back as no dependence.
+    #[test]
+    fn constructor_inputs_roundtrip(
+        pc in any::<u64>(),
+        addr in any::<u64>(),
+        srcs in (arb_src(), arb_src()),
+        which in 0usize..13,
+        taken in any::<bool>(),
+    ) {
+        let srcs = [srcs.0, srcs.1];
+        let want_srcs = srcs.map(|s| s.filter(|&d| d != 0));
+        let alu = [
+            OpClass::IntAlu,
+            OpClass::IntMul,
+            OpClass::IntDiv,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::FpDiv,
+        ];
+        let kinds = [
+            BranchKind::Conditional,
+            BranchKind::Jump,
+            BranchKind::Call,
+            BranchKind::Return,
+            BranchKind::IndirectJump,
+        ];
+        let (op, class, mem, branch) = match which {
+            0..=5 => (MicroOp::alu(pc, alu[which], srcs), alu[which], None, None),
+            6 => (MicroOp::load(pc, addr, srcs), OpClass::Load, Some(addr), None),
+            7 => (MicroOp::store(pc, addr, srcs), OpClass::Store, Some(addr), None),
+            _ => {
+                let kind = kinds[which - 8];
+                let info = BranchInfo { taken, target: addr, kind };
+                (MicroOp::branch(pc, kind, taken, addr, srcs), OpClass::Branch, None, Some(info))
+            }
+        };
+        prop_assert_eq!(op.pc(), pc);
+        prop_assert_eq!(op.class(), class);
+        prop_assert_eq!(op.srcs(), want_srcs);
+        prop_assert_eq!(op.mem_addr(), mem);
+        prop_assert_eq!(op.branch_info(), branch);
+        let next = match branch {
+            Some(b) if b.taken => b.target,
+            _ => pc.wrapping_add(4),
+        };
+        prop_assert_eq!(op.next_pc(), next);
+        prop_assert_eq!(
+            op.is_conditional_branch(),
+            branch.is_some_and(|b| b.kind == BranchKind::Conditional)
+        );
     }
 }

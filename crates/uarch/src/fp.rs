@@ -29,8 +29,9 @@ pub fn fingerprint_debug<T: std::fmt::Debug>(value: &T) -> u64 {
 /// The same function as [`fnv1a`], exposed through the standard hasher
 /// interface so `HashMap`/`HashSet` can key on it. FNV is a fast,
 /// deterministic, non-keyed hash — well suited to the small integer-keyed
-/// maps in the workload generator, where SipHash's DoS resistance buys
-/// nothing and its per-lookup cost shows up in profiles.
+/// maps in the workload generator and the executor's page table, where
+/// SipHash's DoS resistance buys nothing and its per-lookup cost shows up
+/// in profiles.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 
