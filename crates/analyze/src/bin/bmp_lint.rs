@@ -5,13 +5,21 @@
 //! profile in the SPEC-like table, checking machine balance, trace
 //! well-formedness and — by running the interval model, the CPI stack
 //! and the reference simulator on each generated trace — result
-//! conservation. Exit status: 0 clean (warnings allowed), 1 when any
-//! error-severity finding fires, 2 on usage errors.
+//! conservation. With `--static` it is also the static-bounds tool:
+//! for every metrics entry it prints the proven contributor bounds next
+//! to the interval model's recorded totals, and ends with the median
+//! model-vs-simulated mean-penalty error. Exit status: 0 clean
+//! (warnings allowed), 1 when any error-severity finding fires, 2 on
+//! usage errors.
 
 use std::io::Write;
 use std::process::ExitCode;
 
-use bmp_analyze::{analyze, lint_sim_result, staticpass, walk_inputs, AnalysisReport, Severity};
+use bmp_analyze::staticpass::{self, DocBounds, StaticBounds};
+use bmp_analyze::{analyze, lint_sim_result, walk_inputs, AnalysisReport, Severity};
+use bmp_core::json::Value;
+use bmp_core::json_object;
+use bmp_core::metrics::{ExperimentMetrics, ModelMetrics, WorkloadMetrics};
 use bmp_sim::Simulator;
 use bmp_uarch::{presets, MachineConfig};
 use bmp_workloads::spec;
@@ -37,8 +45,12 @@ OPTIONS:
                       proven contributor bounds (BMP6xx). PATH is a
                       results directory (lints its *.csv tables and its
                       metrics/ subdirectory), a single CSV table, or a
-                      single metrics document; given alone, skips the
-                      other passes too
+                      single metrics document. Prints each metrics
+                      entry's bounds next to the model's recorded
+                      totals, and the median model-vs-simulated mean
+                      penalty error (with --json: a \"workloads\" array
+                      and \"median_mean_penalty_err\"); given alone,
+                      skips the other passes too
     --store PATH      audit a persistent artifact store directory
                       (BMP_STORE) with the BMP8xx rules: corrupt or
                       misplaced records, quarantine backlog, stale
@@ -190,6 +202,137 @@ fn out(line: &str) {
     let _ = writeln!(std::io::stdout(), "{line}");
 }
 
+/// One metrics entry's static bounds beside the numbers recorded for
+/// it: the `--static` table.
+struct BoundTable<'a> {
+    entry: &'a WorkloadMetrics,
+    bounds: &'a StaticBounds,
+    /// The entry's model section, when it covers the same intervals as
+    /// the bounds.
+    model: Option<&'a ModelMetrics>,
+}
+
+impl<'a> BoundTable<'a> {
+    fn new(entry: &'a WorkloadMetrics, bounds: &'a StaticBounds) -> Self {
+        let model = entry
+            .model
+            .as_ref()
+            .filter(|m| m.intervals == bounds.intervals);
+        Self {
+            entry,
+            bounds,
+            model,
+        }
+    }
+
+    /// The recorded model totals in `contributor_rows` order.
+    fn model_totals(&self) -> Option<[i64; 8]> {
+        self.model.map(|m| {
+            [
+                m.refill as i64,
+                m.base as i64,
+                m.ilp as i64,
+                m.fu_latency as i64,
+                m.short_dmiss as i64,
+                m.carryover,
+                m.resolution as i64,
+                m.resolution as i64 + m.refill as i64,
+            ]
+        })
+    }
+
+    /// The model's and the simulator's mean penalty (resolution +
+    /// refill per misprediction), when both are recorded.
+    fn mean_penalties(&self) -> Option<(f64, f64)> {
+        let m = self.model.filter(|m| m.intervals > 0)?;
+        let model = (m.resolution as f64 + m.refill as f64) / m.intervals as f64;
+        let sim = self.entry.mean_penalty().filter(|&sim| sim > 0.0)?;
+        Some((model, sim))
+    }
+
+    /// Relative error of the model's mean penalty against the
+    /// simulator's.
+    fn rel_err(&self) -> Option<f64> {
+        self.mean_penalties()
+            .map(|(model, sim)| (model - sim).abs() / sim)
+    }
+
+    /// The `--json` entry; mean penalties rounded to 4 decimals.
+    fn to_value(&self, experiment: &str) -> Value {
+        let totals = self.model_totals();
+        let rows = self.bounds.contributor_rows().into_iter().enumerate();
+        let contributors = rows.map(|(j, (name, b))| {
+            let model = totals.map(|t| t[j]);
+            (
+                name.to_owned(),
+                json_object! { "lo": b.lo, "hi": b.hi, "model"?: model },
+            )
+        });
+        let mean_penalty = self.mean_penalties().map(|(model, sim)| {
+            json_object! { "model": Value::rounded(model, 4), "sim": Value::rounded(sim, 4) }
+        });
+        let predictor = &self.entry.predictor;
+        json_object! {
+            "experiment": experiment,
+            "workload": self.entry.workload.as_str(),
+            "predictor"?: (!predictor.is_empty()).then_some(predictor.as_str()),
+            "intervals": self.bounds.intervals,
+            "contributors": Value::Object(contributors.collect()),
+            "mean_penalty"?: mean_penalty,
+        }
+    }
+
+    fn render(&self) {
+        let (w, b) = (self.entry, self.bounds);
+        let tag = if w.predictor.is_empty() {
+            String::new()
+        } else {
+            format!("[{}]", w.predictor)
+        };
+        out(&format!(
+            "workload {}{tag}: {} instructions, {} branch intervals, frontend depth {}",
+            w.workload, b.instructions, b.intervals, b.frontend_depth
+        ));
+        out(&format!(
+            "  {:<16} {:>14} {:>14} {:>14}",
+            "contributor", "lower", "upper", "model"
+        ));
+        let totals = self.model_totals();
+        for (j, (name, bound)) in b.contributor_rows().iter().enumerate() {
+            let model = totals.map_or("-".to_owned(), |t| t[j].to_string());
+            out(&format!(
+                "  {name:<16} {:>14} {:>14} {model:>14}",
+                bound.lo, bound.hi
+            ));
+        }
+        match (self.mean_penalties(), w.mean_penalty()) {
+            (Some((model, sim)), _) => out(&format!(
+                "  mean penalty: model {model:.2}, simulated {sim:.2} ({:+.1}%)",
+                (model - sim) / sim * 100.0
+            )),
+            (None, Some(sim)) => out(&format!(
+                "  mean penalty: simulated {sim:.2} (no model section)"
+            )),
+            // Nothing recorded to compare.
+            (None, None) => {}
+        }
+    }
+}
+
+/// Median of `xs` (`None` when empty).
+fn median(mut xs: Vec<f64>) -> Option<f64> {
+    if xs.is_empty() {
+        return None;
+    }
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
+    let n = xs.len();
+    Some(if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -240,6 +383,12 @@ fn main() -> ExitCode {
 
     let mut report = AnalysisReport::default();
     let mut targets = 0usize;
+    // Per metrics entry under `--static`: a bound table (kept for
+    // `--json`, printed otherwise) and the model's mean-penalty error
+    // against the simulator.
+    let mut entries = 0usize;
+    let mut tables: Vec<Value> = Vec::new();
+    let mut errs: Vec<f64> = Vec::new();
 
     // Pass 0: a run journal, when asked for. The path must be readable
     // — a missing journal is a usage error, not a lint finding.
@@ -311,11 +460,47 @@ fn main() -> ExitCode {
         for (is_metrics, file) in jobs {
             let locus = file.path.display().to_string();
             targets += 1;
-            report.merge(if is_metrics {
-                staticpass::lint_metrics_doc(&locus, &file.content)
-            } else {
-                staticpass::lint_csv(&locus, &file.content)
-            });
+            if !is_metrics {
+                report.merge(staticpass::lint_csv(&locus, &file.content));
+                continue;
+            }
+            let Ok(doc) = ExperimentMetrics::parse(&file.content) else {
+                // Reported as BMP606.
+                report.merge(staticpass::lint_metrics_doc(&locus, &file.content));
+                continue;
+            };
+            // One static pass per entry, shared by the lint and the tables.
+            let bounds = DocBounds::new(&doc);
+            report.merge(staticpass::lint_metrics(&locus, &bounds));
+            if !opts.json {
+                out(&format!(
+                    "== {} (ops {}, seed {})",
+                    doc.name, doc.ops, doc.seed
+                ));
+            }
+            for (i, w) in doc.workloads.iter().enumerate() {
+                let Some(b) = bounds.get(i) else {
+                    if !opts.json {
+                        out(&format!(
+                            "workload {}: unregistered workload or predictor — \
+                             static bounds unavailable",
+                            w.workload
+                        ));
+                    }
+                    continue;
+                };
+                let table = BoundTable::new(w, b);
+                entries += 1;
+                errs.extend(table.rel_err());
+                if opts.json {
+                    tables.push(table.to_value(&doc.name));
+                } else {
+                    table.render();
+                }
+            }
+            if !opts.json {
+                out("");
+            }
         }
     }
 
@@ -410,10 +595,30 @@ fn main() -> ExitCode {
         }
     }
 
+    let cells = errs.len();
+    let median_err = median(errs);
     if opts.json {
-        out(&report.render_json());
+        let mut value = report.to_value();
+        if let (Some(_), Value::Object(fields)) = (&opts.statics, &mut value) {
+            let median_err = median_err.map(|m| Value::rounded(m, 4)).into();
+            fields.push(("workloads".to_owned(), Value::Array(tables)));
+            fields.push(("median_mean_penalty_err".to_owned(), median_err));
+        }
+        out(&value.to_string());
     } else {
         let mut human = report.render_human();
+        if entries > 0 {
+            human.push_str(&match median_err {
+                Some(m) => format!(
+                    "median model-vs-simulated mean-penalty error over {cells} \
+                     workload cell(s): {:.2}%\n",
+                    m * 100.0
+                ),
+                None => "no entry records both a model section and a simulated \
+                         penalty\n"
+                    .to_owned(),
+            });
+        }
         human.push_str(&format!(
             "linted {targets} target(s); worst severity: {}",
             report.worst().map_or("none".to_owned(), |s| s.to_string())

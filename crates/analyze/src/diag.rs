@@ -210,12 +210,6 @@ impl AnalysisReport {
             "diagnostics": self.diagnostics.iter().map(Diagnostic::to_value).collect::<Value>(),
         }
     }
-
-    /// Renders the whole report as one JSON object (see
-    /// [`to_value`](Self::to_value)).
-    pub fn render_json(&self) -> String {
-        self.to_value().to_string()
-    }
 }
 
 /// One input file collected by [`walk_inputs`]: its path and contents.
@@ -312,7 +306,10 @@ mod tests {
             { "code": "BMP201", "severity": "error", "locus": "cpi", "message": "m", "suggestion": "fix" },
             { "code": "BMP002", "severity": "warn", "locus": "w", "message": "n", "suggestion": null }
         ] }"#;
-        assert_eq!(json::parse(&r.render_json()), json::parse(expected));
+        assert_eq!(
+            json::parse(&r.to_value().to_string()),
+            json::parse(expected)
+        );
     }
 
     #[test]

@@ -65,9 +65,10 @@
 //! over presets, workload profiles, or both (plus `--journal` for run
 //! journals, `--metrics` for observability documents, `--static` for
 //! bounds cross-checks and `--store` for persistent-store audits), and
-//! renders either a compiler-style listing or JSON (`bmp-lint --json`). The `bmp-verify` binary renders the static
-//! bounds themselves. The full code catalogue lives in
-//! `docs/ANALYZER.md`.
+//! renders either a compiler-style listing or JSON (`bmp-lint --json`);
+//! with `--static` it also prints each metrics entry's static bounds
+//! next to the model's recorded totals. The full code catalogue lives
+//! in `docs/ANALYZER.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,16 +57,22 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
     if w.length_histogram.len() != HISTOGRAM_BUCKETS
         || w.resolution_histogram.len() != HISTOGRAM_BUCKETS
     {
-        diags.push(Diagnostic::error(
-            "BMP504",
-            &locus,
-            format!(
-                "histograms must have {HISTOGRAM_BUCKETS} buckets (found {} length, \
-                 {} resolution)",
-                w.length_histogram.len(),
-                w.resolution_histogram.len()
+        diags.push(
+            Diagnostic::error(
+                "BMP504",
+                &locus,
+                format!(
+                    "histograms must have {HISTOGRAM_BUCKETS} buckets, the last \
+                     holding lengths of 512 and up (found {} length, {} resolution)",
+                    w.length_histogram.len(),
+                    w.resolution_histogram.len()
+                ),
+            )
+            .with_suggestion(
+                "documents with 11 buckets predate the overflow bucket's move to \
+                 index 9; regenerate them with `BMP_METRICS=1 run_all`",
             ),
-        ));
+        );
     } else {
         let len_sum: u64 = w.length_histogram.iter().sum();
         if len_sum != w.intervals.total() {

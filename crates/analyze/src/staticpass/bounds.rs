@@ -1,5 +1,5 @@
-//! Guaranteed bounds and point estimates for the five penalty
-//! contributors, computed without running a simulator.
+//! Guaranteed bounds on the five penalty contributors, computed
+//! without running a simulator.
 //!
 //! Two observations make this possible (derivations in
 //! `docs/STATIC_ANALYSIS.md`):
@@ -22,9 +22,12 @@
 //!    per-misprediction resolution. Summed over the misprediction count,
 //!    they bound the effective-resolution and carryover totals.
 //!
-//! The point estimate for the effective resolution is the local total
-//! (carryover ≈ 0); its observed error against simulation is reported by
-//! `bmp-verify` and documented in `docs/STATIC_ANALYSIS.md`.
+//! A ranged bound's `point` is the local total (carryover 0), a
+//! lower-biased value no tool prints. The estimate the tools print is
+//! the interval model's full penalty:
+//! `bmp-lint --static` reads it from each metrics entry's `model`
+//! section and `run_all`'s surrogate from the cached analysis (see
+//! `docs/STATIC_ANALYSIS.md`).
 
 use bmp_core::functional::FunctionalOutcome;
 use bmp_core::intervals::segment;
@@ -73,12 +76,6 @@ impl Bound {
     /// Whether `v` lies within `[lo, hi]`.
     pub fn contains(&self, v: i64) -> bool {
         self.lo <= v && v <= self.hi
-    }
-
-    /// Relative error of the point estimate against an observed value
-    /// (denominator floored at 1 cycle).
-    pub fn rel_err(&self, observed: i64) -> f64 {
-        (self.point - observed).abs() as f64 / (observed.abs().max(1)) as f64
     }
 }
 
@@ -283,16 +280,6 @@ impl StaticBounds {
         }
         v
     }
-
-    /// Mean penalty point estimate (local resolution + refill per
-    /// interval), or `None` without intervals.
-    pub fn mean_penalty_point(&self) -> Option<f64> {
-        if self.intervals == 0 {
-            None
-        } else {
-            Some(self.penalty.point as f64 / self.intervals as f64)
-        }
-    }
 }
 
 /// The engine-independent per-misprediction resolution envelope of a
@@ -453,7 +440,6 @@ mod tests {
         let b = compute(&cfg, &Trace::new());
         assert_eq!(b.intervals, 0);
         assert_eq!(b.resolution, Bound::exact(0));
-        assert!(b.mean_penalty_point().is_none());
     }
 
     #[test]
@@ -461,7 +447,6 @@ mod tests {
         let b = Bound::ranged(2, 10, 20);
         assert!(b.contains(2) && b.contains(20) && !b.contains(21));
         assert!(!b.is_exact());
-        assert!((b.rel_err(8) - 0.25).abs() < 1e-12);
         // Point clamps into the range.
         assert_eq!(Bound::ranged(5, 1, 9).point, 5);
         assert_eq!(Bound::exact(7).point, 7);

@@ -34,10 +34,10 @@
 //! integers, so their additive identities are checked with zero
 //! tolerance.
 //!
-//! CSV checks are keyed on the exact header line, so renaming a column
-//! is loud (the file silently stops being checked only if the header
-//! no longer matches any registered experiment — `bmp-verify` reports
-//! coverage). All CSV checks are scale-free: they hold at any
+//! CSV checks are keyed on the exact header line: a table whose header
+//! matches no registered experiment is not checked, so renaming a
+//! column takes the table out of the family until its header here is
+//! renamed too. All CSV checks are scale-free: they hold at any
 //! `BMP_OPS`/`BMP_SEED`, because they are identities and bounds, not
 //! golden values.
 
@@ -91,8 +91,8 @@ fn recorded_machine(w: &WorkloadMetrics) -> Option<MachineConfig> {
 /// was recorded with: the baseline preset, or the baseline with the
 /// entry's registered generation predictor.
 ///
-/// `bmp-verify` and [`lint_metrics`] read the same cache, so a document
-/// they both check costs one static pass per entry.
+/// [`lint_metrics`] and the bound tables of `bmp-lint --static` read
+/// the same cache, so a document costs one static pass per entry.
 #[derive(Debug)]
 pub struct DocBounds<'a> {
     doc: &'a ExperimentMetrics,
@@ -781,12 +781,6 @@ pub fn lint_csv(locus: &str, content: &str) -> AnalysisReport {
     report
 }
 
-/// Whether a CSV header line has registered BMP6xx checks — used by
-/// `bmp-verify` to report coverage.
-pub fn csv_header_registered(header: &str) -> bool {
-    CsvChecks::from_header(header.trim()).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,6 +790,15 @@ mod tests {
 
     fn codes(report: &AnalysisReport) -> Vec<&'static str> {
         report.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    /// Whether `report` holds a `code` finding whose message mentions
+    /// `needle`.
+    fn fired(report: &AnalysisReport, code: &str, needle: &str) -> bool {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == code && d.message.contains(needle))
     }
 
     /// A metrics document whose model section is the real analysis of
@@ -843,6 +846,28 @@ mod tests {
     }
 
     #[test]
+    fn model_over_other_intervals_is_bmp601() {
+        let mut doc = consistent_doc();
+        // Same totals, different interval count: the model analyzed
+        // another trace or machine.
+        doc.workloads[0].model.as_mut().unwrap().intervals += 1;
+        let report = lint_metrics_doc("m.json", &doc.to_json());
+        assert_eq!(codes(&report), vec!["BMP601"], "{}", report.render_human());
+        assert!(fired(&report, "BMP601", "intervals"));
+    }
+
+    #[test]
+    fn out_of_envelope_model_carryover_is_bmp602() {
+        let mut doc = consistent_doc();
+        // Carryover alone past its envelope; resolution stays inside.
+        let m = doc.workloads[0].model.as_mut().unwrap();
+        m.carryover += (m.intervals * 1_000_000) as i64;
+        let report = lint_metrics_doc("m.json", &doc.to_json());
+        assert_eq!(codes(&report), vec!["BMP602"], "{}", report.render_human());
+        assert!(fired(&report, "BMP602", "carryover"));
+    }
+
+    #[test]
     fn out_of_envelope_model_resolution_is_bmp602() {
         let mut doc = consistent_doc();
         let m = doc.workloads[0].model.as_mut().unwrap();
@@ -869,6 +894,17 @@ mod tests {
             "{}",
             report.render_human()
         );
+    }
+
+    #[test]
+    fn sim_resolution_above_the_envelope_is_bmp603() {
+        let mut doc = consistent_doc();
+        let w = &mut doc.workloads[0];
+        let (_, per_hi) = bounds::per_branch_resolution_bounds(&presets::baseline_4wide());
+        w.resolution_total = w.intervals.bmiss * per_hi + 1;
+        let report = lint_metrics_doc("m.json", &doc.to_json());
+        assert_eq!(codes(&report), vec!["BMP603"], "{}", report.render_human());
+        assert!(fired(&report, "BMP603", "outside proven envelope"));
     }
 
     #[test]
@@ -950,6 +986,49 @@ mod tests {
     }
 
     #[test]
+    fn fig2_resolution_below_the_floor_is_bmp605() {
+        // The depth identity holds; only the r >= 2 floor is broken.
+        let csv = "benchmark,measured-penalty,two-run-penalty,model-penalty,frontend-depth,measured-resolution\n\
+                   gzip,6.50,11.30,20.70,5,1.50\n";
+        let report = lint_csv("fig2.csv", csv);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(&report, "BMP605", "measured-resolution"));
+    }
+
+    #[test]
+    fn fig10_agreement_out_of_range_is_bmp605() {
+        let csv = "benchmark,events-agree,sim-resolution,model-resolution,resolution-err,correlation,sim-CPI,stack-CPI,sched-CPI\n\
+                   gzip,1.50,15.00,14.00,0.07,0.90,1.10,1.00,1.05\n";
+        let report = lint_csv("fig10.csv", csv);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(&report, "BMP605", "events-agree"));
+    }
+
+    #[test]
+    fn fig5_total_below_the_resolution_floor_is_bmp605() {
+        // The contributors sum to the total, but a negative carryover
+        // drags it under frontend + 2.
+        let csv = "benchmark,frontend(i),base,ilp(iii),fu-latency(iv),short-dmiss(v),carryover(ii),total-penalty\n\
+                   gzip,5.00,2.00,0.00,0.00,0.00,-1.00,6.00\n";
+        let report = lint_csv("fig5.csv", csv);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(&report, "BMP605", "below frontend + 2"));
+    }
+
+    #[test]
+    fn fig3_populated_bucket_below_the_floor_is_bmp605() {
+        let header = "benchmark,interval-bucket-lo,n-measured,measured-resolution,\
+                      model-local-resolution,model-effective-resolution\n";
+        // The 512+ overflow bucket is a row like any other.
+        let good = format!("{header}gzip,512+,2,22.50,7.50,11.50\n");
+        assert!(lint_csv("fig3.csv", &good).is_clean());
+        let bad = format!("{header}gzip,512+,2,1.00,7.50,11.50\n");
+        let report = lint_csv("fig3.csv", &bad);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(&report, "BMP605", "below the resolution floor"));
+    }
+
+    #[test]
     fn malformed_row_is_bmp606() {
         let csv = "benchmark,window,rob,measured-resolution,model-resolution,IPC\n\
                    twolf,16,32,eleven,10.61,0.534\n\
@@ -967,15 +1046,16 @@ mod tests {
     fn unknown_header_is_skipped_silently() {
         let report = lint_csv("x.csv", "a,b,c\n1,2,oops\n");
         assert!(report.is_clean());
-        assert!(!csv_header_registered("a,b,c"));
-        assert!(csv_header_registered(
+        let registered = |header: &str| CsvChecks::from_header(header).is_some();
+        assert!(!registered("a,b,c"));
+        assert!(registered(
             "chain-length,measured-resolution,model-resolution,model-ilp-share(iii)"
         ));
-        assert!(csv_header_registered(
+        assert!(registered(
             "benchmark,predictor,br-miss-rate,br-MPKI,mean-penalty,mean-base,\
              mean-ilp,mean-fu,mean-dmiss,IPC"
         ));
-        assert!(csv_header_registered(
+        assert!(registered(
             "benchmark,class,sites,intervals,base,ilp,fu,dmiss,local,refill,total"
         ));
     }
@@ -1081,12 +1161,14 @@ mod tests {
 
     #[test]
     fn doc_duplicate_class_and_broken_class_refill_are_bmp701() {
+        // Each breaks the partition totals too, so the test names the
+        // rule it is about.
         let mut doc = classed_doc();
         let dup = doc.workloads[0].branch_classes[0].clone();
         doc.workloads[0].branch_classes.push(dup);
         let report = lint_metrics_doc("m.json", &doc.to_json());
         assert!(
-            codes(&report).contains(&"BMP701"),
+            fired(&report, "BMP701", "attributed twice"),
             "{}",
             report.render_human()
         );
@@ -1095,7 +1177,7 @@ mod tests {
         doc.workloads[0].branch_classes[0].refill += 1;
         let report = lint_metrics_doc("m.json", &doc.to_json());
         assert!(
-            codes(&report).contains(&"BMP701"),
+            fired(&report, "BMP701", "intervals × frontend depth"),
             "{}",
             report.render_human()
         );

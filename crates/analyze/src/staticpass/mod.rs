@@ -12,7 +12,7 @@
 //!   interval, so the four knock-out terms and the refill come out
 //!   *cycle-exact* — and derives a proven per-branch envelope for the
 //!   whole-trace effective resolution, yielding a guaranteed
-//!   lower/upper bound plus a point estimate per contributor;
+//!   lower/upper bound per contributor;
 //! * [`classify`] profiles every static branch site (taken-rate
 //!   entropy, ideal-history accuracy at 0 and [`HISTORY_BITS`] bits of
 //!   history, H2P flagging) and attributes the per-interval penalty
@@ -23,8 +23,9 @@
 //!
 //! The derivations, the `base == 2` theorem and the envelope induction
 //! are written out in `docs/STATIC_ANALYSIS.md`; the rule catalogue is
-//! in `docs/ANALYZER.md`. The `bmp-verify` binary and
-//! `bmp-lint --static` are the command-line entry points.
+//! in `docs/ANALYZER.md`. `bmp-lint --static` is the command-line
+//! entry point: it runs the BMP6xx family and prints each metrics
+//! entry's bounds next to the model's recorded totals.
 //!
 //! # Examples
 //!

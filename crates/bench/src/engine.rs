@@ -250,7 +250,7 @@ impl Ctx {
     /// (see `bmp_isa`), cached by `(kernel name, ops, seed)`.
     ///
     /// Generation goes through [`bmp_isa::kernel_trace`] — the exact
-    /// function the analyzers (`bmp-verify`, `bmp-lint --kernels`) use
+    /// function the analyzers (`bmp-lint --static`, `bmp-lint --kernels`) use
     /// to rebuild kernel traces from recorded `(name, ops, seed)`
     /// journals — so a kernel cell's trace is bit-identical wherever it
     /// is regenerated.
@@ -722,7 +722,7 @@ pub struct TolerantReport {
     /// Persistent-store accounting at the end of the run, when a store
     /// is attached.
     pub store: Option<StoreReport>,
-    /// Per-workload sim-vs-static surrogate comparison (empty unless
+    /// Per-workload sim-vs-model surrogate comparison (empty unless
     /// filled in by `run_all` after the run; see [`crate::surrogate`]).
     pub surrogate: Vec<crate::surrogate::SurrogateRow>,
 }
@@ -803,7 +803,7 @@ impl TolerantReport {
             );
             out.push_str(&format!(
                 "  {:<10} {:>12} {:>10} {:>10} {:>8}  bounds\n",
-                "workload", "mispredicts", "simulated", "static", "err"
+                "workload", "mispredicts", "simulated", "model", "err"
             ));
             for r in &self.surrogate {
                 out.push_str(&format!(
@@ -1328,10 +1328,10 @@ mod tests {
         }
     }
 
-    /// The surrogate's static bounds aggregate analyses the registry's
-    /// cells already computed: after a full run it simulates, analyses,
-    /// runs no functional pass and no knock-out sweep of its own (the
-    /// analysis phase clock does not move).
+    /// The surrogate's model penalties and static bounds read analyses
+    /// the registry's cells already computed: after a full run it
+    /// simulates, analyses, runs no functional pass and no knock-out
+    /// sweep of its own (the analysis phase clock does not move).
     #[test]
     fn surrogate_reads_only_cached_analyses() {
         let scale = Scale {

@@ -1,6 +1,6 @@
 //! The characterization figures E-F1 … E-F5.
 
-use bmp_core::intervals::{bucket_label, bucket_means, HISTOGRAM_BUCKETS};
+use bmp_core::intervals::{bucket_label, bucket_means};
 use bmp_core::{IntervalEventKind, IntervalLengthHistogram};
 use bmp_uarch::{presets, PredictorConfig};
 use bmp_workloads::spec;
@@ -190,9 +190,7 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
         let find = |curve: &[(usize, f64, u64)], bucket: usize| {
             curve.iter().find(|c| c.0 == bucket).map(|c| f2(c.1))
         };
-        // The table covers the bounded buckets only: the 512+ overflow
-        // bucket is left out.
-        for (bucket, mean, n) in measured.into_iter().filter(|m| m.0 < HISTOGRAM_BUCKETS - 1) {
+        for (bucket, mean, n) in measured {
             t.push_row(vec![
                 point.workload.name(),
                 bucket_label(bucket),

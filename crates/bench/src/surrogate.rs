@@ -1,14 +1,14 @@
-//! Static-bounds surrogate for the timing report.
+//! No-simulation surrogate for the timing report.
 //!
-//! The static pass (`bmp_analyze::staticpass`) predicts each workload's
-//! mean branch misprediction penalty from the trace alone — no
-//! simulation. This module runs that surrogate over every SPEC-like
-//! workload *and* every executed RV32IM kernel ([`bmp_isa::NAMES`])
-//! through the shared [`Ctx`] cache (so repeated collection is free
-//! after the first run) and compares it against the simulator's
-//! recorded mean penalty, producing the per-cell sim-vs-static error
-//! table that `run_all` appends to the run summary and to
-//! `results/bench_timings.json`.
+//! The interval model (`bmp_core::PenaltyModel`) predicts each
+//! workload's mean branch misprediction penalty from the trace alone —
+//! no timing simulation. This module reads that prediction for every
+//! SPEC-like workload *and* every executed RV32IM kernel
+//! ([`bmp_isa::NAMES`]) from the shared [`Ctx`] cache (the analysis the
+//! static bounds already aggregate, so collection adds no model work)
+//! and compares it against the simulator's recorded mean penalty,
+//! producing the per-cell sim-vs-model error table that `run_all`
+//! appends to the run summary and to `results/bench_timings.json`.
 //!
 //! Every row also re-checks the *proven* envelope: the simulated
 //! resolution/refill totals must sit inside the static bounds
@@ -22,7 +22,7 @@ use bmp_workloads::spec;
 use crate::engine::Ctx;
 use crate::Scale;
 
-/// One workload's sim-vs-static comparison at the baseline machine.
+/// One workload's sim-vs-model comparison at the baseline machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateRow {
     /// Workload name — a statistical profile from [`spec::NAMES`] or an
@@ -32,18 +32,19 @@ pub struct SurrogateRow {
     pub mispredicts: u64,
     /// Simulator mean penalty (resolution + refill per misprediction).
     pub sim_mean_penalty: f64,
-    /// Static point estimate of the same mean.
+    /// The interval model's prediction of the same mean, computed
+    /// without timing simulation.
     pub static_mean_penalty: f64,
-    /// `|static − sim| / sim`.
+    /// `|model − sim| / sim`.
     pub rel_err: f64,
     /// Whether the simulated totals sit inside the proven static bounds.
     pub within_bounds: bool,
 }
 
-/// Collects the sim-vs-static error table for every workload in
+/// Collects the sim-vs-model error table for every workload in
 /// [`spec::NAMES`] followed by every executed kernel in
 /// [`bmp_isa::NAMES`], at the baseline 4-wide machine, drawing traces,
-/// simulations and static bounds from the shared cache. Workloads whose
+/// simulations, analyses and static bounds from the shared cache. Workloads whose
 /// trace produced no mispredictions (no penalty to compare) are
 /// omitted.
 pub fn collect(ctx: &Ctx, scale: Scale) -> Vec<SurrogateRow> {
@@ -62,7 +63,7 @@ pub fn collect(ctx: &Ctx, scale: Scale) -> Vec<SurrogateRow> {
             let bounds = ctx.static_bounds(&cfg, &trace);
             let n = res.mispredicts.len() as u64;
             let sim_mean = res.mean_penalty()?;
-            let static_mean = bounds.mean_penalty_point()?;
+            let static_mean = ctx.analyze(&cfg, &trace).mean_penalty()?;
             let within_bounds = bounds
                 .check_sim(n, res.resolution_total(), res.refill_total())
                 .is_empty();
@@ -107,9 +108,8 @@ mod tests {
         let ctx = Ctx::new();
         let rows = collect(&ctx, SCALE);
         // Every registry workload and every executed kernel mispredicts
-        // at least once at this scale, so no row is dropped. The bounds
-        // check on the kernel rows is the "bmp-verify reports 0 bound
-        // violations over executed traces" acceptance gate.
+        // at least once at this scale, so no row is dropped, and the
+        // proven bounds hold on executed traces as on synthetic ones.
         assert_eq!(rows.len(), spec::NAMES.len() + bmp_isa::NAMES.len());
         for row in &rows {
             assert!(row.mispredicts > 0, "{}: no mispredicts", row.workload);
@@ -126,6 +126,21 @@ mod tests {
             );
         }
         assert!(median_rel_err(&rows).is_some());
+    }
+
+    #[test]
+    fn rows_report_the_cached_model_penalty() {
+        let ctx = Ctx::new();
+        let cfg = presets::baseline_4wide();
+        let rows = collect(&ctx, SCALE);
+        let traces = spec::NAMES
+            .iter()
+            .map(|name| ctx.named_trace(name, SCALE))
+            .chain(bmp_isa::NAMES.iter().map(|k| ctx.kernel_trace(k, SCALE)));
+        for (row, trace) in rows.iter().zip(traces) {
+            let model = ctx.analyze(&cfg, &trace).mean_penalty();
+            assert_eq!(Some(row.static_mean_penalty), model, "{}", row.workload);
+        }
     }
 
     #[test]

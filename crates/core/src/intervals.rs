@@ -134,15 +134,14 @@ pub fn segment(range: Range<usize>, events: &[IntervalEvent]) -> Vec<Interval> {
 /// [`bucket_label`].
 pub const LENGTH_BUCKETS: [usize; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
-/// Number of buckets: one per [`LENGTH_BUCKETS`] boundary plus the
-/// overflow bucket.
-pub const HISTOGRAM_BUCKETS: usize = LENGTH_BUCKETS.len() + 1;
+/// Number of buckets: one per [`LENGTH_BUCKETS`] boundary, the last
+/// being the overflow bucket.
+pub const HISTOGRAM_BUCKETS: usize = LENGTH_BUCKETS.len();
 
 /// The bucket `value` falls in. Bucket `i < 9` holds
 /// `[LENGTH_BUCKETS[i], LENGTH_BUCKETS[i + 1])`, and values at or past
 /// the last boundary land in the overflow bucket
-/// `HISTOGRAM_BUCKETS − 1`, so bucket 9 stays empty. Zero shares bucket
-/// 0 with 1.
+/// `HISTOGRAM_BUCKETS − 1 = 9`. Zero shares bucket 0 with 1.
 ///
 /// # Examples
 ///
@@ -152,13 +151,13 @@ pub const HISTOGRAM_BUCKETS: usize = LENGTH_BUCKETS.len() + 1;
 /// assert_eq!(bucket_index(3), 1);
 /// assert_eq!(bucket_label(bucket_index(3)), "2");
 /// assert_eq!(bucket_index(600), HISTOGRAM_BUCKETS - 1);
-/// assert_eq!(bucket_label(HISTOGRAM_BUCKETS - 1), "512+");
+/// assert_eq!(bucket_label(9), "512+");
 /// ```
 pub fn bucket_index(value: u64) -> usize {
     LENGTH_BUCKETS
         .iter()
         .position(|&b| value < b as u64)
-        .map_or(LENGTH_BUCKETS.len(), |p| p.saturating_sub(1))
+        .map_or(HISTOGRAM_BUCKETS - 1, |p| p.saturating_sub(1))
 }
 
 /// The label of bucket `i`: its lower bound, with a `+` on the overflow
@@ -168,12 +167,11 @@ pub fn bucket_index(value: u64) -> usize {
 ///
 /// Panics if `i >= HISTOGRAM_BUCKETS`.
 pub fn bucket_label(i: usize) -> String {
-    match LENGTH_BUCKETS.get(i) {
-        Some(lo) => lo.to_string(),
-        None => {
-            assert!(i < HISTOGRAM_BUCKETS, "bucket {i} out of range");
-            format!("{}+", LENGTH_BUCKETS[i - 1])
-        }
+    let lo = LENGTH_BUCKETS[i];
+    if i + 1 == HISTOGRAM_BUCKETS {
+        format!("{lo}+")
+    } else {
+        lo.to_string()
     }
 }
 
@@ -220,7 +218,7 @@ impl IntervalLengthHistogram {
         self.counts[bucket]
     }
 
-    /// Number of buckets (boundaries + overflow).
+    /// Number of buckets ([`HISTOGRAM_BUCKETS`]).
     pub fn buckets(&self) -> usize {
         self.counts.len()
     }

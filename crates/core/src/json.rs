@@ -3,8 +3,8 @@
 //!
 //! The workspace deliberately carries no JSON dependency. Every emitter
 //! (`results/bench_timings.json`, the run journal, the metrics files,
-//! `BENCH_sim.json`, and the `--json` output of `bmp-report`,
-//! `bmp-verify` and `bmp-lint`) builds a [`Value`] and prints it with
+//! `BENCH_sim.json`, and the `--json` output of `bmp-report` and
+//! `bmp-lint`) builds a [`Value`] and prints it with
 //! its [`Display`](fmt::Display) impl, so escaping, number formatting
 //! and layout live in exactly one place. The readers use the small
 //! recursive-descent parser in this module. It grew out of the

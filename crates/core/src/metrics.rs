@@ -425,6 +425,7 @@ fn parse_u64_array(items: &[Value]) -> Result<Vec<u64>, JsonError> {
 mod tests {
     use super::*;
     use crate::accounting::records_from_analysis;
+    use crate::intervals::{bucket_label, LENGTH_BUCKETS};
     use crate::penalty::PenaltyModel;
     use bmp_uarch::presets;
     use bmp_workloads::spec;
@@ -490,8 +491,13 @@ mod tests {
         assert_eq!(bucket_index(4), 2);
         assert_eq!(bucket_index(256), 8);
         assert_eq!(bucket_index(511), 8);
-        assert_eq!(bucket_index(512), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_index(512), 9);
         assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        // Every bucket is reachable: no histogram slot is always zero.
+        for (i, &lo) in LENGTH_BUCKETS.iter().enumerate() {
+            assert_eq!(bucket_index(lo as u64), i);
+        }
+        assert_eq!(bucket_label(HISTOGRAM_BUCKETS - 1), "512+");
         // Resolution 0 (non-branch) would land in bucket 0 — callers
         // only bucket branch resolutions, but it must not panic.
         assert_eq!(bucket_index(0), 0);

@@ -8,7 +8,7 @@
 //! architectural state rather than samplers. Because the output is an
 //! ordinary [`bmp_trace::Trace`], every downstream consumer — both
 //! simulation engines, the interval-analysis decomposition, the
-//! static bounds of `bmp-verify`, the H2P classifier, and the
+//! static bounds of `bmp-lint --static`, the H2P classifier, and the
 //! TAGE/ITTAGE predictors — runs unchanged on executed traces.
 //!
 //! The pipeline is: assemble ([`asm`]) → load → execute ([`cpu`],
@@ -80,8 +80,8 @@ pub fn execute(program: &Program, max_ops: usize) -> Result<Trace, ExecError> {
 ///
 /// Returns `None` for a name outside [`kernels::NAMES`]. The result is
 /// fully determined by `(name, max_ops, seed)`; callers relying on
-/// cache-key equality (the bench `Memo` layer, `bmp-verify`'s static
-/// pass) depend on that.
+/// cache-key equality (the bench `Memo` layer, the static pass of
+/// `bmp-lint --static`) depend on that.
 pub fn kernel_trace(name: &str, max_ops: usize, seed: u64) -> Option<Trace> {
     let program = kernels::build(name, max_ops, seed)?;
     Some(execute(&program, max_ops).expect("shipped kernels execute without faulting"))
