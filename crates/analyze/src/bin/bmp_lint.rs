@@ -8,7 +8,8 @@
 //! conservation. With `--static` it is also the static-bounds tool:
 //! for every metrics entry it prints the proven contributor bounds next
 //! to the interval model's recorded totals, and ends with the median
-//! model-vs-simulated mean-penalty error. Exit status: 0 clean
+//! model-vs-simulated mean-penalty error and the CSV tables no
+//! registered header checks. Exit status: 0 clean
 //! (warnings allowed), 1 when any error-severity finding fires, 2 on
 //! usage errors.
 
@@ -47,10 +48,13 @@ OPTIONS:
                       metrics/ subdirectory), a single CSV table, or a
                       single metrics document. Prints each metrics
                       entry's bounds next to the model's recorded
-                      totals, and the median model-vs-simulated mean
-                      penalty error (with --json: a \"workloads\" array
-                      and \"median_mean_penalty_err\"); given alone,
-                      skips the other passes too
+                      totals, the median model-vs-simulated mean
+                      penalty error, and how many CSV tables a
+                      registered header checks, naming the rest (with
+                      --json: a \"workloads\" array,
+                      \"median_mean_penalty_err\", \"csvs_checked\" and
+                      \"csvs_unchecked\"); given alone, skips the other
+                      passes too
     --store PATH      audit a persistent artifact store directory
                       (BMP_STORE) with the BMP8xx rules: corrupt or
                       misplaced records, quarantine backlog, stale
@@ -389,6 +393,10 @@ fn main() -> ExitCode {
     let mut entries = 0usize;
     let mut tables: Vec<Value> = Vec::new();
     let mut errs: Vec<f64> = Vec::new();
+    // Under `--static`: how many CSV tables a registered header checks,
+    // and the names of the ones none does.
+    let mut csvs_checked = 0usize;
+    let mut csvs_unchecked: Vec<String> = Vec::new();
 
     // Pass 0: a run journal, when asked for. The path must be readable
     // — a missing journal is a usage error, not a lint finding.
@@ -461,6 +469,12 @@ fn main() -> ExitCode {
             let locus = file.path.display().to_string();
             targets += 1;
             if !is_metrics {
+                if staticpass::csv_checked(&file.content) {
+                    csvs_checked += 1;
+                } else {
+                    let name = file.path.file_name().unwrap_or(file.path.as_os_str());
+                    csvs_unchecked.push(name.to_string_lossy().into_owned());
+                }
                 report.merge(staticpass::lint_csv(&locus, &file.content));
                 continue;
             }
@@ -603,6 +617,9 @@ fn main() -> ExitCode {
             let median_err = median_err.map(|m| Value::rounded(m, 4)).into();
             fields.push(("workloads".to_owned(), Value::Array(tables)));
             fields.push(("median_mean_penalty_err".to_owned(), median_err));
+            fields.push(("csvs_checked".to_owned(), csvs_checked.into()));
+            let unchecked = csvs_unchecked.into_iter().map(Value::from).collect();
+            fields.push(("csvs_unchecked".to_owned(), unchecked));
         }
         out(&value.to_string());
     } else {
@@ -618,6 +635,19 @@ fn main() -> ExitCode {
                          penalty\n"
                     .to_owned(),
             });
+        }
+        if csvs_checked + csvs_unchecked.len() > 0 {
+            human.push_str(&format!(
+                "checked {csvs_checked} of {} CSV table(s) against static identities",
+                csvs_checked + csvs_unchecked.len()
+            ));
+            if !csvs_unchecked.is_empty() {
+                human.push_str(&format!(
+                    "; no registered header, unchecked: {}",
+                    csvs_unchecked.join(", ")
+                ));
+            }
+            human.push('\n');
         }
         human.push_str(&format!(
             "linted {targets} target(s); worst severity: {}",

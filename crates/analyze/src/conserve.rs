@@ -8,7 +8,7 @@
 //! breakdown that does not add up.
 
 use bmp_core::cpi::CpiStack;
-use bmp_core::PenaltyAnalysis;
+use bmp_core::{identities, PenaltyAnalysis};
 use bmp_sim::SimResult;
 use bmp_uarch::MachineConfig;
 
@@ -99,7 +99,13 @@ pub fn lint_penalty_analysis(analysis: &PenaltyAnalysis) -> Vec<Diagnostic> {
         let locus = format!("penalty.breakdowns[{i}]");
 
         let parts = b.base + b.ilp + b.fu_latency + b.short_dmiss;
-        if parts != b.local_resolution {
+        if !identities::knockout_sums_to_local(
+            b.base,
+            b.ilp,
+            b.fu_latency,
+            b.short_dmiss,
+            b.local_resolution,
+        ) {
             push(
                 &mut out,
                 Diagnostic::error(
@@ -116,7 +122,7 @@ pub fn lint_penalty_analysis(analysis: &PenaltyAnalysis) -> Vec<Diagnostic> {
         }
 
         let effective = b.local_resolution as i64 + b.carryover;
-        if effective != b.resolution as i64 {
+        if !identities::carryover_reconciles(b.local_resolution, b.carryover, b.resolution) {
             push(
                 &mut out,
                 Diagnostic::error(
@@ -425,6 +431,68 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == "BMP202"
             && d.severity == crate::Severity::Error
             && d.message.contains("does not conserve")));
+    }
+
+    /// Each BMP202 clause fires on its own: one breakdown is broken in
+    /// exactly one way (the other identities kept), and the finding
+    /// must carry that clause's severity and message.
+    #[test]
+    fn each_bmp202_clause_fires_on_its_own() {
+        use crate::Severity::{Error, Warn};
+        let cfg = presets::baseline_4wide();
+        let analysis = PenaltyModel::new(cfg).analyze(&loop_trace(300));
+        assert!(lint_penalty_analysis(&analysis).is_empty());
+        type Break = fn(&mut bmp_core::PenaltyBreakdown);
+        let cases: [(Break, crate::Severity, &str); 4] = [
+            (|b| b.carryover += 1, Error, "schedules disagree"),
+            (
+                |b| {
+                    b.local_resolution -= b.base;
+                    b.resolution -= b.base;
+                    b.base = 0;
+                },
+                Warn,
+                "resolution floor is missing",
+            ),
+            (
+                |b| b.frontend += 1,
+                Warn,
+                "disagrees with the analysis-wide",
+            ),
+            (|b| b.interval_len = 0, Warn, "interval length is 0"),
+        ];
+        for (broken, severity, needle) in cases {
+            let mut a = analysis.clone();
+            broken(&mut a.breakdowns[0]);
+            let diags = lint_penalty_analysis(&a);
+            assert_eq!(diags.len(), 1, "{needle}: {diags:?}");
+            assert_eq!(diags[0].code, "BMP202");
+            assert_eq!(diags[0].severity, severity, "{needle}");
+            assert!(diags[0].message.contains(needle), "{diags:?}");
+        }
+    }
+
+    /// Past the cap, BMP202 reports the first findings and one summary
+    /// line counting the rest.
+    #[test]
+    fn bmp202_findings_are_capped_with_a_summary() {
+        // Every taken loop branch mispredicts under always-not-taken.
+        let cfg = presets::baseline_4wide()
+            .to_builder()
+            .predictor(bmp_uarch::PredictorConfig::AlwaysNotTaken)
+            .build()
+            .unwrap();
+        let mut analysis = PenaltyModel::new(cfg).analyze(&loop_trace(300));
+        let extra = 3;
+        assert!(analysis.breakdowns.len() >= MAX_BREAKDOWN_FINDINGS + extra);
+        for b in &mut analysis.breakdowns[..MAX_BREAKDOWN_FINDINGS + extra] {
+            b.ilp += 1;
+        }
+        let diags = lint_penalty_analysis(&analysis);
+        assert_eq!(diags.len(), MAX_BREAKDOWN_FINDINGS + 1, "{diags:?}");
+        let summary = diags.last().unwrap();
+        assert_eq!(summary.severity, crate::Severity::Info);
+        assert!(summary.message.contains(&format!("{extra} more BMP202")));
     }
 
     #[test]

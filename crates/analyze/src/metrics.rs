@@ -34,6 +34,7 @@
 //!   `refill_total` must equal `bmiss × frontend_depth` (and the model's
 //!   `refill` must equal `intervals × frontend_depth`).
 
+use bmp_core::identities;
 use bmp_core::intervals::HISTOGRAM_BUCKETS;
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics, METRICS_VERSION};
 
@@ -128,7 +129,13 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
     }
 
     let contributors = m.base + m.ilp + m.fu_latency + m.short_dmiss;
-    if contributors != m.local_resolution {
+    if !identities::knockout_sums_to_local(
+        m.base,
+        m.ilp,
+        m.fu_latency,
+        m.short_dmiss,
+        m.local_resolution,
+    ) {
         diags.push(Diagnostic::error(
             "BMP501",
             &model_locus,
@@ -140,7 +147,7 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
             ),
         ));
     }
-    if m.local_resolution as i64 + m.carryover != m.resolution as i64 {
+    if !identities::carryover_reconciles(m.local_resolution, m.carryover, m.resolution) {
         diags.push(Diagnostic::error(
             "BMP501",
             &model_locus,
@@ -151,7 +158,7 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
             ),
         ));
     }
-    if m.refill != m.intervals * u64::from(w.frontend_depth) {
+    if !identities::refill_identity(m.intervals, w.frontend_depth, m.refill) {
         diags.push(Diagnostic::error(
             "BMP505",
             &model_locus,

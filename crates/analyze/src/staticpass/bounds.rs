@@ -30,6 +30,7 @@
 //! `docs/STATIC_ANALYSIS.md`).
 
 use bmp_core::functional::FunctionalOutcome;
+use bmp_core::identities;
 use bmp_core::intervals::segment;
 use bmp_core::metrics::ModelMetrics;
 use bmp_core::{PenaltyBreakdown, PenaltyModel};
@@ -271,7 +272,7 @@ impl StaticBounds {
             ));
         }
         let want_refill = mispredicts * u64::from(self.frontend_depth);
-        if refill_total != want_refill {
+        if !identities::refill_identity(mispredicts, self.frontend_depth, refill_total) {
             v.push(format!(
                 "simulated refill total {refill_total} != {mispredicts} \
                  mispredictions x frontend depth {} = {want_refill}",
@@ -316,11 +317,12 @@ pub fn per_branch_resolution_bounds(cfg: &MachineConfig) -> (u64, u64) {
 /// ([`PenaltyModel::analyze_local`]) and computes the static bounds for
 /// `trace` on `cfg`.
 pub fn compute(cfg: &MachineConfig, trace: &Trace) -> StaticBounds {
-    let outcome = FunctionalOutcome::compute(trace, cfg);
-    let intervals = segment(0..trace.len(), &outcome.events);
+    let ops = trace.ops();
+    let outcome = FunctionalOutcome::compute(ops, cfg);
+    let intervals = segment(0..ops.len(), &outcome.events);
     let model = PenaltyModel::new(cfg.clone());
-    let local = model.analyze_local(trace, &outcome, &intervals);
-    StaticBounds::from_breakdowns(cfg, trace.len(), local)
+    let local = model.analyze_local(ops, &outcome, &intervals);
+    StaticBounds::from_breakdowns(cfg, ops.len(), local)
 }
 
 #[cfg(test)]

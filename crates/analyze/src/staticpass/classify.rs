@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use bmp_core::PenaltyBreakdown;
-use bmp_trace::{sites, CompiledTrace, Trace};
+use bmp_trace::{sites, CompiledTrace, OpView};
 
 /// Local-history length (in branch outcomes) used by the
 /// history-sensitivity probe.
@@ -175,16 +175,16 @@ impl ClassAttribution {
 }
 
 /// Distributes the local resolutions and refills of `breakdowns` (the
-/// penalty breakdowns of `trace`, from a full analysis or the local
+/// penalty breakdowns of `trace`, in either layout, from a full analysis or the local
 /// pass) over branch classes, by the PC of each breakdown's branch.
 /// PCs missing from `profiles` (not conditional sites) fall into
 /// [`BranchClass::Indirect`].
 ///
 /// Returns one row per class that has sites or charged intervals, in
 /// class order.
-pub fn attribute(
+pub fn attribute<T: OpView + ?Sized>(
     profiles: &[SiteProfile],
-    trace: &Trace,
+    trace: &T,
     breakdowns: &[PenaltyBreakdown],
 ) -> Vec<ClassAttribution> {
     let class_of: HashMap<u64, BranchClass> = profiles.iter().map(|p| (p.pc, p.class)).collect();
@@ -200,7 +200,7 @@ pub fn attribute(
         e.sites += 1;
     }
     for b in breakdowns {
-        let pc = trace.ops()[b.branch_idx].pc();
+        let pc = trace.pc(b.branch_idx);
         let class = class_of.get(&pc).copied().unwrap_or(BranchClass::Indirect);
         let e = rows.entry(class).or_insert(ClassAttribution {
             class,
@@ -221,7 +221,7 @@ pub fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmp_trace::{BranchKind, MicroOp};
+    use bmp_trace::{BranchKind, MicroOp, Trace};
     use bmp_uarch::OpClass;
 
     fn branch(pc: u64, taken: bool) -> MicroOp {
@@ -297,7 +297,8 @@ mod tests {
         let mut ops = vec![branch(0x10, true); 64];
         ops.push(MicroOp::alu(0x99, OpClass::IntAlu, [None, None]));
         let trace: Trace = ops.into_iter().collect();
-        let profiles = classify(&trace.compile());
+        let compiled = trace.compile();
+        let profiles = classify(&compiled);
         let breakdown = |branch_idx, local_resolution| PenaltyBreakdown {
             branch_idx,
             interval_start: branch_idx,
@@ -312,7 +313,8 @@ mod tests {
             carryover: 0,
         };
         let breakdowns = [breakdown(3, 12), breakdown(40, 8), breakdown(64, 5)];
-        let rows = attribute(&profiles, &trace, &breakdowns);
+        let rows = attribute(&profiles, trace.ops(), &breakdowns);
+        assert_eq!(rows, attribute(&profiles, &compiled, &breakdowns));
         let biased = rows
             .iter()
             .find(|r| r.class == BranchClass::Biased)

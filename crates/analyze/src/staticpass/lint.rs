@@ -35,9 +35,9 @@
 //! tolerance.
 //!
 //! CSV checks are keyed on the exact header line: a table whose header
-//! matches no registered experiment is not checked, so renaming a
-//! column takes the table out of the family until its header here is
-//! renamed too. All CSV checks are scale-free: they hold at any
+//! matches no registered experiment is not checked ([`csv_checked`]),
+//! and `bmp-lint --static` names every such table, so renaming a column
+//! of a checked table shows up as a newly unchecked one. All CSV checks are scale-free: they hold at any
 //! `BMP_OPS`/`BMP_SEED`, because they are identities and bounds, not
 //! golden values.
 
@@ -742,6 +742,16 @@ fn check_row(kind: &CsvChecks, row: &mut Row<'_>) -> Option<()> {
         }
     }
     Some(())
+}
+
+/// Whether `content`'s header line is a registered table's, that is,
+/// whether [`lint_csv`] checks the table at all. `bmp-lint --static`
+/// names the tables it leaves unchecked.
+pub fn csv_checked(content: &str) -> bool {
+    content
+        .lines()
+        .next()
+        .is_some_and(|header| CsvChecks::from_header(header.trim()).is_some())
 }
 
 /// Lints one published CSV table against the registered static checks

@@ -50,7 +50,7 @@ pub mod lint;
 
 pub use bounds::{per_branch_resolution_bounds, Bound, StaticBounds};
 pub use classify::{BranchClass, ClassAttribution, SiteProfile, HISTORY_BITS};
-pub use lint::{lint_csv, lint_metrics, lint_metrics_doc, DocBounds};
+pub use lint::{csv_checked, lint_csv, lint_metrics, lint_metrics_doc, DocBounds};
 
 #[cfg(test)]
 mod tests {
@@ -69,7 +69,7 @@ mod tests {
         let b = bounds::compute(&cfg, &trace);
         let analysis = PenaltyModel::new(cfg).analyze(&trace);
         let sites = classify::classify(&trace.compile());
-        let classes = classify::attribute(&sites, &trace, &analysis.breakdowns);
+        let classes = classify::attribute(&sites, trace.ops(), &analysis.breakdowns);
         let attributed: u64 = classes.iter().map(|c| c.intervals).sum();
         assert_eq!(attributed, b.intervals);
         let local: u64 = classes.iter().map(|c| c.local_resolution).sum();

@@ -1,6 +1,7 @@
 //! `bmp-lint --static` end to end: every entry of a metrics document is
 //! checked under the machine it was recorded with, so a
-//! generation-predictor entry gets that predictor's static bounds.
+//! generation-predictor entry gets that predictor's static bounds, and
+//! the report names every published CSV table no static check covers.
 
 use std::process::Command;
 
@@ -148,4 +149,79 @@ fn tables_print_the_model_penalty() {
     assert!((mean.get_f64("model").unwrap() - model).abs() < 1e-4);
     let second = workloads[1].as_object("workload").unwrap();
     assert!(second.get("mean_penalty").is_none(), "{stdout}");
+}
+
+/// The published tables that carry no statically checkable identity.
+/// A renamed column in any other table makes it unchecked too, and
+/// fails this test instead of dropping the table from BMP605 silently.
+const UNCHECKED_CSVS: [&str; 13] = [
+    "ex1_predictor_study.csv",
+    "ex4_prefetch_study.csv",
+    "ex5_occupancy_study.csv",
+    "ex6_replacement_study.csv",
+    "ex7_indirect_study.csv",
+    "ex8_warmup_study.csv",
+    "ex_isa_contributors.csv",
+    "ex_isa_vs_synthetic.csv",
+    "fig11_penalty_distribution.csv",
+    "fig1_interval_profile.csv",
+    "fig4_interval_distribution.csv",
+    "table1_config.csv",
+    "table2_benchmarks.csv",
+];
+
+/// Over the committed `results/*.csv` (copied alone, so no metrics
+/// directory comes along), `--static` checks 12 tables and names the
+/// other 13, in both output forms.
+#[test]
+fn static_names_the_unchecked_csvs() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_cli_csvs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let mut copied = 0;
+    for entry in std::fs::read_dir(&results).expect("results directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|x| x == "csv") {
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).expect("CSV copied");
+            copied += 1;
+        }
+    }
+    assert_eq!(copied, 25, "the published tables");
+    let run = |json: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_bmp-lint"));
+        if json {
+            cmd.arg("--json");
+        }
+        let out = cmd
+            .arg("--static")
+            .arg(&dir)
+            .output()
+            .expect("bmp-lint runs");
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+        assert!(out.status.success(), "bmp-lint failed:\n{stdout}");
+        stdout
+    };
+
+    let stdout = run(true);
+    let report = json::parse(&stdout).unwrap();
+    let fields = report.as_object("report").unwrap();
+    assert_eq!(fields.get_u64("csvs_checked").unwrap(), 12, "{stdout}");
+    let unchecked: Vec<&str> = fields
+        .get("csvs_unchecked")
+        .unwrap()
+        .as_array("csvs_unchecked")
+        .unwrap()
+        .iter()
+        .map(|v| v.as_string("csv").unwrap())
+        .collect();
+    assert_eq!(unchecked, UNCHECKED_CSVS, "{stdout}");
+
+    let human = run(false);
+    let line = format!(
+        "checked 12 of 25 CSV table(s) against static identities; \
+         no registered header, unchecked: {}",
+        UNCHECKED_CSVS.join(", ")
+    );
+    assert!(human.contains(&line), "{human}");
 }

@@ -4,8 +4,8 @@
 //!
 //! 1. **Cell fan-out** — every experiment that will run declares its
 //!    grid of typed [`Cell`]s (see [`crate::grid`]): exactly the traces'
-//!    simulations, interval-model analyses and compiled traces its table
-//!    reads. The engine deduplicates them by content key and computes
+//!    simulations, interval-model analyses and branch-site classes its
+//!    table reads. The engine deduplicates them by content key and computes
 //!    each once, spread across the pool, into the shared [`Ctx`] cache.
 //! 2. **Experiments** — the experiment functions run on the pool, each
 //!    isolated and retried on failure, and assemble their rows from the
@@ -42,12 +42,13 @@ use crate::grid::Cell;
 use crate::pool::ThreadPool;
 use crate::{experiments, Scale, Table};
 
-/// A synthesized trace plus its content key, so downstream simulation and
-/// analysis lookups can address results as `(machine key, trace key)`.
+/// A synthesized trace, in the compiled form every consumer reads, plus
+/// its content key, so downstream simulation and analysis lookups can
+/// address results as `(machine key, trace key)`.
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
     key: u64,
-    trace: Arc<bmp_trace::Trace>,
+    trace: Arc<CompiledTrace>,
 }
 
 impl TraceHandle {
@@ -56,14 +57,14 @@ impl TraceHandle {
         self.key
     }
 
-    /// The shared trace.
-    pub fn trace(&self) -> &Arc<bmp_trace::Trace> {
+    /// The shared compiled trace.
+    pub fn trace(&self) -> &Arc<CompiledTrace> {
         &self.trace
     }
 }
 
 impl Deref for TraceHandle {
-    type Target = bmp_trace::Trace;
+    type Target = CompiledTrace;
 
     fn deref(&self) -> &Self::Target {
         &self.trace
@@ -73,7 +74,8 @@ impl Deref for TraceHandle {
 /// Which simulator engine a [`Ctx`] routes its simulations through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// The event-driven engine over cached [`CompiledTrace`]s (default).
+    /// The event-driven engine over the cached [`CompiledTrace`]s
+    /// (default).
     EventDriven,
     /// The retained reference engine (forced by `BMP_REFERENCE_ENGINE=1`,
     /// or chosen explicitly by `bmp-profile` for its A/B timing).
@@ -94,8 +96,12 @@ struct PhaseNanos {
 }
 
 impl PhaseNanos {
-    fn add(counter: &AtomicU64, start: Instant) {
+    /// Runs `f`, adding its wall-clock time to `counter`.
+    fn time<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
         counter.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
     }
 }
 
@@ -106,7 +112,8 @@ impl PhaseNanos {
 pub struct PhaseReport {
     /// Nanoseconds synthesizing traces.
     pub trace_nanos: u64,
-    /// Nanoseconds compiling traces to structure-of-arrays form.
+    /// Nanoseconds compiling traces to structure-of-arrays form (and,
+    /// under the reference engine, rebuilding them for it).
     pub compile_nanos: u64,
     /// Nanoseconds in the superblock segmentation pass.
     pub superblock_nanos: u64,
@@ -117,15 +124,18 @@ pub struct PhaseReport {
 }
 
 /// The shared experiment context: the content-addressed cache every
-/// experiment draws traces, compiled traces, simulation results and
-/// analyses from.
+/// experiment draws traces, simulation results and analyses from.
+///
+/// Each trace is held once, compiled: synthesis yields the
+/// array-of-structs [`bmp_trace::Trace`], which is compiled and dropped
+/// at once, and the simulator, the interval model and every experiment
+/// read the [`CompiledTrace`].
 ///
 /// All methods are `&self` and thread-safe; concurrent requests for the
 /// same artifact collapse into one computation (see [`Memo`]).
 #[derive(Debug)]
 pub struct Ctx {
-    traces: Memo<bmp_trace::Trace>,
-    compiled: Memo<CompiledTrace>,
+    traces: Memo<CompiledTrace>,
     superblocks: Memo<bmp_trace::SuperblockMap>,
     sims: Memo<SimResult>,
     functional: Memo<FunctionalOutcome>,
@@ -165,7 +175,6 @@ impl Ctx {
     pub fn with_engine(engine: EngineChoice) -> Self {
         Self {
             traces: Memo::default(),
-            compiled: Memo::default(),
             superblocks: Memo::default(),
             sims: Memo::default(),
             functional: Memo::default(),
@@ -275,35 +284,23 @@ impl Ctx {
     }
 
     /// A trace from an arbitrary synthesis closure, addressed by `key`
-    /// (build it with [`cache_key`] from the synthesis parameters).
+    /// (build it with [`cache_key`] from the synthesis parameters). The
+    /// synthesized trace is compiled and dropped: the cache keeps the
+    /// compiled form only. Synthesis and compilation are timed in their
+    /// own phases.
     pub fn keyed_trace<F>(&self, key: u64, synth: F) -> TraceHandle
     where
         F: FnOnce() -> bmp_trace::Trace,
     {
         let trace = self.traces.get_or_compute(key, || {
-            let t0 = Instant::now();
-            let trace = synth();
-            PhaseNanos::add(&self.phases.trace, t0);
-            trace
+            let trace = PhaseNanos::time(&self.phases.trace, synth);
+            PhaseNanos::time(&self.phases.compile, || trace.compile())
         });
         TraceHandle { key, trace }
     }
 
-    /// The compiled (structure-of-arrays) form of `trace`, cached by the
-    /// trace key. Config-independent, so one compiled trace serves every
-    /// machine configuration simulated over it.
-    pub fn compiled(&self, trace: &TraceHandle) -> Arc<CompiledTrace> {
-        let key = cache_key("compiled", &[trace.key]);
-        self.compiled.get_or_compute(key, || {
-            let t0 = Instant::now();
-            let ct = trace.compile();
-            PhaseNanos::add(&self.phases.compile, t0);
-            ct
-        })
-    }
-
-    /// The superblock segmentation of `trace`'s compiled form for an
-    /// L1I line of `line_bytes`, cached by `(trace key, line_bytes)`.
+    /// The superblock segmentation of `trace` for an L1I line of
+    /// `line_bytes`, cached by `(trace key, line_bytes)`.
     /// The map is config-*family* dependent only through the line size,
     /// so one artifact serves every machine sharing an I-cache geometry
     /// — across the experiment registry that collapses hundreds of
@@ -315,19 +312,18 @@ impl Ctx {
     ) -> Arc<bmp_trace::SuperblockMap> {
         let key = cache_key("superblock", &[trace.key, u64::from(line_bytes)]);
         self.superblocks.get_or_compute(key, || {
-            let ct = self.compiled(trace);
-            let t0 = Instant::now();
-            let sb = bmp_trace::SuperblockMap::build(&ct, line_bytes);
-            PhaseNanos::add(&self.phases.superblock, t0);
-            sb
+            PhaseNanos::time(&self.phases.superblock, || {
+                bmp_trace::SuperblockMap::build(trace, line_bytes)
+            })
         })
     }
 
     /// The result of running `sim` over `trace`, cached by
     /// `(config + options fingerprint, trace key)` and routed through
-    /// this context's [`EngineChoice`]: the event-driven engine reuses the
+    /// this context's [`EngineChoice`]: the event-driven engine runs the
     /// cached compiled trace, the reference engine runs the original
-    /// scan-everything loop. Both produce bit-identical results. A
+    /// scan-everything loop over a short-lived array-of-structs copy
+    /// ([`CompiledTrace::to_trace`]). Both produce bit-identical results. A
     /// metrics run asks for the same key as a plain run: its per-interval
     /// records are derived from the result afterwards
     /// ([`SimResult::interval_records`]).
@@ -340,21 +336,21 @@ impl Ctx {
         let key = cache_key("sim", &[sim.fingerprint(), trace.key]);
         self.sims.get_or_compute(key, || {
             self.stored_sim(key, || {
-                // Resolve the compiled trace and superblock map *outside*
-                // the sim timer so first-touch compilation and
-                // segmentation are attributed to their own phases, not
-                // the simulation phase — and so every later config
-                // sharing the artifacts pays nothing at all.
-                let compiled = (self.engine == EngineChoice::EventDriven).then(|| {
-                    let line_bytes = sim.config().caches.l1i().line_bytes();
-                    (self.compiled(trace), self.superblock(trace, line_bytes))
-                });
-                let t0 = Instant::now();
-                let res = match &compiled {
-                    Some((ct, sb)) => sim.try_run_compiled_with(ct, sb),
-                    None => sim.try_run_reference(trace),
+                // Resolve the superblock map, or rebuild the reference
+                // engine's trace, *outside* the sim timer so they are
+                // attributed to their own phases, not the simulation
+                // phase — and so every later config sharing the map pays
+                // nothing at all.
+                let res = match self.engine {
+                    EngineChoice::EventDriven => {
+                        let sb = self.superblock(trace, sim.config().caches.l1i().line_bytes());
+                        PhaseNanos::time(&self.phases.sim, || sim.try_run_compiled_with(trace, &sb))
+                    }
+                    EngineChoice::Reference => {
+                        let aos = PhaseNanos::time(&self.phases.compile, || trace.to_trace());
+                        PhaseNanos::time(&self.phases.sim, || sim.try_run_reference(&aos))
+                    }
                 };
-                PhaseNanos::add(&self.phases.sim, t0);
                 res.unwrap_or_else(|e| panic!("simulation aborted: {e}"))
             })
         })
@@ -400,10 +396,9 @@ impl Ctx {
             &[FunctionalOutcome::config_fingerprint(cfg), trace.key],
         );
         self.functional.get_or_compute(key, || {
-            let t0 = Instant::now();
-            let outcome = FunctionalOutcome::compute(trace, cfg);
-            PhaseNanos::add(&self.phases.analysis, t0);
-            outcome
+            PhaseNanos::time(&self.phases.analysis, || {
+                FunctionalOutcome::compute(&**trace, cfg)
+            })
         })
     }
 
@@ -415,10 +410,9 @@ impl Ctx {
         self.analyses.get_or_compute(key, || {
             // Resolved outside the timer: the pass times itself.
             let outcome = self.functional(cfg, trace);
-            let t0 = Instant::now();
-            let a = PenaltyModel::new(cfg.clone()).analyze_with(trace, &outcome);
-            PhaseNanos::add(&self.phases.analysis, t0);
-            a
+            PhaseNanos::time(&self.phases.analysis, || {
+                PenaltyModel::new(cfg.clone()).analyze_with(&**trace, &outcome)
+            })
         })
     }
 
@@ -439,8 +433,6 @@ impl Ctx {
         CacheReport {
             trace_hits: self.traces.stats().hits(),
             trace_misses: self.traces.stats().misses(),
-            compiled_hits: self.compiled.stats().hits(),
-            compiled_misses: self.compiled.stats().misses(),
             superblock_hits: self.superblocks.stats().hits(),
             superblock_misses: self.superblocks.stats().misses(),
             sim_hits: self.sims.stats().hits(),
@@ -527,12 +519,9 @@ pub fn defs_named(names: &[&str]) -> Result<Vec<ExperimentDef>, String> {
 pub struct CacheReport {
     /// Trace lookups served from the cache.
     pub trace_hits: u64,
-    /// Trace synthesis computations.
+    /// Trace synthesis computations, each followed by the trace's
+    /// compilation.
     pub trace_misses: u64,
-    /// Compiled-trace lookups served from the cache.
-    pub compiled_hits: u64,
-    /// Trace compilations (structure-of-arrays transform).
-    pub compiled_misses: u64,
     /// Superblock-map lookups served from the cache.
     pub superblock_hits: u64,
     /// Superblock segmentation passes.
@@ -559,7 +548,6 @@ impl CacheReport {
     /// Overall hit fraction across all artifact kinds.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.trace_hits
-            + self.compiled_hits
             + self.superblock_hits
             + self.sim_hits
             + self.functional_hits
@@ -567,7 +555,6 @@ impl CacheReport {
             + self.static_hits;
         let total = hits
             + self.trace_misses
-            + self.compiled_misses
             + self.superblock_misses
             + self.sim_misses
             + self.functional_misses
@@ -811,7 +798,7 @@ impl TolerantReport {
                     r.workload,
                     r.mispredicts,
                     r.sim_mean_penalty,
-                    r.static_mean_penalty,
+                    r.model_mean_penalty,
                     r.rel_err * 100.0,
                     if r.within_bounds { "ok" } else { "VIOLATED" }
                 ));
@@ -839,7 +826,7 @@ impl TolerantReport {
             json_object! {
                 "workload": r.workload, "mispredicts": r.mispredicts,
                 "sim_mean_penalty": Value::rounded(r.sim_mean_penalty, 4),
-                "static_mean_penalty": Value::rounded(r.static_mean_penalty, 4),
+                "model_mean_penalty": Value::rounded(r.model_mean_penalty, 4),
                 "rel_err": Value::rounded(r.rel_err, 4), "within_bounds": r.within_bounds,
             }
         });
@@ -863,7 +850,6 @@ impl TolerantReport {
             "total_millis": millis(self.total_millis),
             "cache": json_object! {
                 "trace_hits": c.trace_hits, "trace_misses": c.trace_misses,
-                "compiled_hits": c.compiled_hits, "compiled_misses": c.compiled_misses,
                 "superblock_hits": c.superblock_hits, "superblock_misses": c.superblock_misses,
                 "sim_hits": c.sim_hits, "sim_misses": c.sim_misses,
                 "functional_hits": c.functional_hits, "functional_misses": c.functional_misses,
@@ -1254,12 +1240,11 @@ mod tests {
         assert_eq!(report.cache.trace_misses, 0);
     }
 
-    /// Misses per memo: traces, compiled traces, superblocks, sims,
-    /// functional passes, analyses, static bounds.
-    fn misses(c: &CacheReport) -> [u64; 7] {
+    /// Misses per memo: traces, superblocks, sims, functional passes,
+    /// analyses, static bounds.
+    fn misses(c: &CacheReport) -> [u64; 6] {
         [
             c.trace_misses,
-            c.compiled_misses,
             c.superblock_misses,
             c.sim_misses,
             c.functional_misses,

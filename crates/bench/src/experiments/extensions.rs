@@ -174,7 +174,7 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
         let res = point.sim(ctx, scale);
         let analysis = point.analysis(ctx, scale);
         let trace = point.trace(ctx, scale);
-        let cf = closed_form::estimate_with(&trace, &cfg, &ctx.functional(&cfg, &trace));
+        let cf = closed_form::estimate_with(&*trace, &cfg, &ctx.functional(&cfg, &trace));
         let local = if analysis.breakdowns.is_empty() {
             0.0
         } else {
@@ -394,22 +394,15 @@ pub fn ex7_indirect_study(ctx: &Ctx, scale: Scale) -> Table {
     );
     for (name, label, point) in ex7_grid() {
         let trace = point.trace(ctx, scale);
-        let indirect_total = trace
-            .iter()
-            .filter(|o| {
-                o.branch_info()
-                    .is_some_and(|b| b.kind == BranchKind::IndirectJump)
-            })
+        let kind_at = |i| trace.branch_info(i).map(|b| b.kind);
+        let indirect_total = (0..trace.len())
+            .filter(|&i| kind_at(i) == Some(BranchKind::IndirectJump))
             .count();
         let res = point.sim(ctx, scale);
         let mut indirect_misses = 0usize;
         let mut cond_misses = 0usize;
         for m in &res.mispredicts {
-            match trace
-                .get(m.branch_idx)
-                .and_then(|o| o.branch_info())
-                .map(|b| b.kind)
-            {
+            match kind_at(m.branch_idx) {
                 Some(BranchKind::IndirectJump) => indirect_misses += 1,
                 Some(BranchKind::Conditional) => cond_misses += 1,
                 _ => {}

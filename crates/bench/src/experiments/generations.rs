@@ -143,7 +143,7 @@ pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
     );
     for point in profiles(&GENERATION_WORKLOADS) {
         let trace = point.trace(ctx, scale);
-        let profiles = classify::classify(&point.compiled(ctx, scale));
+        let profiles = classify::classify(&trace);
         let class_of: HashMap<u64, classify::BranchClass> =
             profiles.iter().map(|p| (p.pc, p.class)).collect();
         let mut sites: HashMap<classify::BranchClass, u64> = HashMap::new();
@@ -153,10 +153,9 @@ pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
         let analysis = point.analysis(ctx, scale);
         let mut totals: HashMap<classify::BranchClass, ClassTotals> = HashMap::new();
         for b in &analysis.breakdowns {
-            let class = trace
-                .get(b.branch_idx)
-                .map(|op| op.pc())
-                .and_then(|pc| class_of.get(&pc).copied())
+            let class = class_of
+                .get(&trace.pc(b.branch_idx))
+                .copied()
                 .unwrap_or(classify::BranchClass::Indirect);
             let e = totals.entry(class).or_default();
             e.intervals += 1;

@@ -102,7 +102,9 @@ fn profile_row(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<String> {
         _ => "synthetic",
     };
     let res = point.sim(ctx, scale);
-    let stats = point.trace(ctx, scale).stats();
+    // The trace statistics read the array-of-structs form, rebuilt for
+    // the moment from the cached compiled trace.
+    let stats = point.trace(ctx, scale).to_trace().stats();
     let branch_frac = stats.fraction(OpClass::Branch);
     let mem_frac = stats.fraction(OpClass::Load) + stats.fraction(OpClass::Store);
     let analysis = point.analysis(ctx, scale);

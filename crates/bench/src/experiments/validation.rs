@@ -48,7 +48,7 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
             .collect();
         let v = ValidationReport::from_pairs(&analysis, &measured);
         let outcome = ctx.functional(&cfg, &trace);
-        let stack = cpi::predict_with(&trace, &cfg, &outcome, &analysis.breakdowns);
+        let stack = cpi::predict_with(&*trace, &cfg, &outcome, &analysis.breakdowns);
         let sched = analysis.scheduled_cycles as f64 / trace.len() as f64;
         t.push_row(vec![
             point.workload.name(),

@@ -14,10 +14,9 @@ use std::sync::Arc;
 
 use bmp_core::PenaltyAnalysis;
 use bmp_sim::{SimOptions, SimResult, Simulator};
-use bmp_trace::CompiledTrace;
 use bmp_uarch::fp::fnv1a;
 use bmp_uarch::{presets, MachineConfig, MachineConfigBuilder};
-use bmp_workloads::{micro, spec};
+use bmp_workloads::{micro, spec, WorkloadProfile};
 
 use crate::artifacts::cache_key;
 use crate::engine::{Ctx, TraceHandle};
@@ -62,27 +61,51 @@ impl Workload {
             Workload::Profile(name) => ctx.named_trace(name, scale),
             Workload::Kernel(name) => ctx.kernel_trace(name, scale),
             Workload::Chain(chain) => {
-                const TAKEN_BIAS: f64 = 1.0;
                 let params = [
                     fnv1a(b"branch_resolution_kernel"),
                     scale.ops as u64,
                     u64::from(chain),
-                    TAKEN_BIAS.to_bits(),
+                    CHAIN_TAKEN_BIAS.to_bits(),
                     scale.seed,
                 ];
-                ctx.keyed_trace(cache_key("micro", &params), || {
-                    micro::branch_resolution_kernel(scale.ops, chain, TAKEN_BIAS, scale.seed)
-                })
+                ctx.keyed_trace(cache_key("micro", &params), || self.synthesize(scale))
             }
-            Workload::HotParser => {
-                let mut profile = spec::by_name("parser").expect("known profile");
-                profile.memory.hot_bytes = 24 * 1024;
-                profile.memory.hot_frac = 0.93;
-                profile.memory.warm_frac = 0.06;
-                ctx.trace(&profile, scale)
-            }
+            Workload::HotParser => ctx.trace(&hot_parser(), scale),
         }
     }
+
+    /// The trace at `scale`, synthesized afresh in array-of-structs form:
+    /// what [`trace`](Self::trace) compiles and caches.
+    ///
+    /// # Panics
+    ///
+    /// For a profile or kernel name the registries do not know.
+    pub(crate) fn synthesize(&self, scale: Scale) -> bmp_trace::Trace {
+        match *self {
+            Workload::Profile(name) => spec::by_name(name)
+                .expect("known profile")
+                .generate(scale.ops, scale.seed),
+            Workload::Kernel(name) => {
+                bmp_isa::kernel_trace(name, scale.ops, scale.seed).expect("known kernel")
+            }
+            Workload::Chain(chain) => {
+                micro::branch_resolution_kernel(scale.ops, chain, CHAIN_TAKEN_BIAS, scale.seed)
+            }
+            Workload::HotParser => hot_parser().generate(scale.ops, scale.seed),
+        }
+    }
+}
+
+/// Every branch of a [`Workload::Chain`] trace is taken.
+const CHAIN_TAKEN_BIAS: f64 = 1.0;
+
+/// [`Workload::HotParser`]'s profile.
+fn hot_parser() -> WorkloadProfile {
+    let mut profile = spec::by_name("parser").expect("known profile");
+    profile.memory.hot_bytes = 24 * 1024;
+    profile.memory.hot_frac = 0.93;
+    profile.memory.warm_frac = 0.06;
+    profile
 }
 
 /// The machine a grid point runs on.
@@ -146,7 +169,8 @@ pub enum Artifact {
     Sim,
     /// The interval-model analysis under the point's machine.
     Analysis,
-    /// The compiled trace the per-branch-class attribution classifies.
+    /// The trace whose branch sites the per-branch-class attribution
+    /// classifies.
     Classes,
 }
 
@@ -202,11 +226,6 @@ impl Point {
     /// The point's interval-model analysis.
     pub fn analysis(&self, ctx: &Ctx, scale: Scale) -> Arc<PenaltyAnalysis> {
         ctx.analyze(&self.machine.config(), &self.trace(ctx, scale))
-    }
-
-    /// The point's compiled trace.
-    pub fn compiled(&self, ctx: &Ctx, scale: Scale) -> Arc<CompiledTrace> {
-        ctx.compiled(&self.trace(ctx, scale))
     }
 
     /// The cell computing `artifact` at this point. Only a simulation
@@ -267,7 +286,7 @@ impl Cell {
         match self.artifact {
             Artifact::Sim => drop(self.point.sim(ctx, scale)),
             Artifact::Analysis => drop(self.point.analysis(ctx, scale)),
-            Artifact::Classes => drop(self.point.compiled(ctx, scale)),
+            Artifact::Classes => drop(self.point.trace(ctx, scale)),
         }
     }
 }
@@ -324,6 +343,42 @@ pub(crate) fn kernels() -> impl Iterator<Item = Point> {
 mod tests {
     use super::*;
     use Artifact::{Analysis, Classes, Sim};
+
+    /// Every trace the registry and the surrogate read, synthetic and
+    /// executed: the cached compiled trace rebuilds the fresh synthesis
+    /// op for op, so the short-lived traces the reference engine and the
+    /// trace statistics read are exact.
+    #[test]
+    fn cached_traces_rebuild_every_op() {
+        let scale = Scale {
+            ops: 1_000,
+            seed: 42,
+        };
+        let ctx = Ctx::new();
+        let registry = crate::engine::experiment_defs()
+            .iter()
+            .flat_map(|d| (d.cells)())
+            .map(|c| c.point.workload)
+            .collect::<Vec<_>>();
+        let surrogate = spec::NAMES
+            .iter()
+            .map(|&n| Workload::Profile(n))
+            .chain(bmp_isa::NAMES.iter().map(|&n| Workload::Kernel(n)));
+        let mut seen = std::collections::HashSet::new();
+        for w in registry.into_iter().chain(surrogate) {
+            if !seen.insert(w.name()) {
+                continue;
+            }
+            let fresh = w.synthesize(scale);
+            let cached = w.trace(&ctx, scale);
+            assert_eq!(cached.len(), fresh.len(), "{}", w.name());
+            for (i, op) in fresh.iter().enumerate() {
+                assert_eq!(cached.op(i), *op, "{} op {i}", w.name());
+            }
+        }
+        assert_eq!(seen.len() as u64, ctx.cache_stats().trace_misses);
+        assert!(seen.len() > spec::NAMES.len() + bmp_isa::NAMES.len());
+    }
 
     #[test]
     fn labels_follow_the_grammar() {

@@ -145,15 +145,15 @@ impl MetricsRecorder {
 }
 
 /// The per-branch-class penalty attribution at `point`: classifies
-/// every static site from the compiled trace and charges the cached
+/// every static site of the cached trace and charges the cached
 /// analysis's per-interval local resolutions (plus refills) under the
 /// point's machine to the terminating site's class.
 fn class_penalties(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<ClassPenalty> {
     let cfg = point.machine.config();
     let trace = point.trace(ctx, scale);
     let analysis = ctx.analyze(&cfg, &trace);
-    let profiles = classify::classify(&point.compiled(ctx, scale));
-    classify::attribute(&profiles, &trace, &analysis.breakdowns)
+    let profiles = classify::classify(&trace);
+    classify::attribute(&profiles, &*trace, &analysis.breakdowns)
         .into_iter()
         .map(|a| ClassPenalty {
             class: a.class.label().to_string(),
@@ -172,7 +172,7 @@ fn model_view(ctx: &Ctx, scale: Scale, point: &Point) -> (Arc<PenaltyAnalysis>, 
     let trace = point.trace(ctx, scale);
     let analysis = ctx.analyze(&cfg, &trace);
     let outcome = ctx.functional(&cfg, &trace);
-    let stack = cpi::predict_with(&trace, &cfg, &outcome, &analysis.breakdowns);
+    let stack = cpi::predict_with(&*trace, &cfg, &outcome, &analysis.breakdowns);
     (analysis, stack)
 }
 

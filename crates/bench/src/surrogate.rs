@@ -34,7 +34,7 @@ pub struct SurrogateRow {
     pub sim_mean_penalty: f64,
     /// The interval model's prediction of the same mean, computed
     /// without timing simulation.
-    pub static_mean_penalty: f64,
+    pub model_mean_penalty: f64,
     /// `|model − sim| / sim`.
     pub rel_err: f64,
     /// Whether the simulated totals sit inside the proven static bounds.
@@ -63,7 +63,7 @@ pub fn collect(ctx: &Ctx, scale: Scale) -> Vec<SurrogateRow> {
             let bounds = ctx.static_bounds(&cfg, &trace);
             let n = res.mispredicts.len() as u64;
             let sim_mean = res.mean_penalty()?;
-            let static_mean = ctx.analyze(&cfg, &trace).mean_penalty()?;
+            let model_mean = ctx.analyze(&cfg, &trace).mean_penalty()?;
             let within_bounds = bounds
                 .check_sim(n, res.resolution_total(), res.refill_total())
                 .is_empty();
@@ -71,8 +71,8 @@ pub fn collect(ctx: &Ctx, scale: Scale) -> Vec<SurrogateRow> {
                 workload: name,
                 mispredicts: n,
                 sim_mean_penalty: sim_mean,
-                static_mean_penalty: static_mean,
-                rel_err: (static_mean - sim_mean).abs() / sim_mean,
+                model_mean_penalty: model_mean,
+                rel_err: (model_mean - sim_mean).abs() / sim_mean,
                 within_bounds,
             })
         })
@@ -139,7 +139,7 @@ mod tests {
             .chain(bmp_isa::NAMES.iter().map(|k| ctx.kernel_trace(k, SCALE)));
         for (row, trace) in rows.iter().zip(traces) {
             let model = ctx.analyze(&cfg, &trace).mean_penalty();
-            assert_eq!(Some(row.static_mean_penalty), model, "{}", row.workload);
+            assert_eq!(Some(row.model_mean_penalty), model, "{}", row.workload);
         }
     }
 
@@ -164,7 +164,7 @@ mod tests {
             workload: "gzip",
             mispredicts: 1,
             sim_mean_penalty: 1.0,
-            static_mean_penalty: 1.0,
+            model_mean_penalty: 1.0,
             rel_err: e,
             within_bounds: true,
         };

@@ -20,8 +20,9 @@ fn arb_profile_name() -> impl Strategy<Value = &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cache is transparent: a cache-mediated trace is op-for-op
-    /// identical to a fresh synthesis from the same profile and scale.
+    /// The cache is transparent: a cache-mediated trace is the compiled
+    /// form of a fresh synthesis from the same profile and scale, and
+    /// rebuilds it op for op.
     #[test]
     fn cached_trace_equals_fresh_synthesis(name in arb_profile_name(), scale in arb_scale()) {
         let ctx = Ctx::new();
@@ -29,7 +30,8 @@ proptest! {
         let fresh = spec::by_name(name)
             .expect("known profile")
             .generate(scale.ops, scale.seed);
-        prop_assert_eq!(cached.trace().as_ref(), &fresh);
+        prop_assert_eq!(cached.trace().as_ref(), &fresh.compile());
+        prop_assert_eq!(cached.to_trace(), fresh);
     }
 
     /// Concurrent lookups of the same key return the same shared

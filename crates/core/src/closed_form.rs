@@ -24,7 +24,7 @@
 //! of magnitude cheaper than even the trace-scheduling model — and
 //! experiment E-X3 quantifies what that buys and costs in accuracy.
 
-use bmp_trace::{dag, Trace};
+use bmp_trace::{dag, OpView, Trace};
 use bmp_uarch::MachineConfig;
 
 use crate::functional::FunctionalOutcome;
@@ -45,7 +45,7 @@ impl IlpCurve {
     /// # Panics
     ///
     /// Panics if `max_k` is zero.
-    pub fn characterize(trace: &Trace, cfg: &MachineConfig, max_k: usize) -> Self {
+    pub fn characterize<T: OpView + ?Sized>(trace: &T, cfg: &MachineConfig, max_k: usize) -> Self {
         let l1 = u64::from(cfg.caches.l1d().hit_latency());
         Self::characterize_latencies(trace, cfg, max_k, |_| l1)
     }
@@ -55,8 +55,8 @@ impl IlpCurve {
     /// interval-terminating events, not steady-state latency). This is
     /// the curve the closed-form estimate should use: cache-stretched
     /// chains lower the *effective* ILP that forms the window backlog.
-    pub fn characterize_with(
-        trace: &Trace,
+    pub fn characterize_with<T: OpView + ?Sized>(
+        trace: &T,
         cfg: &MachineConfig,
         outcome: &crate::functional::FunctionalOutcome,
         max_k: usize,
@@ -67,24 +67,25 @@ impl IlpCurve {
         })
     }
 
-    fn characterize_latencies<F>(
-        trace: &Trace,
+    fn characterize_latencies<T, F>(
+        trace: &T,
         cfg: &MachineConfig,
         max_k: usize,
         mut load_lat: F,
     ) -> Self
     where
+        T: OpView + ?Sized,
         F: FnMut(usize) -> u64,
     {
         assert!(max_k > 0, "max_k must be at least 1");
         let ks: Vec<usize> =
             std::iter::successors(Some(1usize), |&k| (k < max_k).then_some((k * 2).min(max_k)))
                 .collect();
-        let points = dag::ilp_curve(trace.ops(), &ks, |i, op| {
-            if op.class() == bmp_uarch::OpClass::Load {
+        let points = dag::ilp_curve(trace, &ks, |i, class| {
+            if class == bmp_uarch::OpClass::Load {
                 load_lat(i)
             } else {
-                u64::from(cfg.latencies.latency(op.class()))
+                u64::from(cfg.latencies.latency(class))
             }
         });
         Self { points }
@@ -172,13 +173,15 @@ pub struct ClosedFormEstimate {
 /// Runs the closed-form model on a trace: functional pass for the event
 /// stream, `I_W(k)` characterization, then the O(1)-per-event estimate.
 pub fn estimate(trace: &Trace, cfg: &MachineConfig) -> ClosedFormEstimate {
-    let outcome = FunctionalOutcome::compute(trace, cfg);
-    estimate_with(trace, cfg, &outcome)
+    let ops = trace.ops();
+    let outcome = FunctionalOutcome::compute(ops, cfg);
+    estimate_with(ops, cfg, &outcome)
 }
 
-/// Closed-form estimate reusing an existing functional pass.
-pub fn estimate_with(
-    trace: &Trace,
+/// Closed-form estimate of a trace, in either layout, reusing an
+/// existing functional pass.
+pub fn estimate_with<T: OpView + ?Sized>(
+    trace: &T,
     cfg: &MachineConfig,
     outcome: &FunctionalOutcome,
 ) -> ClosedFormEstimate {
@@ -260,7 +263,7 @@ mod tests {
     fn characterized_curve_is_monotone_in_k() {
         let trace = spec::by_name("gcc").unwrap().generate(20_000, 3);
         let cfg = presets::baseline_4wide();
-        let curve = IlpCurve::characterize(&trace, &cfg, 64);
+        let curve = IlpCurve::characterize(trace.ops(), &cfg, 64);
         let a = curve.at(2);
         let b = curve.at(64);
         assert!(b >= a, "bigger windows expose more ILP: {a} vs {b}");

@@ -16,7 +16,7 @@
 //! interactions (penalty overlap across event kinds), which is exactly the
 //! approximation the paper's framework makes.
 
-use bmp_trace::Trace;
+use bmp_trace::{OpView, Trace};
 use bmp_uarch::MachineConfig;
 use serde::{Deserialize, Serialize};
 
@@ -87,19 +87,20 @@ impl CpiStack {
 /// assert!(stack.cpi() >= 0.25); // cannot beat the 4-wide ideal
 /// ```
 pub fn predict(trace: &Trace, cfg: &MachineConfig) -> CpiStack {
-    let outcome = FunctionalOutcome::compute(trace, cfg);
-    let intervals = segment(0..trace.len(), &outcome.events);
+    let ops = trace.ops();
+    let outcome = FunctionalOutcome::compute(ops, cfg);
+    let intervals = segment(0..ops.len(), &outcome.events);
     let model = PenaltyModel::new(cfg.clone());
-    let breakdowns: Vec<_> = model.analyze_local(trace, &outcome, &intervals).collect();
-    predict_with(trace, cfg, &outcome, &breakdowns)
+    let breakdowns: Vec<_> = model.analyze_local(ops, &outcome, &intervals).collect();
+    predict_with(ops, cfg, &outcome, &breakdowns)
 }
 
-/// Builds the CPI stack from an existing functional pass and the
-/// penalty breakdowns of the same trace on the same machine — those of
-/// a full analysis or of the local pass alone, since the stack reads
-/// only their local terms.
-pub fn predict_with(
-    trace: &Trace,
+/// Builds the CPI stack of a trace, in either layout, from an existing
+/// functional pass and the penalty breakdowns of the same trace on the
+/// same machine — those of a full analysis or of the local pass alone,
+/// since the stack reads only their local terms.
+pub fn predict_with<T: OpView + ?Sized>(
+    trace: &T,
     cfg: &MachineConfig,
     outcome: &FunctionalOutcome,
     breakdowns: &[PenaltyBreakdown],
@@ -179,11 +180,12 @@ pub fn predict_with(
 /// assert!(cycles as usize >= trace.len() / 4);
 /// ```
 pub fn predict_cycles_scheduled(trace: &Trace, cfg: &MachineConfig) -> u64 {
-    let outcome = FunctionalOutcome::compute(trace, cfg);
+    let ops = trace.ops();
+    let outcome = FunctionalOutcome::compute(ops, cfg);
     let events = crate::penalty::frontend_events_of(cfg, &outcome);
     let mut cycles = 0;
     crate::drain::schedule_trace(
-        trace.ops(),
+        ops,
         crate::drain::MachineModel::from(cfg),
         &cfg.latencies,
         |i| outcome.load_latency(i),
@@ -198,7 +200,12 @@ pub fn predict_cycles_scheduled(trace: &Trace, cfg: &MachineConfig) -> u64 {
 /// behind the chase-serialization rule. A small hop bound targets
 /// *address* dependences (pointer chases) rather than arbitrary value
 /// flow.
-fn depends_on(trace: &Trace, consumer: usize, producer: usize, max_hops: u32) -> bool {
+fn depends_on<T: OpView + ?Sized>(
+    trace: &T,
+    consumer: usize,
+    producer: usize,
+    max_hops: u32,
+) -> bool {
     if consumer <= producer {
         return false;
     }
@@ -207,13 +214,11 @@ fn depends_on(trace: &Trace, consumer: usize, producer: usize, max_hops: u32) ->
         if hops >= max_hops {
             continue;
         }
-        let Some(op) = trace.get(node) else { continue };
-        for d in op.src_distances() {
-            let d = d as usize;
-            if d > node {
-                continue;
+        for src in trace.producers(node) {
+            let src = src as usize;
+            if src >= node {
+                continue; // no producer in this slot
             }
-            let src = node - d;
             if src == producer {
                 return true;
             }
@@ -273,7 +278,7 @@ mod tests {
         let cfg = presets::baseline_4wide();
         let dense = micro::memory_kernel(20_000, 64 * 1024 * 1024, 2, false, 7);
         let stack_dense = predict(&dense, &cfg);
-        let outcome = FunctionalOutcome::compute(&dense, &cfg);
+        let outcome = FunctionalOutcome::compute(dense.ops(), &cfg);
         let n_long = outcome
             .events
             .iter()
@@ -295,7 +300,7 @@ mod tests {
         let cfg = presets::baseline_4wide();
         let sparse = micro::memory_kernel(20_000, 64 * 1024 * 1024, 80, false, 7);
         let stack = predict(&sparse, &cfg);
-        let outcome = FunctionalOutcome::compute(&sparse, &cfg);
+        let outcome = FunctionalOutcome::compute(sparse.ops(), &cfg);
         let n_long = outcome
             .events
             .iter()
@@ -338,10 +343,10 @@ mod tests {
             MicroOp::load(16, 0x300, [None, None]),            // 4 independent
         ];
         let t = Trace::from_ops_unchecked(ops);
-        assert!(depends_on(&t, 3, 0, 8), "3 -> 2 -> 1 -> 0");
-        assert!(!depends_on(&t, 4, 0, 8), "4 is independent");
-        assert!(!depends_on(&t, 3, 0, 2), "hop bound respected");
-        assert!(!depends_on(&t, 0, 3, 8), "direction matters");
+        assert!(depends_on(t.ops(), 3, 0, 8), "3 -> 2 -> 1 -> 0");
+        assert!(!depends_on(t.ops(), 4, 0, 8), "4 is independent");
+        assert!(!depends_on(t.ops(), 3, 0, 2), "hop bound respected");
+        assert!(!depends_on(t.ops(), 0, 3, 8), "direction matters");
     }
 
     #[test]

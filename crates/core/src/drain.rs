@@ -20,7 +20,9 @@
 //! * latencies scale every chain — contributor (iv);
 //! * short D-cache misses locally stretch chains — contributor (v).
 
-use bmp_trace::MicroOp;
+use std::ops::Range;
+
+use bmp_trace::{MicroOp, OpView};
 use bmp_uarch::{LatencyTable, MachineConfig, OpClass};
 
 /// Scheduling parameters extracted from a machine configuration.
@@ -182,10 +184,11 @@ pub struct KnockoutScratch {
 
 /// The knock-out decomposition of one interval in a single pass.
 ///
-/// `ops` is the interval, oldest first, ending at the mispredicted
-/// branch; `load_latency(i)` is the functional pass's latency of the
-/// load at interval-relative position `i` (`None` falls back to `lat`).
-/// The result equals the four-schedule cascade over
+/// `interval` is the range of `trace` (either layout) holding the
+/// interval, oldest first, ending at the mispredicted branch; sources
+/// before it are ready at cycle 0. `load_latency(i)` is the functional
+/// pass's latency of the load at trace position `i` (`None` falls back
+/// to `lat`). The result equals the four-schedule cascade over
 /// [`schedule_interval`] — real latencies, loads at `l1_hit`, unit
 /// latencies, unit latencies without dependences — with each knocked-out
 /// resolution floored by the previous one:
@@ -202,7 +205,8 @@ pub struct KnockoutScratch {
 ///
 /// # Panics
 ///
-/// Panics if `ops` is empty or the window size is 0.
+/// Panics if `interval` is empty or past the end of `trace`, or if the
+/// window size is 0.
 ///
 /// # Examples
 ///
@@ -219,13 +223,14 @@ pub struct KnockoutScratch {
 /// let params = WindowParams { dispatch_width: 4, window_size: 64 };
 /// let mut scratch = KnockoutScratch::default();
 /// let t = knockout_interval(
-///     &ops, params, &LatencyTable::default(), 2, |i| [Some(14), None][i], &mut scratch,
+///     &ops[..], 0..2, params, &LatencyTable::default(), 2, |i| [Some(14), None][i], &mut scratch,
 /// );
 /// assert_eq!(t.local_resolution, 16);
 /// assert_eq!((t.base, t.ilp, t.fu_latency, t.short_dmiss), (2, 1, 1, 12));
 /// ```
-pub fn knockout_interval<F>(
-    ops: &[MicroOp],
+pub fn knockout_interval<T, F>(
+    trace: &T,
+    interval: Range<usize>,
     params: WindowParams,
     lat: &LatencyTable,
     l1_hit: u32,
@@ -233,10 +238,16 @@ pub fn knockout_interval<F>(
     scratch: &mut KnockoutScratch,
 ) -> LocalTerms
 where
+    T: OpView + ?Sized,
     F: FnMut(usize) -> Option<u32>,
 {
-    assert!(!ops.is_empty(), "an interval ends at its branch");
+    assert!(!interval.is_empty(), "an interval ends at its branch");
+    assert!(
+        interval.end <= trace.len(),
+        "the interval lies in the trace"
+    );
     assert!(params.window_size > 0, "the window holds at least one op");
+    let (first, n) = (interval.start, interval.len());
     let d = u64::from(params.dispatch_width.max(1));
     let w = params.window_size as usize;
     let table_load = lat.latency(OpClass::Load);
@@ -246,35 +257,37 @@ where
     // window cap before W ops have entered, so neither needs a branch.
     // Every other slot is written before it is read, so stale contents
     // from an earlier interval never leak in.
-    if scratch.slots.len() <= ops.len() {
-        scratch.slots.resize(ops.len() + 1, LaneSlot::default());
+    if scratch.slots.len() <= n {
+        scratch.slots.resize(n + 1, LaneSlot::default());
     }
-    let slots = &mut scratch.slots[..=ops.len()];
+    let slots = &mut scratch.slots[..=n];
     slots[0] = LaneSlot::default();
 
     // Dispatch pacing, shared by the lanes: `paced` is `i / D`.
     let mut paced = 0u64;
     let mut in_cycle = 0u64;
     let mut enter = [0u64; LANES];
-    for (i, op) in ops.iter().enumerate() {
+    for i in 0..n {
+        let at = first + i;
         // Window cap: op i waits for op i-W to have issued.
         let capped = if i >= w { i + 1 - w } else { 0 };
         enter = slots[capped].issue.map(|issued| issued.max(paced));
         let mut start = enter.map(|e| e + 1);
         // The selects below are written to compile branch-free: whether
         // a source exists and whether an op is a load are data-dependent
-        // and mispredict often on the host.
-        for src in op.srcs() {
-            let dist = src.unwrap_or(0) as usize;
-            let producer = if dist <= i { i + 1 - dist } else { 0 };
-            let producer = if dist == 0 { 0 } else { producer };
+        // and mispredict often on the host. A slot with no producer
+        // holds `at` or more, so it lands past the interval like a
+        // producer before it.
+        for p in trace.producers(at) {
+            let rel = (p as usize).wrapping_sub(first);
+            let producer = if rel < i { rel + 1 } else { 0 };
             for (s, &done) in start.iter_mut().zip(&slots[producer].done) {
                 *s = (*s).max(done);
             }
         }
-        let class = op.class();
+        let class = trace.class(at);
         let table = u64::from(lat.latency(class)).max(1);
-        let loaded = u64::from(load_latency(i).unwrap_or(table_load)).max(1);
+        let loaded = u64::from(load_latency(at).unwrap_or(table_load)).max(1);
         let is_load = class == OpClass::Load;
         let real = if is_load { loaded } else { table };
         let l1 = if is_load { l1_load } else { table };
@@ -289,7 +302,7 @@ where
         }
     }
 
-    let branch = &slots[ops.len()];
+    let branch = &slots[n];
     let [r_local, r_l1, r_unit] = std::array::from_fn(|l| branch.done[l] - enter[l]);
     // The running-floor cascade of the penalty model: knock-outs shrink
     // completions, but the window cap moves entry too, so a knocked-out
@@ -489,10 +502,11 @@ impl SlotLedger {
     }
 }
 
-/// Schedules the whole trace under the interval model — "interval
-/// simulation": every interval-analysis mechanism applied across the
-/// full instruction stream, so cross-interval state (a window still full
-/// from before a miss event, chains reaching across events) is captured.
+/// Schedules the whole trace, in either layout, under the interval model
+/// — "interval simulation": every interval-analysis mechanism applied
+/// across the full instruction stream, so cross-interval state (a window
+/// still full from before a miss event, chains reaching across events)
+/// is captured.
 ///
 /// Mechanisms applied, in the spirit of the paper's framework:
 ///
@@ -531,19 +545,20 @@ impl SlotLedger {
 /// let ops: Vec<_> = (0..8).map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [None, None])).collect();
 /// let model = MachineModel::from(&presets::baseline_4wide());
 /// let mut last = 0;
-/// schedule_trace(&ops, model, &LatencyTable::unit(), |_| None, &[], |_, t| {
+/// schedule_trace(&ops[..], model, &LatencyTable::unit(), |_| None, &[], |_, t| {
 ///     last = last.max(t.done);
 /// });
 /// assert_eq!(last, 3);
 /// ```
-pub fn schedule_trace<F, V>(
-    ops: &[MicroOp],
+pub fn schedule_trace<T, F, V>(
+    ops: &T,
     model: MachineModel,
     lat: &LatencyTable,
     mut load_latency: F,
     events: &[FrontendEvent],
     mut visit: V,
 ) where
+    T: OpView + ?Sized,
     F: FnMut(usize) -> Option<u32>,
     V: FnMut(usize, OpTiming),
 {
@@ -589,7 +604,7 @@ pub fn schedule_trace<F, V>(
     // branch is scheduled, consumed before the next op enters.
     let mut pending_barrier: Option<u64> = None;
 
-    for (i, op) in ops.iter().enumerate() {
+    for i in 0..ops.len() {
         // Frontend events at this op.
         let mut mispredict_here = false;
         while next_event < events.len() && events[next_event].pos() == i {
@@ -629,18 +644,20 @@ pub fn schedule_trace<F, V>(
 
         // Data-flow start: at least one cycle after entry (dispatch-to-
         // issue latency, matching the simulator's timing). A source
-        // before the trace, or R or more ops back, is ready. The ring
-        // read is in bounds either way, so the choice is a select, not a
-        // branch.
+        // before the trace, or R or more ops back, is ready, and so is an
+        // empty slot (its value is `i` or more, so `i − p − 1` wraps past
+        // R). The ring read is in bounds either way, so the choice is a
+        // select, not a branch.
         let mut start = e + 1;
-        for dist in op.srcs() {
-            let dist = dist.map_or(usize::MAX, |d| d as usize);
-            let ready = timings[i.wrapping_sub(dist) & mask].1;
-            start = start.max(if dist <= i && dist < r { ready } else { 0 });
+        for p in ops.producers(i) {
+            let p = p as usize;
+            let ready = timings[p & mask].1;
+            let binds = i.wrapping_sub(p).wrapping_sub(1) < r - 1;
+            start = start.max(if binds { ready } else { 0 });
         }
         // Issue-slot allocation; divides occupy their unit for the full
         // latency (non-pipelined), everything else for one cycle.
-        let class = op.class();
+        let class = ops.class(i);
         let (kind, table, pipelined) = per_class[class.index()];
         let loaded = u64::from(load_latency(i).unwrap_or(table_load)).max(1);
         let latency = if class == OpClass::Load {

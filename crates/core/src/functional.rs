@@ -16,7 +16,7 @@
 
 use bmp_branch::{BranchStats, BranchUnit, InlinePredictor, Resolution};
 use bmp_cache::{DataOutcome, MemoryHierarchy};
-use bmp_trace::Trace;
+use bmp_trace::OpView;
 use bmp_uarch::{MachineConfig, OpClass};
 
 use crate::intervals::{IntervalEvent, IntervalEventKind};
@@ -57,29 +57,29 @@ fn load_level(outcome: DataOutcome) -> u8 {
 
 impl FunctionalOutcome {
     /// Runs the functional pass of `cfg`'s predictor and caches over
-    /// `trace`.
+    /// `trace`, in either layout.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid.
-    pub fn compute(trace: &Trace, cfg: &MachineConfig) -> Self {
+    pub fn compute<T: OpView + ?Sized>(trace: &T, cfg: &MachineConfig) -> Self {
         cfg.validate().expect("machine configuration must be valid");
         let mut branches = BranchUnit::new(cfg, InlinePredictor::build(&cfg.predictor));
         let mut mem = MemoryHierarchy::new(&cfg.caches);
         let line_mask = !u64::from(cfg.caches.l1i().line_bytes() - 1);
         let mut current_line = u64::MAX;
 
-        let n = trace.len();
         let mut events = Vec::new();
-        let mut load_levels = vec![NOT_A_LOAD; n];
+        let mut load_levels = vec![NOT_A_LOAD; trace.len()];
         let mut level_latency = [0u32; 4];
 
-        for (idx, op) in trace.iter().enumerate() {
+        for (idx, load_level_at) in load_levels.iter_mut().enumerate() {
+            let pc = trace.pc(idx);
             // Instruction side, per line.
-            let line = op.pc() & line_mask;
+            let line = pc & line_mask;
             if line != current_line {
                 current_line = line;
-                let access = mem.fetch_access(op.pc());
+                let access = mem.fetch_access(pc);
                 if access.l1i_miss {
                     events.push(IntervalEvent {
                         pos: idx,
@@ -92,10 +92,10 @@ impl FunctionalOutcome {
                 }
             }
             // Data side.
-            match op.class() {
+            match trace.class(idx) {
                 OpClass::Load => {
-                    let addr = op.mem_addr().expect("loads carry addresses");
-                    let access = mem.data_access_at(op.pc(), addr);
+                    let addr = trace.mem_addr(idx).expect("loads carry addresses");
+                    let access = mem.data_access_at(pc, addr);
                     let level = load_level(access.outcome);
                     let slot = &mut level_latency[usize::from(level)];
                     debug_assert!(
@@ -103,7 +103,7 @@ impl FunctionalOutcome {
                         "one latency per level"
                     );
                     *slot = access.latency;
-                    load_levels[idx] = level;
+                    *load_level_at = level;
                     if access.outcome.is_long_miss() {
                         events.push(IntervalEvent {
                             pos: idx,
@@ -112,14 +112,14 @@ impl FunctionalOutcome {
                     }
                 }
                 OpClass::Store => {
-                    let addr = op.mem_addr().expect("stores carry addresses");
-                    let _ = mem.data_access_at(op.pc(), addr);
+                    let addr = trace.mem_addr(idx).expect("stores carry addresses");
+                    let _ = mem.data_access_at(pc, addr);
                 }
                 _ => {}
             }
             // Branch side.
-            if let Some(info) = op.branch_info() {
-                if branches.resolve(op.pc(), info) == Resolution::Mispredict {
+            if let Some(info) = trace.branch_info(idx) {
+                if branches.resolve(pc, info) == Resolution::Mispredict {
                     events.push(IntervalEvent {
                         pos: idx,
                         kind: IntervalEventKind::BranchMispredict,
@@ -169,6 +169,7 @@ impl FunctionalOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmp_trace::Trace;
     use bmp_uarch::{presets, PredictorConfig};
     use bmp_workloads::{micro, spec};
 
@@ -190,7 +191,7 @@ mod tests {
     #[test]
     fn perfect_predictor_produces_no_branch_events() {
         let trace = micro::branch_resolution_kernel(5_000, 4, 0.5, 1);
-        let out = FunctionalOutcome::compute(&trace, &tiny_perfect());
+        let out = FunctionalOutcome::compute(trace.ops(), &tiny_perfect());
         assert!(out
             .events
             .iter()
@@ -271,7 +272,7 @@ mod tests {
     #[test]
     fn load_latencies_cover_exactly_the_loads() {
         let trace = micro::memory_kernel(5_000, 4096, 4, false, 2);
-        let out = FunctionalOutcome::compute(&trace, &tiny_perfect());
+        let out = FunctionalOutcome::compute(trace.ops(), &tiny_perfect());
         for (idx, op) in trace.iter().enumerate() {
             assert_eq!(
                 out.load_latency(idx).is_some(),
@@ -284,7 +285,7 @@ mod tests {
     #[test]
     fn big_working_set_yields_long_miss_events() {
         let trace = micro::memory_kernel(5_000, 16 * 1024 * 1024, 4, false, 2);
-        let out = FunctionalOutcome::compute(&trace, &tiny_perfect());
+        let out = FunctionalOutcome::compute(trace.ops(), &tiny_perfect());
         let long = out
             .events
             .iter()
@@ -297,7 +298,7 @@ mod tests {
     fn small_working_set_is_mostly_hits() {
         let trace = micro::memory_kernel(20_000, 512, 4, false, 2);
         let cfg = tiny_perfect();
-        let out = FunctionalOutcome::compute(&trace, &cfg);
+        let out = FunctionalOutcome::compute(trace.ops(), &cfg);
         let l1_hit = cfg.caches.l1d().hit_latency();
         let lats: Vec<u32> = (0..trace.len())
             .filter_map(|i| out.load_latency(i))
@@ -347,7 +348,7 @@ mod tests {
     #[test]
     fn events_are_sorted_by_position() {
         let trace = spec::by_name("gcc").unwrap().generate(30_000, 9);
-        let out = FunctionalOutcome::compute(&trace, &presets::baseline_4wide());
+        let out = FunctionalOutcome::compute(trace.ops(), &presets::baseline_4wide());
         assert!(out.events.windows(2).all(|w| w[0].pos <= w[1].pos));
         assert!(!out.events.is_empty(), "gcc-like trace should have events");
     }

@@ -2,11 +2,11 @@
 //!
 //! The penalty decomposition is held together by a handful of exact
 //! integer identities (the knock-out waterfall, the carryover
-//! reconciliation, the refill law). They are enforced in three places —
+//! reconciliation, the refill law). They are enforced in four places —
 //! `debug_assert!`s inside [`penalty`](crate::penalty), the BMP202 model
-//! lint, and the BMP6xx static-bounds lints — and this module is the
-//! single definition all three share, so the checks can never drift
-//! apart.
+//! lint, the BMP501/BMP505 metrics lints and the BMP603 simulator check
+//! of the static bounds — and this module is the single definition all
+//! four call, so the checks can never drift apart.
 //!
 //! Every predicate returns `true` when the identity holds. They operate
 //! on plain integers (or the [`PenaltyBreakdown`]/[`ModelMetrics`]
@@ -133,6 +133,31 @@ mod tests {
         assert!(!refill_identity(4, 5, 21));
         assert!(penalty_identity(12, 5, 17));
         assert!(!penalty_identity(12, 5, 16));
+    }
+
+    /// The per-breakdown check fails when either identity it covers
+    /// breaks.
+    #[test]
+    fn breakdown_consistent_rejects_each_broken_identity() {
+        let good = PenaltyBreakdown {
+            branch_idx: 9,
+            interval_start: 0,
+            interval_len: 10,
+            resolution: 16,
+            local_resolution: 14,
+            frontend: 5,
+            base: 2,
+            ilp: 3,
+            fu_latency: 4,
+            short_dmiss: 5,
+            carryover: 2,
+        };
+        assert!(breakdown_consistent(&good));
+        assert!(!breakdown_consistent(&PenaltyBreakdown { ilp: 4, ..good }));
+        assert!(!breakdown_consistent(&PenaltyBreakdown {
+            carryover: 1,
+            ..good
+        }));
     }
 
     #[test]

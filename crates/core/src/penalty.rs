@@ -45,7 +45,7 @@
 //! *dependence of the resolution on interval length* exposed by
 //! [`PenaltyAnalysis::resolution_by_interval_length`] (experiment E-F3).
 
-use bmp_trace::Trace;
+use bmp_trace::{OpView, Trace};
 use bmp_uarch::MachineConfig;
 use serde::{Deserialize, Serialize};
 
@@ -284,14 +284,20 @@ impl PenaltyModel {
 
     /// Runs the functional pass and analyzes every misprediction.
     pub fn analyze(&self, trace: &Trace) -> PenaltyAnalysis {
-        let outcome = FunctionalOutcome::compute(trace, &self.cfg);
-        self.analyze_with(trace, &outcome)
+        let ops = trace.ops();
+        let outcome = FunctionalOutcome::compute(ops, &self.cfg);
+        self.analyze_with(ops, &outcome)
     }
 
-    /// Analyzes a trace given an existing functional pass (lets callers
-    /// reuse one pass across several analyses): the local pass, then the
-    /// whole-trace schedule for the effective resolutions.
-    pub fn analyze_with(&self, trace: &Trace, outcome: &FunctionalOutcome) -> PenaltyAnalysis {
+    /// Analyzes a trace, in either layout, given an existing functional
+    /// pass (lets callers reuse one pass across several analyses): the
+    /// local pass, then the whole-trace schedule for the effective
+    /// resolutions.
+    pub fn analyze_with<T: OpView + ?Sized>(
+        &self,
+        trace: &T,
+        outcome: &FunctionalOutcome,
+    ) -> PenaltyAnalysis {
         let intervals = segment(0..trace.len(), &outcome.events);
         // Sized exactly: the analysis is often cached for a whole run.
         let mispredicted = intervals
@@ -308,7 +314,7 @@ impl PenaltyModel {
         let mut scheduled_cycles = 0;
         let frontend_events = frontend_events_of(&self.cfg, outcome);
         schedule_trace(
-            trace.ops(),
+            trace,
             MachineModel::from(&self.cfg),
             &self.cfg.latencies,
             |i| outcome.load_latency(i),
@@ -354,9 +360,9 @@ impl PenaltyModel {
     /// ([`crate::cpi::predict`]) read nothing else. The breakdowns are
     /// yielded one at a time, so a caller that only aggregates them
     /// holds none.
-    pub fn analyze_local<'a>(
+    pub fn analyze_local<'a, T: OpView + ?Sized>(
         &'a self,
-        trace: &'a Trace,
+        trace: &'a T,
         outcome: &'a FunctionalOutcome,
         intervals: &'a [Interval],
     ) -> impl Iterator<Item = PenaltyBreakdown> + 'a {
@@ -368,11 +374,12 @@ impl PenaltyModel {
             .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
             .map(move |iv| {
                 let local = knockout_interval(
-                    &trace.ops()[iv.start..=iv.end],
+                    trace,
+                    iv.start..iv.end + 1,
                     params,
                     &self.cfg.latencies,
                     l1_hit,
-                    |i| outcome.load_latency(iv.start + i),
+                    |i| outcome.load_latency(i),
                     &mut scratch,
                 );
                 PenaltyBreakdown {

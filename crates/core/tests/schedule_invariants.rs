@@ -75,7 +75,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let trace = profile.generate(2_000, seed);
-        let outcome = FunctionalOutcome::compute(&trace, &cfg);
+        let outcome = FunctionalOutcome::compute(trace.ops(), &cfg);
         let events: Vec<FrontendEvent> = outcome
             .events
             .iter()
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let cfg = MachineConfigBuilder::new().build().expect("baseline");
         let trace = profile.generate(1_000, seed);
-        let outcome = FunctionalOutcome::compute(&trace, &cfg);
+        let outcome = FunctionalOutcome::compute(trace.ops(), &cfg);
         let model = MachineModel::from(&cfg);
         let fast = collect(trace.ops(), model, &cfg.latencies, &outcome, &[]);
         let slow_lat = cfg.latencies.scaled(2.0);
@@ -158,7 +158,7 @@ proptest! {
     ) {
         let cfg = MachineConfigBuilder::new().build().expect("baseline");
         let trace = profile.generate(1_000, seed);
-        let outcome = FunctionalOutcome::compute(&trace, &cfg);
+        let outcome = FunctionalOutcome::compute(trace.ops(), &cfg);
         let model = MachineModel::from(&cfg);
         let mispredicts: Vec<usize> = outcome
             .events

@@ -100,12 +100,13 @@ impl CompiledTrace {
         for (i, op) in ops.iter().enumerate() {
             out.pc.push(op.pc());
             out.class.push(op.class());
-            let srcs = op.srcs();
-            let resolve = |s: Option<u32>| match s {
-                Some(d) if (d as usize) <= i => (i - d as usize) as u32,
-                _ => NO_PRODUCER,
-            };
-            out.producers.push([resolve(srcs[0]), resolve(srcs[1])]);
+            out.producers.push(op.producers_at(i).map(|p| {
+                if (p as usize) < i {
+                    p
+                } else {
+                    NO_PRODUCER
+                }
+            }));
             let mut flags = 0u8;
             let payload = if let Some(info) = op.branch_info() {
                 flags |= FLAG_BRANCH;
@@ -211,6 +212,14 @@ impl CompiledTrace {
         } else {
             MicroOp::alu(pc, self.class[i], srcs)
         }
+    }
+
+    /// Rebuilds the array-of-structs [`Trace`], one [`op`](Self::op) per
+    /// position — exact for self-contained traces. For the few readers
+    /// that need a whole `Trace` (the reference engine, [`Trace::stats`]);
+    /// the interval model reads the compiled form directly.
+    pub fn to_trace(&self) -> Trace {
+        (0..self.len()).map(|i| self.op(i)).collect()
     }
 }
 

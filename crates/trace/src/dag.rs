@@ -12,7 +12,10 @@
 //! model can inject cache-dependent load latencies (contributor (v))
 //! without this crate knowing anything about caches.
 
+use bmp_uarch::OpClass;
+
 use crate::op::MicroOp;
+use crate::view::OpView;
 
 /// Computes data-flow completion times for a slice of ops.
 ///
@@ -139,12 +142,13 @@ where
 /// let ops: Vec<_> = (0..64)
 ///     .map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [None, None]))
 ///     .collect();
-/// let curve = dag::ilp_curve(&ops, &[0, 4, 16, 100], |_, _| 1);
+/// let curve = dag::ilp_curve(&ops[..], &[0, 4, 16, 100], |_, _| 1);
 /// assert_eq!(curve, vec![(4, 4.0), (16, 16.0)]);
 /// ```
-pub fn ilp_curve<L>(ops: &[MicroOp], ks: &[usize], mut latency_of: L) -> Vec<(usize, f64)>
+pub fn ilp_curve<T, L>(ops: &T, ks: &[usize], mut latency_of: L) -> Vec<(usize, f64)>
 where
-    L: FnMut(usize, &MicroOp) -> u64,
+    T: OpView + ?Sized,
+    L: FnMut(usize, OpClass) -> u64,
 {
     /// One window size's progress. Its window lives in
     /// `done[base..=base + k]`: op `j` of the window in slot `j + 1`,
@@ -172,16 +176,22 @@ where
         slots += k + 1;
     }
     let mut done = vec![0u64; slots];
-    for (i, op) in ops.iter().enumerate() {
-        let latency = latency_of(i, op).max(1);
-        // Distance 0 marks an absent source.
-        let srcs = op.srcs().map(|d| d.unwrap_or(0) as usize);
+    for i in 0..ops.len() {
+        let latency = latency_of(i, ops.class(i)).max(1);
+        // The distance back to each producer. An empty slot holds `i` or
+        // more, so its distance is 0 or wraps, and `d − 1` lands past
+        // every window either way.
+        let dists = ops.producers(i).map(|p| i.wrapping_sub(p as usize));
         for size in &mut sizes {
             let window = &mut done[size.base..=size.base + size.k];
             let slot = size.slot;
             let mut start = 0;
-            for d in srcs {
-                let producer = if d != 0 && d < slot { slot - d } else { 0 };
+            for d in dists {
+                let producer = if d.wrapping_sub(1) < slot - 1 {
+                    slot - d
+                } else {
+                    0
+                };
                 start = start.max(window[producer]);
             }
             let t = start + latency;
@@ -206,7 +216,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmp_uarch::OpClass;
 
     fn chain(n: usize) -> Vec<MicroOp> {
         (0..n)
@@ -297,7 +306,7 @@ mod tests {
             let src = if i >= 2 { Some(2) } else { None };
             ops.push(MicroOp::alu(i as u64 * 4, OpClass::IntAlu, [src, None]));
         }
-        let curve = ilp_curve(&ops, &[2, 4, 8, 16], |_, _| 1);
+        let curve = ilp_curve(&ops[..], &[2, 4, 8, 16], |_, _| 1);
         assert_eq!(curve.len(), 4);
         for pair in curve.windows(2) {
             assert!(

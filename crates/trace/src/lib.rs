@@ -16,7 +16,9 @@
 //! cheap to slice, which the interval model exploits when scheduling
 //! individual inter-miss intervals (and the event-driven simulator
 //! un-does once, resolving distances to absolute producer indices in its
-//! compiled structure-of-arrays form — `docs/PERFORMANCE.md`).
+//! compiled structure-of-arrays form — `docs/PERFORMANCE.md`). The
+//! [`view`] module's [`OpView`] trait reads either layout by position,
+//! so the interval model's kernels are written once for both.
 //!
 //! The [`dag`] module provides dependence-graph utilities — data-flow
 //! scheduling and critical-path extraction — and the `I_W(k)` window-ILP
@@ -49,6 +51,7 @@ pub mod sites;
 mod stats;
 pub mod superblock;
 mod trace;
+pub mod view;
 
 pub use compiled::CompiledTrace;
 pub use op::{BranchInfo, BranchKind, MicroOp};
@@ -56,3 +59,4 @@ pub use sites::BranchSiteStats;
 pub use stats::{DepDistanceHistogram, TraceStats};
 pub use superblock::{Region, RegionEnd, SuperblockMap, SuperblockStats};
 pub use trace::{Trace, TraceBuilder, TraceError};
+pub use view::OpView;

@@ -183,6 +183,17 @@ impl MicroOp {
         self.srcs.iter().copied().filter(|&d| d != 0)
     }
 
+    /// The absolute producer indices of this op at trace position `i`:
+    /// `i - d` for a source at distance `d` with `1 <= d <= i`, and a
+    /// value of `i` or more for an empty slot or a source before the
+    /// trace (the [`OpView::producers`](crate::OpView::producers)
+    /// contract). One wrapping subtraction, so the model's kernels read
+    /// it without a data-dependent branch.
+    #[inline]
+    pub(crate) fn producers_at(&self, i: usize) -> [u32; 2] {
+        self.srcs.map(|d| (i as u32).wrapping_sub(d))
+    }
+
     /// Memory address for loads and stores, `None` otherwise.
     #[inline]
     pub fn mem_addr(&self) -> Option<u64> {

@@ -51,10 +51,11 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The one-pass ILP curve equals the per-window `window_ilp` oracle
-    /// point for point and to the f64 bit, under op-dependent latencies
-    /// (0 included, which floors to 1), for sizes that include 0, 1,
-    /// values that are not powers of two, and sizes past the trace's end.
+    /// The one-pass ILP curve, on either layout, equals the per-window
+    /// `window_ilp` oracle point for point and to the f64 bit, under
+    /// op-dependent latencies (0 included, which floors to 1), for sizes
+    /// that include 0, 1, values that are not powers of two, and sizes
+    /// past the trace's end.
     #[test]
     fn ilp_curve_matches_per_window_oracle(
         ops in prop::collection::vec(arb_op(64), 0..300),
@@ -63,16 +64,20 @@ proptest! {
     ) {
         let mut ks = vec![0, 1, 3, 7, 12, 64, ops.len(), ops.len() + 1];
         ks.extend(extra);
-        let latency = |i: usize, op: &MicroOp| (i as u64 * 7 + op.class().index() as u64) % spread;
-        let got = dag::ilp_curve(&ops, &ks, latency);
+        let latency = |i: usize, class: OpClass| (i as u64 * 7 + class.index() as u64) % spread;
         let want: Vec<(usize, f64)> = ks
             .iter()
-            .filter_map(|&k| dag::window_ilp(&ops, k, latency).map(|ilp| (k, ilp)))
+            .filter_map(|&k| {
+                dag::window_ilp(&ops, k, |i, op| latency(i, op.class())).map(|ilp| (k, ilp))
+            })
             .collect();
-        prop_assert_eq!(got.len(), want.len());
-        for ((gk, gv), (wk, wv)) in got.iter().zip(&want) {
-            prop_assert_eq!(gk, wk);
-            prop_assert_eq!(gv.to_bits(), wv.to_bits(), "k = {}", wk);
+        let compiled = Trace::from_ops_unchecked(ops.clone()).compile();
+        for got in [dag::ilp_curve(&ops[..], &ks, latency), dag::ilp_curve(&compiled, &ks, latency)] {
+            prop_assert_eq!(got.len(), want.len());
+            for ((gk, gv), (wk, wv)) in got.iter().zip(&want) {
+                prop_assert_eq!(gk, wk);
+                prop_assert_eq!(gv.to_bits(), wv.to_bits(), "k = {}", wk);
+            }
         }
     }
 

@@ -32,8 +32,8 @@ fn main() {
         33,
     );
     let machine = presets::baseline_4wide();
-    let outcome = FunctionalOutcome::compute(&trace, &machine);
-    let analysis = PenaltyModel::new(machine).analyze_with(&trace, &outcome);
+    let outcome = FunctionalOutcome::compute(trace.ops(), &machine);
+    let analysis = PenaltyModel::new(machine).analyze_with(trace.ops(), &outcome);
     let intervals = segment(0..trace.len(), &outcome.events);
 
     const WINDOW: usize = 20_000;

@@ -112,7 +112,7 @@ proptest! {
     ) {
         let cfg = presets::baseline_4wide();
         let trace = profile.generate(2_000, seed);
-        let out = FunctionalOutcome::compute(&trace, &cfg);
+        let out = FunctionalOutcome::compute(trace.ops(), &cfg);
         let intervals = segment(0..trace.len(), &out.events);
         let total: usize = intervals.iter().map(|iv| iv.len()).sum();
         prop_assert_eq!(total, trace.len());
