@@ -55,11 +55,6 @@ OPTIONS:
                       \"median_mean_penalty_err\", \"csvs_checked\" and
                       \"csvs_unchecked\"); given alone, skips the other
                       passes too
-    --store PATH      audit a persistent artifact store directory
-                      (BMP_STORE) with the BMP8xx rules: corrupt or
-                      misplaced records, quarantine backlog, stale
-                      locks, foreign files; given alone, skips the
-                      other passes too
     --kernels         execute every bmp-isa RV32IM kernel and lint the
                       recorded trace: well-formedness (BMP1xx),
                       executed-trace provenance (BMP9xx), and model /
@@ -102,7 +97,6 @@ struct Options {
     journal: Option<String>,
     metrics: Option<String>,
     statics: Option<String>,
-    store: Option<String>,
     kernels: bool,
     ops: usize,
     no_traces: bool,
@@ -117,7 +111,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         journal: None,
         metrics: None,
         statics: None,
-        store: None,
         kernels: false,
         ops: 2000,
         no_traces: false,
@@ -162,13 +155,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.statics = Some(
                     it.next()
                         .ok_or_else(|| "--static needs a path".to_owned())?
-                        .clone(),
-                );
-            }
-            "--store" => {
-                opts.store = Some(
-                    it.next()
-                        .ok_or_else(|| "--store needs a path".to_owned())?
                         .clone(),
                 );
             }
@@ -518,19 +504,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Pass 0d: a persistent artifact store (BMP8xx). The path must be a
-    // directory — a missing store is a usage error, not a lint finding.
-    if let Some(path) = &opts.store {
-        let p = std::path::Path::new(path);
-        if !p.is_dir() {
-            eprintln!("bmp-lint: --store {path}: not a directory");
-            return ExitCode::from(2);
-        }
-        targets += 1;
-        report.merge(AnalysisReport::new(bmp_analyze::lint_store(p)));
-    }
-
-    // Pass 0e: the executed-kernel suite (BMP1xx + BMP9xx + model and
+    // Pass 0d: the executed-kernel suite (BMP1xx + BMP9xx + model and
     // simulator conservation). Each kernel is functionally executed at
     // the requested length and its recorded trace must carry the full
     // provenance fingerprint — the rules synthetic traces cannot pass.
@@ -562,7 +536,6 @@ fn main() -> ExitCode {
         || opts.journal.is_some()
         || opts.metrics.is_some()
         || opts.statics.is_some()
-        || opts.store.is_some()
         || opts.kernels;
     if !narrowed || opts.preset.is_some() {
         for (name, cfg) in &machines {
@@ -578,7 +551,6 @@ fn main() -> ExitCode {
         && ((opts.journal.is_none()
             && opts.metrics.is_none()
             && opts.statics.is_none()
-            && opts.store.is_none()
             && !opts.kernels)
             || opts.profile.is_some())
     {

@@ -401,6 +401,27 @@ mod tests {
         assert!(diags.iter().all(|d| d.severity == crate::Severity::Error));
     }
 
+    /// A non-finite component breaks the sum identity too: the stack's
+    /// own CPI is then not the sum of its component CPIs.
+    #[test]
+    fn a_nan_component_breaks_the_cpi_sum() {
+        let stack = CpiStack {
+            instructions: 100,
+            base_cycles: 50.0,
+            branch_cycles: 10.0,
+            icache_cycles: f64::NAN,
+            long_dmiss_cycles: 0.0,
+        };
+        let diags = lint_cpi_stack(&stack);
+        assert!(
+            diags.iter().any(|d| d.code == "BMP201"
+                && d.locus == "cpi"
+                && d.severity == crate::Severity::Error
+                && d.message.contains("does not conserve cycles")),
+            "{diags:?}"
+        );
+    }
+
     #[test]
     fn unnormalizable_cpi_stack_is_flagged() {
         let stack = CpiStack {
@@ -542,5 +563,72 @@ mod tests {
         assert!(lint_sim_result(&result, &cfg)
             .iter()
             .any(|d| d.message.contains("cycle order violated")));
+    }
+
+    /// The baseline machine with an always-not-taken predictor, under
+    /// which every taken loop branch mispredicts.
+    fn always_not_taken() -> bmp_uarch::MachineConfig {
+        presets::baseline_4wide()
+            .to_builder()
+            .predictor(bmp_uarch::PredictorConfig::AlwaysNotTaken)
+            .build()
+            .unwrap()
+    }
+
+    /// Each BMP203 clause fires on its own: the result is broken in
+    /// exactly one way, and the one finding names that clause.
+    #[test]
+    fn each_bmp203_clause_fires_on_its_own() {
+        let cfg = always_not_taken();
+        let result = Simulator::new(cfg.clone()).run(&loop_trace(300));
+        assert!(lint_sim_result(&result, &cfg).is_empty());
+        assert!(result.mispredicts.len() >= 2, "loop trace must mispredict");
+        type Break = fn(&mut SimResult);
+        let cases: [(Break, &str, &str); 3] = [
+            (
+                |r| r.rob_occupancy[0] += 1,
+                "result.rob_occupancy",
+                "not recorded every cycle",
+            ),
+            (
+                |r| r.mispredicts[1].branch_idx = r.mispredicts[0].branch_idx,
+                "result.mispredicts[1]",
+                "does not increase past",
+            ),
+            (
+                |r| r.instructions = r.cycles * 64,
+                "result",
+                "exceeds the machine's width cap",
+            ),
+        ];
+        for (broken, locus, needle) in cases {
+            let mut r = result.clone();
+            broken(&mut r);
+            let diags = lint_sim_result(&r, &cfg);
+            assert_eq!(diags.len(), 1, "{needle}: {diags:?}");
+            assert_eq!(diags[0].code, "BMP203");
+            assert_eq!(diags[0].severity, crate::Severity::Error, "{needle}");
+            assert_eq!(diags[0].locus, locus, "{needle}");
+            assert!(diags[0].message.contains(needle), "{diags:?}");
+        }
+    }
+
+    /// Past the cap, BMP203 reports the first broken records and one
+    /// summary line counting the rest.
+    #[test]
+    fn bmp203_record_findings_are_capped_with_a_summary() {
+        let cfg = always_not_taken();
+        let mut result = Simulator::new(cfg.clone()).run(&loop_trace(300));
+        let extra = 3;
+        assert!(result.mispredicts.len() >= MAX_BREAKDOWN_FINDINGS + extra);
+        for m in &mut result.mispredicts[..MAX_BREAKDOWN_FINDINGS + extra] {
+            m.resolve_cycle = m.fetch_cycle;
+            m.dispatch_cycle = m.fetch_cycle + 1;
+        }
+        let diags = lint_sim_result(&result, &cfg);
+        assert_eq!(diags.len(), MAX_BREAKDOWN_FINDINGS + 1, "{diags:?}");
+        let summary = diags.last().unwrap();
+        assert_eq!(summary.severity, crate::Severity::Info);
+        assert!(summary.message.contains(&format!("{extra} more BMP203")));
     }
 }

@@ -48,11 +48,6 @@
 //!   directly from the workload recipe and machine configuration —
 //!   no simulation — and any simulated total outside its proven bound,
 //!   in a metrics document or a published CSV table, is a hard error.
-//! * `BMP8xx` — persistent-store consistency ([`storelint`]): an
-//!   offline audit of a `BMP_STORE` tree — corrupt or misplaced
-//!   records, pending quarantine entries, stale locks, foreign files —
-//!   so operators see damage the store would otherwise just silently
-//!   recompute around.
 //! * `BMP9xx` — executed-trace provenance ([`provenance`]): the
 //!   structural invariants a trace recorded from a real execution must
 //!   carry (4-aligned RV32 PCs, straight-line continuity inside
@@ -63,8 +58,8 @@
 //!
 //! [`analyze`] is the one-call entry point; the `bmp-lint` binary runs it
 //! over presets, workload profiles, or both (plus `--journal` for run
-//! journals, `--metrics` for observability documents, `--static` for
-//! bounds cross-checks and `--store` for persistent-store audits), and
+//! journals, `--metrics` for observability documents and `--static`
+//! for bounds cross-checks), and
 //! renders either a compiler-style listing or JSON (`bmp-lint --json`);
 //! with `--static` it also prints each metrics entry's static bounds
 //! next to the model's recorded totals. The full code catalogue lives
@@ -81,7 +76,6 @@ pub mod machine;
 pub mod metrics;
 pub mod provenance;
 pub mod staticpass;
-pub mod storelint;
 pub mod superblocklint;
 pub mod tracelint;
 
@@ -93,7 +87,6 @@ pub use machine::{lint_fu_coverage, lint_machine};
 pub use metrics::{lint_metrics, lint_metrics_text};
 pub use provenance::lint_executed_trace;
 pub use staticpass::StaticBounds;
-pub use storelint::lint_store;
 pub use superblocklint::lint_superblock;
 pub use tracelint::{lint_dag_edges, lint_measured_pairs, lint_trace};
 

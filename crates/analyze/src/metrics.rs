@@ -101,7 +101,7 @@ fn lint_workload(diags: &mut Vec<Diagnostic>, doc: &ExperimentMetrics, w: &Workl
         }
     }
 
-    if w.refill_total != w.intervals.bmiss * u64::from(w.frontend_depth) {
+    if !identities::refill_identity(w.intervals.bmiss, w.frontend_depth, w.refill_total) {
         diags.push(Diagnostic::error(
             "BMP505",
             &locus,

@@ -1095,6 +1095,27 @@ mod tests {
         assert!(lint_csv("h2p.csv", &csv).is_clean());
     }
 
+    /// The per-class table's cycle columns are exact integers: a
+    /// fractional or negative cell is a BMP606, not a parse of its
+    /// float value.
+    #[test]
+    fn h2p_csv_non_integer_cycles_are_bmp606() {
+        for bad in [
+            "gzip,h2p,3,10,20.5,2,1,1,24,50,74",
+            "gzip,h2p,3,10,20,2,1,1,24,-50,74",
+        ] {
+            let report = lint_csv("h2p.csv", &format!("{H2P_HEADER}{bad}\n"));
+            assert_eq!(codes(&report), vec!["BMP606"], "{}", report.render_human());
+            assert!(
+                report.diagnostics[0]
+                    .message
+                    .contains("not a non-negative integer"),
+                "{}",
+                report.render_human()
+            );
+        }
+    }
+
     #[test]
     fn h2p_csv_unknown_class_is_bmp700() {
         let csv = format!("{H2P_HEADER}gzip,spicy,3,10,20,2,1,1,24,50,74\n");

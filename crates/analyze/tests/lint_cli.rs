@@ -1,7 +1,8 @@
 //! `bmp-lint --static` end to end: every entry of a metrics document is
 //! checked under the machine it was recorded with, so a
 //! generation-predictor entry gets that predictor's static bounds, and
-//! the report names every published CSV table no static check covers.
+//! the report names every published CSV table no static check covers;
+//! an unknown option is a usage error.
 
 use std::process::Command;
 
@@ -224,4 +225,22 @@ fn static_names_the_unchecked_csvs() {
         UNCHECKED_CSVS.join(", ")
     );
     assert!(human.contains(&line), "{human}");
+}
+
+/// An unknown option — including the retired `--store` — is a usage
+/// error: exit 2 with the usage on stderr, so a script passing it fails
+/// loudly instead of linting nothing.
+#[test]
+fn an_unknown_option_is_a_usage_error() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for args in [&["--store", dir.to_str().unwrap()][..], &["--frobnicate"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bmp-lint"))
+            .args(args)
+            .output()
+            .expect("bmp-lint runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("UTF-8 output");
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
+    }
 }

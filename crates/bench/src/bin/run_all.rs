@@ -3,11 +3,11 @@
 //! `results/`, plus the timing report to `results/bench_timings.json`.
 //!
 //! The run is fault-tolerant and crash-safe (see `docs/ROBUSTNESS.md`):
-//! a panicking experiment is isolated, retried (`BMP_ATTEMPTS`, default
-//! 2), and finally recorded as failed in `results/run_journal.json`
-//! while every other experiment still completes. CSVs and the journal
-//! are written atomically the moment each experiment settles, so an
-//! interrupted run leaves a consistent partial results directory.
+//! a panicking experiment is isolated, retried once, and finally
+//! recorded as failed in `results/run_journal.json` while every other
+//! experiment still completes. CSVs and the journal are written
+//! atomically the moment each experiment settles, so an interrupted run
+//! leaves a consistent partial results directory.
 //!
 //! Flags:
 //!
@@ -23,32 +23,31 @@
 //!   truncated or otherwise altered CSV triggers a recompute, never a
 //!   silent skip. (Legacy journals without a hash fall back to the
 //!   existence check.)
-//! * `--inject <spec>` — deterministic fault injection (overrides the
-//!   `BMP_FAULT` environment variable); see `docs/ROBUSTNESS.md`.
+//!
+//! Any other argument is a usage error (exit 2, nothing runs).
 //!
 //! `BMP_STORE=<dir>` adds the crash-safe persistent artifact tier: the
 //! content-addressed on-disk store (`bmp_core::store`) is opened —
 //! running its recovery scan, which quarantines any corrupt records —
 //! and attached under the in-memory cache, so simulation results
 //! survive process death and a restarted run resumes from disk instead
-//! of recomputing. `BMP_STORE_MAX_BYTES` bounds its size (LRU
-//! eviction). `torn-write`/`corrupt` fault kinds target its writes; see
-//! `docs/ROBUSTNESS.md` and `docs/STORE.md`. The run report then adds
+//! of recomputing (see `docs/STORE.md`). The run report then adds
 //! the store's counters (a `store:` summary line and a `"store"` object
 //! in `bench_timings.json`).
 //!
 //! Scale with `BMP_OPS` / `BMP_SEED`; pick the worker count with
 //! `BMP_THREADS` (default: available parallelism; every count runs the
 //! same schedule).
-//! The produced CSVs are byte-identical for any thread count and any
-//! survivable fault schedule — and for `BMP_METRICS` on or off: with
+//! The produced CSVs are byte-identical for any thread count, with or
+//! without a store — and for `BMP_METRICS` on or off: with
 //! `BMP_METRICS=1` the run *additionally* writes per-experiment
 //! accounting files under `results/metrics/` (render them with
 //! `bmp-report`; schema in `docs/OBSERVABILITY.md`) and records their
 //! paths in the journal.
 //!
 //! Exit codes: 0 all good; 1 at least one experiment ultimately failed;
-//! 2 experiments succeeded but output could not be written.
+//! 2 experiments succeeded but output could not be written, or a usage
+//! error.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -56,13 +55,17 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use bmp_bench::engine::{
-    attempts_from_env, defs_named, experiment_defs, experiment_fingerprint, threads_from_env,
-    ExperimentOutcome, OutcomeKind, RunPolicy,
+    defs_named, experiment_defs, experiment_fingerprint, threads_from_env, ExperimentOutcome,
+    OutcomeKind, RunPolicy,
 };
-use bmp_bench::{metrics, save_under_with, write_atomic, FaultPlan};
+use bmp_bench::{metrics, save_under, write_atomic, FaultPlan};
 use bmp_core::journal::{ExperimentRecord, RunJournal, RunStatus};
 use bmp_core::store::fnv1a;
-use bmp_core::{DiskStore, StoreConfig};
+use bmp_core::DiskStore;
+
+/// Attempts per experiment. Every cell is deterministic, so a retry
+/// recomputes the same bytes; the benchmark's `suite` pass mirrors it.
+const ATTEMPTS: u32 = 2;
 
 /// The journalled content hash of a CSV body: 16 lowercase hex digits
 /// of its FNV-1a, the format `--resume` validates against.
@@ -71,9 +74,7 @@ fn csv_hash(bytes: &[u8]) -> String {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: run_all [--only NAME[,NAME]] [--resume] [--inject <fault-spec>]");
-    eprintln!("  fault-spec: kind:target[:times=N][;...] with kind panic|io|budget");
-    eprintln!("  and target exp=NAME|cell=LABEL|index=N|file=NAME");
+    eprintln!("usage: run_all [--only NAME[,NAME]] [--resume]");
     eprintln!("  experiment names:");
     let names: Vec<&str> = experiment_defs().iter().map(|d| d.name).collect();
     for row in names.chunks(4) {
@@ -84,16 +85,11 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let mut resume = false;
-    let mut inject: Option<String> = None;
     let mut only: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--resume" => resume = true,
-            "--inject" => match args.next() {
-                Some(spec) => inject = Some(spec),
-                None => return usage(),
-            },
             "--only" => match args.next() {
                 Some(list) => only.extend(list.split(',').map(str::to_string)),
                 None => return usage(),
@@ -114,14 +110,6 @@ fn main() -> ExitCode {
     } else {
         experiment_defs()
     };
-    let faults = match inject.map_or_else(FaultPlan::from_env, |s| FaultPlan::parse(&s)) {
-        Ok(plan) => Arc::new(plan),
-        Err(e) => {
-            eprintln!("error: bad fault spec: {e}");
-            return usage();
-        }
-    };
-
     let scale = bmp_bench::Scale::from_env();
     let results_dir = Path::new("results");
     let journal_path = results_dir.join("run_journal.json");
@@ -206,12 +194,7 @@ fn main() -> ExitCode {
     // in-memory-only run — persistence is never worth failing a run.
     if let Ok(dir) = std::env::var("BMP_STORE") {
         if !dir.is_empty() {
-            let config = StoreConfig {
-                max_bytes: std::env::var("BMP_STORE_MAX_BYTES")
-                    .ok()
-                    .and_then(|v| v.parse().ok()),
-            };
-            match DiskStore::open(Path::new(&dir), config) {
+            match DiskStore::open(Path::new(&dir)) {
                 Ok((store, recovery)) => {
                     eprintln!(
                         "store {dir}: {} valid record(s), {} quarantined, \
@@ -221,7 +204,6 @@ fn main() -> ExitCode {
                         recovery.temps_removed,
                         recovery.live_bytes
                     );
-                    store.set_fault_hook(FaultPlan::store_hook(Arc::clone(&faults)));
                     engine.ctx().set_store(Arc::new(store));
                 }
                 Err(e) => {
@@ -238,11 +220,9 @@ fn main() -> ExitCode {
         scale.ops,
         threads
     );
-    if !faults.is_empty() {
-        eprintln!("fault injection active: {faults}");
-    }
 
-    let mut policy = RunPolicy::with_attempts(attempts_from_env(), &faults);
+    let faults = FaultPlan::none();
+    let mut policy = RunPolicy::with_attempts(ATTEMPTS, &faults);
     policy.skip = skip;
 
     // Shared with the worker threads through on_done: the journal (with
@@ -264,7 +244,7 @@ fn main() -> ExitCode {
             // Skipped experiments keep their carried-over record.
             OutcomeKind::Skipped => return,
             OutcomeKind::Completed(table) => {
-                if let Err(e) = save_under_with(results_dir, table, &faults) {
+                if let Err(e) = save_under(results_dir, table) {
                     let msg = format!("cannot write results for {}: {e}", table.id);
                     eprintln!("error: {msg}");
                     write_errors.lock().expect("write log poisoned").push(msg);

@@ -31,13 +31,13 @@ use bmp_core::json::Value;
 use bmp_core::json_object;
 use bmp_core::store::DiskStore;
 use bmp_core::{FunctionalOutcome, PenaltyAnalysis, PenaltyModel};
-use bmp_sim::{SimOptions, SimResult, Simulator};
-use bmp_uarch::{presets, MachineConfig, OpClass};
-use bmp_workloads::{micro, spec, WorkloadProfile};
+use bmp_sim::{SimResult, Simulator};
+use bmp_uarch::MachineConfig;
+use bmp_workloads::{spec, WorkloadProfile};
 
 use crate::artifacts::{cache_key, Memo};
 use crate::error::CellError;
-use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::grid::Cell;
 use crate::pool::ThreadPool;
 use crate::{experiments, Scale, Table};
@@ -209,7 +209,6 @@ impl Ctx {
             hits: s.hits(),
             puts: s.puts(),
             quarantined: s.quarantined(),
-            evicted: s.evicted(),
             live_bytes: store.live_bytes(),
             sim_hits: self.store_hits(),
         })
@@ -580,8 +579,6 @@ pub struct StoreReport {
     pub puts: u64,
     /// Records moved to quarantine (at open or on a failed read).
     pub quarantined: u64,
-    /// Records evicted by the size bound.
-    pub evicted: u64,
     /// Bytes of live records.
     pub live_bytes: u64,
     /// Simulations served from the store, decode included
@@ -634,7 +631,7 @@ impl ExperimentOutcome {
     }
 }
 
-/// Retry/skip/fault policy for a tolerant run.
+/// Retry/skip/panic-injection policy for a tolerant run.
 #[derive(Debug)]
 pub struct RunPolicy<'a> {
     /// Attempts per experiment (minimum 1; retried work recomputes
@@ -643,7 +640,7 @@ pub struct RunPolicy<'a> {
     pub attempts: u32,
     /// Experiment names to skip (from a `--resume` journal).
     pub skip: HashSet<String>,
-    /// Fault-injection schedule consulted before each unit of work.
+    /// Panic-injection schedule consulted before each unit of work.
     pub faults: &'a FaultPlan,
 }
 
@@ -671,15 +668,6 @@ pub fn experiment_fingerprint(name: &str, scale: Scale) -> u64 {
             scale.seed,
         ],
     )
-}
-
-/// Attempts per experiment from `BMP_ATTEMPTS` (default 2, minimum 1).
-pub fn attempts_from_env() -> u32 {
-    std::env::var("BMP_ATTEMPTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(2)
 }
 
 /// Everything a run reports: per-experiment outcomes in stable order,
@@ -779,9 +767,9 @@ impl TolerantReport {
         ));
         if let Some(s) = &self.store {
             out.push_str(&format!(
-                "store: {} gets, {} hits, {} puts, {} quarantined, {} evicted, \
+                "store: {} gets, {} hits, {} puts, {} quarantined, \
                  {} live bytes; {} sims served from the store\n",
-                s.gets, s.hits, s.puts, s.quarantined, s.evicted, s.live_bytes, s.sim_hits
+                s.gets, s.hits, s.puts, s.quarantined, s.live_bytes, s.sim_hits
             ));
         }
         if !self.surrogate.is_empty() {
@@ -819,7 +807,7 @@ impl TolerantReport {
         let store = self.store.map(|s| {
             json_object! {
                 "gets": s.gets, "hits": s.hits, "puts": s.puts, "quarantined": s.quarantined,
-                "evicted": s.evicted, "live_bytes": s.live_bytes, "sim_hits": s.sim_hits,
+                "live_bytes": s.live_bytes, "sim_hits": s.sim_hits,
             }
         });
         let surrogate = self.surrogate.iter().map(|r| {
@@ -953,10 +941,7 @@ impl Engine {
         let cell_start = Instant::now();
         let results = self.pool.try_map(cells.len(), |i| {
             let label = cells[i].label();
-            if policy
-                .faults
-                .fires(FaultKind::Panic, FaultSite::cell(&label).index(i))
-            {
+            if policy.faults.fires(FaultSite::Cell(&label)) {
                 std::panic::panic_any(CellError::panic(label, "injected panic fault"));
             }
             cells[i].run(&self.ctx, scale);
@@ -994,15 +979,11 @@ impl Engine {
                 let kind = loop {
                     attempts += 1;
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        let site = FaultSite::exp(def.name).index(i);
-                        if policy.faults.fires(FaultKind::Panic, site) {
+                        if policy.faults.fires(FaultSite::Exp(def.name)) {
                             std::panic::panic_any(CellError::panic(
                                 def.name,
                                 "injected panic fault",
                             ));
-                        }
-                        if policy.faults.fires(FaultKind::Budget, site) {
-                            trip_budget(def.name);
                         }
                         (def.run)(&self.ctx, scale)
                     }));
@@ -1043,21 +1024,6 @@ impl Engine {
     }
 }
 
-/// Deliberately exhausts a tiny cycle budget so a *real*
-/// [`bmp_sim::SimError::BudgetExceeded`] travels the failure path — the
-/// `budget:` fault kind proves the watchdog wiring without contaminating
-/// any cached artifact (the sacrificial run bypasses the [`Ctx`] cache).
-fn trip_budget(context: &str) -> ! {
-    let trace = micro::chain_kernel(10_000, 1, 64, OpClass::IntAlu);
-    let sim = Simulator::with_options(presets::test_tiny(), SimOptions::with_max_cycles(50));
-    let ct = trace.compile();
-    let sb = bmp_trace::SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
-    match sim.try_run_compiled_with(&ct, &sb) {
-        Err(e) => std::panic::panic_any(CellError::budget(context, e)),
-        Ok(_) => unreachable!("a 50-cycle budget cannot complete 10k serial ops"),
-    }
-}
-
 /// Worker count from the environment: `BMP_THREADS` when set (minimum 1),
 /// otherwise the machine's available parallelism.
 pub fn threads_from_env() -> usize {
@@ -1077,6 +1043,7 @@ mod tests {
     use super::*;
     use crate::error::CellErrorKind;
     use bmp_core::json::{self, ObjectExt};
+    use bmp_uarch::presets;
 
     #[test]
     fn registry_covers_all_experiments_once() {
@@ -1371,21 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_fault_travels_the_watchdog_path() {
-        let scale = Scale {
-            ops: 1_000,
-            seed: 3,
-        };
-        let faults = FaultPlan::parse("budget:exp=table1_config").unwrap();
-        let policy = RunPolicy::with_attempts(1, &faults);
-        let defs = defs_named(&["table1_config"]).unwrap();
-        let report = Engine::new(1).run_tolerant(&defs, scale, &policy, &|_| {});
-        let e = report.outcomes[0].error().expect("budget fault must fail");
-        assert_eq!(e.kind, CellErrorKind::Budget);
-        assert!(e.message.contains("cycle budget exceeded"));
-    }
-
-    #[test]
     fn cell_faults_are_soft_and_recovered() {
         let scale = Scale {
             ops: 2_000,
@@ -1486,8 +1438,7 @@ mod tests {
         let policy = RunPolicy::with_attempts(1, &faults);
         let defs = defs_named(&["fig8_ilp"]).unwrap();
         let run = || {
-            let (store, _) =
-                DiskStore::open(&dir, bmp_core::StoreConfig::default()).expect("store opens");
+            let (store, _) = DiskStore::open(&dir).expect("store opens");
             let engine = Engine::new(1);
             engine.ctx().set_store(Arc::new(store));
             engine.run_tolerant(&defs, scale, &policy, &|_| {})
@@ -1528,8 +1479,7 @@ mod tests {
         let policy = RunPolicy::with_attempts(1, &faults);
         let defs = defs_named(&["fig2_penalty_per_benchmark", "ex_isa_contributors"]).unwrap();
         let run = |metrics: bool| {
-            let (store, _) =
-                DiskStore::open(&dir, bmp_core::StoreConfig::default()).expect("store opens");
+            let (store, _) = DiskStore::open(&dir).expect("store opens");
             let engine = Engine::new(1);
             let ctx = engine.ctx();
             ctx.set_store(Arc::new(store));

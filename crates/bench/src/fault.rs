@@ -1,34 +1,28 @@
-//! Deterministic fault injection for the experiment harness.
+//! Deterministic panic injection for the experiment engine.
 //!
-//! The fault-tolerance machinery (per-cell panic isolation, retries, the
-//! crash-safe journal, `--resume`) is only trustworthy if it is
-//! exercised, so the harness can be told to fail on purpose. A
-//! [`FaultPlan`] is parsed from the `BMP_FAULT` environment variable (or
-//! `run_all --inject <spec>`) and threaded explicitly to the few
-//! places that consult it — there is no global state, so tests can
-//! construct plans directly and run in parallel.
+//! Per-cell panic isolation and retry determinism are only trustworthy
+//! if they are exercised, so a run can be told to panic on purpose. A
+//! [`FaultPlan`] is threaded explicitly through
+//! [`RunPolicy`](crate::engine::RunPolicy) — there is no global state,
+//! so tests construct plans directly and run in parallel. `run_all`
+//! always runs with [`FaultPlan::none`].
 //!
 //! # Spec grammar
 //!
 //! A spec is one or more rules joined by `;`:
 //!
 //! ```text
-//! rule  := kind ':' target [':' 'times=' N]
-//! kind  := 'panic' | 'io' | 'budget' | 'torn-write' | 'corrupt'
-//! target:= 'exp=' NAME | 'cell=' LABEL | 'index=' N | 'file=' NAME | 'store'
+//! rule  := 'panic' ':' target [':' 'times=' N]
+//! target:= 'exp=' NAME | 'cell=' LABEL
 //! ```
 //!
 //! Examples:
 //!
 //! * `panic:exp=fig8_ilp` — every attempt of experiment `fig8_ilp`
-//!   panics (so it ultimately fails and lands in the journal);
+//!   panics (so it ultimately fails);
 //! * `panic:cell=gcc/sim-baseline:times=1` — the first computation of
 //!   that fan-out cell panics; the cell error is soft, and the owning
-//!   experiments recompute the artifact (proving retry determinism);
-//! * `io:file=fig9_l1d_misses` — writing `fig9_l1d_misses.csv` fails;
-//! * `budget:exp=table2_benchmarks` — the experiment runs a sacrificial
-//!   simulation with a tiny cycle budget, so a *real*
-//!   `SimError::BudgetExceeded` travels the failure path.
+//!   experiments recompute the artifact (proving retry determinism).
 //!
 //! A `cell=` target names a fan-out cell by the label derived from its
 //! typed fields ([`crate::grid::Cell::label`]):
@@ -46,150 +40,33 @@
 //! Cells with equal content are fanned out once, under the label of the
 //! first experiment (in registry order) that declares them.
 //!
-//! The `torn-write` and `corrupt` kinds target the persistent artifact
-//! store (`BMP_STORE`, see `docs/STORE.md`): `torn-write` leaves a
-//! truncated record at the final path (a crash mid-write), `corrupt`
-//! flips one payload bit after checksumming (silent media corruption).
-//! Both are detected — never served — by the store's verification, so
-//! they exercise the quarantine-and-recompute path end to end:
-//!
-//! * `torn-write:store:times=1` — the first store write this process
-//!   performs is torn;
-//! * `corrupt:index=3:times=1` — the store's 4th write (its write
-//!   sequence number is the site index) is bit-flipped;
-//! * `torn-write:store` — every store write is torn (the store
-//!   degrades to a pure recompute cache, results stay correct).
-//!
-//! Every injected fault is deterministic: rules match by name/index and
-//! fire a bounded number of times (`times=N`; default: every time), so
-//! a fault schedule plus a seed fully determines the run.
+//! Rules match by name and fire a bounded number of times (`times=N`;
+//! default: every time), so a plan plus a seed fully determines the run.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// What kind of failure to inject.
+/// The unit of work a rule selects, or a query asks about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic inside the targeted unit of work.
-    Panic,
-    /// Fail the write of the targeted output file.
-    Io,
-    /// Trip the cycle-budget watchdog in the targeted experiment.
-    Budget,
-    /// Leave a truncated record visible at the final path of a store
-    /// write — the on-disk state a crash mid-write produces.
-    TornWrite,
-    /// Flip one payload bit of a store write after checksumming —
-    /// silent corruption the next read must catch.
-    Corrupt,
-}
-
-impl FaultKind {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "panic" => Some(FaultKind::Panic),
-            "io" => Some(FaultKind::Io),
-            "budget" => Some(FaultKind::Budget),
-            "torn-write" => Some(FaultKind::TornWrite),
-            "corrupt" => Some(FaultKind::Corrupt),
-            _ => None,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Io => "io",
-            FaultKind::Budget => "budget",
-            FaultKind::TornWrite => "torn-write",
-            FaultKind::Corrupt => "corrupt",
-        }
-    }
-}
-
-/// What unit of work a rule selects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FaultTarget {
+pub(crate) enum FaultSite<'a> {
     /// An experiment by registry name.
-    Exp(String),
-    /// A shared cell by label.
-    Cell(String),
-    /// A job by flat index (cells and experiments both count).
-    Index(usize),
-    /// An output file by table id (filename stem).
-    File(String),
-    /// Any write of the persistent artifact store.
-    Store,
+    Exp(&'a str),
+    /// A shared fan-out cell by label.
+    Cell(&'a str),
 }
 
 /// One parsed rule with its firing budget.
 #[derive(Debug)]
 struct FaultRule {
-    kind: FaultKind,
-    target: FaultTarget,
+    /// `true` for an `exp=` rule, `false` for a `cell=` rule.
+    exp: bool,
+    /// The experiment name or cell label the rule matches.
+    name: String,
     /// Maximum number of times this rule fires (`u32::MAX` = unlimited).
     times: u32,
     fired: AtomicU32,
 }
 
-/// Identifies the unit of work asking "should I fail?".
-///
-/// Construct with the helpers and chain the optional dimensions:
-/// `FaultSite::exp("fig8_ilp")`, `FaultSite::cell("gcc/sim-baseline").index(3)`,
-/// `FaultSite::file("fig9_l1d_misses")`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultSite<'a> {
-    exp: Option<&'a str>,
-    cell: Option<&'a str>,
-    index: Option<usize>,
-    file: Option<&'a str>,
-    store: bool,
-}
-
-impl<'a> FaultSite<'a> {
-    /// A site identified by experiment name.
-    pub fn exp(name: &'a str) -> Self {
-        Self {
-            exp: Some(name),
-            ..Self::default()
-        }
-    }
-
-    /// A site identified by cell label.
-    pub fn cell(label: &'a str) -> Self {
-        Self {
-            cell: Some(label),
-            ..Self::default()
-        }
-    }
-
-    /// A site identified by output file stem (table id).
-    pub fn file(stem: &'a str) -> Self {
-        Self {
-            file: Some(stem),
-            ..Self::default()
-        }
-    }
-
-    /// Adds a flat job index to the site.
-    pub fn index(mut self, index: usize) -> Self {
-        self.index = Some(index);
-        self
-    }
-
-    /// A persistent-store write site; `seq` is the store's write
-    /// sequence number, so `index=N` rules can pick an arbitrary write
-    /// point (the crash-recovery proptest's lever).
-    pub fn store(seq: usize) -> Self {
-        Self {
-            store: true,
-            index: Some(seq),
-            ..Self::default()
-        }
-    }
-}
-
-/// A parsed, counting fault schedule. An empty (default) plan never
+/// A parsed, counting panic schedule. An empty (default) plan never
 /// fires and costs one slice iteration per query.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -202,11 +79,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether the plan contains any rules at all.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Parses a spec string (see the module docs for the grammar).
     ///
     /// # Errors
@@ -214,54 +86,28 @@ impl FaultPlan {
     /// Returns a description of the first malformed rule.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut rules = Vec::new();
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let mut parts = raw.split(':');
-            let kind = parts
-                .next()
-                .and_then(FaultKind::parse)
-                .ok_or_else(|| format!("bad fault kind in {raw:?} (panic|io|budget)"))?;
-            let target_raw = parts
-                .next()
-                .ok_or_else(|| format!("missing target in {raw:?}"))?;
-            // The cell label itself may contain ':', so everything up to
-            // a trailing `times=N` segment belongs to the target.
-            let mut target_parts = vec![target_raw];
-            let mut times = u32::MAX;
-            for extra in parts {
-                if let Some(n) = extra.strip_prefix("times=") {
-                    times = n
-                        .parse()
-                        .map_err(|_| format!("bad times={n:?} in {raw:?}"))?;
-                } else {
-                    target_parts.push(extra);
-                }
-            }
-            let target_full = target_parts.join(":");
-            let target = if let Some(name) = target_full.strip_prefix("exp=") {
-                FaultTarget::Exp(name.to_string())
-            } else if let Some(label) = target_full.strip_prefix("cell=") {
-                FaultTarget::Cell(label.to_string())
-            } else if let Some(n) = target_full.strip_prefix("index=") {
-                FaultTarget::Index(
+        for raw in spec.split(';').map(str::trim).filter(|r| !r.is_empty()) {
+            let rest = raw
+                .strip_prefix("panic:")
+                .ok_or_else(|| format!("bad fault rule {raw:?} (panic:exp=|panic:cell=)"))?;
+            let (target, times) = match rest.rsplit_once(":times=") {
+                Some((target, n)) => (
+                    target,
                     n.parse()
-                        .map_err(|_| format!("bad index={n:?} in {raw:?}"))?,
-                )
-            } else if let Some(stem) = target_full.strip_prefix("file=") {
-                FaultTarget::File(stem.to_string())
-            } else if target_full == "store" {
-                FaultTarget::Store
+                        .map_err(|_| format!("bad times={n:?} in {raw:?}"))?,
+                ),
+                None => (rest, u32::MAX),
+            };
+            let (exp, name) = if let Some(name) = target.strip_prefix("exp=") {
+                (true, name)
+            } else if let Some(label) = target.strip_prefix("cell=") {
+                (false, label)
             } else {
-                return Err(format!(
-                    "bad target {target_full:?} in {raw:?} (exp=|cell=|index=|file=|store)"
-                ));
+                return Err(format!("bad target {target:?} in {raw:?} (exp=|cell=)"));
             };
             rules.push(FaultRule {
-                kind,
-                target,
+                exp,
+                name: name.to_string(),
                 times,
                 fired: AtomicU32::new(0),
             });
@@ -269,96 +115,25 @@ impl FaultPlan {
         Ok(Self { rules })
     }
 
-    /// Reads `BMP_FAULT` from the environment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors so a typo in the spec aborts the run
-    /// loudly instead of silently injecting nothing.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("BMP_FAULT") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Ok(Self::none()),
-        }
-    }
-
-    /// Returns `true` when a rule of `kind` matches `site` and still has
-    /// firing budget left. Each `true` consumes one firing.
-    pub fn fires(&self, kind: FaultKind, site: FaultSite<'_>) -> bool {
-        for rule in &self.rules {
-            if rule.kind != kind {
-                continue;
-            }
-            let matched = match &rule.target {
-                FaultTarget::Exp(n) => site.exp == Some(n.as_str()),
-                FaultTarget::Cell(l) => site.cell == Some(l.as_str()),
-                FaultTarget::Index(i) => site.index == Some(*i),
-                FaultTarget::File(f) => site.file == Some(f.as_str()),
-                FaultTarget::Store => site.store,
-            };
-            if !matched {
-                continue;
-            }
+    /// Returns `true` when a rule matches `site` and still has firing
+    /// budget left. Each `true` consumes one firing.
+    pub(crate) fn fires(&self, site: FaultSite<'_>) -> bool {
+        let (exp, name) = match site {
+            FaultSite::Exp(n) => (true, n),
+            FaultSite::Cell(l) => (false, l),
+        };
+        self.rules
+            .iter()
+            .filter(|r| r.exp == exp && r.name == name)
             // Claim a firing slot atomically so concurrent cells never
             // over-fire a bounded rule.
-            if rule
-                .fired
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < rule.times).then_some(n + 1)
-                })
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The injected I/O error used for `io:` faults.
-    pub fn io_error(context: &str) -> std::io::Error {
-        std::io::Error::other(format!("injected io fault at {context}"))
-    }
-
-    /// Builds the persistent store's write-fault hook from a shared
-    /// plan: `torn-write`/`corrupt` rules matching a store site (the
-    /// write sequence number is the site index) become the store's
-    /// injected faults. The hook owns its `Arc`, so it can outlive the
-    /// caller; firing budgets are shared with every other query of the
-    /// same plan.
-    pub fn store_hook(plan: std::sync::Arc<FaultPlan>) -> bmp_core::store::WriteFaultHook {
-        use bmp_core::store::InjectedWriteFault;
-        Box::new(move |_key, seq| {
-            let site = FaultSite::store(seq as usize);
-            if plan.fires(FaultKind::TornWrite, site) {
-                InjectedWriteFault::Torn
-            } else if plan.fires(FaultKind::Corrupt, site) {
-                InjectedWriteFault::BitFlip
-            } else {
-                InjectedWriteFault::None
-            }
-        })
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > 0 {
-                f.write_str("; ")?;
-            }
-            let target = match &r.target {
-                FaultTarget::Exp(n) => format!("exp={n}"),
-                FaultTarget::Cell(l) => format!("cell={l}"),
-                FaultTarget::Index(i) => format!("index={i}"),
-                FaultTarget::File(s) => format!("file={s}"),
-                FaultTarget::Store => "store".to_string(),
-            };
-            write!(f, "{}:{}", r.kind.as_str(), target)?;
-            if r.times != u32::MAX {
-                write!(f, ":times={}", r.times)?;
-            }
-        }
-        Ok(())
+            .any(|r| {
+                r.fired
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                        (n < r.times).then_some(n + 1)
+                    })
+                    .is_ok()
+            })
     }
 }
 
@@ -368,82 +143,52 @@ mod tests {
 
     #[test]
     fn parses_the_grammar() {
-        let plan = FaultPlan::parse(
-            "panic:exp=fig8_ilp; io:file=fig9_cpi:times=2;budget:cell=sim:gcc:base:times=1",
-        )
-        .unwrap();
-        assert_eq!(plan.rules.len(), 3);
-        assert_eq!(
-            plan.to_string(),
-            "panic:exp=fig8_ilp; io:file=fig9_cpi:times=2; budget:cell=sim:gcc:base:times=1"
-        );
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        let plan =
+            FaultPlan::parse("panic:exp=fig8_ilp; panic:cell=gzip/sim-baseline:times=2").unwrap();
+        assert_eq!(plan.rules.len(), 2);
+        assert_eq!(plan.rules[1].times, 2);
+        assert!(FaultPlan::parse("").unwrap().rules.is_empty());
         assert!(FaultPlan::parse("explode:exp=x").is_err());
         assert!(FaultPlan::parse("panic:everything").is_err());
-        assert!(FaultPlan::parse("panic:index=many").is_err());
+        assert!(FaultPlan::parse("panic:exp=x:times=many").is_err());
+        // The retired kinds and targets are errors, not silent no-ops.
+        for retired in [
+            "io:file=fig9_cpi",
+            "budget:exp=x",
+            "torn-write:store",
+            "corrupt:index=3",
+            "panic:index=7",
+        ] {
+            assert!(FaultPlan::parse(retired).is_err(), "{retired}");
+        }
     }
 
     #[test]
     fn firing_respects_times_and_targets() {
-        let plan = FaultPlan::parse("panic:exp=a:times=1; panic:index=7").unwrap();
-        assert!(plan.fires(FaultKind::Panic, FaultSite::exp("a")));
+        let plan = FaultPlan::parse("panic:exp=a:times=1; panic:cell=c").unwrap();
+        assert!(plan.fires(FaultSite::Exp("a")));
+        assert!(!plan.fires(FaultSite::Exp("a")), "times=1 fires once");
+        assert!(!plan.fires(FaultSite::Exp("b")));
+        assert!(!plan.fires(FaultSite::Cell("a")), "exp rules skip cells");
+        assert!(!plan.fires(FaultSite::Exp("c")), "cell rules skip exps");
+        assert!(plan.fires(FaultSite::Cell("c")));
         assert!(
-            !plan.fires(FaultKind::Panic, FaultSite::exp("a")),
-            "times=1 fires once"
-        );
-        assert!(!plan.fires(FaultKind::Panic, FaultSite::exp("b")));
-        assert!(!plan.fires(FaultKind::Io, FaultSite::exp("a")));
-        assert!(plan.fires(FaultKind::Panic, FaultSite::cell("x").index(7)));
-        assert!(
-            plan.fires(FaultKind::Panic, FaultSite::cell("y").index(7)),
+            plan.fires(FaultSite::Cell("c")),
             "unbounded rules keep firing"
         );
     }
 
     #[test]
     fn cell_labels_with_colons_match() {
-        let plan = FaultPlan::parse("panic:cell=sim:gcc:base").unwrap();
-        assert!(plan.fires(FaultKind::Panic, FaultSite::cell("sim:gcc:base")));
-        assert!(!plan.fires(FaultKind::Panic, FaultSite::cell("sim:gcc")));
+        let plan = FaultPlan::parse("panic:cell=sim:gcc:base:times=1").unwrap();
+        assert!(!plan.fires(FaultSite::Cell("sim:gcc")));
+        assert!(plan.fires(FaultSite::Cell("sim:gcc:base")));
     }
 
     #[test]
     fn empty_plan_never_fires() {
         let plan = FaultPlan::none();
-        assert!(!plan.fires(FaultKind::Panic, FaultSite::exp("a").index(0)));
-    }
-
-    #[test]
-    fn store_rules_parse_and_fire() {
-        let plan = FaultPlan::parse("torn-write:store:times=1; corrupt:index=3:times=1").unwrap();
-        assert_eq!(
-            plan.to_string(),
-            "torn-write:store:times=1; corrupt:index=3:times=1"
-        );
-        assert!(plan.fires(FaultKind::TornWrite, FaultSite::store(0)));
-        assert!(
-            !plan.fires(FaultKind::TornWrite, FaultSite::store(1)),
-            "times=1 fires once"
-        );
-        assert!(!plan.fires(FaultKind::Corrupt, FaultSite::store(2)));
-        assert!(
-            plan.fires(FaultKind::Corrupt, FaultSite::store(3)),
-            "index rules pick the store's Nth write"
-        );
-        // Store rules never leak onto non-store sites of the same index.
-        let plan = FaultPlan::parse("torn-write:store").unwrap();
-        assert!(!plan.fires(FaultKind::TornWrite, FaultSite::cell("sim:gcc").index(0)));
-    }
-
-    #[test]
-    fn store_hook_maps_rules_to_injected_faults() {
-        use bmp_core::store::InjectedWriteFault;
-        let plan = std::sync::Arc::new(
-            FaultPlan::parse("torn-write:index=0:times=1; corrupt:index=1:times=1").unwrap(),
-        );
-        let hook = FaultPlan::store_hook(plan);
-        assert_eq!(hook(99, 0), InjectedWriteFault::Torn);
-        assert_eq!(hook(99, 1), InjectedWriteFault::BitFlip);
-        assert_eq!(hook(99, 2), InjectedWriteFault::None);
+        assert!(!plan.fires(FaultSite::Exp("a")));
+        assert!(!plan.fires(FaultSite::Cell("a")));
     }
 }

@@ -46,7 +46,7 @@ pub mod table;
 
 pub use engine::{Ctx, Engine, EngineChoice, PhaseReport};
 pub use error::{CellError, CellErrorKind};
-pub use fault::{FaultKind, FaultPlan, FaultSite};
+pub use fault::FaultPlan;
 pub use metrics::{collect_experiment, metrics_enabled, MetricsRecorder};
 pub use scale::Scale;
 pub use table::Table;
@@ -78,24 +78,6 @@ pub fn save_under(dir: &std::path::Path, table: &Table) -> std::io::Result<std::
     Ok(path)
 }
 
-/// [`save_under`] with a fault-injection hook: an `io:file=<table id>`
-/// rule in `faults` fails the write with an injected error before any
-/// byte reaches disk.
-///
-/// # Errors
-///
-/// The injected error, or any real I/O error from [`save_under`].
-pub fn save_under_with(
-    dir: &std::path::Path,
-    table: &Table,
-    faults: &fault::FaultPlan,
-) -> std::io::Result<std::path::PathBuf> {
-    if faults.fires(fault::FaultKind::Io, fault::FaultSite::file(&table.id)) {
-        return Err(fault::FaultPlan::io_error(&table.id));
-    }
-    save_under(dir, table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +95,21 @@ mod tests {
         let r = save_under(&blocker, &t);
         std::fs::remove_dir_all(&tmp).ok();
         assert!(r.is_err(), "writing into a file-as-dir must fail");
+    }
+
+    /// A directory at the CSV's path fails the save with an error (the
+    /// write-failure drill in `tests/fault_tolerance.rs` relies on it).
+    #[test]
+    fn save_under_reports_a_directory_at_the_csv_path() {
+        let mut t = Table::new("t_blocked", "T", &["a"]);
+        t.push_row(vec!["1".into()]);
+        let tmp = std::env::temp_dir().join("bmp_bench_blocked_test");
+        std::fs::create_dir_all(tmp.join("t_blocked.csv")).unwrap();
+        let r = save_under(&tmp, &t);
+        let still_a_dir = tmp.join("t_blocked.csv").is_dir();
+        std::fs::remove_dir_all(&tmp).ok();
+        assert!(r.is_err(), "a directory at the CSV path must fail the save");
+        assert!(still_a_dir, "the failed save leaves the directory alone");
     }
 
     #[test]
@@ -155,23 +152,5 @@ mod tests {
         assert!(write_atomic(&bad, b"x").is_err());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "precious");
         std::fs::remove_dir_all(&tmp).ok();
-    }
-
-    #[test]
-    fn save_under_with_injects_io_faults() {
-        let mut t = Table::new("t_fault", "T", &["a"]);
-        t.push_row(vec!["1".into()]);
-        let tmp = std::env::temp_dir().join("bmp_bench_save_fault_test");
-        let plan = fault::FaultPlan::parse("io:file=t_fault:times=1").unwrap();
-        let first = save_under_with(&tmp, &t, &plan);
-        assert!(first.is_err(), "the injected fault fails the first write");
-        assert!(
-            !tmp.join("t_fault.csv").exists(),
-            "the fault fires before any byte reaches disk"
-        );
-        let second = save_under_with(&tmp, &t, &plan).unwrap();
-        let body = std::fs::read_to_string(second).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
-        assert_eq!(body, t.to_csv(), "a retry after the fault succeeds");
     }
 }

@@ -1,9 +1,14 @@
-//! The robustness contract end to end: under *any* injected fault
+//! The robustness contract end to end: under *any* injected panic
 //! schedule, the experiments that survive produce CSVs byte-identical to
 //! a clean run (property test over random schedules), the `run_all`
-//! binary's journal / exit-code / `--resume` flow recovers a faulted run
-//! into exactly the clean run's results directory, `--only` rewrites just
-//! its selection, and the journal decoder it reads never panics.
+//! binary's journal / exit-code / `--resume` flow recovers a run whose
+//! CSV write failed into exactly the clean run's results directory,
+//! `--only` rewrites just its selection, and the journal decoder it reads
+//! never panics.
+//!
+//! `run_all` itself cannot be made to panic, so its exit-1 path (an
+//! experiment failed) is checked in process, through
+//! [`Engine::run_tolerant`]'s failure outcomes.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -47,32 +52,28 @@ fn clean_csvs(threads: usize) -> HashMap<&'static str, String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For every random schedule of panic/budget faults over the subset,
-    /// the surviving experiments' CSVs are byte-identical to a clean
-    /// run's, and exactly the experiments whose fault outlasts the retry
-    /// budget fail.
+    /// For every random schedule of panics over the subset, the
+    /// surviving experiments' CSVs are byte-identical to a clean run's,
+    /// and exactly the experiments whose panics outlast the retry budget
+    /// fail.
     #[test]
     fn surviving_csvs_match_a_clean_run_under_any_fault_schedule(
         threads in prop::sample::select(vec![1usize, 4]),
         faults in prop::collection::vec(
-            (
-                prop::sample::select(SUBSET.to_vec()),
-                prop::sample::select(vec!["panic", "budget"]),
-                1u32..=3,
-            ),
+            (prop::sample::select(SUBSET.to_vec()), 1u32..=3),
             0..=3,
         ),
     ) {
         let attempts = 2u32;
         // One rule per experiment; a later tuple for the same name
         // is dropped so the expected-failure predicate stays simple.
-        let mut by_name: HashMap<&str, (&str, u32)> = HashMap::new();
-        for (name, kind, times) in &faults {
-            by_name.entry(name).or_insert((kind, *times));
+        let mut by_name: HashMap<&str, u32> = HashMap::new();
+        for (name, times) in &faults {
+            by_name.entry(name).or_insert(*times);
         }
         let spec = by_name
             .iter()
-            .map(|(name, (kind, times))| format!("{kind}:exp={name}:times={times}"))
+            .map(|(name, times)| format!("panic:exp={name}:times={times}"))
             .collect::<Vec<_>>()
             .join(";");
         let plan = if spec.is_empty() {
@@ -82,7 +83,7 @@ proptest! {
         };
         let expected_failed: HashSet<&str> = by_name
             .iter()
-            .filter(|(_, (_, times))| *times >= attempts)
+            .filter(|(_, times)| **times >= attempts)
             .map(|(name, _)| *name)
             .collect();
 
@@ -120,45 +121,46 @@ proptest! {
 }
 
 /// The `run_all` binary in `dir` at `ops` per workload and seed 42, with
-/// no inherited fault, store or metrics settings.
+/// no inherited store or metrics settings.
 fn run_all_cmd(dir: &Path, ops: u32) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.current_dir(dir)
         .env("BMP_OPS", ops.to_string())
         .env("BMP_SEED", "42")
         .env("BMP_THREADS", "2")
-        .env("BMP_ATTEMPTS", "2")
-        .env_remove("BMP_FAULT")
         .env_remove("BMP_STORE")
         .env_remove("BMP_METRICS");
     cmd
 }
 
-/// Runs the `run_all` binary in `dir` at 500 ops with the given extra
-/// args/env and returns its exit code.
-fn run_all_in(dir: &Path, args: &[&str], fault_env: Option<&str>) -> i32 {
-    let mut cmd = run_all_cmd(dir, 500);
-    cmd.args(args);
-    if let Some(spec) = fault_env {
-        cmd.env("BMP_FAULT", spec);
-    }
-    let out = cmd.output().expect("run_all spawns");
-    out.status.code().expect("run_all exits normally")
+/// Runs the `run_all` binary in `dir` at 500 ops with `args` and returns
+/// its exit code and stdout.
+fn run_all_in(dir: &Path, args: &[&str]) -> (i32, String) {
+    let out = run_all_cmd(dir, 500).args(args).output();
+    let out = out.expect("run_all spawns");
+    let code = out.status.code().expect("run_all exits normally");
+    (code, String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// All regular files under `dir/results` whose name ends in `suffix`,
+/// as name → bytes.
+fn files_under(dir: &Path, suffix: &str) -> HashMap<String, Vec<u8>> {
+    std::fs::read_dir(dir.join("results"))
+        .expect("results dir exists")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().is_file() && e.file_name().to_string_lossy().ends_with(suffix))
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).expect("file readable"),
+            )
+        })
+        .collect()
 }
 
 /// All `*.csv` files under `dir/results`, as name → bytes.
 fn csvs_under(dir: &Path) -> HashMap<String, Vec<u8>> {
-    std::fs::read_dir(dir.join("results"))
-        .expect("results dir exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".csv"))
-        .map(|e| {
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                std::fs::read(e.path()).expect("csv readable"),
-            )
-        })
-        .collect()
+    files_under(dir, ".csv")
 }
 
 fn journal_in(dir: &Path) -> RunJournal {
@@ -174,47 +176,108 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The acceptance flow: a run where one experiment panics exits non-zero
-/// with the failure journaled while every sibling completes; removing
-/// the fault and re-running with `--resume` skips the completed work and
-/// recovers a results directory byte-identical to a clean run's.
+/// The experiment whose CSV write the drills below make fail.
+const BLOCKED: &str = "fig2_penalty_per_benchmark";
+
+/// Runs `run_all` in a fresh directory `name` with a directory sitting at
+/// `BLOCKED`'s CSV path, so that one write fails for real, and returns
+/// the directory, the blocking path, the exit code and the journal text.
+fn blocked_write_run(name: &str) -> (std::path::PathBuf, std::path::PathBuf, i32, String) {
+    let dir = fresh_dir(name);
+    let blocker = dir.join("results").join(format!("{BLOCKED}.csv"));
+    std::fs::create_dir_all(&blocker).expect("blocking directory");
+    let (code, _) = run_all_in(&dir, &[]);
+    let text =
+        std::fs::read_to_string(dir.join("results/run_journal.json")).expect("journal exists");
+    (dir, blocker, code, text)
+}
+
+/// Write failures are the *other* failure domain: the experiment itself
+/// succeeds, so the run exits 2 (not 1), every sibling completes, and
+/// the journal — still a valid journal — marks the record failed. Once
+/// the path is clear, `--resume` re-runs only that experiment.
+#[test]
+fn an_injected_write_failure_exits_2_and_resumes() {
+    let (dir, blocker, code, text) = blocked_write_run("iofault");
+    assert_eq!(
+        code,
+        i32::from(bmp_bench::EXIT_WRITE_FAILED),
+        "a write failure with no experiment failure exits 2"
+    );
+    let journal = RunJournal::parse(&text).expect("journal parses");
+    let rec = journal.find(BLOCKED).expect("write failure is journaled");
+    assert_eq!(rec.status, RunStatus::Failed);
+    assert!(rec
+        .error
+        .as_deref()
+        .is_some_and(|e| e.contains("write failed")));
+    assert_eq!(journal.failed_count(), 1, "only the blocked write failed");
+    let findings = bmp_analyze::lint_journal_text(&text);
+    assert!(
+        findings
+            .iter()
+            .all(|d| d.severity != bmp_analyze::Severity::Error),
+        "a journal with a failed record is still valid: {findings:?}"
+    );
+    assert!(blocker.is_dir(), "the failed write left the path alone");
+    let completed = journal
+        .experiments
+        .iter()
+        .filter(|r| r.status == RunStatus::Completed)
+        .count();
+    assert_eq!(
+        completed,
+        journal.experiments.len() - 1,
+        "siblings completed"
+    );
+
+    std::fs::remove_dir(&blocker).expect("clear the path");
+    let (code, stdout) = run_all_in(&dir, &["--resume"]);
+    assert_eq!(code, 0, "resume heals the write");
+    assert_eq!(
+        stdout.matches("[skipped ").count(),
+        completed,
+        "only the failed experiment re-ran:\n{stdout}"
+    );
+    assert!(blocker.is_file(), "the CSV is written on resume");
+    assert_eq!(journal_in(&dir).failed_count(), 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The acceptance flow: after a run whose `BLOCKED` CSV write failed,
+/// clearing the path and running `--resume` leaves a results directory
+/// byte-identical to a clean run's, journal included.
 #[test]
 fn a_faulted_run_resumes_into_the_clean_results() {
     let clean = fresh_dir("clean");
-    assert_eq!(run_all_in(&clean, &[], None), 0, "clean run exits 0");
-    let clean_journal = journal_in(&clean);
-    assert_eq!(clean_journal.failed_count(), 0);
-    let clean_files = csvs_under(&clean);
-    assert!(!clean_files.is_empty());
+    assert_eq!(run_all_in(&clean, &[]).0, 0, "clean run exits 0");
+    assert_eq!(journal_in(&clean).failed_count(), 0);
+    let clean_files = files_under(&clean, "");
+    assert!(clean_files.len() > 2);
 
-    // Fault the run through the environment (the CLI flag takes the same
-    // path): fig8_ilp panics on every attempt and ultimately fails.
-    let faulted = fresh_dir("faulted");
+    let (faulted, blocker, code, _) = blocked_write_run("faulted");
+    assert_eq!(code, i32::from(bmp_bench::EXIT_WRITE_FAILED));
     assert_eq!(
-        run_all_in(&faulted, &[], Some("panic:exp=fig8_ilp")),
-        i32::from(bmp_bench::EXIT_EXPERIMENT_FAILED),
-        "a failed experiment makes the run exit 1"
+        csvs_under(&faulted).len(),
+        csvs_under(&clean).len() - 1,
+        "siblings completed"
     );
-    let journal = journal_in(&faulted);
-    let rec = journal.find("fig8_ilp").expect("failure is journaled");
-    assert_eq!(rec.status, RunStatus::Failed);
-    assert_eq!(rec.attempts, 2, "both attempts were consumed");
-    assert!(rec.error.as_deref().is_some_and(|e| e.contains("injected")));
-    assert!(
-        !faulted.join("results/fig8_ilp.csv").exists(),
-        "a failed experiment writes no CSV"
-    );
-    let survivors = csvs_under(&faulted);
-    assert_eq!(survivors.len(), clean_files.len() - 1, "siblings completed");
 
-    // Remove the fault and resume: only fig8_ilp re-runs, and the
-    // recovered directory matches the clean one byte for byte.
-    assert_eq!(run_all_in(&faulted, &["--resume"], None), 0);
-    let resumed = journal_in(&faulted);
-    assert_eq!(resumed.failed_count(), 0);
-    assert_eq!(resumed.experiments.len(), clean_journal.experiments.len());
-    let recovered = csvs_under(&faulted);
-    assert_eq!(recovered.len(), clean_files.len());
+    std::fs::remove_dir(&blocker).expect("clear the path");
+    assert_eq!(run_all_in(&faulted, &["--resume"]).0, 0);
+    let mut recovered = files_under(&faulted, "");
+    let mut clean_files = clean_files;
+    for timings in [&mut recovered, &mut clean_files] {
+        timings
+            .remove("bench_timings.json")
+            .expect("the timing report was written");
+    }
+    assert_eq!(
+        recovered.keys().collect::<std::collections::BTreeSet<_>>(),
+        clean_files.keys().collect(),
+        "the same files as the clean run"
+    );
     for (name, bytes) in &clean_files {
         assert_eq!(
             recovered.get(name),
@@ -227,51 +290,23 @@ fn a_faulted_run_resumes_into_the_clean_results() {
     let _ = std::fs::remove_dir_all(&faulted);
 }
 
-/// Write failures are the *other* failure domain: the experiment itself
-/// succeeds, the run exits 2 (not 1), the journal marks the record
-/// failed so `--resume` re-runs it once the disk heals.
+/// An unknown flag — including the retired `--inject` — is a usage
+/// error: exit 2 with the usage on stderr, before any work runs, so a
+/// script passing it fails loudly instead of running without it.
 #[test]
-fn an_injected_write_failure_exits_2_and_resumes() {
-    let dir = fresh_dir("iofault");
-    assert_eq!(
-        run_all_in(
-            &dir,
-            &["--inject", "io:file=fig2_penalty_per_benchmark"],
-            None
-        ),
-        i32::from(bmp_bench::EXIT_WRITE_FAILED),
-        "a write failure with no experiment failure exits 2"
-    );
-    let rec = journal_in(&dir)
-        .find("fig2_penalty_per_benchmark")
-        .cloned()
-        .expect("write failure is journaled");
-    assert_eq!(rec.status, RunStatus::Failed);
-    assert!(rec
-        .error
-        .as_deref()
-        .is_some_and(|e| e.contains("write failed")));
-    assert!(!dir.join("results/fig2_penalty_per_benchmark.csv").exists());
-
-    assert_eq!(
-        run_all_in(&dir, &["--resume"], None),
-        0,
-        "resume heals the write"
-    );
-    assert!(dir.join("results/fig2_penalty_per_benchmark.csv").exists());
-    assert_eq!(journal_in(&dir).failed_count(), 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A malformed fault spec is a usage error: exit 2 before any work runs.
-#[test]
-fn a_bad_fault_spec_is_a_usage_error() {
-    let dir = fresh_dir("badspec");
-    assert_eq!(
-        run_all_in(&dir, &["--inject", "frobnicate:exp=x"], None),
-        i32::from(bmp_bench::EXIT_WRITE_FAILED)
-    );
+fn an_unknown_flag_is_a_usage_error() {
+    let dir = fresh_dir("unknown_flag");
+    for args in [&["--inject", "x"][..], &["--frobnicate"]] {
+        let out = run_all_cmd(&dir, 500).args(args).output();
+        let out = out.expect("run_all spawns");
+        assert_eq!(
+            out.status.code(),
+            Some(i32::from(bmp_bench::EXIT_WRITE_FAILED)),
+            "{args:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: run_all"), "{args:?}: {stderr}");
+    }
     assert!(!dir.join("results").exists(), "no work ran");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,10 @@
 //! End-to-end crash-safety of the persistent artifact store
-//! (`BMP_STORE`): a run interrupted mid-write — simulated with the
-//! `torn-write` fault at arbitrary write points — or silently corrupted
-//! on disk must, on restart against the same store, quarantine the
-//! damage, recompute, and reproduce byte-identical CSVs. The store may
-//! lose work; it must never serve bad bytes or change a result.
+//! (`BMP_STORE`): a record torn by a crash mid-write — simulated by
+//! truncating a stored record at several cut points — or silently
+//! corrupted on disk must, on restart against the same store, be
+//! quarantined and recomputed, reproducing byte-identical CSVs. The
+//! store may lose work; it must never serve bad bytes or change a
+//! result.
 //!
 //! Also covers the `--resume` hardening: a journal record whose CSV was
 //! corrupted (not just deleted) after the fact triggers a recompute
@@ -16,19 +17,14 @@ use std::process::Command;
 use bmp_core::json::{self, ObjectExt};
 
 /// Runs the `run_all` binary in `dir` at the shared tiny scale.
-fn run_all_in(dir: &Path, args: &[&str], fault: Option<&str>, store: Option<&Path>) -> i32 {
+fn run_all_in(dir: &Path, args: &[&str], store: Option<&Path>) -> i32 {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.current_dir(dir)
         .args(args)
         .env("BMP_OPS", "500")
         .env("BMP_SEED", "42")
         .env("BMP_THREADS", "2")
-        .env("BMP_ATTEMPTS", "2")
-        .env_remove("BMP_FAULT")
         .env_remove("BMP_STORE");
-    if let Some(spec) = fault {
-        cmd.env("BMP_FAULT", spec);
-    }
     if let Some(store) = store {
         cmd.env("BMP_STORE", store);
     }
@@ -84,45 +80,49 @@ fn record_files(store: &Path) -> Vec<std::path::PathBuf> {
     out
 }
 
-/// The acceptance flow: tear a store write at several different write
-/// points (a crash mid-write leaves exactly this on-disk state), then
-/// restart against the same store. The faulted run itself is already
-/// byte-identical to a clean run — a store fault may cost recompute,
-/// never correctness — and the restart's recovery scan quarantines the
-/// torn record instead of serving it.
+/// The acceptance flow: a crash mid-write leaves a record cut short at
+/// its final path. Cut a stored record at three points — inside the
+/// header, right after it, and inside the payload — restarting against
+/// the same store after each cut: the recovery scan quarantines the
+/// torn record instead of serving it, and the restart reproduces the
+/// clean run's CSVs byte for byte.
 #[test]
 fn torn_writes_at_arbitrary_points_recover_on_restart() {
     let clean = fresh_dir("torn_clean");
-    assert_eq!(run_all_in(&clean, &[], None, None), 0, "clean run exits 0");
+    assert_eq!(run_all_in(&clean, &[], None), 0, "clean run exits 0");
     let baseline = csvs_under(&clean);
     assert!(!baseline.is_empty());
 
-    for write_point in [0usize, 5] {
-        let dir = fresh_dir(&format!("torn_{write_point}"));
-        let store = dir.join("store");
-        let spec = format!("torn-write:index={write_point}:times=1");
-        assert_eq!(
-            run_all_in(&dir, &[], Some(&spec), Some(&store)),
-            0,
-            "a torn store write must not fail the run (write point {write_point})"
-        );
-        assert_eq!(
-            csvs_under(&dir),
-            baseline,
-            "CSVs byte-identical despite the torn write at point {write_point}"
-        );
+    let dir = fresh_dir("torn");
+    let store = dir.join("store");
+    assert_eq!(run_all_in(&dir, &[], Some(&store)), 0);
+    assert_eq!(csvs_under(&dir), baseline, "a store never changes a CSV");
+    let records = record_files(&store);
+    assert!(records.len() >= 3, "the run persisted records");
 
-        // Restart: wipe the results and recompute from the same store.
+    let header = bmp_core::store::RECORD_HEADER_LEN;
+    for (round, victim) in records.iter().take(3).enumerate() {
+        let bytes = std::fs::read(victim).expect("record readable");
+        let cut = [8, header, (header + bytes.len()) / 2][round];
+        assert!(cut < bytes.len(), "the cut at {cut} shortens the record");
+        std::fs::write(victim, &bytes[..cut]).expect("record rewritable");
+
         std::fs::remove_dir_all(dir.join("results")).expect("wipe results");
-        assert_eq!(run_all_in(&dir, &[], None, Some(&store)), 0);
+        assert_eq!(run_all_in(&dir, &[], Some(&store)), 0);
         assert_eq!(
             csvs_under(&dir),
             baseline,
-            "restart against the damaged store reproduces the bytes (point {write_point})"
+            "restart against the torn store reproduces the bytes (cut at {cut})"
         );
-        assert!(
-            quarantined(&store) >= 1,
-            "the torn record was quarantined, not silently dropped (point {write_point})"
+        assert_eq!(
+            quarantined(&store),
+            round + 1,
+            "the record torn at {cut} was quarantined, not served"
+        );
+        assert_eq!(
+            std::fs::read(victim).ok(),
+            Some(bytes),
+            "the recompute re-persisted the record whole (cut at {cut})"
         );
     }
 }
@@ -134,7 +134,7 @@ fn torn_writes_at_arbitrary_points_recover_on_restart() {
 fn bit_flipped_records_are_quarantined_never_served() {
     let dir = fresh_dir("bitflip");
     let store = dir.join("store");
-    assert_eq!(run_all_in(&dir, &[], None, Some(&store)), 0);
+    assert_eq!(run_all_in(&dir, &[], Some(&store)), 0);
     let baseline = csvs_under(&dir);
     let records = record_files(&store);
     assert!(!records.is_empty(), "the run persisted records");
@@ -147,7 +147,7 @@ fn bit_flipped_records_are_quarantined_never_served() {
     std::fs::write(victim, &bytes).expect("record rewritable");
 
     std::fs::remove_dir_all(dir.join("results")).expect("wipe results");
-    assert_eq!(run_all_in(&dir, &[], None, Some(&store)), 0);
+    assert_eq!(run_all_in(&dir, &[], Some(&store)), 0);
     assert_eq!(
         csvs_under(&dir),
         baseline,
@@ -176,38 +176,12 @@ fn bit_flipped_records_are_quarantined_never_served() {
     );
 }
 
-/// The in-process `corrupt` fault (bit flip after checksumming) writes
-/// records that *look* atomic but fail verification: the same run stays
-/// byte-identical, and a warm restart quarantines them.
-#[test]
-fn injected_corruption_faults_keep_results_identical() {
-    let clean = fresh_dir("corrupt_clean");
-    assert_eq!(run_all_in(&clean, &[], None, None), 0);
-    let baseline = csvs_under(&clean);
-
-    let dir = fresh_dir("corrupt_store");
-    let store = dir.join("store");
-    assert_eq!(
-        run_all_in(&dir, &[], Some("corrupt:store:times=2"), Some(&store)),
-        0
-    );
-    assert_eq!(csvs_under(&dir), baseline);
-
-    std::fs::remove_dir_all(dir.join("results")).expect("wipe results");
-    assert_eq!(run_all_in(&dir, &[], None, Some(&store)), 0);
-    assert_eq!(csvs_under(&dir), baseline);
-    assert!(
-        quarantined(&store) >= 2,
-        "both corrupted writes quarantined"
-    );
-}
-
 /// `--resume` validates journal records against CSV *content*, not mere
 /// existence: a corrupted (but present) CSV is recomputed.
 #[test]
 fn resume_recomputes_a_corrupted_csv() {
     let dir = fresh_dir("resume_hash");
-    assert_eq!(run_all_in(&dir, &[], None, None), 0);
+    assert_eq!(run_all_in(&dir, &[], None), 0);
     let baseline = csvs_under(&dir);
 
     // Corrupt one CSV in place — same file, same mtime semantics a
@@ -216,7 +190,7 @@ fn resume_recomputes_a_corrupted_csv() {
     let victim = dir.join("results/fig8_ilp.csv");
     std::fs::write(&victim, b"id,garbage\n1,2\n").expect("csv writable");
 
-    assert_eq!(run_all_in(&dir, &["--resume"], None, None), 0);
+    assert_eq!(run_all_in(&dir, &["--resume"], None), 0);
     assert_eq!(
         csvs_under(&dir),
         baseline,

@@ -9,23 +9,21 @@
 //! four call, so the checks can never drift apart.
 //!
 //! Every predicate returns `true` when the identity holds. They operate
-//! on plain integers (or the [`PenaltyBreakdown`]/[`ModelMetrics`]
-//! aggregates), so they apply equally to a single misprediction, to
-//! per-workload totals from `results/metrics/*.json`, and to values
-//! recomputed statically.
+//! on plain integers (or a [`PenaltyBreakdown`]), so they apply equally
+//! to a single misprediction, to per-workload totals from
+//! `results/metrics/*.json`, and to values recomputed statically.
 //!
 //! # Examples
 //!
 //! ```
 //! use bmp_core::identities;
 //!
-//! // penalty = resolution + frontend refill, per misprediction...
-//! assert!(identities::penalty_identity(12, 5, 17));
+//! // The knock-out terms sum to the local resolution...
+//! assert!(identities::knockout_sums_to_local(2, 3, 4, 5, 14));
 //! // ...and refill = intervals × depth, in aggregate.
 //! assert!(identities::refill_identity(3, 5, 15));
 //! ```
 
-use crate::metrics::ModelMetrics;
 use crate::penalty::PenaltyBreakdown;
 
 /// Identity 1 — the knock-out waterfall is exact:
@@ -57,12 +55,6 @@ pub fn refill_identity(intervals: u64, frontend_depth: u32, refill: u64) -> bool
     intervals * u64::from(frontend_depth) == refill
 }
 
-/// Identity 4 — the paper's penalty definition:
-/// `penalty == resolution + frontend depth`.
-pub fn penalty_identity(resolution: u64, frontend_depth: u32, penalty: u64) -> bool {
-    resolution + u64::from(frontend_depth) == penalty
-}
-
 /// Checks identities 1 and 2 on one per-misprediction breakdown.
 pub fn breakdown_consistent(b: &PenaltyBreakdown) -> bool {
     knockout_sums_to_local(
@@ -74,50 +66,9 @@ pub fn breakdown_consistent(b: &PenaltyBreakdown) -> bool {
     ) && carryover_reconciles(b.local_resolution, b.carryover, b.resolution)
 }
 
-/// Checks every identity that [`ModelMetrics`] must satisfy given the
-/// machine's frontend depth, returning a human-readable message per
-/// violated identity (empty means consistent).
-///
-/// All `ModelMetrics` fields are exact integer totals, so the checks are
-/// exact equalities — no tolerance is involved.
-pub fn model_metrics_violations(m: &ModelMetrics, frontend_depth: u32) -> Vec<String> {
-    let mut v = Vec::new();
-    if !knockout_sums_to_local(
-        m.base,
-        m.ilp,
-        m.fu_latency,
-        m.short_dmiss,
-        m.local_resolution,
-    ) {
-        v.push(format!(
-            "knock-out terms {} + {} + {} + {} = {} != local resolution {}",
-            m.base,
-            m.ilp,
-            m.fu_latency,
-            m.short_dmiss,
-            m.base + m.ilp + m.fu_latency + m.short_dmiss,
-            m.local_resolution
-        ));
-    }
-    if !carryover_reconciles(m.local_resolution, m.carryover, m.resolution) {
-        v.push(format!(
-            "local resolution {} + carryover {} != effective resolution {}",
-            m.local_resolution, m.carryover, m.resolution
-        ));
-    }
-    if !refill_identity(m.intervals, frontend_depth, m.refill) {
-        v.push(format!(
-            "refill {} != intervals {} x frontend depth {frontend_depth}",
-            m.refill, m.intervals
-        ));
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ModelMetrics;
     use crate::PenaltyModel;
     use bmp_uarch::presets;
     use bmp_workloads::spec;
@@ -131,8 +82,6 @@ mod tests {
         assert!(!carryover_reconciles(10, 3, 12));
         assert!(refill_identity(4, 5, 20));
         assert!(!refill_identity(4, 5, 21));
-        assert!(penalty_identity(12, 5, 17));
-        assert!(!penalty_identity(12, 5, 16));
     }
 
     /// The per-breakdown check fails when either identity it covers
@@ -169,33 +118,5 @@ mod tests {
         for b in &analysis.breakdowns {
             assert!(breakdown_consistent(b), "breakdown {}", b.branch_idx);
         }
-    }
-
-    #[test]
-    fn model_metrics_violations_reported() {
-        let mut m = ModelMetrics {
-            intervals: 2,
-            resolution: 20,
-            local_resolution: 18,
-            base: 4,
-            ilp: 6,
-            fu_latency: 5,
-            short_dmiss: 3,
-            carryover: 2,
-            refill: 10,
-            cpi_stack: crate::cpi::CpiStack {
-                instructions: 0,
-                base_cycles: 0.0,
-                branch_cycles: 0.0,
-                icache_cycles: 0.0,
-                long_dmiss_cycles: 0.0,
-            },
-        };
-        assert!(model_metrics_violations(&m, 5).is_empty());
-        m.refill = 11;
-        m.carryover = 3;
-        m.base = 5;
-        let v = model_metrics_violations(&m, 5);
-        assert_eq!(v.len(), 3);
     }
 }

@@ -11,9 +11,8 @@ use std::path::Path;
 
 /// Writes `bytes` to `path` crash-safely: the data goes to a temporary
 /// file in the same directory, is fsynced, and is atomically renamed
-/// over `path`. A crash (or an injected fault) at any point leaves
-/// either the old complete file or the new complete file — never a torn
-/// one.
+/// over `path`. A crash at any point leaves either the old complete file
+/// or the new complete file — never a torn one.
 ///
 /// # Errors
 ///

@@ -4,9 +4,8 @@
 //! `results/run_journal.json` as it works: one [`ExperimentRecord`] per
 //! experiment with its completion status, content fingerprint, attempt
 //! count and — for failures — the error that stopped it. The journal is
-//! rewritten atomically after every experiment finishes, so a crash (or
-//! an injected fault) leaves a consistent manifest of exactly what was
-//! produced. `bmp-bench --resume` reads it back and skips experiments
+//! rewritten atomically after every experiment finishes, so a crash
+//! leaves a consistent manifest of exactly what was produced. `bmp-bench --resume` reads it back and skips experiments
 //! whose record says *completed*, whose fingerprint matches the current
 //! configuration, and whose CSV is still on disk.
 //!

@@ -76,4 +76,4 @@ pub use intervals::{segment, Interval, IntervalEvent, IntervalEventKind, Interva
 pub use io::write_atomic;
 pub use metrics::{ExperimentMetrics, ModelMetrics, WorkloadMetrics};
 pub use penalty::{PenaltyAnalysis, PenaltyBreakdown, PenaltyModel};
-pub use store::{DiskStore, RecoveryReport, StoreConfig, StoreError};
+pub use store::{DiskStore, RecoveryReport, StoreError};

@@ -52,14 +52,12 @@
 //! alive) and holds it until the store is dropped. Records themselves
 //! are immutable once renamed into place, so sharing between
 //! *sequential* runs is always safe; the lock protects the mutating
-//! operations (recovery, eviction) from racing a concurrent owner.
+//! operations (recovery, quarantine) from racing a concurrent owner.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::SystemTime;
 
 use crate::io::write_atomic;
 
@@ -236,25 +234,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Deterministic write-fault selector consulted once per
-/// [`DiskStore::put`] — the hook the bench crate's `BMP_FAULT`
-/// `torn-write`/`corrupt` rules plug into (see `bmp_bench::fault`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedWriteFault {
-    /// Write normally.
-    None,
-    /// Simulate a crash mid-write: leave a truncated record visible at
-    /// the final path (bypassing the atomic-rename discipline, which is
-    /// exactly what a lying disk or a power cut produces).
-    Torn,
-    /// Flip one payload bit after checksumming, then write atomically —
-    /// a silent media corruption the next read must catch.
-    BitFlip,
-}
-
-/// The hook signature: `(key, write sequence number) -> fault`.
-pub type WriteFaultHook = Box<dyn Fn(u64, u64) -> InjectedWriteFault + Send + Sync>;
-
 /// Counters for one store's lifetime (monotonic, relaxed).
 #[derive(Debug, Default)]
 pub struct StoreStats {
@@ -262,7 +241,6 @@ pub struct StoreStats {
     hits: AtomicU64,
     puts: AtomicU64,
     quarantined: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl StoreStats {
@@ -276,7 +254,7 @@ impl StoreStats {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Records written (including injected-fault writes).
+    /// Records written.
     pub fn puts(&self) -> u64 {
         self.puts.load(Ordering::Relaxed)
     }
@@ -285,11 +263,6 @@ impl StoreStats {
     /// failed read).
     pub fn quarantined(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Records evicted by the size bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
     }
 }
 
@@ -308,23 +281,12 @@ pub struct RecoveryReport {
     pub live_bytes: u64,
 }
 
-/// Size bound and ownership options for [`DiskStore::open`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreConfig {
-    /// Evict least-recently-used records once the live tree exceeds
-    /// this many bytes (`None` = unbounded).
-    pub max_bytes: Option<u64>,
-}
-
 /// The crash-safe persistent artifact store. See the module docs for
 /// layout, record format and the integrity contract.
 pub struct DiskStore {
     root: PathBuf,
-    config: StoreConfig,
     stats: StoreStats,
     live_bytes: AtomicU64,
-    write_seq: AtomicU64,
-    fault_hook: Mutex<Option<WriteFaultHook>>,
     /// Whether this instance owns `LOCK` (and must remove it on drop).
     owns_lock: bool,
 }
@@ -333,7 +295,6 @@ impl fmt::Debug for DiskStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DiskStore")
             .field("root", &self.root)
-            .field("config", &self.config)
             .field("live_bytes", &self.live_bytes)
             .finish()
     }
@@ -350,21 +311,15 @@ impl DiskStore {
     /// [`StoreError::Locked`] when another *live* process holds the
     /// lock (a lock whose recorded pid is dead is broken and taken
     /// over); [`StoreError::Io`] for filesystem failures.
-    pub fn open(
-        root: impl Into<PathBuf>,
-        config: StoreConfig,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
+    pub fn open(root: impl Into<PathBuf>) -> Result<(Self, RecoveryReport), StoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         std::fs::create_dir_all(root.join(QUARANTINE_DIR))?;
         acquire_lock(&root)?;
         let store = Self {
             root,
-            config,
             stats: StoreStats::default(),
             live_bytes: AtomicU64::new(0),
-            write_seq: AtomicU64::new(0),
-            fault_hook: Mutex::new(None),
             owns_lock: true,
         };
         let report = store.recover()?;
@@ -387,12 +342,6 @@ impl DiskStore {
         self.live_bytes.load(Ordering::Relaxed)
     }
 
-    /// Installs the deterministic write-fault hook (replacing any
-    /// previous one). Test/fault-injection plumbing only.
-    pub fn set_fault_hook(&self, hook: WriteFaultHook) {
-        *self.fault_hook.lock().expect("fault hook poisoned") = Some(hook);
-    }
-
     /// Absolute path of `key`'s record.
     pub fn record_path(&self, key: u64) -> PathBuf {
         self.root.join(record_rel_path(key))
@@ -400,22 +349,15 @@ impl DiskStore {
 
     /// Returns the verified payload for `key`, or `None` on a miss.
     /// A record failing verification is quarantined (never served) and
-    /// reported as a miss. A hit refreshes the record's modification
-    /// time so size-bounded eviction approximates LRU.
+    /// reported as a miss.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let path = self.record_path(key);
         let bytes = std::fs::read(&path).ok()?;
         match decode_record(key, &bytes) {
             Ok(payload) => {
-                let payload = payload.to_vec();
-                // Best-effort LRU touch; failure only degrades eviction
-                // ordering, never correctness.
-                if let Ok(f) = std::fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(payload.to_vec())
             }
             Err(defect) => {
                 self.quarantine(key, &path, defect);
@@ -424,76 +366,32 @@ impl DiskStore {
         }
     }
 
-    /// Persists `payload` under `key`, atomically, then applies the
-    /// size bound (evicting least-recently-used records first). Writing
-    /// an existing key replaces its record.
-    ///
-    /// When a fault hook is installed it may turn this write into a
-    /// deliberately torn or bit-flipped record — simulating a crash or
-    /// media corruption that the next read/recovery must catch.
+    /// Persists `payload` under `key`, atomically. Writing an existing
+    /// key replaces its record.
     ///
     /// # Errors
     ///
     /// The underlying I/O error; the store is usable afterwards (a
     /// failed put simply leaves the key absent or with its old record).
     pub fn put(&self, key: u64, payload: &[u8]) -> Result<(), StoreError> {
-        let seq = self.write_seq.fetch_add(1, Ordering::Relaxed);
-        let fault = self
-            .fault_hook
-            .lock()
-            .expect("fault hook poisoned")
-            .as_ref()
-            .map_or(InjectedWriteFault::None, |h| h(key, seq));
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
         let path = self.record_path(key);
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let old_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let mut record = encode_record(key, payload);
-        match fault {
-            InjectedWriteFault::None => {}
-            InjectedWriteFault::Torn => {
-                // A torn write leaves a visible partial record: write it
-                // straight to the final path, no temp, no rename — the
-                // on-disk state a power cut mid-write produces.
-                record.truncate(RECORD_HEADER_LEN + payload.len() / 2);
-                std::fs::write(&path, &record)?;
-                return Ok(());
-            }
-            InjectedWriteFault::BitFlip => {
-                // Flip one payload bit *after* the checksum was
-                // computed: silent corruption, caught only by
-                // verification on the next read.
-                let last = record.len() - 1;
-                record[last] ^= 0x01;
-            }
-        }
+        let record = encode_record(key, payload);
         write_atomic(&path, &record)?;
-        let new_bytes = record.len() as u64;
-        self.live_bytes
-            .fetch_add(new_bytes.saturating_sub(old_bytes), Ordering::Relaxed);
-        if let Some(max) = self.config.max_bytes {
-            if self.live_bytes() > max {
-                self.evict_to(max, key)?;
-            }
-        }
+        self.live_bytes.fetch_add(
+            (record.len() as u64).saturating_sub(old_bytes),
+            Ordering::Relaxed,
+        );
         Ok(())
     }
 
     /// Whether a (possibly unverified) record file exists for `key`.
     pub fn contains(&self, key: u64) -> bool {
         self.record_path(key).is_file()
-    }
-
-    /// Number of record files currently in the live tree.
-    pub fn len(&self) -> usize {
-        self.walk_records().map_or(0, |v| v.len())
-    }
-
-    /// Whether the live tree holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of files in `quarantine/`.
@@ -535,7 +433,7 @@ impl DiskStore {
                     continue;
                 }
                 let Some(key) = key_from_file_name(&name) else {
-                    continue; // foreign file; the lint flags it
+                    continue; // foreign file: never served, left alone
                 };
                 report.scanned += 1;
                 let verdict = std::fs::read(&path)
@@ -592,47 +490,6 @@ impl DiskStore {
         Ok(dirs)
     }
 
-    /// All live record files as `(path, bytes, mtime)`.
-    fn walk_records(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
-        let mut out = Vec::new();
-        for shard in self.shard_dirs()? {
-            for entry in std::fs::read_dir(&shard)?.filter_map(|e| e.ok()) {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if key_from_file_name(&name).is_none() {
-                    continue;
-                }
-                if let Ok(meta) = entry.metadata() {
-                    let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                    out.push((entry.path(), meta.len(), mtime));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Evicts oldest-mtime records until the live tree is at or under
-    /// `max` bytes, never evicting `keep` (the record just written).
-    fn evict_to(&self, max: u64, keep: u64) -> Result<(), StoreError> {
-        let keep_path = self.record_path(keep);
-        let mut records = self.walk_records()?;
-        records.sort_by_key(|(_, _, mtime)| *mtime);
-        let mut total: u64 = records.iter().map(|(_, b, _)| b).sum();
-        for (path, bytes, _) in records {
-            if total <= max {
-                break;
-            }
-            if path == keep_path {
-                continue;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total -= bytes;
-                self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.live_bytes.store(total, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Moves a corrupt record into `quarantine/`, tagging the filename
     /// with the defect class; falls back to deletion when the rename
     /// fails. Either way the record is no longer servable.
@@ -668,16 +525,15 @@ impl Drop for DiskStore {
     }
 }
 
-/// Information about a store's lock file, for the read-only scan.
+/// Information about a store's lock file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockInfo {
+struct LockInfo {
     /// The owner line as written (`pid <n>`).
-    pub owner: String,
-    /// The recorded pid, when parsable.
-    pub pid: Option<u32>,
-    /// Whether that pid is demonstrably alive (only determinable where
-    /// `/proc` exists; `false` means *dead or unknowable*).
-    pub alive: bool,
+    owner: String,
+    /// Whether the recorded pid is demonstrably alive (only
+    /// determinable where `/proc` exists; `false` means *dead,
+    /// unparsable or unknowable*).
+    alive: bool,
 }
 
 /// Takes the `LOCK` file at `root`, breaking a stale (dead-owner) lock.
@@ -716,11 +572,11 @@ fn acquire_lock(root: &Path) -> Result<(), StoreError> {
 }
 
 /// Reads and interprets a lock file; `None` when it vanished.
-pub fn read_lock(lock: &Path) -> Option<LockInfo> {
+fn read_lock(lock: &Path) -> Option<LockInfo> {
     let owner = std::fs::read_to_string(lock).ok()?.trim().to_string();
     let pid: Option<u32> = owner.strip_prefix("pid ").and_then(|s| s.parse().ok());
     let alive = pid.is_some_and(pid_alive);
-    Some(LockInfo { owner, pid, alive })
+    Some(LockInfo { owner, alive })
 }
 
 /// Whether `pid` is a live process. Uses `/proc` where it exists; on
@@ -808,7 +664,7 @@ mod tests {
     fn put_get_survives_reopen() {
         let dir = fresh("roundtrip");
         {
-            let (store, report) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+            let (store, report) = DiskStore::open(&dir).unwrap();
             assert_eq!(report, RecoveryReport::default());
             store.put(7, b"payload-7").unwrap();
             store.put(u64::MAX, b"payload-max").unwrap();
@@ -817,7 +673,7 @@ mod tests {
             assert_eq!(store.get(8), None);
         }
         // Reopen: the lock was released, recovery finds 2 valid records.
-        let (store, report) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (store, report) = DiskStore::open(&dir).unwrap();
         assert_eq!(report.scanned, 2);
         assert_eq!(report.valid, 2);
         assert_eq!(report.quarantined, 0);
@@ -828,7 +684,7 @@ mod tests {
     #[test]
     fn corrupt_records_are_quarantined_never_served() {
         let dir = fresh("corrupt");
-        let (store, _) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (store, _) = DiskStore::open(&dir).unwrap();
         store.put(42, b"the truth").unwrap();
         // Flip a payload bit on disk behind the store's back.
         let path = store.record_path(42);
@@ -845,25 +701,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A record truncated mid-payload (what a crash mid-write leaves
+    /// at the final path) and one with a payload bit flipped after
+    /// checksumming are both quarantined by the next open.
     #[test]
     fn recovery_quarantines_torn_and_flipped_writes() {
         let dir = fresh("recovery");
         {
-            let (store, _) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-            let fired = std::sync::atomic::AtomicU64::new(0);
-            store.set_fault_hook(Box::new(move |_key, seq| {
-                fired.fetch_add(1, Ordering::Relaxed);
-                match seq {
-                    0 => InjectedWriteFault::Torn,
-                    1 => InjectedWriteFault::BitFlip,
-                    _ => InjectedWriteFault::None,
-                }
-            }));
+            let (store, _) = DiskStore::open(&dir).unwrap();
             store.put(1, b"torn away").unwrap();
             store.put(2, b"flipped bit").unwrap();
             store.put(3, b"clean").unwrap();
+            let torn = store.record_path(1);
+            let bytes = std::fs::read(&torn).unwrap();
+            std::fs::write(&torn, &bytes[..RECORD_HEADER_LEN + 4]).unwrap();
+            let flipped = store.record_path(2);
+            let mut bytes = std::fs::read(&flipped).unwrap();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x01;
+            std::fs::write(&flipped, &bytes).unwrap();
         }
-        let (store, report) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (store, report) = DiskStore::open(&dir).unwrap();
         assert_eq!(report.scanned, 3);
         assert_eq!(report.valid, 1);
         assert_eq!(report.quarantined, 2);
@@ -875,33 +733,11 @@ mod tests {
     }
 
     #[test]
-    fn size_bound_evicts_lru() {
-        let dir = fresh("evict");
-        let (store, _) = DiskStore::open(
-            &dir,
-            StoreConfig {
-                // Three ~(32+8)-byte records fit; the fourth evicts.
-                max_bytes: Some(3 * (RECORD_HEADER_LEN as u64 + 8)),
-            },
-        )
-        .unwrap();
-        store.put(1, b"aaaaaaaa").unwrap();
-        store.put(2, b"bbbbbbbb").unwrap();
-        store.put(3, b"cccccccc").unwrap();
-        assert_eq!(store.len(), 3);
-        store.put(4, b"dddddddd").unwrap();
-        assert_eq!(store.len(), 3, "the bound evicted one record");
-        assert!(store.contains(4), "the fresh write is never the victim");
-        assert_eq!(store.stats().evicted(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn live_owner_locks_dead_owner_is_broken() {
         let dir = fresh("lock");
-        let (_store, _) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (_store, _) = DiskStore::open(&dir).unwrap();
         // Same-process second open: the recorded pid is alive → Locked.
-        match DiskStore::open(&dir, StoreConfig::default()) {
+        match DiskStore::open(&dir) {
             Err(StoreError::Locked { owner }) => {
                 assert!(owner.contains(&std::process::id().to_string()));
             }
@@ -911,7 +747,7 @@ mod tests {
         // Dropping released the lock; a stale lock with a dead pid is
         // broken automatically.
         std::fs::write(dir.join(LOCK_FILE), "pid 999999999\n").unwrap();
-        let (store, _) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (store, _) = DiskStore::open(&dir).unwrap();
         drop(store);
         assert!(!dir.join(LOCK_FILE).exists(), "drop removes the lock");
         std::fs::remove_dir_all(&dir).ok();
@@ -920,7 +756,7 @@ mod tests {
     #[test]
     fn quarantine_key_retires_undecodable_payloads() {
         let dir = fresh("retire");
-        let (store, _) = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let (store, _) = DiskStore::open(&dir).unwrap();
         store.put(9, b"checksum fine, meaning wrong").unwrap();
         store.quarantine_key(9);
         assert!(!store.contains(9));
