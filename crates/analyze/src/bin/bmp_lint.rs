@@ -17,13 +17,13 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use bmp_analyze::staticpass::{self, DocBounds, StaticBounds};
-use bmp_analyze::{analyze, lint_sim_result, walk_inputs, AnalysisReport, Severity};
+use bmp_analyze::{analyze, lint_sim_result, walk_inputs, AnalysisReport, Diagnostic, Severity};
 use bmp_core::json::Value;
 use bmp_core::json_object;
 use bmp_core::metrics::{ExperimentMetrics, ModelMetrics, WorkloadMetrics};
 use bmp_sim::Simulator;
 use bmp_uarch::{presets, MachineConfig};
-use bmp_workloads::spec;
+use bmp_workloads::{spec, WorkloadProfile};
 
 const USAGE: &str = "\
 bmp-lint: static model-consistency linter (BMP rule codes)
@@ -184,6 +184,27 @@ fn scoped(target: &str, mut report: AnalysisReport) -> AnalysisReport {
         d.locus = format!("{target}: {}", d.locus);
     }
     report
+}
+
+/// Pass 2 for one workload profile: `BMP100` when the profile fails its
+/// own `validate()`, otherwise trace well-formedness and model- and
+/// simulator-side conservation on `simulator`'s machine.
+fn lint_profile(profile: &WorkloadProfile, ops: usize, simulator: &Simulator) -> AnalysisReport {
+    let target = format!("profile {}", profile.name);
+    if let Err(e) = profile.validate() {
+        let d = Diagnostic::error(
+            "BMP100",
+            "profile",
+            format!("profile does not validate: {e}"),
+        );
+        return scoped(&target, AnalysisReport::new(vec![d]));
+    }
+    let reference = simulator.config();
+    let trace = profile.generate(ops, 1);
+    let mut report = analyze(reference, Some(&trace));
+    let result = simulator.run(&trace);
+    report.merge(AnalysisReport::new(lint_sim_result(&result, reference)));
+    scoped(&target, report)
 }
 
 /// Writes a line to stdout, swallowing broken-pipe errors so
@@ -554,30 +575,10 @@ fn main() -> ExitCode {
             && !opts.kernels)
             || opts.profile.is_some())
     {
-        let reference = presets::baseline_4wide();
-        let simulator = Simulator::new(reference.clone());
+        let simulator = Simulator::new(presets::baseline_4wide());
         for profile in &profiles {
             targets += 1;
-            let target = format!("profile {}", profile.name);
-            if let Err(e) = profile.validate() {
-                report.merge(scoped(
-                    &target,
-                    AnalysisReport::new(vec![bmp_analyze::Diagnostic::error(
-                        "BMP100",
-                        "profile",
-                        format!("profile does not validate: {e}"),
-                    )]),
-                ));
-                continue;
-            }
-            let trace = profile.generate(opts.ops, 1);
-            report.merge(scoped(&target, analyze(&reference, Some(&trace))));
-
-            let result = simulator.run(&trace);
-            report.merge(scoped(
-                &target,
-                AnalysisReport::new(lint_sim_result(&result, &reference)),
-            ));
+            report.merge(lint_profile(profile, opts.ops, &simulator));
         }
     }
 
@@ -632,5 +633,24 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_invalid_profile_is_bmp100_and_not_generated() {
+        let profile = WorkloadProfile {
+            load_frac: 1.5,
+            ..WorkloadProfile::default()
+        };
+        let simulator = Simulator::new(presets::baseline_4wide());
+        let report = lint_profile(&profile, 100, &simulator);
+        assert_eq!(report.diagnostics.len(), 1, "{}", report.render_human());
+        let d = &report.diagnostics[0];
+        assert_eq!((d.code, d.severity), ("BMP100", Severity::Error));
+        assert_eq!(d.locus, "profile default: profile");
     }
 }

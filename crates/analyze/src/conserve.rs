@@ -81,9 +81,9 @@ pub fn lint_cpi_stack(stack: &CpiStack) -> Vec<Diagnostic> {
 /// `base + ilp + fu_latency + short_dmiss == local_resolution` and
 /// `local_resolution + carryover == resolution` — plus the structural
 /// facts downstream consumers lean on (strictly increasing branch
-/// indices, the precondition `ValidationReport::from_pairs` inherits via
-/// `BMP104`; a non-zero resolution floor; the analysis-wide frontend
-/// depth on every record).
+/// indices, the precondition of `ValidationReport::from_pairs`; a
+/// non-zero resolution floor; the analysis-wide frontend depth on every
+/// record).
 pub fn lint_penalty_analysis(analysis: &PenaltyAnalysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut findings = 0usize;
@@ -188,8 +188,8 @@ pub fn lint_penalty_analysis(analysis: &PenaltyAnalysis) -> Vec<Diagnostic> {
                         locus,
                         format!(
                             "branch index {} does not increase past {p}; \
-                             ValidationReport::from_pairs requires sorted \
-                             model records (see BMP104)",
+                             ValidationReport::from_pairs requires model \
+                             records strictly sorted by branch index",
                             b.branch_idx
                         ),
                     ),

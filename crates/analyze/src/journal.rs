@@ -215,12 +215,23 @@ mod tests {
                 csv_fnv: None,
             },
         ];
-        let codes: Vec<_> = lint_journal(&j).iter().map(|d| d.code).collect();
+        let diags = lint_journal(&j);
+        let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"BMP401"), "duplicate name: {codes:?}");
         assert!(codes.contains(&"BMP402"), "zero attempts: {codes:?}");
+        // Each BMP403 clause fires on its own record.
+        let bmp403 = |exp: &str, severity| {
+            diags
+                .iter()
+                .any(|d| d.code == "BMP403" && d.locus.contains(exp) && d.severity == severity)
+        };
         assert!(
-            codes.contains(&"BMP403"),
-            "status/error mismatch: {codes:?}"
+            bmp403("b_exp", crate::Severity::Error),
+            "failed without error: {diags:?}"
+        );
+        assert!(
+            bmp403("c_exp", crate::Severity::Warn),
+            "completed with error: {diags:?}"
         );
     }
 

@@ -13,24 +13,14 @@
 //!   (starved FU pools, windows smaller than the `c_fe · D` refill
 //!   drain, under-indexed predictors, fetch/commit narrower than
 //!   dispatch).
-//! * `BMP1xx` — trace well-formedness ([`tracelint`]): cyclic or
-//!   dangling dependences, control flow that contradicts recorded branch
-//!   outcomes, and unsorted measured-resolution records — the documented
-//!   precondition of `ValidationReport::from_pairs`.
+//! * `BMP1xx` — trace well-formedness ([`tracelint`]): dependences
+//!   that reach before the trace start, taken branches to addresses the
+//!   trace never fetches, and control flow that contradicts recorded
+//!   branch outcomes.
 //! * `BMP2xx` — result conservation ([`conserve`]): CPI stacks whose
 //!   components do not sum to the CPI, penalty breakdowns whose five
 //!   contributors do not sum to the resolution they explain, and
 //!   simulator results that leak dispatch slots or ROB samples.
-//! * `BMP30x` — compiled-trace structure ([`compiledlint`]): producer
-//!   indices in the structure-of-arrays form the event-driven simulator
-//!   consumes must be in bounds and strictly precede their consumers —
-//!   the invariants the wakeup scheduler trusts without checking.
-//! * `BMP31x` — superblock-map structure ([`superblocklint`]): the
-//!   precomputed fetch segmentation must match the trace it claims to
-//!   describe — `run_len` zero exactly on branches and counting down
-//!   inside runs, no run crossing an I-cache line, `is_line_start`
-//!   agreeing with the dynamic line compare — the invariants the batched
-//!   fetch stage trusts without checking.
 //! * `BMP4xx` — run-journal consistency ([`journal`]): the
 //!   `results/run_journal.json` manifest `run_all` maintains and
 //!   `--resume` trusts must parse, carry a supported version, and keep
@@ -68,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiledlint;
 pub mod conserve;
 pub mod diag;
 pub mod journal;
@@ -76,10 +65,8 @@ pub mod machine;
 pub mod metrics;
 pub mod provenance;
 pub mod staticpass;
-pub mod superblocklint;
 pub mod tracelint;
 
-pub use compiledlint::{lint_compiled, lint_producer_table};
 pub use conserve::{lint_cpi_stack, lint_penalty_analysis, lint_sim_result};
 pub use diag::{walk_inputs, AnalysisReport, Diagnostic, Severity, WalkedFile};
 pub use journal::{lint_journal, lint_journal_text};
@@ -87,8 +74,7 @@ pub use machine::{lint_fu_coverage, lint_machine};
 pub use metrics::{lint_metrics, lint_metrics_text};
 pub use provenance::lint_executed_trace;
 pub use staticpass::StaticBounds;
-pub use superblocklint::lint_superblock;
-pub use tracelint::{lint_dag_edges, lint_measured_pairs, lint_trace};
+pub use tracelint::lint_trace;
 
 use bmp_core::PenaltyModel;
 use bmp_trace::Trace;
@@ -110,10 +96,6 @@ pub fn analyze(cfg: &MachineConfig, trace: Option<&Trace>) -> AnalysisReport {
 
     if let Some(trace) = trace {
         report.merge(AnalysisReport::new(lint_trace(trace)));
-        let compiled = trace.compile();
-        report.merge(AnalysisReport::new(lint_compiled(&compiled)));
-        let sb = bmp_trace::SuperblockMap::build(&compiled, cfg.caches.l1i().line_bytes());
-        report.merge(AnalysisReport::new(lint_superblock(&compiled, &sb)));
 
         // The model constructors reject invalid configs by panicking;
         // BMP000 has already reported that case, so stop short of it.

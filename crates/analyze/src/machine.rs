@@ -243,6 +243,35 @@ mod tests {
     }
 
     #[test]
+    fn invalid_config_is_bridged_as_bmp000() {
+        // The builder rejects this; a foreign edit of the public fields
+        // does not.
+        let mut cfg = presets::baseline_4wide();
+        cfg.rob_size = cfg.window_size - 1;
+        let diags = lint_machine(&cfg);
+        let bmp000 = diags
+            .iter()
+            .find(|d| d.code == "BMP000")
+            .expect("BMP000 fires");
+        assert_eq!(bmp000.severity, crate::Severity::Error);
+    }
+
+    #[test]
+    fn issue_width_past_the_fu_pool_is_a_warning() {
+        // 5 units sustain a 4-wide dispatch but not an 8-wide issue.
+        let cfg = MachineConfigBuilder::new()
+            .width(4)
+            .issue_width(8)
+            .fus(FuPool::new([1, 1, 1, 1, 1]).unwrap())
+            .build()
+            .unwrap();
+        let diags = lint_machine(&cfg);
+        assert!(diags.iter().any(|d| d.code == "BMP001"
+            && d.severity == crate::Severity::Warn
+            && d.message.contains("issue width 8")));
+    }
+
+    #[test]
     fn small_window_cannot_cover_drain() {
         // 40-deep frontend at width 4 drains 160; window 64 clips it.
         let cfg = presets::deep_frontend(40).unwrap();
@@ -254,17 +283,43 @@ mod tests {
 
     #[test]
     fn underindexed_predictor_is_flagged() {
-        let cfg = MachineConfigBuilder::new()
-            .predictor(PredictorConfig::GShare {
-                entries: 4096,
-                history_bits: 8,
-            })
-            .build()
-            .unwrap();
-        let diags = lint_machine(&cfg);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == "BMP003" && d.message.contains("256 of")));
+        // Every history-indexed table: 8 history bits reach 256 entries.
+        for (predictor, what) in [
+            (
+                PredictorConfig::GShare {
+                    entries: 4096,
+                    history_bits: 8,
+                },
+                "gshare",
+            ),
+            (
+                PredictorConfig::Tournament {
+                    entries: 4096,
+                    history_bits: 8,
+                },
+                "tournament gshare component",
+            ),
+            (
+                PredictorConfig::Local {
+                    history_entries: 1024,
+                    history_bits: 8,
+                    pattern_entries: 4096,
+                },
+                "local pattern table",
+            ),
+        ] {
+            let cfg = MachineConfigBuilder::new()
+                .predictor(predictor)
+                .build()
+                .unwrap();
+            let diags = lint_machine(&cfg);
+            assert!(
+                diags.iter().any(|d| d.code == "BMP003"
+                    && d.message.starts_with(what)
+                    && d.message.contains("256 of")),
+                "{what}: {diags:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! A trace drives both the simulator and the interval model; these rules
 //! check the preconditions those consumers assume but (deliberately) do
-//! not enforce on their hot paths: an acyclic dependence DAG, dependences
-//! that stay inside the trace, control flow that actually follows the
-//! recorded branch outcomes, and monotone branch indices in measured
-//! resolution records — the documented precondition of
-//! `ValidationReport::from_pairs`.
+//! not enforce on their hot paths: dependences that stay inside the
+//! trace, taken branches whose targets the trace actually fetches, and
+//! control flow that follows the recorded branch outcomes. Acyclicity
+//! needs no rule: the distance encoding (always backward, 0 = none)
+//! cannot express a cycle.
 
 use std::collections::HashSet;
 
@@ -119,116 +119,6 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
     summarize_overflow(&mut out, "BMP105", discont);
     summarize_overflow(&mut out, "BMP103", orphan);
 
-    // BMP101 over the trace's own dependence edges. The distance encoding
-    // (always backward, 0 = none) makes an in-trace cycle unrepresentable,
-    // so this is a defensive pass over the generic checker — it costs
-    // O(n + e) and protects any future source of dependence edges.
-    let mut edges = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        for d in op.src_distances() {
-            let d = d as usize;
-            if d <= i {
-                edges.push((i - d, i));
-            }
-        }
-    }
-    out.extend(lint_dag_edges(ops.len(), &edges));
-
-    out
-}
-
-/// `BMP101`: checks that a dependence graph given as `producer → consumer`
-/// edges over `nodes` vertices is acyclic.
-///
-/// The in-trace encoding cannot express a cycle, so [`lint_trace`] uses
-/// this defensively; callers holding dependence information from other
-/// sources (imported DAGs, future trace formats) should run it directly.
-pub fn lint_dag_edges(nodes: usize, edges: &[(usize, usize)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-
-    let mut adj = vec![Vec::new(); nodes];
-    let mut indegree = vec![0usize; nodes];
-    for &(from, to) in edges {
-        if from >= nodes || to >= nodes {
-            out.push(Diagnostic::error(
-                "BMP101",
-                format!("dag.edge({from},{to})"),
-                format!("edge endpoint out of range for a {nodes}-node graph"),
-            ));
-            continue;
-        }
-        adj[from].push(to);
-        indegree[to] += 1;
-    }
-
-    // Kahn's algorithm: whatever cannot be peeled off lies on or behind
-    // a cycle.
-    let mut queue: Vec<usize> = (0..nodes).filter(|&n| indegree[n] == 0).collect();
-    let mut peeled = 0usize;
-    while let Some(n) = queue.pop() {
-        peeled += 1;
-        for &m in &adj[n] {
-            indegree[m] -= 1;
-            if indegree[m] == 0 {
-                queue.push(m);
-            }
-        }
-    }
-
-    if peeled < nodes {
-        let mut cycle: Vec<usize> = (0..nodes).filter(|&n| indegree[n] > 0).collect();
-        cycle.truncate(MAX_PER_CODE);
-        out.push(
-            Diagnostic::error(
-                "BMP101",
-                "dag",
-                format!(
-                    "dependence graph has a cycle; {} node(s) cannot be \
-                     topologically ordered (e.g. {cycle:?})",
-                    nodes - peeled
-                ),
-            )
-            .with_suggestion(
-                "a dependence must point strictly backward in program order; \
-                 re-derive the edges from a legal execution",
-            ),
-        );
-    }
-
-    out
-}
-
-/// `BMP104`: checks that measured `(branch_idx, resolution)` records are
-/// strictly increasing in branch index — the documented precondition of
-/// `ValidationReport::from_pairs`, whose merge-join silently miscounts on
-/// unsorted or duplicated input.
-pub fn lint_measured_pairs(pairs: &[(usize, u64)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut violations = 0usize;
-    for w in pairs.windows(2) {
-        let ((a, _), (b, _)) = (w[0], w[1]);
-        if b <= a {
-            let what = if b == a {
-                "duplicates"
-            } else {
-                "goes back past"
-            };
-            violations = push_capped(
-                &mut out,
-                violations,
-                Diagnostic::error(
-                    "BMP104",
-                    format!("pairs[{a}..{b}]"),
-                    format!(
-                        "branch index {b} {what} {a}; from_pairs requires strictly \
-                         increasing branch indices"
-                    ),
-                )
-                .with_suggestion("sort the records by branch index and deduplicate"),
-            );
-        }
-    }
-    summarize_overflow(&mut out, "BMP104", violations);
     out
 }
 
@@ -247,27 +137,6 @@ mod tests {
     #[test]
     fn straight_line_trace_is_clean() {
         assert!(lint_trace(&straight_line(64)).is_empty());
-    }
-
-    #[test]
-    fn cyclic_dag_is_an_error() {
-        // Deliberately broken: 0 → 1 → 2 → 0.
-        let diags = lint_dag_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "BMP101");
-        assert_eq!(diags[0].severity, crate::Severity::Error);
-        assert!(diags[0].message.contains("cycle"));
-    }
-
-    #[test]
-    fn acyclic_dag_is_clean() {
-        assert!(lint_dag_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).is_empty());
-    }
-
-    #[test]
-    fn out_of_range_edge_is_an_error() {
-        let diags = lint_dag_edges(2, &[(0, 5)]);
-        assert!(diags.iter().any(|d| d.message.contains("out of range")));
     }
 
     #[test]
@@ -302,20 +171,6 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == "BMP103"));
         // The same break also trips continuity.
         assert!(diags.iter().any(|d| d.code == "BMP105"));
-    }
-
-    #[test]
-    fn unsorted_pairs_are_an_error() {
-        let diags = lint_measured_pairs(&[(5, 10), (3, 8)]);
-        assert_eq!(diags[0].code, "BMP104");
-        assert_eq!(diags[0].severity, crate::Severity::Error);
-        assert!(lint_measured_pairs(&[(1, 4), (2, 4), (9, 4)]).is_empty());
-    }
-
-    #[test]
-    fn duplicate_pairs_are_an_error() {
-        let diags = lint_measured_pairs(&[(4, 1), (4, 2)]);
-        assert!(diags[0].message.contains("duplicates"));
     }
 
     #[test]

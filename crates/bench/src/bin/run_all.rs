@@ -60,8 +60,8 @@ use bmp_bench::engine::{
 };
 use bmp_bench::{metrics, save_under, write_atomic, FaultPlan};
 use bmp_core::journal::{ExperimentRecord, RunJournal, RunStatus};
-use bmp_core::store::fnv1a;
 use bmp_core::DiskStore;
+use bmp_uarch::fp::fnv1a;
 
 /// Attempts per experiment. Every cell is deterministic, so a retry
 /// recomputes the same bytes; the benchmark's `suite` pass mirrors it.

@@ -329,8 +329,10 @@ impl Ctx {
     ///
     /// # Panics
     ///
-    /// Panics with `simulation aborted: {e}` when the cycle-budget
-    /// watchdog fires.
+    /// Panics with the [`SimError`](bmp_sim::SimError) as payload when
+    /// the cycle-budget watchdog fires; the memo classifies it as a
+    /// [`CellErrorKind::Budget`](crate::error::CellErrorKind::Budget)
+    /// [`CellError`].
     pub fn sim(&self, sim: &Simulator, trace: &TraceHandle) -> Arc<SimResult> {
         let key = cache_key("sim", &[sim.fingerprint(), trace.key]);
         self.sims.get_or_compute(key, || {
@@ -350,7 +352,7 @@ impl Ctx {
                         PhaseNanos::time(&self.phases.sim, || sim.try_run_reference(&aos))
                     }
                 };
-                res.unwrap_or_else(|e| panic!("simulation aborted: {e}"))
+                res.unwrap_or_else(|e| std::panic::panic_any(e))
             })
         })
     }
@@ -1377,6 +1379,23 @@ mod tests {
                 "the panic carries the structured payload"
             );
         }
+    }
+
+    #[test]
+    fn a_tripped_cycle_budget_is_a_budget_error() {
+        let ctx = Ctx::new();
+        let trace = ctx.named_trace("gzip", Scale { ops: 500, seed: 1 });
+        let sim = Simulator::with_options(
+            presets::baseline_4wide(),
+            bmp_sim::SimOptions::with_max_cycles(50),
+        );
+        let caught = catch_unwind(AssertUnwindSafe(|| drop(ctx.sim(&sim, &trace))));
+        let err = caught
+            .unwrap_err()
+            .downcast::<CellError>()
+            .expect("the panic carries a CellError");
+        assert_eq!(err.kind, CellErrorKind::Budget, "{err}");
+        assert!(err.message.contains("cycle budget exceeded"), "{err}");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! panic, and everything downstream — retry accounting, the run journal,
 //! the partial-results report — works in terms of [`CellError`] instead
 //! of an opaque panic payload. Code on the experiment path that *knows*
-//! why it is failing (an unknown workload profile, an invalid oracle
-//! machine config, a tripped cycle budget) panics with a `CellError`
-//! payload via [`std::panic::panic_any`], so the structured cause
-//! survives the unwind intact; anything else is classified from its
-//! payload by [`CellError::from_panic_payload`].
+//! why it is failing panics with a structured payload via
+//! [`std::panic::panic_any`] — a `CellError` for an unknown workload
+//! profile or an invalid oracle machine config, the simulator's
+//! [`SimError`] for a tripped cycle budget — so the cause survives the
+//! unwind intact; [`CellError::from_panic_payload`] classifies it, and
+//! any other payload, at the catch site.
 
 use std::fmt;
 
@@ -26,8 +27,6 @@ pub enum CellErrorKind {
     InvalidConfig,
     /// A simulation exhausted its cycle budget (watchdog).
     Budget,
-    /// An injected or real I/O failure while persisting output.
-    Io,
 }
 
 impl CellErrorKind {
@@ -38,7 +37,6 @@ impl CellErrorKind {
             CellErrorKind::UnknownProfile => "unknown-profile",
             CellErrorKind::InvalidConfig => "invalid-config",
             CellErrorKind::Budget => "budget",
-            CellErrorKind::Io => "io",
         }
     }
 }
@@ -98,15 +96,6 @@ impl CellError {
     pub fn budget(context: impl Into<String>, err: SimError) -> Self {
         Self {
             kind: CellErrorKind::Budget,
-            context: context.into(),
-            message: err.to_string(),
-        }
-    }
-
-    /// Writing an output artifact failed.
-    pub fn io(context: impl Into<String>, err: &std::io::Error) -> Self {
-        Self {
-            kind: CellErrorKind::Io,
             context: context.into(),
             message: err.to_string(),
         }

@@ -23,24 +23,6 @@ pub struct MeasuredSummary {
     pub mispredictions: u64,
 }
 
-/// Options controlling what the report includes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportOptions {
-    /// Include the resolution-vs-interval-length curve.
-    pub interval_curve: bool,
-    /// Include the interval-length distribution.
-    pub interval_histogram: bool,
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        Self {
-            interval_curve: true,
-            interval_histogram: true,
-        }
-    }
-}
-
 /// Renders a markdown report for `analysis`, optionally comparing against
 /// a `measured` simulator summary and including a CPI `stack`.
 ///
@@ -53,7 +35,7 @@ impl Default for ReportOptions {
 ///
 /// let trace = spec::by_name("twolf").unwrap().generate(10_000, 1);
 /// let analysis = PenaltyModel::new(presets::baseline_4wide()).analyze(&trace);
-/// let md = report::render("twolf", &analysis, None, None, report::ReportOptions::default());
+/// let md = report::render("twolf", &analysis, None, None);
 /// assert!(md.contains("# Misprediction-penalty report: twolf"));
 /// assert!(md.contains("contributor"));
 /// ```
@@ -62,7 +44,6 @@ pub fn render(
     analysis: &PenaltyAnalysis,
     stack: Option<&CpiStack>,
     measured: Option<&MeasuredSummary>,
-    options: ReportOptions,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Misprediction-penalty report: {label}\n");
@@ -163,30 +144,26 @@ pub fn render(
         let _ = writeln!(out);
     }
 
-    if options.interval_curve {
-        let curve = analysis.local_resolution_by_interval_length();
-        if !curve.is_empty() {
-            let _ = writeln!(out, "## Resolution vs. interval length (window ramp-up)\n");
-            let _ = writeln!(out, "| interval ≥ | mean resolution | events |");
-            let _ = writeln!(out, "|---|---|---|");
-            for (bucket, mean, n) in curve {
-                let _ = writeln!(out, "| {} | {mean:.1} | {n} |", bucket_label(bucket));
-            }
-            let _ = writeln!(out);
+    let curve = analysis.local_resolution_by_interval_length();
+    if !curve.is_empty() {
+        let _ = writeln!(out, "## Resolution vs. interval length (window ramp-up)\n");
+        let _ = writeln!(out, "| interval ≥ | mean resolution | events |");
+        let _ = writeln!(out, "|---|---|---|");
+        for (bucket, mean, n) in curve {
+            let _ = writeln!(out, "| {} | {mean:.1} | {n} |", bucket_label(bucket));
         }
+        let _ = writeln!(out);
     }
 
-    if options.interval_histogram {
-        let hist = IntervalLengthHistogram::from_intervals(&analysis.intervals);
-        if hist.total() > 0 {
-            let _ = writeln!(out, "## Inter-miss interval lengths\n");
-            let _ = writeln!(out, "| bucket ≥ | fraction |");
-            let _ = writeln!(out, "|---|---|");
-            for i in (0..hist.buckets()).filter(|&i| hist.count(i) > 0) {
-                let _ = writeln!(out, "| {} | {:.3} |", bucket_label(i), hist.fraction(i));
-            }
-            let _ = writeln!(out);
+    let hist = IntervalLengthHistogram::from_intervals(&analysis.intervals);
+    if hist.total() > 0 {
+        let _ = writeln!(out, "## Inter-miss interval lengths\n");
+        let _ = writeln!(out, "| bucket ≥ | fraction |");
+        let _ = writeln!(out, "|---|---|");
+        for i in (0..hist.buckets()).filter(|&i| hist.count(i) > 0) {
+            let _ = writeln!(out, "| {} | {:.3} |", bucket_label(i), hist.fraction(i));
         }
+        let _ = writeln!(out);
     }
 
     out
@@ -215,13 +192,7 @@ mod tests {
             mean_penalty: Some(20.0),
             mispredictions: 123,
         };
-        let md = render(
-            "twolf",
-            &analysis,
-            Some(&stack),
-            Some(&measured),
-            ReportOptions::default(),
-        );
+        let md = render("twolf", &analysis, Some(&stack), Some(&measured));
         for section in [
             "# Misprediction-penalty report: twolf",
             "## Penalty",
@@ -237,28 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn options_disable_sections() {
-        let (_, analysis) = sample();
-        let md = render(
-            "t",
-            &analysis,
-            None,
-            None,
-            ReportOptions {
-                interval_curve: false,
-                interval_histogram: false,
-            },
-        );
-        assert!(!md.contains("## Resolution vs. interval length"));
-        assert!(!md.contains("## Inter-miss interval lengths"));
-        assert!(md.contains("## Penalty"));
-    }
-
-    #[test]
     fn empty_analysis_renders_gracefully() {
         let analysis =
             PenaltyModel::new(presets::baseline_4wide()).analyze(&bmp_trace::Trace::new());
-        let md = render("empty", &analysis, None, None, ReportOptions::default());
+        let md = render("empty", &analysis, None, None);
         assert!(md.contains("No mispredictions"));
     }
 }

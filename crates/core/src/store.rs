@@ -59,6 +59,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bmp_uarch::fp::fnv1a;
+
 use crate::io::write_atomic;
 
 /// Record format version written by this crate; readers reject others.
@@ -78,18 +80,6 @@ pub const LOCK_FILE: &str = "LOCK";
 
 /// Name of the quarantine directory at the store root.
 pub const QUARANTINE_DIR: &str = "quarantine";
-
-/// 64-bit FNV-1a, the workspace's content hash (kept bit-compatible
-/// with `bmp_uarch::fp::fnv1a`, re-implemented here so the store's
-/// integrity checking has no config-layer dependency).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a record failed verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -762,12 +752,5 @@ mod tests {
         assert!(!store.contains(9));
         assert_eq!(store.quarantine_len(), 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fnv_matches_the_workspace_hash() {
-        // Bit-compatibility with bmp_uarch::fp::fnv1a (same constants).
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 }

@@ -34,17 +34,17 @@ impl ValidationReport {
     /// Joins a model analysis with measured `(branch_idx, resolution)`
     /// records (e.g. from `bmp-sim`'s `MispredictRecord`s).
     ///
-    /// The merge-join needs both inputs sorted by branch index, which
-    /// both in-tree producers guarantee (`bmp-analyze` checks it as lint
-    /// `BMP104`). Unsorted or duplicated measured records trip a debug
-    /// assertion; in release builds they are detected and the join runs
-    /// on a sorted, deduplicated copy instead of silently miscounting.
+    /// The merge-join needs both inputs strictly sorted by branch index,
+    /// which both in-tree producers guarantee. Unsorted or duplicated
+    /// measured records trip a debug assertion; in release builds they
+    /// are detected and the join runs on a sorted, deduplicated copy
+    /// instead of silently miscounting.
     pub fn from_pairs(analysis: &PenaltyAnalysis, measured: &[(usize, u64)]) -> Self {
         let sorted = measured.windows(2).all(|w| w[0].0 < w[1].0);
         debug_assert!(
             sorted,
-            "measured records must be strictly sorted by branch index \
-             (lint BMP104); sorting a copy as fallback"
+            "from_pairs requires measured records strictly sorted by \
+             branch index; sorting a copy as fallback"
         );
         if !sorted {
             let mut owned = measured.to_vec();
@@ -237,7 +237,7 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "BMP104")]
+    #[should_panic(expected = "strictly sorted by branch index")]
     fn unsorted_measured_records_trip_the_debug_assertion() {
         let a = analysis_with(&[(10, 8)]);
         let _ = ValidationReport::from_pairs(&a, &[(20, 9), (10, 8)]);

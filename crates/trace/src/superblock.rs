@@ -26,8 +26,9 @@
 //! depth) for lints, profiling reports and property tests; the simulator
 //! itself reads only the two dense arrays.
 //!
-//! Structural invariants (linted as `BMP31x` by `bmp-analyze`, proven by
-//! proptests in `tests/trace_properties.rs`):
+//! Structural invariants (established by [`SuperblockMap::build`], the
+//! only constructor, and proven by proptests in
+//! `tests/trace_properties.rs`):
 //!
 //! 1. regions tile the trace exactly (concatenated, in order, no gaps);
 //! 2. a branch op is always a single-op region;

@@ -2,7 +2,7 @@
 //! dependence-graph invariants and superblock-segmentation invariants,
 //! over arbitrary op streams.
 
-use bmp_trace::compiled::FLAG_BRANCH;
+use bmp_trace::compiled::{FLAG_BRANCH, NO_PRODUCER};
 use bmp_trace::{dag, io, BranchInfo, BranchKind, MicroOp, RegionEnd, SuperblockMap, Trace};
 use bmp_uarch::OpClass;
 use proptest::prelude::*;
@@ -170,6 +170,27 @@ proptest! {
                         "op {i} finished before its producer plus latency"
                     );
                 }
+            }
+        }
+    }
+
+    /// The compiled producer table holds only backward edges: a source
+    /// at distance `d <= i` compiles to producer `i - d`, and an empty
+    /// slot or a distance reaching before the trace start compiles to
+    /// `NO_PRODUCER`. The wakeup scheduler trusts `producers(i)[k] < i`
+    /// for every real entry without checking it.
+    #[test]
+    fn compiled_producers_point_strictly_backward(trace in arb_trace()) {
+        let ct = trace.compile();
+        prop_assert_eq!(ct.len(), trace.len());
+        for (i, op) in trace.iter().enumerate() {
+            for (src, p) in op.srcs().into_iter().zip(ct.producers(i)) {
+                let expect = match src {
+                    Some(d) if d as usize <= i => i as u32 - d,
+                    _ => NO_PRODUCER,
+                };
+                prop_assert_eq!(p, expect, "op {} source {:?}", i, src);
+                prop_assert!(p == NO_PRODUCER || (p as usize) < i);
             }
         }
     }

@@ -409,13 +409,7 @@ fn markdown_report(
         mean_penalty: res.mean_penalty(),
         mispredictions: res.mispredicts.len() as u64,
     };
-    let md = bmp_core::report::render(
-        label,
-        &analysis,
-        Some(&stack),
-        Some(&measured),
-        bmp_core::report::ReportOptions::default(),
-    );
+    let md = bmp_core::report::render(label, &analysis, Some(&stack), Some(&measured));
     out.write_all(md.as_bytes())?;
     Ok(())
 }
