@@ -70,7 +70,7 @@ pub mod tracelint;
 pub use conserve::{lint_cpi_stack, lint_penalty_analysis, lint_sim_result};
 pub use diag::{walk_inputs, AnalysisReport, Diagnostic, Severity, WalkedFile};
 pub use journal::{lint_journal, lint_journal_text};
-pub use machine::{lint_fu_coverage, lint_machine};
+pub use machine::lint_machine;
 pub use metrics::{lint_metrics, lint_metrics_text};
 pub use provenance::lint_executed_trace;
 pub use staticpass::StaticBounds;

@@ -9,7 +9,7 @@
 //! caps throughput below `D` or starves the drain the penalty
 //! decomposition measures.
 
-use bmp_uarch::{FuKind, LatencyTable, MachineConfig, PredictorConfig, FU_KINDS, OP_CLASSES};
+use bmp_uarch::{MachineConfig, PredictorConfig};
 
 use crate::diag::Diagnostic;
 
@@ -151,13 +151,6 @@ pub fn lint_machine(cfg: &MachineConfig) -> Vec<Diagnostic> {
         );
     }
 
-    // BMP005: every latency-table class must map to a populated FU kind.
-    let mut counts = [0u8; 5];
-    for (slot, kind) in counts.iter_mut().zip(FU_KINDS) {
-        *slot = cfg.fus.count(kind);
-    }
-    out.extend(lint_fu_coverage(counts, &cfg.latencies));
-
     // BMP006: commit narrower than dispatch backs the ROB up in steady
     // state; retirement, not dispatch, then sets the throughput.
     if cfg.commit_width < cfg.dispatch_width {
@@ -175,46 +168,10 @@ pub fn lint_machine(cfg: &MachineConfig) -> Vec<Diagnostic> {
     out
 }
 
-/// `BMP005`: flags latency-table entries whose operation class has no
-/// serving functional unit.
-///
-/// [`FuPool::new`](bmp_uarch::FuPool::new) rejects zero counts, so a
-/// config built through public constructors never triggers this; the rule
-/// guards the model against that invariant ever being relaxed (e.g. a
-/// future deserializer), and is exposed over raw counts (in
-/// [`FU_KINDS`] order) so the rule itself stays testable.
-pub fn lint_fu_coverage(counts: [u8; 5], latencies: &LatencyTable) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for class in OP_CLASSES {
-        let kind = class.fu_kind();
-        if counts[kind.index()] == 0 {
-            out.push(
-                Diagnostic::error(
-                    "BMP005",
-                    format!("machine.latencies[{class}]"),
-                    format!(
-                        "class {class} has a {}-cycle latency entry but no {kind} \
-                         unit to execute on; such instructions can never issue",
-                        latencies.latency(class)
-                    ),
-                )
-                .with_suggestion(format!("give the pool at least one {kind} unit")),
-            );
-        }
-    }
-    out
-}
-
-/// Convenience: `true` when `kind` serves at least one op class. Used by
-/// the CLI to explain the FU/class mapping in verbose output.
-pub fn kind_is_used(kind: FuKind) -> bool {
-    OP_CLASSES.iter().any(|c| c.fu_kind() == kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmp_uarch::{presets, FuPool, MachineConfigBuilder};
+    use bmp_uarch::{presets, FuPool, MachineConfigBuilder, FU_KINDS, OP_CLASSES};
 
     #[test]
     fn baseline_is_clean() {
@@ -333,15 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_fu_kind_is_an_error() {
-        let diags = lint_fu_coverage([0, 1, 1, 1, 1], &LatencyTable::default());
-        // IntAlu serves both IntAlu and Branch classes.
-        assert_eq!(diags.len(), 2);
-        assert!(diags.iter().all(|d| d.code == "BMP005"));
-        assert!(diags.iter().all(|d| d.severity == crate::Severity::Error));
-    }
-
-    #[test]
     fn narrow_commit_is_flagged() {
         let cfg = MachineConfigBuilder::new().commit_width(2).build().unwrap();
         assert!(lint_machine(&cfg).iter().any(|d| d.code == "BMP006"));
@@ -350,7 +298,7 @@ mod tests {
     #[test]
     fn every_kind_is_used_by_some_class() {
         for kind in FU_KINDS {
-            assert!(kind_is_used(kind));
+            assert!(OP_CLASSES.iter().any(|c| c.fu_kind() == kind));
         }
     }
 }

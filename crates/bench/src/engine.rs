@@ -77,8 +77,8 @@ pub enum EngineChoice {
     /// The event-driven engine over the cached [`CompiledTrace`]s
     /// (default).
     EventDriven,
-    /// The retained reference engine (forced by `BMP_REFERENCE_ENGINE=1`,
-    /// or chosen explicitly by `bmp-profile` for its A/B timing).
+    /// The retained reference engine, chosen explicitly by the
+    /// engine-equivalence tests and by `bmp-profile` for its A/B timing.
     Reference,
 }
 
@@ -160,15 +160,9 @@ impl Default for Ctx {
 }
 
 impl Ctx {
-    /// A fresh, empty context. Simulations route through the event-driven
-    /// engine unless `BMP_REFERENCE_ENGINE=1` is set.
+    /// A fresh, empty context on the event-driven engine.
     pub fn new() -> Self {
-        let engine = if bmp_sim::reference_engine_forced() {
-            EngineChoice::Reference
-        } else {
-            EngineChoice::EventDriven
-        };
-        Self::with_engine(engine)
+        Self::with_engine(EngineChoice::EventDriven)
     }
 
     /// A fresh, empty context with an explicit engine choice.
@@ -871,8 +865,8 @@ impl Engine {
     }
 
     /// An engine on `threads` workers with an explicit simulator engine
-    /// choice (ignoring `BMP_REFERENCE_ENGINE`) — `bmp-profile` uses this
-    /// to run the same suite through both engines in one process.
+    /// choice — `bmp-profile` uses this to run the same suite through
+    /// both engines in one process.
     pub fn with_engine(threads: usize, choice: EngineChoice) -> Self {
         Self {
             pool: ThreadPool::new(threads),

@@ -8,7 +8,7 @@
 //! all of them by default, or a subset with `--only NAME[,NAME]` (see
 //! [`engine::defs_named`]). It schedules the selection through the
 //! fault-tolerant [`engine`]: the experiments' cells fan out over a
-//! work-stealing [`pool`], every synthesized trace, simulation result
+//! shared-cursor [`pool`], every synthesized trace, simulation result
 //! and interval-model analysis is computed once into the shared
 //! content-addressed [`artifacts`] cache, and each table body assembles
 //! its rows from that cache. Each table is written to

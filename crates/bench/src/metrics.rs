@@ -32,7 +32,7 @@ use crate::grid::{Artifact, Machine, Point, SimMode, Workload};
 use crate::{write_atomic, Scale};
 
 /// Whether metrics collection is on for this process: `BMP_METRICS=1`.
-/// Read once and cached, mirroring `BMP_REFERENCE_ENGINE` handling.
+/// Read once and cached.
 pub fn metrics_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var("BMP_METRICS").is_ok_and(|v| v == "1"))

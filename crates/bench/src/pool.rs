@@ -1,20 +1,22 @@
-//! A minimal work-stealing thread pool.
+//! A minimal thread pool over one shared job cursor.
 //!
 //! The build environment has no registry access (see the vendored
 //! `rand`/`proptest` stand-ins), so this is a small hand-rolled pool
-//! rather than `rayon`: each worker owns a deque seeded round-robin with
-//! job indices, pops from its own front, and steals from the *back* of a
-//! sibling's deque when empty. Jobs are pure index-addressed closures and
-//! results are returned **in index order** regardless of which worker ran
-//! them or when they finished — the scheduling is nondeterministic, the
-//! output never is.
+//! rather than `rayon`: every worker claims its next job from one shared
+//! atomic cursor, so a worker stuck on a heavy job never holds up the
+//! rest. Claims alternate between the front and the back of the index
+//! range: neighbouring jobs often need the same cached artifact, and two
+//! workers starting them together would wait on one another's in-flight
+//! build. Jobs are pure index-addressed closures; each worker keeps
+//! its `(index, result)` pairs, and the pairs are merged back **in index
+//! order** regardless of which worker ran them or when they finished —
+//! the scheduling is nondeterministic, the output never is.
 //!
 //! `threads == 1` bypasses the pool entirely and runs the jobs inline in
 //! index order on the calling thread.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::CellError;
 
@@ -78,67 +80,39 @@ impl ThreadPool {
         if self.threads == 1 || n <= 1 {
             return (0..n).map(run_one).collect();
         }
-        let workers = self.threads.min(n);
-        // Seed the deques round-robin so early (often heavier) jobs
-        // spread across workers immediately.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
-        let mut results: Vec<Option<Result<T, CellError>>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let slots: Vec<Mutex<&mut Option<Result<T, CellError>>>> =
-            results.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let run_one = &run_one;
-                    s.spawn(move || {
-                        while let Some(i) = next_job(queues, w) {
-                            let out = run_one(i);
-                            **slots[i].lock().expect("result slot poisoned") = Some(out);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(panic) = h.join() {
-                    // Only reachable for a panic *outside* the per-job
-                    // catch (e.g. a poisoned slot lock): that is a
-                    // harness bug, not a cell failure — re-raise it.
-                    std::panic::resume_unwind(panic);
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= n {
+                    return done;
                 }
+                let i = if c.is_multiple_of(2) {
+                    c / 2
+                } else {
+                    n - 1 - c / 2
+                };
+                done.push((i, run_one(i)));
+            }
+        };
+        let mut done = Vec::with_capacity(n);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.threads.min(n)).map(|_| s.spawn(worker)).collect();
+            for h in handles {
+                // A panic outside the per-job catch is a harness bug, not
+                // a cell failure: re-raise it.
+                done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
         });
-        drop(slots);
-        results
-            .into_iter()
-            .map(|r| r.expect("every job index was executed"))
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
-}
-
-/// Pops from worker `w`'s own front, or steals from the back of the first
-/// non-empty sibling deque.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = queues[w].lock().expect("queue poisoned").pop_front() {
-        return Some(i);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(i) = queues[victim].lock().expect("queue poisoned").pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_index_order() {
@@ -162,9 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // One huge job at index 0; with stealing, the other worker
-        // drains the rest. (Correctness, not a timing assertion.)
+    fn uneven_jobs_are_claimed_by_idle_workers() {
+        // One huge job at index 0; the other worker claims the rest from
+        // the shared cursor. (Correctness, not a timing assertion.)
         let pool = ThreadPool::new(2);
         let out = pool.map(20, |i| {
             if i == 0 {

@@ -2,17 +2,18 @@
 //! and run-to-run diffs — the library behind the `bmp-report` binary.
 //!
 //! Everything here is deterministic: documents are processed in
-//! name order and floats are rounded to fixed precision, so two
+//! name order and the tables round floats to fixed precision, so two
 //! renders of the same files are byte-identical (the golden diff test
-//! relies on this). The CSV goes through [`Table::to_csv`] and the
-//! JSON through [`bmp_core::json::Value`], the workspace's one CSV and
-//! one JSON writer.
+//! relies on this). The tables and the CSV are selected views of the
+//! documents, written through [`Table`]. The JSON output and the diff
+//! read each document's own JSON value
+//! ([`ExperimentMetrics::to_value`]), so the schema is stated once, in
+//! [`bmp_core::metrics`].
 
 use std::path::Path;
 
 use bmp_core::json::Value;
 use bmp_core::json_object;
-use bmp_core::metrics::ModelMetrics;
 use bmp_core::{ExperimentMetrics, WorkloadMetrics};
 
 use crate::Table;
@@ -274,81 +275,24 @@ pub fn to_csv(docs: &[ExperimentMetrics]) -> String {
     t.to_csv()
 }
 
-/// The whole run as one JSON document mirroring the rendered tables:
-/// per experiment, the per-workload summary quantities
-/// ([`summary_tables`]) plus, when present, the model's CPI stack and
-/// contributor totals ([`cpi_stack_tables`]). Key order and float
-/// precision (3 decimals) are fixed, so two renders of the same files
-/// are byte-identical. The schema is documented in
-/// `docs/OBSERVABILITY.md`.
+/// The whole run as one JSON document, `{"experiments": [...]}`, whose
+/// elements are the metrics documents' own values
+/// ([`ExperimentMetrics::to_value`]) in file-name order. A version-1
+/// document appears in its current-version form.
 pub fn to_json(docs: &[ExperimentMetrics]) -> String {
-    let fixed3 = |x: f64| Value::rounded(x, 3);
-    let model = |m: &ModelMetrics| {
-        let s = &m.cpi_stack;
-        let n = s.instructions.max(1) as f64;
-        json_object! {
-            "intervals": m.intervals,
-            "cpi_stack": json_object! {
-                "base": fixed3(s.base_cycles / n), "branch": fixed3(s.branch_cycles / n),
-                "icache": fixed3(s.icache_cycles / n), "dmiss": fixed3(s.long_dmiss_cycles / n),
-                "total": fixed3(s.cpi()),
-            },
-            "contributors": json_object! {
-                "base": m.base, "ilp": m.ilp, "fu_latency": m.fu_latency,
-                "short_dmiss": m.short_dmiss, "carryover": m.carryover,
-                "resolution": m.resolution, "refill": m.refill,
-            },
-        }
-    };
-    let workload = |w: &WorkloadMetrics| {
-        let i = &w.intervals;
-        let classes = w.branch_classes.iter().map(|c| {
-            json_object! {
-                "class": c.class.as_str(), "sites": c.sites, "intervals": c.intervals,
-                "local_resolution": c.local_resolution, "refill": c.refill, "total": c.total(),
-            }
-        });
-        json_object! {
-            "workload": w.workload.as_str(),
-            "predictor": w.predictor.as_str(),
-            "instructions": w.instructions,
-            "cycles": w.cycles,
-            // A model-only entry has no measured epoch.
-            "cpi": (w.cycles != 0).then(|| fixed3(w.measured_cpi())),
-            "mispredicts": w.mispredicts,
-            "frontend_depth": w.frontend_depth,
-            "intervals": json_object! { "bmiss": i.bmiss, "il1": i.il1, "il2": i.il2, "dlong": i.dlong },
-            "resolution_total": w.resolution_total,
-            "refill_total": w.refill_total,
-            "occupancy_total": w.occupancy_total,
-            "mean_penalty": w.mean_penalty().map(fixed3),
-            "branch_classes": classes.collect::<Value>(),
-            "model": w.model.as_ref().map(model),
-        }
-    };
-    let experiments = docs.iter().map(|doc| {
-        json_object! {
-            "experiment": doc.name.as_str(),
-            "ops": doc.ops,
-            "seed": doc.seed,
-            "workloads": doc.workloads.iter().map(workload).collect::<Value>(),
-        }
-    });
-    format!(
-        "{}\n",
-        json_object! { "experiments": experiments.collect::<Value>() }
-    )
+    let experiments: Value = docs.iter().map(ExperimentMetrics::to_value).collect();
+    format!("{}\n", json_object! { "experiments": experiments })
 }
 
 /// The outcome of comparing two metrics runs.
 #[derive(Debug, Default)]
 pub struct Diff {
-    /// One line per changed per-workload quantity
-    /// (`experiment/workload: field old -> new`).
+    /// One line per changed scalar (`path old -> new`), where `path`
+    /// is the value's JSON path in its document.
     pub changes: Vec<String>,
-    /// Experiments or workloads present only in the new run.
+    /// Documents, entries or fields present only in the new run.
     pub added: Vec<String>,
-    /// Experiments or workloads present only in the old run.
+    /// Documents, entries or fields present only in the old run.
     pub removed: Vec<String>,
 }
 
@@ -380,213 +324,94 @@ impl Diff {
         ));
         out
     }
-}
 
-fn pct(old: f64, new: f64) -> String {
-    if old == 0.0 {
-        String::new()
-    } else {
-        format!(" ({:+.2}%)", (new - old) / old * 100.0)
-    }
-}
-
-fn diff_u64(changes: &mut Vec<String>, locus: &str, field: &str, old: u64, new: u64) {
-    if old != new {
-        changes.push(format!(
-            "{locus}: {field} {old} -> {new}{}",
-            pct(old as f64, new as f64)
-        ));
-    }
-}
-
-fn diff_workload(
-    changes: &mut Vec<String>,
-    locus: &str,
-    old: &WorkloadMetrics,
-    new: &WorkloadMetrics,
-) {
-    diff_u64(
-        changes,
-        locus,
-        "instructions",
-        old.instructions,
-        new.instructions,
-    );
-    diff_u64(changes, locus, "cycles", old.cycles, new.cycles);
-    diff_u64(
-        changes,
-        locus,
-        "mispredicts",
-        old.mispredicts,
-        new.mispredicts,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "bmiss_intervals",
-        old.intervals.bmiss,
-        new.intervals.bmiss,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "il1_intervals",
-        old.intervals.il1,
-        new.intervals.il1,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "il2_intervals",
-        old.intervals.il2,
-        new.intervals.il2,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "dlong_intervals",
-        old.intervals.dlong,
-        new.intervals.dlong,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "resolution_total",
-        old.resolution_total,
-        new.resolution_total,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "refill_total",
-        old.refill_total,
-        new.refill_total,
-    );
-    diff_u64(
-        changes,
-        locus,
-        "occupancy_total",
-        old.occupancy_total,
-        new.occupancy_total,
-    );
-    // Per-class attributions: compare class rows by label; a class
-    // gained or lost between runs is itself a reportable change.
-    for oc in &old.branch_classes {
-        match new.branch_classes.iter().find(|nc| nc.class == oc.class) {
-            Some(nc) => {
-                let f = |name: &str| format!("class.{}.{name}", oc.class);
-                diff_u64(changes, locus, &f("sites"), oc.sites, nc.sites);
-                diff_u64(changes, locus, &f("intervals"), oc.intervals, nc.intervals);
-                diff_u64(
-                    changes,
-                    locus,
-                    &f("local_resolution"),
-                    oc.local_resolution,
-                    nc.local_resolution,
-                );
-                diff_u64(changes, locus, &f("refill"), oc.refill, nc.refill);
+    /// Compares `old` and `new` at `path`: containers member by member
+    /// (see [`members`]), scalars by value.
+    fn walk(&mut self, path: &str, old: &Value, new: &Value) {
+        let (Some(old_members), Some(new_members)) = (members(path, old), members(path, new))
+        else {
+            if old != new {
+                self.changes
+                    .push(format!("{path} {old} -> {new}{}", pct(old, new)));
             }
-            None => changes.push(format!("{locus}: class {} disappeared", oc.class)),
-        }
-    }
-    for nc in &new.branch_classes {
-        if !old.branch_classes.iter().any(|oc| oc.class == nc.class) {
-            changes.push(format!("{locus}: class {} appeared", nc.class));
-        }
-    }
-    match (&old.model, &new.model) {
-        (Some(om), Some(nm)) => {
-            diff_u64(
-                changes,
-                locus,
-                "model.resolution",
-                om.resolution,
-                nm.resolution,
-            );
-            diff_u64(changes, locus, "model.base", om.base, nm.base);
-            diff_u64(changes, locus, "model.ilp", om.ilp, nm.ilp);
-            diff_u64(
-                changes,
-                locus,
-                "model.fu_latency",
-                om.fu_latency,
-                nm.fu_latency,
-            );
-            diff_u64(
-                changes,
-                locus,
-                "model.short_dmiss",
-                om.short_dmiss,
-                nm.short_dmiss,
-            );
-            if om.carryover != nm.carryover {
-                changes.push(format!(
-                    "{locus}: model.carryover {} -> {}",
-                    om.carryover, nm.carryover
-                ));
-            }
-            let (oc, nc) = (om.cpi_stack.cpi(), nm.cpi_stack.cpi());
-            if fmt3(oc) != fmt3(nc) {
-                changes.push(format!(
-                    "{locus}: model.cpi {} -> {}{}",
-                    fmt3(oc),
-                    fmt3(nc),
-                    pct(oc, nc)
-                ));
-            }
-        }
-        (None, Some(_)) => changes.push(format!("{locus}: model section appeared")),
-        (Some(_), None) => changes.push(format!("{locus}: model section disappeared")),
-        (None, None) => {}
-    }
-}
-
-/// Compares two metrics runs (each a set of per-experiment documents)
-/// workload by workload.
-pub fn diff(old: &[ExperimentMetrics], new: &[ExperimentMetrics]) -> Diff {
-    let mut d = Diff::default();
-    for o in old {
-        let Some(n) = new.iter().find(|n| n.name == o.name) else {
-            d.removed.push(o.name.clone());
-            continue;
+            return;
         };
-        if o.ops != n.ops || o.seed != n.seed {
-            d.changes.push(format!(
-                "{}: scale changed (ops {} seed {}) -> (ops {} seed {}); value diffs below \
-                 compare different runs",
-                o.name, o.ops, o.seed, n.ops, n.seed
-            ));
-        }
-        // Entries are keyed `(workload, predictor)`: per-predictor runs
-        // of the same workload are distinct loci, and a v1→v2 rerun
-        // (predictor newly recorded) reads as removed + added rather
-        // than a spurious value diff.
-        for ow in &o.workloads {
-            let locus = format!("{}/{}", o.name, workload_key(ow));
-            match n
-                .workloads
-                .iter()
-                .find(|nw| nw.workload == ow.workload && nw.predictor == ow.predictor)
-            {
-                Some(nw) => diff_workload(&mut d.changes, &locus, ow, nw),
-                None => d.removed.push(locus),
+        for (p, o) in &old_members {
+            match new_members.iter().find(|(q, _)| q == p) {
+                Some((_, n)) => self.walk(p, o, n),
+                None => self.removed.push(p.clone()),
             }
         }
-        for nw in &n.workloads {
-            if !o
-                .workloads
-                .iter()
-                .any(|ow| ow.workload == nw.workload && ow.predictor == nw.predictor)
-            {
-                d.added.push(format!("{}/{}", n.name, workload_key(nw)));
+        for (p, _) in &new_members {
+            if !old_members.iter().any(|(q, _)| q == p) {
+                self.added.push(p.clone());
             }
         }
     }
-    for n in new {
-        if !old.iter().any(|o| o.name == n.name) {
-            d.added.push(n.name.clone());
-        }
+}
+
+/// The members of a container as `(path, value)` pairs, or `None` for
+/// a scalar. Object fields sit at `path.key`. Array elements that are
+/// objects sit at `path[key]`, keyed by their non-empty string fields
+/// (`name` for a document, `workload,predictor` for a workload entry,
+/// `class` for a class row), so entries pair up across runs by
+/// identity, not position. A top-level document sits at its name.
+/// Other array elements, the histograms' buckets, have no members to
+/// compare.
+fn members<'a>(path: &str, value: &'a Value) -> Option<Vec<(String, &'a Value)>> {
+    match value {
+        Value::Object(fields) => Some(
+            (fields.iter())
+                .map(|(k, v)| (format!("{path}.{k}"), v))
+                .collect(),
+        ),
+        Value::Array(items) => Some(
+            (items.iter())
+                .filter_map(|item| {
+                    let Value::Object(fields) = item else {
+                        return None;
+                    };
+                    let names: Vec<&str> = (fields.iter())
+                        .filter_map(|(_, v)| match v {
+                            Value::String(s) if !s.is_empty() => Some(s.as_str()),
+                            _ => None,
+                        })
+                        .collect();
+                    let key = names.join(",");
+                    let p = if path.is_empty() {
+                        key
+                    } else {
+                        format!("{path}[{key}]")
+                    };
+                    Some((p, item))
+                })
+                .collect(),
+        ),
+        _ => None,
     }
+}
+
+/// The relative change ` (+x.xx%)` between two numbers; empty for
+/// non-numbers or a zero `old`.
+fn pct(old: &Value, new: &Value) -> String {
+    match (old.as_f64(""), new.as_f64("")) {
+        (Ok(old), Ok(new)) if old != 0.0 => format!(" ({:+.2}%)", (new - old) / old * 100.0),
+        _ => String::new(),
+    }
+}
+
+/// Compares two metrics runs by walking their documents' own JSON
+/// ([`ExperimentMetrics::to_value`]), so every field of the schema is
+/// compared and a version-1 document is compared in its current form.
+/// Histograms do not drive the diff; the totals they bucket do.
+pub fn diff(old: &[ExperimentMetrics], new: &[ExperimentMetrics]) -> Diff {
+    let run = |docs: &[ExperimentMetrics]| {
+        docs.iter()
+            .map(ExperimentMetrics::to_value)
+            .collect::<Value>()
+    };
+    let mut d = Diff::default();
+    d.walk("", &run(old), &run(new));
     d
 }
 
@@ -684,22 +509,22 @@ mod tests {
         let root = json::parse(&j).expect("report JSON parses");
         let exps = root
             .as_object("root")
-            .and_then(|r| r.get_array("experiments"));
-        let names: Vec<_> = (exps.unwrap().iter())
-            .map(|e| e.as_object("e").and_then(|e| e.get_string("experiment")))
-            .collect();
-        assert_eq!(names, [Ok("a"), Ok("b")]);
-        // The summary table's derived cpi and mean penalty, the totals
-        // with their interval counts, and no model section.
-        let expected = r#"{
-            "workload": "gzip", "predictor": "", "instructions": 2000, "cycles": 4000,
-            "cpi": 2.0, "mispredicts": 1, "frontend_depth": 5,
-            "intervals": { "bmiss": 1, "il1": 1, "il2": 0, "dlong": 0 },
-            "resolution_total": 11, "refill_total": 5, "occupancy_total": 17,
-            "mean_penalty": 16.0, "branch_classes": [], "model": null
-        }"#;
-        let w = Value::Object(json_workload(&docs[0]).unwrap());
-        assert_eq!(w, json::parse(expected).unwrap());
+            .and_then(|r| r.get_array("experiments"))
+            .unwrap();
+        // Each element is the document's own value, in the given order.
+        assert_eq!(exps.len(), docs.len());
+        for (e, doc) in exps.iter().zip(&docs) {
+            assert_eq!(*e, doc.to_value());
+        }
+        // The totals behind the tables' cpi and mean penalty, with their
+        // interval counts, and no model section.
+        let w = json_workload(&docs[0]).unwrap();
+        assert_eq!(w.get_u64("cycles"), Ok(4_000));
+        assert_eq!(w.get_u64("instructions"), Ok(2_000));
+        assert_eq!(w.get_u64("resolution_total"), Ok(11));
+        assert_eq!(w.get_u64("refill_total"), Ok(5));
+        assert_eq!(w.get_object("intervals").unwrap().get_u64("bmiss"), Ok(1));
+        assert!(w.get("model").is_none());
     }
 
     fn classed_doc(name: &str) -> ExperimentMetrics {
@@ -743,17 +568,17 @@ mod tests {
                 w.get_string("predictor"),
                 Ok(doc.workloads[0].predictor.as_str())
             );
-            w.get("branch_classes").unwrap().clone()
+            w.get("branch_classes").cloned()
         };
         let expected = r#"[
-            { "class": "h2p", "sites": 2, "intervals": 9, "local_resolution": 90, "refill": 45, "total": 135 },
-            { "class": "biased", "sites": 7, "intervals": 1, "local_resolution": 4, "refill": 5, "total": 9 }
+            { "class": "h2p", "sites": 2, "intervals": 9, "local_resolution": 90, "refill": 45 },
+            { "class": "biased", "sites": 7, "intervals": 1, "local_resolution": 4, "refill": 5 }
         ]"#;
-        assert_eq!(classes(&doc), json::parse(expected).unwrap());
-        // No attributions → no class table, and an empty JSON array.
+        assert_eq!(classes(&doc), Some(json::parse(expected).unwrap()));
+        // No attributions → no class table, and no JSON field.
         let plain = sample_doc("a", 100);
         assert!(class_stack_tables(std::slice::from_ref(&plain)).is_empty());
-        assert_eq!(classes(&plain), Value::Array(Vec::new()));
+        assert_eq!(classes(&plain), None);
     }
 
     #[test]
@@ -766,16 +591,14 @@ mod tests {
         assert!(
             d.changes
                 .iter()
-                .any(|c| c.contains("a/gzip[tage]: class.h2p.intervals 9 -> 11")),
+                .any(|c| c
+                    == "a.workloads[gzip,tage].branch_classes[h2p].intervals 9 -> 11 (+22.22%)"),
             "{:?}",
             d.changes
         );
-        assert!(
-            d.changes
-                .iter()
-                .any(|c| c.contains("class biased disappeared")),
-            "{:?}",
-            d.changes
+        assert_eq!(
+            d.removed,
+            vec!["a.workloads[gzip,tage].branch_classes[biased]".to_string()]
         );
         // A different predictor under the same workload name is a
         // distinct entry, not a value diff.
@@ -783,8 +606,8 @@ mod tests {
         other.workloads[0].predictor = "bimodal".into();
         let d = diff(&old, &[other]);
         assert!(d.changes.is_empty(), "{:?}", d.changes);
-        assert_eq!(d.removed, vec!["a/gzip[tage]".to_string()]);
-        assert_eq!(d.added, vec!["a/gzip[bimodal]".to_string()]);
+        assert_eq!(d.removed, vec!["a.workloads[gzip,tage]".to_string()]);
+        assert_eq!(d.added, vec!["a.workloads[gzip,bimodal]".to_string()]);
     }
 
     #[test]
@@ -809,13 +632,56 @@ mod tests {
         assert!(
             d.changes
                 .iter()
-                .any(|c| c.contains("a/gzip: cycles 100 -> 120 (+20.00%)")),
+                .any(|c| c == "a.workloads[gzip].cycles 100 -> 120 (+20.00%)"),
             "{:?}",
             d.changes
         );
-        assert!(d.changes.iter().any(|c| c.contains("mispredicts 1 -> 2")));
+        assert!(d
+            .changes
+            .iter()
+            .any(|c| c == "a.workloads[gzip].mispredicts 1 -> 2 (+100.00%)"));
         assert_eq!(d.removed, vec!["gone".to_string()]);
         assert_eq!(d.added, vec!["fresh".to_string()]);
+    }
+
+    #[test]
+    fn every_document_field_drives_the_diff() {
+        use bmp_core::cpi::CpiStack;
+        use bmp_core::ModelMetrics;
+        let mut old = sample_doc("a", 100);
+        old.workloads[0].model = Some(ModelMetrics {
+            intervals: 1,
+            resolution: 11,
+            local_resolution: 2,
+            base: 2,
+            ilp: 0,
+            fu_latency: 0,
+            short_dmiss: 0,
+            carryover: 9,
+            refill: 5,
+            cpi_stack: CpiStack {
+                instructions: 2_000,
+                base_cycles: 500.0,
+                branch_cycles: 16.0,
+                icache_cycles: 0.0,
+                long_dmiss_cycles: 0.0,
+            },
+        });
+        let mut newer = old.clone();
+        newer.workloads[0].model.as_mut().unwrap().local_resolution = 3;
+        let d = diff(std::slice::from_ref(&old), std::slice::from_ref(&newer));
+        assert!(!d.is_empty());
+        assert_eq!(
+            d.changes,
+            ["a.workloads[gzip].model.local_resolution 2 -> 3 (+50.00%)"]
+        );
+        let mut deeper = old.clone();
+        deeper.workloads[0].frontend_depth = 6;
+        let d = diff(&[old], &[deeper]);
+        assert_eq!(
+            d.changes,
+            ["a.workloads[gzip].frontend_depth 5 -> 6 (+20.00%)"]
+        );
     }
 
     #[test]

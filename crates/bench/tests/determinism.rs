@@ -3,9 +3,10 @@
 //! experiment schedule — `BMP_THREADS=1` runs both phases inline — so
 //! comparing it against an 8-worker run covers the result merge order and
 //! the cache under concurrency, and the work done must match exactly.
+//! The tables are also identical on either simulator engine.
 
-use bmp_bench::engine::{defs_named, RunPolicy, TolerantReport};
-use bmp_bench::{Engine, FaultPlan, Scale};
+use bmp_bench::engine::{defs_named, experiment_defs, EngineChoice, RunPolicy, TolerantReport};
+use bmp_bench::{Ctx, Engine, FaultPlan, Scale};
 
 /// A cross-section of the registry: both tables, figure experiments that
 /// share baseline/oracle/warmup simulations, a microbenchmark sweep, and
@@ -86,4 +87,24 @@ fn repeated_runs_share_the_cache() {
         a.trace_misses + a.sim_misses + a.analysis_misses,
         "every artifact of the repeat run must come from the cache"
     );
+}
+
+/// Every published table is byte-identical whether its simulations run
+/// on the event-driven engine or on the frozen reference engine.
+#[test]
+fn results_are_identical_on_either_engine() {
+    let scale = Scale {
+        ops: 2_000,
+        seed: 42,
+    };
+    let event = Ctx::with_engine(EngineChoice::EventDriven);
+    let reference = Ctx::with_engine(EngineChoice::Reference);
+    for def in experiment_defs() {
+        assert_eq!(
+            (def.run)(&event, scale).to_csv(),
+            (def.run)(&reference, scale).to_csv(),
+            "{}: the CSV must not depend on the engine",
+            def.name
+        );
+    }
 }

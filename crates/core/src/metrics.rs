@@ -265,17 +265,22 @@ impl ExperimentMetrics {
         }
     }
 
-    /// Serializes the document as JSON (trailing newline; layout per
-    /// [`Value`]'s `Display`). Deterministic: same document, same bytes.
-    pub fn to_json(&self) -> String {
-        let doc = json_object! {
+    /// The document as a JSON value, at the current
+    /// [`METRICS_VERSION`] whatever version it was parsed from.
+    pub fn to_value(&self) -> Value {
+        json_object! {
             "version": METRICS_VERSION,
             "name": self.name.as_str(),
             "ops": self.ops,
             "seed": self.seed,
             "workloads": self.workloads.iter().map(workload_value).collect::<Value>(),
-        };
-        format!("{doc}\n")
+        }
+    }
+
+    /// Serializes the document as JSON (trailing newline; layout per
+    /// [`Value`]'s `Display`). Deterministic: same document, same bytes.
+    pub fn to_json(&self) -> String {
+        format!("{}\n", self.to_value())
     }
 
     /// Parses a document previously written by

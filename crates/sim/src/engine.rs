@@ -37,16 +37,14 @@
 //!    `InlinePredictor` devirtualization, with dispatch/issue widths and
 //!    FU latencies hoisted into plain engine fields at construction.
 //!
-//! `Simulator::run` picks the engine: the event-driven one by default,
-//! the reference one when `BMP_REFERENCE_ENGINE=1` is set (used by CI to
-//! diff full experiment-suite outputs across both).
+//! `Simulator::run` always runs this engine; the reference one is
+//! reached only through [`Simulator::try_run_reference`].
 
 use bmp_branch::{BranchUnit, DirectionPredictor, InlinePredictor, Resolution};
 use bmp_cache::{DataOutcome, MemoryHierarchy};
 use bmp_core::intervals::IntervalEventKind;
 use bmp_trace::{CompiledTrace, SuperblockMap, Trace};
 use bmp_uarch::MachineConfig;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::compiled::{ClassTables, FuPools};
@@ -62,14 +60,6 @@ const NOT_DONE: u64 = u64::MAX;
 
 /// Sentinel for "no I-cache access performed for this op yet".
 const NO_LINE_DONE: usize = usize::MAX;
-
-/// `true` when `BMP_REFERENCE_ENGINE=1` forces every [`Simulator::run`]
-/// through the retained reference engine instead of the event-driven one.
-/// Read once per process.
-pub fn reference_engine_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("BMP_REFERENCE_ENGINE").is_ok_and(|v| v == "1"))
-}
 
 /// Wall-clock attribution of one event-driven run, reported by
 /// `bmp-profile`'s per-phase breakdown. Nanosecond granularity; the two
@@ -137,11 +127,9 @@ impl Simulator {
 
     /// Simulates the trace to completion and returns the measurements.
     ///
-    /// Compiles the trace and runs the event-driven engine, unless
-    /// `BMP_REFERENCE_ENGINE=1` routes the run through the reference
-    /// engine; both produce identical results. Callers that already hold
-    /// a [`CompiledTrace`] and its [`SuperblockMap`] (e.g. the experiment
-    /// harness, which caches them) should use
+    /// Compiles the trace and runs the event-driven engine. Callers that
+    /// already hold a [`CompiledTrace`] and its [`SuperblockMap`] (e.g.
+    /// the experiment harness, which caches them) should use
     /// [`try_run_compiled_with`](Simulator::try_run_compiled_with) to
     /// skip the per-run build.
     ///
@@ -151,14 +139,10 @@ impl Simulator {
     /// watchdog fires. The default auto budget never trips on a machine
     /// that makes progress.
     pub fn run(&self, trace: &Trace) -> SimResult {
-        let result = if reference_engine_forced() {
-            self.try_run_reference(trace)
-        } else {
-            let ct = trace.compile();
-            let sb = SuperblockMap::build(&ct, self.config.caches.l1i().line_bytes());
-            self.try_run_compiled_with(&ct, &sb)
-        };
-        result.unwrap_or_else(|e| panic!("simulation aborted: {e}"))
+        let ct = trace.compile();
+        let sb = SuperblockMap::build(&ct, self.config.caches.l1i().line_bytes());
+        self.try_run_compiled_with(&ct, &sb)
+            .unwrap_or_else(|e| panic!("simulation aborted: {e}"))
     }
 
     /// Simulates a compiled trace on the event-driven engine with a
@@ -974,8 +958,7 @@ mod tests {
     use bmp_uarch::{presets, OpClass, PredictorConfig};
     use bmp_workloads::micro;
 
-    /// The event-driven engine on `trace`, whatever
-    /// `BMP_REFERENCE_ENGINE` says.
+    /// The event-driven engine on `trace`, with its budget error kept.
     fn run_event(sim: &Simulator, trace: &Trace) -> Result<SimResult, SimError> {
         let ct = trace.compile();
         let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());

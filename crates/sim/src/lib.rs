@@ -45,7 +45,7 @@ mod reference;
 mod result;
 mod sched;
 
-pub use engine::{reference_engine_forced, RunPhases, Simulator};
+pub use engine::{RunPhases, Simulator};
 pub use error::{BudgetForensics, SimError};
 pub use options::SimOptions;
 pub use result::{

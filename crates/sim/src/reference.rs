@@ -6,12 +6,10 @@
 //! ops straight out of the AoS [`Trace`]. It is slow and obviously
 //! correct — exactly what an equivalence baseline should be.
 //!
-//! Two ways to reach it:
-//!
-//! * `Simulator::try_run_reference` runs it directly;
-//! * setting `BMP_REFERENCE_ENGINE=1` in the environment routes every
-//!   `Simulator::run` through it, which lets CI replay the whole
-//!   experiment suite on both engines and diff the CSVs.
+//! `Simulator::try_run_reference` runs it; the experiment harness
+//! routes a whole context through it with `EngineChoice::Reference`,
+//! which lets the tests replay every experiment on both engines and
+//! compare the CSVs.
 //!
 //! Per-cycle stage order is commit → issue → dispatch → fetch, which gives
 //! the conventional timing: an instruction dispatched in cycle `c` can

@@ -21,8 +21,7 @@ use bmp_uarch::{
 use bmp_workloads::WorkloadProfile;
 use proptest::prelude::*;
 
-/// The event-driven engine on `trace`, whatever `BMP_REFERENCE_ENGINE`
-/// says.
+/// The event-driven engine on `trace`, with its budget error kept.
 fn run_event(sim: &Simulator, trace: &Trace) -> Result<SimResult, SimError> {
     let ct = trace.compile();
     let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
