@@ -8,8 +8,8 @@
 //! conservation. With `--static` it is also the static-bounds tool:
 //! for every metrics entry it prints the proven contributor bounds next
 //! to the interval model's recorded totals, and ends with the median
-//! model-vs-simulated mean-penalty error and the CSV tables no
-//! registered header checks. Exit status: 0 clean
+//! model-vs-simulated mean-penalty error and the CSV tables no static
+//! check covers. Exit status: 0 clean
 //! (warnings allowed), 1 when any error-severity finding fires, 2 on
 //! usage errors.
 
@@ -49,8 +49,8 @@ OPTIONS:
                       single metrics document. Prints each metrics
                       entry's bounds next to the model's recorded
                       totals, the median model-vs-simulated mean
-                      penalty error, and how many CSV tables a
-                      registered header checks, naming the rest (with
+                      penalty error, and how many CSV tables the
+                      static checks cover, naming the rest (with
                       --json: a \"workloads\" array,
                       \"median_mean_penalty_err\", \"csvs_checked\" and
                       \"csvs_unchecked\"); given alone, skips the other
@@ -400,7 +400,7 @@ fn main() -> ExitCode {
     let mut entries = 0usize;
     let mut tables: Vec<Value> = Vec::new();
     let mut errs: Vec<f64> = Vec::new();
-    // Under `--static`: how many CSV tables a registered header checks,
+    // Under `--static`: how many CSV tables the static checks cover,
     // and the names of the ones none does.
     let mut csvs_checked = 0usize;
     let mut csvs_unchecked: Vec<String> = Vec::new();
@@ -616,7 +616,7 @@ fn main() -> ExitCode {
             ));
             if !csvs_unchecked.is_empty() {
                 human.push_str(&format!(
-                    "; no registered header, unchecked: {}",
+                    "; no static checks, unchecked: {}",
                     csvs_unchecked.join(", ")
                 ));
             }

@@ -34,16 +34,20 @@
 //! integers, so their additive identities are checked with zero
 //! tolerance.
 //!
-//! CSV checks are keyed on the exact header line: a table whose header
-//! matches no registered experiment is not checked ([`csv_checked`]),
-//! and `bmp-lint --static` names every such table, so renaming a column
-//! of a checked table shows up as a newly unchecked one. All CSV checks are scale-free: they hold at any
+//! A CSV's checks are chosen by matching its header line against the
+//! published tables' schemas ([`bmp_core::tables`]), and they read cells
+//! by column name through the schema, so the experiment that writes a
+//! table and the checks that read it share one declaration of its
+//! columns. A table with no checks, or a header that matches no schema,
+//! is not checked ([`csv_checked`]), and `bmp-lint --static` names every
+//! such CSV. All CSV checks are scale-free: they hold at any
 //! `BMP_OPS`/`BMP_SEED`, because they are identities and bounds, not
 //! golden values.
 
 use std::cell::OnceCell;
 
 use bmp_core::metrics::{ExperimentMetrics, WorkloadMetrics};
+use bmp_core::tables::{self, col, TableSchema};
 use bmp_uarch::{presets, MachineConfig};
 use bmp_workloads::spec;
 
@@ -335,105 +339,112 @@ fn lint_class_attribution(report: &mut AnalysisReport, locus: &str, w: &Workload
     }
 }
 
-/// The CSV experiments with registered static checks, keyed by their
-/// exact header line.
-enum CsvChecks {
-    /// `fig2_penalty_per_benchmark.csv`.
-    Fig2,
-    /// `fig3_penalty_vs_interval.csv`.
-    Fig3,
-    /// `fig5_contributor_breakdown.csv`.
-    Fig5,
-    /// `fig6_pipeline_depth.csv`.
-    Fig6,
-    /// `fig7_fu_latency.csv`.
-    Fig7,
-    /// `fig8_ilp.csv`.
-    Fig8,
-    /// `fig9_l1d_misses.csv`.
-    Fig9,
-    /// `fig10_model_validation.csv`.
-    Fig10,
-    /// `ex2_window_sweep.csv`.
-    Ex2,
-    /// `ex3_closed_form.csv`.
-    Ex3,
-    /// `ex_predictor_generations.csv`.
-    ExGenerations,
-    /// `ex_h2p_contributors.csv`.
-    ExH2p,
-}
+/// A published table's static checks: its schema, its per-row
+/// identities and bounds, and the column groups whose cells must sum to
+/// 1 over each benchmark's rows (a distribution, or a split of one
+/// quantity).
+type CsvCheck = (
+    TableSchema,
+    fn(&mut Row<'_>) -> Option<()>,
+    &'static [&'static [&'static str]],
+);
 
-impl CsvChecks {
-    fn from_header(header: &str) -> Option<(Self, usize)> {
-        Some(match header {
-            "benchmark,measured-penalty,two-run-penalty,model-penalty,frontend-depth,measured-resolution" => (Self::Fig2, 6),
-            "benchmark,interval-bucket-lo,n-measured,measured-resolution,model-local-resolution,model-effective-resolution" => (Self::Fig3, 6),
-            "benchmark,frontend(i),base,ilp(iii),fu-latency(iv),short-dmiss(v),carryover(ii),total-penalty" => (Self::Fig5, 8),
-            "benchmark,frontend-depth,measured-penalty,measured-resolution,model-penalty,IPC" => (Self::Fig6, 6),
-            "workload,latency-scale,measured-resolution,model-resolution,model-fu-share(iv)" => (Self::Fig7, 5),
-            "chain-length,measured-resolution,model-resolution,model-ilp-share(iii)" => (Self::Fig8, 4),
-            "l1d-size-KiB,l1d-miss-rate,measured-resolution,model-resolution,model-short-dmiss-share(v)" => (Self::Fig9, 5),
-            "benchmark,events-agree,sim-resolution,model-resolution,resolution-err,correlation,sim-CPI,stack-CPI,sched-CPI" => (Self::Fig10, 9),
-            "benchmark,window,rob,measured-resolution,model-resolution,IPC" => (Self::Ex2, 6),
-            "benchmark,sim-effective,model-effective,model-local,closed-form,closed-form-err-vs-local" => (Self::Ex3, 6),
-            "benchmark,predictor,br-miss-rate,br-MPKI,mean-penalty,mean-base,mean-ilp,mean-fu,mean-dmiss,IPC" => (Self::ExGenerations, 10),
-            "benchmark,class,sites,intervals,base,ilp,fu,dmiss,local,refill,total" => (Self::ExH2p, 11),
-            _ => return None,
-        })
-    }
+/// Every published table with static checks.
+static CSV_CHECKS: [CsvCheck; 15] = [
+    (tables::FIG2, penalty_and_depth, &[]),
+    (tables::FIG3, fig3, &[]),
+    (tables::FIG4, |_| Some(()), &[&[col::FRACTION]]),
+    (tables::FIG5, fig5, &[]),
+    (tables::FIG6, fig6, &[]),
+    (tables::FIG7, fig7, &[]),
+    (tables::FIG8, fig8, &[]),
+    (tables::FIG9, fig9, &[]),
+    (tables::FIG10, fig10, &[]),
+    (
+        tables::FIG11,
+        |_| Some(()),
+        &[&[col::MEASURED_FRAC], &[col::MODEL_FRAC]],
+    ),
+    (tables::EX2, ex2, &[]),
+    (tables::EX3, ex3, &[]),
+    (
+        tables::EX5,
+        |_| Some(()),
+        &[&[
+            col::SLOTS_USED,
+            col::SLOTS_FRONTEND,
+            col::SLOTS_ROB,
+            col::SLOTS_WINDOW,
+        ]],
+    ),
+    (tables::EX_GENERATIONS, ex_generations, &[]),
+    (tables::EX_H2P, ex_h2p, &[]),
+];
+
+/// The checks of the table whose CSV header line is `header`.
+fn csv_checks(header: &str) -> Option<&'static CsvCheck> {
+    CSV_CHECKS
+        .iter()
+        .find(|(schema, ..)| schema.header() == header)
 }
 
 /// One CSV row under scrutiny; accumulates diagnostics for its line.
+/// Cells are read by column name through the table's schema.
 struct Row<'a> {
+    schema: &'a TableSchema,
     locus: String,
     cells: &'a [&'a str],
     diags: &'a mut Vec<Diagnostic>,
 }
 
-impl Row<'_> {
-    /// Numeric value of column `i`, or `None` with a BMP606 emitted.
-    fn num(&mut self, i: usize) -> Option<f64> {
-        match self.cells[i].trim().parse::<f64>() {
+impl<'a> Row<'a> {
+    /// The cell of column `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no such column: every check names
+    /// columns of its own table.
+    fn cell(&self, name: &str) -> (usize, &'a str) {
+        let i = self
+            .schema
+            .column(name)
+            .unwrap_or_else(|| panic!("table {} has no column {name}", self.schema.id));
+        (i, self.cells[i])
+    }
+
+    /// Numeric value of column `name`, or `None` with a BMP606 emitted.
+    fn num(&mut self, name: &str) -> Option<f64> {
+        let (i, cell) = self.cell(name);
+        match cell.trim().parse::<f64>() {
             Ok(v) if v.is_finite() => Some(v),
             _ => {
-                self.diags.push(Diagnostic::error(
+                self.push(
                     "BMP606",
-                    &self.locus,
-                    format!(
-                        "column {} is not a finite number: {:?}",
-                        i + 1,
-                        self.cells[i]
-                    ),
-                ));
+                    format!("column {} is not a finite number: {cell:?}", i + 1),
+                );
                 None
             }
         }
     }
 
-    /// Integer value of column `i` (the exact-identity columns of the
+    /// Integer value of column `name` (the exact-identity columns of the
     /// per-class table), or `None` with a BMP606 emitted.
-    fn int(&mut self, i: usize) -> Option<u64> {
-        match self.cells[i].trim().parse::<u64>() {
+    fn int(&mut self, name: &str) -> Option<u64> {
+        let (i, cell) = self.cell(name);
+        match cell.trim().parse::<u64>() {
             Ok(v) => Some(v),
             _ => {
-                self.diags.push(Diagnostic::error(
+                self.push(
                     "BMP606",
-                    &self.locus,
-                    format!(
-                        "column {} is not a non-negative integer: {:?}",
-                        i + 1,
-                        self.cells[i]
-                    ),
-                ));
+                    format!("column {} is not a non-negative integer: {cell:?}", i + 1),
+                );
                 None
             }
         }
     }
 
     fn violation(&mut self, message: String) {
-        self.diags
-            .push(Diagnostic::error("BMP605", &self.locus, message));
+        self.push("BMP605", message);
     }
 
     fn push(&mut self, code: &'static str, message: String) {
@@ -450,13 +461,6 @@ impl Row<'_> {
         }
     }
 
-    /// `value` within `[lo, hi]` (small slack), else a BMP605.
-    fn check_range(&mut self, name: &str, value: f64, lo: f64, hi: f64) {
-        if value < lo - 1e-3 || value > hi + 1e-3 {
-            self.violation(format!("{name} = {value} outside [{lo}, {hi}]"));
-        }
-    }
-
     /// `|got - want| <= eps`, else a BMP605 naming the identity.
     fn check_eq(&mut self, got: f64, want: f64, eps: f64, rule: &str) {
         if (got - want).abs() > eps {
@@ -465,308 +469,276 @@ impl Row<'_> {
             ));
         }
     }
+
+    /// Column `name`, checked to be at least `bound` (see
+    /// [`check_ge`](Self::check_ge)).
+    fn ge(&mut self, name: &str, bound: f64, rule: &str) -> Option<f64> {
+        let value = self.num(name)?;
+        self.check_ge(name, value, bound, rule);
+        Some(value)
+    }
+
+    /// Column `name`, checked to lie within `[lo, hi]` (small slack),
+    /// else a BMP605.
+    fn range(&mut self, name: &str, lo: f64, hi: f64) -> Option<f64> {
+        let value = self.num(name)?;
+        if value < lo - 1e-3 || value > hi + 1e-3 {
+            self.violation(format!("{name} = {value} outside [{lo}, {hi}]"));
+        }
+        Some(value)
+    }
+
+    /// Column `name`, checked to be positive.
+    fn positive(&mut self, name: &str) -> Option<f64> {
+        self.range(name, 1e-6, f64::INFINITY)
+    }
+
+    /// Each of the columns `names` (mean resolutions) checked against the
+    /// per-branch floor.
+    fn resolutions(&mut self, names: &[&str]) -> Option<()> {
+        for name in names {
+            self.ge(name, MIN_RESOLUTION, "r >= 2")?;
+        }
+        Some(())
+    }
 }
 
 /// Mean per-branch resolution lower bound: dispatch-to-issue plus
 /// issue-to-done is at least one cycle each (`docs/STATIC_ANALYSIS.md`).
 const MIN_RESOLUTION: f64 = 2.0;
 
-fn check_row(kind: &CsvChecks, row: &mut Row<'_>) -> Option<()> {
-    match kind {
-        CsvChecks::Fig2 => {
-            let mp = row.num(1)?;
-            let model = row.num(3)?;
-            let depth = row.num(4)?;
-            let mr = row.num(5)?;
-            row.check_eq(
-                mp - mr,
-                depth,
-                EPS_VAL,
-                "measured penalty − resolution == frontend depth",
-            );
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge(
-                "model-penalty",
-                model,
-                depth + MIN_RESOLUTION,
-                "penalty >= depth + 2",
-            );
-        }
-        CsvChecks::Fig6 => {
-            let depth = row.num(1)?;
-            let mp = row.num(2)?;
-            let mr = row.num(3)?;
-            let model = row.num(4)?;
-            let ipc = row.num(5)?;
-            row.check_eq(
-                mp - mr,
-                depth,
-                EPS_VAL,
-                "measured penalty − resolution == frontend depth",
-            );
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge(
-                "model-penalty",
-                model,
-                depth + MIN_RESOLUTION,
-                "penalty >= depth + 2",
-            );
-            row.check_range("IPC", ipc, 1e-6, f64::INFINITY);
-        }
-        CsvChecks::Fig5 => {
-            let fe = row.num(1)?;
-            let base = row.num(2)?;
-            let ilp = row.num(3)?;
-            let fu = row.num(4)?;
-            let sd = row.num(5)?;
-            let co = row.num(6)?;
-            let total = row.num(7)?;
-            row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
-            row.check_ge("frontend(i)", fe, 1.0, "refill >= 1");
-            row.check_ge("ilp(iii)", ilp, 0.0, "knock-out terms are non-negative");
-            row.check_ge(
-                "fu-latency(iv)",
-                fu,
-                0.0,
-                "knock-out terms are non-negative",
-            );
-            row.check_ge(
-                "short-dmiss(v)",
-                sd,
-                0.0,
-                "knock-out terms are non-negative",
-            );
-            row.check_eq(
-                fe + base + ilp + fu + sd + co,
-                total,
-                EPS_SUM,
-                "contributors sum to total penalty",
-            );
-            if total < fe + MIN_RESOLUTION - EPS_SUM {
-                row.violation(format!(
-                    "total-penalty = {total} below frontend + 2 = {}",
-                    fe + MIN_RESOLUTION
-                ));
-            }
-        }
-        CsvChecks::Fig10 => {
-            let agree = row.num(1)?;
-            let sim_r = row.num(2)?;
-            let model_r = row.num(3)?;
-            let corr = row.num(5)?;
-            let sim_cpi = row.num(6)?;
-            let stack_cpi = row.num(7)?;
-            let sched_cpi = row.num(8)?;
-            row.check_range("events-agree", agree, 0.0, 1.0);
-            row.check_range("correlation", corr, -1.0, 1.0);
-            row.check_ge("sim-resolution", sim_r, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-resolution", model_r, MIN_RESOLUTION, "r >= 2");
-            for (name, v) in [
-                ("sim-CPI", sim_cpi),
-                ("stack-CPI", stack_cpi),
-                ("sched-CPI", sched_cpi),
-            ] {
-                row.check_range(name, v, 1e-6, f64::INFINITY);
-            }
-        }
-        CsvChecks::Ex3 => {
-            let sim = row.num(1)?;
-            let model = row.num(2)?;
-            let local = row.num(3)?;
-            let closed = row.num(4)?;
-            row.check_ge("sim-effective", sim, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-effective", model, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-local", local, MIN_RESOLUTION, "r >= 2");
-            row.check_range("closed-form", closed, 1e-6, f64::INFINITY);
-        }
-        CsvChecks::Fig3 => {
-            let n = row.num(2)?;
-            row.check_ge("n-measured", n, 0.0, "counts are non-negative");
-            for (name, col) in [
-                ("measured-resolution", 3),
-                ("model-local-resolution", 4),
-                ("model-effective-resolution", 5),
-            ] {
-                let v = row.num(col)?;
-                // An empty bucket legitimately reports 0; a populated
-                // one must respect the per-branch floor.
-                if v > EPS_GE && v < MIN_RESOLUTION - EPS_GE {
-                    row.violation(format!(
-                        "{name} = {v} in (0, 2): below the resolution floor"
-                    ));
-                }
-            }
-        }
-        CsvChecks::Ex2 => {
-            let window = row.num(1)?;
-            let rob = row.num(2)?;
-            let mr = row.num(3)?;
-            let model = row.num(4)?;
-            let ipc = row.num(5)?;
-            row.check_ge("window", window, 1.0, "sizes are positive");
-            row.check_ge("rob", rob, 1.0, "sizes are positive");
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-resolution", model, MIN_RESOLUTION, "r >= 2");
-            row.check_range("IPC", ipc, 1e-6, f64::INFINITY);
-        }
-        CsvChecks::Fig7 => {
-            let scale = row.num(1)?;
-            let mr = row.num(2)?;
-            let model = row.num(3)?;
-            let share = row.num(4)?;
-            row.check_range("latency-scale", scale, 1e-6, f64::INFINITY);
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-resolution", model, MIN_RESOLUTION, "r >= 2");
-            row.check_ge(
-                "model-fu-share(iv)",
-                share,
-                0.0,
-                "knock-out terms are non-negative",
-            );
-        }
-        CsvChecks::Fig8 => {
-            let chain = row.num(0)?;
-            let mr = row.num(1)?;
-            let model = row.num(2)?;
-            let ilp = row.num(3)?;
-            row.check_ge("chain-length", chain, 1.0, "chains have at least one op");
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-resolution", model, MIN_RESOLUTION, "r >= 2");
-            row.check_ge(
-                "model-ilp-share(iii)",
-                ilp,
-                0.0,
-                "knock-out terms are non-negative",
-            );
-            row.check_ge(
-                "model-resolution",
-                model,
-                ilp + MIN_RESOLUTION - EPS_SUM,
-                "resolution >= ilp share + 2",
-            );
-        }
-        CsvChecks::ExGenerations => {
-            if !presets::GENERATIONS.contains(&row.cells[1].trim()) {
-                row.push(
-                    "BMP700",
-                    format!("unknown predictor generation {:?}", row.cells[1]),
-                );
-            }
-            let rate = row.num(2)?;
-            let mpki = row.num(3)?;
-            let mp = row.num(4)?;
-            let base = row.num(5)?;
-            let ilp = row.num(6)?;
-            let fu = row.num(7)?;
-            let dmiss = row.num(8)?;
-            let ipc = row.num(9)?;
-            row.check_range("br-miss-rate", rate, 0.0, 1.0);
-            row.check_ge("br-MPKI", mpki, 0.0, "counts are non-negative");
-            row.check_range("IPC", ipc, 1e-6, f64::INFINITY);
-            // Penalty statistics are means over mispredictions; with
-            // none recorded they legitimately print as zeros.
-            if mpki > EPS_GE {
-                let depth = f64::from(presets::baseline_4wide().frontend_depth);
-                row.check_ge(
-                    "mean-penalty",
-                    mp,
-                    depth + MIN_RESOLUTION,
-                    "penalty >= depth + 2 (generations share the baseline frontend)",
-                );
-                row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
-                row.check_ge("mean-ilp", ilp, 0.0, "knock-out terms are non-negative");
-                row.check_ge("mean-fu", fu, 0.0, "knock-out terms are non-negative");
-                row.check_ge("mean-dmiss", dmiss, 0.0, "knock-out terms are non-negative");
-            }
-        }
-        CsvChecks::ExH2p => {
-            if !known_class_label(row.cells[1].trim()) {
-                row.push(
-                    "BMP700",
-                    format!("unknown branch class label {:?}", row.cells[1]),
-                );
-            }
-            row.int(2)?; // sites: a non-negative integer
-            let intervals = row.int(3)?;
-            let base = row.int(4)?;
-            let ilp = row.int(5)?;
-            let fu = row.int(6)?;
-            let dmiss = row.int(7)?;
-            let local = row.int(8)?;
-            let refill = row.int(9)?;
-            let total = row.int(10)?;
-            // The table is produced under the baseline machine, so the
-            // refill charge per interval is the baseline frontend depth.
-            let depth = u64::from(presets::baseline_4wide().frontend_depth);
-            if refill != intervals * depth {
-                row.push(
-                    "BMP701",
-                    format!(
-                        "refill {refill} != {intervals} intervals × frontend \
-                         depth {depth}"
-                    ),
-                );
-            }
-            // Integer cycle columns: the identities hold exactly.
-            if base + ilp + fu + dmiss != local {
-                row.push(
-                    "BMP701",
-                    format!(
-                        "base {base} + ilp {ilp} + fu {fu} + dmiss {dmiss} != \
-                         local {local} (knock-out terms partition the local \
-                         resolution exactly)"
-                    ),
-                );
-            }
-            if local + refill != total {
-                row.push(
-                    "BMP701",
-                    format!("local {local} + refill {refill} != total {total}"),
-                );
-            }
-        }
-        CsvChecks::Fig9 => {
-            let rate = row.num(1)?;
-            let mr = row.num(2)?;
-            let model = row.num(3)?;
-            let share = row.num(4)?;
-            row.check_range("l1d-miss-rate", rate, 0.0, 1.0);
-            row.check_ge("measured-resolution", mr, MIN_RESOLUTION, "r >= 2");
-            row.check_ge("model-resolution", model, MIN_RESOLUTION, "r >= 2");
-            row.check_ge(
-                "model-short-dmiss-share(v)",
-                share,
-                0.0,
-                "knock-out terms are non-negative",
-            );
+/// The rule behind every non-negative contributor column.
+const KNOCK_OUT: &str = "knock-out terms are non-negative";
+
+/// The rule behind every count column.
+const COUNTS: &str = "counts are non-negative";
+
+/// Figures 2 and 6: the measured penalty is its resolution plus the
+/// frontend depth, and both penalties clear depth + 2.
+fn penalty_and_depth(row: &mut Row<'_>) -> Option<()> {
+    let mp = row.num(col::MEASURED_PENALTY)?;
+    let model = row.num(col::MODEL_PENALTY)?;
+    let depth = row.num(col::FRONTEND_DEPTH)?;
+    let mr = row.num(col::MEASURED_RESOLUTION)?;
+    row.check_eq(
+        mp - mr,
+        depth,
+        EPS_VAL,
+        "measured penalty − resolution == frontend depth",
+    );
+    row.check_ge(col::MEASURED_RESOLUTION, mr, MIN_RESOLUTION, "r >= 2");
+    let floor = depth + MIN_RESOLUTION;
+    row.check_ge(col::MODEL_PENALTY, model, floor, "penalty >= depth + 2");
+    Some(())
+}
+
+fn fig6(row: &mut Row<'_>) -> Option<()> {
+    penalty_and_depth(row)?;
+    row.positive(col::IPC)?;
+    Some(())
+}
+
+fn fig5(row: &mut Row<'_>) -> Option<()> {
+    let fe = row.num(col::FRONTEND_I)?;
+    let base = row.num(col::BASE)?;
+    row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
+    row.check_ge(col::FRONTEND_I, fe, 1.0, "refill >= 1");
+    let ilp = row.ge(col::ILP_III, 0.0, KNOCK_OUT)?;
+    let fu = row.ge(col::FU_LATENCY_IV, 0.0, KNOCK_OUT)?;
+    let sd = row.ge(col::SHORT_DMISS_V, 0.0, KNOCK_OUT)?;
+    let co = row.num(col::CARRYOVER_II)?;
+    let total = row.num(col::TOTAL_PENALTY)?;
+    row.check_eq(
+        fe + base + ilp + fu + sd + co,
+        total,
+        EPS_SUM,
+        "contributors sum to total penalty",
+    );
+    if total < fe + MIN_RESOLUTION - EPS_SUM {
+        row.violation(format!(
+            "{} = {total} below frontend + 2 = {}",
+            col::TOTAL_PENALTY,
+            fe + MIN_RESOLUTION
+        ));
+    }
+    Some(())
+}
+
+fn fig10(row: &mut Row<'_>) -> Option<()> {
+    row.range(col::EVENTS_AGREE, 0.0, 1.0)?;
+    row.range(col::CORRELATION, -1.0, 1.0)?;
+    row.resolutions(&[col::SIM_RESOLUTION, col::MODEL_RESOLUTION])?;
+    for name in [col::SIM_CPI, col::STACK_CPI, col::SCHED_CPI] {
+        row.positive(name)?;
+    }
+    Some(())
+}
+
+fn ex3(row: &mut Row<'_>) -> Option<()> {
+    row.resolutions(&[col::SIM_EFFECTIVE, col::MODEL_EFFECTIVE, col::MODEL_LOCAL])?;
+    row.positive(col::CLOSED_FORM)?;
+    Some(())
+}
+
+fn fig3(row: &mut Row<'_>) -> Option<()> {
+    row.ge(col::N_MEASURED, 0.0, COUNTS)?;
+    for name in [
+        col::MEASURED_RESOLUTION,
+        col::MODEL_LOCAL_RESOLUTION,
+        col::MODEL_EFFECTIVE_RESOLUTION,
+    ] {
+        let v = row.num(name)?;
+        // An empty bucket legitimately reports 0; a populated one must
+        // respect the per-branch floor.
+        if v > EPS_GE && v < MIN_RESOLUTION - EPS_GE {
+            row.violation(format!(
+                "{name} = {v} in (0, 2): below the resolution floor"
+            ));
         }
     }
     Some(())
 }
 
-/// Whether `content`'s header line is a registered table's, that is,
-/// whether [`lint_csv`] checks the table at all. `bmp-lint --static`
-/// names the tables it leaves unchecked.
+fn ex2(row: &mut Row<'_>) -> Option<()> {
+    row.ge(col::WINDOW, 1.0, "sizes are positive")?;
+    row.ge(col::ROB, 1.0, "sizes are positive")?;
+    row.resolutions(&[col::MEASURED_RESOLUTION, col::MODEL_RESOLUTION])?;
+    row.positive(col::IPC)?;
+    Some(())
+}
+
+fn fig7(row: &mut Row<'_>) -> Option<()> {
+    row.positive(col::LATENCY_SCALE)?;
+    row.resolutions(&[col::MEASURED_RESOLUTION, col::MODEL_RESOLUTION])?;
+    row.ge(col::MODEL_FU_SHARE_IV, 0.0, KNOCK_OUT)?;
+    Some(())
+}
+
+fn fig8(row: &mut Row<'_>) -> Option<()> {
+    row.ge(col::CHAIN_LENGTH, 1.0, "chains have at least one op")?;
+    row.resolutions(&[col::MEASURED_RESOLUTION, col::MODEL_RESOLUTION])?;
+    let ilp = row.ge(col::MODEL_ILP_SHARE_III, 0.0, KNOCK_OUT)?;
+    let model = row.num(col::MODEL_RESOLUTION)?;
+    let floor = ilp + MIN_RESOLUTION - EPS_SUM;
+    row.check_ge(
+        col::MODEL_RESOLUTION,
+        model,
+        floor,
+        "resolution >= ilp share + 2",
+    );
+    Some(())
+}
+
+fn fig9(row: &mut Row<'_>) -> Option<()> {
+    row.range(col::L1D_MISS_RATE, 0.0, 1.0)?;
+    row.resolutions(&[col::MEASURED_RESOLUTION, col::MODEL_RESOLUTION])?;
+    row.ge(col::MODEL_SHORT_DMISS_SHARE_V, 0.0, KNOCK_OUT)?;
+    Some(())
+}
+
+fn ex_generations(row: &mut Row<'_>) -> Option<()> {
+    let (_, predictor) = row.cell(col::PREDICTOR);
+    if !presets::GENERATIONS.contains(&predictor.trim()) {
+        row.push(
+            "BMP700",
+            format!("unknown predictor generation {predictor:?}"),
+        );
+    }
+    row.range(col::BR_MISS_RATE, 0.0, 1.0)?;
+    let mpki = row.ge(col::BR_MPKI, 0.0, COUNTS)?;
+    row.positive(col::IPC)?;
+    let mp = row.num(col::MEAN_PENALTY)?;
+    let base = row.num(col::MEAN_BASE)?;
+    let mut means = Vec::new();
+    for name in [col::MEAN_ILP, col::MEAN_FU, col::MEAN_DMISS] {
+        means.push((name, row.num(name)?));
+    }
+    // Penalty statistics are means over mispredictions; with none
+    // recorded they legitimately print as zeros.
+    if mpki > EPS_GE {
+        let depth = f64::from(presets::baseline_4wide().frontend_depth);
+        row.check_ge(
+            col::MEAN_PENALTY,
+            mp,
+            depth + MIN_RESOLUTION,
+            "penalty >= depth + 2 (generations share the baseline frontend)",
+        );
+        row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
+        for (name, v) in means {
+            row.check_ge(name, v, 0.0, KNOCK_OUT);
+        }
+    }
+    Some(())
+}
+
+fn ex_h2p(row: &mut Row<'_>) -> Option<()> {
+    let (_, class) = row.cell(col::CLASS);
+    if !known_class_label(class.trim()) {
+        row.push("BMP700", format!("unknown branch class label {class:?}"));
+    }
+    row.int(col::SITES)?;
+    let intervals = row.int(col::INTERVALS)?;
+    let base = row.int(col::BASE)?;
+    let ilp = row.int(col::ILP)?;
+    let fu = row.int(col::FU)?;
+    let dmiss = row.int(col::DMISS)?;
+    let local = row.int(col::LOCAL)?;
+    let refill = row.int(col::REFILL)?;
+    let total = row.int(col::TOTAL)?;
+    // The table is produced under the baseline machine, so the refill
+    // charge per interval is the baseline frontend depth.
+    let depth = u64::from(presets::baseline_4wide().frontend_depth);
+    if refill != intervals * depth {
+        row.push(
+            "BMP701",
+            format!(
+                "refill {refill} != {intervals} intervals × frontend \
+                 depth {depth}"
+            ),
+        );
+    }
+    // Integer cycle columns: the identities hold exactly.
+    if base + ilp + fu + dmiss != local {
+        row.push(
+            "BMP701",
+            format!(
+                "base {base} + ilp {ilp} + fu {fu} + dmiss {dmiss} != \
+                 local {local} (knock-out terms partition the local \
+                 resolution exactly)"
+            ),
+        );
+    }
+    if local + refill != total {
+        row.push(
+            "BMP701",
+            format!("local {local} + refill {refill} != total {total}"),
+        );
+    }
+    Some(())
+}
+
+/// Whether `content`'s header line is that of a published table with
+/// static checks, that is, whether [`lint_csv`] checks the table at all.
+/// `bmp-lint --static` names the tables it leaves unchecked.
 pub fn csv_checked(content: &str) -> bool {
     content
         .lines()
         .next()
-        .is_some_and(|header| CsvChecks::from_header(header.trim()).is_some())
+        .is_some_and(|header| csv_checks(header.trim()).is_some())
 }
 
-/// Lints one published CSV table against the registered static checks
-/// for its header. Unregistered headers (tables whose columns carry no
-/// statically checkable identity, e.g. `table1_config.csv`) produce a
-/// clean report.
+/// Lints one published CSV table against the static checks of the table
+/// whose header it carries. Other headers (tables whose columns carry no
+/// statically checkable identity, e.g. `table1_config.csv`, or no
+/// published table at all) produce a clean report.
 pub fn lint_csv(locus: &str, content: &str) -> AnalysisReport {
     let mut report = AnalysisReport::default();
     let mut lines = content.lines();
-    let Some(header) = lines.next() else {
+    let Some((schema, check, unit_sums)) = lines.next().and_then(|h| csv_checks(h.trim())) else {
         return report;
     };
-    let Some((kind, cols)) = CsvChecks::from_header(header.trim()) else {
-        return report;
-    };
+    let cols = schema.columns.len();
+    let mut sums: Vec<UnitSum> = Vec::new();
     for (i, line) in lines.enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -782,13 +754,65 @@ pub fn lint_csv(locus: &str, content: &str) -> AnalysisReport {
             continue;
         }
         let mut row = Row {
+            schema,
             locus,
             cells: &cells,
             diags: &mut report.diagnostics,
         };
-        check_row(&kind, &mut row);
+        check(&mut row);
+        for &columns in *unit_sums {
+            let (_, bench) = row.cell(col::BENCHMARK);
+            let at = sums
+                .iter()
+                .position(|s| s.bench == bench && s.columns == columns)
+                .unwrap_or_else(|| {
+                    sums.push(UnitSum {
+                        bench: bench.to_owned(),
+                        columns,
+                        locus: row.locus.clone(),
+                        sum: 0.0,
+                        cells: 0,
+                    });
+                    sums.len() - 1
+                });
+            for name in columns {
+                if let Some(v) = row.num(name) {
+                    sums[at].sum += v;
+                    sums[at].cells += 1;
+                }
+            }
+        }
+    }
+    for s in sums {
+        let eps = 0.0005 * s.cells as f64 + 1e-9;
+        if s.sum != 0.0 && (s.sum - 1.0).abs() > eps {
+            report.diagnostics.push(Diagnostic::error(
+                "BMP605",
+                &s.locus,
+                format!(
+                    "{}: the {} cells sum to {}, expected 1 (tolerance {eps} \
+                     over {} rounded cell(s))",
+                    s.bench,
+                    s.columns.join(" + "),
+                    s.sum,
+                    s.cells
+                ),
+            ));
+        }
     }
     report
+}
+
+/// One column group's running sum over one benchmark's rows (from the
+/// row at `locus` on). Each cell is rounded to three decimals, so the
+/// sum must come to 1 within half a unit in the last place per cell, or
+/// to 0 when there was nothing to distribute (no events, no slots).
+struct UnitSum {
+    bench: String,
+    columns: &'static [&'static str],
+    locus: String,
+    sum: f64,
+    cells: usize,
 }
 
 #[cfg(test)]
@@ -949,20 +973,23 @@ mod tests {
 
     #[test]
     fn real_result_csvs_pass() {
-        // The seed repo's published tables must satisfy every
-        // registered static check.
-        for name in [
-            "fig2_penalty_per_benchmark",
-            "fig5_contributor_breakdown",
-            "fig8_ilp",
-            "ex_predictor_generations",
-            "ex_h2p_contributors",
-        ] {
-            let path = format!("{}/../../results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                let report = lint_csv(&format!("{name}.csv"), &text);
-                assert!(report.is_clean(), "{name}: {}", report.render_human());
-            }
+        // The committed published tables must satisfy every static
+        // check, and each checked table must be among them.
+        for (schema, ..) in &CSV_CHECKS {
+            let path = format!(
+                "{}/../../results/{}.csv",
+                env!("CARGO_MANIFEST_DIR"),
+                schema.id
+            );
+            let text = std::fs::read_to_string(&path).expect("committed CSV");
+            assert!(csv_checked(&text), "{}", schema.id);
+            let report = lint_csv(&format!("{}.csv", schema.id), &text);
+            assert!(
+                report.is_clean(),
+                "{}: {}",
+                schema.id,
+                report.render_human()
+            );
         }
     }
 
@@ -1056,17 +1083,66 @@ mod tests {
     fn unknown_header_is_skipped_silently() {
         let report = lint_csv("x.csv", "a,b,c\n1,2,oops\n");
         assert!(report.is_clean());
-        let registered = |header: &str| CsvChecks::from_header(header).is_some();
-        assert!(!registered("a,b,c"));
-        assert!(registered(
-            "chain-length,measured-resolution,model-resolution,model-ilp-share(iii)"
+        assert!(!csv_checked("a,b,c\n"));
+        assert!(csv_checked(
+            "chain-length,measured-resolution,model-resolution,model-ilp-share(iii)\n"
         ));
-        assert!(registered(
-            "benchmark,predictor,br-miss-rate,br-MPKI,mean-penalty,mean-base,\
-             mean-ilp,mean-fu,mean-dmiss,IPC"
+        // A published table without checks is unchecked too, and so is
+        // a checked table's header with its columns reordered.
+        assert!(!csv_checked("parameter,value\n"));
+        assert!(!csv_checked(
+            "measured-resolution,chain-length,model-resolution,model-ilp-share(iii)\n"
         ));
-        assert!(registered(
-            "benchmark,class,sites,intervals,base,ilp,fu,dmiss,local,refill,total"
+    }
+
+    const FIG4_HEADER: &str = "benchmark,interval-bucket-lo,fraction,count\n";
+
+    #[test]
+    fn fig4_fractions_not_summing_to_one_are_bmp605() {
+        // Three rounded cells: tolerance 0.0015.
+        let good = format!("{FIG4_HEADER}gzip,0,0.333,10\ngzip,1,0.333,10\ngzip,2,0.333,10\n");
+        assert!(lint_csv("fig4.csv", &good).is_clean());
+        let bad = format!(
+            "{FIG4_HEADER}gzip,0,0.333,10\ngzip,1,0.333,10\ngzip,2,0.330,10\nmcf,0,1.000,4\n"
+        );
+        let report = lint_csv("fig4.csv", &bad);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(&report, "BMP605", "gzip: the fraction cells sum to"));
+        assert_eq!(report.diagnostics[0].locus, "fig4.csv:2");
+    }
+
+    #[test]
+    fn fig11_fractions_not_summing_to_one_are_bmp605() {
+        let header = "benchmark,resolution-bucket-lo,measured-frac,model-frac,measured-n\n";
+        let good = format!("{header}gcc,2,0.600,0.500,6\ngcc,5,0.400,0.500,4\n");
+        assert!(lint_csv("fig11.csv", &good).is_clean());
+        // The model column alone misses 1; a benchmark with no events
+        // (all-zero columns) is not a violation.
+        let bad =
+            format!("{header}gcc,2,0.600,0.500,6\ngcc,5,0.400,0.450,4\ntwolf,2,0.000,0.000,0\n");
+        let report = lint_csv("fig11.csv", &bad);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(
+            &report,
+            "BMP605",
+            "gcc: the model-frac cells sum to 0.95"
+        ));
+    }
+
+    #[test]
+    fn ex5_slot_split_not_summing_to_one_is_bmp605() {
+        let header = "benchmark,mean-occupancy,rob-full-frac,slots-used,slots-frontend,\
+                      slots-rob,slots-window,mean-resolution\n";
+        // 0.999 is within four rounded cells' tolerance (0.002).
+        let good = format!("{header}mcf,94.26,0.509,0.096,0.348,0.485,0.070,58.12\n");
+        assert!(lint_csv("ex5.csv", &good).is_clean());
+        let bad = format!("{header}mcf,94.26,0.509,0.096,0.348,0.485,0.060,58.12\n");
+        let report = lint_csv("ex5.csv", &bad);
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(fired(
+            &report,
+            "BMP605",
+            "slots-used + slots-frontend + slots-rob + slots-window"
         ));
     }
 

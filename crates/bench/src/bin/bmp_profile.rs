@@ -7,7 +7,7 @@
 //!
 //! 1. **Per-workload** — each SPECint-like workload at the baseline
 //!    4-wide config: every phase timed in isolation, simulation
-//!    best-of-`BMP_PROFILE_REPS` (default 3) per engine with the two
+//!    best-of-`REPS` (3) per engine with the two
 //!    engines' runs *alternated* (event, reference, event, ...) so host
 //!    load drifts hit both sides equally, and the two `SimResult`s
 //!    asserted bit-identical. Event-engine time is split into the cycle
@@ -15,7 +15,7 @@
 //!    superblock segmentation (region count, mean region length).
 //! 2. **Suite** — the full `run_all` experiment registry (every config
 //!    sweep of the paper reproduction) executed
-//!    `BMP_PROFILE_SUITE_REPS` (default 2) times per engine through the
+//!    `SUITE_REPS` (2) times per engine through the
 //!    shared artifact cache, alternating engines pass-by-pass,
 //!    comparing best-of sim-phase compute time. This is the default
 //!    workload mix the harness actually runs, so its sim-phase ratio is
@@ -53,19 +53,16 @@ struct WorkloadRow {
     mean_region_len: f64,
 }
 
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(default)
-}
+/// Timed repetitions per engine of each workload's simulation.
+const REPS: u32 = 3;
+/// Timed passes per engine of the suite.
+const SUITE_REPS: u32 = 2;
 
 fn ms(seconds: f64) -> String {
     format!("{:.3}", seconds * 1e3)
 }
 
-fn profile_workloads(scale: Scale, reps: u32) -> Vec<WorkloadRow> {
+fn profile_workloads(scale: Scale) -> Vec<WorkloadRow> {
     let cfg = presets::baseline_4wide();
     let mut rows = Vec::new();
     for name in spec::NAMES {
@@ -93,7 +90,7 @@ fn profile_workloads(scale: Scale, reps: u32) -> Vec<WorkloadRow> {
         // Alternate the engines within each rep so slow drifts in host
         // load degrade both measurements, not just whichever engine
         // happened to run last.
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let t0 = Instant::now();
             let (r, phases) = sim
                 .try_run_compiled_phased(&compiled, &sb)
@@ -164,20 +161,19 @@ fn suite_pass(scale: Scale, choice: EngineChoice) -> (bmp_bench::PhaseReport, us
     (engine.ctx().phase_report(), report.outcomes.len(), wall_s)
 }
 
-/// Best-of-`reps` suite runs per engine, alternating engines between
+/// Best-of-`SUITE_REPS` suite runs per engine, alternating engines between
 /// passes so host-load drift cannot systematically favor either side.
 #[allow(clippy::type_complexity)]
 fn profile_suite(
     scale: Scale,
-    reps: u32,
 ) -> (
     (bmp_bench::PhaseReport, usize, f64),
     (bmp_bench::PhaseReport, usize, f64),
 ) {
     let mut best_event: Option<(bmp_bench::PhaseReport, usize, f64)> = None;
     let mut best_reference: Option<(bmp_bench::PhaseReport, usize, f64)> = None;
-    for pass in 0..reps {
-        eprintln!("-- suite pass {}/{reps}, event-driven engine --", pass + 1);
+    for pass in 1..=SUITE_REPS {
+        eprintln!("-- suite pass {pass}/{SUITE_REPS}, event-driven engine --");
         let ev = suite_pass(scale, EngineChoice::EventDriven);
         if best_event
             .as_ref()
@@ -185,7 +181,7 @@ fn profile_suite(
         {
             best_event = Some(ev);
         }
-        eprintln!("-- suite pass {}/{reps}, reference engine --", pass + 1);
+        eprintln!("-- suite pass {pass}/{SUITE_REPS}, reference engine --");
         let rf = suite_pass(scale, EngineChoice::Reference);
         if best_reference
             .as_ref()
@@ -202,19 +198,17 @@ fn profile_suite(
 
 fn main() -> ExitCode {
     let scale = Scale::from_env();
-    let reps = env_u32("BMP_PROFILE_REPS", 3);
-    let suite_reps = env_u32("BMP_PROFILE_SUITE_REPS", 2);
     let gate: Option<f64> = std::env::var("BMP_PROFILE_GATE")
         .ok()
         .and_then(|v| v.parse().ok());
     eprintln!(
-        "profiling at {} ops per workload, seed {}, best of {} reps \
-         ({} suite passes), 1 thread",
-        scale.ops, scale.seed, reps, suite_reps
+        "profiling at {} ops per workload, seed {}, best of {REPS} reps \
+         ({SUITE_REPS} suite passes), 1 thread",
+        scale.ops, scale.seed
     );
 
     eprintln!("\n-- per-workload phases (baseline 4-wide) --");
-    let rows = profile_workloads(scale, reps);
+    let rows = profile_workloads(scale);
     let wl_event: f64 = rows.iter().map(|r| r.sim_event_s).sum();
     let wl_reference: f64 = rows.iter().map(|r| r.sim_reference_s).sum();
     eprintln!(
@@ -227,7 +221,7 @@ fn main() -> ExitCode {
 
     eprintln!("\n-- full experiment suite (run_all registry) --");
     let ((p_event, experiments, wall_event), (p_reference, _, wall_reference)) =
-        profile_suite(scale, suite_reps);
+        profile_suite(scale);
     let suite_speedup = p_reference.sim_nanos as f64 / p_event.sim_nanos as f64;
     eprintln!(
         "suite ({experiments} experiments): sim new {} ms  sim ref {} ms  ({suite_speedup:.2}x); \
@@ -262,8 +256,8 @@ fn main() -> ExitCode {
         "ops": scale.ops,
         "seed": scale.seed,
         "threads": 1u64,
-        "reps": reps,
-        "suite_reps": suite_reps,
+        "reps": REPS,
+        "suite_reps": SUITE_REPS,
         "workloads": workloads.collect::<Value>(),
         "workload_sim_totals": json_object! {
             "event_ms": ms_value(wl_event), "reference_ms": ms_value(wl_reference),

@@ -1,6 +1,7 @@
 //! The characterization figures E-F1 … E-F5.
 
 use bmp_core::intervals::{bucket_label, bucket_means};
+use bmp_core::tables;
 use bmp_core::{IntervalEventKind, IntervalLengthHistogram};
 use bmp_uarch::{presets, PredictorConfig};
 use bmp_workloads::spec;
@@ -24,7 +25,7 @@ fn fig1_point() -> Point {
 
 /// E-F1 in the registry: its table and the cells the table reads.
 pub const FIG1_INTERVAL_PROFILE: ExperimentDef = ExperimentDef {
-    name: "fig1_interval_profile",
+    name: tables::FIG1.id,
     run: fig1_interval_profile,
     cells: || vec![fig1_point().cell(Sim)],
 };
@@ -64,12 +65,12 @@ pub fn fig1_interval_profile(ctx: &Ctx, scale: Scale) -> Table {
         count += 1;
     }
     let mut t = Table::new(
-        "fig1_interval_profile",
+        tables::FIG1.id,
         &format!(
             "Figure 1 (E-F1): mean dispatch rate around an isolated misprediction \
              (crafty-like, {count} events averaged)"
         ),
-        &["cycle-rel-to-mispredict-fetch", "mean-dispatch-rate"],
+        tables::FIG1.columns,
     );
     for (slot, rel) in (-BEFORE..=AFTER).enumerate() {
         let mean = if count == 0 {
@@ -94,7 +95,7 @@ fn fig2_grid() -> impl Iterator<Item = (Point, Point)> {
 
 /// E-F2 in the registry: its table and the cells the table reads.
 pub const FIG2_PENALTY_PER_BENCHMARK: ExperimentDef = ExperimentDef {
-    name: "fig2_penalty_per_benchmark",
+    name: tables::FIG2.id,
     run: fig2_penalty_per_benchmark,
     cells: || {
         fig2_grid()
@@ -115,17 +116,10 @@ pub const FIG2_PENALTY_PER_BENCHMARK: ExperimentDef = ExperimentDef {
 pub fn fig2_penalty_per_benchmark(ctx: &Ctx, scale: Scale) -> Table {
     let frontend_depth = presets::baseline_4wide().frontend_depth;
     let mut t = Table::new(
-        "fig2_penalty_per_benchmark",
+        tables::FIG2.id,
         "Figure 2 (E-F2): average branch misprediction penalty per benchmark \
          (frontend pipeline length = 5 cycles)",
-        &[
-            "benchmark",
-            "measured-penalty",
-            "two-run-penalty",
-            "model-penalty",
-            "frontend-depth",
-            "measured-resolution",
-        ],
+        tables::FIG2.columns,
     );
     for (base, oracle) in fig2_grid() {
         let res = base.sim(ctx, scale);
@@ -154,7 +148,7 @@ pub fn fig2_penalty_per_benchmark(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-F3 in the registry: its table and the cells the table reads.
 pub const FIG3_PENALTY_VS_INTERVAL: ExperimentDef = ExperimentDef {
-    name: "fig3_penalty_vs_interval",
+    name: tables::FIG3.id,
     run: fig3_penalty_vs_interval,
     cells: || cells(profiles(&REPRESENTATIVES), &[Sim, Analysis]),
 };
@@ -164,16 +158,9 @@ pub const FIG3_PENALTY_VS_INTERVAL: ExperimentDef = ExperimentDef {
 /// benchmark: measured, model-local (pure ramp-up) and model-effective.
 pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig3_penalty_vs_interval",
+        tables::FIG3.id,
         "Figure 3 (E-F3): branch resolution time vs. instructions since the last miss event",
-        &[
-            "benchmark",
-            "interval-bucket-lo",
-            "n-measured",
-            "measured-resolution",
-            "model-local-resolution",
-            "model-effective-resolution",
-        ],
+        tables::FIG3.columns,
     );
     for point in profiles(&REPRESENTATIVES) {
         let res = point.sim(ctx, scale);
@@ -206,7 +193,7 @@ pub fn fig3_penalty_vs_interval(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-F4 in the registry: its table and the cells the table reads.
 pub const FIG4_INTERVAL_DISTRIBUTION: ExperimentDef = ExperimentDef {
-    name: "fig4_interval_distribution",
+    name: tables::FIG4.id,
     run: fig4_interval_distribution,
     cells: || cells(profiles(&spec::NAMES), &[Analysis]),
 };
@@ -215,9 +202,9 @@ pub const FIG4_INTERVAL_DISTRIBUTION: ExperimentDef = ExperimentDef {
 /// the burstiness characterization.
 pub fn fig4_interval_distribution(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig4_interval_distribution",
+        tables::FIG4.id,
         "Figure 4 (E-F4): distribution of inter-miss-event interval lengths",
-        &["benchmark", "interval-bucket-lo", "fraction", "count"],
+        tables::FIG4.columns,
     );
     for point in profiles(&spec::NAMES) {
         let name = point.workload.name();
@@ -237,7 +224,7 @@ pub fn fig4_interval_distribution(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-F5 in the registry: its table and the cells the table reads.
 pub const FIG5_CONTRIBUTOR_BREAKDOWN: ExperimentDef = ExperimentDef {
-    name: "fig5_contributor_breakdown",
+    name: tables::FIG5.id,
     run: fig5_contributor_breakdown,
     cells: FIG4_INTERVAL_DISTRIBUTION.cells,
 };
@@ -248,18 +235,9 @@ pub const FIG5_CONTRIBUTOR_BREAKDOWN: ExperimentDef = ExperimentDef {
 /// cross-interval window carryover (part of ii).
 pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig5_contributor_breakdown",
+        tables::FIG5.id,
         "Figure 5 (E-F5): decomposition of the mean misprediction penalty",
-        &[
-            "benchmark",
-            "frontend(i)",
-            "base",
-            "ilp(iii)",
-            "fu-latency(iv)",
-            "short-dmiss(v)",
-            "carryover(ii)",
-            "total-penalty",
-        ],
+        tables::FIG5.columns,
     );
     for point in profiles(&spec::NAMES) {
         let analysis = point.analysis(ctx, scale);
@@ -289,7 +267,7 @@ pub fn fig5_contributor_breakdown(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-F11 in the registry: its table and the cells the table reads.
 pub const FIG11_PENALTY_DISTRIBUTION: ExperimentDef = ExperimentDef {
-    name: "fig11_penalty_distribution",
+    name: tables::FIG11.id,
     run: fig11_penalty_distribution,
     cells: FIG3_PENALTY_VS_INTERVAL.cells,
 };
@@ -301,15 +279,9 @@ pub const FIG11_PENALTY_DISTRIBUTION: ExperimentDef = ExperimentDef {
 pub fn fig11_penalty_distribution(ctx: &Ctx, scale: Scale) -> Table {
     const BOUNDS: [u64; 7] = [2, 5, 10, 20, 50, 100, 200];
     let mut t = Table::new(
-        "fig11_penalty_distribution",
+        tables::FIG11.id,
         "Figure 11 (E-F11): distribution of branch resolution times",
-        &[
-            "benchmark",
-            "resolution-bucket-lo",
-            "measured-frac",
-            "model-frac",
-            "measured-n",
-        ],
+        tables::FIG11.columns,
     );
     for point in profiles(&REPRESENTATIVES) {
         let res = point.sim(ctx, scale);

@@ -2,6 +2,7 @@
 //! studies its framework invites.
 
 use bmp_core::closed_form;
+use bmp_core::tables;
 use bmp_trace::BranchKind;
 use bmp_uarch::{
     presets, CacheGeometry, HierarchyConfig, IndirectPredictorConfig, PredictorConfig,
@@ -56,7 +57,7 @@ fn ex1_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
 
 /// E-X1 in the registry: its table and the cells the table reads.
 pub const EX1_PREDICTOR_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex1_predictor_study",
+    name: tables::EX1.id,
     run: ex1_predictor_study,
     cells: || cells(ex1_grid().map(|(.., p)| p), &[Sim]),
 };
@@ -68,16 +69,9 @@ pub const EX1_PREDICTOR_STUDY: ExperimentDef = ExperimentDef {
 /// same band while MPKI and IPC move a lot.
 pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex1_predictor_study",
+        tables::EX1.id,
         "Extension E-X1: penalty and performance per branch predictor",
-        &[
-            "benchmark",
-            "predictor",
-            "br-miss-rate",
-            "br-MPKI",
-            "mean-penalty",
-            "IPC",
-        ],
+        tables::EX1.columns,
     );
     for (name, pname, point) in ex1_grid() {
         let res = point.sim(ctx, scale);
@@ -103,7 +97,7 @@ fn ex2_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
 
 /// E-X2 in the registry: its table and the cells the table reads.
 pub const EX2_WINDOW_SWEEP: ExperimentDef = ExperimentDef {
-    name: "ex2_window_sweep",
+    name: tables::EX2.id,
     run: ex2_window_sweep,
     cells: || cells(ex2_grid().map(|(.., p)| p), &[Sim, Analysis]),
 };
@@ -114,16 +108,9 @@ pub const EX2_WINDOW_SWEEP: ExperimentDef = ExperimentDef {
 /// framework exposes.
 pub fn ex2_window_sweep(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex2_window_sweep",
+        tables::EX2.id,
         "Extension E-X2: penalty vs. issue-window size",
-        &[
-            "benchmark",
-            "window",
-            "rob",
-            "measured-resolution",
-            "model-resolution",
-            "IPC",
-        ],
+        tables::EX2.columns,
     );
     for (name, window, point) in ex2_grid() {
         let res = point.sim(ctx, scale);
@@ -142,7 +129,7 @@ pub fn ex2_window_sweep(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-X3 in the registry: its table and the cells the table reads.
 pub const EX3_CLOSED_FORM: ExperimentDef = ExperimentDef {
-    name: "ex3_closed_form",
+    name: tables::EX3.id,
     run: ex3_closed_form,
     cells: || cells(profiles(&spec::NAMES), &[Sim, Analysis]),
 };
@@ -159,16 +146,9 @@ pub const EX3_CLOSED_FORM: ExperimentDef = ExperimentDef {
 pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
     let cfg = presets::baseline_4wide();
     let mut t = Table::new(
-        "ex3_closed_form",
+        tables::EX3.id,
         "Extension E-X3: closed-form vs. scheduled model vs. simulation (mean resolution)",
-        &[
-            "benchmark",
-            "sim-effective",
-            "model-effective",
-            "model-local",
-            "closed-form",
-            "closed-form-err-vs-local",
-        ],
+        tables::EX3.columns,
     );
     for point in profiles(&spec::NAMES) {
         let res = point.sim(ctx, scale);
@@ -222,7 +202,7 @@ fn ex4_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
 
 /// E-X4 in the registry: its table and the cells the table reads.
 pub const EX4_PREFETCH_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex4_prefetch_study",
+    name: tables::EX4.id,
     run: ex4_prefetch_study,
     cells: || cells(ex4_grid().map(|(.., p)| p), &[Sim]),
 };
@@ -231,17 +211,9 @@ pub const EX4_PREFETCH_STUDY: ExperimentDef = ExperimentDef {
 /// events: streaming benchmarks gain, pointer-chasing ones do not.
 pub fn ex4_prefetch_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex4_prefetch_study",
+        tables::EX4.id,
         "Extension E-X4: stride + next-line prefetching on vs. off",
-        &[
-            "benchmark",
-            "prefetch",
-            "l1d-miss-rate",
-            "long-D-MPKI",
-            "mean-penalty",
-            "IPC",
-            "prefetches",
-        ],
+        tables::EX4.columns,
     );
     for (name, label, point) in ex4_grid() {
         let res = point.sim(ctx, scale);
@@ -261,7 +233,7 @@ pub fn ex4_prefetch_study(ctx: &Ctx, scale: Scale) -> Table {
 
 /// E-X5 in the registry: its table and the cells the table reads.
 pub const EX5_OCCUPANCY_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex5_occupancy_study",
+    name: tables::EX5.id,
     run: ex5_occupancy_study,
     cells: || cells(profiles(&spec::NAMES), &[Sim]),
 };
@@ -272,18 +244,9 @@ pub const EX5_OCCUPANCY_STUDY: ExperimentDef = ExperimentDef {
 /// name the bottleneck.
 pub fn ex5_occupancy_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex5_occupancy_study",
+        tables::EX5.id,
         "Extension E-X5: ROB occupancy and dispatch-slot attribution",
-        &[
-            "benchmark",
-            "mean-occupancy",
-            "rob-full-frac",
-            "slots-used",
-            "slots-frontend",
-            "slots-rob",
-            "slots-window",
-            "mean-resolution",
-        ],
+        tables::EX5.columns,
     );
     for point in profiles(&spec::NAMES) {
         let res = point.sim(ctx, scale);
@@ -325,7 +288,7 @@ fn ex6_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
 
 /// E-X6 in the registry: its table and the cells the table reads.
 pub const EX6_REPLACEMENT_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex6_replacement_study",
+    name: tables::EX6.id,
     run: ex6_replacement_study,
     cells: || cells(ex6_grid().map(|(.., p)| p), &[Sim]),
 };
@@ -335,9 +298,9 @@ pub const EX6_REPLACEMENT_STUDY: ExperimentDef = ExperimentDef {
 /// higher miss rates and lower IPC.
 pub fn ex6_replacement_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex6_replacement_study",
+        tables::EX6.id,
         "Extension E-X6: L1D/L2 replacement policy",
-        &["benchmark", "policy", "l1d-miss-rate", "long-D-MPKI", "IPC"],
+        tables::EX6.columns,
     );
     for (name, policy, point) in ex6_grid() {
         let res = point.sim(ctx, scale);
@@ -370,7 +333,7 @@ fn ex7_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
 
 /// E-X7 in the registry: its table and the cells the table reads.
 pub const EX7_INDIRECT_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex7_indirect_study",
+    name: tables::EX7.id,
     run: ex7_indirect_study,
     cells: || cells(ex7_grid().map(|(.., p)| p), &[Sim]),
 };
@@ -381,16 +344,9 @@ pub const EX7_INDIRECT_STUDY: ExperimentDef = ExperimentDef {
 /// last-target BTB cannot.
 pub fn ex7_indirect_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex7_indirect_study",
+        tables::EX7.id,
         "Extension E-X7: indirect-target prediction (BTB last-target vs gtarget)",
-        &[
-            "benchmark",
-            "target-predictor",
-            "indirect-miss-rate",
-            "indirect-misses",
-            "cond-misses",
-            "IPC",
-        ],
+        tables::EX7.columns,
     );
     for (name, label, point) in ex7_grid() {
         let trace = point.trace(ctx, scale);
@@ -428,7 +384,7 @@ fn ex8_grid() -> impl Iterator<Item = (&'static str, Point)> {
 
 /// E-X8 in the registry: its table and the cells the table reads.
 pub const EX8_WARMUP_STUDY: ExperimentDef = ExperimentDef {
-    name: "ex8_warmup_study",
+    name: tables::EX8.id,
     run: ex8_warmup_study,
     cells: || cells(ex8_grid().map(|(.., p)| p), &[Sim]),
 };
@@ -439,16 +395,9 @@ pub const EX8_WARMUP_STUDY: ExperimentDef = ExperimentDef {
 /// recovers the steady state the paper's SimPoint-sampled runs measured.
 pub fn ex8_warmup_study(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex8_warmup_study",
+        tables::EX8.id,
         "Extension E-X8: cold start vs. 20% warmup",
-        &[
-            "benchmark",
-            "mode",
-            "IPC",
-            "long-D-MPKI",
-            "L1I-MPKI",
-            "mean-penalty",
-        ],
+        tables::EX8.columns,
     );
     for (mode, point) in ex8_grid() {
         let res = point.sim(ctx, scale);

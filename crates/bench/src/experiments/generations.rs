@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 
 use bmp_analyze::staticpass::classify;
+use bmp_core::tables;
 
 use crate::engine::{Ctx, ExperimentDef};
 use crate::grid::Artifact::{Analysis, Classes, Sim};
@@ -49,7 +50,7 @@ fn generations_grid() -> impl Iterator<Item = (&'static str, &'static str, Point
 
 /// E-X9 in the registry: its table and the cells the table reads.
 pub const EX_PREDICTOR_GENERATIONS: ExperimentDef = ExperimentDef {
-    name: "ex_predictor_generations",
+    name: tables::EX_GENERATIONS.id,
     run: ex_predictor_generations,
     cells: || cells(generations_grid().map(|(.., p)| p), &[Sim, Analysis]),
 };
@@ -60,20 +61,9 @@ pub const EX_PREDICTOR_GENERATIONS: ExperimentDef = ExperimentDef {
 /// behaviour of the *surviving* mispredictions, not by the predictor.
 pub fn ex_predictor_generations(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex_predictor_generations",
+        tables::EX_GENERATIONS.id,
         "Extension E-X9: four predictor generations over the workload mix",
-        &[
-            "benchmark",
-            "predictor",
-            "br-miss-rate",
-            "br-MPKI",
-            "mean-penalty",
-            "mean-base",
-            "mean-ilp",
-            "mean-fu",
-            "mean-dmiss",
-            "IPC",
-        ],
+        tables::EX_GENERATIONS.columns,
     );
     for (name, pred, point) in generations_grid() {
         let res = point.sim(ctx, scale);
@@ -112,7 +102,7 @@ struct ClassTotals {
 
 /// E-X10 in the registry: its table and the cells the table reads.
 pub const EX_H2P_CONTRIBUTORS: ExperimentDef = ExperimentDef {
-    name: "ex_h2p_contributors",
+    name: tables::EX_H2P.id,
     run: ex_h2p_contributors,
     cells: || cells(profiles(&GENERATION_WORKLOADS), &[Analysis, Classes]),
 };
@@ -125,21 +115,9 @@ pub const EX_H2P_CONTRIBUTORS: ExperimentDef = ExperimentDef {
 /// integer identities — the BMP701 lint checks them with no epsilon.
 pub fn ex_h2p_contributors(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex_h2p_contributors",
+        tables::EX_H2P.id,
         "Extension E-X10: per-class five-contributor penalty split",
-        &[
-            "benchmark",
-            "class",
-            "sites",
-            "intervals",
-            "base",
-            "ilp",
-            "fu",
-            "dmiss",
-            "local",
-            "refill",
-            "total",
-        ],
+        tables::EX_H2P.columns,
     );
     for point in profiles(&GENERATION_WORKLOADS) {
         let trace = point.trace(ctx, scale);

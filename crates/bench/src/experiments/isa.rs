@@ -19,6 +19,7 @@
 //! behaviour, penalty), making the executed-vs-synthetic deltas that
 //! `docs/ISA.md` discusses reproducible numbers rather than prose.
 
+use bmp_core::tables;
 use bmp_uarch::OpClass;
 
 use crate::engine::{Ctx, ExperimentDef};
@@ -35,7 +36,7 @@ pub const ISA_COMPARISON_WORKLOADS: [&str; 4] = ["gzip", "gcc", "twolf", "crafty
 
 /// E-X11a in the registry: its table and the cells the table reads.
 pub const EX_ISA_CONTRIBUTORS: ExperimentDef = ExperimentDef {
-    name: "ex_isa_contributors",
+    name: tables::EX_ISA.id,
     run: ex_isa_contributors,
     cells: || cells(kernels(), &[Sim, Analysis]),
 };
@@ -45,20 +46,9 @@ pub const EX_ISA_CONTRIBUTORS: ExperimentDef = ExperimentDef {
 /// rows read side-by-side with the synthetic ones.
 pub fn ex_isa_contributors(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex_isa_contributors",
+        tables::EX_ISA.id,
         "Extension E-X11: five-contributor split over executed RV32IM kernels",
-        &[
-            "kernel",
-            "ops",
-            "br-miss-rate",
-            "br-MPKI",
-            "mean-penalty",
-            "mean-base",
-            "mean-ilp",
-            "mean-fu",
-            "mean-dmiss",
-            "IPC",
-        ],
+        tables::EX_ISA.columns,
     );
     for point in kernels() {
         let res = point.sim(ctx, scale);
@@ -90,7 +80,7 @@ fn isa_vs_synthetic_grid() -> impl Iterator<Item = Point> {
 
 /// E-X11b in the registry: its table and the cells the table reads.
 pub const EX_ISA_VS_SYNTHETIC: ExperimentDef = ExperimentDef {
-    name: "ex_isa_vs_synthetic",
+    name: tables::EX_ISA_VS_SYNTHETIC.id,
     run: ex_isa_vs_synthetic,
     cells: || cells(isa_vs_synthetic_grid(), &[Sim, Analysis]),
 };
@@ -130,20 +120,9 @@ fn profile_row(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<String> {
 /// claim.
 pub fn ex_isa_vs_synthetic(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "ex_isa_vs_synthetic",
+        tables::EX_ISA_VS_SYNTHETIC.id,
         "Extension E-X11: executed kernels vs statistical profiles",
-        &[
-            "source",
-            "workload",
-            "branch-frac",
-            "mem-frac",
-            "mean-dep-dist",
-            "avg-taken-run",
-            "br-miss-rate",
-            "sim-penalty",
-            "model-penalty",
-            "IPC",
-        ],
+        tables::EX_ISA_VS_SYNTHETIC.columns,
     );
     for point in isa_vs_synthetic_grid() {
         t.push_row(profile_row(ctx, scale, &point));

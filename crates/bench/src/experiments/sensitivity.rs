@@ -1,5 +1,6 @@
 //! The sensitivity sweeps E-F6 … E-F9, one per penalty contributor.
 
+use bmp_core::tables;
 use bmp_uarch::{presets, LatencyTable, PredictorConfig};
 
 use crate::engine::{Ctx, ExperimentDef};
@@ -16,7 +17,7 @@ fn fig6_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
 
 /// E-F6 in the registry: its table and the cells the table reads.
 pub const FIG6_PIPELINE_DEPTH: ExperimentDef = ExperimentDef {
-    name: "fig6_pipeline_depth",
+    name: tables::FIG6.id,
     run: fig6_pipeline_depth,
     cells: || cells(fig6_grid().map(|(.., p)| p), &[Sim, Analysis]),
 };
@@ -27,16 +28,9 @@ pub const FIG6_PIPELINE_DEPTH: ExperimentDef = ExperimentDef {
 /// penalty is *not* just the pipeline length.
 pub fn fig6_pipeline_depth(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig6_pipeline_depth",
+        tables::FIG6.id,
         "Figure 6 (E-F6): penalty vs. frontend pipeline depth",
-        &[
-            "benchmark",
-            "frontend-depth",
-            "measured-penalty",
-            "measured-resolution",
-            "model-penalty",
-            "IPC",
-        ],
+        tables::FIG6.columns,
     );
     for (name, depth, point) in fig6_grid() {
         let res = point.sim(ctx, scale);
@@ -81,7 +75,7 @@ fn fig7_grid() -> impl Iterator<Item = (&'static str, f64, Point)> {
 
 /// E-F7 in the registry: its table and the cells the table reads.
 pub const FIG7_FU_LATENCY: ExperimentDef = ExperimentDef {
-    name: "fig7_fu_latency",
+    name: tables::FIG7.id,
     run: fig7_fu_latency,
     cells: || cells(fig7_grid().map(|(.., p)| p), &[Sim, Analysis]),
 };
@@ -89,15 +83,9 @@ pub const FIG7_FU_LATENCY: ExperimentDef = ExperimentDef {
 /// E-F7: penalty versus functional-unit latency scaling (contributor iv).
 pub fn fig7_fu_latency(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig7_fu_latency",
+        tables::FIG7.id,
         "Figure 7 (E-F7): resolution time vs. functional-unit latency scaling",
-        &[
-            "workload",
-            "latency-scale",
-            "measured-resolution",
-            "model-resolution",
-            "model-fu-share(iv)",
-        ],
+        tables::FIG7.columns,
     );
     for (label, factor, point) in fig7_grid() {
         let res = point.sim(ctx, scale);
@@ -130,7 +118,7 @@ fn fig8_grid() -> impl Iterator<Item = (u32, Point)> {
 
 /// E-F8 in the registry: its table and the cells the table reads.
 pub const FIG8_ILP: ExperimentDef = ExperimentDef {
-    name: "fig8_ilp",
+    name: tables::FIG8.id,
     run: fig8_ilp,
     cells: || cells(fig8_grid().map(|(_, p)| p), &[Sim, Analysis]),
 };
@@ -140,14 +128,9 @@ pub const FIG8_ILP: ExperimentDef = ExperimentDef {
 /// microbenchmark.
 pub fn fig8_ilp(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig8_ilp",
+        tables::FIG8.id,
         "Figure 8 (E-F8): resolution time vs. dependence-chain length before the branch",
-        &[
-            "chain-length",
-            "measured-resolution",
-            "model-resolution",
-            "model-ilp-share(iii)",
-        ],
+        tables::FIG8.columns,
     );
     for (chain, point) in fig8_grid() {
         let res = point.sim(ctx, scale);
@@ -177,7 +160,7 @@ fn fig9_grid() -> impl Iterator<Item = (u64, Point)> {
 
 /// E-F9 in the registry: its table and the cells the table reads.
 pub const FIG9_L1D_MISSES: ExperimentDef = ExperimentDef {
-    name: "fig9_l1d_misses",
+    name: tables::FIG9.id,
     run: fig9_l1d_misses,
     cells: || cells(fig9_grid().map(|(_, p)| p), &[Sim, Analysis]),
 };
@@ -187,15 +170,9 @@ pub const FIG9_L1D_MISSES: ExperimentDef = ExperimentDef {
 /// short misses that stretch the chains feeding branches.
 pub fn fig9_l1d_misses(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "fig9_l1d_misses",
+        tables::FIG9.id,
         "Figure 9 (E-F9): resolution time vs. L1 D-cache size (24 KiB hot set)",
-        &[
-            "l1d-size-KiB",
-            "l1d-miss-rate",
-            "measured-resolution",
-            "model-resolution",
-            "model-short-dmiss-share(v)",
-        ],
+        tables::FIG9.columns,
     );
     for (kib, point) in fig9_grid() {
         let res = point.sim(ctx, scale);

@@ -1,5 +1,6 @@
 //! E-T1 (machine configuration) and E-T2 (benchmark characteristics).
 
+use bmp_core::tables;
 use bmp_uarch::{presets, FU_KINDS};
 use bmp_workloads::spec;
 
@@ -11,7 +12,7 @@ use crate::{Scale, Table};
 
 /// E-T1 in the registry: a table of constants, with no cells.
 pub const TABLE1_CONFIG: ExperimentDef = ExperimentDef {
-    name: "table1_config",
+    name: tables::TABLE1.id,
     run: |_, _| table1_config(),
     cells: Vec::new,
 };
@@ -21,9 +22,9 @@ pub const TABLE1_CONFIG: ExperimentDef = ExperimentDef {
 pub fn table1_config() -> Table {
     let cfg = presets::baseline_4wide();
     let mut t = Table::new(
-        "table1_config",
+        tables::TABLE1.id,
         "Table 1 (E-T1): baseline processor configuration",
-        &["parameter", "value"],
+        tables::TABLE1.columns,
     );
     let mut row = |k: &str, v: String| t.push_row(vec![k.to_owned(), v]);
     row("fetch / dispatch / issue / commit width", {
@@ -79,7 +80,7 @@ fn table2_grid() -> impl Iterator<Item = Point> {
 
 /// E-T2 in the registry: its table and the cells the table reads.
 pub const TABLE2_BENCHMARKS: ExperimentDef = ExperimentDef {
-    name: "table2_benchmarks",
+    name: tables::TABLE2.id,
     run: table2_benchmarks,
     cells: || cells(table2_grid(), &[Sim]),
 };
@@ -90,18 +91,9 @@ pub const TABLE2_BENCHMARKS: ExperimentDef = ExperimentDef {
 /// rates below are steady-state rather than compulsory-miss-dominated.
 pub fn table2_benchmarks(ctx: &Ctx, scale: Scale) -> Table {
     let mut t = Table::new(
-        "table2_benchmarks",
+        tables::TABLE2.id,
         "Table 2 (E-T2): benchmark characteristics on the baseline machine (20% warmup)",
-        &[
-            "benchmark",
-            "IPC",
-            "br-miss-rate",
-            "br-MPKI",
-            "L1I-MPKI",
-            "L1D-MPKI",
-            "L2-MPKI",
-            "long-D-MPKI",
-        ],
+        tables::TABLE2.columns,
     );
     for point in table2_grid() {
         let res = point.sim(ctx, scale);

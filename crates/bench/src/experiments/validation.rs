@@ -1,6 +1,7 @@
 //! E-F10: validation of the analytical model against the cycle-level
 //! simulator.
 
+use bmp_core::tables;
 use bmp_core::{cpi, validate::ValidationReport};
 use bmp_uarch::presets;
 use bmp_workloads::spec;
@@ -13,7 +14,7 @@ use crate::{Scale, Table};
 
 /// E-F10 in the registry: its table and the cells the table reads.
 pub const FIG10_MODEL_VALIDATION: ExperimentDef = ExperimentDef {
-    name: "fig10_model_validation",
+    name: tables::FIG10.id,
     run: fig10_model_validation,
     cells: || cells(profiles(&spec::NAMES), &[Sim, Analysis]),
 };
@@ -23,19 +24,9 @@ pub const FIG10_MODEL_VALIDATION: ExperimentDef = ExperimentDef {
 pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
     let cfg = presets::baseline_4wide();
     let mut t = Table::new(
-        "fig10_model_validation",
+        tables::FIG10.id,
         "Figure 10 (E-F10): interval model vs. cycle-level simulation",
-        &[
-            "benchmark",
-            "events-agree",
-            "sim-resolution",
-            "model-resolution",
-            "resolution-err",
-            "correlation",
-            "sim-CPI",
-            "stack-CPI",
-            "sched-CPI",
-        ],
+        tables::FIG10.columns,
     );
     for point in profiles(&spec::NAMES) {
         let trace = point.trace(ctx, scale);

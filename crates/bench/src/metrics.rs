@@ -17,10 +17,11 @@
 //! across the [`ThreadPool`](crate::pool::ThreadPool) needs no locks
 //! and cannot perturb experiment timing.
 
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use bmp_analyze::staticpass::classify;
+use bmp_analyze::staticpass::classify::{self, SiteProfile};
 use bmp_core::accounting::records_from_analysis;
 use bmp_core::metrics::ClassPenalty;
 use bmp_core::{cpi, ExperimentMetrics, ModelMetrics, PenaltyAnalysis, WorkloadMetrics};
@@ -145,15 +146,20 @@ impl MetricsRecorder {
 }
 
 /// The per-branch-class penalty attribution at `point`: classifies
-/// every static site of the cached trace and charges the cached
-/// analysis's per-interval local resolutions (plus refills) under the
-/// point's machine to the terminating site's class.
-fn class_penalties(ctx: &Ctx, scale: Scale, point: &Point) -> Vec<ClassPenalty> {
+/// every static site of the cached trace (once per `sites` cell) and
+/// charges the cached analysis's per-interval local resolutions (plus
+/// refills) under the point's machine to the terminating site's class.
+fn class_penalties(
+    ctx: &Ctx,
+    scale: Scale,
+    point: &Point,
+    sites: &OnceCell<Vec<SiteProfile>>,
+) -> Vec<ClassPenalty> {
     let cfg = point.machine.config();
     let trace = point.trace(ctx, scale);
     let analysis = ctx.analyze(&cfg, &trace);
-    let profiles = classify::classify(&trace);
-    classify::attribute(&profiles, &*trace, &analysis.breakdowns)
+    let profiles = sites.get_or_init(|| classify::classify(&trace));
+    classify::attribute(profiles, &*trace, &analysis.breakdowns)
         .into_iter()
         .map(|a| ClassPenalty {
             class: a.class.label().to_string(),
@@ -207,6 +213,9 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
         let name = workload.name();
         let base = Point::baseline(workload);
         let trace_len = base.trace(ctx, scale).len();
+        // Classification reads only the trace, which every predictor of
+        // the workload shares.
+        let sites = OnceCell::new();
         let epoch = [SimMode::Cold, SimMode::Warmup]
             .into_iter()
             .map(|mode| base.clone().with_mode(mode))
@@ -219,7 +228,11 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             recorder.record_model(&name, baseline_pred, &analysis, stack);
         }
         if has(&base, Artifact::Classes) {
-            recorder.record_classes(&name, baseline_pred, class_penalties(ctx, scale, &base));
+            recorder.record_classes(
+                &name,
+                baseline_pred,
+                class_penalties(ctx, scale, &base, &sites),
+            );
         }
         for c in &cells {
             let Machine::Generation(pred) = c.point.machine else {
@@ -232,7 +245,7 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             if has(&c.point, Artifact::Analysis) {
                 let (analysis, stack) = model_view(ctx, scale, &c.point);
                 recorder.record_model(&name, pred, &analysis, stack);
-                recorder.record_classes(&name, pred, class_penalties(ctx, scale, &c.point));
+                recorder.record_classes(&name, pred, class_penalties(ctx, scale, &c.point, &sites));
             }
         }
     }

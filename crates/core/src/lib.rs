@@ -33,6 +33,8 @@
 //! * [`io`] + [`store`] — the atomic-write primitive and the crash-safe
 //!   persistent artifact store built on it (see `docs/STORE.md`);
 //! * [`report`] — markdown rendering of an analysis;
+//! * [`tables`] — each published table's CSV name and columns, shared
+//!   by the experiments that write them and the lints that read them;
 //! * [`validate`] — error metrics for comparing the model against the
 //!   cycle-level simulator (experiment E-F10).
 //!
@@ -68,6 +70,7 @@ pub mod metrics;
 pub mod penalty;
 pub mod report;
 pub mod store;
+pub mod tables;
 pub mod validate;
 
 pub use accounting::IntervalRecord;

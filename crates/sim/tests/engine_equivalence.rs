@@ -12,21 +12,14 @@
 //! chance to surface — and when one does, proptest shrinks it to a
 //! minimal counterexample.
 
-use bmp_sim::{SimError, SimOptions, SimResult, Simulator};
-use bmp_trace::{SuperblockMap, Trace};
+use bmp_sim::{SimOptions, Simulator};
+use bmp_trace::SuperblockMap;
 use bmp_uarch::{
     presets, CacheGeometry, HierarchyConfig, IndirectPredictorConfig, LatencyTable, MachineConfig,
     MachineConfigBuilder, PredictorConfig,
 };
 use bmp_workloads::WorkloadProfile;
 use proptest::prelude::*;
-
-/// The event-driven engine on `trace`, with its budget error kept.
-fn run_event(sim: &Simulator, trace: &Trace) -> Result<SimResult, SimError> {
-    let ct = trace.compile();
-    let sb = SuperblockMap::build(&ct, sim.config().caches.l1i().line_bytes());
-    sim.try_run_compiled_with(&ct, &sb)
-}
 
 /// A strategy over valid workload profiles (a representative subspace,
 /// mirroring the workspace-level `tests/properties.rs`).
@@ -188,7 +181,7 @@ proptest! {
     ) {
         let trace = profile.generate(3_000, seed);
         let sim = Simulator::new(cfg);
-        let event = run_event(&sim, &trace).unwrap();
+        let event = sim.run(&trace);
         let reference = sim.try_run_reference(&trace).unwrap();
         prop_assert_eq!(event, reference);
     }
@@ -204,7 +197,7 @@ proptest! {
     ) {
         let trace = profile.generate(3_000, seed);
         let sim = Simulator::with_options(cfg, SimOptions::with_warmup(1_000));
-        let event = run_event(&sim, &trace).unwrap();
+        let event = sim.run(&trace);
         let reference = sim.try_run_reference(&trace).unwrap();
         prop_assert_eq!(event, reference);
     }
@@ -244,7 +237,7 @@ proptest! {
 
         let trace = profile.generate(3_000, seed);
         let sim = Simulator::with_options(cfg, SimOptions::with_warmup(warmup));
-        let event = run_event(&sim, &trace).unwrap();
+        let event = sim.run(&trace);
         let reference = sim.try_run_reference(&trace).unwrap();
         let records = event.interval_records(trace.len());
         prop_assert_eq!(&records, &reference.interval_records(trace.len()));
