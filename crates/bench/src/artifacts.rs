@@ -21,6 +21,10 @@
 //! it. The failed slot does **not** poison the key: the next *fresh*
 //! lookup claims it and recomputes — which is exactly what the harness's
 //! bounded retry does.
+//!
+//! Each memo also counts the heap bytes its ready artifacts hold, now and
+//! at the high-water mark ([`HeapBytes`]), and lets the engine
+//! [`release`](Memo::release) an artifact once no consumer still needs it.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,11 +33,45 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::CellError;
 
-/// Hit/miss counters for one artifact kind.
+/// The heap bytes an artifact holds: the sum of `capacity × size_of`
+/// over its vectors. What the memos report as held bytes.
+pub trait HeapBytes {
+    /// Bytes this value owns on the heap.
+    fn heap_bytes(&self) -> u64;
+}
+
+macro_rules! heap_bytes_by_inherent {
+    ($($t:ty),*) => {$(
+        impl HeapBytes for $t {
+            fn heap_bytes(&self) -> u64 {
+                <$t>::heap_bytes(self)
+            }
+        }
+    )*};
+}
+
+heap_bytes_by_inherent!(
+    bmp_trace::CompiledTrace,
+    bmp_trace::SuperblockMap,
+    bmp_sim::SimResult,
+    bmp_core::FunctionalOutcome,
+    bmp_core::PenaltyAnalysis
+);
+
+/// Static bounds are a handful of integers; they own no heap.
+impl HeapBytes for bmp_analyze::StaticBounds {
+    fn heap_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// Hit/miss counters and held bytes for one artifact kind.
 #[derive(Debug, Default)]
 pub struct MemoStats {
     hits: AtomicU64,
     misses: AtomicU64,
+    held: AtomicU64,
+    peak: AtomicU64,
 }
 
 impl MemoStats {
@@ -46,6 +84,16 @@ impl MemoStats {
     /// Lookups that had to compute the artifact.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Heap bytes of the artifacts the memo holds now.
+    pub fn held_bytes(&self) -> u64 {
+        self.held.load(Ordering::Relaxed)
+    }
+
+    /// The most heap bytes the memo has held at once.
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
     }
 }
 
@@ -83,7 +131,7 @@ impl<V> std::fmt::Debug for Memo<V> {
     }
 }
 
-impl<V> Memo<V> {
+impl<V: HeapBytes> Memo<V> {
     /// Returns the artifact for `key`, computing it with `compute` on
     /// first access. Exactly one caller computes per key; concurrent
     /// callers receive the same shared instance.
@@ -127,6 +175,9 @@ impl<V> Memo<V> {
             Ok(value) => {
                 let value = Arc::new(value);
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                let bytes = value.heap_bytes();
+                let held = self.stats.held.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                self.stats.peak.fetch_max(held, Ordering::Relaxed);
                 let mut map = self.map.lock().expect("memo map poisoned");
                 map.insert(key, Slot::Ready(Arc::clone(&value)));
                 drop(map);
@@ -144,6 +195,29 @@ impl<V> Memo<V> {
         }
     }
 
+    /// Drops the memo's reference to a ready or failed artifact at
+    /// `key`; the next lookup recomputes it. An in-flight computation is
+    /// left alone.
+    pub fn release(&self, key: u64) {
+        let mut map = self.map.lock().expect("memo map poisoned");
+        match map.get(&key) {
+            Some(Slot::Ready(v)) => {
+                self.stats.held.fetch_sub(v.heap_bytes(), Ordering::Relaxed);
+                map.remove(&key);
+            }
+            Some(Slot::Failed(_)) => drop(map.remove(&key)),
+            Some(Slot::InFlight) | None => {}
+        }
+    }
+
+    /// Whether a ready artifact is cached at `key`.
+    pub fn contains(&self, key: u64) -> bool {
+        let map = self.map.lock().expect("memo map poisoned");
+        matches!(map.get(&key), Some(Slot::Ready(_)))
+    }
+}
+
+impl<V> Memo<V> {
     /// The hit/miss counters.
     pub fn stats(&self) -> &MemoStats {
         &self.stats
@@ -178,6 +252,18 @@ pub fn cache_key(tag: &str, parts: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    impl HeapBytes for u64 {
+        fn heap_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    impl HeapBytes for Vec<u8> {
+        fn heap_bytes(&self) -> u64 {
+            self.capacity() as u64
+        }
+    }
 
     #[test]
     fn computes_once_and_shares() {

@@ -1,15 +1,30 @@
 //! The parallel, fault-tolerant experiment engine: the one run layer
 //! behind `run_all`. It runs the registry (or a [`defs_named`]
-//! selection) as a two-phase job graph over a [`ThreadPool`]:
+//! selection) as one job per experiment over a [`ThreadPool`], and holds
+//! each cached artifact only while an experiment still needs it:
 //!
-//! 1. **Cell fan-out** — every experiment that will run declares its
-//!    grid of typed [`Cell`]s (see [`crate::grid`]): exactly the traces'
+//! 1. **Leases** — every experiment that will run declares its grid of
+//!    typed [`Cell`]s (see [`crate::grid`]): exactly the traces'
 //!    simulations, interval-model analyses and branch-site classes its
-//!    table reads. The engine deduplicates them by content key and computes
-//!    each once, spread across the pool, into the shared [`Ctx`] cache.
-//! 2. **Experiments** — the experiment functions run on the pool, each
-//!    isolated and retried on failure, and assemble their rows from the
-//!    warm cache.
+//!    table reads. Before the run the engine counts, for every artifact
+//!    those cells read or build (trace, superblock map, simulation,
+//!    functional pass, analysis), the experiments that lease it.
+//! 2. **Experiments** — each job computes the cells its experiment is
+//!    the first to declare into the shared [`Ctx`] cache, then runs the
+//!    experiment (isolated, retried on failure) over the warm cache.
+//!    There is no barrier between jobs: a job that needs a cell another
+//!    worker is computing waits for it in the cache.
+//! 3. **Report** — `on_done` sees the settled experiment while its
+//!    artifacts are still cached (the metrics recorder reads them there).
+//! 4. **Release** — the job ends its leases; an artifact no pending
+//!    experiment holds leaves the cache.
+//!
+//! Three sets of artifacts take no lease and stay cached: those the
+//! surrogate reads after the run ([`crate::surrogate`]), those the
+//! [`Ctx`] held before the run, and those of the schedule's last
+//! experiment. The experiments that read none of the kept traces run
+//! first, before the kept artifacts accumulate; the order is otherwise
+//! the registry's.
 //!
 //! Results are **merged by stable experiment index, never by completion
 //! order**, and every artifact is a pure function of its cache key, so
@@ -17,13 +32,14 @@
 //! determinism test in `tests/determinism.rs` locks this down.
 //!
 //! Every thread count runs the same schedule; with `BMP_THREADS=1` (see
-//! [`threads_from_env`]) both phases run inline on the calling thread.
+//! [`threads_from_env`]) the jobs run inline, in order, on the calling
+//! thread.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use bmp_analyze::StaticBounds;
@@ -35,7 +51,7 @@ use bmp_sim::{SimResult, Simulator};
 use bmp_uarch::MachineConfig;
 use bmp_workloads::{spec, WorkloadProfile};
 
-use crate::artifacts::{cache_key, Memo};
+use crate::artifacts::{cache_key, Memo, MemoStats};
 use crate::error::CellError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::grid::Cell;
@@ -83,6 +99,58 @@ pub enum EngineChoice {
 }
 
 use bmp_trace::CompiledTrace;
+
+/// The cache key of `profile`'s trace at `scale`.
+pub(crate) fn profile_trace_key(profile: &WorkloadProfile, scale: Scale) -> u64 {
+    cache_key(
+        "trace",
+        &[profile.fingerprint(), scale.ops as u64, scale.seed],
+    )
+}
+
+/// The cache key of the executed trace of kernel `name` at `scale`.
+pub(crate) fn kernel_trace_key(name: &str, scale: Scale) -> u64 {
+    let name = bmp_uarch::fp::fnv1a(name.as_bytes());
+    cache_key("isa-trace", &[name, scale.ops as u64, scale.seed])
+}
+
+/// The cache key of the superblock map of trace `trace` at an L1I line
+/// of `line_bytes`.
+pub(crate) fn superblock_key(trace: u64, line_bytes: u32) -> u64 {
+    cache_key("superblock", &[trace, u64::from(line_bytes)])
+}
+
+/// The cache key of `sim`'s run over trace `trace`.
+pub(crate) fn sim_key(sim: &Simulator, trace: u64) -> u64 {
+    cache_key("sim", &[sim.fingerprint(), trace])
+}
+
+/// The cache key of `cfg`'s functional pass over trace `trace`.
+pub(crate) fn functional_key(cfg: &MachineConfig, trace: u64) -> u64 {
+    let cfg = FunctionalOutcome::config_fingerprint(cfg);
+    cache_key("functional", &[cfg, trace])
+}
+
+/// The cache key of `cfg`'s interval-model analysis of trace `trace`.
+pub(crate) fn analysis_key(cfg: &MachineConfig, trace: u64) -> u64 {
+    cache_key("analysis", &[cfg.fingerprint(), trace])
+}
+
+/// One artifact of a [`Ctx`] memo, by kind and cache key: the unit a
+/// run leases to its consumers and releases after the last of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Held {
+    /// A compiled trace.
+    Trace(u64),
+    /// A superblock map.
+    Superblock(u64),
+    /// A simulation result.
+    Sim(u64),
+    /// A functional pass.
+    Functional(u64),
+    /// An interval-model analysis.
+    Analysis(u64),
+}
 
 /// Wall-clock nanoseconds accumulated per artifact phase, across all
 /// threads (a sum of per-computation durations, not elapsed time).
@@ -227,10 +295,7 @@ impl Ctx {
     /// The trace synthesized by `profile` at `scale`, cached by
     /// `(profile fingerprint, ops, seed)`.
     pub fn trace(&self, profile: &WorkloadProfile, scale: Scale) -> TraceHandle {
-        let key = cache_key(
-            "trace",
-            &[profile.fingerprint(), scale.ops as u64, scale.seed],
-        );
+        let key = profile_trace_key(profile, scale);
         self.keyed_trace(key, || profile.generate(scale.ops, scale.seed))
     }
 
@@ -262,15 +327,7 @@ impl Ctx {
     /// Panics (with a structured [`CellError`] payload) if `name` is
     /// not one of [`bmp_isa::NAMES`].
     pub fn kernel_trace(&self, name: &str, scale: Scale) -> TraceHandle {
-        let key = cache_key(
-            "isa-trace",
-            &[
-                bmp_uarch::fp::fnv1a(name.as_bytes()),
-                scale.ops as u64,
-                scale.seed,
-            ],
-        );
-        self.keyed_trace(key, || {
+        self.keyed_trace(kernel_trace_key(name, scale), || {
             bmp_isa::kernel_trace(name, scale.ops, scale.seed)
                 .unwrap_or_else(|| std::panic::panic_any(CellError::unknown_kernel(name)))
         })
@@ -303,7 +360,7 @@ impl Ctx {
         trace: &TraceHandle,
         line_bytes: u32,
     ) -> Arc<bmp_trace::SuperblockMap> {
-        let key = cache_key("superblock", &[trace.key, u64::from(line_bytes)]);
+        let key = superblock_key(trace.key, line_bytes);
         self.superblocks.get_or_compute(key, || {
             PhaseNanos::time(&self.phases.superblock, || {
                 bmp_trace::SuperblockMap::build(trace, line_bytes)
@@ -328,7 +385,7 @@ impl Ctx {
     /// [`CellErrorKind::Budget`](crate::error::CellErrorKind::Budget)
     /// [`CellError`].
     pub fn sim(&self, sim: &Simulator, trace: &TraceHandle) -> Arc<SimResult> {
-        let key = cache_key("sim", &[sim.fingerprint(), trace.key]);
+        let key = sim_key(sim, trace.key);
         self.sims.get_or_compute(key, || {
             self.stored_sim(key, || {
                 // Resolve the superblock map, or rebuild the reference
@@ -386,10 +443,7 @@ impl Ctx {
     /// window and latency point of one trace shares it. Timed under the
     /// analysis phase.
     pub fn functional(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<FunctionalOutcome> {
-        let key = cache_key(
-            "functional",
-            &[FunctionalOutcome::config_fingerprint(cfg), trace.key],
-        );
+        let key = functional_key(cfg, trace.key);
         self.functional.get_or_compute(key, || {
             PhaseNanos::time(&self.phases.analysis, || {
                 FunctionalOutcome::compute(&**trace, cfg)
@@ -401,7 +455,7 @@ impl Ctx {
     /// `(config fingerprint, trace key)`, over the cached
     /// [`functional`](Ctx::functional) pass.
     pub fn analyze(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<PenaltyAnalysis> {
-        let key = cache_key("analysis", &[cfg.fingerprint(), trace.key]);
+        let key = analysis_key(cfg, trace.key);
         self.analyses.get_or_compute(key, || {
             // Resolved outside the timer: the pass times itself.
             let outcome = self.functional(cfg, trace);
@@ -423,9 +477,40 @@ impl Ctx {
         })
     }
 
+    /// Whether `artifact` is cached.
+    fn holds(&self, artifact: Held) -> bool {
+        match artifact {
+            Held::Trace(key) => self.traces.contains(key),
+            Held::Superblock(key) => self.superblocks.contains(key),
+            Held::Sim(key) => self.sims.contains(key),
+            Held::Functional(key) => self.functional.contains(key),
+            Held::Analysis(key) => self.analyses.contains(key),
+        }
+    }
+
+    /// Drops the cache's reference to `artifact`.
+    fn release(&self, artifact: Held) {
+        match artifact {
+            Held::Trace(key) => self.traces.release(key),
+            Held::Superblock(key) => self.superblocks.release(key),
+            Held::Sim(key) => self.sims.release(key),
+            Held::Functional(key) => self.functional.release(key),
+            Held::Analysis(key) => self.analyses.release(key),
+        }
+    }
+
     /// Cache statistics, for the timing report.
     pub fn cache_stats(&self) -> CacheReport {
+        let bytes = |s: &MemoStats| HeldBytes {
+            now: s.held_bytes(),
+            peak: s.peak_bytes(),
+        };
         CacheReport {
+            trace_bytes: bytes(self.traces.stats()),
+            superblock_bytes: bytes(self.superblocks.stats()),
+            sim_bytes: bytes(self.sims.stats()),
+            functional_bytes: bytes(self.functional.stats()),
+            analysis_bytes: bytes(self.analyses.stats()),
             trace_hits: self.traces.stats().hits(),
             trace_misses: self.traces.stats().misses(),
             superblock_hits: self.superblocks.stats().hits(),
@@ -509,9 +594,28 @@ pub fn defs_named(names: &[&str]) -> Result<Vec<ExperimentDef>, String> {
         .collect())
 }
 
-/// Cache hit/miss counters per artifact kind.
+/// The heap bytes one memo holds ([`crate::artifacts::HeapBytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeldBytes {
+    /// Held now (at the end of a run: what stays cached).
+    pub now: u64,
+    /// The high-water mark.
+    pub peak: u64,
+}
+
+/// Cache hit/miss counters and held bytes per artifact kind.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheReport {
+    /// Bytes held by compiled traces.
+    pub trace_bytes: HeldBytes,
+    /// Bytes held by superblock maps.
+    pub superblock_bytes: HeldBytes,
+    /// Bytes held by simulation results.
+    pub sim_bytes: HeldBytes,
+    /// Bytes held by functional passes.
+    pub functional_bytes: HeldBytes,
+    /// Bytes held by interval-model analyses.
+    pub analysis_bytes: HeldBytes,
     /// Trace lookups served from the cache.
     pub trace_hits: u64,
     /// Trace synthesis computations, each followed by the trace's
@@ -673,16 +777,17 @@ pub fn experiment_fingerprint(name: &str, scale: Scale) -> u64 {
 pub struct TolerantReport {
     /// Per-experiment outcomes, merged by stable experiment index.
     pub outcomes: Vec<ExperimentOutcome>,
-    /// Failures from the phase-1 cell fan-out. These are *soft*: the
-    /// affected experiments recompute the artifacts themselves (the
-    /// failed cache slots are retryable), so a cell error here only
-    /// matters if the owning experiment also ultimately failed.
+    /// Failures of the experiments' cells, in schedule order. These are
+    /// *soft*: the affected experiments recompute the artifacts
+    /// themselves (the failed cache slots are retryable), so a cell
+    /// error here only matters if the owning experiment also ultimately
+    /// failed.
     pub cell_errors: Vec<CellError>,
-    /// Deduplicated shared cells fanned out in phase 1.
+    /// Deduplicated cells computed ahead of their experiments.
     pub cells: usize,
     /// Cells before deduplication.
     pub cells_requested: usize,
-    /// Wall-clock milliseconds of the cell fan-out phase.
+    /// Milliseconds spent computing cells, summed over the workers.
     pub cell_millis: u128,
     /// Wall-clock milliseconds of the whole run.
     pub total_millis: u128,
@@ -722,7 +827,7 @@ impl TolerantReport {
         let mut out = String::new();
         out.push_str(&format!(
             "\n## Run report ({} threads, {} shared cells from {} requests, \
-             fan-out {} ms, total {} ms)\n\n\
+             cells {} ms, total {} ms)\n\n\
              {completed} completed, {skipped} skipped (resume), {failed} failed\n",
             self.threads, self.cells, self.cells_requested, self.cell_millis, self.total_millis
         ));
@@ -760,6 +865,17 @@ impl TolerantReport {
             c.analysis_misses,
             c.static_misses,
             c.hit_rate() * 100.0
+        ));
+        let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
+        let mb = |b: HeldBytes| format!("{:.1}/{:.1}", mib(b.now), mib(b.peak));
+        out.push_str(&format!(
+            "cache held MiB (end/peak): traces {}, superblocks {}, sims {}, \
+             functional passes {}, analyses {}\n",
+            mb(c.trace_bytes),
+            mb(c.superblock_bytes),
+            mb(c.sim_bytes),
+            mb(c.functional_bytes),
+            mb(c.analysis_bytes)
         ));
         if let Some(s) = &self.store {
             out.push_str(&format!(
@@ -839,6 +955,14 @@ impl TolerantReport {
                 "functional_hits": c.functional_hits, "functional_misses": c.functional_misses,
                 "analysis_hits": c.analysis_hits, "analysis_misses": c.analysis_misses,
                 "static_hits": c.static_hits, "static_misses": c.static_misses,
+                "trace_bytes": c.trace_bytes.now, "trace_peak_bytes": c.trace_bytes.peak,
+                "superblock_bytes": c.superblock_bytes.now,
+                "superblock_peak_bytes": c.superblock_bytes.peak,
+                "sim_bytes": c.sim_bytes.now, "sim_peak_bytes": c.sim_bytes.peak,
+                "functional_bytes": c.functional_bytes.now,
+                "functional_peak_bytes": c.functional_bytes.peak,
+                "analysis_bytes": c.analysis_bytes.now,
+                "analysis_peak_bytes": c.analysis_bytes.peak,
             },
             "store"?: store,
             "surrogate": surrogate.collect::<Value>(),
@@ -879,24 +1003,6 @@ impl Engine {
         &self.ctx
     }
 
-    /// Collects the cells of every experiment in `defs` that is not
-    /// skipped, deduplicated by content key, and the pre-dedup request
-    /// count.
-    fn collect_cells(defs: &[ExperimentDef], skip: &HashSet<String>) -> (Vec<Cell>, usize) {
-        let mut seen = HashSet::new();
-        let mut cells = Vec::new();
-        let mut requested = 0usize;
-        for def in defs.iter().filter(|d| !skip.contains(d.name)) {
-            for cell in (def.cells)() {
-                requested += 1;
-                if seen.insert(cell.key()) {
-                    cells.push(cell);
-                }
-            }
-        }
-        (cells, requested)
-    }
-
     /// Runs every experiment under the fault-tolerant layer: panics are
     /// isolated per cell and per experiment, failed experiments are
     /// retried up to `policy.attempts` times, skipped names short-circuit,
@@ -911,8 +1017,9 @@ impl Engine {
         self.run_tolerant(&experiment_defs(), scale, policy, on_done)
     }
 
-    /// Runs `defs` through the two-phase job graph under the
-    /// fault-tolerant layer (see [`run_all_tolerant`](Self::run_all_tolerant)).
+    /// Runs `defs` through the lease schedule (see the module docs)
+    /// under the fault-tolerant layer (see
+    /// [`run_all_tolerant`](Self::run_all_tolerant)).
     ///
     /// Determinism contract: because every artifact is a pure function
     /// of its cache key, a retried experiment recomputes exactly the
@@ -927,95 +1034,200 @@ impl Engine {
         on_done: &(dyn Fn(&ExperimentOutcome) + Sync),
     ) -> TolerantReport {
         let start = Instant::now();
-        let threads = self.pool.threads();
-
-        // Phase 1: the shared-cell fan-out, with per-cell isolation. A
-        // failing cell is *soft*: its cache slot stays retryable and the
-        // owning experiments recompute it in phase 2 (under their own
-        // retry budget), so the error is only reported for forensics.
-        let (cells, requested) = Self::collect_cells(defs, &policy.skip);
-        let cell_start = Instant::now();
-        let results = self.pool.try_map(cells.len(), |i| {
-            let label = cells[i].label();
-            if policy.faults.fires(FaultSite::Cell(&label)) {
-                std::panic::panic_any(CellError::panic(label, "injected panic fault"));
-            }
-            cells[i].run(&self.ctx, scale);
-        });
-        let cell_errors: Vec<CellError> = results
-            .into_iter()
-            .zip(&cells)
-            .filter_map(|(r, cell)| {
-                let mut e = r.err()?;
-                // try_map labels raw panics by job index; the cell label
-                // is the better name.
-                if e.context.starts_with('#') {
-                    e.context = cell.label();
-                }
-                Some(e)
-            })
-            .collect();
-        let cell_millis = cell_start.elapsed().as_millis();
-
-        // Phase 2: the experiments, each with its own retry budget. The
-        // pool job itself never panics — failure is data here.
-        let outcomes: Vec<ExperimentOutcome> = self.pool.map(defs.len(), |i| {
-            let def = &defs[i];
-            let outcome = if policy.skip.contains(def.name) {
-                ExperimentOutcome {
-                    name: def.name,
-                    index: i,
-                    attempts: 0,
-                    millis: 0,
-                    kind: OutcomeKind::Skipped,
-                }
-            } else {
-                let t0 = Instant::now();
-                let mut attempts = 0u32;
-                let kind = loop {
-                    attempts += 1;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if policy.faults.fires(FaultSite::Exp(def.name)) {
-                            std::panic::panic_any(CellError::panic(
-                                def.name,
-                                "injected panic fault",
-                            ));
-                        }
-                        (def.run)(&self.ctx, scale)
-                    }));
-                    match result {
-                        Ok(table) => break OutcomeKind::Completed(table),
-                        Err(payload) => {
-                            let err = CellError::from_panic_payload(def.name, payload);
-                            if attempts >= policy.attempts.max(1) {
-                                break OutcomeKind::Failed(err);
-                            }
-                        }
-                    }
-                };
-                ExperimentOutcome {
-                    name: def.name,
-                    index: i,
-                    attempts,
-                    millis: t0.elapsed().as_millis(),
-                    kind,
-                }
-            };
+        let schedule = Schedule::new(defs, &policy.skip, &self.ctx, scale);
+        let cell_nanos = AtomicU64::new(0);
+        // Each job computes its experiment's cells, runs it, reports it
+        // and ends its leases. The pool job itself never panics —
+        // failure is data here.
+        let settled = self.pool.map(defs.len(), |job| {
+            let i = schedule.order[job];
+            let cells_start = Instant::now();
+            let cell_errors = self.fill(&schedule.cells[i], scale, policy.faults);
+            let cell_time = cells_start.elapsed().as_nanos() as u64;
+            cell_nanos.fetch_add(cell_time, Ordering::Relaxed);
+            let outcome = self.attempt(&defs[i], i, scale, policy);
             on_done(&outcome);
-            outcome
+            schedule.end_leases(i, &self.ctx);
+            (outcome, cell_errors)
         });
+        let (mut outcomes, cell_errors): (Vec<_>, Vec<_>) = settled.into_iter().unzip();
+        outcomes.sort_unstable_by_key(|o| o.index);
 
         TolerantReport {
             outcomes,
-            cell_errors,
-            cells: cells.len(),
-            cells_requested: requested,
-            cell_millis,
+            cell_errors: cell_errors.into_iter().flatten().collect(),
+            cells: schedule.cells.iter().map(Vec::len).sum(),
+            cells_requested: schedule.requested,
+            cell_millis: u128::from(cell_nanos.into_inner() / 1_000_000),
             total_millis: start.elapsed().as_millis(),
-            threads,
+            threads: self.pool.threads(),
             cache: self.ctx.cache_stats(),
             store: self.ctx.store_report(),
             surrogate: Vec::new(),
+        }
+    }
+
+    /// Computes `cells` into the cache, each isolated. A failing cell is
+    /// *soft*: its cache slot stays retryable and the experiment
+    /// recomputes it under its own retry budget, so the error is only
+    /// reported for forensics.
+    fn fill(&self, cells: &[Cell], scale: Scale, faults: &FaultPlan) -> Vec<CellError> {
+        cells
+            .iter()
+            .filter_map(|cell| {
+                let label = cell.label();
+                catch_unwind(AssertUnwindSafe(|| {
+                    if faults.fires(FaultSite::Cell(&label)) {
+                        std::panic::panic_any(CellError::panic(&label, "injected panic fault"));
+                    }
+                    cell.run(&self.ctx, scale);
+                }))
+                .err()
+                .map(|payload| CellError::from_panic_payload(&label, payload))
+            })
+            .collect()
+    }
+
+    /// Runs experiment `def` (index `index`) with its retry budget, or
+    /// skips it.
+    fn attempt(
+        &self,
+        def: &ExperimentDef,
+        index: usize,
+        scale: Scale,
+        policy: &RunPolicy<'_>,
+    ) -> ExperimentOutcome {
+        if policy.skip.contains(def.name) {
+            return ExperimentOutcome {
+                name: def.name,
+                index,
+                attempts: 0,
+                millis: 0,
+                kind: OutcomeKind::Skipped,
+            };
+        }
+        let t0 = Instant::now();
+        let mut attempts = 0u32;
+        let kind = loop {
+            attempts += 1;
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if policy.faults.fires(FaultSite::Exp(def.name)) {
+                    std::panic::panic_any(CellError::panic(def.name, "injected panic fault"));
+                }
+                (def.run)(&self.ctx, scale)
+            }));
+            match result {
+                Ok(table) => break OutcomeKind::Completed(table),
+                Err(payload) => {
+                    let err = CellError::from_panic_payload(def.name, payload);
+                    if attempts >= policy.attempts.max(1) {
+                        break OutcomeKind::Failed(err);
+                    }
+                }
+            }
+        };
+        ExperimentOutcome {
+            name: def.name,
+            index,
+            attempts,
+            millis: t0.elapsed().as_millis(),
+            kind,
+        }
+    }
+}
+
+/// One run's execution order and leases (see the module docs).
+struct Schedule {
+    /// Definition indices in execution order.
+    order: Vec<usize>,
+    /// Per definition: the cells it computes before it runs. Each
+    /// distinct cell is listed once, under the first experiment in
+    /// `order` that declares it.
+    cells: Vec<Vec<Cell>>,
+    /// Cells before deduplication.
+    requested: usize,
+    /// Per definition: the artifacts it leases.
+    leases: Vec<Vec<Held>>,
+    /// Per leased artifact: the experiments still holding it.
+    holders: Mutex<HashMap<Held, usize>>,
+}
+
+impl Schedule {
+    /// Counts the leases of every experiment in `defs` that is not
+    /// skipped. Three sets of artifacts take no lease and stay cached:
+    /// those the surrogate reads, those `ctx` held before the run, and
+    /// those of the last pending experiment in the order — no experiment
+    /// is scheduled after it, and a repeat run on the same `ctx` finds
+    /// them.
+    fn new(defs: &[ExperimentDef], skip: &HashSet<String>, ctx: &Ctx, scale: Scale) -> Self {
+        let mut declared: Vec<Vec<Cell>> = defs
+            .iter()
+            .map(|d| match skip.contains(d.name) {
+                true => Vec::new(),
+                false => (d.cells)(),
+            })
+            .collect();
+        let reads: Vec<HashSet<Held>> = declared
+            .iter()
+            .map(|cells| cells.iter().flat_map(|c| c.reads(scale)).collect())
+            .collect();
+        let mut kept: HashSet<Held> = crate::surrogate::cells()
+            .iter()
+            .flat_map(|c| c.reads(scale))
+            .collect();
+        kept.extend(reads.iter().flatten().filter(|&&h| ctx.holds(h)));
+
+        // Experiments that read no kept trace run first, before the kept
+        // artifacts accumulate; the order is otherwise the registry's.
+        let mut order: Vec<usize> = (0..defs.len()).collect();
+        order.sort_by_key(|&i| {
+            reads[i]
+                .iter()
+                .any(|h| matches!(h, Held::Trace(_)) && kept.contains(h))
+        });
+        let last = order.iter().rev().find(|&&i| !skip.contains(defs[i].name));
+        if let Some(&last) = last {
+            kept.extend(reads[last].iter().copied());
+        }
+        let mut seen = HashSet::new();
+        let mut cells = vec![Vec::new(); defs.len()];
+        let mut requested = 0;
+        for &i in &order {
+            for cell in std::mem::take(&mut declared[i]) {
+                requested += 1;
+                if seen.insert(cell.key()) {
+                    cells[i].push(cell);
+                }
+            }
+        }
+
+        let leases: Vec<Vec<Held>> = reads
+            .into_iter()
+            .map(|r| r.into_iter().filter(|h| !kept.contains(h)).collect())
+            .collect();
+        let mut holders = HashMap::new();
+        for &h in leases.iter().flatten() {
+            *holders.entry(h).or_insert(0) += 1;
+        }
+        Self {
+            order,
+            cells,
+            requested,
+            leases,
+            holders: Mutex::new(holders),
+        }
+    }
+
+    /// Ends experiment `i`'s leases: every artifact no other pending
+    /// experiment holds leaves the cache.
+    fn end_leases(&self, i: usize, ctx: &Ctx) {
+        let mut holders = self.holders.lock().expect("lease table poisoned");
+        for h in &self.leases[i] {
+            let n = holders.get_mut(h).expect("every lease is counted");
+            *n -= 1;
+            if *n == 0 {
+                ctx.release(*h);
+            }
         }
     }
 }
@@ -1224,7 +1436,7 @@ mod tests {
     /// no pair).
     #[test]
     fn one_functional_pass_per_trace_and_functional_config() {
-        use crate::grid::{Artifact, Point, Workload};
+        use crate::grid::{Artifact, Point};
         let scale = Scale {
             ops: 1_000,
             seed: 3,
@@ -1250,20 +1462,16 @@ mod tests {
 
                 let pair = |p: &Point| {
                     let cfg = p.machine.config();
-                    let key = p.trace(ctx, scale).key();
+                    let key = p.workload.trace_key(scale);
                     (key, FunctionalOutcome::config_fingerprint(&cfg))
                 };
-                let analysed = defs
+                let pairs: HashSet<_> = defs
                     .iter()
                     .flat_map(|d| (d.cells)())
+                    .chain(crate::surrogate::cells())
                     .filter(|c| c.artifact == Artifact::Analysis)
-                    .map(|c| pair(&c.point));
-                let surrogate = spec::NAMES
-                    .iter()
-                    .map(|&n| Workload::Profile(n))
-                    .chain(bmp_isa::NAMES.iter().map(|&n| Workload::Kernel(n)))
-                    .map(|w| pair(&Point::baseline(w)));
-                let pairs: HashSet<_> = analysed.chain(surrogate).collect();
+                    .map(|c| pair(&c.point))
+                    .collect();
 
                 let c = ctx.cache_stats();
                 let at = format!("metrics {metrics}, {threads} threads");
@@ -1524,6 +1732,205 @@ mod tests {
         );
         assert_eq!(store.puts, 0);
         assert_eq!(phases.sim_nanos, 0, "nothing was simulated");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The miss counts of the whole registry plus the surrogate at
+    /// 2,000 ops, seed 42: traces, superblock maps, simulations,
+    /// functional passes, analyses, static bounds.
+    const FULL_RUN_MISSES: [u64; 6] = [24, 24, 109, 44, 68, 17];
+
+    /// A full run as `run_all` makes it, on `threads` workers, followed
+    /// by the surrogate; the report's cache accounting covers both.
+    fn full_run(threads: usize, scale: Scale) -> (Engine, TolerantReport) {
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let engine = Engine::new(threads);
+        let mut report = engine.run_all_tolerant(scale, &policy, &|_| {});
+        assert_eq!(report.failures().count(), 0);
+        report.surrogate = crate::surrogate::collect(engine.ctx(), scale);
+        report.cache = engine.ctx().cache_stats();
+        (engine, report)
+    }
+
+    /// Releasing artifacts after their last consumer computes nothing
+    /// twice: the misses are the ones every artifact costs once, at any
+    /// thread count.
+    #[test]
+    fn a_full_run_computes_each_artifact_once() {
+        let scale = Scale {
+            ops: 2_000,
+            seed: 42,
+        };
+        for threads in [1, 8] {
+            let (_, report) = full_run(threads, scale);
+            assert_eq!(misses(&report.cache), FULL_RUN_MISSES, "{threads} threads");
+        }
+    }
+
+    /// After a full run and the surrogate, each memo holds exactly the
+    /// artifacts the surrogate declares, and the held bytes are theirs.
+    #[test]
+    fn a_full_run_keeps_only_the_surrogates_artifacts() {
+        let scale = Scale {
+            ops: 2_000,
+            seed: 42,
+        };
+        let (engine, report) = full_run(1, scale);
+        let ctx = engine.ctx();
+        let kept: HashSet<Held> = crate::surrogate::cells()
+            .iter()
+            .flat_map(|c| c.reads(scale))
+            .collect();
+        assert!(kept.iter().all(|&h| ctx.holds(h)));
+        let mut declared = [0; 5];
+        for h in &kept {
+            declared[match h {
+                Held::Trace(_) => 0,
+                Held::Superblock(_) => 1,
+                Held::Sim(_) => 2,
+                Held::Functional(_) => 3,
+                Held::Analysis(_) => 4,
+            }] += 1;
+        }
+        let held = [
+            ctx.traces.len(),
+            ctx.superblocks.len(),
+            ctx.sims.len(),
+            ctx.functional.len(),
+            ctx.analyses.len(),
+        ];
+        assert_eq!(held, declared);
+        let workloads = spec::NAMES.len() + bmp_isa::NAMES.len();
+        assert_eq!(ctx.traces.len(), workloads);
+        assert_eq!(ctx.statics.len(), workloads);
+
+        let c = report.cache;
+        let traces: u64 = crate::surrogate::cells()
+            .iter()
+            .filter(|cell| cell.artifact == crate::grid::Artifact::Sim)
+            .map(|cell| cell.point.trace(ctx, scale).heap_bytes())
+            .sum();
+        assert_eq!(c.trace_bytes.now, traces);
+        for b in [
+            c.trace_bytes,
+            c.superblock_bytes,
+            c.sim_bytes,
+            c.functional_bytes,
+            c.analysis_bytes,
+        ] {
+            assert!(0 < b.now && b.now <= b.peak, "{b:?}");
+        }
+        assert!(
+            c.sim_bytes.now < c.sim_bytes.peak,
+            "released sims leave the count"
+        );
+        let json = json::parse(&report.to_json(scale)).unwrap();
+        let cache = json
+            .as_object("timings")
+            .unwrap()
+            .get_object("cache")
+            .unwrap();
+        assert_eq!(cache.get_u64("trace_bytes"), Ok(c.trace_bytes.now));
+        assert_eq!(
+            cache.get_u64("analysis_peak_bytes"),
+            Ok(c.analysis_bytes.peak)
+        );
+    }
+
+    /// An experiment whose first attempt panics still holds its leases,
+    /// so the retry reads every artifact from the cache.
+    #[test]
+    fn a_retried_experiment_reads_its_cached_artifacts() {
+        let scale = Scale {
+            ops: 2_000,
+            seed: 3,
+        };
+        // fig8 runs first and leases what it reads; fig9 keeps its own.
+        let defs = defs_named(&["fig8_ilp", "fig9_l1d_misses"]).unwrap();
+        let run = |spec: &str| {
+            let faults = FaultPlan::parse(spec).unwrap();
+            let policy = RunPolicy::with_attempts(2, &faults);
+            let engine = Engine::new(1);
+            let report = engine.run_tolerant(&defs, scale, &policy, &|_| {});
+            assert_eq!(report.failures().count(), 0);
+            let csvs: Vec<String> = report
+                .outcomes
+                .iter()
+                .map(|o| o.table().unwrap().to_csv())
+                .collect();
+            (report.outcomes[0].attempts, csvs, misses(&report.cache))
+        };
+        let (_, clean_csvs, clean_misses) = run("");
+        let (attempts, csvs, retried_misses) = run("panic:exp=fig8_ilp:times=1");
+        assert_eq!(attempts, 2, "the first attempt panicked");
+        assert_eq!(csvs, clean_csvs);
+        assert_eq!(retried_misses, clean_misses, "the retry computed nothing");
+    }
+
+    /// A skipped experiment computes no cell and holds no lease: every
+    /// artifact it would have read has one holder fewer.
+    #[test]
+    fn skipped_experiments_take_no_lease() {
+        let scale = Scale {
+            ops: 2_000,
+            seed: 3,
+        };
+        // fig8 and fig9 read no trace the surrogate keeps, so they run
+        // first and lease what they read; fig2 runs last.
+        let names = ["fig2_penalty_per_benchmark", "fig8_ilp", "fig9_l1d_misses"];
+        let defs = defs_named(&names).unwrap();
+        let ctx = Ctx::new();
+        let all = Schedule::new(&defs, &HashSet::new(), &ctx, scale);
+        assert_eq!(all.order, [1, 2, 0]);
+        let fig8 = 1;
+        assert!(!all.leases[fig8].is_empty() && !all.cells[fig8].is_empty());
+        let skip = HashSet::from(["fig8_ilp".to_string()]);
+        let resumed = Schedule::new(&defs, &skip, &ctx, scale);
+        assert!(resumed.leases[fig8].is_empty() && resumed.cells[fig8].is_empty());
+        let all_holders = all.holders.lock().unwrap();
+        let resumed_holders = resumed.holders.lock().unwrap();
+        for (h, &n) in all_holders.iter() {
+            let fig8_holds = usize::from(all.leases[fig8].contains(h));
+            let left = resumed_holders.get(h).copied().unwrap_or(0);
+            assert_eq!(left, n - fig8_holds, "{h:?}");
+        }
+    }
+
+    /// The persistent tier changes no table: a cold and a warm store run
+    /// match a store-less run byte for byte.
+    #[test]
+    fn a_store_changes_no_table() {
+        let dir = std::env::temp_dir().join(format!("bmp_engine_leases_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = Scale {
+            ops: 2_000,
+            seed: 3,
+        };
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        let defs = defs_named(&["fig6_pipeline_depth", "fig8_ilp", "ex8_warmup_study"]).unwrap();
+        let run = |store: bool| {
+            let engine = Engine::new(2);
+            if store {
+                let (store, _) = DiskStore::open(&dir).expect("store opens");
+                engine.ctx().set_store(Arc::new(store));
+            }
+            let report = engine.run_tolerant(&defs, scale, &policy, &|_| {});
+            let csvs: Vec<String> = report
+                .outcomes
+                .iter()
+                .map(|o| o.table().expect("completes").to_csv())
+                .collect();
+            (csvs, report.store.map_or(0, |s| s.sim_hits))
+        };
+        let (plain, _) = run(false);
+        let (cold, cold_hits) = run(true);
+        let (warm, warm_hits) = run(true);
+        assert_eq!(cold, plain);
+        assert_eq!(warm, plain);
+        assert_eq!(cold_hits, 0);
+        assert!(warm_hits > 0, "the warm run read the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,10 +21,10 @@
 //! * `panic:exp=fig8_ilp` — every attempt of experiment `fig8_ilp`
 //!   panics (so it ultimately fails);
 //! * `panic:cell=gcc/sim-baseline:times=1` — the first computation of
-//!   that fan-out cell panics; the cell error is soft, and the owning
+//!   that cell panics; the cell error is soft, and the owning
 //!   experiments recompute the artifact (proving retry determinism).
 //!
-//! A `cell=` target names a fan-out cell by the label derived from its
+//! A `cell=` target names a cell by the label derived from its
 //! typed fields ([`crate::grid::Cell::label`]):
 //!
 //! ```text
@@ -37,8 +37,8 @@
 //!
 //! e.g. `gzip/sim-baseline`, `gzip/analysis-baseline`,
 //! `gzip/sim-baseline-warmup`, `gcc/sim-pred-tage`, `twolf/sim-depth20`.
-//! Cells with equal content are fanned out once, under the label of the
-//! first experiment (in registry order) that declares them.
+//! Cells with equal content are computed once, under the label of the
+//! first experiment in the engine's schedule that declares them.
 //!
 //! Rules match by name and fire a bounded number of times (`times=N`;
 //! default: every time), so a plan plus a seed fully determines the run.
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub(crate) enum FaultSite<'a> {
     /// An experiment by registry name.
     Exp(&'a str),
-    /// A shared fan-out cell by label.
+    /// A cell, by label.
     Cell(&'a str),
 }
 

@@ -1,9 +1,10 @@
-//! The typed experiment grid: what each unit of the cell fan-out is.
+//! The typed experiment grid: what each unit of an experiment's work is.
 //!
 //! An experiment declares its work as a grid of [`Point`]s — a workload
 //! source × a machine × sim options — and the [`Artifact`]s its table
-//! reads at each point. The engine fans the resulting [`Cell`]s out over
-//! the pool (deduplicated by [`Cell::key`]), the table body walks the
+//! reads at each point. The engine computes the resulting [`Cell`]s
+//! (deduplicated by [`Cell::key`]) and leases the cached artifacts they
+//! read (`Cell::reads`) to the experiment, the table body walks the
 //! same grid and finds every artifact in the warm cache, and metrics
 //! collection (`crate::metrics`) matches the same typed fields. A cell's
 //! display label is derived from its fields; the grammar is documented
@@ -19,7 +20,10 @@ use bmp_uarch::{presets, MachineConfig, MachineConfigBuilder};
 use bmp_workloads::{micro, spec, WorkloadProfile};
 
 use crate::artifacts::cache_key;
-use crate::engine::{Ctx, TraceHandle};
+use crate::engine::{
+    analysis_key, functional_key, kernel_trace_key, profile_trace_key, sim_key, superblock_key,
+    Ctx, Held, TraceHandle,
+};
 use crate::error::CellError;
 use crate::Scale;
 
@@ -60,6 +64,22 @@ impl Workload {
         match *self {
             Workload::Profile(name) => ctx.named_trace(name, scale),
             Workload::Kernel(name) => ctx.kernel_trace(name, scale),
+            Workload::Chain(_) => {
+                let key = self.trace_key(scale).expect("a chain always has a trace");
+                ctx.keyed_trace(key, || self.synthesize(scale))
+            }
+            Workload::HotParser => ctx.trace(&hot_parser(), scale),
+        }
+    }
+
+    /// The cache key of the trace at `scale`, without synthesizing it;
+    /// `None` for a profile or kernel name the registries do not know.
+    pub(crate) fn trace_key(&self, scale: Scale) -> Option<u64> {
+        match *self {
+            Workload::Profile(name) => spec::by_name(name).map(|p| profile_trace_key(&p, scale)),
+            Workload::Kernel(name) => bmp_isa::NAMES
+                .contains(&name)
+                .then(|| kernel_trace_key(name, scale)),
             Workload::Chain(chain) => {
                 let params = [
                     fnv1a(b"branch_resolution_kernel"),
@@ -68,9 +88,9 @@ impl Workload {
                     CHAIN_TAKEN_BIAS.to_bits(),
                     scale.seed,
                 ];
-                ctx.keyed_trace(cache_key("micro", &params), || self.synthesize(scale))
+                Some(cache_key("micro", &params))
             }
-            Workload::HotParser => ctx.trace(&hot_parser(), scale),
+            Workload::HotParser => Some(profile_trace_key(&hot_parser(), scale)),
         }
     }
 
@@ -212,15 +232,19 @@ impl Point {
         self.workload.trace(ctx, scale)
     }
 
-    /// The point's simulation.
-    pub fn sim(&self, ctx: &Ctx, scale: Scale) -> Arc<SimResult> {
+    /// The simulator of the point's machine and mode.
+    pub(crate) fn simulator(&self, scale: Scale) -> Simulator {
         let options = match self.mode {
             SimMode::Cold => SimOptions::default(),
             SimMode::Warmup => SimOptions::with_warmup(scale.ops as u64 / 5),
             SimMode::Timeline => SimOptions::with_timeline(),
         };
-        let sim = Simulator::with_options(self.machine.config(), options);
-        ctx.sim(&sim, &self.trace(ctx, scale))
+        Simulator::with_options(self.machine.config(), options)
+    }
+
+    /// The point's simulation.
+    pub fn sim(&self, ctx: &Ctx, scale: Scale) -> Arc<SimResult> {
+        ctx.sim(&self.simulator(scale), &self.trace(ctx, scale))
     }
 
     /// The point's interval-model analysis.
@@ -240,7 +264,8 @@ impl Point {
     }
 }
 
-/// One unit of the engine's fan-out: an artifact at a grid point.
+/// One unit of an experiment's declared work: an artifact at a grid
+/// point.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Where the artifact is computed.
@@ -251,7 +276,7 @@ pub struct Cell {
 
 impl Cell {
     /// The content key: cells with equal keys compute the same artifact,
-    /// so the fan-out runs one of them. It covers the workload, the
+    /// so the engine runs one of them. It covers the workload, the
     /// machine configuration (not its tag), the sim options and the
     /// artifact kind.
     pub fn key(&self) -> u64 {
@@ -279,6 +304,30 @@ impl Cell {
             SimMode::Timeline => "-timeline",
         };
         format!("{}/{artifact}-{machine}{mode}", self.point.workload.name())
+    }
+
+    /// Every cached artifact computing the cell reads or builds: the
+    /// trace, and on it the superblock map and the simulation, or the
+    /// functional pass and the analysis. Empty for a workload the
+    /// registries do not know: that cell fails on its own.
+    pub(crate) fn reads(&self, scale: Scale) -> Vec<Held> {
+        let Some(trace) = self.point.workload.trace_key(scale) else {
+            return Vec::new();
+        };
+        let cfg = self.point.machine.config();
+        match self.artifact {
+            Artifact::Sim => vec![
+                Held::Trace(trace),
+                Held::Superblock(superblock_key(trace, cfg.caches.l1i().line_bytes())),
+                Held::Sim(sim_key(&self.point.simulator(scale), trace)),
+            ],
+            Artifact::Analysis => vec![
+                Held::Trace(trace),
+                Held::Functional(functional_key(&cfg, trace)),
+                Held::Analysis(analysis_key(&cfg, trace)),
+            ],
+            Artifact::Classes => vec![Held::Trace(trace)],
+        }
     }
 
     /// Computes the cell's artifact into the shared context.

@@ -7,12 +7,12 @@
 //! [`grid`] of cells. The `run_all` binary is the one way to run them:
 //! all of them by default, or a subset with `--only NAME[,NAME]` (see
 //! [`engine::defs_named`]). It schedules the selection through the
-//! fault-tolerant [`engine`]: the experiments' cells fan out over a
+//! fault-tolerant [`engine`]: one job per experiment runs on a
 //! shared-cursor [`pool`], every synthesized trace, simulation result
 //! and interval-model analysis is computed once into the shared
-//! content-addressed [`artifacts`] cache, and each table body assembles
-//! its rows from that cache. Each table is written to
-//! `results/<name>.csv`.
+//! content-addressed [`artifacts`] cache and held there only while an
+//! experiment still needs it, and each table body assembles its rows
+//! from that cache. Each table is written to `results/<name>.csv`.
 //!
 //! Experiments scale with the `BMP_OPS` environment variable (dynamic
 //! instructions per workload; default 200 000) and `BMP_SEED` (default

@@ -14,12 +14,15 @@
 //! resolution/refill totals must sit inside the static bounds
 //! ([`bmp_analyze::StaticBounds::check_sim`]); `within_bounds` is
 //! false — and the summary flags the row — if they do not.
+//!
+//! What the surrogate reads is declared once, in `cells`: the engine
+//! keeps those artifacts for the whole run, so collection after the
+//! last experiment finds them all cached.
 
-use bmp_sim::Simulator;
-use bmp_uarch::presets;
 use bmp_workloads::spec;
 
 use crate::engine::Ctx;
+use crate::grid::{self, Artifact, Cell, Point, Workload};
 use crate::Scale;
 
 /// One workload's sim-vs-model comparison at the baseline machine.
@@ -41,6 +44,21 @@ pub struct SurrogateRow {
     pub within_bounds: bool,
 }
 
+/// The workloads the surrogate compares: every profile in
+/// [`spec::NAMES`], then every executed kernel in [`bmp_isa::NAMES`].
+fn workloads() -> impl Iterator<Item = (&'static str, Workload)> {
+    let profiles = spec::NAMES.map(|n| (n, Workload::Profile(n)));
+    let kernels = bmp_isa::NAMES.map(|n| (n, Workload::Kernel(n)));
+    profiles.into_iter().chain(kernels)
+}
+
+/// The cells whose artifacts [`collect`] reads: the baseline simulation
+/// and analysis of every compared workload.
+pub(crate) fn cells() -> Vec<Cell> {
+    let points = workloads().map(|(_, w)| Point::baseline(w));
+    grid::cells(points, &[Artifact::Sim, Artifact::Analysis])
+}
+
 /// Collects the sim-vs-model error table for every workload in
 /// [`spec::NAMES`] followed by every executed kernel in
 /// [`bmp_isa::NAMES`], at the baseline 4-wide machine, drawing traces,
@@ -48,18 +66,12 @@ pub struct SurrogateRow {
 /// trace produced no mispredictions (no penalty to compare) are
 /// omitted.
 pub fn collect(ctx: &Ctx, scale: Scale) -> Vec<SurrogateRow> {
-    let cfg = presets::baseline_4wide();
-    let sim = Simulator::new(cfg.clone());
-    let profiles = spec::NAMES
-        .iter()
-        .map(|&name| (name, ctx.named_trace(name, scale)));
-    let kernels = bmp_isa::NAMES
-        .iter()
-        .map(|&name| (name, ctx.kernel_trace(name, scale)));
-    profiles
-        .chain(kernels)
-        .filter_map(|(name, trace)| {
-            let res = ctx.sim(&sim, &trace);
+    workloads()
+        .filter_map(|(name, workload)| {
+            let point = Point::baseline(workload);
+            let cfg = point.machine.config();
+            let trace = point.trace(ctx, scale);
+            let res = ctx.sim(&point.simulator(scale), &trace);
             let bounds = ctx.static_bounds(&cfg, &trace);
             let n = res.mispredicts.len() as u64;
             let sim_mean = res.mean_penalty()?;
@@ -97,6 +109,7 @@ pub fn median_rel_err(rows: &[SurrogateRow]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmp_uarch::presets;
 
     const SCALE: Scale = Scale {
         ops: 2_000,

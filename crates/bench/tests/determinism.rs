@@ -1,6 +1,6 @@
 //! The engine's central guarantee: the produced tables are byte-identical
-//! for any thread count. Every count runs the same cell fan-out and
-//! experiment schedule — `BMP_THREADS=1` runs both phases inline — so
+//! for any thread count. Every count runs the same experiment schedule,
+//! cells and leases — `BMP_THREADS=1` runs the jobs inline — so
 //! comparing it against an 8-worker run covers the result merge order and
 //! the cache under concurrency, and the work done must match exactly.
 //! The tables are also identical on either simulator engine.
@@ -55,7 +55,7 @@ fn results_are_identical_for_any_thread_count() {
             "{seq_id}: 1-thread and 8-thread CSVs must match byte for byte"
         );
     }
-    // One schedule: the same cells fan out and the same artifacts are
+    // One schedule: the same cells run and the same artifacts are
     // computed at either thread count.
     let work = |r: &TolerantReport| {
         let c = r.cache;
@@ -74,6 +74,11 @@ fn results_are_identical_for_any_thread_count() {
     assert_eq!(work(&seq_report), work(&par_report));
 }
 
+/// A run releases an artifact only when a later experiment of the same
+/// run no longer needs it; the schedule's last experiment keeps what it
+/// read, and so does every artifact the context held before the run. A
+/// lone experiment therefore releases nothing, and running it again on
+/// the same engine computes nothing new.
 #[test]
 fn repeated_runs_share_the_cache() {
     let engine = Engine::new(4);

@@ -138,6 +138,11 @@ impl FunctionalOutcome {
         }
     }
 
+    /// The heap bytes of the miss events and the per-op load levels.
+    pub fn heap_bytes(&self) -> u64 {
+        bmp_trace::vec_bytes(&self.events) + bmp_trace::vec_bytes(&self.load_levels)
+    }
+
     /// A fingerprint of exactly the configuration fields the pass reads:
     /// the caches, the direction and indirect predictors, the BTB and
     /// the RAS. Configurations that differ only in timing (depth,

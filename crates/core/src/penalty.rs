@@ -140,6 +140,11 @@ pub struct PenaltyAnalysis {
 }
 
 impl PenaltyAnalysis {
+    /// The heap bytes of the intervals and their breakdowns.
+    pub fn heap_bytes(&self) -> u64 {
+        bmp_trace::vec_bytes(&self.intervals) + bmp_trace::vec_bytes(&self.breakdowns)
+    }
+
     /// Mean resolution time, or `None` without mispredictions.
     pub fn mean_resolution(&self) -> Option<f64> {
         if self.breakdowns.is_empty() {

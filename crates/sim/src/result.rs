@@ -162,6 +162,16 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// The heap bytes of the recorded events, mispredictions, dispatch
+    /// timeline and occupancy histogram.
+    pub fn heap_bytes(&self) -> u64 {
+        use bmp_trace::vec_bytes;
+        vec_bytes(&self.events)
+            + vec_bytes(&self.mispredicts)
+            + self.dispatch_timeline.as_ref().map_or(0, vec_bytes)
+            + vec_bytes(&self.rob_occupancy)
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -134,6 +134,18 @@ impl CompiledTrace {
         self.pc.len()
     }
 
+    /// The heap bytes of the compiled arrays.
+    pub fn heap_bytes(&self) -> u64 {
+        use crate::vec_bytes;
+        vec_bytes(&self.pc)
+            + vec_bytes(&self.class)
+            + vec_bytes(&self.flags)
+            + vec_bytes(&self.producers)
+            + vec_bytes(&self.payload)
+            + vec_bytes(&self.mem_addrs)
+            + vec_bytes(&self.branches)
+    }
+
     /// Returns `true` when the trace holds no ops.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -1,7 +1,6 @@
-//! Dependence-graph utilities: data-flow scheduling, critical paths, and
-//! the `I_W(k)` window-ILP characterization.
+//! The `I_W(k)` window-ILP characterization of a dependence graph.
 //!
-//! These are the analytical primitives beneath interval analysis. An
+//! This is the analytical primitive beneath interval analysis. An
 //! instruction stream induces a DAG via register dependences; the *critical
 //! path* through a window bounds how fast the window can drain, and the
 //! per-window ILP curve `I_W(k)` (average instructions per cycle achievable
@@ -14,119 +13,18 @@
 
 use bmp_uarch::OpClass;
 
-use crate::op::MicroOp;
 use crate::view::OpView;
-
-/// Computes data-flow completion times for a slice of ops.
-///
-/// Op `i` starts executing at
-/// `max(enter(i), max over sources completion(src))` and completes
-/// `latency_of(i, op)` cycles later. Sources whose dependence distance
-/// reaches before the slice are treated as ready at cycle 0 (they belong to
-/// an earlier, already-drained part of the stream).
-///
-/// `enter(i)` models when op `i` becomes visible to the scheduler; passing
-/// `|_| 0` yields the pure data-flow (infinite-machine) schedule, while the
-/// interval model passes the dispatch-width-limited window-entry time.
-///
-/// # Examples
-///
-/// ```
-/// use bmp_trace::{dag, MicroOp};
-/// use bmp_uarch::OpClass;
-///
-/// // A 3-op chain with unit latencies completes at cycles 1, 2, 3.
-/// let ops: Vec<_> = (0..3)
-///     .map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [if i > 0 { Some(1) } else { None }, None]))
-///     .collect();
-/// let done = dag::completion_times(&ops, |_, _| 1, |_| 0);
-/// assert_eq!(done, vec![1, 2, 3]);
-/// ```
-pub fn completion_times<L, E>(ops: &[MicroOp], mut latency_of: L, mut enter: E) -> Vec<u64>
-where
-    L: FnMut(usize, &MicroOp) -> u64,
-    E: FnMut(usize) -> u64,
-{
-    let mut done = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let mut start = enter(i);
-        for d in op.src_distances() {
-            let d = d as usize;
-            if d <= i {
-                let src_done = done[i - d];
-                start = start.max(src_done);
-            }
-            // else: producer precedes the slice; ready at 0.
-        }
-        let lat = latency_of(i, op).max(1);
-        done.push(start + lat);
-    }
-    done
-}
-
-/// Length of the critical path through `ops` (the completion time of the
-/// data-flow schedule), with latencies from `latency_of`.
-///
-/// Returns 0 for an empty slice.
-pub fn critical_path<L>(ops: &[MicroOp], latency_of: L) -> u64
-where
-    L: FnMut(usize, &MicroOp) -> u64,
-{
-    completion_times(ops, latency_of, |_| 0)
-        .into_iter()
-        .max()
-        .unwrap_or(0)
-}
-
-/// The `I_W(k)` window-ILP characterization: the average IPC achievable
-/// over disjoint consecutive windows of `k` instructions, assuming
-/// unbounded issue resources within each window.
-///
-/// For each window the achievable IPC is `k / critical_path(window)`; the
-/// returned value is the harmonic-consistent aggregate
-/// `total instructions / total critical-path cycles`, which is the rate a
-/// machine repeatedly draining such windows would sustain.
-///
-/// Returns `None` when the trace is shorter than one window or `k == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use bmp_trace::{dag, MicroOp};
-/// use bmp_uarch::OpClass;
-///
-/// // Fully independent ops: I_W(k) == k (one window drains in 1 cycle).
-/// let ops: Vec<_> = (0..64)
-///     .map(|i| MicroOp::alu(i * 4, OpClass::IntAlu, [None, None]))
-///     .collect();
-/// let ilp = dag::window_ilp(&ops, 16, |_, _| 1).unwrap();
-/// assert!((ilp - 16.0).abs() < 1e-9);
-/// ```
-pub fn window_ilp<L>(ops: &[MicroOp], k: usize, mut latency_of: L) -> Option<f64>
-where
-    L: FnMut(usize, &MicroOp) -> u64,
-{
-    if k == 0 || ops.len() < k {
-        return None;
-    }
-    let mut insts = 0u64;
-    let mut cycles = 0u64;
-    let mut start = 0;
-    while start + k <= ops.len() {
-        let window = &ops[start..start + k];
-        let cp = critical_path(window, |i, op| latency_of(start + i, op));
-        insts += k as u64;
-        cycles += cp.max(1);
-        start += k;
-    }
-    Some(insts as f64 / cycles as f64)
-}
 
 /// The full ILP curve: `I_W(k)` for each `k` in `ks`, in order, skipping
 /// sizes the trace cannot fill (and `k == 0`).
 ///
-/// Each point equals [`window_ilp`] at its `k`, bit for bit, but the
-/// curve takes one walk over the trace instead of one per size, and asks
+/// Each point is `total instructions / total critical-path cycles` over
+/// the disjoint consecutive windows of `k` ops that fit in the trace,
+/// with unbounded issue resources inside a window and every source
+/// before a window ready at cycle 0: the rate a machine repeatedly
+/// draining such windows would sustain.
+///
+/// The curve takes one walk over the trace for all sizes, and asks
 /// `latency_of` once per op. Every size keeps the completion times of
 /// its current window in a slice of one shared buffer, indexed by the
 /// op's position in the window; the position is a counter that wraps at
@@ -216,6 +114,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::MicroOp;
+
+    include!("../tests/dag_oracle/mod.rs");
 
     fn chain(n: usize) -> Vec<MicroOp> {
         (0..n)

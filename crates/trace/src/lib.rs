@@ -60,3 +60,9 @@ pub use stats::{DepDistanceHistogram, TraceStats};
 pub use superblock::{Region, RegionEnd, SuperblockMap, SuperblockStats};
 pub use trace::{Trace, TraceBuilder, TraceError};
 pub use view::OpView;
+
+/// The heap bytes `v` reserves: its capacity times its element size.
+/// The building block of the artifacts' `heap_bytes` accounting.
+pub fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}

@@ -137,6 +137,11 @@ impl SuperblockMap {
         self.line_bytes
     }
 
+    /// The heap bytes of the run-length and line-start arrays.
+    pub fn heap_bytes(&self) -> u64 {
+        crate::vec_bytes(&self.run_len) + crate::vec_bytes(&self.line_start)
+    }
+
     /// Number of ops covered.
     #[inline]
     pub fn len(&self) -> usize {

@@ -7,6 +7,8 @@ use bmp_trace::{dag, io, BranchInfo, BranchKind, MicroOp, RegionEnd, SuperblockM
 use bmp_uarch::OpClass;
 use proptest::prelude::*;
 
+include!("dag_oracle/mod.rs");
+
 fn arb_op(max_dist: u32) -> impl Strategy<Value = MicroOp> {
     let srcs = (0u32..=max_dist, 0u32..=max_dist)
         .prop_map(|(a, b)| [(a != 0).then_some(a), (b != 0).then_some(b)]);
@@ -52,10 +54,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The one-pass ILP curve, on either layout, equals the per-window
-    /// `window_ilp` oracle point for point and to the f64 bit, under
-    /// op-dependent latencies (0 included, which floors to 1), for sizes
-    /// that include 0, 1, values that are not powers of two, and sizes
-    /// past the trace's end.
+    /// `window_ilp` oracle (`dag_oracle`) point for point and to the f64
+    /// bit, under op-dependent latencies (0 included, which floors to 1),
+    /// for sizes that include 0, 1, values that are not powers of two,
+    /// and sizes past the trace's end.
     #[test]
     fn ilp_curve_matches_per_window_oracle(
         ops in prop::collection::vec(arb_op(64), 0..300),
@@ -68,7 +70,7 @@ proptest! {
         let want: Vec<(usize, f64)> = ks
             .iter()
             .filter_map(|&k| {
-                dag::window_ilp(&ops, k, |i, op| latency(i, op.class())).map(|ilp| (k, ilp))
+                window_ilp(&ops, k, |i, op| latency(i, op.class())).map(|ilp| (k, ilp))
             })
             .collect();
         let compiled = Trace::from_ops_unchecked(ops.clone()).compile();
@@ -160,7 +162,7 @@ proptest! {
     /// completes before its producer.
     #[test]
     fn completion_respects_dependences(trace in arb_trace()) {
-        let done = dag::completion_times(trace.ops(), |_, _| 2, |_| 0);
+        let done = completion_times(trace.ops(), |_, _| 2, |_| 0);
         for (i, op) in trace.iter().enumerate() {
             for d in op.src_distances() {
                 let d = d as usize;
@@ -199,8 +201,8 @@ proptest! {
     /// ops × max-latency.
     #[test]
     fn critical_path_bounds(trace in arb_trace()) {
-        let cp1 = dag::critical_path(trace.ops(), |_, _| 1);
-        let cp3 = dag::critical_path(trace.ops(), |_, _| 3);
+        let cp1 = critical_path(trace.ops(), |_, _| 1);
+        let cp3 = critical_path(trace.ops(), |_, _| 3);
         prop_assert!(cp3 >= cp1);
         prop_assert!(cp1 as usize <= trace.len().max(1));
         prop_assert!(cp3 as usize <= 3 * trace.len().max(1));

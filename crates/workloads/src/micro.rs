@@ -43,7 +43,7 @@ const DATA_BASE: u64 = 0x5000_0000;
 /// use bmp_uarch::OpClass;
 ///
 /// let t = bmp_workloads::micro::chain_kernel(1000, 4, 64, OpClass::IntAlu);
-/// let ilp = dag::window_ilp(t.ops(), 32, |_, _| 1).unwrap();
+/// let ilp = dag::ilp_curve(t.ops(), &[32], |_, _| 1)[0].1;
 /// assert!((ilp - 4.0).abs() < 0.5);
 /// ```
 pub fn chain_kernel(n_ops: usize, k: u32, body_len: u32, class: OpClass) -> Trace {
@@ -274,7 +274,7 @@ mod tests {
     fn chain_kernel_ilp_matches_stride() {
         for k in [1u32, 2, 4, 8] {
             let t = chain_kernel(2000, k, 64, OpClass::IntAlu);
-            let ilp = dag::window_ilp(t.ops(), 32, |_, _| 1).unwrap();
+            let ilp = dag::ilp_curve(t.ops(), &[32], |_, _| 1)[0].1;
             assert!((ilp - k as f64).abs() < 0.7, "stride {k} gave ILP {ilp}");
             check_control_flow(&t);
         }
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn latency_kernel_is_serial() {
         let t = latency_kernel(1000, OpClass::IntMul);
-        let ilp = dag::window_ilp(t.ops(), 32, |_, _| 3).unwrap();
+        let ilp = dag::ilp_curve(t.ops(), &[32], |_, _| 3)[0].1;
         assert!(ilp < 0.5, "serial multiply chain ILP {ilp}");
     }
 }
