@@ -350,7 +350,7 @@ type CsvCheck = (
 );
 
 /// Every published table with static checks.
-static CSV_CHECKS: [CsvCheck; 15] = [
+static CSV_CHECKS: [CsvCheck; 16] = [
     (tables::FIG2, penalty_and_depth, &[]),
     (tables::FIG3, fig3, &[]),
     (tables::FIG4, |_| Some(()), &[&[col::FRACTION]]),
@@ -379,6 +379,7 @@ static CSV_CHECKS: [CsvCheck; 15] = [
     ),
     (tables::EX_GENERATIONS, ex_generations, &[]),
     (tables::EX_H2P, ex_h2p, &[]),
+    (tables::EX_ISA, |row| contributor_means(row).map(drop), &[]),
 ];
 
 /// The checks of the table whose CSV header line is `header`.
@@ -488,9 +489,14 @@ impl<'a> Row<'a> {
         Some(value)
     }
 
-    /// Column `name`, checked to be positive.
+    /// Column `name`, checked to be positive (no slack: a rate or size
+    /// printed as zero is a violation).
     fn positive(&mut self, name: &str) -> Option<f64> {
-        self.range(name, 1e-6, f64::INFINITY)
+        let value = self.num(name)?;
+        if value <= 0.0 {
+            self.violation(format!("{name} = {value} is not positive"));
+        }
+        Some(value)
     }
 
     /// Each of the columns `names` (mean resolutions) checked against the
@@ -636,6 +642,31 @@ fn fig9(row: &mut Row<'_>) -> Option<()> {
     Some(())
 }
 
+/// The predictor-generation and executed-kernel tables: a miss rate in
+/// [0, 1], a positive IPC and, over rows with mispredictions, a mean base
+/// contribution of 2 cycles and non-negative knock-out means. Returns
+/// whether the row recorded mispredictions.
+fn contributor_means(row: &mut Row<'_>) -> Option<bool> {
+    row.range(col::BR_MISS_RATE, 0.0, 1.0)?;
+    let mpki = row.ge(col::BR_MPKI, 0.0, COUNTS)?;
+    row.positive(col::IPC)?;
+    let base = row.num(col::MEAN_BASE)?;
+    let mut means = Vec::new();
+    for name in [col::MEAN_ILP, col::MEAN_FU, col::MEAN_DMISS] {
+        means.push((name, row.num(name)?));
+    }
+    // Penalty statistics are means over mispredictions; with none
+    // recorded they legitimately print as zeros.
+    let mispredicted = mpki > EPS_GE;
+    if mispredicted {
+        row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
+        for (name, v) in means {
+            row.check_ge(name, v, 0.0, KNOCK_OUT);
+        }
+    }
+    Some(mispredicted)
+}
+
 fn ex_generations(row: &mut Row<'_>) -> Option<()> {
     let (_, predictor) = row.cell(col::PREDICTOR);
     if !presets::GENERATIONS.contains(&predictor.trim()) {
@@ -644,18 +675,8 @@ fn ex_generations(row: &mut Row<'_>) -> Option<()> {
             format!("unknown predictor generation {predictor:?}"),
         );
     }
-    row.range(col::BR_MISS_RATE, 0.0, 1.0)?;
-    let mpki = row.ge(col::BR_MPKI, 0.0, COUNTS)?;
-    row.positive(col::IPC)?;
     let mp = row.num(col::MEAN_PENALTY)?;
-    let base = row.num(col::MEAN_BASE)?;
-    let mut means = Vec::new();
-    for name in [col::MEAN_ILP, col::MEAN_FU, col::MEAN_DMISS] {
-        means.push((name, row.num(name)?));
-    }
-    // Penalty statistics are means over mispredictions; with none
-    // recorded they legitimately print as zeros.
-    if mpki > EPS_GE {
+    if contributor_means(row)? {
         let depth = f64::from(presets::baseline_4wide().frontend_depth);
         row.check_ge(
             col::MEAN_PENALTY,
@@ -663,10 +684,6 @@ fn ex_generations(row: &mut Row<'_>) -> Option<()> {
             depth + MIN_RESOLUTION,
             "penalty >= depth + 2 (generations share the baseline frontend)",
         );
-        row.check_eq(base, 2.0, EPS_VAL, "mean base contribution == 2 cycles");
-        for (name, v) in means {
-            row.check_ge(name, v, 0.0, KNOCK_OUT);
-        }
     }
     Some(())
 }
@@ -1214,6 +1231,82 @@ mod tests {
         // misprediction to average over.
         let cold = format!("{header}gzip,tage,0.000,0.00,0.00,0.00,0.00,0.00,0.00,1.500\n");
         assert!(lint_csv("gen.csv", &cold).is_clean());
+    }
+
+    /// `ex_isa_contributors.csv` with the one row `row`.
+    fn isa_csv(row: &str) -> String {
+        let header = "kernel,ops,br-miss-rate,br-MPKI,mean-penalty,\
+                      mean-base,mean-ilp,mean-fu,mean-dmiss,IPC\n";
+        format!("{header}{row}\n")
+    }
+
+    /// Lints an `ex_isa_contributors.csv` row and expects exactly one
+    /// BMP605 naming `column`.
+    fn isa_violation(row: &str, column: &str) {
+        let report = lint_csv("isa.csv", &isa_csv(row));
+        assert_eq!(codes(&report), vec!["BMP605"], "{}", report.render_human());
+        assert!(
+            fired(&report, "BMP605", column),
+            "{}",
+            report.render_human()
+        );
+    }
+
+    #[test]
+    fn isa_csv_checks_pass_a_clean_row() {
+        let good = isa_csv("hash,200000,0.039,6.14,33.22,2.00,5.80,7.03,4.56,0.937");
+        assert!(lint_csv("isa.csv", &good).is_clean());
+        // No misprediction, no penalty means to check.
+        let cold = isa_csv("loop,200000,0.000,0.00,0.00,0.00,0.00,0.00,0.00,1.500");
+        assert!(lint_csv("isa.csv", &cold).is_clean());
+    }
+
+    #[test]
+    fn isa_csv_base_not_two_cycles_is_bmp605() {
+        isa_violation(
+            "hash,200000,0.039,6.14,33.22,2.50,5.80,7.03,4.56,0.937",
+            "mean base",
+        );
+    }
+
+    #[test]
+    fn isa_csv_negative_ilp_mean_is_bmp605() {
+        isa_violation(
+            "hash,200000,0.039,6.14,33.22,2.00,-0.80,7.03,4.56,0.937",
+            "mean-ilp",
+        );
+    }
+
+    #[test]
+    fn isa_csv_negative_fu_mean_is_bmp605() {
+        isa_violation(
+            "hash,200000,0.039,6.14,33.22,2.00,5.80,-7.03,4.56,0.937",
+            "mean-fu",
+        );
+    }
+
+    #[test]
+    fn isa_csv_negative_dmiss_mean_is_bmp605() {
+        isa_violation(
+            "hash,200000,0.039,6.14,33.22,2.00,5.80,7.03,-4.56,0.937",
+            "mean-dmiss",
+        );
+    }
+
+    #[test]
+    fn isa_csv_miss_rate_above_one_is_bmp605() {
+        isa_violation(
+            "hash,200000,1.039,6.14,33.22,2.00,5.80,7.03,4.56,0.937",
+            "br-miss-rate",
+        );
+    }
+
+    #[test]
+    fn isa_csv_zero_ipc_is_bmp605() {
+        isa_violation(
+            "hash,200000,0.039,6.14,33.22,2.00,5.80,7.03,4.56,0.000",
+            "IPC",
+        );
     }
 
     /// `consistent_doc` with a class attribution that exactly

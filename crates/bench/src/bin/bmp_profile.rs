@@ -21,7 +21,8 @@
 //!    workload mix the harness actually runs, so its sim-phase ratio is
 //!    the headline speedup.
 //!
-//! Scale with `BMP_OPS` / `BMP_SEED` as usual. Set `BMP_PROFILE_GATE`
+//! Scale with `BMP_OPS` / `BMP_SEED` as usual; a value that is set but
+//! not valid is a usage error (exit 2, nothing runs). Set `BMP_PROFILE_GATE`
 //! to a ratio (e.g. `1.8`) to exit nonzero when the suite sim-phase
 //! speedup falls below it — the CI perf-smoke gate.
 
@@ -197,7 +198,13 @@ fn profile_suite(
 }
 
 fn main() -> ExitCode {
-    let scale = Scale::from_env();
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let gate: Option<f64> = std::env::var("BMP_PROFILE_GATE")
         .ok()
         .and_then(|v| v.parse().ok());

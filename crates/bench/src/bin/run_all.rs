@@ -24,7 +24,9 @@
 //!   silent skip. (Legacy journals without a hash fall back to the
 //!   existence check.)
 //!
-//! Any other argument is a usage error (exit 2, nothing runs).
+//! Any other argument is a usage error (exit 2, nothing runs), and so is
+//! a `BMP_OPS`, `BMP_SEED` or `BMP_THREADS` that is set but not a valid
+//! value.
 //!
 //! `BMP_STORE=<dir>` adds the crash-safe persistent artifact tier: the
 //! content-addressed on-disk store (`bmp_core::store`) is opened —
@@ -35,9 +37,10 @@
 //! the store's counters (a `store:` summary line and a `"store"` object
 //! in `bench_timings.json`).
 //!
-//! Scale with `BMP_OPS` / `BMP_SEED`; pick the worker count with
-//! `BMP_THREADS` (default: available parallelism; every count runs the
-//! same schedule).
+//! Scale with `BMP_OPS` (a positive count) / `BMP_SEED`; pick the worker
+//! count with `BMP_THREADS` (a positive count; default: available
+//! parallelism; every count runs the same schedule). An empty variable
+//! counts as unset.
 //! The produced CSVs are byte-identical for any thread count, with or
 //! without a store — and for `BMP_METRICS` on or off: with
 //! `BMP_METRICS=1` the run *additionally* writes per-experiment
@@ -97,6 +100,14 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
+    let env = bmp_bench::Scale::from_env().and_then(|scale| Ok((scale, threads_from_env()?)));
+    let (scale, threads) = match env {
+        Ok(env) => env,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let selecting = !only.is_empty();
     let defs = if selecting {
         let names: Vec<&str> = only.iter().map(String::as_str).collect();
@@ -110,7 +121,6 @@ fn main() -> ExitCode {
     } else {
         experiment_defs()
     };
-    let scale = bmp_bench::Scale::from_env();
     let results_dir = Path::new("results");
     let journal_path = results_dir.join("run_journal.json");
 
@@ -184,7 +194,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let threads = threads_from_env();
     let engine = bmp_bench::Engine::new(threads);
 
     // Optional crash-safe persistent tier: BMP_STORE=<dir> opens the

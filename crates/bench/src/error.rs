@@ -1,6 +1,6 @@
-//! Structured per-cell failures.
+//! Structured experiment failures.
 //!
-//! One experiment cell failing must not take the suite down with it:
+//! One experiment failing must not take the suite down with it:
 //! [`ThreadPool::try_map`](crate::pool::ThreadPool::try_map) catches the
 //! panic, and everything downstream — retry accounting, the run journal,
 //! the partial-results report — works in terms of [`CellError`] instead
@@ -46,7 +46,7 @@ impl CellErrorKind {
 pub struct CellError {
     /// What class of failure this is.
     pub kind: CellErrorKind,
-    /// Where it happened — an experiment name or cell label.
+    /// Where it happened — an experiment name, workload name or memo key.
     pub context: String,
     /// Human-readable cause.
     pub message: String,

@@ -2,13 +2,12 @@
 //!
 //! An experiment declares its work as a grid of [`Point`]s — a workload
 //! source × a machine × sim options — and the [`Artifact`]s its table
-//! reads at each point. The engine computes the resulting [`Cell`]s
-//! (deduplicated by [`Cell::key`]) and leases the cached artifacts they
-//! read (`Cell::reads`) to the experiment, the table body walks the
-//! same grid and finds every artifact in the warm cache, and metrics
-//! collection (`crate::metrics`) matches the same typed fields. A cell's
-//! display label is derived from its fields; the grammar is documented
-//! with the fault rules that target it ([`crate::fault`]).
+//! reads at each point. The engine leases the cached artifacts the
+//! resulting [`Cell`]s read (`Cell::reads`) to the experiment and counts
+//! them (deduplicated by [`Cell::key`]), the table body walks the same
+//! grid and computes each artifact into the shared cache or finds it
+//! there, and metrics collection (`crate::metrics`) matches the same
+//! typed fields.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -44,8 +43,8 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// The name in cell labels: the profile or kernel name, `chain<N>`
-    /// or `parser-hot24k`.
+    /// The name in tables and cell keys: the profile or kernel name,
+    /// `chain<N>` or `parser-hot24k`.
     pub fn name(&self) -> String {
         match self {
             Workload::Profile(name) | Workload::Kernel(name) => (*name).to_owned(),
@@ -140,7 +139,7 @@ pub enum Machine {
     /// sweep even when it equals the baseline, so metrics collection never
     /// takes it for the baseline epoch.
     Sweep {
-        /// The name in cell labels.
+        /// The point's name in its experiment.
         tag: String,
         /// The configuration.
         config: Box<MachineConfig>,
@@ -276,7 +275,7 @@ pub struct Cell {
 
 impl Cell {
     /// The content key: cells with equal keys compute the same artifact,
-    /// so the engine runs one of them. It covers the workload, the
+    /// so the engine counts one of them. It covers the workload, the
     /// machine configuration (not its tag), the sim options and the
     /// artifact kind.
     pub fn key(&self) -> u64 {
@@ -286,30 +285,10 @@ impl Cell {
         cache_key("cell", &[workload, machine, mode, artifact])
     }
 
-    /// The display label, `workload/artifact-machine[-mode]`.
-    pub fn label(&self) -> String {
-        let artifact = match self.artifact {
-            Artifact::Sim => "sim",
-            Artifact::Analysis => "analysis",
-            Artifact::Classes => "classes",
-        };
-        let machine = match &self.point.machine {
-            Machine::Baseline => "baseline".to_owned(),
-            Machine::Generation(pred) => format!("pred-{pred}"),
-            Machine::Sweep { tag, .. } => tag.clone(),
-        };
-        let mode = match self.point.mode {
-            SimMode::Cold => "",
-            SimMode::Warmup => "-warmup",
-            SimMode::Timeline => "-timeline",
-        };
-        format!("{}/{artifact}-{machine}{mode}", self.point.workload.name())
-    }
-
     /// Every cached artifact computing the cell reads or builds: the
     /// trace, and on it the superblock map and the simulation, or the
     /// functional pass and the analysis. Empty for a workload the
-    /// registries do not know: that cell fails on its own.
+    /// registries do not know: the experiment's body fails on it.
     pub(crate) fn reads(&self, scale: Scale) -> Vec<Held> {
         let Some(trace) = self.point.workload.trace_key(scale) else {
             return Vec::new();
@@ -327,15 +306,6 @@ impl Cell {
                 Held::Analysis(analysis_key(&cfg, trace)),
             ],
             Artifact::Classes => vec![Held::Trace(trace)],
-        }
-    }
-
-    /// Computes the cell's artifact into the shared context.
-    pub(crate) fn run(&self, ctx: &Ctx, scale: Scale) {
-        match self.artifact {
-            Artifact::Sim => drop(self.point.sim(ctx, scale)),
-            Artifact::Analysis => drop(self.point.analysis(ctx, scale)),
-            Artifact::Classes => drop(self.point.trace(ctx, scale)),
         }
     }
 }
@@ -391,7 +361,7 @@ pub(crate) fn kernels() -> impl Iterator<Item = Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Artifact::{Analysis, Classes, Sim};
+    use Artifact::{Analysis, Sim};
 
     /// Every trace the registry and the surrogate read, synthetic and
     /// executed: the cached compiled trace rebuilds the fresh synthesis
@@ -430,28 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_follow_the_grammar() {
-        let gzip = Point::baseline(Workload::Profile("gzip"));
-        let warm = gzip.clone().with_mode(SimMode::Warmup);
-        let gen = Point::new(Workload::Profile("gcc"), Machine::Generation("tage"));
-        let lat = Machine::sweep("lat1.5", presets::baseline_4wide());
-        let chain = Point::new(Workload::Chain(8), lat);
-        let hot = Point::baseline(Workload::HotParser);
-        let labels = [
-            (gzip.cell(Sim), "gzip/sim-baseline"),
-            (gzip.cell(Analysis), "gzip/analysis-baseline"),
-            (warm.cell(Sim), "gzip/sim-baseline-warmup"),
-            (warm.cell(Analysis), "gzip/analysis-baseline"),
-            (gen.cell(Sim), "gcc/sim-pred-tage"),
-            (chain.cell(Analysis), "chain8/analysis-lat1.5"),
-            (hot.cell(Classes), "parser-hot24k/classes-baseline"),
-        ];
-        for (cell, label) in labels {
-            assert_eq!(cell.label(), label);
-        }
-    }
-
-    #[test]
     fn keys_follow_content_not_tags() {
         let key = |p: &Point, a| p.cell(a).key();
         let gzip = |machine| Point::new(Workload::Profile("gzip"), machine);
@@ -465,5 +413,7 @@ mod tests {
         let warm = base.clone().with_mode(SimMode::Warmup);
         assert_ne!(key(&base, Sim), key(&warm, Sim));
         assert_eq!(key(&base, Analysis), key(&warm, Analysis));
+        // A warm-up point's analysis cell is the cold point's.
+        assert_eq!(warm.cell(Analysis).point, base.cell(Analysis).point);
     }
 }

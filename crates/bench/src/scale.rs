@@ -1,5 +1,8 @@
 //! Experiment scaling knobs.
 
+use std::env::VarError;
+use std::str::FromStr;
+
 /// Workload size and seed shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
@@ -20,20 +23,19 @@ impl Default for Scale {
 
 impl Scale {
     /// Reads the scale from the environment: `BMP_OPS` (instructions,
-    /// default 200 000) and `BMP_SEED` (default 42). Unparsable values
-    /// fall back to the defaults.
-    pub fn from_env() -> Self {
+    /// default 200 000) and `BMP_SEED` (default 42). An unset or empty
+    /// variable takes the default.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable when `BMP_OPS` is not a positive integer or
+    /// `BMP_SEED` not an integer.
+    pub fn from_env() -> Result<Self, String> {
         let d = Self::default();
-        let ops = std::env::var("BMP_OPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(d.ops);
-        let seed = std::env::var("BMP_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(d.seed);
-        Self { ops, seed }
+        Ok(Self {
+            ops: env_count("BMP_OPS")?.unwrap_or(d.ops),
+            seed: env_parsed("BMP_SEED")?.unwrap_or(d.seed),
+        })
     }
 
     /// A small scale for unit tests.
@@ -42,6 +44,26 @@ impl Scale {
             ops: 20_000,
             seed: 7,
         }
+    }
+}
+
+/// Environment variable `name` parsed as a `T`; `None` when it is unset
+/// or empty.
+fn env_parsed<T: FromStr>(name: &str) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(v) if v.is_empty() => Ok(None),
+        Ok(v) => (v.parse().map(Some)).map_err(|_| format!("{name}={v:?} is not an integer")),
+        Err(VarError::NotPresent) => Ok(None),
+        Err(e) => Err(format!("{name}: {e}")),
+    }
+}
+
+/// Environment variable `name` as a positive count; `None` when it is
+/// unset or empty.
+pub(crate) fn env_count(name: &str) -> Result<Option<usize>, String> {
+    match env_parsed(name)? {
+        Some(0) => Err(format!("{name}=0: must be at least 1")),
+        count => Ok(count),
     }
 }
 

@@ -311,6 +311,48 @@ fn an_unknown_flag_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scale or worker count that is set but not valid is a usage error
+/// too, for `run_all` and `bmp-profile` alike: exit 2 before any work
+/// runs, so a typo such as `BMP_OPS=2k` cannot start a full-scale run.
+/// An empty variable counts as unset.
+#[test]
+fn an_invalid_scale_or_thread_count_is_a_usage_error() {
+    let dir = fresh_dir("bad_env");
+    let bad = [
+        ("BMP_OPS", "2k"),
+        ("BMP_OPS", "0"),
+        ("BMP_SEED", "forty-two"),
+        ("BMP_THREADS", "0"),
+        ("BMP_THREADS", "two"),
+    ];
+    for (var, value) in bad {
+        let out = run_all_cmd(&dir, 500).env(var, value).output();
+        let out = out.expect("run_all spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var), "{var}={value}: {stderr}");
+        if var != "BMP_THREADS" {
+            let out = Command::new(env!("CARGO_BIN_EXE_bmp-profile"))
+                .current_dir(&dir)
+                .env(var, value)
+                .output()
+                .expect("bmp-profile spawns");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+            assert!(stderr.contains(var), "{var}={value}: {stderr}");
+        }
+    }
+    assert!(!dir.join("results").exists(), "no work ran");
+
+    let out = run_all_cmd(&dir, 500)
+        .env("BMP_THREADS", "")
+        .args(["--only", "table1_config"])
+        .output()
+        .expect("run_all spawns");
+    assert_eq!(out.status.code(), Some(0), "an empty BMP_THREADS is unset");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--only` re-runs just its selection: the selected CSVs come back
 /// byte-identical, every other CSV and journal record stays exactly as
 /// it was, and `--resume` on top skips the already-completed selection.

@@ -33,8 +33,8 @@ pub const DATA_BASE: u32 = 0x5000_0000;
 pub const SCRATCH_BASE: u32 = 0x6000_0000;
 
 /// Kernel names in canonical order. Disjoint from the statistical
-/// profile names in `bmp-workloads`, so a cell label is unambiguous
-/// about its workload source.
+/// profile names in `bmp-workloads`, so a workload name (in tables and
+/// cell keys) is unambiguous about its source.
 pub const NAMES: [&str; 5] = ["isort", "hash", "parse", "rle", "bsearch"];
 
 /// A loadable program: assembled code plus generated data segments.
