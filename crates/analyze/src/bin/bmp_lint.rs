@@ -1,17 +1,18 @@
 //! `bmp-lint`: run the model-consistency lint rules from the command
 //! line.
 //!
-//! With no arguments it sweeps every machine preset and every workload
-//! profile in the SPEC-like table, checking machine balance, trace
+//! With no path option it sweeps every input the workspace generates:
+//! each machine preset on its own, then every workload profile in the
+//! SPEC-like table and every executed RV32IM kernel, checking trace
 //! well-formedness and — by running the interval model, the CPI stack
-//! and the reference simulator on each generated trace — result
-//! conservation. With `--static` it is also the static-bounds tool:
-//! for every metrics entry it prints the proven contributor bounds next
-//! to the interval model's recorded totals, and ends with the median
+//! and the simulator on each trace — result conservation; the kernels
+//! also get the executed-trace provenance rules. Each path option runs
+//! only its own pass. With `--static` it is the static-bounds tool: for
+//! every metrics entry it prints the proven contributor bounds next to
+//! the interval model's recorded totals, and ends with the median
 //! model-vs-simulated mean-penalty error and the CSV tables no static
-//! check covers. Exit status: 0 clean
-//! (warnings allowed), 1 when any error-severity finding fires, 2 on
-//! usage errors.
+//! check covers. Exit status: 0 clean (warnings allowed), 1 when any
+//! error-severity finding fires, 2 on usage errors.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -22,6 +23,7 @@ use bmp_core::json::Value;
 use bmp_core::json_object;
 use bmp_core::metrics::{ExperimentMetrics, ModelMetrics, WorkloadMetrics};
 use bmp_sim::Simulator;
+use bmp_trace::Trace;
 use bmp_uarch::{presets, MachineConfig};
 use bmp_workloads::{spec, WorkloadProfile};
 
@@ -29,19 +31,20 @@ const USAGE: &str = "\
 bmp-lint: static model-consistency linter (BMP rule codes)
 
 USAGE:
-    bmp-lint [OPTIONS]
+    bmp-lint [--json] [--ops N] [--journal PATH] [--metrics PATH] [--static PATH]
+
+With no PATH option, lints every input the workspace generates: each
+machine preset (BMP0xx), then every workload profile and executed
+RV32IM kernel trace at --ops (BMP1xx, BMP2xx; BMP9xx on the kernels).
+Each PATH option runs only its own pass.
 
 OPTIONS:
     --json            render the report as one JSON object instead of text
-    --preset NAME     lint only the named machine preset
-    --profile NAME    lint only the named workload profile (skips the
-                      preset pass unless --preset is also given)
+    --ops N           trace length of the generated traces (default 2000)
     --journal PATH    lint a run journal (results/run_journal.json) with
-                      the BMP4xx rules; given alone, skips the other
-                      passes like --profile does
+                      the BMP4xx rules
     --metrics PATH    lint a metrics document (results/metrics/*.json) or
-                      a whole metrics directory with the BMP5xx rules;
-                      given alone, skips the other passes too
+                      a whole metrics directory with the BMP5xx rules
     --static PATH     cross-check simulated results against statically
                       proven contributor bounds (BMP6xx). PATH is a
                       results directory (lints its *.csv tables and its
@@ -53,22 +56,13 @@ OPTIONS:
                       static checks cover, naming the rest (with
                       --json: a \"workloads\" array,
                       \"median_mean_penalty_err\", \"csvs_checked\" and
-                      \"csvs_unchecked\"); given alone, skips the other
-                      passes too
-    --kernels         execute every bmp-isa RV32IM kernel and lint the
-                      recorded trace: well-formedness (BMP1xx),
-                      executed-trace provenance (BMP9xx), and model /
-                      simulator conservation on the baseline machine;
-                      given alone, skips the other passes too
-    --ops N           trace length per workload profile (default 2000)
-    --no-traces       lint machine presets only; skip workload traces
-    --list            list preset and profile names, then exit
+                      \"csvs_unchecked\")
     -h, --help        show this help
 
 Severities: errors make the exit status 1; warnings and infos do not.
 See docs/ANALYZER.md for the BMP code catalogue.";
 
-/// The machine presets swept by default, by stable CLI name.
+/// The machine presets the sweep lints, by stable name.
 fn all_presets() -> Vec<(&'static str, MachineConfig)> {
     vec![
         ("baseline_4wide", presets::baseline_4wide()),
@@ -92,74 +86,34 @@ fn all_presets() -> Vec<(&'static str, MachineConfig)> {
 /// Parsed command line.
 struct Options {
     json: bool,
-    preset: Option<String>,
-    profile: Option<String>,
+    ops: usize,
     journal: Option<String>,
     metrics: Option<String>,
     statics: Option<String>,
-    kernels: bool,
-    ops: usize,
-    no_traces: bool,
-    list: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         json: false,
-        preset: None,
-        profile: None,
+        ops: 2000,
         journal: None,
         metrics: None,
         statics: None,
-        kernels: false,
-        ops: 2000,
-        no_traces: false,
-        list: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a {what}"))
+        };
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--kernels" => opts.kernels = true,
-            "--no-traces" => opts.no_traces = true,
-            "--list" => opts.list = true,
-            "--preset" => {
-                opts.preset = Some(
-                    it.next()
-                        .ok_or_else(|| "--preset needs a name".to_owned())?
-                        .clone(),
-                );
-            }
-            "--profile" => {
-                opts.profile = Some(
-                    it.next()
-                        .ok_or_else(|| "--profile needs a name".to_owned())?
-                        .clone(),
-                );
-            }
-            "--journal" => {
-                opts.journal = Some(
-                    it.next()
-                        .ok_or_else(|| "--journal needs a path".to_owned())?
-                        .clone(),
-                );
-            }
-            "--metrics" => {
-                opts.metrics = Some(
-                    it.next()
-                        .ok_or_else(|| "--metrics needs a path".to_owned())?
-                        .clone(),
-                );
-            }
-            "--static" => {
-                opts.statics = Some(
-                    it.next()
-                        .ok_or_else(|| "--static needs a path".to_owned())?
-                        .clone(),
-                );
-            }
+            "--journal" => opts.journal = Some(value("path")?),
+            "--metrics" => opts.metrics = Some(value("path")?),
+            "--static" => opts.statics = Some(value("path")?),
             "--ops" => {
-                let v = it.next().ok_or_else(|| "--ops needs a count".to_owned())?;
+                let v = value("count")?;
                 opts.ops = v
                     .parse::<usize>()
                     .map_err(|_| format!("--ops: '{v}' is not a count"))?;
@@ -186,9 +140,27 @@ fn scoped(target: &str, mut report: AnalysisReport) -> AnalysisReport {
     report
 }
 
-/// Pass 2 for one workload profile: `BMP100` when the profile fails its
-/// own `validate()`, otherwise trace well-formedness and model- and
-/// simulator-side conservation on `simulator`'s machine.
+/// One generated trace: well-formedness, the executed-trace provenance
+/// rules when `executed`, and model- and simulator-side conservation on
+/// `simulator`'s machine.
+fn lint_trace(
+    target: &str,
+    trace: &Trace,
+    simulator: &Simulator,
+    executed: bool,
+) -> AnalysisReport {
+    let reference = simulator.config();
+    let mut report = analyze(reference, Some(trace));
+    if executed {
+        report.merge(AnalysisReport::new(bmp_analyze::lint_executed_trace(trace)));
+    }
+    let result = simulator.run(trace);
+    report.merge(AnalysisReport::new(lint_sim_result(&result, reference)));
+    scoped(target, report)
+}
+
+/// One workload profile: `BMP100` when the profile fails its own
+/// `validate()`, otherwise its generated trace through [`lint_trace`].
 fn lint_profile(profile: &WorkloadProfile, ops: usize, simulator: &Simulator) -> AnalysisReport {
     let target = format!("profile {}", profile.name);
     if let Err(e) = profile.validate() {
@@ -199,16 +171,11 @@ fn lint_profile(profile: &WorkloadProfile, ops: usize, simulator: &Simulator) ->
         );
         return scoped(&target, AnalysisReport::new(vec![d]));
     }
-    let reference = simulator.config();
-    let trace = profile.generate(ops, 1);
-    let mut report = analyze(reference, Some(&trace));
-    let result = simulator.run(&trace);
-    report.merge(AnalysisReport::new(lint_sim_result(&result, reference)));
-    scoped(&target, report)
+    lint_trace(&target, &profile.generate(ops, 1), simulator, false)
 }
 
 /// Writes a line to stdout, swallowing broken-pipe errors so
-/// `bmp-lint --list | head` exits cleanly instead of panicking.
+/// `bmp-lint | head` exits cleanly instead of panicking.
 fn out(line: &str) {
     let _ = writeln!(std::io::stdout(), "{line}");
 }
@@ -354,44 +321,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let machines = all_presets();
-    let profiles = spec::all_profiles();
-
-    if opts.list {
-        out("presets:");
-        for (name, _) in &machines {
-            out(&format!("  {name}"));
-        }
-        out("profiles:");
-        for p in &profiles {
-            out(&format!("  {}", p.name));
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let machines: Vec<_> = match &opts.preset {
-        Some(want) => {
-            let selected: Vec<_> = machines.into_iter().filter(|(n, _)| n == want).collect();
-            if selected.is_empty() {
-                eprintln!("bmp-lint: unknown preset '{want}' (try --list)");
-                return ExitCode::from(2);
-            }
-            selected
-        }
-        None => machines,
-    };
-    let profiles: Vec<_> = match &opts.profile {
-        Some(want) => {
-            let selected: Vec<_> = profiles.into_iter().filter(|p| &p.name == want).collect();
-            if selected.is_empty() {
-                eprintln!("bmp-lint: unknown profile '{want}' (try --list)");
-                return ExitCode::from(2);
-            }
-            selected
-        }
-        None => profiles,
-    };
-
     let mut report = AnalysisReport::default();
     let mut targets = 0usize;
     // Per metrics entry under `--static`: a bound table (kept for
@@ -405,9 +334,19 @@ fn main() -> ExitCode {
     let mut csvs_checked = 0usize;
     let mut csvs_unchecked: Vec<String> = Vec::new();
 
-    // Pass 0: a run journal, when asked for. The path must be readable
-    // — a missing journal is a usage error, not a lint finding.
-    if let Some(path) = &opts.journal {
+    // Run journals (BMP4xx) and metrics documents (BMP5xx): one file or
+    // a directory of them. The path must be readable — a missing input
+    // is a usage error, not a lint finding.
+    let text_passes = [
+        (
+            &opts.journal,
+            "journal",
+            bmp_analyze::lint_journal_text as fn(&str) -> _,
+        ),
+        (&opts.metrics, "metrics", bmp_analyze::lint_metrics_text),
+    ];
+    for (path, kind, lint) in text_passes {
+        let Some(path) = path else { continue };
         let files = match walk_inputs(path, "json") {
             Ok(files) => files,
             Err(e) => {
@@ -418,34 +357,15 @@ fn main() -> ExitCode {
         for file in files {
             targets += 1;
             report.merge(scoped(
-                &format!("journal {}", file.path.display()),
-                AnalysisReport::new(bmp_analyze::lint_journal_text(&file.content)),
+                &format!("{kind} {}", file.path.display()),
+                AnalysisReport::new(lint(&file.content)),
             ));
         }
     }
 
-    // Pass 0b: metrics documents. `--metrics` accepts one file or a
-    // directory of them (`results/metrics/`).
-    if let Some(path) = &opts.metrics {
-        let files = match walk_inputs(path, "json") {
-            Ok(files) => files,
-            Err(e) => {
-                eprintln!("bmp-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        for file in files {
-            targets += 1;
-            report.merge(scoped(
-                &format!("metrics {}", file.path.display()),
-                AnalysisReport::new(bmp_analyze::lint_metrics_text(&file.content)),
-            ));
-        }
-    }
-
-    // Pass 0c: static cross-checks (BMP6xx). A directory is treated as
-    // a results tree: its CSV tables plus a `metrics/` subdirectory;
-    // single files route by extension.
+    // Static cross-checks (BMP6xx). A directory is treated as a results
+    // tree: its CSV tables plus a `metrics/` subdirectory; single files
+    // route by extension.
     if let Some(path) = &opts.statics {
         let p = std::path::Path::new(path);
         // (is_metrics, source) pairs: a results directory contributes
@@ -525,60 +445,28 @@ fn main() -> ExitCode {
         }
     }
 
-    // Pass 0d: the executed-kernel suite (BMP1xx + BMP9xx + model and
-    // simulator conservation). Each kernel is functionally executed at
-    // the requested length and its recorded trace must carry the full
-    // provenance fingerprint — the rules synthetic traces cannot pass.
-    if opts.kernels {
-        let reference = presets::baseline_4wide();
-        let simulator = Simulator::new(reference.clone());
-        for name in bmp_isa::NAMES {
-            targets += 1;
-            let target = format!("kernel {name}");
-            let trace = bmp_isa::kernel_trace(name, opts.ops, 1).expect("registered kernel");
-            report.merge(scoped(&target, analyze(&reference, Some(&trace))));
-            report.merge(scoped(
-                &target,
-                AnalysisReport::new(bmp_analyze::lint_executed_trace(&trace)),
-            ));
-            let result = simulator.run(&trace);
-            report.merge(scoped(
-                &target,
-                AnalysisReport::new(lint_sim_result(&result, &reference)),
-            ));
-        }
-    }
-
-    // Pass 1: every selected machine preset on its own. A bare
-    // `--profile` (or `--journal` / `--metrics` / `--kernels`) request
-    // means "lint this target", so the preset sweep only runs when
-    // presets were not narrowed away.
-    let narrowed = opts.profile.is_some()
-        || opts.journal.is_some()
-        || opts.metrics.is_some()
-        || opts.statics.is_some()
-        || opts.kernels;
-    if !narrowed || opts.preset.is_some() {
-        for (name, cfg) in &machines {
+    // With no path option, the sweep over every generated input: each
+    // machine preset on its own, then every workload profile's and
+    // executed kernel's trace on the baseline machine.
+    if opts.journal.is_none() && opts.metrics.is_none() && opts.statics.is_none() {
+        for (name, cfg) in &all_presets() {
             targets += 1;
             report.merge(scoped(&format!("preset {name}"), analyze(cfg, None)));
         }
-    }
-
-    // Pass 2: every selected workload profile — trace well-formedness,
-    // then model- and simulator-side conservation on the reference
-    // (baseline) machine.
-    if !opts.no_traces
-        && ((opts.journal.is_none()
-            && opts.metrics.is_none()
-            && opts.statics.is_none()
-            && !opts.kernels)
-            || opts.profile.is_some())
-    {
         let simulator = Simulator::new(presets::baseline_4wide());
-        for profile in &profiles {
+        for profile in &spec::all_profiles() {
             targets += 1;
             report.merge(lint_profile(profile, opts.ops, &simulator));
+        }
+        for name in bmp_isa::NAMES {
+            targets += 1;
+            let trace = bmp_isa::kernel_trace(name, opts.ops, 1).expect("registered kernel");
+            report.merge(lint_trace(
+                &format!("kernel {name}"),
+                &trace,
+                &simulator,
+                true,
+            ));
         }
     }
 
@@ -652,5 +540,39 @@ mod tests {
         let d = &report.diagnostics[0];
         assert_eq!((d.code, d.severity), ("BMP100", Severity::Error));
         assert_eq!(d.locus, "profile default: profile");
+    }
+
+    /// The provenance rules run on executed traces only, and their
+    /// findings name the kernel.
+    #[test]
+    fn executed_traces_get_the_provenance_rules() {
+        let mut ops = bmp_isa::kernel_trace("isort", 500, 1)
+            .expect("registered kernel")
+            .ops()
+            .to_vec();
+        // Dropping an op after a non-branch breaks straight-line
+        // continuity (BMP901).
+        let i = (1..ops.len())
+            .find(|&i| ops[i - 1].branch_info().is_none())
+            .expect("a non-branch op");
+        ops.remove(i);
+        let trace = Trace::from_ops_unchecked(ops);
+        let simulator = Simulator::new(presets::baseline_4wide());
+        let provenance = |r: &AnalysisReport| {
+            r.diagnostics
+                .iter()
+                .filter(|d| d.code.starts_with("BMP9"))
+                .map(|d| d.locus.clone())
+                .collect::<Vec<_>>()
+        };
+        let executed = lint_trace("kernel isort", &trace, &simulator, true);
+        let loci = provenance(&executed);
+        assert!(!loci.is_empty(), "{}", executed.render_human());
+        assert!(
+            loci.iter().all(|l| l.starts_with("kernel isort: ")),
+            "{loci:?}"
+        );
+        let synthetic = lint_trace("profile x", &trace, &simulator, false);
+        assert!(provenance(&synthetic).is_empty());
     }
 }

@@ -40,9 +40,12 @@
 //! table and the checks that read it share one declaration of its
 //! columns. A table with no checks, or a header that matches no schema,
 //! is not checked ([`csv_checked`]), and `bmp-lint --static` names every
-//! such CSV. All CSV checks are scale-free: they hold at any
-//! `BMP_OPS`/`BMP_SEED`, because they are identities and bounds, not
-//! golden values.
+//! such CSV. All CSV checks are scale-free: they are identities and
+//! bounds, not golden values, and hold at any `BMP_OPS`/`BMP_SEED` at
+//! which every row averages over two or more mispredictions (fig10 also
+//! needs each benchmark's correlation to be defined). Tier-1 runs them
+//! on every table at three small scales
+//! (`crates/bench/tests/static_checks.rs`).
 
 use std::cell::OnceCell;
 
@@ -620,17 +623,29 @@ fn fig7(row: &mut Row<'_>) -> Option<()> {
     Some(())
 }
 
+/// E-F8's floor. Per branch, the local resolution is at least
+/// `2 + ilp` (the base floor plus non-negative knock-out terms), but the
+/// published `model-resolution` is the mean *whole-trace* resolution.
+/// On the chain microbenchmark the two differ at one branch only: every
+/// later interval starts at a misprediction's redirect with all older
+/// ops done, so its whole-trace resolution equals its local one, while
+/// the first mispredicted interval starts behind a cold I-cache miss
+/// and its chain can finish before the branch is fetched (resolution 2,
+/// carryover `-ilp`). Its chain is a suffix of the others', so its ILP
+/// share is at most the mean `I`, and over `n` mispredictions the mean
+/// resolution is at least `2 + I·(n − 1)/n`: `2 + I/2` once a row
+/// averages over two or more.
 fn fig8(row: &mut Row<'_>) -> Option<()> {
     row.ge(col::CHAIN_LENGTH, 1.0, "chains have at least one op")?;
     row.resolutions(&[col::MEASURED_RESOLUTION, col::MODEL_RESOLUTION])?;
     let ilp = row.ge(col::MODEL_ILP_SHARE_III, 0.0, KNOCK_OUT)?;
     let model = row.num(col::MODEL_RESOLUTION)?;
-    let floor = ilp + MIN_RESOLUTION - EPS_SUM;
+    let floor = MIN_RESOLUTION + ilp / 2.0 - EPS_VAL;
     row.check_ge(
         col::MODEL_RESOLUTION,
         model,
         floor,
-        "resolution >= ilp share + 2",
+        "resolution >= 2 + ilp share / 2",
     );
     Some(())
 }
@@ -1110,6 +1125,21 @@ mod tests {
         assert!(!csv_checked(
             "measured-resolution,chain-length,model-resolution,model-ilp-share(iii)\n"
         ));
+    }
+
+    const FIG8_HEADER: &str =
+        "chain-length,measured-resolution,model-resolution,model-ilp-share(iii)\n";
+
+    #[test]
+    fn fig8_resolution_below_the_chain_floor_is_bmp605() {
+        // The first misprediction's carryover pulls the mean below
+        // 2 + ilp at small scales (2,000 and 60 ops); both rows pass.
+        let good = format!("{FIG8_HEADER}16,13.90,13.90,12.00\n16,10.00,10.00,12.00\n");
+        assert!(lint_csv("fig8.csv", &good).is_clean());
+        let bad = format!("{FIG8_HEADER}32,7.90,7.90,12.00\n");
+        let report = lint_csv("fig8.csv", &bad);
+        assert_eq!(codes(&report), ["BMP605"], "{}", report.render_human());
+        assert!(report.render_human().contains("2 + ilp share / 2"));
     }
 
     const FIG4_HEADER: &str = "benchmark,interval-bucket-lo,fraction,count\n";

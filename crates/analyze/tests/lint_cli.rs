@@ -1,8 +1,9 @@
-//! `bmp-lint --static` end to end: every entry of a metrics document is
+//! `bmp-lint` end to end: every entry of a metrics document is
 //! checked under the machine it was recorded with, so a
 //! generation-predictor entry gets that predictor's static bounds, and
 //! the report names every published CSV table no static check covers;
-//! an unknown option is a usage error.
+//! a bare run sweeps every generated input, a path option runs its pass
+//! alone, and an unknown option is a usage error.
 
 use std::process::Command;
 
@@ -223,13 +224,57 @@ fn static_names_the_unchecked_csvs() {
     assert!(human.contains(&line), "{human}");
 }
 
-/// An unknown option — including the retired `--store` — is a usage
+/// Runs `bmp-lint` with `args`; returns its exit code and stdout.
+fn bmp_lint(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_bmp-lint"))
+        .args(args)
+        .output()
+        .expect("bmp-lint runs");
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    (out.status.code(), stdout)
+}
+
+/// With no path option, one sweep lints every generated input: the 9
+/// machine presets, the 12 workload profiles and the 5 executed kernels.
+#[test]
+fn a_bare_run_lints_every_generated_input() {
+    let (code, human) = bmp_lint(&["--ops", "500"]);
+    assert_eq!(code, Some(0), "{human}");
+    assert!(
+        human.ends_with("linted 26 target(s); worst severity: warn\n"),
+        "{human}"
+    );
+}
+
+/// A path option runs its pass alone: `--static FILE` lints one target.
+#[test]
+fn a_path_option_runs_only_its_pass() {
+    let csv = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig8_ilp.csv");
+    let (code, human) = bmp_lint(&["--static", csv.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{human}");
+    assert!(
+        human.ends_with("linted 1 target(s); worst severity: none\n"),
+        "{human}"
+    );
+}
+
+/// An unknown option — including the retired `--store`, `--preset`,
+/// `--profile`, `--list`, `--no-traces` and `--kernels` — is a usage
 /// error: exit 2 with the usage on stderr, so a script passing it fails
-/// loudly instead of linting nothing.
+/// loudly instead of linting something else.
 #[test]
 fn an_unknown_option_is_a_usage_error() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    for args in [&["--store", dir.to_str().unwrap()][..], &["--frobnicate"]] {
+    let retired: [&[&str]; 7] = [
+        &["--store", dir.to_str().unwrap()],
+        &["--frobnicate"],
+        &["--preset", "baseline_4wide"],
+        &["--profile", "gzip"],
+        &["--list"],
+        &["--no-traces"],
+        &["--kernels"],
+    ];
+    for args in retired {
         let out = Command::new(env!("CARGO_BIN_EXE_bmp-lint"))
             .args(args)
             .output()

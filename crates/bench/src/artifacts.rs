@@ -16,9 +16,8 @@
 //! caught, recorded as a `Slot::Failed` with its structured
 //! [`CellError`], every blocked waiter is woken and re-raises that same
 //! error (no waiter recomputes, no waiter deadlocks), and the original
-//! computing thread re-panics with the structured payload so
-//! [`ThreadPool::try_map`](crate::pool::ThreadPool::try_map) can report
-//! it. The failed slot does **not** poison the key: the next *fresh*
+//! computing thread re-panics with the structured payload, so the
+//! experiment engine's per-attempt catch classifies it. The failed slot does **not** poison the key: the next *fresh*
 //! lookup claims it and recomputes — which is exactly what the harness's
 //! bounded retry does.
 //!

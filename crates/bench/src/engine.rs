@@ -343,7 +343,7 @@ impl Ctx {
     /// (see `bmp_isa`), cached by `(kernel name, ops, seed)`.
     ///
     /// Generation goes through [`bmp_isa::kernel_trace`] — the exact
-    /// function the analyzers (`bmp-lint --static`, `bmp-lint --kernels`) use
+    /// function the analyzers (`bmp-lint --static` and its kernel sweep) use
     /// to rebuild kernel traces from recorded `(name, ops, seed)`
     /// journals — so a kernel cell's trace is bit-identical wherever it
     /// is regenerated.
@@ -1058,7 +1058,8 @@ impl Engine {
         let phases = self.ctx.phase_report();
         let schedule = Schedule::new(defs, &policy.skip, &self.ctx, scale);
         // Each job runs its experiment, reports it and ends its leases.
-        // The pool job itself never panics — failure is data here.
+        // `attempt` turns an experiment's panic into data; a panic in
+        // `on_done` or `end_leases` is a harness failure and propagates.
         let mut outcomes = self.pool.map(defs.len(), |job| {
             let i = schedule.order[job];
             let outcome = self.attempt(&defs[i], i, scale, policy);
@@ -1871,6 +1872,53 @@ mod tests {
         assert_eq!(attempts, 2, "the first attempt panicked");
         assert_eq!(csvs, clean_csvs);
         assert_eq!(retried_misses, clean_misses, "the retry computed nothing");
+    }
+
+    /// A panic outside an experiment's attempt is a harness failure, not
+    /// an experiment failure: `run_tolerant` re-raises it. At two
+    /// threads the other worker still settles every other experiment.
+    #[test]
+    fn a_panicking_on_done_propagates() {
+        let scale = Scale {
+            ops: 1_000,
+            seed: 3,
+        };
+        let names = [
+            "table1_config",
+            "fig8_ilp",
+            "fig9_l1d_misses",
+            "ex2_window_sweep",
+        ];
+        let defs = defs_named(&names).unwrap();
+        let faults = FaultPlan::none();
+        let policy = RunPolicy::with_attempts(1, &faults);
+        for threads in [1, 2] {
+            let done = Mutex::new(Vec::new());
+            let on_done = |o: &ExperimentOutcome| {
+                assert!(o.name != "fig8_ilp", "on_done failed for {}", o.name);
+                done.lock().unwrap().push(o.name);
+            };
+            let engine = Engine::new(threads);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                engine.run_tolerant(&defs, scale, &policy, &on_done)
+            }));
+            let payload = caught.expect_err("the on_done panic propagates");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert_eq!(
+                message, "on_done failed for fig8_ilp",
+                "{threads} thread(s)"
+            );
+            if threads == 2 {
+                let mut done = done.into_inner().unwrap();
+                done.sort_unstable();
+                assert_eq!(
+                    done,
+                    ["ex2_window_sweep", "fig9_l1d_misses", "table1_config"]
+                );
+            }
+        }
     }
 
     /// A skipped experiment declares no cell and holds no lease: every

@@ -1,8 +1,9 @@
 //! Structured experiment failures.
 //!
-//! One experiment failing must not take the suite down with it:
-//! [`ThreadPool::try_map`](crate::pool::ThreadPool::try_map) catches the
-//! panic, and everything downstream — retry accounting, the run journal,
+//! One experiment failing must not take the suite down with it: the
+//! experiment engine catches the panic of each attempt
+//! ([`Engine::run_tolerant`](crate::Engine::run_tolerant)), and
+//! everything downstream — retry accounting, the run journal,
 //! the partial-results report — works in terms of [`CellError`] instead
 //! of an opaque panic payload. Code on the experiment path that *knows*
 //! why it is failing panics with a structured payload via

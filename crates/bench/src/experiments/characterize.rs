@@ -88,7 +88,7 @@ pub fn fig1_interval_profile(ctx: &Ctx, scale: Scale) -> Table {
 fn fig2_grid() -> impl Iterator<Item = (Point, Point)> {
     let oracle = baseline_with(|b| b.predictor(PredictorConfig::Perfect));
     profiles(&spec::NAMES).map(move |base| {
-        let oracle = Point::new(base.workload, Machine::sweep("oracle", oracle.clone()));
+        let oracle = Point::new(base.workload, Machine::sweep(oracle.clone()));
         (base, oracle)
     })
 }

@@ -52,7 +52,7 @@ fn ex1_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
         ("perfect", PredictorConfig::Perfect),
     ];
     let variants = predictors.map(|(name, p)| (name, baseline_with(|b| b.predictor(p))));
-    sweep(&["twolf", "gzip"], "", variants.into())
+    sweep(&["twolf", "gzip"], variants.into())
 }
 
 /// E-X1 in the registry: its table and the cells the table reads.
@@ -92,7 +92,7 @@ pub fn ex1_predictor_study(ctx: &Ctx, scale: Scale) -> Table {
 fn ex2_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
     let windows =
         [16u32, 32, 64, 128, 256].map(|w| (w, baseline_with(|b| b.window_size(w).rob_size(w * 2))));
-    sweep(&["twolf", "gzip"], "window", windows.into())
+    sweep(&["twolf", "gzip"], windows.into())
 }
 
 /// E-X2 in the registry: its table and the cells the table reads.
@@ -193,11 +193,7 @@ fn ex4_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
         let caches = caches.expect("valid prefetch");
         (label, baseline_with(|b| b.caches(caches)))
     });
-    sweep(
-        &["bzip2", "gzip", "mcf", "gcc"],
-        "prefetch-",
-        variants.into(),
-    )
+    sweep(&["bzip2", "gzip", "mcf", "gcc"], variants.into())
 }
 
 /// E-X4 in the registry: its table and the cells the table reads.
@@ -283,7 +279,7 @@ fn ex6_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
         let caches = HierarchyConfig::new(l1i, l1d, Some(l2), 200).expect("valid hierarchy");
         (label, baseline_with(|b| b.caches(caches)))
     });
-    sweep(&["gzip", "parser", "mcf"], "", variants.into())
+    sweep(&["gzip", "parser", "mcf"], variants.into())
 }
 
 /// E-X6 in the registry: its table and the cells the table reads.
@@ -328,7 +324,7 @@ fn ex7_grid() -> impl Iterator<Item = (&'static str, &'static str, Point)> {
         ),
     ]
     .map(|(label, p)| (label, baseline_with(|b| b.indirect_predictor(p))));
-    sweep(&["perlbmk", "gap", "eon", "gcc"], "", variants.into())
+    sweep(&["perlbmk", "gap", "eon", "gcc"], variants.into())
 }
 
 /// E-X7 in the registry: its table and the cells the table reads.

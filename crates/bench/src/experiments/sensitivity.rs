@@ -12,7 +12,7 @@ use crate::{Scale, Table};
 /// E-F6's grid: two benchmarks × six frontend depths.
 fn fig6_grid() -> impl Iterator<Item = (&'static str, u32, Point)> {
     let depths = [1u32, 5, 10, 20, 30, 40].map(|d| (d, baseline_with(|b| b.frontend_depth(d))));
-    sweep(&["twolf", "gcc"], "depth", depths.into())
+    sweep(&["twolf", "gcc"], depths.into())
 }
 
 /// E-F6 in the registry: its table and the cells the table reads.
@@ -67,7 +67,7 @@ fn fig7_grid() -> impl Iterator<Item = (&'static str, f64, Point)> {
         [1.0, 1.5, 2.0, 3.0].into_iter().map(move |factor| {
             let latencies = LatencyTable::default().scaled(factor);
             let cfg = baseline_with(|b| b.latencies(latencies).predictor(predictor));
-            let machine = Machine::sweep(format!("lat{factor:.1}"), cfg);
+            let machine = Machine::sweep(cfg);
             (label, factor, Point::new(workload, machine))
         })
     })
@@ -111,7 +111,7 @@ pub fn fig7_fu_latency(ctx: &Ctx, scale: Scale) -> Table {
 fn fig8_grid() -> impl Iterator<Item = (u32, Point)> {
     let cfg = baseline_with(|b| b.predictor(PredictorConfig::AlwaysNotTaken));
     [1u32, 2, 4, 8, 16, 32].into_iter().map(move |chain| {
-        let machine = Machine::sweep("not-taken", cfg.clone());
+        let machine = Machine::sweep(cfg.clone());
         (chain, Point::new(Workload::Chain(chain), machine))
     })
 }
@@ -153,7 +153,7 @@ pub fn fig8_ilp(ctx: &Ctx, scale: Scale) -> Table {
 fn fig9_grid() -> impl Iterator<Item = (u64, Point)> {
     [4u64, 8, 16, 32, 64].into_iter().map(|kib| {
         let cfg = presets::l1d_sized(kib * 1024).expect("valid L1D size");
-        let machine = Machine::sweep(format!("l1d{kib}k"), cfg);
+        let machine = Machine::sweep(cfg);
         (kib, Point::new(Workload::HotParser, machine))
     })
 }

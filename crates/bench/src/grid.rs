@@ -9,7 +9,6 @@
 //! there, and metrics collection (`crate::metrics`) matches the same
 //! typed fields.
 
-use std::fmt::Display;
 use std::sync::Arc;
 
 use bmp_core::PenaltyAnalysis;
@@ -135,22 +134,16 @@ pub enum Machine {
     /// The baseline with a predictor generation from
     /// [`presets::GENERATIONS`] swapped in.
     Generation(&'static str),
-    /// An explicit sweep configuration named `tag`. A sweep point stays a
-    /// sweep even when it equals the baseline, so metrics collection never
-    /// takes it for the baseline epoch.
-    Sweep {
-        /// The point's name in its experiment.
-        tag: String,
-        /// The configuration.
-        config: Box<MachineConfig>,
-    },
+    /// An explicit sweep configuration. A sweep point stays a sweep even
+    /// when it equals the baseline, so metrics collection never takes it
+    /// for the baseline epoch.
+    Sweep(Box<MachineConfig>),
 }
 
 impl Machine {
-    /// A sweep point named `tag`.
-    pub fn sweep(tag: impl Into<String>, config: MachineConfig) -> Self {
-        let (tag, config) = (tag.into(), Box::new(config));
-        Machine::Sweep { tag, config }
+    /// A sweep point on `config`.
+    pub fn sweep(config: MachineConfig) -> Self {
+        Machine::Sweep(Box::new(config))
     }
 
     /// The machine configuration.
@@ -165,7 +158,7 @@ impl Machine {
                 let message = format!("unknown predictor generation `{pred}`");
                 std::panic::panic_any(CellError::invalid_config(format!("pred-{pred}"), message))
             }),
-            Machine::Sweep { config, .. } => MachineConfig::clone(config),
+            Machine::Sweep(config) => MachineConfig::clone(config),
         }
     }
 }
@@ -276,7 +269,7 @@ pub struct Cell {
 impl Cell {
     /// The content key: cells with equal keys compute the same artifact,
     /// so the engine counts one of them. It covers the workload, the
-    /// machine configuration (not its tag), the sim options and the
+    /// machine configuration (not its variant), the sim options and the
     /// artifact kind.
     pub fn key(&self) -> u64 {
         let workload = fnv1a(self.point.workload.name().as_bytes());
@@ -331,17 +324,15 @@ pub(crate) fn baseline_with(
 }
 
 /// A sweep over named profiles: every profile × every `(key, config)`
-/// variant, profile-major, as `(profile, key, point)` rows. Each sweep
-/// machine's tag is `prefix` followed by its key.
-pub(crate) fn sweep<K: Display + Clone>(
+/// variant, profile-major, as `(profile, key, point)` rows.
+pub(crate) fn sweep<K: Clone>(
     names: &'static [&'static str],
-    prefix: &'static str,
     variants: Vec<(K, MachineConfig)>,
 ) -> impl Iterator<Item = (&'static str, K, Point)> {
     names.iter().flat_map(move |&name| {
         variants.clone().into_iter().map(move |(key, cfg)| {
-            let machine = Machine::sweep(format!("{prefix}{key}"), cfg);
-            (name, key, Point::new(Workload::Profile(name), machine))
+            let point = Point::new(Workload::Profile(name), Machine::sweep(cfg));
+            (name, key, point)
         })
     })
 }
@@ -400,11 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn keys_follow_content_not_tags() {
+    fn keys_follow_content_not_the_machine_variant() {
         let key = |p: &Point, a| p.cell(a).key();
         let gzip = |machine| Point::new(Workload::Profile("gzip"), machine);
         let base = gzip(Machine::Baseline);
-        let depth = |d| Machine::sweep("depth5", presets::deep_frontend(d).unwrap());
+        let depth = |d| Machine::sweep(presets::deep_frontend(d).unwrap());
         // A sweep point equal to the baseline is the same work.
         assert_eq!(key(&base, Sim), key(&gzip(depth(5)), Sim));
         assert_ne!(key(&base, Sim), key(&gzip(depth(20)), Sim));
